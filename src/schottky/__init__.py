@@ -4,9 +4,8 @@ The package computes truncated orbit sums for the standard function
 theory on a Schottky-uniformized surface (holomorphic differentials,
 the symmetric bidifferential, higher-weight kernels, the period matrix),
 builds the truncated mode-coupling operators whose Fredholm determinant
-gives free-boson partition functions, evaluates closed-form chiral
-correlators (Heisenberg, Virasoro, lattice), and verifies variational
-identities in the moduli parameters by finite differences.
+gives free-boson partition functions, and evaluates closed-form chiral
+correlators (Heisenberg, Virasoro, lattice).
 
 Entry points:
 
@@ -17,11 +16,6 @@ Entry points:
   weight-N kernel, determinant partition function.
 - :mod:`schottky.correlators`: Heisenberg / Virasoro / lattice
   correlation functions and Siegel theta sums.
-- :mod:`schottky.variations`: moduli derivatives, the differential
-  connection, and identity residual checks.
-- :mod:`schottky.paramfiles`: parameter-file parsing and deterministic
-  JSON/CSV serialization.
-- :mod:`schottky.cli`: the ``schottky`` command-line tool.
 """
 
 from schottky.group import (
@@ -37,6 +31,7 @@ from schottky.group import (
     SchottkyParams,
     TruncationPolicy,
     ValidityReport,
+    WordTable,
     apply_mobius,
     classical_from_params,
     default_mode_cutoff,

@@ -28,7 +28,6 @@ from schottky.modes import heisenberg_partition
 __all__ = [
     "CorrelatorValue",
     "LatticeSpec",
-    "CorrelatorRequest",
     "pairings",
     "heisenberg_npoint",
     "virasoro_one_point",
@@ -90,30 +89,6 @@ class LatticeSpec:
 
     def gram_array(self) -> np.ndarray:
         return np.array(self.gram, dtype=float).reshape(self.rank, self.rank)
-
-
-@dataclass(frozen=True)
-class CorrelatorRequest:
-    """Plumbing record for a correlator evaluation (CLI-facing)."""
-
-    kind: str
-    points: tuple[complex, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("heisenberg", "virasoro1", "virasoro2"):
-            raise InvalidParameterError(f"unknown correlator kind {self.kind!r}")
-        pts = tuple(complex(p) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if self.kind == "virasoro1" and len(pts) != 1:
-            raise InvalidParameterError("virasoro1 takes exactly one point")
-        if self.kind == "virasoro2" and len(pts) != 2:
-            raise InvalidParameterError("virasoro2 takes exactly two points")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise InvalidParameterError(
-                        f"insertion points {i} and {j} coincide"
-                    )
 
 
 def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:

@@ -291,12 +291,12 @@ def origin_clearing_translation(sp: SchottkyParams) -> MobiusMap:
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
-    Immutable after construction: the word list, the limit points for the
-    weight-N seeds, the probe points for the one-forms and the period
-    base points are all frozen here, so repeated evaluations (including
-    finite-difference stencils built by the variations module, which pass
-    ``probes`` / ``period_paths`` overrides to keep discrete choices fixed
-    across perturbed parameter sets) are deterministic.
+    Immutable after construction: the word table, the limit points for
+    the weight-N seeds, the probe points for the one-forms and the period
+    base points are all frozen here, so repeated evaluations are
+    deterministic.  ``words`` is the :class:`~schottky.group.WordTable`
+    of :func:`~schottky.group.enumerate_group`; the orbit sums read its
+    matrix arrays directly.
 
     Parameters
     ----------
@@ -344,13 +344,9 @@ class SurfaceForms:
                 "origin_clearing_translation(sp) first"
             )
         self.words = enumerate_group(sp, self.policy.max_word_length)
-        mats = [m for _, m in self.words]
-        self._wa = np.array([m.a for m in mats], dtype=np.complex128)
-        self._wb = np.array([m.b for m in mats], dtype=np.complex128)
-        self._wc = np.array([m.c for m in mats], dtype=np.complex128)
-        self._wd = np.array([m.d for m in mats], dtype=np.complex128)
-        self._wlen = np.array([len(w) for w, _ in self.words], dtype=np.int64)
-        self._last_shell = self._wlen == self.policy.max_word_length
+        self._wa, self._wb = self.words.a, self.words.b
+        self._wc, self._wd = self.words.c, self.words.d
+        self._last_shell = self.words.length == self.policy.max_word_length
 
         if limit_points is None:
             self.limit_points = ordered_fixed_points(sp)
@@ -511,8 +507,12 @@ class SurfaceForms:
 
     def _kernel_dy_many_y(
         self, x: complex, ys: np.ndarray, weight: int
-    ) -> np.ndarray:
-        """d/dy of the weight-N kernel at each y (analytic, term-wise)."""
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """d/dy of the weight-N kernel at each y (analytic, term-wise).
+
+        Returns (values, tails), one entry per y, the tail being the
+        magnitude of the last word shell's contribution.
+        """
         A = self._seed_points(weight)
         gx, dgx = self._orbit_scalar(x)
         coef = self._orbit_seed_coef(gx, dgx, A, weight)
@@ -523,9 +523,14 @@ class SurfaceForms:
             poly = poly * (ys - Aj)
         diff = gx[:, None] - ys[None, :]
         self._guard_poles(np.abs(diff), "weight-%d kernel derivative" % weight)
-        base = (coef[:, None] / diff).sum(axis=0)
-        shifted = (coef[:, None] / (diff * diff)).sum(axis=0)
-        return dpoly * base + poly * shifted
+        base = coef[:, None] / diff
+        shifted = coef[:, None] / (diff * diff)
+        vals = dpoly * base.sum(axis=0) + poly * shifted.sum(axis=0)
+        if self.policy.max_word_length == 0:
+            return vals, np.full(len(ys), math.inf)
+        last = self._last_shell
+        tails = np.abs(dpoly * base[last].sum(axis=0) + poly * shifted[last].sum(axis=0))
+        return vals, tails
 
     # -- public evaluations ----------------------------------------------------
 
@@ -561,8 +566,8 @@ class SurfaceForms:
         """Analytic d/dy of the weight-N kernel (term-wise, no differencing)."""
         x = self._require_in_domain(x, "x")
         y = complex(y)
-        v = self._kernel_dy_many_y(x, np.array([y], dtype=np.complex128), weight)
-        return FormValue(complex(v[0]), weight, 2 - weight, 0.0)
+        vals, tails = self._kernel_dy_many_y(x, np.array([y], dtype=np.complex128), weight)
+        return FormValue(complex(vals[0]), weight, 2 - weight, float(tails[0]))
 
     def bidifferential(self, x: complex, y: complex) -> FormValue:
         """Symmetric normalized bidifferential, double pole on the diagonal.
@@ -1070,7 +1075,6 @@ class SurfaceForms:
                     }
                 )
                 for b in detoured:
-                    flips_tried += 1
                     alt = dict(path_map)
                     alt[a] = self._build_period_path(a, frozenset({b}))
                     om2, t2 = entry_rows(alt)

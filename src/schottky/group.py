@@ -27,6 +27,16 @@ Group elements are indexed by reduced words in the generators.  The
 enumeration order (by length, then lexicographically in the generator
 order 1, -1, 2, -2, ...) is fixed once and for all so that truncated
 orbit sums are bit-for-bit reproducible.
+
+:func:`enumerate_group` returns the words as a :class:`WordTable`: flat
+arrays with one row per word in that order, holding the matrix entries
+a, b, c, d (complex128), the word length, the row of the parent word
+(the word without its last letter) and the last letter.  Each matrix
+equals, bit for bit, the left-to-right :meth:`MobiusMap.compose` product
+of its letters' :func:`generator_map` matrices.  The table forms these
+products on real and imaginary parts separately, in the order Python's
+complex arithmetic uses, because numpy's vectorized complex multiply may
+fuse multiply-adds and round differently.
 """
 
 from __future__ import annotations
@@ -34,7 +44,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterator
+
+import numpy as np
 
 __all__ = [
     "INFINITY",
@@ -48,6 +60,7 @@ __all__ = [
     "SchottkyParams",
     "ClassicalParams",
     "GroupWord",
+    "WordTable",
     "TruncationPolicy",
     "PairSeparation",
     "ValidityReport",
@@ -454,34 +467,128 @@ def word_count(genus: int, max_word_length: int) -> int:
     return total
 
 
-def enumerate_group(
-    sp: SchottkyParams, max_word_length: int
-) -> list[tuple[GroupWord, MobiusMap]]:
+@dataclass(frozen=True, eq=False)
+class WordTable:
+    """The reduced words of length <= L as flat arrays, one row per word.
+
+    Row i holds the det-1 matrix ``(a[i], b[i]; c[i], d[i])`` of word i
+    (complex128), its ``length``, the row of its ``parent`` (the word
+    with the last letter removed; the identity, row 0, is its own
+    parent) and its ``last`` letter as a signed index (0 for the
+    identity).  The arrays are read-only and shared by every consumer.
+
+    ``len(table)`` is the word count; ``table[i]`` builds the pair
+    ``(GroupWord, MobiusMap)`` for row i on demand, and iterating yields
+    these pairs in row order.  Nothing per word is built otherwise.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    length: np.ndarray
+    parent: np.ndarray
+    last: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.length)
+
+    def letters(self, i: int) -> tuple[int, ...]:
+        """Letters of word i, first to last."""
+        out: list[int] = []
+        i = range(len(self))[i]
+        while i:
+            out.append(int(self.last[i]))
+            i = int(self.parent[i])
+        return tuple(reversed(out))
+
+    def __getitem__(self, i: int) -> tuple[GroupWord, MobiusMap]:
+        i = range(len(self))[i]
+        mat = MobiusMap(self.a[i], self.b[i], self.c[i], self.d[i])
+        return GroupWord(self.letters(i)), mat
+
+    def __iter__(self) -> Iterator[tuple[GroupWord, MobiusMap]]:
+        return (self[i] for i in range(len(self)))
+
+
+def _dot(x, y, u, v):
+    """x*y + u*v on (real, imag) pairs, rounded as Python complex arithmetic rounds it."""
+    re = (x[0] * y[0] - x[1] * y[1]) + (u[0] * v[0] - u[1] * v[1])
+    im = (x[0] * y[1] + x[1] * y[0]) + (u[0] * v[1] + u[1] * v[0])
+    return re, im
+
+
+def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     """All reduced words of length <= L with their composed det-1 matrices.
 
     Deterministic order: by length, then lexicographic on letters in the
-    generator order (1, -1, 2, -2, ...).  Each generator matrix is
-    normalized to det 1 once; products of det-1 factors stay det-1, and
-    the composed matrices are deliberately *not* renormalized (for long
-    words the entries are large and a recomputed ad - bc is cancellation
-    noise, so dividing by its square root would corrupt the matrix).
+    generator order (1, -1, 2, -2, ...).  Returns a :class:`WordTable`.
+
+    The tree grows breadth-first.  Each shell multiplies the frontier
+    matrices (rows) by the 2g generator matrices (columns) on the right,
+    drops the column of the inverse of each row's last letter, and
+    flattens row-major, which is the order above.
+
+    Promise: the matrix of a word equals, bit for bit, the left-to-right
+    product ``IDENTITY_MAP.compose(generator_map(sp, a1)).compose(...)``
+    of its letters.  numpy's vectorized complex multiply may fuse
+    multiply and add (FMA) and then rounds differently from Python's
+    ``complex.__mul__`` (by up to a few 1e-15), so the products are
+    formed on the real and imaginary parts in the same order as
+    ``complex.__mul__`` and ``complex.__add__``.
+
+    Each generator matrix is normalized to det 1 once; products of det-1
+    factors stay det-1, and the composed matrices are deliberately *not*
+    renormalized (for long words the entries are large and a recomputed
+    ad - bc is cancellation noise, so dividing by its square root would
+    corrupt the matrix).
     """
     if not isinstance(max_word_length, int) or max_word_length < 0:
         raise InvalidParameterError("max_word_length must be an integer >= 0")
-    gens = {a: generator_map(sp, a) for a in sp.signed_indices}
-    result: list[tuple[GroupWord, MobiusMap]] = [(GroupWord(()), IDENTITY_MAP)]
-    frontier: list[tuple[tuple[int, ...], MobiusMap]] = [((), IDENTITY_MAP)]
-    for _ in range(max_word_length):
-        extended: list[tuple[tuple[int, ...], MobiusMap]] = []
-        for letters, mat in frontier:
-            last = letters[-1] if letters else 0
-            for a in sp.signed_indices:
-                if a == -last:
-                    continue
-                extended.append((letters + (a,), mat.compose(gens[a])))
-        frontier = extended
-        result.extend((GroupWord(letters), mat) for letters, mat in extended)
-    return result
+    idx = np.array(sp.signed_indices, dtype=np.int64)
+    gens = [generator_map(sp, a) for a in sp.signed_indices]
+    ga, gb, gc, gd = (
+        (np.array([getattr(m, k).real for m in gens])[None, :],
+         np.array([getattr(m, k).imag for m in gens])[None, :])
+        for k in "abcd"
+    )
+    n = word_count(sp.genus, max_word_length)
+    a, b, c, d = (np.empty(n, dtype=np.complex128) for _ in range(4))
+    length = np.zeros(n, dtype=np.int64)
+    parent = np.zeros(n, dtype=np.int64)
+    last = np.zeros(n, dtype=np.int64)
+    a[0], b[0], c[0], d[0] = IDENTITY_MAP.a, IDENTITY_MAP.b, IDENTITY_MAP.c, IDENTITY_MAP.d
+    # Frontier: the previous shell's (real, imag) entries a, b, c, d as
+    # (n, 1) columns, and the generator column of each row's last letter.
+    one, zero = np.ones((1, 1)), np.zeros((1, 1))
+    frontier = [(one, zero), (zero, zero), (zero, zero), (one, zero)]
+    last_col = np.array([-2])  # the identity has no letter to undo
+    cols = np.arange(len(idx))
+    start = 0
+    for k in range(1, max_word_length + 1):
+        # Generator columns come in inverse pairs (2h, 2h + 1).
+        keep = cols[None, :] != (last_col ^ 1)[:, None]
+        rows, last_col = np.nonzero(keep)
+        lo = start + len(keep)
+        hi = lo + len(rows)
+        fa, fb, fc, fd = frontier
+        products = (
+            _dot(fa, ga, fb, gc), _dot(fa, gb, fb, gd),
+            _dot(fc, ga, fd, gc), _dot(fc, gb, fd, gd),
+        )
+        frontier = []
+        for arr, (re, im) in zip((a, b, c, d), products):
+            re, im = re[keep], im[keep]
+            arr.real[lo:hi] = re
+            arr.imag[lo:hi] = im
+            frontier.append((re[:, None], im[:, None]))
+        length[lo:hi] = k
+        parent[lo:hi] = start + rows
+        last[lo:hi] = idx[last_col]
+        start = lo
+    for arr in (a, b, c, d, length, parent, last):
+        arr.flags.writeable = False
+    return WordTable(a, b, c, d, length, parent, last)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,115 @@
+"""Oracle tests for the closed-form correlators.
+
+The oracles are independent of the code under test: counting
+(double factorials), genus-1 closed forms (the cyclic orbit summed in
+the coordinate where the generator is z -> q z, the Euler product, the
+Jacobi theta series), and the integrality of the theta exponent.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from schottky import ClassicalParams, TruncationPolicy, params_from_classical
+from schottky.correlators import (
+    LatticeSpec,
+    heisenberg_npoint,
+    lattice_partition,
+    pairings,
+    siegel_theta,
+)
+from schottky.forms import SurfaceForms
+
+# Rounding floor for comparisons of values whose tails can read 0.
+FLOOR = 1e-12
+
+TORUS = ClassicalParams((1.0,), (-1.0,), (0.04,))
+
+
+@pytest.fixture(scope="module")
+def torus_forms():
+    sp = params_from_classical(TORUS)
+    return SurfaceForms(sp, TruncationPolicy(max_word_length=6, mode_cutoff=20))
+
+
+def euler_product(q: complex, terms: int = 200) -> complex:
+    """prod_{n >= 1} (1 - q^n)^-1, the genus-1 oscillator partition function."""
+    out = 1.0 + 0.0j
+    for n in range(1, terms + 1):
+        out /= 1.0 - q**n
+    return out
+
+
+def torus_bidifferential(x: complex, y: complex, cp: ClassicalParams, terms: int = 60) -> complex:
+    """omega(x, y) on the torus, summed where the generator is u -> q u.
+
+    T(z) = (z - W_-)/(z - W_+) conjugates the generator to u -> q u, and
+    dz dw/(z - w)^2 is Mobius invariant, so the orbit sum becomes
+    T'(x) T'(y) sum_n q^n / (q^n T(x) - T(y))^2 over all integers n.
+    """
+    Wp, Wm, q = cp.W_plus[0], cp.W_minus[0], cp.q[0]
+    T = lambda z: (z - Wm) / (z - Wp)
+    dT = lambda z: (Wm - Wp) / (z - Wp) ** 2
+    X, Y = T(x), T(y)
+    total = sum(q**n / (q**n * X - Y) ** 2 for n in range(-terms, terms + 1))
+    return dT(x) * dT(y) * total
+
+
+def double_factorial(n: int) -> int:
+    return math.prod(range(n, 0, -2)) if n > 0 else 1
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_pairings_count_and_shape(n):
+    found = list(pairings(n))
+    if n % 2:
+        assert found == []
+        return
+    assert len(found) == double_factorial(n - 1)
+    assert len(set(found)) == len(found)
+    for pairing in found:
+        labels = [i for pair in pairing for i in pair]
+        assert sorted(labels) == list(range(n))
+        assert all(i < j for i, j in pairing)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_odd_heisenberg_npoint_vanishes(torus_forms, n):
+    pts = [2.0 + 0.5j * k for k in range(n)]
+    res = heisenberg_npoint(torus_forms, pts)
+    assert res.value == 0
+    assert res.weights == (1,) * n
+
+
+def test_genus1_two_point_is_omega_times_z(torus_forms):
+    x, y = 2.0 + 0.5j, -1.5 - 1.2j
+    res = heisenberg_npoint(torus_forms, [x, y])
+    expected = torus_bidifferential(x, y, TORUS) * euler_product(TORUS.q[0])
+    assert abs(res.value - expected) <= res.tail + FLOOR * abs(expected)
+
+
+def test_rank0_lattice_on_torus_is_one(torus_forms):
+    res = lattice_partition(torus_forms, LatticeSpec(()))
+    assert res.value == 1
+
+
+def test_rank1_lattice_on_torus_matches_jacobi_theta(torus_forms):
+    # Gram (2): theta = sum_n q^(n^2) with q = exp(2 pi i Omega), times Z.
+    q = TORUS.q[0]
+    theta = sum(q ** (n * n) for n in range(-12, 13))
+    expected = theta * euler_product(q)
+    res = lattice_partition(torus_forms, LatticeSpec(((2,),)))
+    assert abs(res.value - expected) <= res.tail + FLOOR * abs(expected)
+
+
+def test_siegel_theta_a2_invariant_under_integral_shift():
+    # exp(i pi sum Omega_ab <l_a, l_b>) is unchanged by Omega -> Omega + B
+    # for symmetric integral B, since the lattice is even.
+    a2 = LatticeSpec(((2, -1), (-1, 2)))
+    omega = np.array([[0.1 + 1.0j, 0.2 + 0.3j], [0.2 + 0.3j, -0.3 + 0.9j]])
+    base = siegel_theta(omega, a2)
+    for B in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[2, -1], [-1, 3]]):
+        shifted = siegel_theta(omega + np.array(B), a2)
+        assert abs(shifted.value - base.value) <= base.tail + shifted.tail + FLOOR * abs(base.value)
+        assert abs(base.value) > 0.5

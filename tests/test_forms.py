@@ -19,6 +19,8 @@ from schottky.forms import (
     ContourSpec,
     ConvergenceError,
     FormValue,
+    PathSegment,
+    PeriodPath,
     PoleProximityError,
     QuadratureError,
     SurfaceForms,
@@ -367,6 +369,15 @@ class TestRecursionKernel:
         ) / (2 * h)
         an = genus2_forms.recursion_kernel_dy(x, y, 2).value
         assert abs(an - fd) < 1e-7 * max(1.0, abs(an))
+        # The reported tail is the last word shell: positive, and larger
+        # than the move to the next cutoff (L = 3 keeps it above rounding).
+        coarse, fine = (
+            SurfaceForms(genus2_forms.sp, TruncationPolicy(max_word_length=L))
+            .recursion_kernel_dy(x, y, 2)
+            for L in (3, 4)
+        )
+        assert coarse.tail > 0
+        assert abs(fine.value - coarse.value) < coarse.tail
 
     def test_alternative_basis_ordering_admissible(self, genus2_params):
         # A different ordering of the limit points yields a different
@@ -485,6 +496,30 @@ class TestPeriodMatrix:
         for a in (1, 2):
             lead = cmath.log(cp.q[a - 1]) / (2j * math.pi)
             assert abs(res.omega[a - 1, a - 1] - lead) < 0.02
+
+    def test_asymmetry_after_detour_flips_raises(self, genus2_params, monkeypatch):
+        # A detoured path whose integrals stay asymmetric whichever side
+        # the detour takes: the flip retry runs and then gives up.
+        F = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=3))
+        sp = F.sp
+
+        def detoured_path(a):
+            other = 3 - a
+            z0 = sp.center(a) + sp.radius(a)
+            arc = PathSegment(
+                "arc", center=sp.center(other), radius=1.3 * sp.radius(other),
+                angle_start=0.0, sweep=math.pi,
+            )
+            return PeriodPath(a, z0, generator_map(sp, a)(z0), (arc,))
+
+        def asymmetric_integrals(path, handles, panels_scale=1):
+            row = {1: [0.3j, 0.1j], 2: [0.5j, 0.4j]}[path.handle]
+            return 2j * math.pi * np.array(row), 0.0, 0.0
+
+        monkeypatch.setattr(F, "period_path", detoured_path)
+        monkeypatch.setattr(F, "_integrate_forms_along", asymmetric_integrals)
+        with pytest.raises(ConvergenceError, match="asymmetry"):
+            F.period_matrix()
 
     def test_frozen_paths_reproduce(self, genus2_forms):
         paths = {a: genus2_forms.period_path(a) for a in (1, 2)}

@@ -250,7 +250,19 @@ def test_enumerate_count_matches_closed_form(genus, length, torus_params, genus2
     assert len(enumerate_group(sp, length)) == word_count(genus, length)
 
 
-def test_enumerate_matrices_compose_like_words(genus2_params):
+def test_enumerate_matrices_compose_like_words(genus2_params, genus3_params):
+    # The promise of enumerate_group: every matrix equals, bit for bit,
+    # the left-to-right compose product of its letters' generator maps.
+    for sp, length in ((genus2_params, 5), (genus3_params, 4)):
+        gens = {a: generator_map(sp, a) for a in sp.signed_indices}
+        table = enumerate_group(sp, length)
+        assert len(table) == word_count(sp.genus, length)
+        for word, m in table:
+            expected = IDENTITY_MAP
+            for a in word.letters:
+                expected = expected.compose(gens[a])
+            assert (m.a, m.b, m.c, m.d) == (expected.a, expected.b, expected.c, expected.d)
+    # The product acts as the letters applied right to left.
     words = dict((w.letters, m) for w, m in enumerate_group(genus2_params, 3))
     z = 0.3 + 0.2j
     for letters in [(1, 2), (2, -1, 2), (-2, 1, 1)]:
@@ -259,6 +271,26 @@ def test_enumerate_matrices_compose_like_words(genus2_params):
         for a in reversed(letters):
             expected = generator_map(genus2_params, a)(expected)
         assert m(z) == pytest.approx(expected, abs=1e-12)
+
+
+def test_word_table_layout(genus3_params):
+    table = enumerate_group(genus3_params, 3)
+    n = len(table)
+    for name in ("a", "b", "c", "d", "length", "parent", "last"):
+        arr = getattr(table, name)
+        assert arr.shape == (n,)
+        assert not arr.flags.writeable
+    assert table.length[0] == 0 and table.parent[0] == 0 and table.last[0] == 0
+    for i in range(1, n):
+        letters = table.letters(i)
+        assert len(letters) == table.length[i]
+        assert letters[-1] == table.last[i]
+        assert table.letters(int(table.parent[i])) == letters[:-1]
+    word, m = table[-1]
+    assert word.letters == table.letters(n - 1) == (-3, -3, -3)
+    assert m.d == table.d[n - 1]
+    with pytest.raises(IndexError):
+        table[n]
 
 
 def test_enumerate_is_deterministic(genus2_params):
