@@ -293,11 +293,16 @@ def lattice_partition(
     modes: int | None = None,
     radius: float | None = None,
 ) -> CorrelatorValue:
-    """Even-lattice partition function: theta(period matrix) * Z^rank."""
+    """Even-lattice partition function: theta(period matrix) * Z^rank.
+
+    Rank 0 is exactly 1, computed without the period matrix or Z.
+    """
+    d = lattice.rank
+    if d == 0:
+        return CorrelatorValue(1.0 + 0.0j, 0.0, ())
     omega = forms.period_matrix()
     theta = siegel_theta(omega.omega, lattice, radius)
     z = heisenberg_partition(forms.sp, _mode_cutoff(forms, modes))
-    d = lattice.rank
     zd = z.value**d
     value = theta.value * zd
     rel_z = d * z.tail / max(abs(z.value), 1e-300)

@@ -1,16 +1,18 @@
-"""Truncated orbit sums for the function theory of a Schottky surface.
+r"""Truncated orbit sums for the function theory of a Schottky surface.
 
 Everything here is a finite Poincare series over the reduced words of
 length at most L (the truncation policy's word cutoff), evaluated with
 the deterministic word order fixed by :func:`schottky.group.enumerate_group`.
-The objects:
+W_a denotes the repelling and W_{-a} the attracting fixed point of the
+generator gamma_a, and q_a its multiplier
+(:func:`schottky.group.classical_from_params`).  The objects:
 
 - the differential of the third kind with simple poles at y and 0,
       psi_1(x, y) = sum_gamma (1/(gamma x - y) - 1/(gamma x)) d(gamma x),
 - the symmetric bidifferential of the second kind
       omega(x, y) = sum_gamma d(gamma x) dy / (gamma x - y)^2,
-- the normalized holomorphic 1-forms nu_a, computed as a probe difference
-      nu_a(x) = psi_1(x, gamma_a y0) - psi_1(x, y0),
+- the normalized holomorphic 1-forms, a sum over the cosets G/<gamma_a>
+      nu_a(x) = sum_gamma [1/(x - gamma W_{-a}) - 1/(x - gamma W_a)] dx,
 - the projective connection
       s(x) = 6 sum_{gamma != id} d(gamma x) dx / (gamma x - x)^2,
 - the weight-(N, N) power kernels  sum_gamma (d(gamma x) dy/(gamma x - y)^2)^N,
@@ -19,8 +21,16 @@ The objects:
   summed as  sum_gamma seed(gamma x, y) (d(gamma x)/dx)^N,
 - the holomorphic N-forms theta_a(x; l) extracted from the quasi-periods
   of Psi_N by contour integrals over the isometric circles, and
-- the period matrix, as integrals of nu_b along paths from a point of the
-  circle at w_a to its image on the circle at w_{-a}.
+- the period matrix, a sum over the double cosets <gamma_a>\G/<gamma_b>
+      2 pi i Omega_ab = delta_ab log q_a
+                        + sum'_gamma log{W_a, W_{-a}; gamma W_b, gamma W_{-b}}
+  with the cross-ratio {z1, z2; z3, z4} = (z1-z3)(z2-z4)/((z1-z4)(z2-z3))
+  and the identity left out when a = b (see :meth:`SurfaceForms.period_matrix`).
+
+The coset series need no paths, quadrature or auxiliary points: the
+representatives of G/<gamma_a> are the words whose last letter is not
++-a, and those of <gamma_a>\G/<gamma_b> the words whose first letter is
+not +-a and whose last letter is not +-b.
 
 Orientation conventions (load-bearing, fixed by the requirements that
 Im(Omega) is positive definite, exp(2*pi*i*Omega_11) recovers the genus-1
@@ -28,15 +38,19 @@ multiplier, and the one-form normalization below):
 
 - the cycle dual to handle a is the circle at w_{-a} traversed
   counterclockwise in the plane, and (1/2*pi*i) oint nu_b = delta_ab on it;
-- nu_a is the probe difference written above; with the opposite order of
-  the two psi_1 terms (which one also meets in the literature) every sign
+- nu_a has residue +1 at the attracting images gamma W_{-a}; with the
+  opposite sign (which one also meets in the literature) every sign
   downstream flips and Im(Omega) comes out negative definite;
-- the period path runs from z0 on the circle at w_a to gamma_a z0.
+- 2 pi i Omega_ab is the integral of nu_b along a path from z0 on the
+  circle at w_a to gamma_a z0.
 
-All evaluations report a truncation tail estimate: the magnitude of the
-contribution of the last word shell (plus quadrature or probe drift where
-those enter).  Doubling the word cutoff must move any reported value by
-less than its reported tail; the test suite enforces this.
+All evaluations report a tail: the magnitude of the contribution of the
+last word shell plus a rounding floor of eps * sum |terms| (eps the
+float64 machine epsilon; the summed magnitudes use |Re| + |Im|), or
+infinity at L = 0.  The quasi-period coefficients report the change
+under contour node doubling instead.  Raising the word cutoff must move
+any reported value by less than its reported tail; the test suite
+enforces this.
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.blas import dasum
 
 from schottky.group import (
     GroupWord,
@@ -55,8 +70,8 @@ from schottky.group import (
     SchottkyError,
     SchottkyParams,
     TruncationPolicy,
+    classical_from_params,
     enumerate_group,
-    generator_map,
     in_fundamental_domain,
     ordered_fixed_points,
     validate,
@@ -65,14 +80,11 @@ from schottky.group import (
 __all__ = [
     "FormValue",
     "ContourSpec",
-    "PathSegment",
-    "PeriodPath",
     "PeriodMatrixResult",
     "PoleProximityError",
     "ConvergenceError",
     "QuadratureError",
     "ConfigurationError",
-    "PathError",
     "SurfaceForms",
     "kernel_seed",
     "select_seed_points",
@@ -82,11 +94,9 @@ __all__ = [
 # Points closer than this to a pole of a summand abort the evaluation.
 POLE_GUARD = 1e-9
 
-# Inflation factor for boundary-arc detours around a disc that blocks a
-# period path, relative to the disc radius.
-DETOUR_INFLATION = 1.3
-
-_X_CHUNK = 96  # column block size for (words x points) arrays
+# Machine epsilon of float64; the rounding floor of every tail is this
+# times the summed magnitudes of the terms.
+EPS = float(np.finfo(np.float64).eps)
 
 
 class PoleProximityError(SchottkyError):
@@ -109,17 +119,13 @@ class ConfigurationError(SchottkyError):
     """The parameter set cannot support the requested construction."""
 
 
-class PathError(SchottkyError):
-    """No admissible period path could be constructed."""
-
-
 @dataclass(frozen=True)
 class FormValue:
     """A differential-form coefficient with its weights and tail estimate.
 
     ``value`` is the coefficient of dx^weight_x dy^weight_y at the
     evaluation point(s); ``tail`` is the reported truncation estimate
-    (last word shell, probe drift, or quadrature drift, whichever the
+    (last word shell plus rounding, or quadrature drift, whichever the
     producing operation documents).
     """
 
@@ -150,61 +156,36 @@ class ContourSpec:
 
 
 @dataclass(frozen=True)
-class PathSegment:
-    """One piece of a period path: a straight line or a circular arc.
-
-    For a line, ``start``/``end`` are the endpoints.  For an arc,
-    ``center``/``radius`` fix the circle, ``angle_start`` the initial
-    angle and ``sweep`` the signed angular extent.
-    """
-
-    kind: str
-    start: complex = 0.0
-    end: complex = 0.0
-    center: complex = 0.0
-    radius: float = 0.0
-    angle_start: float = 0.0
-    sweep: float = 0.0
-
-    def length(self) -> float:
-        if self.kind == "line":
-            return abs(self.end - self.start)
-        return abs(self.sweep) * self.radius
-
-    def point(self, t: float) -> complex:
-        """Position at parameter t in [0, 1]."""
-        if self.kind == "line":
-            return self.start + t * (self.end - self.start)
-        ang = self.angle_start + t * self.sweep
-        return self.center + self.radius * cmath.exp(1j * ang)
-
-    def velocity(self, t: float) -> complex:
-        if self.kind == "line":
-            return self.end - self.start
-        ang = self.angle_start + t * self.sweep
-        return 1j * self.sweep * self.radius * cmath.exp(1j * ang)
-
-
-@dataclass(frozen=True)
-class PeriodPath:
-    """A chain of segments from a point of C_a to its generator image."""
-
-    handle: int
-    base_point: complex
-    nominal_end: complex
-    segments: tuple[PathSegment, ...]
-
-    def total_length(self) -> float:
-        return sum(seg.length() for seg in self.segments)
-
-
-@dataclass(frozen=True)
 class PeriodMatrixResult:
-    """Period matrix with its convergence diagnostics.
+    r"""Period matrix with its convergence diagnostics.
 
-    ``tail`` is the largest combined estimate (series last-shell plus
-    panel-doubling quadrature drift) over all entries; ``symmetry_error``
-    the largest |Omega_ab - Omega_ba|.
+    ``omega`` is the g x g matrix of the two coset series
+
+        nu_b(x) = sum_{gamma in G/<gamma_b>}
+                  [1/(x - gamma W_{-b}) - 1/(x - gamma W_b)] dx,
+        2 pi i Omega_ab = delta_ab log q_a
+                  + sum'_{gamma in <gamma_a>\G/<gamma_b>}
+                    log{W_a, W_{-a}; gamma W_b, gamma W_{-b}},
+
+    2 pi i Omega_ab being the integral of nu_b along the b-cycle of
+    handle a.  Coset representatives: the reduced words of length <= L
+    whose first letter is not +-a and whose last letter is not +-b; the
+    prime drops the identity when a = b.  Each log is principal.
+
+    Integer rule: Omega is defined modulo integers in its real parts (a
+    different marking of the b-cycles).  Each off-diagonal entry is
+    computed once per unordered pair and mirrored, so Omega is exactly
+    symmetric; then the real part of every entry is reduced into
+    (-1/2, 1/2], a real part within its rounding floor of -1/2 being
+    taken as +1/2.  A half-integer real part (the identity cross-ratio or
+    q_a on the negative real axis) thus gets the same representative at
+    every cutoff and in every rotated frame.  Even-lattice theta values
+    do not depend on the rule.
+
+    ``tail`` is the largest entry tail: the last word shell of the entry's
+    sum plus its rounding floor, over 2 pi (infinite at L = 0).
+    ``symmetry_error`` is the largest |Omega_ab - Omega_ba|, zero by
+    construction.
     """
 
     omega: np.ndarray
@@ -291,12 +272,12 @@ def origin_clearing_translation(sp: SchottkyParams) -> MobiusMap:
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
-    Immutable after construction: the word table, the limit points for
-    the weight-N seeds, the probe points for the one-forms and the period
-    base points are all frozen here, so repeated evaluations are
-    deterministic.  ``words`` is the :class:`~schottky.group.WordTable`
-    of :func:`~schottky.group.enumerate_group`; the orbit sums read its
-    matrix arrays directly.
+    Immutable after construction: the word table, the generator fixed
+    points and the limit points for the weight-N seeds are all frozen
+    here, so repeated evaluations are deterministic.  ``words`` is the
+    :class:`~schottky.group.WordTable` of
+    :func:`~schottky.group.enumerate_group`; the orbit and coset sums
+    read its arrays directly.
 
     Parameters
     ----------
@@ -310,9 +291,6 @@ class SurfaceForms:
         Defaults to the generator fixed points in handle order
         (W_1, W_{-1}, W_2, W_{-2}, ...).  Entries must be limit points of
         the group for the series to converge.
-    probes:
-        Optional pair of probe points in the fundamental domain for the
-        one-form difference; chosen automatically when omitted.
     contour_points:
         Default node count for the extraction contours (power of two).
     """
@@ -322,7 +300,6 @@ class SurfaceForms:
         sp: SchottkyParams,
         policy: TruncationPolicy | None = None,
         limit_points: Sequence[complex] | None = None,
-        probes: tuple[complex, complex] | None = None,
         contour_points: int = 128,
     ):
         self.sp = sp
@@ -347,6 +324,7 @@ class SurfaceForms:
         self._wa, self._wb = self.words.a, self.words.b
         self._wc, self._wd = self.words.c, self.words.d
         self._last_shell = self.words.length == self.policy.max_word_length
+        self._classical = classical_from_params(sp)
 
         if limit_points is None:
             self.limit_points = ordered_fixed_points(sp)
@@ -357,44 +335,15 @@ class SurfaceForms:
             raise InvalidParameterError("contour_points must be a power of two >= 32")
         self.contour_points = contour_points
 
-        self._gens = {a: generator_map(sp, a) for a in sp.signed_indices}
-        self.probes = tuple(probes) if probes is not None else self._choose_probes()
-        if len(self.probes) != 2:
-            raise InvalidParameterError("probes must be a pair of points")
-        for p in self.probes:
-            if not in_fundamental_domain(sp, p):
-                raise InvalidParameterError("probe point lies inside a disc")
-        self._period_paths: dict[int, PeriodPath] = {}
-
     # -- construction helpers ------------------------------------------------
-
-    def _choose_probes(self) -> tuple[complex, complex]:
-        """Two well-separated points on a ring exterior to every disc."""
-        sp = self.sp
-        centers = [sp.center(a) for a in sp.signed_indices]
-        radii = [sp.radius(a) for a in sp.signed_indices]
-        ring = 1.5 * max(abs(c) + r for c, r in zip(centers, radii)) + 0.5
-        scores = []
-        for k in range(32):
-            p = ring * cmath.exp(2j * math.pi * k / 32)
-            scores.append(min(abs(p - c) - r for c, r in zip(centers, radii)))
-        k0 = max(range(32), key=lambda k: scores[k])
-        # Second probe at least a quarter turn away.
-        far = [
-            k for k in range(32)
-            if min((k - k0) % 32, (k0 - k) % 32) >= 8
-        ]
-        k1 = max(far, key=lambda k: scores[k])
-        y0 = ring * cmath.exp(2j * math.pi * k0 / 32)
-        y1 = ring * cmath.exp(2j * math.pi * k1 / 32)
-        return (y0, y1)
 
     def _in_domain(self, z: complex) -> bool:
         """Domain membership with a hair of slack for boundary jitter.
 
-        Quadrature nodes land exactly on the isometric circles; floating
-        point can put them an ulp inside, which must not count as an
-        excursion.  Genuine pole collisions are caught separately.
+        Contour nodes and generator images of boundary points land on the
+        isometric circles; floating point can put them an ulp inside,
+        which must not count as an excursion.  Genuine pole collisions
+        are caught separately.
         """
         sp = self.sp
         return all(
@@ -410,6 +359,12 @@ class SurfaceForms:
             )
         return z
 
+    def _require_handle(self, a: int) -> None:
+        if not 1 <= a <= self.sp.genus:
+            raise InvalidParameterError(
+                f"handle index must be 1..{self.sp.genus}, got {a}"
+            )
+
     def _seed_points(self, weight: int) -> tuple[complex, ...]:
         """First 2N-1 pairwise-distinct limit points, in the fixed order."""
         return select_seed_points(self.limit_points, weight, self.sp.genus)
@@ -423,23 +378,39 @@ class SurfaceForms:
         dgx = 1.0 / (den * den)
         return gx, dgx
 
-    def _orbit_block(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Orbit arrays of shape (n_words, len(xs))."""
-        den = self._wc[:, None] * xs[None, :] + self._wd[:, None]
-        gx = (self._wa[:, None] * xs[None, :] + self._wb[:, None]) / den
-        dgx = 1.0 / (den * den)
-        return gx, dgx
+    def _fixed_point_images(
+        self, rows: np.ndarray, h: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """gamma W_h, gamma W_{-h} and their difference for the words in rows.
 
-    def _shell_sum(self, vals: np.ndarray) -> tuple[complex, float]:
-        """Total over words plus the last-shell tail magnitude.
+        The difference is formed as (W_h - W_{-h}) / ((c W_h + d)(c W_{-h} + d))
+        (the words are det-1), which keeps its full relative accuracy where
+        the two images agree to many digits.
+        """
+        Wp = self._classical.W_plus[h - 1]
+        Wm = self._classical.W_minus[h - 1]
+        a, b, c, d = (w[rows] for w in (self._wa, self._wb, self._wc, self._wd))
+        den_p = c * Wp + d
+        den_m = c * Wm + d
+        return (a * Wp + b) / den_p, (a * Wm + b) / den_m, (Wp - Wm) / (den_p * den_m)
 
-        ``vals`` has one entry per word (1-d) in the deterministic order.
+    def _shell_sum(
+        self, vals: np.ndarray, last_shell: np.ndarray | None = None
+    ) -> tuple[complex, float]:
+        """Total over words plus its tail.
+
+        ``vals`` has one entry per word (1-d) in the deterministic order;
+        ``last_shell`` marks the entries of length L (all cached words by
+        default).  The tail is the magnitude of the last shell's
+        contribution plus the rounding floor, infinite at L = 0.
         """
         total = complex(vals.sum())
         if self.policy.max_word_length == 0:
             return total, math.inf
-        tail = float(abs(vals[self._last_shell].sum()))
-        return total, tail
+        if last_shell is None:
+            last_shell = self._last_shell
+        tail = abs(vals[last_shell].sum()) + EPS * _abs_sum(vals)
+        return total, float(tail)
 
     def _guard_poles(self, dist: np.ndarray, what: str) -> None:
         idx = int(np.argmin(dist))
@@ -511,7 +482,8 @@ class SurfaceForms:
         """d/dy of the weight-N kernel at each y (analytic, term-wise).
 
         Returns (values, tails), one entry per y, the tail being the
-        magnitude of the last word shell's contribution.
+        magnitude of the last word shell's contribution plus the rounding
+        floor.
         """
         A = self._seed_points(weight)
         gx, dgx = self._orbit_scalar(x)
@@ -530,6 +502,10 @@ class SurfaceForms:
             return vals, np.full(len(ys), math.inf)
         last = self._last_shell
         tails = np.abs(dpoly * base[last].sum(axis=0) + poly * shifted[last].sum(axis=0))
+        tails += EPS * np.array([
+            abs(dpoly[j]) * _abs_sum(base[:, j]) + abs(poly[j]) * _abs_sum(shifted[:, j])
+            for j in range(len(ys))
+        ])
         return vals, tails
 
     # -- public evaluations ----------------------------------------------------
@@ -637,11 +613,10 @@ class SurfaceForms:
         diff = gx - x
         if len(diff) and np.abs(diff).min() < POLE_GUARD:
             raise PoleProximityError("projective connection: x at an orbit point")
-        vals = 6.0 * dgx / (diff * diff)
-        total = complex(vals.sum())
         if self.policy.max_word_length == 0:
             return FormValue(0.0, 2, 0, 0.0)
-        tail = float(abs(vals[self._last_shell[1:]].sum()))
+        vals = 6.0 * dgx / (diff * diff)
+        total, tail = self._shell_sum(vals, self._last_shell[1:])
         return FormValue(total, 2, 0, tail)
 
     def projective_connection_derivative(self, x: complex) -> FormValue:
@@ -653,105 +628,51 @@ class SurfaceForms:
         diff = gx - x
         if len(diff) and np.abs(diff).min() < POLE_GUARD:
             raise PoleProximityError("projective connection derivative: pole")
-        vals = 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3))
-        total = complex(vals.sum())
         if self.policy.max_word_length == 0:
             return FormValue(0.0, 3, 0, 0.0)
-        tail = float(abs(vals[self._last_shell[1:]].sum()))
+        vals = 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3))
+        total, tail = self._shell_sum(vals, self._last_shell[1:])
         return FormValue(total, 3, 0, tail)
 
     # -- holomorphic one-forms ---------------------------------------------------
 
+    def _one_form_terms(
+        self, a: int, x: complex
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per-coset data of nu_a at x over G/<gamma_a>.
+
+        Returns (delta, dm, dp, last_shell) over the words whose last
+        letter is not +-a: delta = gamma W_a - gamma W_{-a},
+        dm = x - gamma W_{-a}, dp = x - gamma W_a, and the mask of the
+        words of length L.  The images are limit points, strictly inside
+        the discs, so they never meet an x of the fundamental domain.
+        """
+        self._require_handle(a)
+        x = self._require_in_domain(x, "x")
+        rows = np.flatnonzero(np.abs(self.words.last) != a)
+        img_p, img_m, delta = self._fixed_point_images(rows, a)
+        return delta, x - img_m, x - img_p, self._last_shell[rows]
+
     def holomorphic_form(self, a: int, x: complex) -> FormValue:
         """Normalized holomorphic 1-form nu_a at x (a in 1..g).
 
-        Probe difference nu_a(x) = psi_1(x, gamma_a y0) - psi_1(x, y0);
-        the value is probe-independent up to truncation, which is checked
-        against the second frozen probe.  The probe discrepancy is the
-        reported tail.  Normalization: (1/2*pi*i) oint nu_b = delta_ab on
-        the circle at w_{-a}, counterclockwise.
+        nu_a(x) = sum_{gamma in G/<gamma_a>} [1/(x - gamma W_{-a})
+        - 1/(x - gamma W_a)], each term formed as
+        -delta / ((x - gamma W_{-a})(x - gamma W_a)) with
+        delta = gamma W_a - gamma W_{-a}, so that no digits cancel.
+        Normalization: (1/2*pi*i) oint nu_b = delta_ab on the circle at
+        w_{-a}, counterclockwise.
         """
-        vals = self._holomorphic_forms_bulk(
-            [a], np.array([complex(x)], dtype=np.complex128)
-        )
-        return vals[0][0]
+        delta, dm, dp, last = self._one_form_terms(a, x)
+        total, tail = self._shell_sum(-delta / (dm * dp), last)
+        return FormValue(total, 1, 0, tail)
 
     def holomorphic_form_derivative(self, a: int, x: complex) -> FormValue:
         """Analytic d/dx of nu_a (term-wise differentiation)."""
-        if not 1 <= a <= self.sp.genus:
-            raise InvalidParameterError(f"handle index must be 1..{self.sp.genus}")
-        x = self._require_in_domain(x, "x")
-        y0 = self.probes[0]
-        ya = self._gens[a](y0)
-        gx, dgx = self._orbit_scalar(x)
-        ggx = self._second_derivatives(x)
-        out = 0.0 + 0.0j
-        tail = 0.0
-        for ypt, sign in ((ya, 1.0), (y0, -1.0)):
-            diff = gx - ypt
-            self._guard_poles(np.abs(diff)[:, None], "one-form derivative")
-            vals = sign * (-(dgx * dgx) / (diff * diff) + ggx / diff)
-            total, t = self._shell_sum(vals)
-            out += total
-            tail += t
-        return FormValue(out, 2, 0, tail)
-
-    def _holomorphic_forms_bulk(
-        self, handles: Sequence[int], xs: np.ndarray
-    ) -> list[list[FormValue]]:
-        """nu_a at many points, sharing one orbit evaluation.
-
-        Returns a list (per handle) of lists (per point).  The probe
-        consistency check runs on every point; its discrepancy is the
-        reported tail (max with the series last shell).  The failure
-        threshold is the policy tolerance with a floor of 100x the series
-        shell, since probe agreement cannot be better than the truncation
-        itself.
-        """
-        for a in handles:
-            if not 1 <= a <= self.sp.genus:
-                raise InvalidParameterError(
-                    f"handle index must be 1..{self.sp.genus}, got {a}"
-                )
-        y0, y1 = self.probes
-        out: list[list[FormValue]] = [[] for _ in handles]
-        for start in range(0, len(xs), _X_CHUNK):
-            block = xs[start:start + _X_CHUNK]
-            for z in block:
-                if not self._in_domain(complex(z)):
-                    raise InvalidParameterError(
-                        f"evaluation point {complex(z)} lies inside a disc"
-                    )
-            gx, dgx = self._orbit_block(block)
-            for i, a in enumerate(handles):
-                ga = self._gens[a]
-                vals_by_probe = []
-                tails_by_probe = []
-                for yp in (y0, y1):
-                    yimg = ga(yp)
-                    d1 = gx - yimg
-                    d0 = gx - yp
-                    self._guard_poles(np.abs(d1), "one-form")
-                    self._guard_poles(np.abs(d0), "one-form")
-                    terms = (1.0 / d1 - 1.0 / d0) * dgx
-                    totals = terms.sum(axis=0)
-                    if self.policy.max_word_length == 0:
-                        shell = np.full(len(block), math.inf)
-                    else:
-                        shell = np.abs(terms[self._last_shell].sum(axis=0))
-                    vals_by_probe.append(totals)
-                    tails_by_probe.append(shell)
-                drift = np.abs(vals_by_probe[0] - vals_by_probe[1])
-                worst = float(drift.max()) if len(drift) else 0.0
-                if worst > max(self.policy.tol, 100.0 * float(np.max(tails_by_probe[0], initial=0.0))):
-                    raise ConvergenceError(
-                        f"one-form probe dependence {worst:.3g} exceeds tol "
-                        f"{self.policy.tol:.3g}; increase max_word_length"
-                    )
-                for j in range(len(block)):
-                    tail = max(float(drift[j]), float(tails_by_probe[0][j]))
-                    out[i].append(FormValue(complex(vals_by_probe[0][j]), 1, 0, tail))
-        return out
+        delta, dm, dp, last = self._one_form_terms(a, x)
+        prod = dm * dp
+        total, tail = self._shell_sum(delta * (dm + dp) / (prod * prod), last)
+        return FormValue(total, 2, 0, tail)
 
     # -- quasi-period extraction ---------------------------------------------------
 
@@ -808,8 +729,7 @@ class SurfaceForms:
         quasi-period of the third-kind form runs against the one-form
         orientation fixed in the module docstring).
         """
-        if not 1 <= a <= self.sp.genus:
-            raise InvalidParameterError(f"handle index must be 1..{self.sp.genus}")
+        self._require_handle(a)
         if not 0 <= ell <= 2 * weight - 2:
             raise InvalidParameterError("coefficient index must lie in 0..2N-2")
         n = contour_points if contour_points is not None else self.contour_points
@@ -827,302 +747,75 @@ class SurfaceForms:
 
     # -- period matrix ---------------------------------------------------
 
-    def period_path(self, a: int) -> PeriodPath:
-        """The cached integration path for handle a (built on first use)."""
-        if a not in self._period_paths:
-            self._period_paths[a] = self._build_period_path(a)
-        return self._period_paths[a]
+    def period_matrix(self) -> PeriodMatrixResult:
+        """Period matrix Omega from the double-coset series.
 
-    def _build_period_path(self, a: int, flip_detours: frozenset[int] = frozenset()) -> PeriodPath:
-        """Path from z0 on the circle at w_a to gamma_a z0.
-
-        z0 scans 64 boundary angles; admissible candidates leave the
-        circle at w_a outward and arrive at the circle at w_{-a} inward
-        (so the open chord stays off both handle-a discs); among those the
-        chord maximizing its clearance from all other discs wins.  Discs
-        still blocking the chord get boundary-arc detours (minor arc by
-        default; ``flip_detours`` switches sides per disc when the caller
-        needs the other homotopy class).
-        """
-        sp = self.sp
-        if not 1 <= a <= sp.genus:
-            raise InvalidParameterError(f"handle index must be 1..{sp.genus}")
-        ga = self._gens[a]
-        wa, wma = sp.center(a), sp.center(-a)
-        ra = sp.radius(a)
-        others = [b for b in sp.signed_indices if b not in (a, -a)]
-
-        def chord_clearance(p: complex, q: complex) -> float:
-            if not others:
-                return math.inf
-            return min(
-                _segment_clearance(p, q, sp.center(b)) - sp.radius(b) for b in others
-            )
-
-        def admissibility(theta: float) -> tuple[float, complex, complex]:
-            """min(outward departure, inward arrival) for the chord at theta.
-
-            Nonnegative means the straight chord never re-enters either
-            handle disc (the distance to a point is unimodal along a line,
-            so a nonnegative radial speed at an endpoint on the circle
-            keeps the chord outside from there on).
-            """
-            z0 = wa + ra * cmath.exp(1j * theta)
-            e = ga(z0)
-            v = e - z0
-            outward = (v * (z0 - wa).conjugate()).real
-            inward = (v * (e - wma).conjugate()).real
-            return min(outward, -inward), z0, e
-
-        step = 2.0 * math.pi / 64
-        grid = [admissibility(k * step) for k in range(64)]
-        passing = [t for t in grid if t[0] >= 0]
-        if passing:
-            _, z0, e = max(passing, key=lambda t: chord_clearance(t[1], t[2]))
-        else:
-            # The admissible window can be far narrower than the grid step
-            # (its width shrinks like radius/separation when the handle
-            # discs face each other); refine the max-min by ternary search
-            # around the best grid angle.
-            k0 = max(range(64), key=lambda k: grid[k][0])
-            lo = (k0 - 2) * step
-            hi = (k0 + 2) * step
-            for _ in range(120):
-                m1 = lo + (hi - lo) / 3
-                m2 = hi - (hi - lo) / 3
-                if admissibility(m1)[0] < admissibility(m2)[0]:
-                    lo = m1
-                else:
-                    hi = m2
-            h_star, z0, e = admissibility(0.5 * (lo + hi))
-            if h_star < 0:
-                raise PathError(
-                    f"no admissible departure angle on the circle of handle "
-                    f"{a}: every chord to its generator image re-enters a "
-                    "handle disc"
-                )
-
-        segments: list[PathSegment] = []
-        blockers = []
-        for b in others:
-            det_r = DETOUR_INFLATION * sp.radius(b)
-            if _segment_clearance(z0, e, sp.center(b)) < det_r:
-                ts = _segment_circle_hits(z0, e, sp.center(b), det_r)
-                if ts is not None:
-                    blockers.append((ts[0], ts[1], b, det_r))
-        blockers.sort()
-        cursor = z0
-        for t1, t2, b, det_r in blockers:
-            c = sp.center(b)
-            s1 = z0 + t1 * (e - z0)
-            s2 = z0 + t2 * (e - z0)
-            th1 = cmath.phase(s1 - c)
-            th2 = cmath.phase(s2 - c)
-            sweep = (th2 - th1 + math.pi) % (2.0 * math.pi) - math.pi
-            if abs(b) in flip_detours:
-                sweep = sweep - math.copysign(2.0 * math.pi, sweep)
-            segments.append(PathSegment("line", start=cursor, end=s1))
-            segments.append(
-                PathSegment("arc", center=c, radius=det_r, angle_start=th1, sweep=sweep)
-            )
-            cursor = s2
-        segments.append(PathSegment("line", start=cursor, end=e))
-        segments = [s for s in segments if s.length() > 0]
-        path = PeriodPath(a, z0, e, tuple(segments))
-        self._check_path_clear(path, a)
-        return path
-
-    def _check_path_clear(self, path: PeriodPath, a: int) -> None:
-        sp = self.sp
-        for seg in path.segments:
-            for t in np.linspace(0.0, 1.0, 33):
-                z = seg.point(float(t))
-                for b in sp.signed_indices:
-                    # Endpoints sit exactly on the handle-a circles, which
-                    # gives margin 0 there; anything clearly inside is a
-                    # genuine excursion.
-                    margin = abs(z - sp.center(b)) - sp.radius(b)
-                    if margin < -1e-9:
-                        raise PathError(
-                            f"period path for handle {a} enters disc {b} "
-                            "and could not be rerouted"
-                        )
-
-    def _integrate_forms_along(
-        self, path: PeriodPath, handles: Sequence[int], panels_scale: int = 1
-    ) -> tuple[np.ndarray, float, float]:
-        """Integrals of nu_b (b in handles) along the path.
-
-        Composite 16-node Gauss-Legendre panels per segment.  Returns
-        (values, series_tail, probe_tail): one integral per handle, the
-        largest series last-shell estimate among nodes (scaled by path
-        length) and the largest probe drift.
-        """
-        nodes16, weights16 = np.polynomial.legendre.leggauss(16)
-        xs_all: list[complex] = []
-        ws_all: list[complex] = []
-        for seg in path.segments:
-            n_panels = max(2, math.ceil(seg.length() / 0.25)) * panels_scale
-            for p in range(n_panels):
-                t0 = p / n_panels
-                t1 = (p + 1) / n_panels
-                tm = 0.5 * (t0 + t1)
-                th = 0.5 * (t1 - t0)
-                for u, w in zip(nodes16, weights16):
-                    t = tm + th * u
-                    xs_all.append(seg.point(t))
-                    ws_all.append(w * th * seg.velocity(t))
-        xs = np.array(xs_all, dtype=np.complex128)
-        ws = np.array(ws_all, dtype=np.complex128)
-        bulk = self._holomorphic_forms_bulk(handles, xs)
-        values = np.empty(len(handles), dtype=np.complex128)
-        series_tail = 0.0
-        probe_tail = 0.0
-        length = path.total_length()
-        for i in range(len(handles)):
-            fv = bulk[i]
-            vals = np.array([f.value for f in fv], dtype=np.complex128)
-            tails = np.array([f.tail for f in fv], dtype=np.float64)
-            values[i] = complex((vals * ws).sum())
-            series_tail = max(series_tail, float(tails.max()) * length)
-            probe_tail = max(probe_tail, float(tails.max()) * length)
-        return values, series_tail, probe_tail
-
-    def period_matrix(
-        self, paths: dict[int, PeriodPath] | None = None
-    ) -> PeriodMatrixResult:
-        """Period matrix Omega with 2*pi*i Omega_ab = integral of nu_b
-        along the handle-a path.
-
-        ``paths`` overrides the cached paths (used by finite-difference
-        callers to freeze geometry); if a supplied path's nominal end
-        differs from the current generator image of its base point, a
-        short straight correction segment is appended so the integral
-        ends at gamma_a z0 for *this* parameter set.
-
-        The off-diagonal entries are defined modulo integers: winding a
-        period path once around a disc of another handle shifts the
-        corresponding entry by 1 (a different but equally valid marking).
-        The raw integrals are therefore canonicalized by subtracting the
-        rounded integer antisymmetry from the upper triangle - the lower
-        triangle entry fixes the branch.  This is locally constant in the
-        parameters, so finite differences of the result are unaffected,
-        and partition functions of even lattices do not see the shift.
-
-        Diagnostics: quadrature drift under panel doubling plus series
-        tails enter ``tail``; |Omega - Omega^T| max-norm after the integer
-        correction is ``symmetry_error``.  If detours were needed and the
-        result is still asymmetric beyond tolerance, the detour sides are
-        flipped and the most symmetric variant wins.
+        2 pi i Omega_ab = delta_ab log q_a + the sum over the words whose
+        first letter is not +-a and whose last letter is not +-b (the
+        identity dropped when a = b) of log{W_a, W_{-a}; gamma W_b,
+        gamma W_{-b}}.  Each log is taken as log1p of cross-ratio - 1,
+        formed as (W_a - W_{-a})(gamma W_b - gamma W_{-b}) /
+        ((W_a - gamma W_{-b})(W_{-a} - gamma W_b)), so the deep terms keep
+        their relative accuracy.  See :class:`PeriodMatrixResult` for the
+        integer rule and the tail.
         """
         g = self.sp.genus
-        handles = list(range(1, g + 1))
-        omega = np.zeros((g, g), dtype=np.complex128)
-        worst_tail = 0.0
-
-        def entry_rows(path_map: dict[int, PeriodPath]) -> tuple[np.ndarray, float]:
-            om = np.zeros((g, g), dtype=np.complex128)
-            tail_acc = 0.0
-            for a in handles:
-                base = path_map[a]
-                segs = list(base.segments)
-                current_end = self._gens[a](base.base_point)
-                if abs(current_end - base.nominal_end) > 0:
-                    segs.append(
-                        PathSegment("line", start=base.nominal_end, end=current_end)
-                    )
-                path = PeriodPath(a, base.base_point, current_end, tuple(segs))
-                coarse, st, pt = self._integrate_forms_along(path, handles, 1)
-                fine, st2, pt2 = self._integrate_forms_along(path, handles, 2)
-                drift = float(np.abs(fine - coarse).max())
-                tail_acc = max(tail_acc, drift + max(st2, pt2))
-                om[a - 1, :] = fine / (2j * math.pi)
-            return om, tail_acc
-
-        def canonicalize(om: np.ndarray) -> np.ndarray:
-            om = om.copy()
-            for i in range(g):
-                for j in range(i + 1, g):
-                    shift = round(float((om[i, j] - om[j, i]).real))
-                    om[i, j] -= shift
-            return om
-
-        if paths is None:
-            path_map = {a: self.period_path(a) for a in handles}
-        else:
-            path_map = {a: paths[a] for a in handles}
-        omega, worst_tail = entry_rows(path_map)
-        omega = canonicalize(omega)
-        symmetry = float(np.abs(omega - omega.T).max())
-
-        has_detours = any(
-            any(seg.kind == "arc" for seg in path_map[a].segments) for a in handles
-        )
-        if paths is None and has_detours and symmetry > max(1e-6, 10.0 * worst_tail):
-            # Try the other homotopy class around each detoured disc: the
-            # two sides differ by an integer shift of one column, and only
-            # one of them is the canonical marking (the symmetric one).
-            best = (symmetry, omega, worst_tail)
-            for a in handles:
-                detoured = sorted(
-                    {  # discs the handle-a path detours around
-                        b
-                        for seg in path_map[a].segments
-                        if seg.kind == "arc"
-                        for b in range(1, g + 1)
-                        if abs(seg.center - self.sp.center(b)) < 1e-12
-                        or abs(seg.center - self.sp.center(-b)) < 1e-12
-                    }
+        L = self.policy.max_word_length
+        cp = self._classical
+        first = np.abs(self.words.first_letters())
+        last = np.abs(self.words.last)
+        omega = np.empty((g, g), dtype=np.complex128)
+        worst = 0.0
+        for b in range(1, g + 1):
+            rows = np.flatnonzero(last != b)
+            img_p, img_m, delta = self._fixed_point_images(rows, b)
+            for a in range(1, b + 1):
+                keep = first[rows] != a
+                if a == b:
+                    keep[0] = False  # rows[0] is the identity
+                Wa, Wma = cp.W_plus[a - 1], cp.W_minus[a - 1]
+                terms = _log1p(
+                    (Wa - Wma) * delta[keep] / ((Wa - img_m[keep]) * (Wma - img_p[keep]))
                 )
-                for b in detoured:
-                    alt = dict(path_map)
-                    alt[a] = self._build_period_path(a, frozenset({b}))
-                    om2, t2 = entry_rows(alt)
-                    om2 = canonicalize(om2)
-                    s2 = float(np.abs(om2 - om2.T).max())
-                    if s2 < best[0]:
-                        best = (s2, om2, t2)
-            symmetry, omega, worst_tail = best
-        if symmetry > max(1e-6, 10.0 * worst_tail):
-            raise ConvergenceError(
-                f"period matrix asymmetry {symmetry:.3g} exceeds tolerance; "
-                "raise the word cutoff or inspect the path geometry"
-            )
-        return PeriodMatrixResult(omega, worst_tail, symmetry)
+                total = complex(terms.sum())
+                scale = _abs_sum(terms)
+                if a == b:
+                    log_q = cmath.log(cp.q[a - 1])
+                    total += log_q
+                    scale += abs(log_q)
+                floor = EPS * scale / (2.0 * math.pi)
+                tail = math.inf
+                if L > 0:
+                    shell = abs(terms[self._last_shell[rows][keep]].sum())
+                    tail = shell / (2.0 * math.pi) + floor
+                value = total / (2j * math.pi)
+                re = value.real - math.ceil(value.real - 0.5 - floor)
+                omega[a - 1, b - 1] = omega[b - 1, a - 1] = complex(re, value.imag)
+                worst = max(worst, tail)
+        symmetry = float(np.abs(omega - omega.T).max())
+        return PeriodMatrixResult(omega, worst, symmetry)
 
 
-def _segment_clearance(p: complex, q: complex, c: complex) -> float:
-    """Distance from the segment [p, q] to the point c."""
-    d = q - p
-    L2 = (d * d.conjugate()).real
-    if L2 == 0:
-        return abs(c - p)
-    t = ((c - p) * d.conjugate()).real / L2
-    t = min(1.0, max(0.0, t))
-    return abs(p + t * d - c)
+def _abs_sum(terms: np.ndarray) -> float:
+    """sum(|Re| + |Im|) of a 1-d complex array, a bound on sum |terms|.
 
-
-def _segment_circle_hits(
-    p: complex, q: complex, c: complex, r: float
-) -> tuple[float, float] | None:
-    """Parameters (t1, t2) where segment [p,q] crosses the circle (c, r).
-
-    None when the segment misses the circle or only touches it; the
-    endpoints are assumed exterior (clamped slightly inward otherwise).
+    One BLAS pass over the interleaved parts: no square roots and, for a
+    contiguous array, no temporary.
     """
-    d = q - p
-    a2 = (d * d.conjugate()).real
-    if a2 == 0:
-        return None
-    f = p - c
-    b = 2.0 * (f * d.conjugate()).real
-    c0 = (f * f.conjugate()).real - r * r
-    disc = b * b - 4.0 * a2 * c0
-    if disc <= 0:
-        return None
-    root = math.sqrt(disc)
-    t1 = (-b - root) / (2.0 * a2)
-    t2 = (-b + root) / (2.0 * a2)
-    if t2 <= 0.0 or t1 >= 1.0:
-        return None
-    return (max(t1, 1e-9), min(t2, 1.0 - 1e-9))
+    if not terms.size:
+        return 0.0
+    return dasum(np.ascontiguousarray(terms).view(np.float64))
+
+
+def _log1p(z: np.ndarray) -> np.ndarray:
+    """Principal log(1 + z), accurate to rounding in z also where |z| is small.
+
+    numpy's complex log1p forms |1 + z| first and so loses the real part
+    of small z; here the real part is log1p(2 Re z + |z|^2) / 2 for
+    |z| < 1/2, and log|1 + z| elsewhere.
+    """
+    re, im = z.real, z.imag
+    small = np.abs(z) < 0.5
+    near = 0.5 * np.log1p(np.where(small, re * (2.0 + re) + im * im, 0.0))
+    far = np.log(np.abs(np.where(small, 1.0, 1.0 + z)))
+    return np.where(small, near, far) + 1j * np.arctan2(im, 1.0 + re)

@@ -502,6 +502,18 @@ class WordTable:
             i = int(self.parent[i])
         return tuple(reversed(out))
 
+    def first_letters(self) -> np.ndarray:
+        """First letter of every word as a signed index (0 for the identity).
+
+        Built one shell at a time: a word of length >= 2 has the first
+        letter of its parent, which sits in the previous shell.
+        """
+        first = self.last.copy()
+        bounds = np.searchsorted(self.length, np.arange(2, int(self.length[-1]) + 2))
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            first[lo:hi] = first[self.parent[lo:hi]]
+        return first
+
     def __getitem__(self, i: int) -> tuple[GroupWord, MobiusMap]:
         i = range(len(self))[i]
         mat = MobiusMap(self.a[i], self.b[i], self.c[i], self.d[i])

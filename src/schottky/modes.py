@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from schottky.forms import (
-    ConfigurationError,
+    EPS,
     ConvergenceError,
     FormValue,
     kernel_seed,
@@ -67,7 +67,8 @@ POWER_ITERATIONS = 50
 class PartitionValue:
     """Partition-function value with convergence diagnostics.
 
-    ``tail`` is the drift against the half-cutoff recomputation;
+    ``tail`` is the drift against the half-cutoff recomputation plus a
+    rounding floor of 2gM eps |value| (M the mode cutoff);
     ``spectral_radius`` the power-iteration estimate for the coupling
     matrix (must be below 1 for the mode expansion to mean anything).
     """
@@ -345,4 +346,7 @@ def heisenberg_partition(
     det_half, _ = det_at(max(1, modes // 2))
     value = 1.0 / cmath.sqrt(det_full)
     half_value = 1.0 / cmath.sqrt(det_half)
-    return PartitionValue(value, abs(value - half_value), radius)
+    # The LU of the 2gM-square system rounds the determinant by about 2gM
+    # ulps, which the drift cannot see once both cutoffs agree bit for bit.
+    floor = 2 * sp.genus * modes * EPS * abs(value)
+    return PartitionValue(value, abs(value - half_value) + floor, radius)

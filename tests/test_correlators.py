@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+import schottky.correlators as correlators
 from schottky import ClassicalParams, TruncationPolicy, params_from_classical
 from schottky.correlators import (
     LatticeSpec,
@@ -89,9 +90,16 @@ def test_genus1_two_point_is_omega_times_z(torus_forms):
     assert abs(res.value - expected) <= res.tail + FLOOR * abs(expected)
 
 
-def test_rank0_lattice_on_torus_is_one(torus_forms):
+def test_rank0_lattice_on_torus_is_one(torus_forms, monkeypatch):
+    # Exactly 1 with no tail: neither the period matrix nor Z is needed.
+    def unused(*args, **kwargs):
+        raise AssertionError("rank 0 needs no period matrix or partition function")
+
+    monkeypatch.setattr(type(torus_forms), "period_matrix", unused)
+    monkeypatch.setattr(correlators, "heisenberg_partition", unused)
     res = lattice_partition(torus_forms, LatticeSpec(()))
     assert res.value == 1
+    assert res.tail == 0.0
 
 
 def test_rank1_lattice_on_torus_matches_jacobi_theta(torus_forms):

@@ -17,10 +17,7 @@ from hypothesis import strategies as st
 from schottky.forms import (
     ConfigurationError,
     ContourSpec,
-    ConvergenceError,
     FormValue,
-    PathSegment,
-    PeriodPath,
     PoleProximityError,
     QuadratureError,
     SurfaceForms,
@@ -37,6 +34,7 @@ from schottky.group import (
     generator_map,
     mobius_act_on_params,
     params_from_classical,
+    validate,
 )
 
 
@@ -48,6 +46,41 @@ def torus_forms(torus_params):
 @pytest.fixture(scope="module")
 def genus2_forms(genus2_params):
     return SurfaceForms(genus2_params, TruncationPolicy(max_word_length=6, tol=1e-8))
+
+
+def b_cycle_nodes(sp, a, n_angles=64):
+    """Gauss-Legendre nodes and weights on a path from z0 to gamma_a z0.
+
+    z0 lies on the circle at w_a.  The path leaves it radially by one
+    radius, crosses on a straight chord and comes back radially onto the
+    circle at w_{-a}; a straight chord alone re-enters a handle-a disc
+    when rho_a is real.  Of n_angles departure angles the one whose nodes
+    keep farthest from every disc wins, and it must keep outside all.
+    """
+    gauss, gauss_w = np.polynomial.legendre.leggauss(16)
+    g_a = generator_map(sp, a)
+    w, wm, r = sp.center(a), sp.center(-a), sp.radius(a)
+    best = None
+    for k in range(n_angles):
+        z0 = w + r * cmath.exp(2j * math.pi * k / n_angles)
+        end = complex(g_a(z0))
+        corners = [z0, w + 2 * (z0 - w), wm + 2 * (end - wm), end]
+        nodes, weights = [], []
+        for p, q in zip(corners, corners[1:]):
+            panels = max(2, math.ceil(abs(q - p) / 0.25))
+            for j in range(panels):
+                lo, hi = p + (q - p) * j / panels, p + (q - p) * (j + 1) / panels
+                nodes.extend(0.5 * (lo + hi) + 0.5 * (hi - lo) * gauss)
+                weights.extend(0.5 * (hi - lo) * gauss_w)
+        nodes = np.array(nodes)
+        clearance = min(
+            (np.abs(nodes - sp.center(b)) / sp.radius(b)).min() - 1.0
+            for b in sp.signed_indices
+        )
+        if best is None or clearance > best[0]:
+            best = (clearance, nodes, np.array(weights))
+    assert best[0] > 0
+    return best[1], best[2]
 
 
 def trapezoid_loop(f, center, radius, n=256):
@@ -221,28 +254,6 @@ class TestHolomorphicForms:
             an = genus2_forms.holomorphic_form_derivative(a, x).value
             assert abs(an - fd) < 1e-7 * max(1.0, abs(an))
 
-    def test_probe_override_changes_nothing(self, genus2_params):
-        base = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=6))
-        p0, p1 = base.probes
-        alt = SurfaceForms(
-            genus2_params,
-            TruncationPolicy(max_word_length=6),
-            probes=(p0 * cmath.exp(0.4j), p1 * cmath.exp(0.4j)),
-        )
-        x = 0.45 - 0.3j
-        v1 = base.holomorphic_form(1, x)
-        v2 = alt.holomorphic_form(1, x)
-        assert abs(v1.value - v2.value) < 1e-8
-
-    def test_interior_probe_rejected(self, genus2_params):
-        c = genus2_params.center(1)
-        with pytest.raises(InvalidParameterError):
-            SurfaceForms(
-                genus2_params,
-                TruncationPolicy(max_word_length=4),
-                probes=(c, 5.0 + 5.0j),
-            )
-
 
 class TestProjectiveConnection:
     def test_regularized_diagonal_limit(self, genus2_forms):
@@ -369,15 +380,17 @@ class TestRecursionKernel:
         ) / (2 * h)
         an = genus2_forms.recursion_kernel_dy(x, y, 2).value
         assert abs(an - fd) < 1e-7 * max(1.0, abs(an))
-        # The reported tail is the last word shell: positive, and larger
-        # than the move to the next cutoff (L = 3 keeps it above rounding).
-        coarse, fine = (
-            SurfaceForms(genus2_forms.sp, TruncationPolicy(max_word_length=L))
-            .recursion_kernel_dy(x, y, 2)
-            for L in (3, 4)
-        )
-        assert coarse.tail > 0
-        assert abs(fine.value - coarse.value) < coarse.tail
+        # The reported tail is the last word shell plus the rounding floor:
+        # positive, and larger than the move to the next cutoff, also at
+        # L = 6 where the last shell has fallen below rounding.
+        for L in (3, 6):
+            coarse, fine = (
+                SurfaceForms(genus2_forms.sp, TruncationPolicy(max_word_length=n))
+                .recursion_kernel_dy(x, y, 2)
+                for n in (L, L + 1)
+            )
+            assert coarse.tail > 0
+            assert abs(fine.value - coarse.value) < coarse.tail
 
     def test_alternative_basis_ordering_admissible(self, genus2_params):
         # A different ordering of the limit points yields a different
@@ -497,50 +510,57 @@ class TestPeriodMatrix:
             lead = cmath.log(cp.q[a - 1]) / (2j * math.pi)
             assert abs(res.omega[a - 1, a - 1] - lead) < 0.02
 
-    def test_asymmetry_after_detour_flips_raises(self, genus2_params, monkeypatch):
-        # A detoured path whose integrals stay asymmetric whichever side
-        # the detour takes: the flip retry runs and then gives up.
-        F = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=3))
-        sp = F.sp
+    def test_negative_multiplier_torus(self):
+        # q on the negative real axis: log(q)/(2 pi i) = 0.5 + 0.7329i.
+        sp = params_from_classical(ClassicalParams((2.0,), (-2.0,), (-0.01,)))
+        res = SurfaceForms(sp, TruncationPolicy(max_word_length=5)).period_matrix()
+        expected = cmath.log(-0.01) / (2j * math.pi)
+        assert abs(expected - (0.5 + 0.7329j)) < 1e-4
+        assert 0 < res.tail < 1e-12
+        assert abs(res.omega[0, 0] - expected) <= res.tail
 
-        def detoured_path(a):
-            other = 3 - a
-            z0 = sp.center(a) + sp.radius(a)
-            arc = PathSegment(
-                "arc", center=sp.center(other), radius=1.3 * sp.radius(other),
-                angle_start=0.0, sweep=math.pi,
-            )
-            return PeriodPath(a, z0, generator_map(sp, a)(z0), (arc,))
+    def test_negative_multiplier_genus2(self):
+        # Admissible, with the identity cross-ratio of the off-diagonal
+        # entry on the negative real axis (Re Omega_12 = 1/2).
+        sp = params_from_classical(
+            ClassicalParams((2.0, 2j), (-2.0, -2j), (-0.01, 0.01))
+        )
+        assert validate(sp).ok
+        coarse, fine = (
+            SurfaceForms(sp, TruncationPolicy(max_word_length=L)).period_matrix()
+            for L in (5, 7)
+        )
+        assert np.array_equal(coarse.omega, coarse.omega.T)
+        assert coarse.symmetry_error == 0.0
+        assert coarse.im_min_eigenvalue() > 0
+        np.linalg.cholesky(coarse.omega.imag)
+        assert np.abs(fine.omega - coarse.omega).max() < coarse.tail
 
-        def asymmetric_integrals(path, handles, panels_scale=1):
-            row = {1: [0.3j, 0.1j], 2: [0.5j, 0.4j]}[path.handle]
-            return 2j * math.pi * np.array(row), 0.0, 0.0
+    @pytest.mark.parametrize("fixture, L", [("genus2_params", 6), ("genus3_params", 5)])
+    def test_quadrature_of_one_forms_along_b_cycles(self, fixture, L, request):
+        # Independent route: Gauss-Legendre integrals of nu_b along a path
+        # from z0 on the circle at w_a to gamma_a z0 give 2 pi i Omega_ab
+        # modulo integers (windings around other discs add integers).
+        sp = request.getfixturevalue(fixture)
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=L))
+        omega = F.period_matrix().omega
+        g = sp.genus
+        for a in range(1, g + 1):
+            nodes, weights = b_cycle_nodes(sp, a)
+            for b in range(1, g + 1):
+                nu = np.array([F.holomorphic_form(b, z).value for z in nodes])
+                gap = (nu * weights).sum() / (2j * math.pi) - omega[a - 1, b - 1]
+                assert abs(gap - round(gap.real)) < 1e-7
 
-        monkeypatch.setattr(F, "period_path", detoured_path)
-        monkeypatch.setattr(F, "_integrate_forms_along", asymmetric_integrals)
-        with pytest.raises(ConvergenceError, match="asymmetry"):
-            F.period_matrix()
-
-    def test_frozen_paths_reproduce(self, genus2_forms):
-        paths = {a: genus2_forms.period_path(a) for a in (1, 2)}
-        r1 = genus2_forms.period_matrix()
-        r2 = genus2_forms.period_matrix(paths=paths)
-        assert np.allclose(r1.omega, r2.omega, atol=1e-14)
-
-    def test_paths_stay_in_domain(self, genus2_forms):
-        sp = genus2_forms.sp
-        for a in (1, 2):
-            path = genus2_forms.period_path(a)
-            assert abs(path.base_point - sp.center(a)) == pytest.approx(
-                sp.radius(a)
-            )
-            g = generator_map(sp, a)
-            assert abs(path.nominal_end - complex(g(path.base_point))) < 1e-12
-            for seg in path.segments:
-                for t in np.linspace(0, 1, 17):
-                    z = seg.point(float(t))
-                    for b in sp.signed_indices:
-                        assert abs(z - sp.center(b)) >= sp.radius(b) - 1e-9
+    def test_invariant_under_mobius_conjugation(self, genus2_params):
+        # Conjugating the group moves the fixed points but keeps every
+        # cross-ratio and multiplier, so Omega stays within its tail.
+        m = MobiusMap(1.0, 0.15 - 0.1j, 0.02, 1.0).normalized()
+        moved = mobius_act_on_params(genus2_params, m)
+        policy = TruncationPolicy(max_word_length=5)
+        base = SurfaceForms(genus2_params, policy).period_matrix()
+        conj = SurfaceForms(moved, policy).period_matrix()
+        assert np.abs(conj.omega - base.omega).max() <= base.tail + conj.tail
 
 
 class TestTruncationDiscipline:
@@ -557,6 +577,20 @@ class TestTruncationDiscipline:
         ]
         for c, f in pairs:
             assert abs(c.value - f.value) <= max(c.tail, 1e-14)
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    @pytest.mark.parametrize("L, k", [(2, 1), (3, 2), (4, 2)])
+    def test_coset_series_within_reported_tail(self, fixture, L, k, request):
+        sp = request.getfixturevalue(fixture)
+        coarse = SurfaceForms(sp, TruncationPolicy(max_word_length=L))
+        fine = SurfaceForms(sp, TruncationPolicy(max_word_length=L + k))
+        c, f = coarse.period_matrix(), fine.period_matrix()
+        assert np.abs(f.omega - c.omega).max() < c.tail
+        for a in range(1, sp.genus + 1):
+            edge = sp.center(-a) + sp.radius(-a) * cmath.exp(0.4j)
+            for x in (0.6 + 0.2j, 3.0 - 1.0j, edge):
+                cv, fv = coarse.holomorphic_form(a, x), fine.holomorphic_form(a, x)
+                assert abs(fv.value - cv.value) < cv.tail
 
     def test_tails_decay_with_cutoff(self, genus2_params):
         x, y = 0.6 + 0.2j, -0.5 - 0.8j
@@ -587,7 +621,7 @@ class TestConstruction:
         shift = origin_clearing_translation(sp)
         moved = mobius_act_on_params(sp, shift)
         F = SurfaceForms(moved, TruncationPolicy(max_word_length=6))
-        assert np.isfinite(F.third_kind_form(*F.probes).value)
+        assert np.isfinite(F.third_kind_form(20.0, 20.0j).value)
 
     def test_contour_spec_validation(self):
         with pytest.raises(InvalidParameterError):
