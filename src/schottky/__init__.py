@@ -34,7 +34,6 @@ from schottky.group import (
     WordTable,
     apply_mobius,
     classical_from_params,
-    default_mode_cutoff,
     enumerate_group,
     generator_map,
     in_fundamental_domain,

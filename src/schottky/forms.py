@@ -19,8 +19,9 @@ generator gamma_a, and q_a its multiplier
 - the weight-N recursion kernels Psi_N built from a Bers-type seed
       seed(x, y) = (1/(x - y)) prod_j (y - A_j)/(x - A_j)
   summed as  sum_gamma seed(gamma x, y) (d(gamma x)/dx)^N,
-- the holomorphic N-forms theta_a(x; l) extracted from the quasi-periods
-  of Psi_N by contour integrals over the isometric circles, and
+- the holomorphic N-forms theta_a(x; l), the coefficients of the
+  quasi-period polynomial of Psi_N around w_a, read off exactly from its
+  values at 2N-1 points of the isometric circle, and
 - the period matrix, a sum over the double cosets <gamma_a>\G/<gamma_b>
       2 pi i Omega_ab = delta_ab log q_a
                         + sum'_gamma log{W_a, W_{-a}; gamma W_b, gamma W_{-b}}
@@ -47,10 +48,10 @@ multiplier, and the one-form normalization below):
 All evaluations report a tail: the magnitude of the contribution of the
 last word shell plus a rounding floor of eps * sum |terms| (eps the
 float64 machine epsilon; the summed magnitudes use |Re| + |Im|), or
-infinity at L = 0.  The quasi-period coefficients report the change
-under contour node doubling instead.  Raising the word cutoff must move
-any reported value by less than its reported tail; the test suite
-enforces this.
+infinity at L = 0.  The quasi-period coefficients carry the kernel tails
+at their sample points through the same finite Fourier transform as the
+values.  Raising the word cutoff must move any reported value by less
+than its reported tail; the test suite enforces this.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from schottky.group import (
     TruncationPolicy,
     classical_from_params,
     enumerate_group,
+    generator_map,
     in_fundamental_domain,
     ordered_fixed_points,
     validate,
@@ -79,11 +81,9 @@ from schottky.group import (
 
 __all__ = [
     "FormValue",
-    "ContourSpec",
     "PeriodMatrixResult",
     "PoleProximityError",
     "ConvergenceError",
-    "QuadratureError",
     "ConfigurationError",
     "SurfaceForms",
     "kernel_seed",
@@ -111,10 +111,6 @@ class ConvergenceError(SchottkyError):
     """A truncated value failed its internal consistency check."""
 
 
-class QuadratureError(SchottkyError):
-    """Doubling quadrature nodes moved a contour integral above tolerance."""
-
-
 class ConfigurationError(SchottkyError):
     """The parameter set cannot support the requested construction."""
 
@@ -125,34 +121,14 @@ class FormValue:
 
     ``value`` is the coefficient of dx^weight_x dy^weight_y at the
     evaluation point(s); ``tail`` is the reported truncation estimate
-    (last word shell plus rounding, or quadrature drift, whichever the
-    producing operation documents).
+    (last word shell plus rounding, as the producing operation
+    documents).
     """
 
     value: complex
     weight_x: int
     weight_y: int = 0
     tail: float = 0.0
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """A circle for contour quadrature: center, radius, node count."""
-
-    center: complex
-    radius: float
-    n_points: int = 128
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidParameterError("contour radius must be positive")
-        n = self.n_points
-        if not (isinstance(n, int) and n >= 32 and (n & (n - 1)) == 0):
-            raise InvalidParameterError("n_points must be a power of two >= 32")
-
-    def nodes(self) -> np.ndarray:
-        angles = 2.0 * np.pi * np.arange(self.n_points) / self.n_points
-        return self.center + self.radius * np.exp(1j * angles)
 
 
 @dataclass(frozen=True)
@@ -184,13 +160,10 @@ class PeriodMatrixResult:
 
     ``tail`` is the largest entry tail: the last word shell of the entry's
     sum plus its rounding floor, over 2 pi (infinite at L = 0).
-    ``symmetry_error`` is the largest |Omega_ab - Omega_ba|, zero by
-    construction.
     """
 
     omega: np.ndarray
     tail: float
-    symmetry_error: float
 
     @property
     def genus(self) -> int:
@@ -291,8 +264,6 @@ class SurfaceForms:
         Defaults to the generator fixed points in handle order
         (W_1, W_{-1}, W_2, W_{-2}, ...).  Entries must be limit points of
         the group for the series to converge.
-    contour_points:
-        Default node count for the extraction contours (power of two).
     """
 
     def __init__(
@@ -300,7 +271,6 @@ class SurfaceForms:
         sp: SchottkyParams,
         policy: TruncationPolicy | None = None,
         limit_points: Sequence[complex] | None = None,
-        contour_points: int = 128,
     ):
         self.sp = sp
         self.policy = policy if policy is not None else TruncationPolicy()
@@ -331,16 +301,12 @@ class SurfaceForms:
         else:
             self.limit_points = tuple(complex(p) for p in limit_points)
 
-        if contour_points < 32 or contour_points & (contour_points - 1):
-            raise InvalidParameterError("contour_points must be a power of two >= 32")
-        self.contour_points = contour_points
-
     # -- construction helpers ------------------------------------------------
 
     def _in_domain(self, z: complex) -> bool:
         """Domain membership with a hair of slack for boundary jitter.
 
-        Contour nodes and generator images of boundary points land on the
+        Boundary points and their generator images land on the
         isometric circles; floating point can put them an ulp inside,
         which must not count as an excursion.  Genuine pole collisions
         are caught separately.
@@ -614,7 +580,7 @@ class SurfaceForms:
         if len(diff) and np.abs(diff).min() < POLE_GUARD:
             raise PoleProximityError("projective connection: x at an orbit point")
         if self.policy.max_word_length == 0:
-            return FormValue(0.0, 2, 0, 0.0)
+            return FormValue(0.0, 2, 0, math.inf)
         vals = 6.0 * dgx / (diff * diff)
         total, tail = self._shell_sum(vals, self._last_shell[1:])
         return FormValue(total, 2, 0, tail)
@@ -629,7 +595,7 @@ class SurfaceForms:
         if len(diff) and np.abs(diff).min() < POLE_GUARD:
             raise PoleProximityError("projective connection derivative: pole")
         if self.policy.max_word_length == 0:
-            return FormValue(0.0, 3, 0, 0.0)
+            return FormValue(0.0, 3, 0, math.inf)
         vals = 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3))
         total, tail = self._shell_sum(vals, self._last_shell[1:])
         return FormValue(total, 3, 0, tail)
@@ -674,57 +640,27 @@ class SurfaceForms:
         total, tail = self._shell_sum(delta * (dm + dp) / (prod * prod), last)
         return FormValue(total, 2, 0, tail)
 
-    # -- quasi-period extraction ---------------------------------------------------
-
-    def laurent_coefficient(
-        self, weight: int, a: int, ell: int, x: complex,
-        contour: ContourSpec | None = None,
-    ) -> tuple[complex, float]:
-        """Laurent coefficient of the weight-N kernel on the circle at w_a.
-
-        chi_a(x; l) = (1/2*pi*i) oint psi_N(x, y) (y - w_a)^{-l-1} dy over
-        the isometric circle of the signed index a, counterclockwise, by
-        trapezoidal quadrature with node doubling.  Returns (value, drift)
-        where drift is the node-doubling change.
-        """
-        x = self._require_in_domain(x, "x")
-        if a == 0 or abs(a) > self.sp.genus:
-            raise InvalidParameterError("signed handle index out of range")
-        if contour is None:
-            contour = ContourSpec(
-                self.sp.center(a), self.sp.radius(a), self.contour_points
-            )
-        fine = ContourSpec(contour.center, contour.radius, 2 * contour.n_points)
-        vals = []
-        for spec in (contour, fine):
-            ys = spec.nodes()
-            kvals, _ = self._kernel_many_y(x, ys, weight)
-            rel = ys - spec.center
-            vals.append(complex(np.mean(kvals * rel ** (-ell))))
-        drift = abs(vals[1] - vals[0])
-        scale = max(1.0, abs(vals[1]))
-        if drift > max(self.policy.tol * scale, 1e-13 * scale):
-            raise QuadratureError(
-                f"contour coefficient did not converge under node doubling "
-                f"(drift {drift:.3g}); raise contour_points"
-            )
-        return vals[1], drift
+    # -- quasi-period coefficients ----------------------------------------------
 
     def quasiperiod_coefficient(
-        self, weight: int, a: int, ell: int, x: complex,
-        contour_points: int | None = None,
+        self, weight: int, a: int, ell: int, x: complex
     ) -> FormValue:
         """Holomorphic N-form theta_a(x; l) from the kernel quasi-periods.
 
-        theta_a(x;l) = chi_a(x;l) + (-1)^N rho_a^{N-1-l} chi_{-a}(x;2N-2-l)
-        for a in 1..g and 0 <= l <= 2N-2, where chi are the Laurent
-        coefficients over the two isometric circles of handle a.  These
-        satisfy the quasi-period reconstruction
+        For a in 1..g and 0 <= l <= 2N-2 the theta_a(x; l) are the
+        coefficients of the quasi-period polynomial
 
             psi_N(x,y) - psi_N(x,gamma_a y) (gamma_a'(y))^{1-N}
                 = sum_l theta_a(x;l) (y - w_a)^l,
 
-        an exact polynomial identity in y up to truncation tails.  At
+        of degree 2N-2 in y.  It is sampled at the 2N-1 nodes
+        y_k = w_a + r_a e^{2 pi i k/(2N-1)} on the isometric circle of w_a,
+        with gamma_a'(y)^{1-N} = (c y + d)^{2N-2} for the det-1 generator,
+        and its coefficients are the discrete Fourier transform of the
+        samples, theta_a(x;l) = mean_k(d_k e^{-2 pi i l k/(2N-1)}) / r_a^l,
+        exact for a polynomial of that degree.  The tail is the same
+        transform of the node errors: the kernel tails at y_k and
+        gamma_a y_k plus the rounding of the difference, over r_a^l.  At
         weight 1 the single member is theta_a(x;0) = -nu_a(x) (the
         quasi-period of the third-kind form runs against the one-form
         orientation fixed in the module docstring).
@@ -732,18 +668,24 @@ class SurfaceForms:
         self._require_handle(a)
         if not 0 <= ell <= 2 * weight - 2:
             raise InvalidParameterError("coefficient index must lie in 0..2N-2")
-        n = contour_points if contour_points is not None else self.contour_points
-        rho = self.sp.rho[a - 1]
-        ca = ContourSpec(self.sp.center(a), self.sp.radius(a), n)
-        cma = ContourSpec(self.sp.center(-a), self.sp.radius(-a), n)
-        chi_a, drift_a = self.laurent_coefficient(weight, a, ell, x, ca)
-        chi_ma, drift_ma = self.laurent_coefficient(
-            weight, -a, 2 * weight - 2 - ell, x, cma
+        x = self._require_in_domain(x, "x")
+        n = 2 * weight - 1
+        r = self.sp.radius(a)
+        g = generator_map(self.sp, a)
+        ys = self.sp.center(a) + r * np.exp(2j * np.pi * np.arange(n) / n)
+        den = g.c * ys + g.d
+        vals, tails = self._kernel_many_y(
+            x, np.concatenate([ys, (g.a * ys + g.b) / den]), weight
         )
-        sign = -1.0 if weight % 2 else 1.0
-        value = chi_a + sign * rho ** (weight - 1 - ell) * chi_ma
-        tail = drift_a + abs(rho ** (weight - 1 - ell)) * drift_ma
-        return FormValue(value, weight, 0, tail)
+        factor = den ** (2 * weight - 2)
+        moved = vals[n:] * factor
+        phase = np.exp(-2j * np.pi * ell * np.arange(n) / n)
+        value = complex(np.mean((vals[:n] - moved) * phase)) / r**ell
+        tail = np.mean(
+            tails[:n] + np.abs(factor) * tails[n:]
+            + EPS * (np.abs(vals[:n]) + np.abs(moved))
+        ) / r**ell
+        return FormValue(value, weight, 0, float(tail))
 
     # -- period matrix ---------------------------------------------------
 
@@ -792,8 +734,7 @@ class SurfaceForms:
                 re = value.real - math.ceil(value.real - 0.5 - floor)
                 omega[a - 1, b - 1] = omega[b - 1, a - 1] = complex(re, value.imag)
                 worst = max(worst, tail)
-        symmetry = float(np.abs(omega - omega.T).max())
-        return PeriodMatrixResult(omega, worst, symmetry)
+        return PeriodMatrixResult(omega, worst)
 
 
 def _abs_sum(terms: np.ndarray) -> float:

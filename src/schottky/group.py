@@ -75,7 +75,6 @@ __all__ = [
     "validate",
     "mobius_act_on_params",
     "in_fundamental_domain",
-    "default_mode_cutoff",
 ]
 
 
@@ -164,11 +163,6 @@ class MobiusMap:
         """
         den = self.c * complex(z) + self.d
         return 1.0 / (den * den)
-
-    def second_derivative(self, z: complex) -> complex:
-        """d^2(mz)/dz^2 = -2c / (cz + d)^3 for a det-1 map."""
-        den = self.c * complex(z) + self.d
-        return -2.0 * self.c / (den * den * den)
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """Return self after other (matrix product self @ other)."""
@@ -352,11 +346,6 @@ class TruncationPolicy:
             raise InvalidParameterError("mode_cutoff must be an integer >= 1")
         if not (isinstance(self.tol, (int, float)) and self.tol > 0):
             raise InvalidParameterError("tol must be a positive real")
-
-
-def default_mode_cutoff(max_word_length: int) -> int:
-    """Default coupling of the mode cutoff to the word length, M = 2L + 8."""
-    return 2 * max_word_length + 8
 
 
 # ---------------------------------------------------------------------------

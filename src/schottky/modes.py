@@ -67,8 +67,8 @@ POWER_ITERATIONS = 50
 class PartitionValue:
     """Partition-function value with convergence diagnostics.
 
-    ``tail`` is the drift against the half-cutoff recomputation plus a
-    rounding floor of 2gM eps |value| (M the mode cutoff);
+    ``tail`` is the drift against the leading-mode sub-system at half
+    the cutoff plus a rounding floor of 2gM eps |value| (M the mode cutoff);
     ``spectral_radius`` the power-iteration estimate for the coupling
     matrix (must be below 1 for the mode expansion to mean anything).
     """
@@ -250,6 +250,16 @@ def mode_coupling_matrix(
     return R
 
 
+def _leading_modes(genus: int, modes: int) -> np.ndarray:
+    """Mask of the first max(1, M // 2) modes of every signed handle.
+
+    Every entry of p, q and R depends only on its own mode indices, so
+    the system at half the cutoff M is exactly the masked sub-system of
+    the one at M.
+    """
+    return np.arange(2 * genus * modes) % modes < max(1, modes // 2)
+
+
 def _spectral_radius_estimate(R: np.ndarray) -> float:
     """Power-iteration estimate of the spectral radius (fixed seed)."""
     dim = R.shape[0]
@@ -280,7 +290,7 @@ def kernel_via_modes(
 
     seed(x, y) + p(x)^T (I - R)^{-1} q(y), solved by LU factorization
     with a condition-number precheck.  The reported tail is the drift
-    against the same assembly at half the mode cutoff.
+    against the leading-mode sub-system at half the mode cutoff.
     """
     _require_valid(sp)
     _check_mode_args(sp, weight, modes)
@@ -290,11 +300,12 @@ def kernel_via_modes(
         complex(p) for p in limit_points
     )
     A = select_seed_points(pts, weight, sp.genus)
+    p = pole_basis(sp, weight, modes, x, branch_signs)
+    q = seed_moments(sp, weight, modes, y, pts, branch_signs)
+    R = mode_coupling_matrix(sp, weight, modes, branch_signs)
+    keep = _leading_modes(sp.genus, modes)
 
-    def assemble(mm: int) -> complex:
-        p = pole_basis(sp, weight, mm, x, branch_signs)
-        q = seed_moments(sp, weight, mm, y, pts, branch_signs)
-        R = mode_coupling_matrix(sp, weight, mm, branch_signs)
+    def solve(p: np.ndarray, q: np.ndarray, R: np.ndarray) -> complex:
         system = np.eye(R.shape[0], dtype=np.complex128) - R
         cond = np.linalg.cond(system)
         if not cond < MAX_CONDITION:
@@ -305,8 +316,8 @@ def kernel_via_modes(
         solved = lu_solve(lu_factor(system), q)
         return complex(p @ solved)
 
-    correction = assemble(modes)
-    half = assemble(max(1, modes // 2))
+    correction = solve(p, q, R)
+    half = solve(p[keep], q[keep], R[np.ix_(keep, keep)])
     value = kernel_seed(x, y, A) + correction
     return FormValue(value, weight, 1 - weight, abs(correction - half))
 
@@ -325,9 +336,10 @@ def heisenberg_partition(
     """
     _require_valid(sp)
     _check_mode_args(sp, 1, modes)
+    R = mode_coupling_matrix(sp, 1, modes, branch_signs)
+    keep = _leading_modes(sp.genus, modes)
 
-    def det_at(mm: int) -> tuple[complex, float]:
-        R = mode_coupling_matrix(sp, 1, mm, branch_signs)
+    def det_at(R: np.ndarray) -> tuple[complex, float]:
         radius = _spectral_radius_estimate(R)
         if radius >= 1.0:
             raise ConvergenceError(
@@ -342,8 +354,8 @@ def heisenberg_partition(
             det = -det
         return det, radius
 
-    det_full, radius = det_at(modes)
-    det_half, _ = det_at(max(1, modes // 2))
+    det_full, radius = det_at(R)
+    det_half, _ = det_at(R[np.ix_(keep, keep)])
     value = 1.0 / cmath.sqrt(det_full)
     half_value = 1.0 / cmath.sqrt(det_half)
     # The LU of the 2gM-square system rounds the determinant by about 2gM

@@ -19,6 +19,8 @@ from schottky.correlators import (
     lattice_partition,
     pairings,
     siegel_theta,
+    virasoro_one_point,
+    virasoro_two_point,
 )
 from schottky.forms import SurfaceForms
 
@@ -26,6 +28,7 @@ from schottky.forms import SurfaceForms
 FLOOR = 1e-12
 
 TORUS = ClassicalParams((1.0,), (-1.0,), (0.04,))
+TORI = [TORUS, ClassicalParams((1.6,), (-0.7 + 0.3j,), (0.03 + 0.02j,))]
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +58,17 @@ def torus_bidifferential(x: complex, y: complex, cp: ClassicalParams, terms: int
     X, Y = T(x), T(y)
     total = sum(q**n / (q**n * X - Y) ** 2 for n in range(-terms, terms + 1))
     return dT(x) * dT(y) * total
+
+
+def torus_projective_connection(x: complex, cp: ClassicalParams, terms: int = 60) -> complex:
+    """s(x) = 12 (u'(x)/u(x))^2 sum_{m >= 1} q^m / (1 - q^m)^2 on the torus.
+
+    In the coordinate u = (x - W_+)/(x - W_-) the generator is a dilation,
+    and the n != 0 terms of the orbit sum for omega pair up at y = x.
+    """
+    Wp, Wm, q = cp.W_plus[0], cp.W_minus[0], cp.q[0]
+    log_du = 1.0 / (x - Wp) - 1.0 / (x - Wm)
+    return 12.0 * log_du**2 * sum(q**m / (1.0 - q**m) ** 2 for m in range(1, terms + 1))
 
 
 def double_factorial(n: int) -> int:
@@ -88,6 +102,23 @@ def test_genus1_two_point_is_omega_times_z(torus_forms):
     res = heisenberg_npoint(torus_forms, [x, y])
     expected = torus_bidifferential(x, y, TORUS) * euler_product(TORUS.q[0])
     assert abs(res.value - expected) <= res.tail + FLOOR * abs(expected)
+
+
+@pytest.mark.parametrize("cp", TORI)
+def test_genus1_virasoro_one_and_two_point(cp):
+    # <omega> = s(x) Z / 12 and <omega omega> = (s(x) s(y)/144 + omega(x,y)^2/2) Z.
+    forms = SurfaceForms(
+        params_from_classical(cp), TruncationPolicy(max_word_length=12, mode_cutoff=20)
+    )
+    z = euler_product(cp.q[0])
+    x, y = 2.0 + 0.5j, -1.5 - 1.2j
+    sx, sy = (torus_projective_connection(p, cp) for p in (x, y))
+    one = virasoro_one_point(forms, x)
+    expected = sx * z / 12.0
+    assert abs(one.value - expected) <= one.tail + FLOOR * abs(expected)
+    two = virasoro_two_point(forms, x, y)
+    expected = (sx * sy / 144.0 + torus_bidifferential(x, y, cp) ** 2 / 2.0) * z
+    assert abs(two.value - expected) <= two.tail + FLOOR * abs(expected)
 
 
 def test_rank0_lattice_on_torus_is_one(torus_forms, monkeypatch):

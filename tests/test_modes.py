@@ -132,6 +132,28 @@ class TestVectorsAndLayout:
         R = mode_coupling_matrix(sp, 1, 5)
         assert np.max(np.abs(R)) < 1e-15
 
+    @pytest.mark.parametrize("fixture", ["torus_sp", "genus2_params", "genus3_params"])
+    @pytest.mark.parametrize("M", [1, 5, 20, 21])
+    def test_half_cutoff_system_is_leading_mode_slice(self, fixture, M, request):
+        # The M/2 drift of the resolvent and the determinant is taken from
+        # this slice, so it must equal the system assembled at M/2 exactly.
+        sp = request.getfixturevalue(fixture)
+        half = max(1, M // 2)
+        keep = np.arange(2 * sp.genus * M) % M < half
+        assert np.array_equal(modes._leading_modes(sp.genus, M), keep)
+        x, y = 5.0 + 1.0j, -5.0 + 2.0j
+        for weight in range(1, sp.genus + 1):
+            assert np.array_equal(
+                pole_basis(sp, weight, half, x), pole_basis(sp, weight, M, x)[keep]
+            )
+            assert np.array_equal(
+                seed_moments(sp, weight, half, y), seed_moments(sp, weight, M, y)[keep]
+            )
+            assert np.array_equal(
+                mode_coupling_matrix(sp, weight, half),
+                mode_coupling_matrix(sp, weight, M)[np.ix_(keep, keep)],
+            )
+
     def test_input_validation(self, genus2_params):
         sp = genus2_params
         with pytest.raises(InvalidParameterError):
