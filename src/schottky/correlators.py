@@ -7,6 +7,18 @@ bidifferential.  Virasoro insertions reduce to the projective connection
 and the bidifferential.  Even-lattice partition functions factor through
 the Siegel theta function of the period matrix.
 
+The Siegel theta function of a rank-d lattice at genus g is the Riemann
+theta function of Omega (x) Gram on Z^(g d).  Its sum is truncated to
+the ellipsoid N^T (Im Omega (x) Gram) N <= r2, enumerated block by block
+with the Fincke-Pohst recursion (Fincke and Pohst, Math. Comp. 1985).
+r2 is the smallest radius at which a rigorous bound on the omitted terms
+is at most the caller's tol: a lattice-point count by Voronoi cells and
+the covering radius, integrated against the Gaussian, in the spirit of
+Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann
+theta functions" (Math. Comp. 2004).  ``lattice_partition`` takes tol
+from the SurfaceForms policy; the reported tail is that bound plus a
+rounding floor.
+
 The surface data (bidifferential, projective connection, period matrix)
 comes from a SurfaceForms evaluator; the partition function from the
 mode-matrix determinant.
@@ -14,15 +26,14 @@ mode-matrix determinant.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from schottky.forms import SurfaceForms
-from schottky.group import InvalidParameterError
+from schottky.forms import EPS, SurfaceForms
+from schottky.group import InvalidParameterError, TruncationPolicy
 from schottky.modes import heisenberg_partition
 
 __all__ = [
@@ -36,8 +47,10 @@ __all__ = [
     "lattice_partition",
 ]
 
-# Default tail target for the Siegel theta radius choice.
-THETA_TAIL_TARGET = 1e-13
+# Partial vectors per block of the Siegel theta enumeration: large enough
+# that numpy's per-call cost is small against the block's arithmetic,
+# small enough that the n blocks alive at once take a few MB.
+_THETA_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -53,6 +66,17 @@ class CorrelatorValue:
     weights: tuple[int, ...]
 
 
+def _gram_entry(v) -> int:
+    """A Gram entry as an int; anything but an exact integer is refused."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != v:
+        raise InvalidParameterError(f"Gram entries must be integers, got {v!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class LatticeSpec:
     """Even positive-definite integral lattice given by its Gram matrix.
@@ -64,7 +88,7 @@ class LatticeSpec:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(v) for v in row) for row in self.gram)
+        rows = tuple(tuple(_gram_entry(v) for v in row) for row in self.gram)
         object.__setattr__(self, "gram", rows)
         d = len(rows)
         for row in rows:
@@ -210,45 +234,97 @@ def virasoro_two_point(
     return CorrelatorValue(value, tail, (2, 2))
 
 
-def _theta_candidates(lattice: LatticeSpec, radius: float) -> np.ndarray:
-    """Integer vectors with Gram norm at most radius^2 (plus the origin)."""
-    d = lattice.rank
-    if d == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    G = lattice.gram_array()
-    chol = np.linalg.cholesky(G)
-    inv = np.linalg.inv(chol)
-    bounds = [
-        int(math.floor(radius * float(np.linalg.norm(inv[:, i])) + 1e-12))
-        for i in range(d)
-    ]
-    grids = np.meshgrid(
-        *[np.arange(-b, b + 1, dtype=np.int64) for b in bounds], indexing="ij"
+def _upper_gammas(n: int, x: float) -> list[float]:
+    """Gamma(k/2 + 1, x) for k = 0..n (n >= 1), the upper incomplete gamma function.
+
+    Upward recurrence Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x from
+    Gamma(1, x) = e^-x and Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)); every
+    term is positive, so it keeps full relative accuracy.
+    """
+    ex = math.exp(-x)
+    out = [ex, 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)) + math.sqrt(x) * ex]
+    for k in range(2, n + 1):
+        out.append(0.5 * k * out[k - 2] + x ** (0.5 * k) * ex)
+    return out
+
+
+def _theta_truncation(U: np.ndarray, tol: float) -> tuple[float, float]:
+    """Smallest r2 whose bound on the omitted theta terms is <= tol, and that bound.
+
+    The omitted terms are exp(-pi |U N|^2) over integer N with
+    |U N|^2 > r2.  Each lattice point owns its Voronoi cell of volume
+    det U, and a point within r of the origin has its cell inside the
+    ball of radius r + mu, mu the covering radius; Babai's nearest-plane
+    bound gives mu <= sqrt(sum U_ii^2) / 2.  So at most
+    V_n (r + mu)^n / det U points lie within r, and integrating that
+    count against pi exp(-pi t) dt from r2 bounds the omitted sum by
+
+        (V_n / det U) sum_k C(n, k) mu^(n-k) pi^(-k/2) Gamma(k/2 + 1, pi r2).
+
+    The coefficients are formed in logs; r2 is bisected to 2^-20 of its
+    bracket.
+    """
+    n = U.shape[0]
+    diag = np.diag(U)
+    log_mu = math.log(0.5 * math.sqrt(float(np.sum(diag * diag))))
+    log_lead = (
+        0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0) - float(np.sum(np.log(diag)))
+        + math.lgamma(n + 1.0)
     )
-    pts = np.stack([grid.ravel() for grid in grids], axis=1)
-    norms = np.einsum("ki,ij,kj->k", pts, G, pts)
-    return pts[norms <= radius * radius + 1e-9]
+    log_coef = [
+        log_lead - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
+        + (n - k) * log_mu - 0.5 * k * math.log(math.pi)
+        for k in range(n + 1)
+    ]
+
+    def bound(r2: float) -> float:
+        gammas = _upper_gammas(n, math.pi * r2)
+        return sum(math.exp(c + math.log(gm)) for c, gm in zip(log_coef, gammas) if gm > 0.0)
+
+    lo, hi = 0.0, 1.0
+    while bound(hi) > tol:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        if bound(mid) > tol:
+            lo = mid
+        else:
+            hi = mid
+    return hi, bound(hi)
 
 
 def siegel_theta(
     omega: np.ndarray,
     lattice: LatticeSpec,
-    radius: float | None = None,
+    tol: float = TruncationPolicy().tol,
 ) -> CorrelatorValue:
-    """Siegel theta value: sum over g-tuples of lattice vectors of
+    """Siegel theta value: sum over g-tuples (lambda_1..lambda_g) of
 
         exp( i pi sum_{a,b} Omega_ab <lambda_a, lambda_b> ),
 
-    truncated to tuples whose components all have Gram norm <= radius^2.
-    The reported tail is the Gaussian bound g*d*exp(-pi lam_min r^2)
-    with lam_min the smallest eigenvalue of Im Omega.
+    that is the Riemann theta function of Omega (x) G at zero on Z^n,
+    n = g d.  The sum runs over the ellipsoid N^T Q N <= r2 with
+    Q = Im Omega (x) G, whose points are enumerated by a Fincke-Pohst
+    recursion on the Cholesky factor of Q, last coordinate first, one of
+    each +-N pair.  r2 is the smallest radius at which the bound of
+    _theta_truncation on the omitted terms is at most ``tol``
+    (``lattice_partition`` passes its policy's ``tol``); the reported
+    tail is that bound plus a rounding floor of eps * sum |term| * (1 +
+    pi |N^T Re(Omega (x) G) N| + pi N^T Q N).  Omega must be symmetric to
+    rounding, with Im Omega positive definite.
     """
+    if not tol > 0.0:
+        raise InvalidParameterError("tol must be a positive real")
     om = np.asarray(omega, dtype=np.complex128)
     if om.ndim != 2 or om.shape[0] != om.shape[1]:
         raise InvalidParameterError("period matrix must be square")
-    g = om.shape[0]
-    im_eigs = np.linalg.eigvalsh(om.imag)
-    lam_min = float(im_eigs[0])
+    asym = float(np.abs(om - om.T).max(initial=0.0))
+    if asym > 1e-12 * max(1.0, float(np.abs(om).max(initial=0.0))):
+        raise InvalidParameterError(
+            f"period matrix must be symmetric (|Omega - Omega^T| = {asym:.3g})"
+        )
+    om = 0.5 * (om + om.T)
+    lam_min = float(np.linalg.eigvalsh(om.imag)[0])
     if lam_min <= 0.0:
         raise InvalidParameterError(
             f"Im(period matrix) must be positive definite (min eig {lam_min:.3g})"
@@ -256,52 +332,72 @@ def siegel_theta(
     d = lattice.rank
     if d == 0:
         return CorrelatorValue(1.0 + 0.0j, 0.0, ())
-    if radius is None:
-        radius = math.sqrt(
-            max(4.0, math.log(g * d / THETA_TAIL_TARGET) / (math.pi * lam_min))
-        )
-    cand = _theta_candidates(lattice, radius)
     G = lattice.gram_array()
-    # pair[i, j] = <cand_i, cand_j> in the lattice inner product
-    pair = cand @ G @ cand.T
-    total = 0.0 + 0.0j
-    if g == 1:
-        total = complex(np.sum(np.exp(1j * math.pi * om[0, 0] * np.diag(pair))))
-    else:
-        diag = np.diag(pair)
-        m = len(cand)
-        import itertools
-
-        for head in itertools.product(range(m), repeat=g - 1):
-            expo = 0.0j
-            for a, ia in enumerate(head):
-                expo += om[a, a] * diag[ia]
-                for b, ib in enumerate(head[a + 1:], start=a + 1):
-                    expo += 2.0 * om[a, b] * pair[ia, ib]
-            cross = np.zeros(m, dtype=np.complex128)
-            for a, ia in enumerate(head):
-                cross += 2.0 * om[a, g - 1] * pair[ia, :]
-            expo_vec = expo + cross + om[g - 1, g - 1] * diag
-            total += complex(np.sum(np.exp(1j * math.pi * expo_vec)))
-    tail = g * d * math.exp(-math.pi * lam_min * radius * radius)
-    return CorrelatorValue(total, tail, ())
+    A = np.kron(om.real, G)
+    U = np.linalg.cholesky(np.kron(om.imag, G)).T
+    n = U.shape[0]
+    r2, bound = _theta_truncation(U, tol)
+    # Enumerating a hair past r2 keeps points that rounding of the
+    # partial norms would drop; the bound covers what lies beyond r2.
+    cut = r2 * (1.0 + 1e-12)
+    total = 0.0j
+    magnitude = 0.0
+    # Depth-first over blocks of partial vectors: (level i, coordinates,
+    # partial |U N|^2, partial N^T A N, all assigned coordinates zero).
+    # Only coordinates above i are set, and a block holds at most
+    # _THETA_BLOCK rows, so memory stays at about n blocks.
+    stack = [(n - 1, np.zeros((1, n)), np.zeros(1), np.zeros(1), np.ones(1, dtype=bool))]
+    while stack:
+        i, N, norm, phase, zero = stack.pop()
+        s = N[:, i + 1:] @ U[i, i + 1:]
+        b = N[:, i + 1:] @ A[i, i + 1:]
+        centre = -s / U[i, i]
+        half = np.sqrt(np.maximum(cut - norm, 0.0)) / U[i, i]
+        lo = np.ceil(centre - half)
+        # While every higher coordinate is zero the first nonzero one is
+        # positive: one of each +-N, and (at i = 0) no N = 0.
+        lo = np.where(zero, np.maximum(lo, 0.0 if i else 1.0), lo)
+        counts = np.maximum(np.floor(centre + half) - lo + 1.0, 0.0).astype(np.int64)
+        ends = np.cumsum(counts)
+        if ends[-1] > _THETA_BLOCK and len(ends) > 1:
+            j = max(1, int(np.searchsorted(ends, _THETA_BLOCK, side="right")))
+            stack.append((i, N[j:], norm[j:], phase[j:], zero[j:]))
+            N, norm, phase, zero = N[:j], norm[:j], phase[:j], zero[:j]
+            s, b, lo, counts, ends = s[:j], b[:j], lo[:j], counts[:j], ends[:j]
+        m = int(ends[-1])
+        if m == 0:
+            continue
+        parent = np.repeat(np.arange(len(counts)), counts)
+        x = lo[parent] + (np.arange(m) - (ends - counts)[parent])
+        child_norm = norm[parent] + (U[i, i] * x + s[parent]) ** 2
+        child_phase = phase[parent] + x * (A[i, i] * x + 2.0 * b[parent])
+        if i > 0:
+            child = N[parent]
+            child[:, i] = x
+            stack.append((i - 1, child, child_norm, child_phase, zero[parent] & (x == 0.0)))
+            continue
+        size = np.exp(-math.pi * child_norm)
+        total += complex(np.sum(size * np.exp(1j * math.pi * child_phase)))
+        magnitude += float(np.sum(size * (1.0 + math.pi * (np.abs(child_phase) + child_norm))))
+    tail = bound + EPS * (1.0 + 2.0 * magnitude)
+    return CorrelatorValue(1.0 + 2.0 * total, tail, ())
 
 
 def lattice_partition(
     forms: SurfaceForms,
     lattice: LatticeSpec,
     modes: int | None = None,
-    radius: float | None = None,
 ) -> CorrelatorValue:
     """Even-lattice partition function: theta(period matrix) * Z^rank.
 
-    Rank 0 is exactly 1, computed without the period matrix or Z.
+    The theta sum is truncated at the policy's ``tol``.  Rank 0 is
+    exactly 1, computed without the period matrix or Z.
     """
     d = lattice.rank
     if d == 0:
         return CorrelatorValue(1.0 + 0.0j, 0.0, ())
     omega = forms.period_matrix()
-    theta = siegel_theta(omega.omega, lattice, radius)
+    theta = siegel_theta(omega.omega, lattice, forms.policy.tol)
     z = heisenberg_partition(forms.sp, _mode_cutoff(forms, modes))
     zd = z.value**d
     value = theta.value * zd

@@ -331,8 +331,9 @@ class TruncationPolicy:
 
     ``max_word_length`` bounds the reduced words kept in orbit sums,
     ``mode_cutoff`` bounds the local mode index in the coupling matrices,
-    and ``tol`` is the accuracy target the caller is aiming for (used by
-    convergence prechecks, not enforced as a guarantee).
+    and ``tol`` is the accuracy target the caller is aiming for: the
+    Siegel theta sum is truncated where its tail bound meets it; the
+    orbit and mode sums do not enforce it.
     """
 
     max_word_length: int = 6

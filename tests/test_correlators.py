@@ -3,7 +3,8 @@
 The oracles are independent of the code under test: counting
 (double factorials), genus-1 closed forms (the cyclic orbit summed in
 the coordinate where the generator is z -> q z, the Euler product, the
-Jacobi theta series), and the integrality of the theta exponent.
+Jacobi theta series), theta series of D4 and E8 (Jacobi thetas, the
+Eisenstein series E4), and the integrality of the theta exponent.
 """
 
 import math
@@ -12,7 +13,12 @@ import numpy as np
 import pytest
 
 import schottky.correlators as correlators
-from schottky import ClassicalParams, TruncationPolicy, params_from_classical
+from schottky import (
+    ClassicalParams,
+    InvalidParameterError,
+    TruncationPolicy,
+    params_from_classical,
+)
 from schottky.correlators import (
     LatticeSpec,
     heisenberg_npoint,
@@ -152,3 +158,93 @@ def test_siegel_theta_a2_invariant_under_integral_shift():
         shifted = siegel_theta(omega + np.array(B), a2)
         assert abs(shifted.value - base.value) <= base.tail + shifted.tail + FLOOR * abs(base.value)
         assert abs(base.value) > 0.5
+
+
+A2 = LatticeSpec(((2, -1), (-1, 2)))
+A3 = LatticeSpec(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
+D4 = LatticeSpec(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+# Cartan matrix of E8: even, unimodular, rank 8.
+E8 = LatticeSpec((
+    (2, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 2, -1, 0, 0, 0, 0, 0),
+    (0, -1, 2, -1, 0, 0, 0, -1),
+    (0, 0, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, 0),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, 0),
+    (0, 0, -1, 0, 0, 0, 0, 2),
+))
+
+
+def eisenstein_e4(tau: complex, terms: int = 40) -> complex:
+    """E4(tau) = 1 + 240 sum_n sigma_3(n) q^n, q = exp(2 pi i tau)."""
+    q = np.exp(2j * math.pi * tau)
+    sigma3 = [sum(k**3 for k in range(1, n + 1) if n % k == 0) for n in range(1, terms + 1)]
+    return 1.0 + 240.0 * sum(c * q**n for n, c in enumerate(sigma3, start=1))
+
+
+def jacobi_theta(tau: complex, sign: int, terms: int = 30) -> complex:
+    """theta_3 (sign +1) or theta_4 (sign -1): sum_n sign^n exp(i pi tau n^2)."""
+    return sum(sign**abs(n) * np.exp(1j * math.pi * tau * n * n) for n in range(-terms, terms + 1))
+
+
+@pytest.mark.parametrize(
+    "gram", [((2, 0.5), (0.5, 2)), ((2.9,),), (("2",),), ((2 + 0j,),), ((float("nan"),),)]
+)
+def test_lattice_spec_rejects_non_integer_gram(gram):
+    with pytest.raises(InvalidParameterError):
+        LatticeSpec(gram)
+
+
+def test_lattice_spec_accepts_integral_floats():
+    assert LatticeSpec(((2.0, -1.0), (-1, np.int64(2)))).gram == ((2, -1), (-1, 2))
+
+
+def test_siegel_theta_rejects_non_symmetric_omega():
+    omega = np.array([[0.1 + 1.0j, 0.2 + 0.3j], [0.25 + 0.3j, -0.3 + 0.9j]])
+    with pytest.raises(InvalidParameterError):
+        siegel_theta(omega, A2)
+    # Asymmetry at the rounding level is accepted.
+    omega[1, 0] = omega[0, 1] * (1.0 + 1e-15)
+    assert abs(siegel_theta(omega, A2).value) > 0.5
+
+
+def test_e8_genus2_diagonal_is_product_of_eisenstein_series():
+    # theta_E8 = E4, and a diagonal Omega factors the genus-2 sum.
+    tau1, tau2 = 0.1 + 2.0j, -0.3 + 2.5j
+    res = siegel_theta(np.diag([tau1, tau2]), E8)
+    expected = eisenstein_e4(tau1) * eisenstein_e4(tau2)
+    assert res.tail <= 1e-9 + FLOOR
+    assert abs(res.value - expected) <= res.tail + FLOOR * abs(expected)
+
+
+@pytest.mark.parametrize("tau", [0.8j, 0.3 + 0.6j, -0.45 + 1.3j])
+def test_d4_genus1_is_jacobi_theta_average(tau):
+    # D4 = {x in Z^4 : sum x even}, so theta_D4 = (theta_3^4 + theta_4^4) / 2.
+    res = siegel_theta(np.array([[tau]]), D4)
+    expected = 0.5 * (jacobi_theta(tau, 1) ** 4 + jacobi_theta(tau, -1) ** 4)
+    assert abs(res.value - expected) <= res.tail + FLOOR * abs(expected)
+
+
+class TestTruncationDiscipline:
+    """Tightening tol moves the theta value by less than the loose tail."""
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_siegel_theta_within_reported_tail(self, fixture, request):
+        forms = SurfaceForms(request.getfixturevalue(fixture), TruncationPolicy())
+        omega = forms.period_matrix().omega
+        for lattice in (A2, A3, D4):
+            loose = siegel_theta(omega, lattice, 1e-9)
+            tight = siegel_theta(omega, lattice, 1e-13)
+            assert loose.tail <= 1e-9 + FLOOR
+            assert tight.tail < loose.tail
+            assert abs(tight.value - loose.value) < loose.tail
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_lattice_partition_within_reported_tail(self, fixture, request):
+        sp = request.getfixturevalue(fixture)
+        loose = SurfaceForms(sp, TruncationPolicy(tol=1e-9))
+        tight = SurfaceForms(sp, TruncationPolicy(tol=1e-13))
+        for lattice in (A2, A3, D4):
+            c, f = lattice_partition(loose, lattice), lattice_partition(tight, lattice)
+            assert abs(f.value - c.value) < c.tail
