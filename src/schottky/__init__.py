@@ -12,8 +12,8 @@ Entry points:
 - :mod:`schottky.group`: parameter spaces, Mobius maps, word enumeration.
 - :mod:`schottky.forms`: truncated series for kernels, differentials and
   the period matrix.
-- :mod:`schottky.modes`: mode-coupling matrices, resolvent route to the
-  weight-N kernel, determinant partition function.
+- :mod:`schottky.modes`: weight-1 mode-coupling matrices, resolvent
+  route to the third-kind differential, determinant partition function.
 - :mod:`schottky.correlators`: Heisenberg / Virasoro / lattice
   correlation functions and Siegel theta sums.
 """

@@ -46,12 +46,14 @@ multiplier, and the one-form normalization below):
   circle at w_a to gamma_a z0.
 
 All evaluations report a tail: the magnitude of the contribution of the
-last word shell plus a rounding floor of eps * sum |terms| (eps the
-float64 machine epsilon; the summed magnitudes use |Re| + |Im|), or
-infinity at L = 0.  The quasi-period coefficients carry the kernel tails
-at their sample points through the same finite Fourier transform as the
-values.  Raising the word cutoff must move any reported value by less
-than its reported tail; the test suite enforces this.
+last word shell plus a rounding floor, or infinity at L = 0.  The floor
+is eps * sum |terms| (eps the float64 machine epsilon; the summed
+magnitudes use |Re| + |Im|); the seed- and power-kernel sums, whose terms
+divide by gamma x - A_j and gamma x - y, give each term its own bound in
+ulps instead (``SurfaceForms._orbit_ulps``).  The quasi-period coefficients carry the
+kernel tails at their sample points through the same finite Fourier
+transform as the values.  Raising the word cutoff must move any reported
+value by less than its reported tail; the test suite enforces this.
 """
 
 from __future__ import annotations
@@ -94,8 +96,7 @@ __all__ = [
 # Points closer than this to a pole of a summand abort the evaluation.
 POLE_GUARD = 1e-9
 
-# Machine epsilon of float64; the rounding floor of every tail is this
-# times the summed magnitudes of the terms.
+# Machine epsilon of float64, the unit of every tail's rounding floor.
 EPS = float(np.finfo(np.float64).eps)
 
 
@@ -127,8 +128,8 @@ class FormValue:
 
     value: complex
     weight_x: int
-    weight_y: int = 0
-    tail: float = 0.0
+    weight_y: int
+    tail: float
 
 
 @dataclass(frozen=True)
@@ -245,9 +246,10 @@ def origin_clearing_translation(sp: SchottkyParams) -> MobiusMap:
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
-    Immutable after construction: the word table, the generator fixed
-    points and the limit points for the weight-N seeds are all frozen
-    here, so repeated evaluations are deterministic.  ``words`` is the
+    Immutable after construction: the word table and the pole basis of
+    the weight-N seeds, the generator fixed points in handle order
+    (W_1, W_{-1}, W_2, W_{-2}, ...), are frozen here, so repeated
+    evaluations are deterministic.  ``words`` is the
     :class:`~schottky.group.WordTable` of
     :func:`~schottky.group.enumerate_group`; the orbit and coset sums
     read its arrays directly.
@@ -259,19 +261,9 @@ class SurfaceForms:
         are rejected).
     policy:
         Truncation policy; ``max_word_length`` bounds the cached words.
-    limit_points:
-        Optional override of the pole-basis points for the weight-N seeds.
-        Defaults to the generator fixed points in handle order
-        (W_1, W_{-1}, W_2, W_{-2}, ...).  Entries must be limit points of
-        the group for the series to converge.
     """
 
-    def __init__(
-        self,
-        sp: SchottkyParams,
-        policy: TruncationPolicy | None = None,
-        limit_points: Sequence[complex] | None = None,
-    ):
+    def __init__(self, sp: SchottkyParams, policy: TruncationPolicy | None = None):
         self.sp = sp
         self.policy = policy if policy is not None else TruncationPolicy()
         report = validate(sp)
@@ -294,12 +286,9 @@ class SurfaceForms:
         self._wa, self._wb = self.words.a, self.words.b
         self._wc, self._wd = self.words.c, self.words.d
         self._last_shell = self.words.length == self.policy.max_word_length
+        self._grow = 1.0 + self.words.length
         self._classical = classical_from_params(sp)
-
-        if limit_points is None:
-            self.limit_points = ordered_fixed_points(sp)
-        else:
-            self.limit_points = tuple(complex(p) for p in limit_points)
+        self.limit_points = ordered_fixed_points(sp)
 
     # -- construction helpers ------------------------------------------------
 
@@ -361,22 +350,41 @@ class SurfaceForms:
         return (a * Wp + b) / den_p, (a * Wm + b) / den_m, (Wp - Wm) / (den_p * den_m)
 
     def _shell_sum(
-        self, vals: np.ndarray, last_shell: np.ndarray | None = None
+        self,
+        vals: np.ndarray,
+        last_shell: np.ndarray | None = None,
+        ulps: np.ndarray | None = None,
     ) -> tuple[complex, float]:
         """Total over words plus its tail.
 
         ``vals`` has one entry per word (1-d) in the deterministic order;
         ``last_shell`` marks the entries of length L (all cached words by
         default).  The tail is the magnitude of the last shell's
-        contribution plus the rounding floor, infinite at L = 0.
+        contribution plus the rounding floor, infinite at L = 0: eps times
+        sum |vals|, or eps times sum ulps |vals| given a per-term bound
+        ``ulps`` (see :meth:`_orbit_ulps`).
         """
         total = complex(vals.sum())
         if self.policy.max_word_length == 0:
             return total, math.inf
         if last_shell is None:
             last_shell = self._last_shell
-        tail = abs(vals[last_shell].sum()) + EPS * _abs_sum(vals)
+        floor = _abs_sum(vals) if ulps is None else float(np.abs(vals) @ ulps)
+        tail = abs(vals[last_shell].sum()) + EPS * floor
         return total, float(tail)
+
+    def _orbit_ulps(self, weight: int, kappa: np.ndarray) -> np.ndarray:
+        """Per-word bound, in ulps, on the rounding of an orbit term.
+
+        A term (gamma'x)^N / prod_P (gamma x - P) gets (1 + k)(6N + 4 kappa)
+        ulps, k the word length and kappa (one row per word) the sum over
+        the poles P of |gamma x| / |gamma x - P|.  The word table gives
+        gamma x and gamma'x to 4(1 + k) and 6(1 + k) ulps (measured on the
+        test fixtures), and each difference gamma x - P amplifies the first
+        by |gamma x| / |gamma x - P|, large where the orbit nears a pole.
+        """
+        grow = self._grow.reshape((-1,) + (1,) * (kappa.ndim - 1))
+        return grow * (6.0 * weight + 4.0 * kappa)
 
     def _guard_poles(self, dist: np.ndarray, what: str) -> None:
         idx = int(np.argmin(dist))
@@ -397,21 +405,24 @@ class SurfaceForms:
         """sum_gamma seed(gamma x, y) (gamma'x)^weight for each y.
 
         Returns (values, tails), one entry per y.  The seed carries the
-        pole basis fixed at construction.
+        pole basis fixed at construction.  The rounding floor is the
+        per-term bound of :meth:`_orbit_ulps` over the poles A_j and y.
         """
         A = self._seed_points(weight)
         gx, dgx = self._orbit_scalar(x)
-        coef = self._orbit_seed_coef(gx, dgx, A, weight)
+        coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
         poly = np.ones_like(ys)
         for Aj in A:
             poly = poly * (ys - Aj)
         vals = np.empty(len(ys), dtype=np.complex128)
         tails = np.empty(len(ys), dtype=np.float64)
         diff = gx[:, None] - ys[None, :]
-        self._guard_poles(np.abs(diff), "weight-%d kernel" % weight)
+        dist = np.abs(diff)
+        self._guard_poles(dist, "weight-%d kernel" % weight)
         terms = coef[:, None] / diff
+        ulps = self._orbit_ulps(weight, np.abs(gx)[:, None] * (inv[:, None] + 1.0 / dist))
         for j in range(len(ys)):
-            v, t = self._shell_sum(terms[:, j])
+            v, t = self._shell_sum(terms[:, j], ulps=ulps[:, j])
             vals[j] = poly[j] * v
             tails[j] = abs(poly[j]) * t
         return vals, tails
@@ -422,9 +433,11 @@ class SurfaceForms:
         dgx: np.ndarray,
         A: tuple[complex, ...],
         weight: int,
-    ) -> np.ndarray:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(gamma'x)^N / prod_j (gamma x - A_j) over the cached orbit.
 
+        Returns the coefficients and sum_j 1 / |gamma x - A_j|, which
+        times |gamma x| amplifies their rounding (see :meth:`_orbit_ulps`).
         No pole guard on gx - A_j: the truncated orbit clusters at the
         limit points by design, and the derivative power vanishes fast
         enough that these terms decay.  Deep words can even collide with
@@ -433,14 +446,16 @@ class SurfaceForms:
         power N-1, so it is zeroed rather than divided.
         """
         coef = dgx**weight
+        inv = np.zeros(len(gx))
         for Aj in A:
             diff = gx - Aj
-            dead = np.abs(diff) < 1e-13 * (abs(Aj) + 1.0)
+            dead = diff == 0
             if dead.any():
                 diff = np.where(dead, 1.0, diff)
                 coef = np.where(dead, 0.0, coef)
             coef = coef / diff
-        return coef
+            inv += 1.0 / np.abs(diff)
+        return coef, inv
 
     def _kernel_dy_many_y(
         self, x: complex, ys: np.ndarray, weight: int
@@ -448,19 +463,20 @@ class SurfaceForms:
         """d/dy of the weight-N kernel at each y (analytic, term-wise).
 
         Returns (values, tails), one entry per y, the tail being the
-        magnitude of the last word shell's contribution plus the rounding
-        floor.
+        magnitude of the last word shell's contribution plus the per-term
+        rounding floor of :meth:`_orbit_ulps`.
         """
         A = self._seed_points(weight)
         gx, dgx = self._orbit_scalar(x)
-        coef = self._orbit_seed_coef(gx, dgx, A, weight)
+        coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
         poly = np.ones_like(ys)
         dpoly = np.zeros_like(ys)
         for Aj in A:
             dpoly = dpoly * (ys - Aj) + poly
             poly = poly * (ys - Aj)
         diff = gx[:, None] - ys[None, :]
-        self._guard_poles(np.abs(diff), "weight-%d kernel derivative" % weight)
+        dist = np.abs(diff)
+        self._guard_poles(dist, "weight-%d kernel derivative" % weight)
         base = coef[:, None] / diff
         shifted = coef[:, None] / (diff * diff)
         vals = dpoly * base.sum(axis=0) + poly * shifted.sum(axis=0)
@@ -468,10 +484,15 @@ class SurfaceForms:
             return vals, np.full(len(ys), math.inf)
         last = self._last_shell
         tails = np.abs(dpoly * base[last].sum(axis=0) + poly * shifted[last].sum(axis=0))
-        tails += EPS * np.array([
-            abs(dpoly[j]) * _abs_sum(base[:, j]) + abs(poly[j]) * _abs_sum(shifted[:, j])
-            for j in range(len(ys))
-        ])
+        # The shifted terms divide by gamma x - y once more.
+        abs_gx = np.abs(gx)[:, None]
+        kappa_y = abs_gx / dist
+        ulps = self._orbit_ulps(weight, abs_gx * inv[:, None] + kappa_y)
+        ulps_shifted = ulps + self._orbit_ulps(0, kappa_y)
+        tails += EPS * (
+            np.abs(dpoly) * (np.abs(base) * ulps).sum(axis=0)
+            + np.abs(poly) * (np.abs(shifted) * ulps_shifted).sum(axis=0)
+        )
         return vals, tails
 
     # -- public evaluations ----------------------------------------------------
@@ -561,9 +582,13 @@ class SurfaceForms:
         y = complex(y)
         gx, dgx = self._orbit_scalar(x)
         diff = gx - y
-        self._guard_poles(np.abs(diff)[:, None], "power bidifferential")
+        dist = np.abs(diff)
+        self._guard_poles(dist[:, None], "power bidifferential")
         vals = (dgx / (diff * diff)) ** weight
-        total, tail = self._shell_sum(vals)
+        # The rounding floor is the per-term bound of _orbit_ulps with
+        # the pole y counted 2N times.
+        kappa = 2.0 * weight * np.abs(gx) / dist
+        total, tail = self._shell_sum(vals, ulps=self._orbit_ulps(weight, kappa))
         return FormValue(total, weight, weight, tail)
 
     def projective_connection(self, x: complex) -> FormValue:

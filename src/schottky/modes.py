@@ -1,11 +1,12 @@
-"""Mode-matrix route to the weight-N kernels and the boson partition sum.
+"""Mode-matrix route to the third-kind form and the boson partition sum.
 
-The orbit sum for the weight-N kernel can be resummed as a resolvent: the
-seed's expansion data around the isometric-disc centers assemble into a
-pole-basis vector p, a seed-moment vector q, and a coupling matrix R whose
-Neumann series reproduces the word shells,
+The orbit sum for the third-kind differential, with seed
+1/(x - y) - 1/x, can be resummed as a resolvent: the seed's Taylor data
+around the isometric-disc centers assemble into a pole-basis vector p, a
+seed-moment vector q, and a coupling matrix R whose Neumann series
+reproduces the word shells,
 
-    psi_N(x, y) = seed(x, y) + p(x)^T (I - R)^{-1} q(y),
+    psi_1(x, y) = seed(x, y) + p(x)^T (I - R)^{-1} q(y),
 
 with p^T R^{k-1} q summing exactly the length-k words.  Everything is
 truncated at M modes per signed handle in the fixed layout (handle-major,
@@ -18,8 +19,13 @@ gauge: flipping the sign of any s_h conjugates the system by a diagonal
 sign matrix and leaves every assembled quantity (kernel values, Fredholm
 determinant) unchanged; ``branch_signs`` exposes the flip for testing.
 
-At weight 1 the Fredholm determinant gives the free-boson (Heisenberg)
-oscillator partition function det(I - R)^{-1/2}, principal square root.
+The Fredholm determinant gives the free-boson (Heisenberg) oscillator
+partition function det(I - R)^{-1/2}, principal square root.
+
+The layer is weight 1 only.  The weight-N seeds have poles at limit
+points inside the discs the Taylor modes live on, so their resolvent
+diverges as M grows; the weight-N kernels are the Poincare sums of
+:class:`schottky.forms.SurfaceForms`.
 """
 
 from __future__ import annotations
@@ -34,16 +40,15 @@ from scipy.linalg import lu_factor, lu_solve
 
 from schottky.forms import (
     EPS,
+    ConfigurationError,
     ConvergenceError,
     FormValue,
     kernel_seed,
-    select_seed_points,
 )
 from schottky.group import (
     InvalidParameterError,
     SchottkyParams,
     in_fundamental_domain,
-    ordered_fixed_points,
     validate,
 )
 
@@ -78,7 +83,9 @@ class PartitionValue:
     spectral_radius: float
 
 
-def _require_valid(sp: SchottkyParams) -> None:
+def _require_valid(sp: SchottkyParams, modes: int) -> None:
+    if modes < 1:
+        raise InvalidParameterError("mode cutoff must be >= 1")
     report = validate(sp)
     if not report.ok:
         raise InvalidParameterError(
@@ -115,27 +122,18 @@ def _sqrt_rho(
     return [signs[h] * cmath.sqrt(sp.rho[h]) for h in range(sp.genus)]
 
 
-def _check_mode_args(sp: SchottkyParams, weight: int, modes: int) -> None:
-    if weight < 1:
-        raise InvalidParameterError("weight must be >= 1")
-    if modes < 1:
-        raise InvalidParameterError("mode cutoff must be >= 1")
-
-
 def pole_basis(
     sp: SchottkyParams,
-    weight: int,
     modes: int,
     x: complex,
     branch_signs: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Pole-basis vector p at x: entries s_b^{n+2N-1} / (x - w_b)^{n+2N}.
+    """Pole-basis vector p at x: entries s_b^{n+1} / (x - w_b)^{n+2}.
 
     Layout: signed handles in the order 1, -1, 2, -2, ... (outer), mode
     index n = 0..modes-1 (inner); length 2 * genus * modes.
     """
-    _require_valid(sp)
-    _check_mode_args(sp, weight, modes)
+    _require_valid(sp, modes)
     x = _require_exterior(sp, x, "x")
     roots = _sqrt_rho(sp, branch_signs)
     out = np.empty(2 * sp.genus * modes, dtype=np.complex128)
@@ -143,68 +141,39 @@ def pole_basis(
     for i, b in enumerate(sp.signed_indices):
         s = roots[abs(b) - 1]
         d = x - sp.center(b)
-        out[i * modes:(i + 1) * modes] = s ** (n + 2 * weight - 1) / d ** (
-            n + 2 * weight
-        )
+        out[i * modes:(i + 1) * modes] = s ** (n + 1) / d ** (n + 2)
     return out
-
-
-def _lagrange_values(points: tuple[complex, ...], y: complex) -> list[complex]:
-    vals = []
-    for i, Ai in enumerate(points):
-        v = 1.0 + 0.0j
-        for j, Aj in enumerate(points):
-            if j != i:
-                v *= (y - Aj) / (Ai - Aj)
-        vals.append(v)
-    return vals
 
 
 def seed_moments(
     sp: SchottkyParams,
-    weight: int,
     modes: int,
     y: complex,
-    limit_points: Sequence[complex] | None = None,
     branch_signs: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Seed-moment vector q at y (same layout as the pole basis).
 
-    Entry (a, m) is (-1)^N s_a^{m+1} times the m-th Taylor coefficient of
-    the seed's first argument at the partner center w_{-a}:
+    Entry (a, m) is -s_a^{m+1} times the m-th Taylor coefficient of the
+    seed 1/(x - y) - 1/x in x at the partner center w_{-a}:
 
-        (-1)^m [ (w_{-a} - y)^{-m-1}
-                 - sum_i L_i(y) (w_{-a} - A_i)^{-m-1} ],
-
-    where the A_i are the seed's pole-basis points and L_i the Lagrange
-    polynomials on them (at weight 1 the single point 0 with L = 1).
+        -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ].
     """
-    _require_valid(sp)
-    _check_mode_args(sp, weight, modes)
+    _require_valid(sp, modes)
     y = _require_exterior(sp, y, "y")
-    pts = ordered_fixed_points(sp) if limit_points is None else tuple(
-        complex(p) for p in limit_points
-    )
-    A = select_seed_points(pts, weight, sp.genus)
-    L = _lagrange_values(A, y)
     roots = _sqrt_rho(sp, branch_signs)
-    sign_n = -1.0 if weight % 2 else 1.0
     out = np.empty(2 * sp.genus * modes, dtype=np.complex128)
     m = np.arange(modes)
     alt = (-1.0) ** m
     for i, a in enumerate(sp.signed_indices):
         s = roots[abs(a) - 1]
         wma = sp.center(-a)
-        taylor = (wma - y) ** (-m - 1.0)
-        for Li, Ai in zip(L, A):
-            taylor = taylor - Li * (wma - Ai) ** (-m - 1.0)
-        out[i * modes:(i + 1) * modes] = sign_n * s ** (m + 1) * alt * taylor
+        taylor = (wma - y) ** (-m - 1.0) - wma ** (-m - 1.0)
+        out[i * modes:(i + 1) * modes] = -(s ** (m + 1)) * alt * taylor
     return out
 
 
 def mode_coupling_matrix(
     sp: SchottkyParams,
-    weight: int,
     modes: int,
     branch_signs: Sequence[int] | None = None,
 ) -> np.ndarray:
@@ -213,37 +182,35 @@ def mode_coupling_matrix(
     Block (a, b) vanishes when b = -a (a word may not continue with the
     inverse letter); otherwise
 
-        R[(a,m),(b,n)] = (-1)^N s_a^{m+1} s_b^{n+2N-1} (-1)^m
-                         C(m+n+2N-1, m) (w_{-a} - w_b)^{-(m+n+2N)},
+        R[(a,m),(b,n)] = -s_a^{m+1} s_b^{n+1} (-1)^m
+                         C(m+n+1, m) (w_{-a} - w_b)^{-(m+n+2)},
 
     the m-th Taylor coefficient at w_{-a} of the pole-basis entry (b, n)
     dressed with the same s-weights as the moment vector.
     """
-    _require_valid(sp)
-    _check_mode_args(sp, weight, modes)
+    _require_valid(sp, modes)
     roots = _sqrt_rho(sp, branch_signs)
     idx = list(sp.signed_indices)
     dim = 2 * sp.genus * modes
     R = np.zeros((dim, dim), dtype=np.complex128)
-    sign_n = -1.0 if weight % 2 else 1.0
     m = np.arange(modes)
     n = np.arange(modes)
-    # Binomial table C(m + n + 2N - 1, m), shared by every block.
+    # Binomial table C(m + n + 1, m), shared by every block.
     binom = np.empty((modes, modes))
     for mi in range(modes):
         for ni in range(modes):
-            binom[mi, ni] = float(math.comb(mi + ni + 2 * weight - 1, mi))
+            binom[mi, ni] = float(math.comb(mi + ni + 1, mi))
     for i, a in enumerate(idx):
         sa = roots[abs(a) - 1]
         wma = sp.center(-a)
-        row_w = sign_n * sa ** (m + 1) * (-1.0) ** m
+        row_w = -(sa ** (m + 1)) * (-1.0) ** m
         for j, b in enumerate(idx):
             if b == -a:
                 continue
             sb = roots[abs(b) - 1]
             d = wma - sp.center(b)
-            col_w = sb ** (n + 2 * weight - 1)
-            power = d ** (-(m[:, None] + n[None, :] + 2.0 * weight))
+            col_w = sb ** (n + 1)
+            power = d ** (-(m[:, None] + n[None, :] + 2.0))
             R[
                 i * modes:(i + 1) * modes, j * modes:(j + 1) * modes
             ] = row_w[:, None] * col_w[None, :] * binom * power
@@ -283,29 +250,34 @@ def kernel_via_modes(
     modes: int,
     x: complex,
     y: complex,
-    limit_points: Sequence[complex] | None = None,
     branch_signs: Sequence[int] | None = None,
 ) -> FormValue:
-    """Weight-N kernel evaluated through the mode resolvent.
+    """Third-kind differential evaluated through the mode resolvent.
 
-    seed(x, y) + p(x)^T (I - R)^{-1} q(y), solved by LU factorization
-    with a condition-number precheck.  The reported tail is the drift
-    against the leading-mode sub-system at half the mode cutoff.
+    seed(x, y) + p(x)^T (I - R)^{-1} q(y) with the seed 1/(x - y) - 1/x,
+    solved by LU factorization with a condition-number precheck.  The
+    reported tail is the drift against the leading-mode sub-system at half
+    the mode cutoff plus a rounding floor of 2gM eps (|seed| +
+    cond(I - R) sum_i |p_i| |s_i|), s = (I - R)^{-1} q.
+
+    Only weight 1 is served.  At weight N >= 2 the seed's basis points are
+    limit points inside the discs the Taylor modes live on, so the
+    resolvent diverges as M grows; those kernels come from the Poincare
+    sum :meth:`schottky.forms.SurfaceForms.recursion_kernel`.
     """
-    _require_valid(sp)
-    _check_mode_args(sp, weight, modes)
-    x = _require_exterior(sp, x, "x")
-    y = _require_exterior(sp, y, "y")
-    pts = ordered_fixed_points(sp) if limit_points is None else tuple(
-        complex(p) for p in limit_points
-    )
-    A = select_seed_points(pts, weight, sp.genus)
-    p = pole_basis(sp, weight, modes, x, branch_signs)
-    q = seed_moments(sp, weight, modes, y, pts, branch_signs)
-    R = mode_coupling_matrix(sp, weight, modes, branch_signs)
+    if weight < 1:
+        raise InvalidParameterError("weight must be >= 1")
+    if weight > 1:
+        raise ConfigurationError(
+            f"the mode resolvent serves weight 1 only, got weight {weight}; "
+            "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
+        )
+    p = pole_basis(sp, modes, x, branch_signs)
+    q = seed_moments(sp, modes, y, branch_signs)
+    R = mode_coupling_matrix(sp, modes, branch_signs)
     keep = _leading_modes(sp.genus, modes)
 
-    def solve(p: np.ndarray, q: np.ndarray, R: np.ndarray) -> complex:
+    def solve(p: np.ndarray, q: np.ndarray, R: np.ndarray) -> tuple[complex, float]:
         system = np.eye(R.shape[0], dtype=np.complex128) - R
         cond = np.linalg.cond(system)
         if not cond < MAX_CONDITION:
@@ -314,12 +286,15 @@ def kernel_via_modes(
                 "expansion does not converge for these parameters"
             )
         solved = lu_solve(lu_factor(system), q)
-        return complex(p @ solved)
+        return complex(p @ solved), float(cond * (np.abs(p) @ np.abs(solved)))
 
-    correction = solve(p, q, R)
-    half = solve(p[keep], q[keep], R[np.ix_(keep, keep)])
-    value = kernel_seed(x, y, A) + correction
-    return FormValue(value, weight, 1 - weight, abs(correction - half))
+    correction, scale = solve(p, q, R)
+    half, _ = solve(p[keep], q[keep], R[np.ix_(keep, keep)])
+    seed = kernel_seed(x, y, (0.0,))
+    # The solve and the dot product round by about 2gM ulps of the terms,
+    # which the drift cannot see once both cutoffs agree bit for bit.
+    floor = len(p) * EPS * (abs(seed) + scale)
+    return FormValue(seed + correction, 1, 0, abs(correction - half) + floor)
 
 
 def heisenberg_partition(
@@ -334,9 +309,7 @@ def heisenberg_partition(
     radius of R must come out below 1, otherwise the mode expansion is
     meaningless and the computation refuses to report a number.
     """
-    _require_valid(sp)
-    _check_mode_args(sp, 1, modes)
-    R = mode_coupling_matrix(sp, 1, modes, branch_signs)
+    R = mode_coupling_matrix(sp, modes, branch_signs)
     keep = _leading_modes(sp.genus, modes)
 
     def det_at(R: np.ndarray) -> tuple[complex, float]:

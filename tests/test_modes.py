@@ -6,16 +6,18 @@ Oracles:
     closed-form entry formulas),
   * direct orbit sums over enumerate_group for the shell identities,
   * the Euler product for the genus-1 oscillator partition function,
+  * the product over primitive classes for Z at any genus, summed over
+    the cyclically reduced words of the word table (McIntyre & Takhtajan,
+    GAFA 16, 2006),
   * degeneration (widely separated handles) for factorization.
 
-The weight-2 resolvent only converges where the images gamma_a x stay
-closer to w_{-a} than the seed's basis points, so weight-2 checks sample
-x far from every center and keep the mode cutoff moderate; weight 1 has
-no such restriction (its seed is regular inside every disc).
+The mode layer is weight 1 only: its seed 1/(x - y) - 1/x is regular
+inside every disc, so the resolvent converges for any exterior pair.
+Weight >= 2 requests are refused; those kernels are tested as Poincare
+sums in test_forms.
 """
 
 import cmath
-import math
 
 import numpy as np
 import pytest
@@ -23,19 +25,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schottky.forms import (
+    EPS,
+    ConfigurationError,
     ConvergenceError,
     SurfaceForms,
     kernel_seed,
-    select_seed_points,
 )
 from schottky.group import (
     ClassicalParams,
     InvalidParameterError,
+    MobiusMap,
     SchottkyParams,
     TruncationPolicy,
     enumerate_group,
     generator_map,
-    ordered_fixed_points,
+    mobius_act_on_params,
     params_from_classical,
 )
 import schottky.modes as modes
@@ -47,11 +51,8 @@ from schottky.modes import (
     seed_moments,
 )
 
-# Genus-2 configuration with small rho: the weight-2 resolvent checks
-# need weakly coupled handles to leave a wide convergence window.
-SMALL_RHO = SchottkyParams(
-    2, (1.35, 1.4j), (-1.35, -1.4j), (0.004 + 0.001j, 0.0035 - 0.0008j)
-)
+# The single pole-basis point of the weight-1 seed 1/(x - y) - 1/x.
+ORIGIN = (0.0,)
 
 
 def euler_product(q: complex, terms: int = 60) -> complex:
@@ -70,17 +71,28 @@ def cauchy_taylor(f, center: complex, order: int, radius: float, n: int = 512):
     return complex(np.mean(vals * phases)) / radius**order
 
 
-def draw_exterior(rng, sp, center, lo, hi, clearance=0.4):
-    """Random point in an annulus, rejecting disc neighborhoods."""
-    while True:
-        z = center + (lo + (hi - lo) * rng.random()) * cmath.exp(
-            2j * math.pi * rng.random()
-        )
-        if all(
-            abs(z - sp.center(a)) > sp.radius(a) + clearance
-            for a in sp.signed_indices
-        ):
-            return z
+def word_table_log_z(sp, L):
+    """log Z from the product over primitive classes, on the word table.
+
+    log Z = 1/2 sum_w q_w / (|w| (1 - q_w)) over the cyclically reduced
+    words of length 1..L (first letter not the inverse of the last, which
+    also drops the identity).  q_w = 1/lambda^2 with lambda the larger
+    root of lambda + 1/lambda = tr w; the small root (tr - s)/2 would
+    lose digits.  Returns (sum, |last shell|, rounding floor).
+    """
+    words = enumerate_group(sp, L)
+    keep = (words.length >= 1) & (words.first_letters() != -words.last)
+    tr = words.a[keep] + words.d[keep]
+    root = np.sqrt(tr * tr - 4.0)
+    lam = np.where(np.abs(tr + root) >= np.abs(tr - root), tr + root, tr - root) / 2.0
+    q = 1.0 / (lam * lam)
+    length = words.length[keep]
+    terms = 0.5 * q / (length * (1.0 - q))
+    return (
+        complex(terms.sum()),
+        abs(terms[length == L].sum()),
+        EPS * (1.0 + np.abs(terms).sum()),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -92,26 +104,17 @@ class TestVectorsAndLayout:
     def test_pole_basis_weight1_entry(self, genus2_params):
         sp = genus2_params
         x = 2.3 + 0.9j
-        p = pole_basis(sp, 1, 4, x)
+        p = pole_basis(sp, 4, x)
         assert len(p) == 2 * sp.genus * 4
         for i, b in enumerate(sp.signed_indices):
             s = cmath.sqrt(sp.rho_signed(b))
             expected = s / (x - sp.center(b)) ** 2
             assert p[i * 4] == pytest.approx(expected, rel=1e-14)
 
-    def test_pole_basis_higher_mode(self, genus2_params):
-        sp = genus2_params
-        x = -1.9 + 2.2j
-        p = pole_basis(sp, 2, 5, x)
-        s = cmath.sqrt(sp.rho_signed(-2))
-        d = x - sp.center(-2)
-        expected = s ** (3 + 2 * 2 - 1) / d ** (3 + 2 * 2)
-        assert p[3 * 5 + 3] == pytest.approx(expected, rel=1e-13)
-
     def test_seed_moments_weight1_entry(self, genus2_params):
         sp = genus2_params
         y = 0.5 - 0.8j
-        q = seed_moments(sp, 1, 4, y)
+        q = seed_moments(sp, 4, y)
         for i, a in enumerate(sp.signed_indices):
             s = cmath.sqrt(sp.rho_signed(a))
             wma = sp.center(-a)
@@ -120,7 +123,7 @@ class TestVectorsAndLayout:
 
     def test_coupling_zero_blocks(self, genus2_params):
         M = 6
-        R = mode_coupling_matrix(genus2_params, 2, M)
+        R = mode_coupling_matrix(genus2_params, M)
         idx = list(genus2_params.signed_indices)
         for i, a in enumerate(idx):
             j = idx.index(-a)
@@ -129,7 +132,7 @@ class TestVectorsAndLayout:
 
     def test_coupling_small_rho_scaling(self):
         sp = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (1e-20, 1e-20))
-        R = mode_coupling_matrix(sp, 1, 5)
+        R = mode_coupling_matrix(sp, 5)
         assert np.max(np.abs(R)) < 1e-15
 
     @pytest.mark.parametrize("fixture", ["torus_sp", "genus2_params", "genus3_params"])
@@ -142,32 +145,29 @@ class TestVectorsAndLayout:
         keep = np.arange(2 * sp.genus * M) % M < half
         assert np.array_equal(modes._leading_modes(sp.genus, M), keep)
         x, y = 5.0 + 1.0j, -5.0 + 2.0j
-        for weight in range(1, sp.genus + 1):
-            assert np.array_equal(
-                pole_basis(sp, weight, half, x), pole_basis(sp, weight, M, x)[keep]
-            )
-            assert np.array_equal(
-                seed_moments(sp, weight, half, y), seed_moments(sp, weight, M, y)[keep]
-            )
-            assert np.array_equal(
-                mode_coupling_matrix(sp, weight, half),
-                mode_coupling_matrix(sp, weight, M)[np.ix_(keep, keep)],
-            )
+        assert np.array_equal(pole_basis(sp, half, x), pole_basis(sp, M, x)[keep])
+        assert np.array_equal(seed_moments(sp, half, y), seed_moments(sp, M, y)[keep])
+        assert np.array_equal(
+            mode_coupling_matrix(sp, half),
+            mode_coupling_matrix(sp, M)[np.ix_(keep, keep)],
+        )
 
     def test_input_validation(self, genus2_params):
         sp = genus2_params
         with pytest.raises(InvalidParameterError):
-            pole_basis(sp, 0, 4, 2.0 + 2.0j)
+            pole_basis(sp, 0, 2.0 + 2.0j)
         with pytest.raises(InvalidParameterError):
-            mode_coupling_matrix(sp, 1, 0)
+            mode_coupling_matrix(sp, 0)
+        with pytest.raises(InvalidParameterError):
+            kernel_via_modes(sp, 0, 4, 5.0 + 1.0j, -5.0 + 2.0j)
         with pytest.raises(InvalidParameterError):
             heisenberg_partition(sp, 10, branch_signs=(1,))
         with pytest.raises(InvalidParameterError):
             heisenberg_partition(sp, 10, branch_signs=(1, 2))
         with pytest.raises(InvalidParameterError):
-            pole_basis(sp, 1, 4, sp.center(1) + 0.01)
+            pole_basis(sp, 4, sp.center(1) + 0.01)
         with pytest.raises(InvalidParameterError):
-            seed_moments(sp, 1, 4, sp.center(-2))
+            seed_moments(sp, 4, sp.center(-2))
 
 
 class TestWorkedCoupling:
@@ -175,7 +175,7 @@ class TestWorkedCoupling:
         # For fixed points +-1 and multiplier q the (a=1,b=1,m=0,n=0)
         # entry is -rho/(w_{-1}-w_1)^2 = q/(1+q)^2.
         q = 0.04
-        R = mode_coupling_matrix(torus_sp, 1, 3)
+        R = mode_coupling_matrix(torus_sp, 3)
         assert R[0, 0] == pytest.approx(q / (1 + q) ** 2, rel=1e-13)
         direct = -torus_sp.rho[0] / (torus_sp.center(-1) - torus_sp.center(1)) ** 2
         assert R[0, 0] == pytest.approx(direct, rel=1e-14)
@@ -184,22 +184,20 @@ class TestWorkedCoupling:
         # (a=1,m=0),(b=2,n=0) at N=1: -s1 s2 / (w_{-1} - w_2)^2.
         sp = genus2_params
         M = 3
-        R = mode_coupling_matrix(sp, 1, M)
+        R = mode_coupling_matrix(sp, M)
         s1 = cmath.sqrt(sp.rho[0])
         s2 = cmath.sqrt(sp.rho[1])
         expected = -s1 * s2 / (sp.center(-1) - sp.center(2)) ** 2
         assert R[0, 2 * M] == pytest.approx(expected, rel=1e-13)
 
-    @pytest.mark.parametrize("weight", [1, 2])
-    def test_coupling_is_taylor_of_pole_basis(self, genus2_params, weight):
-        # R[(a,m),(b,n)] equals (-1)^N s_a^{m+1} times the m-th Taylor
+    def test_coupling_is_taylor_of_pole_basis(self, genus2_params):
+        # R[(a,m),(b,n)] equals -s_a^{m+1} times the m-th Taylor
         # coefficient of the (b,n) pole-basis entry at w_{-a}; take the
         # coefficient by contour integration instead of the closed form.
         sp = genus2_params
         M = 4
-        R = mode_coupling_matrix(sp, weight, M)
+        R = mode_coupling_matrix(sp, M)
         idx = list(sp.signed_indices)
-        sign = -1.0 if weight % 2 else 1.0
         for (a, b) in ((1, 2), (-2, 1), (2, 2)):
             i, j = idx.index(a), idx.index(b)
             sa = cmath.sqrt(sp.rho_signed(a))
@@ -208,44 +206,28 @@ class TestWorkedCoupling:
                 for n in (0, 2):
                     def entry(z, b=b, n=n):
                         s = cmath.sqrt(sp.rho_signed(b))
-                        return s ** (n + 2 * weight - 1) / (
-                            (z - sp.center(b)) ** (n + 2 * weight)
-                        )
+                        return s ** (n + 1) / (z - sp.center(b)) ** (n + 2)
 
                     coeff = cauchy_taylor(entry, wma, m, 0.3)
-                    expected = sign * sa ** (m + 1) * coeff
+                    expected = -(sa ** (m + 1)) * coeff
                     assert R[i * M + m, j * M + n] == pytest.approx(
                         expected, rel=1e-9
                     ), (a, b, m, n)
 
     def test_moments_are_taylor_of_seed(self, genus2_params):
-        # q_a(y;m) = (-1)^N s_a^{m+1} (1/m!) d^m/dx^m seed(x,y) at w_{-a}.
-        # The contour radius must stay inside the distance to the nearest
-        # basis point (the seed has poles at the basis points, which sit
-        # close to the centers), so measure that distance first.
+        # q_a(y;m) = -s_a^{m+1} (1/m!) d^m/dx^m seed(x,y) at w_{-a}.
         sp = genus2_params
         y = 0.55 - 0.92j
-        for weight in (1, 2):
-            A = select_seed_points(ordered_fixed_points(sp), weight, sp.genus)
-            q = seed_moments(sp, weight, 4, y)
-            sign = -1.0 if weight % 2 else 1.0
-            idx = list(sp.signed_indices)
-            for a in (1, -1, 2):
-                i = idx.index(a)
-                wma = sp.center(-a)
-                clearance = min(abs(wma - Aj) for Aj in A)
-                radius = min(0.3, 0.5 * clearance)
-                sa = cmath.sqrt(sp.rho_signed(a))
-                for m in range(4):
-                    coeff = cauchy_taylor(
-                        lambda z: kernel_seed(z, y, A), wma, m, radius
-                    )
-                    expected = sign * sa ** (m + 1) * coeff
-                    assert q[i * 4 + m] == pytest.approx(expected, rel=1e-6), (
-                        weight,
-                        a,
-                        m,
-                    )
+        q = seed_moments(sp, 4, y)
+        idx = list(sp.signed_indices)
+        for a in (1, -1, 2):
+            i = idx.index(a)
+            wma = sp.center(-a)
+            sa = cmath.sqrt(sp.rho_signed(a))
+            for m in range(4):
+                coeff = cauchy_taylor(lambda z: kernel_seed(z, y, ORIGIN), wma, m, 0.3)
+                expected = -(sa ** (m + 1)) * coeff
+                assert q[i * 4 + m] == pytest.approx(expected, rel=1e-6), (a, m)
 
 
 class TestRankOneContraction:
@@ -255,32 +237,13 @@ class TestRankOneContraction:
         sp = genus2_params
         M = 30
         x, y = 0.62 + 0.11j, -0.4 - 0.77j
-        A = select_seed_points(ordered_fixed_points(sp), 1, sp.genus)
-        p = pole_basis(sp, 1, M, x)
-        q = seed_moments(sp, 1, M, y)
+        p = pole_basis(sp, M, x)
+        q = seed_moments(sp, M, y)
         for i, a in enumerate(sp.signed_indices):
             g = generator_map(sp, a)
-            expected = kernel_seed(g(x), y, A) * g.derivative(x)
+            expected = kernel_seed(g(x), y, ORIGIN) * g.derivative(x)
             got = complex(p[i * M:(i + 1) * M] @ q[i * M:(i + 1) * M])
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
-
-    def test_weight2_handle_sums_far_x(self):
-        # Weight 2 needs gamma_a x closer to w_{-a} than the basis points,
-        # which holds once x is a few separations out.
-        sp = SMALL_RHO
-        M = 24
-        rng = np.random.default_rng(3)
-        A = select_seed_points(ordered_fixed_points(sp), 2, sp.genus)
-        for _ in range(3):
-            x = draw_exterior(rng, sp, 0.0, 7.0, 8.0)
-            y = draw_exterior(rng, sp, 0.0, 1.0, 1.8)
-            p = pole_basis(sp, 2, M, x)
-            q = seed_moments(sp, 2, M, y)
-            for i, a in enumerate(sp.signed_indices):
-                g = generator_map(sp, a)
-                expected = kernel_seed(g(x), y, A) * g.derivative(x) ** 2
-                got = complex(p[i * M:(i + 1) * M] @ q[i * M:(i + 1) * M])
-                assert got == pytest.approx(expected, rel=1e-6, abs=1e-13)
 
 
 class TestShellIdentity:
@@ -291,13 +254,12 @@ class TestShellIdentity:
         sp = genus2_params
         M = 30
         x, y = 0.62 + 0.11j, -0.4 - 0.77j
-        A = select_seed_points(ordered_fixed_points(sp), 1, sp.genus)
-        p = pole_basis(sp, 1, M, x)
-        q = seed_moments(sp, 1, M, y)
-        R = mode_coupling_matrix(sp, 1, M)
+        p = pole_basis(sp, M, x)
+        q = seed_moments(sp, M, y)
+        R = mode_coupling_matrix(sp, M)
         via = complex(p @ (np.linalg.matrix_power(R, k - 1) @ q))
         shell = sum(
-            kernel_seed(mat(x), y, A) * mat.derivative(x)
+            kernel_seed(mat(x), y, ORIGIN) * mat.derivative(x)
             for word, mat in enumerate_group(sp, k)
             if len(word.letters) == k
         )
@@ -324,36 +286,40 @@ class TestKernelViaModes:
         kv = kernel_via_modes(torus_sp, 1, 30, x, y)
         assert kv.value == pytest.approx(direct.value, abs=1e-9)
 
-    def test_weight2_matches_poincare_far_x(self):
-        sp = SMALL_RHO
-        F = SurfaceForms(sp, policy=TruncationPolicy(max_word_length=10, tol=1e-12))
-        rng = np.random.default_rng(42)
-        for _ in range(5):
-            x = draw_exterior(rng, sp, 0.0, 6.0, 7.0)
-            y = draw_exterior(rng, sp, 0.0, 1.0, 1.8)
-            direct = F.recursion_kernel(x, y, 2)
-            kv = kernel_via_modes(sp, 2, 14, x, y)
-            assert abs(kv.value - direct.value) < 1e-7
-            assert kv.weight_x == 2 and kv.weight_y == -1
+    def test_weight2_refused(self, genus2_params):
+        # The weight-2 resolvent diverges as M grows; the call must refuse
+        # and name the Poincare sum instead of returning a number.
+        with pytest.raises(ConfigurationError, match="recursion_kernel"):
+            kernel_via_modes(genus2_params, 2, 8, 5.0 + 1.0j, -5.0 + 2.0j)
 
     def test_small_rho_reduces_to_seed(self):
-        # The correction vanishes linearly in rho (not with rho^N: the
-        # weight-2 basis points approach the centers as rho shrinks, and
-        # the moment vector picks up the inverse scale), so halt at a
-        # linear-fit check rather than demanding machine agreement.
+        # The correction is the first word shell, linear in rho.
         x, y = 3.1 + 0.4j, -0.8 + 0.2j
-        for weight in (1, 2):
-            drifts = []
-            for scale in (1e-6, 1e-8):
-                sp = SchottkyParams(
-                    2, (1.35, 1.4j), (-1.35, -1.4j), (scale, scale)
-                )
-                A = select_seed_points(ordered_fixed_points(sp), weight, 2)
-                kv = kernel_via_modes(sp, weight, 6, x, y)
-                drifts.append(abs(kv.value - kernel_seed(x, y, A)))
-            assert drifts[1] < 1e-5
-            ratio = drifts[0] / drifts[1]
-            assert 30.0 < ratio < 300.0
+        drifts = []
+        for scale in (1e-6, 1e-8):
+            sp = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (scale, scale))
+            kv = kernel_via_modes(sp, 1, 6, x, y)
+            drifts.append(abs(kv.value - kernel_seed(x, y, ORIGIN)))
+        assert drifts[1] < 1e-5
+        ratio = drifts[0] / drifts[1]
+        assert 30.0 < ratio < 300.0
+
+    @pytest.mark.parametrize(
+        "fixture, M", [("torus_sp", 30), ("genus2_params", 40), ("genus3_params", 20)]
+    )
+    def test_mode_doubling_within_reported_tail(self, fixture, M, request):
+        # Doubling M moves both mode-route calls by less than their tails,
+        # also where the M/2 drift has fallen below rounding and only the
+        # rounding floor is left (the torus at M = 30).
+        sp = request.getfixturevalue(fixture)
+        for x, y in (
+            (3.0 + 1.0j, -2.0 + 2.0j), (5.0 + 1.0j, -4.0 + 2.0j),
+            (0.62 + 0.11j, -0.4 - 0.77j), (3.0 - 1.0j, -0.5 - 0.8j),
+        ):
+            c, f = kernel_via_modes(sp, 1, M, x, y), kernel_via_modes(sp, 1, 2 * M, x, y)
+            assert abs(f.value - c.value) < c.tail, (x, y)
+        c, f = heisenberg_partition(sp, M), heisenberg_partition(sp, 2 * M)
+        assert abs(f.value - c.value) < c.tail
 
     def test_branch_sign_invariance(self, genus2_params):
         sp = genus2_params
@@ -418,8 +384,26 @@ class TestHeisenbergPartition:
             flipped = heisenberg_partition(genus2_params, 20, branch_signs=signs)
             assert abs(flipped.value - base.value) < 1e-12
 
+    @pytest.mark.parametrize(
+        "fixture, L",
+        [("torus_sp", 7), ("genus2_params", 6), ("genus3_params", 5), ("conjugate", 6)],
+    )
+    def test_matches_word_table_product_formula(self, fixture, L, request):
+        # Z from the determinant against Z from the primitive classes, to
+        # within the determinant's tail, the last word shell and rounding.
+        if fixture == "conjugate":
+            sp = mobius_act_on_params(
+                request.getfixturevalue("genus2_params"), MobiusMap(1.0, 0.3, 0.2, 1.0)
+            )
+        else:
+            sp = request.getfixturevalue(fixture)
+        z = heisenberg_partition(sp, 30)
+        log_z, shell, floor = word_table_log_z(sp, L)
+        expected = cmath.exp(log_z)
+        assert abs(z.value - expected) < z.tail + abs(expected) * (shell + floor)
+
     def test_divergent_spectrum_refused(self, monkeypatch):
-        def fake_coupling(sp, weight, mm, branch_signs=None):
+        def fake_coupling(sp, mm, branch_signs=None):
             return 2.0 * np.eye(2 * sp.genus * mm, dtype=np.complex128)
 
         monkeypatch.setattr(modes, "mode_coupling_matrix", fake_coupling)
