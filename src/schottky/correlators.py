@@ -21,7 +21,10 @@ rounding floor.
 
 The surface data (bidifferential, projective connection, period matrix)
 comes from a SurfaceForms evaluator; the partition function from the
-mode-matrix determinant.
+mode-matrix determinant.  Z (once per mode cutoff) and the period matrix
+are computed once per SurfaceForms and kept on it, so repeated requests
+on one surface pay for them once; the kept period matrix is read-only.
+Insertion points must lie in the fundamental domain.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from schottky.forms import EPS, SurfaceForms
+from schottky.forms import EPS, PeriodMatrixResult, SurfaceForms
 from schottky.group import InvalidParameterError, TruncationPolicy
-from schottky.modes import heisenberg_partition
+from schottky.modes import PartitionValue, heisenberg_partition
 
 __all__ = [
     "CorrelatorValue",
@@ -151,6 +154,23 @@ def _mode_cutoff(forms: SurfaceForms, modes: int | None) -> int:
     return forms.policy.mode_cutoff
 
 
+def _partition(forms: SurfaceForms, modes: int | None) -> PartitionValue:
+    """Z of the surface at the mode cutoff, computed once per cutoff."""
+    m = _mode_cutoff(forms, modes)
+    if ("Z", m) not in forms._memo:
+        forms._memo["Z", m] = heisenberg_partition(forms.sp, m)
+    return forms._memo["Z", m]
+
+
+def _period_matrix(forms: SurfaceForms) -> PeriodMatrixResult:
+    """The surface's period matrix, computed once; its ``omega`` is read-only."""
+    if "Omega" not in forms._memo:
+        result = forms.period_matrix()
+        result.omega.flags.writeable = False
+        forms._memo["Omega"] = result
+    return forms._memo["Omega"]
+
+
 def heisenberg_npoint(
     forms: SurfaceForms,
     points: Sequence[complex],
@@ -160,9 +180,11 @@ def heisenberg_npoint(
 
     Zero for odd n; for even n the pairing sum of bidifferentials times
     the oscillator partition function.  n = 0 returns the partition
-    function itself.
+    function itself.  Every point must lie in the fundamental domain.
     """
-    pts = tuple(complex(p) for p in points)
+    pts = tuple(
+        forms._require_in_domain(p, f"insertion point {i}") for i, p in enumerate(points)
+    )
     n = len(pts)
     for i in range(n):
         for j in range(i + 1, n):
@@ -173,7 +195,7 @@ def heisenberg_npoint(
     weights = (1,) * n
     if n % 2:
         return CorrelatorValue(0.0j, 0.0, weights)
-    z = heisenberg_partition(forms.sp, _mode_cutoff(forms, modes))
+    z = _partition(forms, modes)
     if n == 0:
         return CorrelatorValue(z.value, z.tail, weights)
 
@@ -205,7 +227,7 @@ def virasoro_one_point(
 ) -> CorrelatorValue:
     """One-point function of the Virasoro vector: s(x) Z / 12."""
     s = forms.projective_connection(x)
-    z = heisenberg_partition(forms.sp, _mode_cutoff(forms, modes))
+    z = _partition(forms, modes)
     value = s.value * z.value / 12.0
     tail = (s.tail * abs(z.value) + abs(s.value) * z.tail) / 12.0
     return CorrelatorValue(value, tail, (2,))
@@ -223,7 +245,7 @@ def virasoro_two_point(
     sx = forms.projective_connection(x)
     sy = forms.projective_connection(y)
     w = forms.bidifferential(x, y)
-    z = heisenberg_partition(forms.sp, _mode_cutoff(forms, modes))
+    z = _partition(forms, modes)
     combo = sx.value * sy.value / 144.0 + 0.5 * w.value**2
     combo_tail = (
         (sx.tail * abs(sy.value) + abs(sx.value) * sy.tail) / 144.0
@@ -396,9 +418,9 @@ def lattice_partition(
     d = lattice.rank
     if d == 0:
         return CorrelatorValue(1.0 + 0.0j, 0.0, ())
-    omega = forms.period_matrix()
+    omega = _period_matrix(forms)
     theta = siegel_theta(omega.omega, lattice, forms.policy.tol)
-    z = heisenberg_partition(forms.sp, _mode_cutoff(forms, modes))
+    z = _partition(forms, modes)
     zd = z.value**d
     value = theta.value * zd
     rel_z = d * z.tail / max(abs(z.value), 1e-300)

@@ -54,6 +54,18 @@ ulps instead (``SurfaceForms._orbit_ulps``).  The quasi-period coefficients carr
 kernel tails at their sample points through the same finite Fourier
 transform as the values.  Raising the word cutoff must move any reported
 value by less than its reported tail; the test suite enforces this.
+
+The pointwise sums (everything above but the period matrix) walk the
+word table in fixed blocks of at most ``_ORBIT_BLOCK`` rows, the last
+shell starting a block of its own.  Per block they form gamma x and
+gamma'x, the terms and their rounding bounds, and add the block's sum,
+floor and last-shell part to running totals in row order; no temporary
+spans the whole table.
+The blocks depend on the word table only, so every value is reproduced
+bit for bit on every call, and a kernel summed at several y in one pass
+(as the quasi-period coefficients do) equals its single-y value.
+Against a sum over the whole table in one pass, blocking moves a value by
+summation rounding only, a few eps * sum |terms|.
 """
 
 from __future__ import annotations
@@ -61,7 +73,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg.blas import dasum
@@ -98,6 +110,12 @@ POLE_GUARD = 1e-9
 
 # Machine epsilon of float64, the unit of every tail's rounding floor.
 EPS = float(np.finfo(np.float64).eps)
+
+# Rows per block of the orbit sums.  A complex temporary of one block
+# takes 32 KiB, so the dozen alive at once stay in cache and under glibc's
+# default 128 KiB mmap threshold: they are reused from the heap instead
+# of being mapped and zero-filled afresh on every pass.
+_ORBIT_BLOCK = 2048
 
 
 class PoleProximityError(SchottkyError):
@@ -252,7 +270,9 @@ class SurfaceForms:
     evaluations are deterministic.  ``words`` is the
     :class:`~schottky.group.WordTable` of
     :func:`~schottky.group.enumerate_group`; the orbit and coset sums
-    read its arrays directly.
+    read its arrays directly.  The only state added later is a memo of
+    Z and Omega, which :mod:`schottky.correlators` fills on first use
+    with values that the parameters and policy fix.
 
     Parameters
     ----------
@@ -285,10 +305,13 @@ class SurfaceForms:
         self.words = enumerate_group(sp, self.policy.max_word_length)
         self._wa, self._wb = self.words.a, self.words.b
         self._wc, self._wd = self.words.c, self.words.d
-        self._last_shell = self.words.length == self.policy.max_word_length
+        self._blocks = _row_blocks(self.words.length)
         self._grow = 1.0 + self.words.length
         self._classical = classical_from_params(sp)
         self.limit_points = ordered_fixed_points(sp)
+        # Per-surface results of schottky.correlators: Z per mode cutoff
+        # and the period matrix, each computed on first use.
+        self._memo: dict = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -326,12 +349,14 @@ class SurfaceForms:
 
     # -- orbit plumbing ------------------------------------------------------
 
-    def _orbit_scalar(self, x: complex) -> tuple[np.ndarray, np.ndarray]:
-        """gamma x and d(gamma x)/dx over all cached words, for scalar x."""
-        den = self._wc * x + self._wd
-        gx = (self._wa * x + self._wb) / den
+    def _orbit(
+        self, x: complex, s: int, e: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """gamma x, d(gamma x)/dx and c x + d for the words in rows s..e-1."""
+        den = self._wc[s:e] * x + self._wd[s:e]
+        gx = (self._wa[s:e] * x + self._wb[s:e]) / den
         dgx = 1.0 / (den * den)
-        return gx, dgx
+        return gx, dgx, den
 
     def _fixed_point_images(
         self, rows: np.ndarray, h: int
@@ -349,48 +374,70 @@ class SurfaceForms:
         den_m = c * Wm + d
         return (a * Wp + b) / den_p, (a * Wm + b) / den_m, (Wp - Wm) / (den_p * den_m)
 
-    def _shell_sum(
+    def _reduce(
         self,
-        vals: np.ndarray,
-        last_shell: np.ndarray | None = None,
-        ulps: np.ndarray | None = None,
-    ) -> tuple[complex, float]:
-        """Total over words plus its tail.
+        terms: Callable[[int, int], Sequence[tuple[np.ndarray, np.ndarray | None]]],
+        count: int,
+        first: int = 0,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sums over the word table, one row block at a time.
 
-        ``vals`` has one entry per word (1-d) in the deterministic order;
-        ``last_shell`` marks the entries of length L (all cached words by
-        default).  The tail is the magnitude of the last shell's
-        contribution plus the rounding floor, infinite at L = 0: eps times
-        sum |vals|, or eps times sum ulps |vals| given a per-term bound
-        ``ulps`` (see :meth:`_orbit_ulps`).
+        ``terms(s, e)`` returns ``count`` pairs (vals, ulps) for the rows
+        s..e-1 (from row ``first`` on): the terms of each summed quantity
+        and their per-term rounding bound from :meth:`_orbit_ulps`, or
+        None for a bound of one ulp (eps |term|, the magnitude taken as
+        |Re| + |Im|).  Each block's sum, its rounding floor sum |vals| ulps
+        and, for a block of the last shell, its sum again are added to
+        running totals in row order, so the result depends on the word
+        table only.  Returns per quantity the total, the last shell's sum
+        and the floor.
         """
-        total = complex(vals.sum())
-        if self.policy.max_word_length == 0:
-            return total, math.inf
-        if last_shell is None:
-            last_shell = self._last_shell
-        floor = _abs_sum(vals) if ulps is None else float(np.abs(vals) @ ulps)
-        tail = abs(vals[last_shell].sum()) + EPS * floor
-        return total, float(tail)
+        totals = np.zeros(count, dtype=np.complex128)
+        shells = np.zeros(count, dtype=np.complex128)
+        floors = np.zeros(count)
+        for s, e, last in self._blocks:
+            s = max(s, first)
+            if s >= e:
+                continue
+            for j, (vals, ulps) in enumerate(terms(s, e)):
+                part = vals.sum()
+                totals[j] += part
+                if last:
+                    shells[j] += part
+                floors[j] += _abs_sum(vals) if ulps is None else np.abs(vals) @ ulps
+        return totals, shells, floors
 
-    def _orbit_ulps(self, weight: int, kappa: np.ndarray) -> np.ndarray:
-        """Per-word bound, in ulps, on the rounding of an orbit term.
+    def _tails(self, shells: np.ndarray, floors: np.ndarray) -> np.ndarray:
+        """Last-shell magnitude plus eps times the floor; infinite at L = 0."""
+        if self.policy.max_word_length == 0:
+            return np.full(len(shells), math.inf)
+        return np.abs(shells) + EPS * floors
+
+    def _sum(
+        self,
+        term: Callable[[int, int], tuple[np.ndarray, np.ndarray | None]],
+        first: int = 0,
+    ) -> tuple[complex, float]:
+        """One blocked sum (see :meth:`_reduce`) and its tail."""
+        totals, shells, floors = self._reduce(lambda s, e: (term(s, e),), 1, first)
+        return complex(totals[0]), float(self._tails(shells, floors)[0])
+
+    def _orbit_ulps(self, weight: int, kappa: np.ndarray, s: int, e: int) -> np.ndarray:
+        """Per-word bound, in ulps, on the rounding of an orbit term (rows s..e-1).
 
         A term (gamma'x)^N / prod_P (gamma x - P) gets (1 + k)(6N + 4 kappa)
-        ulps, k the word length and kappa (one row per word) the sum over
-        the poles P of |gamma x| / |gamma x - P|.  The word table gives
-        gamma x and gamma'x to 4(1 + k) and 6(1 + k) ulps (measured on the
-        test fixtures), and each difference gamma x - P amplifies the first
-        by |gamma x| / |gamma x - P|, large where the orbit nears a pole.
+        ulps, k the word length and kappa the sum over the poles P of
+        |gamma x| / |gamma x - P|.  The word table gives gamma x and
+        gamma'x to 4(1 + k) and 6(1 + k) ulps (measured on the test
+        fixtures), and each difference gamma x - P amplifies the first by
+        |gamma x| / |gamma x - P|, large where the orbit nears a pole.
         """
-        grow = self._grow.reshape((-1,) + (1,) * (kappa.ndim - 1))
-        return grow * (6.0 * weight + 4.0 * kappa)
+        return self._grow[s:e] * (6.0 * weight + 4.0 * kappa)
 
-    def _guard_poles(self, dist: np.ndarray, what: str) -> None:
-        idx = int(np.argmin(dist))
-        if dist.flat[idx] < POLE_GUARD:
-            word_idx = idx // dist.shape[1] if dist.ndim == 2 else idx
-            w = self.words[word_idx][0]
+    def _guard_poles(self, dist: np.ndarray, s: int, what: str) -> None:
+        """Refuse a block whose distances to a pole (rows s..) fall below the guard."""
+        if dist.min() < POLE_GUARD:
+            w = self.words[s + int(np.argmin(dist))][0]
             raise PoleProximityError(
                 f"{what}: evaluation point within {POLE_GUARD} of a pole "
                 f"(word {w.letters})",
@@ -407,25 +454,29 @@ class SurfaceForms:
         Returns (values, tails), one entry per y.  The seed carries the
         pole basis fixed at construction.  The rounding floor is the
         per-term bound of :meth:`_orbit_ulps` over the poles A_j and y.
+        Each y is summed with the same operations as a call with y alone.
         """
         A = self._seed_points(weight)
-        gx, dgx = self._orbit_scalar(x)
-        coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
         poly = np.ones_like(ys)
         for Aj in A:
             poly = poly * (ys - Aj)
-        vals = np.empty(len(ys), dtype=np.complex128)
-        tails = np.empty(len(ys), dtype=np.float64)
-        diff = gx[:, None] - ys[None, :]
-        dist = np.abs(diff)
-        self._guard_poles(dist, "weight-%d kernel" % weight)
-        terms = coef[:, None] / diff
-        ulps = self._orbit_ulps(weight, np.abs(gx)[:, None] * (inv[:, None] + 1.0 / dist))
-        for j in range(len(ys)):
-            v, t = self._shell_sum(terms[:, j], ulps=ulps[:, j])
-            vals[j] = poly[j] * v
-            tails[j] = abs(poly[j]) * t
-        return vals, tails
+        what = "weight-%d kernel" % weight
+
+        def terms(s: int, e: int) -> list[tuple[np.ndarray, np.ndarray]]:
+            gx, dgx, _ = self._orbit(x, s, e)
+            coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
+            abs_gx = np.abs(gx)
+            out = []
+            for y in ys:
+                diff = gx - y
+                dist = np.abs(diff)
+                self._guard_poles(dist, s, what)
+                ulps = self._orbit_ulps(weight, abs_gx * (inv + 1.0 / dist), s, e)
+                out.append((coef / diff, ulps))
+            return out
+
+        totals, shells, floors = self._reduce(terms, len(ys))
+        return poly * totals, np.abs(poly) * self._tails(shells, floors)
 
     def _orbit_seed_coef(
         self,
@@ -434,7 +485,7 @@ class SurfaceForms:
         A: tuple[complex, ...],
         weight: int,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma'x)^N / prod_j (gamma x - A_j) over the cached orbit.
+        """(gamma'x)^N / prod_j (gamma x - A_j) over a block of the orbit.
 
         Returns the coefficients and sum_j 1 / |gamma x - A_j|, which
         times |gamma x| amplifies their rounding (see :meth:`_orbit_ulps`).
@@ -467,31 +518,35 @@ class SurfaceForms:
         rounding floor of :meth:`_orbit_ulps`.
         """
         A = self._seed_points(weight)
-        gx, dgx = self._orbit_scalar(x)
-        coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
         poly = np.ones_like(ys)
         dpoly = np.zeros_like(ys)
         for Aj in A:
             dpoly = dpoly * (ys - Aj) + poly
             poly = poly * (ys - Aj)
-        diff = gx[:, None] - ys[None, :]
-        dist = np.abs(diff)
-        self._guard_poles(dist, "weight-%d kernel derivative" % weight)
-        base = coef[:, None] / diff
-        shifted = coef[:, None] / (diff * diff)
-        vals = dpoly * base.sum(axis=0) + poly * shifted.sum(axis=0)
+        what = "weight-%d kernel derivative" % weight
+
+        def terms(s: int, e: int) -> list[tuple[np.ndarray, np.ndarray]]:
+            gx, dgx, _ = self._orbit(x, s, e)
+            coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
+            abs_gx = np.abs(gx)
+            out = []
+            for y in ys:
+                diff = gx - y
+                dist = np.abs(diff)
+                self._guard_poles(dist, s, what)
+                # The shifted terms divide by gamma x - y once more.
+                kappa_y = abs_gx / dist
+                ulps = self._orbit_ulps(weight, abs_gx * inv + kappa_y, s, e)
+                ulps_shifted = ulps + self._orbit_ulps(0, kappa_y, s, e)
+                out += [(coef / diff, ulps), (coef / (diff * diff), ulps_shifted)]
+            return out
+
+        totals, shells, floors = self._reduce(terms, 2 * len(ys))
+        vals = dpoly * totals[::2] + poly * totals[1::2]
         if self.policy.max_word_length == 0:
             return vals, np.full(len(ys), math.inf)
-        last = self._last_shell
-        tails = np.abs(dpoly * base[last].sum(axis=0) + poly * shifted[last].sum(axis=0))
-        # The shifted terms divide by gamma x - y once more.
-        abs_gx = np.abs(gx)[:, None]
-        kappa_y = abs_gx / dist
-        ulps = self._orbit_ulps(weight, abs_gx * inv[:, None] + kappa_y)
-        ulps_shifted = ulps + self._orbit_ulps(0, kappa_y)
-        tails += EPS * (
-            np.abs(dpoly) * (np.abs(base) * ulps).sum(axis=0)
-            + np.abs(poly) * (np.abs(shifted) * ulps_shifted).sum(axis=0)
+        tails = np.abs(dpoly * shells[::2] + poly * shells[1::2]) + EPS * (
+            np.abs(dpoly) * floors[::2] + np.abs(poly) * floors[1::2]
         )
         return vals, tails
 
@@ -540,39 +595,48 @@ class SurfaceForms:
         """
         x = self._require_in_domain(x, "x")
         y = complex(y)
-        gx, dgx = self._orbit_scalar(x)
-        diff = gx - y
-        self._guard_poles(np.abs(diff)[:, None], "bidifferential")
-        vals = dgx / (diff * diff)
-        total, tail = self._shell_sum(vals)
+
+        def term(s: int, e: int) -> tuple[np.ndarray, None]:
+            gx, dgx, _ = self._orbit(x, s, e)
+            diff = gx - y
+            self._guard_poles(np.abs(diff), s, "bidifferential")
+            return dgx / (diff * diff), None
+
+        total, tail = self._sum(term)
         return FormValue(total, 1, 1, tail)
 
     def bidifferential_dfirst(self, x: complex, y: complex) -> FormValue:
         """Analytic partial of the bidifferential in its first argument."""
         x = self._require_in_domain(x, "x")
         y = complex(y)
-        gx, dgx = self._orbit_scalar(x)
-        ggx = self._second_derivatives(x)
-        diff = gx - y
-        self._guard_poles(np.abs(diff)[:, None], "bidifferential derivative")
-        vals = ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff)
-        total, tail = self._shell_sum(vals)
+
+        def term(s: int, e: int) -> tuple[np.ndarray, None]:
+            gx, dgx, den = self._orbit(x, s, e)
+            ggx = self._second_derivatives(den, s, e)
+            diff = gx - y
+            self._guard_poles(np.abs(diff), s, "bidifferential derivative")
+            return ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff), None
+
+        total, tail = self._sum(term)
         return FormValue(total, 2, 1, tail)
 
     def bidifferential_dsecond(self, x: complex, y: complex) -> FormValue:
         """Analytic partial of the bidifferential in its second argument."""
         x = self._require_in_domain(x, "x")
         y = complex(y)
-        gx, dgx = self._orbit_scalar(x)
-        diff = gx - y
-        self._guard_poles(np.abs(diff)[:, None], "bidifferential derivative")
-        vals = 2.0 * dgx / (diff * diff * diff)
-        total, tail = self._shell_sum(vals)
+
+        def term(s: int, e: int) -> tuple[np.ndarray, None]:
+            gx, dgx, _ = self._orbit(x, s, e)
+            diff = gx - y
+            self._guard_poles(np.abs(diff), s, "bidifferential derivative")
+            return 2.0 * dgx / (diff * diff * diff), None
+
+        total, tail = self._sum(term)
         return FormValue(total, 1, 2, tail)
 
-    def _second_derivatives(self, x: complex) -> np.ndarray:
-        den = self._wc * x + self._wd
-        return -2.0 * self._wc / (den * den * den)
+    def _second_derivatives(self, den: np.ndarray, s: int, e: int) -> np.ndarray:
+        """d^2(gamma x)/dx^2 for the rows s..e-1, given their c x + d."""
+        return -2.0 * self._wc[s:e] / (den * den * den)
 
     def power_bidifferential(self, x: complex, y: complex, weight: int) -> FormValue:
         """sum_gamma (d(gamma x) dy / (gamma x - y)^2)^N, weight (N, N)."""
@@ -580,15 +644,18 @@ class SurfaceForms:
             raise InvalidParameterError("weight must be >= 1")
         x = self._require_in_domain(x, "x")
         y = complex(y)
-        gx, dgx = self._orbit_scalar(x)
-        diff = gx - y
-        dist = np.abs(diff)
-        self._guard_poles(dist[:, None], "power bidifferential")
-        vals = (dgx / (diff * diff)) ** weight
-        # The rounding floor is the per-term bound of _orbit_ulps with
-        # the pole y counted 2N times.
-        kappa = 2.0 * weight * np.abs(gx) / dist
-        total, tail = self._shell_sum(vals, ulps=self._orbit_ulps(weight, kappa))
+
+        def term(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+            gx, dgx, _ = self._orbit(x, s, e)
+            diff = gx - y
+            dist = np.abs(diff)
+            self._guard_poles(dist, s, "power bidifferential")
+            # The rounding floor is the per-term bound of _orbit_ulps with
+            # the pole y counted 2N times.
+            kappa = 2.0 * weight * np.abs(gx) / dist
+            return (dgx / (diff * diff)) ** weight, self._orbit_ulps(weight, kappa, s, e)
+
+        total, tail = self._sum(term)
         return FormValue(total, weight, weight, tail)
 
     def projective_connection(self, x: complex) -> FormValue:
@@ -599,50 +666,57 @@ class SurfaceForms:
         the Virasoro one-point value s(x)/12 is built from.
         """
         x = self._require_in_domain(x, "x")
-        gx, dgx = self._orbit_scalar(x)
-        gx, dgx = gx[1:], dgx[1:]
-        diff = gx - x
-        if len(diff) and np.abs(diff).min() < POLE_GUARD:
-            raise PoleProximityError("projective connection: x at an orbit point")
-        if self.policy.max_word_length == 0:
-            return FormValue(0.0, 2, 0, math.inf)
-        vals = 6.0 * dgx / (diff * diff)
-        total, tail = self._shell_sum(vals, self._last_shell[1:])
+
+        def term(s: int, e: int) -> tuple[np.ndarray, None]:
+            gx, dgx, _ = self._orbit(x, s, e)
+            diff = gx - x
+            if np.abs(diff).min() < POLE_GUARD:
+                raise PoleProximityError("projective connection: x at an orbit point")
+            return 6.0 * dgx / (diff * diff), None
+
+        total, tail = self._sum(term, first=1)
         return FormValue(total, 2, 0, tail)
 
     def projective_connection_derivative(self, x: complex) -> FormValue:
         """Analytic d/dx of the projective connection."""
         x = self._require_in_domain(x, "x")
-        gx, dgx = self._orbit_scalar(x)
-        ggx = self._second_derivatives(x)
-        gx, dgx, ggx = gx[1:], dgx[1:], ggx[1:]
-        diff = gx - x
-        if len(diff) and np.abs(diff).min() < POLE_GUARD:
-            raise PoleProximityError("projective connection derivative: pole")
-        if self.policy.max_word_length == 0:
-            return FormValue(0.0, 3, 0, math.inf)
-        vals = 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3))
-        total, tail = self._shell_sum(vals, self._last_shell[1:])
+
+        def term(s: int, e: int) -> tuple[np.ndarray, None]:
+            gx, dgx, den = self._orbit(x, s, e)
+            ggx = self._second_derivatives(den, s, e)
+            diff = gx - x
+            if np.abs(diff).min() < POLE_GUARD:
+                raise PoleProximityError("projective connection derivative: pole")
+            return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3)), None
+
+        total, tail = self._sum(term, first=1)
         return FormValue(total, 3, 0, tail)
 
     # -- holomorphic one-forms ---------------------------------------------------
 
-    def _one_form_terms(
-        self, a: int, x: complex
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-coset data of nu_a at x over G/<gamma_a>.
+    def _one_form_sum(
+        self,
+        a: int,
+        x: complex,
+        term: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    ) -> tuple[complex, float]:
+        """Blocked sum over G/<gamma_a> of term(delta, dm, dp) at x.
 
-        Returns (delta, dm, dp, last_shell) over the words whose last
-        letter is not +-a: delta = gamma W_a - gamma W_{-a},
-        dm = x - gamma W_{-a}, dp = x - gamma W_a, and the mask of the
-        words of length L.  The images are limit points, strictly inside
+        The cosets are the words whose last letter is not +-a; per word
+        delta = gamma W_a - gamma W_{-a}, dm = x - gamma W_{-a} and
+        dp = x - gamma W_a.  The images are limit points, strictly inside
         the discs, so they never meet an x of the fundamental domain.
         """
         self._require_handle(a)
         x = self._require_in_domain(x, "x")
-        rows = np.flatnonzero(np.abs(self.words.last) != a)
-        img_p, img_m, delta = self._fixed_point_images(rows, a)
-        return delta, x - img_m, x - img_p, self._last_shell[rows]
+        last = self.words.last
+
+        def block(s: int, e: int) -> tuple[np.ndarray, None]:
+            rows = s + np.flatnonzero(np.abs(last[s:e]) != a)
+            img_p, img_m, delta = self._fixed_point_images(rows, a)
+            return term(delta, x - img_m, x - img_p), None
+
+        return self._sum(block)
 
     def holomorphic_form(self, a: int, x: complex) -> FormValue:
         """Normalized holomorphic 1-form nu_a at x (a in 1..g).
@@ -654,15 +728,17 @@ class SurfaceForms:
         Normalization: (1/2*pi*i) oint nu_b = delta_ab on the circle at
         w_{-a}, counterclockwise.
         """
-        delta, dm, dp, last = self._one_form_terms(a, x)
-        total, tail = self._shell_sum(-delta / (dm * dp), last)
+        total, tail = self._one_form_sum(a, x, lambda delta, dm, dp: -delta / (dm * dp))
         return FormValue(total, 1, 0, tail)
 
     def holomorphic_form_derivative(self, a: int, x: complex) -> FormValue:
         """Analytic d/dx of nu_a (term-wise differentiation)."""
-        delta, dm, dp, last = self._one_form_terms(a, x)
-        prod = dm * dp
-        total, tail = self._shell_sum(delta * (dm + dp) / (prod * prod), last)
+
+        def term(delta: np.ndarray, dm: np.ndarray, dp: np.ndarray) -> np.ndarray:
+            prod = dm * dp
+            return delta * (dm + dp) / (prod * prod)
+
+        total, tail = self._one_form_sum(a, x, term)
         return FormValue(total, 2, 0, tail)
 
     # -- quasi-period coefficients ----------------------------------------------
@@ -753,13 +829,26 @@ class SurfaceForms:
                 floor = EPS * scale / (2.0 * math.pi)
                 tail = math.inf
                 if L > 0:
-                    shell = abs(terms[self._last_shell[rows][keep]].sum())
+                    shell = abs(terms[self.words.length[rows][keep] == L].sum())
                     tail = shell / (2.0 * math.pi) + floor
                 value = total / (2j * math.pi)
                 re = value.real - math.ceil(value.real - 0.5 - floor)
                 omega[a - 1, b - 1] = omega[b - 1, a - 1] = complex(re, value.imag)
                 worst = max(worst, tail)
         return PeriodMatrixResult(omega, worst)
+
+
+def _row_blocks(length: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
+    """Row blocks (s, e, last) of a word table with word lengths ``length``.
+
+    Blocks hold at most _ORBIT_BLOCK rows.  The last shell (the longest
+    words, last in the breadth-first order) starts a block of its own, so
+    every block lies wholly inside it (``last`` true) or wholly before it.
+    """
+    n = len(length)
+    start = int(np.searchsorted(length, length[-1]))
+    cuts = [*range(0, start, _ORBIT_BLOCK), *range(start, n, _ORBIT_BLOCK), n]
+    return tuple((s, e, s >= start) for s, e in zip(cuts[:-1], cuts[1:]))
 
 
 def _abs_sum(terms: np.ndarray) -> float:

@@ -8,6 +8,7 @@ Eisenstein series E4), and the integrality of the theta exponent.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -248,3 +249,78 @@ class TestTruncationDiscipline:
         for lattice in (A2, A3, D4):
             c, f = lattice_partition(loose, lattice), lattice_partition(tight, lattice)
             assert abs(f.value - c.value) < c.tail
+
+
+class TestSurfaceMemo:
+    """Z and Omega are computed once per surface (Z once per mode cutoff)."""
+
+    X, Y = 0.6 + 0.2j, -0.5 - 0.8j
+    POLICY = TruncationPolicy(max_word_length=4, mode_cutoff=12)
+
+    def requests(self):
+        x, y = self.X, self.Y
+        return [
+            lambda f: heisenberg_npoint(f, []),
+            lambda f: heisenberg_npoint(f, [x, y]),
+            lambda f: heisenberg_npoint(f, [x, y], modes=8),
+            lambda f: virasoro_one_point(f, x),
+            lambda f: virasoro_two_point(f, x, y),
+            lambda f: lattice_partition(f, A2),
+            lambda f: lattice_partition(f, D4),
+        ]
+
+    def test_one_computation_per_surface(self, genus2_params, monkeypatch):
+        calls = Counter()
+        partition = correlators.heisenberg_partition
+        period_matrix = SurfaceForms.period_matrix
+
+        def counted_partition(sp, modes):
+            calls[("Z", modes)] += 1
+            return partition(sp, modes)
+
+        def counted_period_matrix(forms):
+            calls["Omega"] += 1
+            return period_matrix(forms)
+
+        monkeypatch.setattr(correlators, "heisenberg_partition", counted_partition)
+        monkeypatch.setattr(SurfaceForms, "period_matrix", counted_period_matrix)
+        forms = SurfaceForms(genus2_params, self.POLICY)
+        for _ in range(3):
+            for request in self.requests():
+                request(forms)
+        assert calls == {("Z", 12): 1, ("Z", 8): 1, "Omega": 1}
+        # Another surface computes its own.
+        lattice_partition(SurfaceForms(genus2_params, self.POLICY), A2)
+        assert calls == {("Z", 12): 2, ("Z", 8): 1, "Omega": 2}
+
+    def test_memo_bitwise_equal_to_uncached_route(self, genus2_params):
+        warm = SurfaceForms(genus2_params, self.POLICY)
+        for request in self.requests():
+            request(warm)
+        for request in self.requests():
+            hot = request(warm)
+            cold = request(SurfaceForms(genus2_params, self.POLICY))
+            assert (hot.value, hot.tail) == (cold.value, cold.tail)
+        for modes in (8, 12):
+            z = correlators._partition(warm, modes)
+            fresh = correlators.heisenberg_partition(genus2_params, modes)
+            assert (z.value, z.tail) == (fresh.value, fresh.tail)
+        omega = correlators._period_matrix(warm)
+        fresh = SurfaceForms(genus2_params, self.POLICY).period_matrix()
+        assert np.array_equal(omega.omega, fresh.omega) and omega.tail == fresh.tail
+
+    def test_cached_omega_is_read_only(self, genus2_params):
+        forms = SurfaceForms(genus2_params, self.POLICY)
+        lattice_partition(forms, A2)
+        with pytest.raises(ValueError):
+            correlators._period_matrix(forms).omega[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("where", [[0], [1, 0, 2], [1, 0], [0, 1]])
+def test_heisenberg_npoint_requires_every_point_in_domain(genus3_params, where):
+    # The centre w_1 of a disc, alone, among an odd number of points, or
+    # as either point of a pair: refused whatever n and the order.
+    forms = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=3))
+    choices = [genus3_params.center(1), 3.0 + 1.0j, -3.0 + 0.5j]
+    with pytest.raises(InvalidParameterError, match="insertion point"):
+        heisenberg_npoint(forms, [choices[k] for k in where])

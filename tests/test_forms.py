@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from schottky.forms import (
     EPS,
+    POLE_GUARD,
     ConfigurationError,
     FormValue,
     PoleProximityError,
     SurfaceForms,
     kernel_seed,
     origin_clearing_translation,
+    select_seed_points,
 )
 from schottky.group import (
     ClassicalParams,
@@ -30,8 +32,10 @@ from schottky.group import (
     SchottkyParams,
     TruncationPolicy,
     classical_from_params,
+    enumerate_group,
     generator_map,
     mobius_act_on_params,
+    ordered_fixed_points,
     params_from_classical,
     validate,
 )
@@ -653,6 +657,145 @@ class TestTruncationDiscipline:
         F = SurfaceForms(torus_params, TruncationPolicy(max_word_length=0))
         assert math.isinf(F.third_kind_form(2.0, 1.0).tail)
 
+
+def whole_table_terms(sp, L, name, args):
+    """Terms and last-shell mask of one orbit or coset sum, over the whole table.
+
+    Built straight from the enumerate_group arrays with the evaluator's
+    term formula, for comparison with its row-blocked sum.
+    """
+    W = enumerate_group(sp, L)
+    last_shell = W.length == L
+    if name.startswith("holomorphic_form"):
+        a, x = args
+        rows = np.abs(W.last) != a
+        cp = classical_from_params(sp)
+        Wp, Wm = cp.W_plus[a - 1], cp.W_minus[a - 1]
+        a_, b_, c_, d_ = (v[rows] for v in (W.a, W.b, W.c, W.d))
+        den_p, den_m = c_ * Wp + d_, c_ * Wm + d_
+        delta = (Wp - Wm) / (den_p * den_m)
+        dm, dp = x - (a_ * Wm + b_) / den_m, x - (a_ * Wp + b_) / den_p
+        if name == "holomorphic_form":
+            return -delta / (dm * dp), last_shell[rows]
+        return delta * (dm + dp) / ((dm * dp) * (dm * dp)), last_shell[rows]
+    x = args[0]
+    den = W.c * x + W.d
+    gx = (W.a * x + W.b) / den
+    dgx = 1.0 / (den * den)
+    ggx = -2.0 * W.c / (den * den * den)
+    if name.startswith("projective_connection"):
+        gx, dgx, ggx, last_shell = gx[1:], dgx[1:], ggx[1:], last_shell[1:]
+        diff = gx - x
+        if name == "projective_connection":
+            return 6.0 * dgx / (diff * diff), last_shell
+        return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / diff**3), last_shell
+    y = args[1]
+    diff = gx - y
+    if name == "bidifferential":
+        return dgx / (diff * diff), last_shell
+    if name == "bidifferential_dfirst":
+        return ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff), last_shell
+    if name == "bidifferential_dsecond":
+        return 2.0 * dgx / (diff * diff * diff), last_shell
+    N = args[2]
+    if name == "power_bidifferential":
+        return (dgx / (diff * diff)) ** N, last_shell
+    A = select_seed_points(ordered_fixed_points(sp), N, sp.genus)
+    coef = dgx**N
+    poly, dpoly = 1.0, 0.0
+    for Aj in A:
+        # An image on a basis point to the bit contributes 0 (see
+        # SurfaceForms._orbit_seed_coef).
+        dead = gx == Aj
+        coef = np.where(dead, 0.0, coef) / np.where(dead, 1.0, gx - Aj)
+        dpoly, poly = dpoly * (y - Aj) + poly, poly * (y - Aj)
+    if name == "recursion_kernel":
+        return poly * (coef / diff), last_shell
+    return dpoly * (coef / diff) + poly * (coef / (diff * diff)), last_shell
+
+
+class TestBlockedSums:
+    """The row-blocked sums agree with sums over the whole word table."""
+
+    @pytest.mark.parametrize("fixture, L", [("genus3_params", 6), ("genus2_params", 2)])
+    def test_blocked_sums_match_whole_table(self, fixture, L, request):
+        # g3 at L = 6 has 23,437 words in 13 blocks; g2 at L = 2 has 17,
+        # fewer than one block holds, split only where the last shell
+        # starts.  Reference: the exactly rounded sum of the same terms.
+        # Summation order alone moves a sum by a few eps * sum |terms|
+        # (numpy's whole-table sum of these terms is off the exact one by
+        # up to 2.6 of them at random points on g3), hence the factor 8.
+        sp = request.getfixturevalue(fixture)
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=L))
+        assert len(F._blocks) == (13 if L == 6 else 2)
+        x, y = 3.0 - 1.0j, -0.5 - 0.8j
+        calls = [
+            (name, (x, y))
+            for name in ("bidifferential", "bidifferential_dfirst", "bidifferential_dsecond")
+        ]
+        calls += [("projective_connection", (x,)), ("projective_connection_derivative", (x,))]
+        calls += [
+            (name, (x, y, N))
+            for N in range(1, sp.genus + 1)
+            for name in ("power_bidifferential", "recursion_kernel", "recursion_kernel_dy")
+        ]
+        calls += [
+            (name, (a, x))
+            for a in range(1, sp.genus + 1)
+            for name in ("holomorphic_form", "holomorphic_form_derivative")
+        ]
+        for name, args in calls:
+            got = getattr(F, name)(*args)
+            terms, last_shell = whole_table_terms(sp, L, name, args)
+            exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            scale = float(np.sum(np.abs(terms.real) + np.abs(terms.imag)))
+            assert abs(got.value - exact) <= 8 * EPS * scale, (name, args)
+            # The tail's last shell is the same rows' sum; the floor on top
+            # is eps * sum |terms| unless the evaluator bounds each term.
+            shell = abs(terms[last_shell].sum())
+            assert got.tail >= shell, (name, args)
+            if name not in ("power_bidifferential", "recursion_kernel", "recursion_kernel_dy"):
+                assert got.tail <= shell + 2 * EPS * scale, (name, args)
+
+    def test_multi_y_kernel_bitwise_equals_single_y(self, genus3_params):
+        # quasiperiod_coefficient sums the kernel at all its nodes in one
+        # pass; each node must get exactly its single-y value and tail.
+        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=6))
+        x = 3.0 - 1.0j
+        n = 3
+        ys = F.sp.center(2) + F.sp.radius(2) * np.exp(2j * np.pi * np.arange(n) / n)
+        ys = np.concatenate([ys, [-0.5 - 0.8j]])
+        for N in (1, 2):
+            vals, tails = F._kernel_many_y(x, ys, N)
+            dvals, dtails = F._kernel_dy_many_y(x, ys, N)
+            for j, y in enumerate(ys):
+                one = F.recursion_kernel(x, y, N)
+                assert (vals[j], tails[j]) == (one.value, one.tail)
+                one = F.recursion_kernel_dy(x, y, N)
+                assert (dvals[j], dtails[j]) == (one.value, one.tail)
+
+    def test_pole_guard_names_word_past_first_block(self):
+        # y = gamma x for a word in a later block must be refused with that
+        # word.  The discs are large so that the chosen images lie farther
+        # than the guard from every other image; on the fixtures a deep
+        # word's image lies within 1e-10 of its prefix's, an earlier row.
+        sp = SchottkyParams(
+            3, (2.2, 2.2j, 2.0 + 2.0j), (-2.2, -2.2j, -2.0 - 2.0j), (0.3, 0.25, 0.2)
+        )
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=6))
+        W = F.words
+        x = 3.0 - 1.0j
+        images = (W.a * x + W.b) / (W.c * x + W.d)
+        for row in (F._blocks[0][1] + 5, 10000):
+            y = images[row]
+            assert np.sort(np.abs(images - y))[1] > POLE_GUARD
+            for call in (
+                lambda: F.bidifferential(x, y),
+                lambda: F.recursion_kernel(x, y, 2),
+            ):
+                with pytest.raises(PoleProximityError) as info:
+                    call()
+                assert info.value.word.letters == W.letters(row)
 
 class TestConstruction:
     def test_invalid_parameters_rejected(self):
