@@ -36,7 +36,10 @@ equals, bit for bit, the left-to-right :meth:`MobiusMap.compose` product
 of its letters' :func:`generator_map` matrices.  The table forms these
 products on real and imaginary parts separately, in the order Python's
 complex arithmetic uses, because numpy's vectorized complex multiply may
-fuse multiply-adds and round differently.
+fuse multiply-adds and round differently.  The tree grows shell by shell
+over fixed blocks of frontier words, each block's children formed from a
+table of the letters allowed after each last letter and written straight
+into the output arrays; the block size changes the speed, never a bit.
 """
 
 from __future__ import annotations
@@ -513,6 +516,10 @@ class WordTable:
         return (self[i] for i in range(len(self)))
 
 
+# Frontier words grown per block in enumerate_group (see its docstring).
+_GROW_BLOCK = 512
+
+
 def _dot(x, y, u, v):
     """x*y + u*v on (real, imag) pairs, rounded as Python complex arithmetic rounds it."""
     re = (x[0] * y[0] - x[1] * y[1]) + (u[0] * v[0] - u[1] * v[1])
@@ -526,10 +533,18 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     Deterministic order: by length, then lexicographic on letters in the
     generator order (1, -1, 2, -2, ...).  Returns a :class:`WordTable`.
 
-    The tree grows breadth-first.  Each shell multiplies the frontier
-    matrices (rows) by the 2g generator matrices (columns) on the right,
-    drops the column of the inverse of each row's last letter, and
-    flattens row-major, which is the order above.
+    The tree grows breadth-first.  Each shell right-multiplies every
+    frontier matrix by the generators that may follow its last letter
+    (all 2g after the identity, else the 2g - 1 that do not undo it, in
+    generator order, read from a table indexed by the last letter) and
+    writes the children straight into the output arrays, parent by
+    parent, which is the order above.  The frontier is taken in blocks of
+    at most ``_GROW_BLOCK`` = 512 words, so every temporary (up to
+    512 (2g - 1) complex entries, 40 KiB at genus 3) stays in cache and
+    under glibc's default 128 KiB mmap threshold instead of being mapped
+    and zero-filled afresh (at 4096 they cross it, and genus 3, L = 6
+    takes over twice as long).  No mask is formed: the children of a
+    block are gathered, never filtered.
 
     Promise: the matrix of a word equals, bit for bit, the left-to-right
     product ``IDENTITY_MAP.compose(generator_map(sp, a1)).compose(...)``
@@ -547,47 +562,49 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     """
     if not isinstance(max_word_length, int) or max_word_length < 0:
         raise InvalidParameterError("max_word_length must be an integer >= 0")
-    idx = np.array(sp.signed_indices, dtype=np.int64)
-    gens = [generator_map(sp, a) for a in sp.signed_indices]
-    ga, gb, gc, gd = (
-        (np.array([getattr(m, k).real for m in gens])[None, :],
-         np.array([getattr(m, k).imag for m in gens])[None, :])
-        for k in "abcd"
-    )
+    letters = sp.signed_indices
+    gens = [generator_map(sp, x) for x in letters]
+    # Tables indexed by signed letter: numpy reads row -h as row 2g + 1 - h,
+    # so every letter has a row of its own (row 0 is unused).
+    gen_parts = []  # (real, imag) of the entries a, b, c, d of each generator
+    for k in "abcd":
+        entry = np.zeros(2 * sp.genus + 1, dtype=np.complex128)
+        entry[list(letters)] = [getattr(m, k) for m in gens]
+        gen_parts.append((entry.real, entry.imag))
+    follow = np.zeros((2 * sp.genus + 1, 2 * sp.genus - 1), dtype=np.int64)
+    for x in letters:
+        follow[x] = [y for y in letters if y != -x]  # in generator order
     n = word_count(sp.genus, max_word_length)
     a, b, c, d = (np.empty(n, dtype=np.complex128) for _ in range(4))
     length = np.zeros(n, dtype=np.int64)
     parent = np.zeros(n, dtype=np.int64)
     last = np.zeros(n, dtype=np.int64)
     a[0], b[0], c[0], d[0] = IDENTITY_MAP.a, IDENTITY_MAP.b, IDENTITY_MAP.c, IDENTITY_MAP.d
-    # Frontier: the previous shell's (real, imag) entries a, b, c, d as
-    # (n, 1) columns, and the generator column of each row's last letter.
-    one, zero = np.ones((1, 1)), np.zeros((1, 1))
-    frontier = [(one, zero), (zero, zero), (zero, zero), (one, zero)]
-    last_col = np.array([-2])  # the identity has no letter to undo
-    cols = np.arange(len(idx))
-    start = 0
+    entries = (a, b, c, d)
+    start, lo = 0, 1  # the frontier (the last shell) is rows start..lo
     for k in range(1, max_word_length + 1):
-        # Generator columns come in inverse pairs (2h, 2h + 1).
-        keep = cols[None, :] != (last_col ^ 1)[:, None]
-        rows, last_col = np.nonzero(keep)
-        lo = start + len(keep)
-        hi = lo + len(rows)
-        fa, fb, fc, fd = frontier
-        products = (
-            _dot(fa, ga, fb, gc), _dot(fa, gb, fb, gd),
-            _dot(fc, ga, fd, gc), _dot(fc, gb, fd, gd),
-        )
-        frontier = []
-        for arr, (re, im) in zip((a, b, c, d), products):
-            re, im = re[keep], im[keep]
-            arr.real[lo:hi] = re
-            arr.imag[lo:hi] = im
-            frontier.append((re[:, None], im[:, None]))
+        # Every letter may follow the identity.
+        width = len(letters) if k == 1 else len(letters) - 1
+        for f0 in range(start, lo, _GROW_BLOCK):
+            f1 = min(f0 + _GROW_BLOCK, lo)
+            o0 = lo + (f0 - start) * width
+            o1 = o0 + (f1 - f0) * width
+            new = follow[last[f0:f1]].ravel() if k > 1 else np.array(letters)
+            rows = np.repeat(np.arange(f0, f1), width)
+            ga, gb, gc, gd = ((re[new], im[new]) for re, im in gen_parts)
+            fa, fb, fc, fd = ((z.real, z.imag) for z in (arr[rows] for arr in entries))
+            products = (
+                _dot(fa, ga, fb, gc), _dot(fa, gb, fb, gd),
+                _dot(fc, ga, fd, gc), _dot(fc, gb, fd, gd),
+            )
+            for arr, (re, im) in zip(entries, products):
+                arr.real[o0:o1] = re
+                arr.imag[o0:o1] = im
+            parent[o0:o1] = rows
+            last[o0:o1] = new
+        hi = lo + (lo - start) * width
         length[lo:hi] = k
-        parent[lo:hi] = start + rows
-        last[lo:hi] = idx[last_col]
-        start = lo
+        start, lo = lo, hi
     for arr in (a, b, c, d, length, parent, last):
         arr.flags.writeable = False
     return WordTable(a, b, c, d, length, parent, last)

@@ -67,6 +67,9 @@ MAX_CONDITION = 1e8
 # Power-iteration count for the spectral-radius precheck.
 POWER_ITERATIONS = 50
 
+# Binomial tables of mode_coupling_matrix, one per mode cutoff.
+_BINOMIALS: dict[int, np.ndarray] = {}
+
 
 @dataclass(frozen=True)
 class PartitionValue:
@@ -135,7 +138,10 @@ def pole_basis(
     """
     _require_valid(sp, modes)
     x = _require_exterior(sp, x, "x")
-    roots = _sqrt_rho(sp, branch_signs)
+    return _pole_basis(sp, _sqrt_rho(sp, branch_signs), modes, x)
+
+
+def _pole_basis(sp: SchottkyParams, roots: list[complex], modes: int, x: complex) -> np.ndarray:
     out = np.empty(2 * sp.genus * modes, dtype=np.complex128)
     n = np.arange(modes)
     for i, b in enumerate(sp.signed_indices):
@@ -160,7 +166,10 @@ def seed_moments(
     """
     _require_valid(sp, modes)
     y = _require_exterior(sp, y, "y")
-    roots = _sqrt_rho(sp, branch_signs)
+    return _seed_moments(sp, _sqrt_rho(sp, branch_signs), modes, y)
+
+
+def _seed_moments(sp: SchottkyParams, roots: list[complex], modes: int, y: complex) -> np.ndarray:
     out = np.empty(2 * sp.genus * modes, dtype=np.complex128)
     m = np.arange(modes)
     alt = (-1.0) ** m
@@ -186,35 +195,47 @@ def mode_coupling_matrix(
                          C(m+n+1, m) (w_{-a} - w_b)^{-(m+n+2)},
 
     the m-th Taylor coefficient at w_{-a} of the pole-basis entry (b, n)
-    dressed with the same s-weights as the moment vector.
+    dressed with the same s-weights as the moment vector.  A block depends
+    on m and n through m + n only (it is a Hankel matrix times the
+    weights), so the 2M - 1 powers of each center difference are formed
+    once and every block is assembled in one broadcast.
     """
     _require_valid(sp, modes)
-    roots = _sqrt_rho(sp, branch_signs)
-    idx = list(sp.signed_indices)
-    dim = 2 * sp.genus * modes
-    R = np.zeros((dim, dim), dtype=np.complex128)
-    m = np.arange(modes)
-    n = np.arange(modes)
-    # Binomial table C(m + n + 1, m), shared by every block.
-    binom = np.empty((modes, modes))
-    for mi in range(modes):
-        for ni in range(modes):
-            binom[mi, ni] = float(math.comb(mi + ni + 1, mi))
-    for i, a in enumerate(idx):
-        sa = roots[abs(a) - 1]
-        wma = sp.center(-a)
-        row_w = -(sa ** (m + 1)) * (-1.0) ** m
-        for j, b in enumerate(idx):
-            if b == -a:
-                continue
-            sb = roots[abs(b) - 1]
-            d = wma - sp.center(b)
-            col_w = sb ** (n + 1)
-            power = d ** (-(m[:, None] + n[None, :] + 2.0))
-            R[
-                i * modes:(i + 1) * modes, j * modes:(j + 1) * modes
-            ] = row_w[:, None] * col_w[None, :] * binom * power
-    return R
+    return _coupling(sp, _sqrt_rho(sp, branch_signs), modes)
+
+
+def _binomials(modes: int) -> np.ndarray:
+    """Read-only table C(m + n + 1, m) for m, n < modes, built once per cutoff."""
+    binom = _BINOMIALS.get(modes)
+    if binom is None:
+        binom = np.array(
+            [[float(math.comb(m + n + 1, m)) for n in range(modes)] for m in range(modes)]
+        )
+        binom.flags.writeable = False
+        _BINOMIALS[modes] = binom
+    return binom
+
+
+def _coupling(sp: SchottkyParams, roots: list[complex], modes: int) -> np.ndarray:
+    idx = sp.signed_indices
+    k = np.arange(modes)
+    s = np.array([roots[abs(a) - 1] for a in idx])[:, None]
+    row_w = -(s ** (k + 1)) * (-1.0) ** k
+    col_w = s ** (k + 1)
+    # Center differences d[a, b] = w_{-a} - w_b.  At b = -a the block
+    # vanishes, so d gets a placeholder there instead of a pole.
+    inverse = np.array([[b == -a for b in idx] for a in idx])
+    d = np.array([[sp.center(-a) - sp.center(b) for b in idx] for a in idx])
+    d[inverse] = 1.0
+    power = d[:, :, None] ** -(np.arange(2 * modes - 1) + 2.0)
+    # hankel[a, b, m, n] = power[a, b, m + n], a strided view without a copy.
+    hankel = np.lib.stride_tricks.sliding_window_view(power, modes, axis=2)
+    # Indices (a, m, b, n), flattened to the (a, m) x (b, n) layout.
+    R = row_w[:, :, None, None] * col_w[None, None, :, :]
+    R *= _binomials(modes)[None, :, None, :]
+    R *= hankel.transpose(0, 2, 1, 3)
+    R.transpose(0, 2, 1, 3)[inverse] = 0.0
+    return R.reshape(len(idx) * modes, len(idx) * modes)
 
 
 def _leading_modes(genus: int, modes: int) -> np.ndarray:
@@ -228,20 +249,27 @@ def _leading_modes(genus: int, modes: int) -> np.ndarray:
 
 
 def _spectral_radius_estimate(R: np.ndarray) -> float:
-    """Power-iteration estimate of the spectral radius (fixed seed)."""
+    """Power-iteration estimate of the spectral radius (fixed seed).
+
+    The 2-norm is formed inline, with the real/imag dot products that
+    ``np.linalg.norm`` uses, which spares its per-call overhead.
+    """
+
+    def norm(z: np.ndarray) -> float:
+        return math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
+
     dim = R.shape[0]
     rng = np.random.default_rng(0)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
+    v /= norm(v)
     radius = 0.0
     for _ in range(POWER_ITERATIONS):
         w = R @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
+        radius = norm(w)
+        if radius == 0.0:
             return 0.0
-        radius = norm
-        v = w / norm
-    return float(radius)
+        v = w / radius
+    return radius
 
 
 def kernel_via_modes(
@@ -272,9 +300,13 @@ def kernel_via_modes(
             f"the mode resolvent serves weight 1 only, got weight {weight}; "
             "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
         )
-    p = pole_basis(sp, modes, x, branch_signs)
-    q = seed_moments(sp, modes, y, branch_signs)
-    R = mode_coupling_matrix(sp, modes, branch_signs)
+    _require_valid(sp, modes)
+    x = _require_exterior(sp, x, "x")
+    roots = _sqrt_rho(sp, branch_signs)
+    y = _require_exterior(sp, y, "y")
+    p = _pole_basis(sp, roots, modes, x)
+    q = _seed_moments(sp, roots, modes, y)
+    R = _coupling(sp, roots, modes)
     keep = _leading_modes(sp.genus, modes)
 
     def solve(p: np.ndarray, q: np.ndarray, R: np.ndarray) -> tuple[complex, float]:

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from schottky import (
     validate,
     word_count,
 )
+import schottky.group as group
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +252,44 @@ def test_enumerate_count_matches_closed_form(genus, length, torus_params, genus2
     assert len(enumerate_group(sp, length)) == word_count(genus, length)
 
 
-def test_enumerate_matrices_compose_like_words(genus2_params, genus3_params):
+def compose_chain_table(sp, length):
+    """The seven WordTable arrays built word by word in plain Python.
+
+    Words are listed shell by shell, each shell extending the previous one
+    in order by every letter but the inverse of the last; each matrix is
+    the left-to-right compose product of its letters' generator maps.
+    """
+    gens = {a: generator_map(sp, a) for a in sp.signed_indices}
+    words, shell = [()], [()]
+    for _ in range(length):
+        shell = [w + (a,) for w in shell for a in sp.signed_indices if not w or a != -w[-1]]
+        words += shell
+    row = {w: i for i, w in enumerate(words)}
+    mats = {(): IDENTITY_MAP}
+    for w in words[1:]:
+        mats[w] = mats[w[:-1]].compose(gens[w[-1]])
+    return {
+        **{k: np.array([getattr(mats[w], k) for w in words]) for k in "abcd"},
+        "length": np.array([len(w) for w in words]),
+        "parent": np.array([row[w[:-1]] if w else 0 for w in words]),
+        "last": np.array([w[-1] if w else 0 for w in words]),
+    }
+
+
+def test_enumerate_matrices_compose_like_words(torus_params, genus2_params, genus3_params):
     # The promise of enumerate_group: every matrix equals, bit for bit,
     # the left-to-right compose product of its letters' generator maps.
-    for sp, length in ((genus2_params, 5), (genus3_params, 4)):
-        gens = {a: generator_map(sp, a) for a in sp.signed_indices}
+    # At genus 3, L = 6 the last frontier (3750 words) spans several
+    # growth blocks; at genus 1 every word has exactly one child.
+    assert word_count(3, 5) - word_count(3, 4) > 3 * group._GROW_BLOCK
+    for sp, length in ((torus_params, 9), (genus2_params, 5), (genus3_params, 4), (genus3_params, 6)):
         table = enumerate_group(sp, length)
-        assert len(table) == word_count(sp.genus, length)
-        for word, m in table:
-            expected = IDENTITY_MAP
-            for a in word.letters:
-                expected = expected.compose(gens[a])
-            assert (m.a, m.b, m.c, m.d) == (expected.a, expected.b, expected.c, expected.d)
+        expected = compose_chain_table(sp, length)
+        assert len(table) == word_count(sp.genus, length) == len(expected["a"])
+        for name, arr in expected.items():
+            got = getattr(table, name)
+            assert got.dtype == arr.dtype
+            assert got.tobytes() == arr.tobytes(), (sp.genus, length, name)
     # The product acts as the letters applied right to left.
     words = dict((w.letters, m) for w, m in enumerate_group(genus2_params, 3))
     z = 0.3 + 0.2j
@@ -271,6 +299,17 @@ def test_enumerate_matrices_compose_like_words(genus2_params, genus3_params):
         for a in reversed(letters):
             expected = generator_map(genus2_params, a)(expected)
         assert m(z) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 100])
+def test_enumerate_is_independent_of_block_size(block, torus_params, genus2_params, genus3_params, monkeypatch):
+    # Block boundaries fall everywhere in these tables; none may move a bit.
+    tables = {sp: enumerate_group(sp, 5) for sp in (torus_params, genus2_params, genus3_params)}
+    monkeypatch.setattr(group, "_GROW_BLOCK", block)
+    for sp, reference in tables.items():
+        table = enumerate_group(sp, 5)
+        for name in ("a", "b", "c", "d", "length", "parent", "last"):
+            assert getattr(table, name).tobytes() == getattr(reference, name).tobytes(), name
 
 
 def test_word_table_layout(genus3_params):

@@ -18,6 +18,8 @@ sums in test_forms.
 """
 
 import cmath
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from schottky.group import (
     generator_map,
     mobius_act_on_params,
     params_from_classical,
+    validate,
 )
 import schottky.modes as modes
 from schottky.modes import (
@@ -168,6 +171,71 @@ class TestVectorsAndLayout:
             pole_basis(sp, 4, sp.center(1) + 0.01)
         with pytest.raises(InvalidParameterError):
             seed_moments(sp, 4, sp.center(-2))
+
+
+def reference_coupling(sp, M, signs):
+    """The coupling matrix assembled block by block from its entry formula."""
+    roots = [sign * cmath.sqrt(rho) for sign, rho in zip(signs, sp.rho)]
+    idx = list(sp.signed_indices)
+    R = np.zeros((len(idx) * M, len(idx) * M), dtype=np.complex128)
+    m = np.arange(M)
+    binom = np.array([[float(math.comb(i + j + 1, i)) for j in range(M)] for i in range(M)])
+    for i, a in enumerate(idx):
+        row_w = -(roots[abs(a) - 1] ** (m + 1)) * (-1.0) ** m
+        for j, b in enumerate(idx):
+            if b == -a:
+                continue
+            col_w = roots[abs(b) - 1] ** (m + 1)
+            power = (sp.center(-a) - sp.center(b)) ** (-(m[:, None] + m[None, :] + 2.0))
+            R[i * M:(i + 1) * M, j * M:(j + 1) * M] = row_w[:, None] * col_w[None, :] * binom * power
+    return R
+
+
+def reference_radius(R):
+    """Power iteration with np.linalg.norm, as the estimate is specified."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(R.shape[0]) + 1j * rng.standard_normal(R.shape[0])
+    v /= np.linalg.norm(v)
+    radius = 0.0
+    for _ in range(modes.POWER_ITERATIONS):
+        w = R @ v
+        norm = np.linalg.norm(w)
+        if norm == 0.0:
+            return 0.0
+        radius = norm
+        v = w / norm
+    return float(radius)
+
+
+class TestCouplingAssembly:
+    @pytest.mark.parametrize("fixture", ["torus_sp", "genus2_params", "genus3_params"])
+    @pytest.mark.parametrize("M", [1, 2, 5, 20, 21])
+    def test_broadcast_equals_block_loop(self, fixture, M, request):
+        # Every entry equals the per-block formula exactly, under every
+        # branch-sign flip; the b = -a blocks are exactly zero.
+        sp = request.getfixturevalue(fixture)
+        idx = list(sp.signed_indices)
+        for signs in itertools.product((1, -1), repeat=sp.genus):
+            R = mode_coupling_matrix(sp, M, signs)
+            assert np.array_equal(R, reference_coupling(sp, M, signs)), signs
+            for i, a in enumerate(idx):
+                j = idx.index(-a)
+                assert np.all(R[i * M:(i + 1) * M, j * M:(j + 1) * M] == 0.0)
+            assert modes._spectral_radius_estimate(R) == reference_radius(R)
+
+    def test_spectral_radius_of_zero_matrix(self):
+        assert modes._spectral_radius_estimate(np.zeros((4, 4), dtype=np.complex128)) == 0.0
+
+    def test_kernel_validates_once(self, genus3_params, monkeypatch):
+        calls = []
+
+        def counted(sp):
+            calls.append(sp)
+            return validate(sp)
+
+        monkeypatch.setattr(modes, "validate", counted)
+        kernel_via_modes(genus3_params, 1, 20, 5.0 + 1.0j, -5.0 + 2.0j)
+        assert len(calls) == 1
 
 
 class TestWorkedCoupling:
