@@ -25,22 +25,28 @@ mode-matrix determinant.  Z (once per mode cutoff) and the period matrix
 are computed once per SurfaceForms and kept on it, so repeated requests
 on one surface pay for them once; the kept period matrix is read-only.
 Insertion points must lie in the fundamental domain.
+
+Every call returns an :class:`~schottky.forms.Estimate`: each correlator
+is its formula in Estimate arithmetic, which bounds how the tails of the
+surface data propagate and adds each operation's rounding.  They are the
+pairing sum times Z, s Z / 12, (s_x s_y / 144 + omega^2 / 2) Z, and
+theta' Z^d, where theta' has |theta| tail(Omega) added to its tail.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from schottky.forms import EPS, PeriodMatrixResult, SurfaceForms
-from schottky.group import InvalidParameterError, TruncationPolicy
+from schottky.forms import EPS, Estimate, PeriodMatrixResult, SurfaceForms
+from schottky.group import InvalidParameterError, TruncationPolicy, require_in_domain
 from schottky.modes import PartitionValue, heisenberg_partition
 
 __all__ = [
-    "CorrelatorValue",
     "LatticeSpec",
     "pairings",
     "heisenberg_npoint",
@@ -54,19 +60,6 @@ __all__ = [
 # that numpy's per-call cost is small against the block's arithmetic,
 # small enough that the n blocks alive at once take a few MB.
 _THETA_BLOCK = 4096
-
-
-@dataclass(frozen=True)
-class CorrelatorValue:
-    """Correlator coefficient with a first-order error estimate.
-
-    ``weights`` records the differential weight carried in each
-    insertion slot (1 per current, 2 per Virasoro vector).
-    """
-
-    value: complex
-    tail: float
-    weights: tuple[int, ...]
 
 
 def _gram_entry(v) -> int:
@@ -127,10 +120,6 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """
     if n % 2 or n < 0:
         return
-    if n == 0:
-        yield ()
-        return
-    labels = list(range(n))
 
     def rec(rest: list[int]):
         if not rest:
@@ -143,20 +132,12 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
             for sub in rec(tail):
                 yield ((first, partner),) + sub
 
-    yield from rec(labels)
-
-
-def _mode_cutoff(forms: SurfaceForms, modes: int | None) -> int:
-    if modes is not None:
-        if modes < 1:
-            raise InvalidParameterError("mode cutoff must be >= 1")
-        return modes
-    return forms.policy.mode_cutoff
+    yield from rec(list(range(n)))
 
 
 def _partition(forms: SurfaceForms, modes: int | None) -> PartitionValue:
-    """Z of the surface at the mode cutoff, computed once per cutoff."""
-    m = _mode_cutoff(forms, modes)
+    """Z of the surface at the mode cutoff (the policy's if None), computed once per cutoff."""
+    m = forms.policy.mode_cutoff if modes is None else modes
     if ("Z", m) not in forms._memo:
         forms._memo["Z", m] = heisenberg_partition(forms.sp, m)
     return forms._memo["Z", m]
@@ -175,85 +156,51 @@ def heisenberg_npoint(
     forms: SurfaceForms,
     points: Sequence[complex],
     modes: int | None = None,
-) -> CorrelatorValue:
+) -> Estimate:
     """n-point function of the weight-one current.
 
     Zero for odd n; for even n the pairing sum of bidifferentials times
-    the oscillator partition function.  n = 0 returns the partition
-    function itself.  Every point must lie in the fundamental domain.
+    the oscillator partition function (n = 0 gives the partition function
+    itself, through the one empty pairing).  Every point must lie in the
+    fundamental domain.
     """
     pts = tuple(
-        forms._require_in_domain(p, f"insertion point {i}") for i, p in enumerate(points)
+        require_in_domain(forms.sp, p, f"insertion point {i}") for i, p in enumerate(points)
     )
     n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pts[i] == pts[j]:
-                raise InvalidParameterError(
-                    f"insertion points {i} and {j} coincide"
-                )
-    weights = (1,) * n
+    pairs = list(itertools.combinations(range(n), 2))
+    for i, j in pairs:
+        if pts[i] == pts[j]:
+            raise InvalidParameterError(f"insertion points {i} and {j} coincide")
     if n % 2:
-        return CorrelatorValue(0.0j, 0.0, weights)
-    z = _partition(forms, modes)
-    if n == 0:
-        return CorrelatorValue(z.value, z.tail, weights)
-
-    omega_val: dict[tuple[int, int], complex] = {}
-    omega_rel: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = forms.bidifferential(pts[i], pts[j])
-            omega_val[(i, j)] = w.value
-            omega_rel[(i, j)] = w.tail / max(abs(w.value), 1e-300)
-
-    total = 0.0j
-    total_tail = 0.0
-    for pairing in pairings(n):
-        prod = 1.0 + 0.0j
-        rel = 0.0
-        for pair in pairing:
-            prod *= omega_val[pair]
-            rel += omega_rel[pair]
-        total += prod
-        total_tail += abs(prod) * rel
-    value = total * z.value
-    tail = total_tail * abs(z.value) + abs(total) * z.tail
-    return CorrelatorValue(value, tail, weights)
+        return Estimate(0.0j, 0.0)
+    omega = {(i, j): forms.bidifferential(pts[i], pts[j]) for i, j in pairs}
+    total = sum(math.prod(omega[pair] for pair in pairing) for pairing in pairings(n))
+    return total * _partition(forms, modes)
 
 
 def virasoro_one_point(
     forms: SurfaceForms, x: complex, modes: int | None = None
-) -> CorrelatorValue:
+) -> Estimate:
     """One-point function of the Virasoro vector: s(x) Z / 12."""
-    s = forms.projective_connection(x)
-    z = _partition(forms, modes)
-    value = s.value * z.value / 12.0
-    tail = (s.tail * abs(z.value) + abs(s.value) * z.tail) / 12.0
-    return CorrelatorValue(value, tail, (2,))
+    return forms.projective_connection(x) * _partition(forms, modes) / 12.0
 
 
 def virasoro_two_point(
     forms: SurfaceForms, x: complex, y: complex, modes: int | None = None
-) -> CorrelatorValue:
+) -> Estimate:
     """Two-point Virasoro function:
 
         ( s(x) s(y) / 144 + omega(x,y)^2 / 2 ) Z.
     """
-    if complex(x) == complex(y):
+    x = require_in_domain(forms.sp, x, "x")
+    y = require_in_domain(forms.sp, y, "y")
+    if x == y:
         raise InvalidParameterError("two-point insertions coincide")
     sx = forms.projective_connection(x)
     sy = forms.projective_connection(y)
     w = forms.bidifferential(x, y)
-    z = _partition(forms, modes)
-    combo = sx.value * sy.value / 144.0 + 0.5 * w.value**2
-    combo_tail = (
-        (sx.tail * abs(sy.value) + abs(sx.value) * sy.tail) / 144.0
-        + abs(w.value) * w.tail
-    )
-    value = combo * z.value
-    tail = combo_tail * abs(z.value) + abs(combo) * z.tail
-    return CorrelatorValue(value, tail, (2, 2))
+    return (sx * sy / 144.0 + 0.5 * w**2) * _partition(forms, modes)
 
 
 def _upper_gammas(n: int, x: float) -> list[float]:
@@ -319,7 +266,7 @@ def siegel_theta(
     omega: np.ndarray,
     lattice: LatticeSpec,
     tol: float = TruncationPolicy().tol,
-) -> CorrelatorValue:
+) -> Estimate:
     """Siegel theta value: sum over g-tuples (lambda_1..lambda_g) of
 
         exp( i pi sum_{a,b} Omega_ab <lambda_a, lambda_b> ),
@@ -353,7 +300,7 @@ def siegel_theta(
         )
     d = lattice.rank
     if d == 0:
-        return CorrelatorValue(1.0 + 0.0j, 0.0, ())
+        return Estimate(1.0 + 0.0j, 0.0)
     G = lattice.gram_array()
     A = np.kron(om.real, G)
     U = np.linalg.cholesky(np.kron(om.imag, G)).T
@@ -402,31 +349,24 @@ def siegel_theta(
         total += complex(np.sum(size * np.exp(1j * math.pi * child_phase)))
         magnitude += float(np.sum(size * (1.0 + math.pi * (np.abs(child_phase) + child_norm))))
     tail = bound + EPS * (1.0 + 2.0 * magnitude)
-    return CorrelatorValue(1.0 + 2.0 * total, tail, ())
+    return Estimate(1.0 + 2.0 * total, tail)
 
 
 def lattice_partition(
     forms: SurfaceForms,
     lattice: LatticeSpec,
     modes: int | None = None,
-) -> CorrelatorValue:
+) -> Estimate:
     """Even-lattice partition function: theta(period matrix) * Z^rank.
 
-    The theta sum is truncated at the policy's ``tol``.  Rank 0 is
-    exactly 1, computed without the period matrix or Z.
+    The theta sum is truncated at the policy's ``tol``; the period
+    matrix's tail enters theta's to first order, as |theta| tail(Omega).
+    Rank 0 is exactly 1, computed without the period matrix or Z.
     """
     d = lattice.rank
     if d == 0:
-        return CorrelatorValue(1.0 + 0.0j, 0.0, ())
+        return Estimate(1.0 + 0.0j, 0.0)
     omega = _period_matrix(forms)
     theta = siegel_theta(omega.omega, lattice, forms.policy.tol)
-    z = _partition(forms, modes)
-    zd = z.value**d
-    value = theta.value * zd
-    rel_z = d * z.tail / max(abs(z.value), 1e-300)
-    tail = (
-        theta.tail * abs(zd)
-        + abs(theta.value) * abs(zd) * rel_z
-        + abs(value) * omega.tail
-    )
-    return CorrelatorValue(value, tail, ())
+    theta = Estimate(theta.value, theta.tail + abs(theta.value) * omega.tail)
+    return theta * _partition(forms, modes) ** d

@@ -45,15 +45,21 @@ multiplier, and the one-form normalization below):
 - 2 pi i Omega_ab is the integral of nu_b along a path from z0 on the
   circle at w_a to gamma_a z0.
 
-All evaluations report a tail: the magnitude of the contribution of the
-last word shell plus a rounding floor, or infinity at L = 0.  The floor
-is eps * sum |terms| (eps the float64 machine epsilon; the summed
-magnitudes use |Re| + |Im|); the seed- and power-kernel sums, whose terms
-divide by gamma x - A_j and gamma x - y, give each term its own bound in
-ulps instead (``SurfaceForms._orbit_ulps``).  The quasi-period coefficients carry the
-kernel tails at their sample points through the same finite Fourier
-transform as the values.  Raising the word cutoff must move any reported
-value by less than its reported tail; the test suite enforces this.
+Every evaluation returns an :class:`Estimate`, whose tail is the last
+word shell's contribution plus a rounding floor (infinite at L = 0).
+The floor is eps times the terms' sizes |Re| + |Im| times the ulps of
+two roundings: each term's own (one ulp, or the per-term bound of
+``SurfaceForms._orbit_ulps`` in the seed- and power-kernel sums, whose
+terms divide by gamma x - A_j and gamma x - y), and the summation's.  A
+term meeting at most k roundings on its way into a sum moves it by
+gamma_k = k u / (1 - k u) of its size, u = eps/2 (Higham, Accuracy and
+Stability of Numerical Algorithms, sec. 4.2); k counts numpy's pairwise
+sum (``_sum_ulps``) and one addition per later block, k = 27 + 12 on the
+genus-3 fixture at L = 6.  The period-matrix entries get the same floor.
+The quasi-period coefficients carry the kernel tails at their sample
+points through the same finite Fourier transform as the values.  Raising
+the word cutoff must move any value by less than its tail; the test
+suite enforces this.
 
 The pointwise sums (everything above but the period matrix) walk the
 word table in fixed blocks of at most ``_ORBIT_BLOCK`` rows, the last
@@ -65,13 +71,14 @@ The blocks depend on the word table only, so every value is reproduced
 bit for bit on every call, and a kernel summed at several y in one pass
 (as the quasi-period coefficients do) equals its single-y value.
 Against a sum over the whole table in one pass, blocking moves a value by
-summation rounding only, a few eps * sum |terms|.
+summation rounding only, which the floor bounds.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -90,11 +97,13 @@ from schottky.group import (
     generator_map,
     in_fundamental_domain,
     ordered_fixed_points,
-    validate,
+    require_admissible,
+    require_finite,
+    require_in_domain,
 )
 
 __all__ = [
-    "FormValue",
+    "Estimate",
     "PeriodMatrixResult",
     "PoleProximityError",
     "ConvergenceError",
@@ -134,38 +143,88 @@ class ConfigurationError(SchottkyError):
     """The parameter set cannot support the requested construction."""
 
 
-@dataclass(frozen=True)
-class FormValue:
-    """A differential-form coefficient with its weights and tail estimate.
+# Tails are raised by this factor, far above the few ulps that their own
+# arithmetic can lose, and each eps of rounding brings this absolute part
+# (16 units of the smallest subnormal) for gradual underflow.
+_TAIL_UP = 1.0 + 2.0**-40
+_UNDERFLOW = 2.0**-1070
 
-    ``value`` is the coefficient of dx^weight_x dy^weight_y at the
-    evaluation point(s); ``tail`` is the reported truncation estimate
-    (last word shell plus rounding, as the producing operation
-    documents).
+
+@dataclass(frozen=True)
+class Estimate:
+    """A value and a bound ``tail`` on its distance from the true value.
+
+    The producer documents what the tail covers; it is infinite where
+    nothing bounds the value.  ``+`` and ``*`` take estimates or plain
+    numbers (exact), ``/`` a real number and ``**`` an int n >= 0.  For a
+    and b within t_a and t_b of the truth the result's tail is the
+    rigorous bound t_a + t_b, |a| t_b + t_a |b| + t_a t_b, t_a / |c| or
+    (|a| + t_a)^n - |a|^n, plus the operation's own rounding: eps |result|
+    for + and /, 2 eps |result| for * (a complex product rounds by at
+    most sqrt(5)/2 eps; Brent, Percival and Zimmermann, Math. Comp. 2007)
+    and 2 (n - 1) eps |result| for ** n, which compounds like n - 1
+    products.  An exact zero times an infinite tail counts as zero.  The
+    value is the plain floating-point result, bit for bit.
     """
 
     value: complex
-    weight_x: int
-    weight_y: int
     tail: float
+
+    def __add__(self, other):
+        b = _parts(other)
+        if b is None:
+            return NotImplemented
+        return _rounded(self.value + b[0], self.tail + b[1], 1)
+
+    def __mul__(self, other):
+        b = _parts(other)
+        if b is None:
+            return NotImplemented
+        a, ta, tb = abs(self.value), self.tail, b[1]
+        grow = _times(a, tb) + _times(ta, abs(b[0])) + _times(ta, tb)
+        return _rounded(self.value * b[0], grow, 2)
+
+    # IEEE sums and CPython's complex products are commutative bit for bit.
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        if not isinstance(c, numbers.Real):
+            return NotImplemented
+        return _rounded(self.value / c, self.tail / abs(c), 1)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        a, t = abs(self.value), self.tail
+        # (a + t)^n - a^n as t sum_k (a + t)^k a^(n-1-k): no cancellation.
+        grow = _times(t, sum(_times((a + t) ** k, a ** (n - 1 - k)) for k in range(n)))
+        return _rounded(self.value**n, grow, 2 * max(n - 1, 0))
+
+
+def _parts(x) -> tuple[complex, float] | None:
+    """Value and tail of an estimate; a plain number is exact; None for anything else."""
+    if isinstance(x, Estimate):
+        return x.value, x.tail
+    return (x, 0.0) if isinstance(x, numbers.Number) else None
+
+
+def _rounded(value: complex, grow: float, ulps: int) -> Estimate:
+    return Estimate(value, (grow + ulps * (EPS * abs(value) + _UNDERFLOW)) * _TAIL_UP)
+
+
+def _times(x: float, y: float) -> float:
+    """x * y for bounds: an exact zero gives zero, also against an infinity."""
+    return x * y if x and y else 0.0
 
 
 @dataclass(frozen=True)
 class PeriodMatrixResult:
-    r"""Period matrix with its convergence diagnostics.
+    """Period matrix with its convergence diagnostics.
 
-    ``omega`` is the g x g matrix of the two coset series
-
-        nu_b(x) = sum_{gamma in G/<gamma_b>}
-                  [1/(x - gamma W_{-b}) - 1/(x - gamma W_b)] dx,
-        2 pi i Omega_ab = delta_ab log q_a
-                  + sum'_{gamma in <gamma_a>\G/<gamma_b>}
-                    log{W_a, W_{-a}; gamma W_b, gamma W_{-b}},
-
-    2 pi i Omega_ab being the integral of nu_b along the b-cycle of
-    handle a.  Coset representatives: the reduced words of length <= L
-    whose first letter is not +-a and whose last letter is not +-b; the
-    prime drops the identity when a = b.  Each log is principal.
+    ``omega`` is the g x g matrix of the double-coset series of
+    :meth:`SurfaceForms.period_matrix` (see the module docstring), 2 pi i
+    Omega_ab being the integral of nu_b along the b-cycle of handle a.
 
     Integer rule: Omega is defined modulo integers in its real parts (a
     different marking of the b-cycles).  Each off-diagonal entry is
@@ -183,10 +242,6 @@ class PeriodMatrixResult:
 
     omega: np.ndarray
     tail: float
-
-    @property
-    def genus(self) -> int:
-        return self.omega.shape[0]
 
     def im_min_eigenvalue(self) -> float:
         sym = 0.5 * (self.omega.imag + self.omega.imag.T)
@@ -286,16 +341,7 @@ class SurfaceForms:
     def __init__(self, sp: SchottkyParams, policy: TruncationPolicy | None = None):
         self.sp = sp
         self.policy = policy if policy is not None else TruncationPolicy()
-        report = validate(sp)
-        if not report.ok:
-            raise InvalidParameterError(
-                "parameters violate the disc condition: "
-                + "; ".join(
-                    f"pair ({v.index_a},{v.index_b}) margin {v.margin:.3g}"
-                    for v in report.violations
-                )
-                + ("; " + "; ".join(report.issues) if report.issues else "")
-            )
+        require_admissible(sp)
         if not in_fundamental_domain(sp, 0.0):
             raise InvalidParameterError(
                 "the origin lies inside a disc; the third-kind normalization "
@@ -306,6 +352,8 @@ class SurfaceForms:
         self._wa, self._wb = self.words.a, self.words.b
         self._wc, self._wd = self.words.c, self.words.d
         self._blocks = _row_blocks(self.words.length)
+        # numpy's pairwise sum of a block, then one addition per later block.
+        self._sum_ulps = _sum_ulps(max(e - s for s, e, _ in self._blocks), len(self._blocks) - 1)
         self._grow = 1.0 + self.words.length
         self._classical = classical_from_params(sp)
         self.limit_points = ordered_fixed_points(sp)
@@ -314,28 +362,6 @@ class SurfaceForms:
         self._memo: dict = {}
 
     # -- construction helpers ------------------------------------------------
-
-    def _in_domain(self, z: complex) -> bool:
-        """Domain membership with a hair of slack for boundary jitter.
-
-        Boundary points and their generator images land on the
-        isometric circles; floating point can put them an ulp inside,
-        which must not count as an excursion.  Genuine pole collisions
-        are caught separately.
-        """
-        sp = self.sp
-        return all(
-            abs(z - sp.center(b)) >= sp.radius(b) * (1.0 - 1e-12)
-            for b in sp.signed_indices
-        )
-
-    def _require_in_domain(self, z: complex, name: str) -> complex:
-        z = complex(z)
-        if not self._in_domain(z):
-            raise InvalidParameterError(
-                f"{name} = {z} lies inside an isometric disc"
-            )
-        return z
 
     def _require_handle(self, a: int) -> None:
         if not 1 <= a <= self.sp.genus:
@@ -390,7 +416,8 @@ class SurfaceForms:
         and, for a block of the last shell, its sum again are added to
         running totals in row order, so the result depends on the word
         table only.  Returns per quantity the total, the last shell's sum
-        and the floor.
+        and the floor in units of eps: the terms' own rounding plus that
+        of the summation (see the module docstring).
         """
         totals = np.zeros(count, dtype=np.complex128)
         shells = np.zeros(count, dtype=np.complex128)
@@ -404,7 +431,11 @@ class SurfaceForms:
                 totals[j] += part
                 if last:
                     shells[j] += part
-                floors[j] += _abs_sum(vals) if ulps is None else np.abs(vals) @ ulps
+                if ulps is None:
+                    floors[j] += (1.0 + self._sum_ulps) * _abs_sum(vals)
+                else:
+                    # The summation's share per term, as |Re| + |Im| <= sqrt(2) |term|.
+                    floors[j] += np.abs(vals) @ (ulps + math.sqrt(2.0) * self._sum_ulps)
         return totals, shells, floors
 
     def _tails(self, shells: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -417,10 +448,10 @@ class SurfaceForms:
         self,
         term: Callable[[int, int], tuple[np.ndarray, np.ndarray | None]],
         first: int = 0,
-    ) -> tuple[complex, float]:
+    ) -> Estimate:
         """One blocked sum (see :meth:`_reduce`) and its tail."""
         totals, shells, floors = self._reduce(lambda s, e: (term(s, e),), 1, first)
-        return complex(totals[0]), float(self._tails(shells, floors)[0])
+        return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
 
     def _orbit_ulps(self, weight: int, kappa: np.ndarray, s: int, e: int) -> np.ndarray:
         """Per-word bound, in ulps, on the rounding of an orbit term (rows s..e-1).
@@ -543,16 +574,12 @@ class SurfaceForms:
 
         totals, shells, floors = self._reduce(terms, 2 * len(ys))
         vals = dpoly * totals[::2] + poly * totals[1::2]
-        if self.policy.max_word_length == 0:
-            return vals, np.full(len(ys), math.inf)
-        tails = np.abs(dpoly * shells[::2] + poly * shells[1::2]) + EPS * (
-            np.abs(dpoly) * floors[::2] + np.abs(poly) * floors[1::2]
-        )
-        return vals, tails
+        shell = dpoly * shells[::2] + poly * shells[1::2]
+        return vals, self._tails(shell, np.abs(dpoly) * floors[::2] + np.abs(poly) * floors[1::2])
 
     # -- public evaluations ----------------------------------------------------
 
-    def third_kind_form(self, x: complex, y: complex) -> FormValue:
+    def third_kind_form(self, x: complex, y: complex) -> Estimate:
         """Differential of the third kind: simple poles at y (res +1) and 0.
 
         Weight (1, 0); the y-dependence is through the pole location only.
@@ -560,12 +587,12 @@ class SurfaceForms:
         fundamental domain; y may sit anywhere off the orbit of x (the
         meromorphic continuation in y), which quasi-period checks rely on.
         """
-        x = self._require_in_domain(x, "x")
-        y = complex(y)
+        x = require_in_domain(self.sp, x, "x")
+        y = require_finite(y, "y")
         vals, tails = self._kernel_many_y(x, np.array([y], dtype=np.complex128), 1)
-        return FormValue(complex(vals[0]), 1, 0, float(tails[0]))
+        return Estimate(complex(vals[0]), float(tails[0]))
 
-    def recursion_kernel(self, x: complex, y: complex, weight: int) -> FormValue:
+    def recursion_kernel(self, x: complex, y: complex, weight: int) -> Estimate:
         """Weight-N kernel of the genus-g recursion (N-form in x).
 
         For weight 1 this is the third-kind differential; for weight >= 2
@@ -575,26 +602,26 @@ class SurfaceForms:
         """
         if weight < 1:
             raise InvalidParameterError("weight must be >= 1")
-        x = self._require_in_domain(x, "x")
-        y = complex(y)
+        x = require_in_domain(self.sp, x, "x")
+        y = require_finite(y, "y")
         vals, tails = self._kernel_many_y(x, np.array([y], dtype=np.complex128), weight)
-        return FormValue(complex(vals[0]), weight, 1 - weight, float(tails[0]))
+        return Estimate(complex(vals[0]), float(tails[0]))
 
-    def recursion_kernel_dy(self, x: complex, y: complex, weight: int) -> FormValue:
+    def recursion_kernel_dy(self, x: complex, y: complex, weight: int) -> Estimate:
         """Analytic d/dy of the weight-N kernel (term-wise, no differencing)."""
-        x = self._require_in_domain(x, "x")
-        y = complex(y)
+        x = require_in_domain(self.sp, x, "x")
+        y = require_finite(y, "y")
         vals, tails = self._kernel_dy_many_y(x, np.array([y], dtype=np.complex128), weight)
-        return FormValue(complex(vals[0]), weight, 2 - weight, float(tails[0]))
+        return Estimate(complex(vals[0]), float(tails[0]))
 
-    def bidifferential(self, x: complex, y: complex) -> FormValue:
+    def bidifferential(self, x: complex, y: complex) -> Estimate:
         """Symmetric normalized bidifferential, double pole on the diagonal.
 
         x must lie in the fundamental domain; y anywhere off the orbit
         of x (the continuation in the second argument).
         """
-        x = self._require_in_domain(x, "x")
-        y = complex(y)
+        x = require_in_domain(self.sp, x, "x")
+        y = require_finite(y, "y")
 
         def term(s: int, e: int) -> tuple[np.ndarray, None]:
             gx, dgx, _ = self._orbit(x, s, e)
@@ -602,13 +629,12 @@ class SurfaceForms:
             self._guard_poles(np.abs(diff), s, "bidifferential")
             return dgx / (diff * diff), None
 
-        total, tail = self._sum(term)
-        return FormValue(total, 1, 1, tail)
+        return self._sum(term)
 
-    def bidifferential_dfirst(self, x: complex, y: complex) -> FormValue:
+    def bidifferential_dfirst(self, x: complex, y: complex) -> Estimate:
         """Analytic partial of the bidifferential in its first argument."""
-        x = self._require_in_domain(x, "x")
-        y = complex(y)
+        x = require_in_domain(self.sp, x, "x")
+        y = require_finite(y, "y")
 
         def term(s: int, e: int) -> tuple[np.ndarray, None]:
             gx, dgx, den = self._orbit(x, s, e)
@@ -617,13 +643,12 @@ class SurfaceForms:
             self._guard_poles(np.abs(diff), s, "bidifferential derivative")
             return ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff), None
 
-        total, tail = self._sum(term)
-        return FormValue(total, 2, 1, tail)
+        return self._sum(term)
 
-    def bidifferential_dsecond(self, x: complex, y: complex) -> FormValue:
+    def bidifferential_dsecond(self, x: complex, y: complex) -> Estimate:
         """Analytic partial of the bidifferential in its second argument."""
-        x = self._require_in_domain(x, "x")
-        y = complex(y)
+        x = require_in_domain(self.sp, x, "x")
+        y = require_finite(y, "y")
 
         def term(s: int, e: int) -> tuple[np.ndarray, None]:
             gx, dgx, _ = self._orbit(x, s, e)
@@ -631,19 +656,18 @@ class SurfaceForms:
             self._guard_poles(np.abs(diff), s, "bidifferential derivative")
             return 2.0 * dgx / (diff * diff * diff), None
 
-        total, tail = self._sum(term)
-        return FormValue(total, 1, 2, tail)
+        return self._sum(term)
 
     def _second_derivatives(self, den: np.ndarray, s: int, e: int) -> np.ndarray:
         """d^2(gamma x)/dx^2 for the rows s..e-1, given their c x + d."""
         return -2.0 * self._wc[s:e] / (den * den * den)
 
-    def power_bidifferential(self, x: complex, y: complex, weight: int) -> FormValue:
+    def power_bidifferential(self, x: complex, y: complex, weight: int) -> Estimate:
         """sum_gamma (d(gamma x) dy / (gamma x - y)^2)^N, weight (N, N)."""
         if weight < 1:
             raise InvalidParameterError("weight must be >= 1")
-        x = self._require_in_domain(x, "x")
-        y = complex(y)
+        x = require_in_domain(self.sp, x, "x")
+        y = require_finite(y, "y")
 
         def term(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
             gx, dgx, _ = self._orbit(x, s, e)
@@ -655,17 +679,16 @@ class SurfaceForms:
             kappa = 2.0 * weight * np.abs(gx) / dist
             return (dgx / (diff * diff)) ** weight, self._orbit_ulps(weight, kappa, s, e)
 
-        total, tail = self._sum(term)
-        return FormValue(total, weight, weight, tail)
+        return self._sum(term)
 
-    def projective_connection(self, x: complex) -> FormValue:
+    def projective_connection(self, x: complex) -> Estimate:
         """s(x) = 6 sum_{gamma != id} d(gamma x) dx / (gamma x - x)^2.
 
         The prefactor 6 matches the regularized-diagonal definition
         s(x) = 6 lim_{y->x} (omega(x,y) - dx dy/(x-y)^2), which is what
         the Virasoro one-point value s(x)/12 is built from.
         """
-        x = self._require_in_domain(x, "x")
+        x = require_in_domain(self.sp, x, "x")
 
         def term(s: int, e: int) -> tuple[np.ndarray, None]:
             gx, dgx, _ = self._orbit(x, s, e)
@@ -674,12 +697,11 @@ class SurfaceForms:
                 raise PoleProximityError("projective connection: x at an orbit point")
             return 6.0 * dgx / (diff * diff), None
 
-        total, tail = self._sum(term, first=1)
-        return FormValue(total, 2, 0, tail)
+        return self._sum(term, first=1)
 
-    def projective_connection_derivative(self, x: complex) -> FormValue:
+    def projective_connection_derivative(self, x: complex) -> Estimate:
         """Analytic d/dx of the projective connection."""
-        x = self._require_in_domain(x, "x")
+        x = require_in_domain(self.sp, x, "x")
 
         def term(s: int, e: int) -> tuple[np.ndarray, None]:
             gx, dgx, den = self._orbit(x, s, e)
@@ -689,8 +711,7 @@ class SurfaceForms:
                 raise PoleProximityError("projective connection derivative: pole")
             return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3)), None
 
-        total, tail = self._sum(term, first=1)
-        return FormValue(total, 3, 0, tail)
+        return self._sum(term, first=1)
 
     # -- holomorphic one-forms ---------------------------------------------------
 
@@ -699,7 +720,7 @@ class SurfaceForms:
         a: int,
         x: complex,
         term: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    ) -> tuple[complex, float]:
+    ) -> Estimate:
         """Blocked sum over G/<gamma_a> of term(delta, dm, dp) at x.
 
         The cosets are the words whose last letter is not +-a; per word
@@ -708,7 +729,7 @@ class SurfaceForms:
         the discs, so they never meet an x of the fundamental domain.
         """
         self._require_handle(a)
-        x = self._require_in_domain(x, "x")
+        x = require_in_domain(self.sp, x, "x")
         last = self.words.last
 
         def block(s: int, e: int) -> tuple[np.ndarray, None]:
@@ -718,7 +739,7 @@ class SurfaceForms:
 
         return self._sum(block)
 
-    def holomorphic_form(self, a: int, x: complex) -> FormValue:
+    def holomorphic_form(self, a: int, x: complex) -> Estimate:
         """Normalized holomorphic 1-form nu_a at x (a in 1..g).
 
         nu_a(x) = sum_{gamma in G/<gamma_a>} [1/(x - gamma W_{-a})
@@ -728,24 +749,22 @@ class SurfaceForms:
         Normalization: (1/2*pi*i) oint nu_b = delta_ab on the circle at
         w_{-a}, counterclockwise.
         """
-        total, tail = self._one_form_sum(a, x, lambda delta, dm, dp: -delta / (dm * dp))
-        return FormValue(total, 1, 0, tail)
+        return self._one_form_sum(a, x, lambda delta, dm, dp: -delta / (dm * dp))
 
-    def holomorphic_form_derivative(self, a: int, x: complex) -> FormValue:
+    def holomorphic_form_derivative(self, a: int, x: complex) -> Estimate:
         """Analytic d/dx of nu_a (term-wise differentiation)."""
 
         def term(delta: np.ndarray, dm: np.ndarray, dp: np.ndarray) -> np.ndarray:
             prod = dm * dp
             return delta * (dm + dp) / (prod * prod)
 
-        total, tail = self._one_form_sum(a, x, term)
-        return FormValue(total, 2, 0, tail)
+        return self._one_form_sum(a, x, term)
 
     # -- quasi-period coefficients ----------------------------------------------
 
     def quasiperiod_coefficient(
         self, weight: int, a: int, ell: int, x: complex
-    ) -> FormValue:
+    ) -> Estimate:
         """Holomorphic N-form theta_a(x; l) from the kernel quasi-periods.
 
         For a in 1..g and 0 <= l <= 2N-2 the theta_a(x; l) are the
@@ -769,7 +788,7 @@ class SurfaceForms:
         self._require_handle(a)
         if not 0 <= ell <= 2 * weight - 2:
             raise InvalidParameterError("coefficient index must lie in 0..2N-2")
-        x = self._require_in_domain(x, "x")
+        x = require_in_domain(self.sp, x, "x")
         n = 2 * weight - 1
         r = self.sp.radius(a)
         g = generator_map(self.sp, a)
@@ -786,7 +805,7 @@ class SurfaceForms:
             tails[:n] + np.abs(factor) * tails[n:]
             + EPS * (np.abs(vals[:n]) + np.abs(moved))
         ) / r**ell
-        return FormValue(value, weight, 0, float(tail))
+        return Estimate(value, float(tail))
 
     # -- period matrix ---------------------------------------------------
 
@@ -826,7 +845,8 @@ class SurfaceForms:
                     log_q = cmath.log(cp.q[a - 1])
                     total += log_q
                     scale += abs(log_q)
-                floor = EPS * scale / (2.0 * math.pi)
+                # One ulp per term, the pairwise sum and the log q addition.
+                floor = EPS * scale * (1.0 + _sum_ulps(len(terms), 1)) / (2.0 * math.pi)
                 tail = math.inf
                 if L > 0:
                     shell = abs(terms[self.words.length[rows][keep] == L].sum())
@@ -849,6 +869,22 @@ def _row_blocks(length: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
     start = int(np.searchsorted(length, length[-1]))
     cuts = [*range(0, start, _ORBIT_BLOCK), *range(start, n, _ORBIT_BLOCK), n]
     return tuple((s, e, s >= start) for s, e in zip(cuts[:-1], cuts[1:]))
+
+
+def _sum_ulps(n: int, more: int) -> float:
+    """gamma_k / eps for numpy's sum of n >= 1 complex terms and ``more`` additions.
+
+    numpy sums a run of m <= 64 terms through four accumulators, combined
+    in two levels, then the m mod 4 leftovers: at most min(m, m // 4 + 4)
+    roundings per term.  A longer run is halved at a multiple of four, one
+    rounding more, into halves of at most (m + 7) / 2 terms: at most
+    20 + ceil(log2((m - 7) / 57)).  Counted on top: one addition per chunk
+    of 8192 (numpy's buffer) and one for the first term.
+    """
+    m = min(n, 8192)
+    k = min(m, m // 4 + 4) if m <= 64 else 20 + math.ceil(math.log2((m - 7) / 57))
+    k += 1 + (n - 1) // 8192 + more
+    return k / (2.0 - k * EPS)
 
 
 def _abs_sum(terms: np.ndarray) -> float:

@@ -76,6 +76,9 @@ __all__ = [
     "enumerate_group",
     "word_count",
     "validate",
+    "require_admissible",
+    "require_finite",
+    "require_in_domain",
     "mobius_act_on_params",
     "in_fundamental_domain",
 ]
@@ -669,6 +672,36 @@ def validate(sp: SchottkyParams) -> ValidityReport:
                 violations.append(rec)
     ok = not issues and not violations
     return ValidityReport(ok, tuple(pairs), tuple(violations), tuple(issues))
+
+
+def require_admissible(sp: SchottkyParams) -> None:
+    """Refuse parameters that fail :func:`validate`, naming every reason."""
+    report = validate(sp)
+    if not report.ok:
+        bad = [f"pair ({v.index_a},{v.index_b}) margin {v.margin:.3g}" for v in report.violations]
+        reasons = "; ".join([*bad, *report.issues])
+        raise InvalidParameterError(f"parameters are not admissible: {reasons}")
+
+
+def require_finite(z: complex, name: str) -> complex:
+    """z as a complex number; infinite or NaN parts are refused, naming the argument."""
+    z = complex(z)
+    if is_infinity(z):
+        raise InvalidParameterError(f"{name} = {z} is not finite")
+    return z
+
+
+def require_in_domain(sp: SchottkyParams, z: complex, name: str) -> complex:
+    """z as a finite complex number in the fundamental domain, else refused by name.
+
+    The circles get a slack of 1e-12 of their radii: boundary points and
+    their generator images can land an ulp inside.
+    """
+    z = require_finite(z, name)
+    for b in sp.signed_indices:
+        if abs(z - sp.center(b)) < sp.radius(b) * (1.0 - 1e-12):
+            raise InvalidParameterError(f"{name} = {z} lies inside an isometric disc")
+    return z
 
 
 def in_fundamental_domain(sp: SchottkyParams, z: complex) -> bool:

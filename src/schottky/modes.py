@@ -37,19 +37,20 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import zgecon
 
 from schottky.forms import (
     EPS,
     ConfigurationError,
     ConvergenceError,
-    FormValue,
+    Estimate,
     kernel_seed,
 )
 from schottky.group import (
     InvalidParameterError,
     SchottkyParams,
-    in_fundamental_domain,
-    validate,
+    require_admissible,
+    require_in_domain,
 )
 
 __all__ = [
@@ -61,7 +62,7 @@ __all__ = [
     "heisenberg_partition",
 ]
 
-# Resolvent solves refuse condition numbers above this.
+# Resolvent solves refuse 1-norm condition numbers above this.
 MAX_CONDITION = 1e8
 
 # Power-iteration count for the spectral-radius precheck.
@@ -72,8 +73,8 @@ _BINOMIALS: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
-class PartitionValue:
-    """Partition-function value with convergence diagnostics.
+class PartitionValue(Estimate):
+    """Partition-function estimate with the coupling matrix's spectral radius.
 
     ``tail`` is the drift against the leading-mode sub-system at half
     the cutoff plus a rounding floor of 2gM eps |value| (M the mode cutoff);
@@ -81,29 +82,13 @@ class PartitionValue:
     matrix (must be below 1 for the mode expansion to mean anything).
     """
 
-    value: complex
-    tail: float
     spectral_radius: float
 
 
 def _require_valid(sp: SchottkyParams, modes: int) -> None:
     if modes < 1:
         raise InvalidParameterError("mode cutoff must be >= 1")
-    report = validate(sp)
-    if not report.ok:
-        raise InvalidParameterError(
-            "parameters violate the disc condition: "
-            + "; ".join(
-                f"pair ({v.index_a},{v.index_b})" for v in report.violations
-            )
-        )
-
-
-def _require_exterior(sp: SchottkyParams, z: complex, name: str) -> complex:
-    z = complex(z)
-    if not in_fundamental_domain(sp, z):
-        raise InvalidParameterError(f"{name} = {z} lies inside an isometric disc")
-    return z
+    require_admissible(sp)
 
 
 def _sqrt_rho(
@@ -137,7 +122,7 @@ def pole_basis(
     index n = 0..modes-1 (inner); length 2 * genus * modes.
     """
     _require_valid(sp, modes)
-    x = _require_exterior(sp, x, "x")
+    x = require_in_domain(sp, x, "x")
     return _pole_basis(sp, _sqrt_rho(sp, branch_signs), modes, x)
 
 
@@ -165,7 +150,7 @@ def seed_moments(
         -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ].
     """
     _require_valid(sp, modes)
-    y = _require_exterior(sp, y, "y")
+    y = require_in_domain(sp, y, "y")
     return _seed_moments(sp, _sqrt_rho(sp, branch_signs), modes, y)
 
 
@@ -279,14 +264,15 @@ def kernel_via_modes(
     x: complex,
     y: complex,
     branch_signs: Sequence[int] | None = None,
-) -> FormValue:
+) -> Estimate:
     """Third-kind differential evaluated through the mode resolvent.
 
     seed(x, y) + p(x)^T (I - R)^{-1} q(y) with the seed 1/(x - y) - 1/x,
-    solved by LU factorization with a condition-number precheck.  The
-    reported tail is the drift against the leading-mode sub-system at half
-    the mode cutoff plus a rounding floor of 2gM eps (|seed| +
-    cond(I - R) sum_i |p_i| |s_i|), s = (I - R)^{-1} q.
+    solved by LU factorization; LAPACK's zgecon estimates the 1-norm
+    condition number cond_1(I - R) from the same LU, and refuses at
+    MAX_CONDITION.  The reported tail is the drift against the leading-mode
+    sub-system at half the mode cutoff plus a rounding floor of 2gM eps
+    (|seed| + cond_1(I - R) sum_i |p_i| |s_i|), s = (I - R)^{-1} q.
 
     Only weight 1 is served.  At weight N >= 2 the seed's basis points are
     limit points inside the discs the Taylor modes live on, so the
@@ -301,9 +287,9 @@ def kernel_via_modes(
             "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
         )
     _require_valid(sp, modes)
-    x = _require_exterior(sp, x, "x")
+    x = require_in_domain(sp, x, "x")
     roots = _sqrt_rho(sp, branch_signs)
-    y = _require_exterior(sp, y, "y")
+    y = require_in_domain(sp, y, "y")
     p = _pole_basis(sp, roots, modes, x)
     q = _seed_moments(sp, roots, modes, y)
     R = _coupling(sp, roots, modes)
@@ -311,13 +297,15 @@ def kernel_via_modes(
 
     def solve(p: np.ndarray, q: np.ndarray, R: np.ndarray) -> tuple[complex, float]:
         system = np.eye(R.shape[0], dtype=np.complex128) - R
-        cond = np.linalg.cond(system)
+        lu, piv = lu_factor(system)
+        rcond, _ = zgecon(lu, np.abs(system).sum(axis=0).max())
+        cond = 1.0 / rcond if rcond > 0.0 else math.inf
         if not cond < MAX_CONDITION:
             raise ConvergenceError(
                 f"mode system ill-conditioned (cond {cond:.3g}); the "
                 "expansion does not converge for these parameters"
             )
-        solved = lu_solve(lu_factor(system), q)
+        solved = lu_solve((lu, piv), q)
         return complex(p @ solved), float(cond * (np.abs(p) @ np.abs(solved)))
 
     correction, scale = solve(p, q, R)
@@ -326,7 +314,7 @@ def kernel_via_modes(
     # The solve and the dot product round by about 2gM ulps of the terms,
     # which the drift cannot see once both cutoffs agree bit for bit.
     floor = len(p) * EPS * (abs(seed) + scale)
-    return FormValue(seed + correction, 1, 0, abs(correction - half) + floor)
+    return Estimate(seed + correction, abs(correction - half) + floor)
 
 
 def heisenberg_partition(

@@ -7,7 +7,9 @@ under test a second way that shares the suspect logic.
 """
 
 import cmath
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from schottky.forms import (
     EPS,
     POLE_GUARD,
     ConfigurationError,
-    FormValue,
+    Estimate,
     PoleProximityError,
     SurfaceForms,
     kernel_seed,
@@ -118,7 +120,6 @@ class TestThirdKind:
         v = F.third_kind_form(2.0, 1.0)
         assert v.value == pytest.approx(0.5)
         assert math.isinf(v.tail)
-        assert (v.weight_x, v.weight_y) == (1, 0)
 
     def test_residue_plus_one_at_pole_location(self, torus_forms):
         # Independent trapezoidal residue over a small circle around y.
@@ -316,7 +317,6 @@ class TestPowerKernels:
         x, y = 2.6, 1.0 - 0.4j
         v = F.power_bidifferential(x, y, 2)
         assert v.value == pytest.approx(1.0 / (x - y) ** 4)
-        assert (v.weight_x, v.weight_y) == (2, 2)
 
     def test_weight_one_is_bidifferential(self, genus2_forms):
         x, y = 0.6 + 0.2j, -0.5 - 0.8j
@@ -353,7 +353,6 @@ class TestRecursionKernel:
         x, y = 2.6 + 0.3j, -1.9 + 2.2j
         v = F.recursion_kernel(x, y, 2)
         assert v.value == pytest.approx(kernel_seed(x, y, F._seed_points(2)))
-        assert (v.weight_x, v.weight_y) == (2, -1)
 
     def test_diagonal_residue_one(self, genus2_forms):
         y = 0.5 - 0.6j
@@ -658,13 +657,16 @@ class TestTruncationDiscipline:
         assert math.isinf(F.third_kind_form(2.0, 1.0).tail)
 
 
+word_table = functools.lru_cache(maxsize=2)(enumerate_group)
+
+
 def whole_table_terms(sp, L, name, args):
     """Terms and last-shell mask of one orbit or coset sum, over the whole table.
 
     Built straight from the enumerate_group arrays with the evaluator's
     term formula, for comparison with its row-blocked sum.
     """
-    W = enumerate_group(sp, L)
+    W = word_table(sp, L)
     last_shell = W.length == L
     if name.startswith("holomorphic_form"):
         a, x = args
@@ -751,11 +753,37 @@ class TestBlockedSums:
             scale = float(np.sum(np.abs(terms.real) + np.abs(terms.imag)))
             assert abs(got.value - exact) <= 8 * EPS * scale, (name, args)
             # The tail's last shell is the same rows' sum; the floor on top
-            # is eps * sum |terms| unless the evaluator bounds each term.
+            # is (1 + the summation bound) eps * sum |terms| unless the
+            # evaluator bounds each term.
             shell = abs(terms[last_shell].sum())
             assert got.tail >= shell, (name, args)
             if name not in ("power_bidifferential", "recursion_kernel", "recursion_kernel_dy"):
-                assert got.tail <= shell + 2 * EPS * scale, (name, args)
+                assert got.tail <= shell + (2 + F._sum_ulps) * EPS * scale, (name, args)
+
+    def test_floor_bounds_the_summation(self, genus3_params):
+        # At seeded points of the genus-3 fixture the blocked sum is off the
+        # exactly rounded sum of its own terms by no more than the floor,
+        # the tail less the last shell (up to 4.6 eps * sum |terms| for
+        # the bidifferential at random points, against a one-ulp floor once).
+        sp = genus3_params
+        L = 6
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=L))
+        rng = np.random.default_rng(11)
+        points = []
+        while len(points) < 120:
+            z = complex(*rng.uniform(-6.0, 6.0, 2))
+            if all(abs(z - sp.center(b)) > 1.02 * sp.radius(b) for b in sp.signed_indices):
+                points.append(z)
+        calls = []
+        for k, (x, y) in enumerate(zip(points, points[1:] + points[:1])):
+            calls += [("bidifferential", (x, y)), ("projective_connection", (x,))]
+            calls.append(("holomorphic_form", (1 + k % sp.genus, x)))
+        for name, args in calls:
+            got = getattr(F, name)(*args)
+            terms, last_shell = whole_table_terms(sp, L, name, args)
+            exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            shell = abs(terms[last_shell].sum())
+            assert abs(got.value - exact) <= got.tail - shell, (name, args)
 
     def test_multi_y_kernel_bitwise_equals_single_y(self, genus3_params):
         # quasiperiod_coefficient sums the kernel at all its nodes in one
@@ -803,6 +831,35 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError):
             SurfaceForms(bad)
 
+    def test_inadmissible_parameters_name_the_reason(self):
+        sp = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (0.018 + 0.004j, 0.0))
+        with pytest.raises(InvalidParameterError, match="admissible: handle 2: rho = 0$"):
+            SurfaceForms(sp)
+
+    @pytest.mark.parametrize(
+        "bad", [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0)]
+    )
+    def test_non_finite_points_refused_by_name(self, genus2_forms, bad):
+        F = genus2_forms
+        x, y = 0.6 + 0.2j, -0.5 - 0.8j
+        two_point = [
+            ("third_kind_form", ()), ("bidifferential", ()), ("bidifferential_dfirst", ()),
+            ("bidifferential_dsecond", ()), ("power_bidifferential", (2,)),
+            ("recursion_kernel", (2,)), ("recursion_kernel_dy", (2,)),
+        ]
+        calls = [("x", name, (bad, y, *more)) for name, more in two_point]
+        calls += [("y", name, (x, bad, *more)) for name, more in two_point]
+        calls += [
+            ("x", "projective_connection", (bad,)),
+            ("x", "projective_connection_derivative", (bad,)),
+            ("x", "holomorphic_form", (1, bad)),
+            ("x", "holomorphic_form_derivative", (1, bad)),
+            ("x", "quasiperiod_coefficient", (2, 1, 0, bad)),
+        ]
+        for arg, name, args in calls:
+            with pytest.raises(InvalidParameterError, match=f"^{arg} = .* is not finite$"):
+                getattr(F, name)(*args)
+
     def test_origin_inside_disc_rejected_with_guidance(self):
         sp = SchottkyParams(1, (0.05,), (3.0,), (0.04,))
         with pytest.raises(InvalidParameterError, match="origin"):
@@ -815,14 +872,6 @@ class TestConstruction:
         F = SurfaceForms(moved, TruncationPolicy(max_word_length=6))
         assert np.isfinite(F.third_kind_form(20.0, 20.0j).value)
 
-    def test_form_value_requires_every_field(self):
-        # A producer that forgets the weights or the tail fails loudly
-        # instead of reporting a default tail of 0.
-        with pytest.raises(TypeError):
-            FormValue(1.0, 1)
-        with pytest.raises(TypeError):
-            FormValue(1.0, 1, 0)
-
     def test_word_cache_matches_policy(self, genus2_params):
         F = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=3))
         from schottky.group import enumerate_group, word_count
@@ -831,6 +880,96 @@ class TestConstruction:
         assert [w.letters for w, _ in F.words] == [
             w.letters for w, _ in enumerate_group(genus2_params, 3)
         ]
+
+
+def _exact(z):
+    """The real and imaginary parts of a float complex, as exact fractions."""
+    z = complex(z)
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _exact_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _near(true, dr, di):
+    """Estimate of ``true`` moved by (dr, di), its tail the float at or above the exact gap."""
+    value = complex(true.real + dr, true.imag + di)
+    gap_r, gap_i = (p - q for p, q in zip(_exact(value), _exact(true)))
+    tail = math.hypot(float(gap_r), float(gap_i))
+    while Fraction(tail) ** 2 < gap_r * gap_r + gap_i * gap_i:
+        tail = math.nextafter(tail, math.inf)
+    return Estimate(value, tail)
+
+
+def _within(estimate, true):
+    """|estimate.value - true| <= estimate.tail, decided in exact arithmetic."""
+    v = _exact(estimate.value)
+    return (v[0] - true[0]) ** 2 + (v[1] - true[1]) ** 2 <= Fraction(estimate.tail) ** 2
+
+
+_PARTS = st.floats(min_value=-1e3, max_value=1e3)
+_OFFSET = st.tuples(
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.floats(min_value=-1.0, max_value=1.0),
+    st.sampled_from([0.0, 1e-300, 1e-15, 1e-9, 1e-3, 1.0, 10.0]),
+)
+
+
+class TestEstimate:
+    def test_requires_every_field(self):
+        # A producer that forgets the tail fails loudly instead of
+        # reporting a default tail of 0.
+        with pytest.raises(TypeError):
+            Estimate(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        true_a=st.tuples(_PARTS, _PARTS), true_b=st.tuples(_PARTS, _PARTS),
+        off_a=_OFFSET, off_b=_OFFSET,
+        c=st.floats(min_value=1e-3, max_value=1e3), sign=st.sampled_from([1.0, -1.0]),
+        n=st.integers(min_value=0, max_value=8),
+    )
+    def test_true_result_within_tail(self, true_a, true_b, off_a, off_b, c, sign, n):
+        # For computed a, b within their tails of true values T_a, T_b,
+        # each operation's tail covers the exact result on T_a, T_b.
+        ta, tb = complex(*true_a), complex(*true_b)
+        a = _near(ta, off_a[0] * off_a[2], off_a[1] * off_a[2])
+        b = _near(tb, off_b[0] * off_b[2], off_b[1] * off_b[2])
+        A, B, c = _exact(ta), _exact(tb), sign * c
+        assert _within(a + b, (A[0] + B[0], A[1] + B[1]))
+        assert _within(a * b, _exact_mul(A, B))
+        # A plain number counts as exact, on either side.
+        exact_b = _exact(b.value)
+        assert _within(b.value + a, (A[0] + exact_b[0], A[1] + exact_b[1]))
+        assert _within(b.value * a, _exact_mul(A, exact_b))
+        assert _within(a / c, (A[0] / Fraction(c), A[1] / Fraction(c)))
+        power = (Fraction(1), Fraction(0))
+        for _ in range(n):
+            power = _exact_mul(power, A)
+        assert _within(a**n, power)
+
+    def test_values_are_the_plain_arithmetic(self):
+        a, b = Estimate(0.3 + 0.7j, 1e-12), Estimate(-1.1 + 0.2j, 1e-13)
+        assert (a * b / 144.0 + 0.5 * b**2).value == (
+            a.value * b.value / 144.0 + 0.5 * b.value**2
+        )
+        assert sum([a, b]).value == 0 + a.value + b.value
+
+    def test_exact_zero_against_infinite_tail(self):
+        # An empty sum at L = 0 has value 0 and an infinite tail; products
+        # with it must read infinite or zero, never nan.
+        empty, z = Estimate(0.0j, math.inf), Estimate(1.0 + 0.1j, 1e-15)
+        assert math.isinf((empty * z).tail)
+        assert math.isinf((empty * empty).tail) and math.isinf((empty**3).tail)
+        assert (Estimate(0.0j, 0.0) * empty).tail < 1e-300
+        assert (empty**0).value == 1 and (empty**0).tail == 0.0
+
+    def test_refused_operands(self):
+        a = Estimate(1.0 + 1.0j, 0.0)
+        for bad in (lambda: a / a, lambda: a / 1j, lambda: a**-1, lambda: a**0.5, lambda: a + "1"):
+            with pytest.raises(TypeError):
+                bad()
 
 
 @settings(max_examples=25, deadline=None)

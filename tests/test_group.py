@@ -386,6 +386,35 @@ def test_validate_fixture_sets(torus_params, genus2_params, genus3_params):
         assert report.min_margin > 1.0
 
 
+def test_require_admissible_names_every_reason():
+    group.require_admissible(SchottkyParams(1, (1.0,), (-1.0,), (0.01,)))
+    overlap = SchottkyParams(2, (1.35, 0.2j), (-1.35, -0.2j), (0.018, 0.09))
+    with pytest.raises(InvalidParameterError, match=r"admissible: pair \(2,-2\) margin -0\.2$"):
+        group.require_admissible(overlap)
+    no_rho = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (0.018, 0.0))
+    with pytest.raises(InvalidParameterError, match="admissible: handle 2: rho = 0$"):
+        group.require_admissible(no_rho)
+
+
+@pytest.mark.parametrize(
+    "z", [complex(math.inf, 0.0), complex(0.0, -math.inf), complex(math.nan, 0.0), complex(1.0, math.nan)]
+)
+def test_require_in_domain_refuses_non_finite_points(genus2_params, z):
+    with pytest.raises(InvalidParameterError, match="^y = .* is not finite$"):
+        group.require_in_domain(genus2_params, z, "y")
+    with pytest.raises(InvalidParameterError, match="^w = .* is not finite$"):
+        group.require_finite(z, "w")
+
+
+def test_require_in_domain_slack(genus2_params):
+    # One part in 1e12 of a radius inside the circle still counts as on it.
+    sp = genus2_params
+    edge = sp.center(-2) + sp.radius(-2) * (1.0 - 1e-13) * 1j
+    assert group.require_in_domain(sp, edge, "x") == edge
+    with pytest.raises(InvalidParameterError, match="^x = .* inside an isometric disc$"):
+        group.require_in_domain(sp, sp.center(-2) + sp.radius(-2) * (1.0 - 1e-11), "x")
+
+
 # ---------------------------------------------------------------------------
 # Mobius action on parameters
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from schottky.group import (
     params_from_classical,
     validate,
 )
+import schottky.group as group
 import schottky.modes as modes
 from schottky.modes import (
     heisenberg_partition,
@@ -233,7 +234,8 @@ class TestCouplingAssembly:
             calls.append(sp)
             return validate(sp)
 
-        monkeypatch.setattr(modes, "validate", counted)
+        # The admissibility gate of schottky.group runs validate.
+        monkeypatch.setattr(group, "validate", counted)
         kernel_via_modes(genus3_params, 1, 20, 5.0 + 1.0j, -5.0 + 2.0j)
         assert len(calls) == 1
 
@@ -342,7 +344,6 @@ class TestKernelViaModes:
             direct = F.third_kind_form(x, y)
             kv = kernel_via_modes(sp, 1, 24, x, y)
             assert kv.value == pytest.approx(direct.value, abs=1e-10)
-            assert kv.weight_x == 1 and kv.weight_y == 0
             assert kv.tail >= 0.0
 
     def test_weight1_matches_poincare_torus(self, torus_sp):
@@ -388,6 +389,56 @@ class TestKernelViaModes:
             assert abs(f.value - c.value) < c.tail, (x, y)
         c, f = heisenberg_partition(sp, M), heisenberg_partition(sp, 2 * M)
         assert abs(f.value - c.value) < c.tail
+
+    def test_ill_conditioned_system_refused(self, genus2_params, monkeypatch):
+        # A leading-mode entry of R at 1 - 1e-10 puts cond_1(I - R) near
+        # 1e10, above MAX_CONDITION; at 1 - 1e-6 it is 1e6 and passes.
+        def near_singular(entry):
+            def coupling(sp, roots, mm):
+                R = np.zeros((2 * sp.genus * mm,) * 2, dtype=np.complex128)
+                R[0, 0] = entry
+                return R
+            return coupling
+
+        x, y = 5.0 + 1.0j, -5.0 + 2.0j
+        monkeypatch.setattr(modes, "_coupling", near_singular(1.0 - 1e-6))
+        assert np.isfinite(kernel_via_modes(genus2_params, 1, 8, x, y).tail)
+        monkeypatch.setattr(modes, "_coupling", near_singular(1.0 - 1e-10))
+        with pytest.raises(ConvergenceError, match="ill-conditioned"):
+            kernel_via_modes(genus2_params, 1, 8, x, y)
+
+    def test_routes_accept_the_same_boundary_points(self, genus2_params):
+        # A point a hair inside the circle at w_1 (1e-13 of its radius)
+        # counts as on it for the mode route as for the orbit sum, and the
+        # two agree there; 1e-11 inside, both refuse.
+        sp = genus2_params
+        y = -0.4 - 0.77j
+        F = SurfaceForms(sp, policy=TruncationPolicy(max_word_length=8))
+        x = sp.center(1) + sp.radius(1) * (1.0 - 1e-13)
+        direct, kv = F.third_kind_form(x, y), kernel_via_modes(sp, 1, 24, x, y)
+        assert abs(kv.value - direct.value) <= kv.tail + direct.tail
+        inside = sp.center(1) + sp.radius(1) * (1.0 - 1e-11)
+        for call in (lambda: F.third_kind_form(inside, y), lambda: kernel_via_modes(sp, 1, 24, inside, y)):
+            with pytest.raises(InvalidParameterError, match="inside an isometric disc"):
+                call()
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 1.0)])
+    def test_non_finite_points_refused_by_name(self, genus2_params, bad):
+        sp = genus2_params
+        x, y = 0.62 + 0.11j, -0.4 - 0.77j
+        for arg, call in (
+            ("x", lambda: kernel_via_modes(sp, 1, 8, bad, y)),
+            ("y", lambda: kernel_via_modes(sp, 1, 8, x, bad)),
+            ("x", lambda: pole_basis(sp, 4, bad)),
+            ("y", lambda: seed_moments(sp, 4, bad)),
+        ):
+            with pytest.raises(InvalidParameterError, match=f"^{arg} = .* is not finite$"):
+                call()
+
+    def test_inadmissible_parameters_name_the_reason(self):
+        sp = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (0.018 + 0.004j, 0.0))
+        with pytest.raises(InvalidParameterError, match="admissible: handle 2: rho = 0$"):
+            heisenberg_partition(sp, 8)
 
     def test_branch_sign_invariance(self, genus2_params):
         sp = genus2_params
