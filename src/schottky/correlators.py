@@ -43,7 +43,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from schottky.forms import EPS, Estimate, PeriodMatrixResult, SurfaceForms
-from schottky.group import InvalidParameterError, TruncationPolicy, require_in_domain
+from schottky.group import (
+    InvalidParameterError,
+    TruncationPolicy,
+    require_in_domain,
+    require_integer,
+)
 from schottky.modes import PartitionValue, heisenberg_partition
 
 __all__ = [
@@ -137,7 +142,8 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def _partition(forms: SurfaceForms, modes: int | None) -> PartitionValue:
     """Z of the surface at the mode cutoff (the policy's if None), computed once per cutoff."""
-    m = forms.policy.mode_cutoff if modes is None else modes
+    # Gated before the lookup: 20.0 == 20 would find the Z of cutoff 20.
+    m = forms.policy.mode_cutoff if modes is None else require_integer(modes, "mode cutoff", 1)
     if ("Z", m) not in forms._memo:
         forms._memo["Z", m] = heisenberg_partition(forms.sp, m)
     return forms._memo["Z", m]

@@ -83,7 +83,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dasum
 
 from schottky.group import (
     GroupWord,
@@ -100,6 +99,7 @@ from schottky.group import (
     require_admissible,
     require_finite,
     require_in_domain,
+    require_integer,
 )
 
 __all__ = [
@@ -363,11 +363,13 @@ class SurfaceForms:
 
     # -- construction helpers ------------------------------------------------
 
-    def _require_handle(self, a: int) -> None:
-        if not 1 <= a <= self.sp.genus:
+    def _require_handle(self, a: int) -> int:
+        a = require_integer(a, "handle index", 1)
+        if a > self.sp.genus:
             raise InvalidParameterError(
                 f"handle index must be 1..{self.sp.genus}, got {a}"
             )
+        return a
 
     def _seed_points(self, weight: int) -> tuple[complex, ...]:
         """First 2N-1 pairwise-distinct limit points, in the fixed order."""
@@ -600,8 +602,7 @@ class SurfaceForms:
         Simple pole at x = y with residue 1 in the x variable.  As with
         the third-kind form, y may lie anywhere off the orbit of x.
         """
-        if weight < 1:
-            raise InvalidParameterError("weight must be >= 1")
+        weight = require_integer(weight, "weight", 1)
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
         vals, tails = self._kernel_many_y(x, np.array([y], dtype=np.complex128), weight)
@@ -609,6 +610,7 @@ class SurfaceForms:
 
     def recursion_kernel_dy(self, x: complex, y: complex, weight: int) -> Estimate:
         """Analytic d/dy of the weight-N kernel (term-wise, no differencing)."""
+        weight = require_integer(weight, "weight", 1)
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
         vals, tails = self._kernel_dy_many_y(x, np.array([y], dtype=np.complex128), weight)
@@ -664,8 +666,7 @@ class SurfaceForms:
 
     def power_bidifferential(self, x: complex, y: complex, weight: int) -> Estimate:
         """sum_gamma (d(gamma x) dy / (gamma x - y)^2)^N, weight (N, N)."""
-        if weight < 1:
-            raise InvalidParameterError("weight must be >= 1")
+        weight = require_integer(weight, "weight", 1)
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
 
@@ -728,7 +729,7 @@ class SurfaceForms:
         dp = x - gamma W_a.  The images are limit points, strictly inside
         the discs, so they never meet an x of the fundamental domain.
         """
-        self._require_handle(a)
+        a = self._require_handle(a)
         x = require_in_domain(self.sp, x, "x")
         last = self.words.last
 
@@ -785,8 +786,10 @@ class SurfaceForms:
         quasi-period of the third-kind form runs against the one-form
         orientation fixed in the module docstring).
         """
-        self._require_handle(a)
-        if not 0 <= ell <= 2 * weight - 2:
+        weight = require_integer(weight, "weight", 1)
+        a = self._require_handle(a)
+        ell = require_integer(ell, "coefficient index", 0)
+        if ell > 2 * weight - 2:
             raise InvalidParameterError("coefficient index must lie in 0..2N-2")
         x = require_in_domain(self.sp, x, "x")
         n = 2 * weight - 1
@@ -890,12 +893,11 @@ def _sum_ulps(n: int, more: int) -> float:
 def _abs_sum(terms: np.ndarray) -> float:
     """sum(|Re| + |Im|) of a 1-d complex array, a bound on sum |terms|.
 
-    One BLAS pass over the interleaved parts: no square roots and, for a
-    contiguous array, no temporary.
+    numpy's pairwise sum over the interleaved parts, with no square
+    roots.  Unlike BLAS ``dasum``, whose result depends on the alignment
+    of its input, it rounds the same wherever the terms sit in memory.
     """
-    if not terms.size:
-        return 0.0
-    return dasum(np.ascontiguousarray(terms).view(np.float64))
+    return float(np.abs(np.ascontiguousarray(terms).view(np.float64)).sum())
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:

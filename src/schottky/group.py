@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -78,6 +79,7 @@ __all__ = [
     "validate",
     "require_admissible",
     "require_finite",
+    "require_integer",
     "require_in_domain",
     "mobius_act_on_params",
     "in_fundamental_domain",
@@ -245,8 +247,7 @@ class SchottkyParams:
     rho: tuple[complex, ...]
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 1:
-            raise InvalidParameterError(f"genus must be a positive integer, got {self.genus!r}")
+        object.__setattr__(self, "genus", require_integer(self.genus, "genus", 1))
         for name in ("w_plus", "w_minus", "rho"):
             vals = tuple(complex(v) for v in getattr(self, name))
             if len(vals) != self.genus:
@@ -347,10 +348,8 @@ class TruncationPolicy:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if not isinstance(self.max_word_length, int) or self.max_word_length < 0:
-            raise InvalidParameterError("max_word_length must be an integer >= 0")
-        if not isinstance(self.mode_cutoff, int) or self.mode_cutoff < 1:
-            raise InvalidParameterError("mode_cutoff must be an integer >= 1")
+        for name, least in (("max_word_length", 0), ("mode_cutoff", 1)):
+            object.__setattr__(self, name, require_integer(getattr(self, name), name, least))
         if not (isinstance(self.tol, (int, float)) and self.tol > 0):
             raise InvalidParameterError("tol must be a positive real")
 
@@ -563,8 +562,7 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     ad - bc is cancellation noise, so dividing by its square root would
     corrupt the matrix).
     """
-    if not isinstance(max_word_length, int) or max_word_length < 0:
-        raise InvalidParameterError("max_word_length must be an integer >= 0")
+    max_word_length = require_integer(max_word_length, "max_word_length", 0)
     letters = sp.signed_indices
     gens = [generator_map(sp, x) for x in letters]
     # Tables indexed by signed letter: numpy reads row -h as row 2g + 1 - h,
@@ -689,6 +687,23 @@ def require_finite(z: complex, name: str) -> complex:
     if is_infinity(z):
         raise InvalidParameterError(f"{name} = {z} is not finite")
     return z
+
+
+def require_integer(n: int, name: str, least: int) -> int:
+    """n as an int >= least, else refused by name.
+
+    Accepts what :func:`operator.index` accepts (int, numpy integers)
+    except bools, which would otherwise pass as 0 and 1.
+    """
+    try:
+        value = operator.index(n)
+    except TypeError:
+        value = None
+    if value is None or isinstance(n, bool):
+        raise InvalidParameterError(f"{name} = {n!r} is not an integer")
+    if value < least:
+        raise InvalidParameterError(f"{name} = {value} must be >= {least}")
+    return value
 
 
 def require_in_domain(sp: SchottkyParams, z: complex, name: str) -> complex:

@@ -14,13 +14,24 @@ signed order 1, -1, 2, -2, ..., mode index ascending), so vectors have
 2*g*M entries and R is square of that size.
 
 The coupling entries carry half-integer powers of the handle parameters
-rho through s_h = sqrt(rho_h) (principal branch).  The branch choice is a
-gauge: flipping the sign of any s_h conjugates the system by a diagonal
-sign matrix and leaves every assembled quantity (kernel values, Fredholm
-determinant) unchanged; ``branch_signs`` exposes the flip for testing.
+rho through s_h = sqrt(rho_h), principal branch (a negative real rho
+counts as rho + 0i).  That choice is safe across the branch cut:
+flipping the sign of s_h conjugates R by a diagonal +-1 matrix (and
+flips p and q to match), so every assembled value is continuous where
+the principal root jumps.
 
 The Fredholm determinant gives the free-boson (Heisenberg) oscillator
 partition function det(I - R)^{-1/2}, principal square root.
+
+Both readings run on one factored system per surface and cutoff: R is
+assembled once, and I - R is factored at M and at the leading-mode
+sub-system at M/2, which gives every tail its drift.  Each of the two
+factorizations passes two gates, else the computation refuses with
+:class:`~schottky.forms.ConvergenceError`: the power-iteration spectral
+radius of R must be below 1, and LAPACK's 1-norm condition number of
+I - R (``zgecon``, from the LU) below MAX_CONDITION.  The last system is
+kept, so repeated kernel and partition calls on one surface and cutoff
+validate, assemble and factor once.
 
 The layer is weight 1 only.  The weight-N seeds have poles at limit
 points inside the discs the Taylor modes live on, so their resolvent
@@ -31,9 +42,9 @@ diverges as M grows; the weight-N kernels are the Poincare sums of
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
@@ -47,25 +58,23 @@ from schottky.forms import (
     kernel_seed,
 )
 from schottky.group import (
-    InvalidParameterError,
     SchottkyParams,
     require_admissible,
     require_in_domain,
+    require_integer,
 )
 
 __all__ = [
     "PartitionValue",
-    "pole_basis",
-    "seed_moments",
     "mode_coupling_matrix",
     "kernel_via_modes",
     "heisenberg_partition",
 ]
 
-# Resolvent solves refuse 1-norm condition numbers above this.
+# Factorizations whose 1-norm condition number is above this are refused.
 MAX_CONDITION = 1e8
 
-# Power-iteration count for the spectral-radius precheck.
+# Power-iteration count for the spectral-radius gate.
 POWER_ITERATIONS = 50
 
 # Binomial tables of mode_coupling_matrix, one per mode cutoff.
@@ -85,63 +94,46 @@ class PartitionValue(Estimate):
     spectral_radius: float
 
 
-def _require_valid(sp: SchottkyParams, modes: int) -> None:
-    if modes < 1:
-        raise InvalidParameterError("mode cutoff must be >= 1")
-    require_admissible(sp)
+@dataclass(frozen=True)
+class _Factored:
+    """LU factors of I - R (read-only), cond_1(I - R) and the radius of R."""
+
+    lu: np.ndarray
+    piv: np.ndarray
+    cond: float
+    radius: float
+
+    def det(self) -> complex:
+        """det(I - R): the product of U's diagonal, signed by the row swaps."""
+        det = complex(np.prod(np.diag(self.lu)))
+        swaps = np.count_nonzero(self.piv != np.arange(len(self.piv)))
+        return -det if swaps % 2 else det
 
 
-def _sqrt_rho(
-    sp: SchottkyParams, branch_signs: Sequence[int] | None
-) -> list[complex]:
-    """Principal square roots of the handle parameters, one per handle.
+def _roots(sp: SchottkyParams) -> list[complex]:
+    """s_a = sqrt(rho_a + 0j) for each signed index a, principal branch.
 
-    branch_signs, when given, flips individual roots; the flip is a gauge
-    transformation of the mode system (see module docstring).
+    Equal parameters share one cached system, so no root may hang on the
+    sign of a zero imaginary part, which picks the side of the cut.
     """
-    if branch_signs is None:
-        signs = (1,) * sp.genus
-    else:
-        signs = tuple(branch_signs)
-        if len(signs) != sp.genus or any(s not in (-1, 1) for s in signs):
-            raise InvalidParameterError(
-                f"branch_signs must be {sp.genus} entries of +-1"
-            )
-    return [signs[h] * cmath.sqrt(sp.rho[h]) for h in range(sp.genus)]
+    return [cmath.sqrt(sp.rho_signed(a) + 0j) for a in sp.signed_indices]
 
 
-def pole_basis(
-    sp: SchottkyParams,
-    modes: int,
-    x: complex,
-    branch_signs: Sequence[int] | None = None,
-) -> np.ndarray:
+def _pole_basis(sp: SchottkyParams, modes: int, x: complex) -> np.ndarray:
     """Pole-basis vector p at x: entries s_b^{n+1} / (x - w_b)^{n+2}.
 
     Layout: signed handles in the order 1, -1, 2, -2, ... (outer), mode
     index n = 0..modes-1 (inner); length 2 * genus * modes.
     """
-    _require_valid(sp, modes)
-    x = require_in_domain(sp, x, "x")
-    return _pole_basis(sp, _sqrt_rho(sp, branch_signs), modes, x)
-
-
-def _pole_basis(sp: SchottkyParams, roots: list[complex], modes: int, x: complex) -> np.ndarray:
     out = np.empty(2 * sp.genus * modes, dtype=np.complex128)
     n = np.arange(modes)
-    for i, b in enumerate(sp.signed_indices):
-        s = roots[abs(b) - 1]
+    for i, (b, s) in enumerate(zip(sp.signed_indices, _roots(sp))):
         d = x - sp.center(b)
         out[i * modes:(i + 1) * modes] = s ** (n + 1) / d ** (n + 2)
     return out
 
 
-def seed_moments(
-    sp: SchottkyParams,
-    modes: int,
-    y: complex,
-    branch_signs: Sequence[int] | None = None,
-) -> np.ndarray:
+def _seed_moments(sp: SchottkyParams, modes: int, y: complex) -> np.ndarray:
     """Seed-moment vector q at y (same layout as the pole basis).
 
     Entry (a, m) is -s_a^{m+1} times the m-th Taylor coefficient of the
@@ -149,44 +141,14 @@ def seed_moments(
 
         -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ].
     """
-    _require_valid(sp, modes)
-    y = require_in_domain(sp, y, "y")
-    return _seed_moments(sp, _sqrt_rho(sp, branch_signs), modes, y)
-
-
-def _seed_moments(sp: SchottkyParams, roots: list[complex], modes: int, y: complex) -> np.ndarray:
     out = np.empty(2 * sp.genus * modes, dtype=np.complex128)
     m = np.arange(modes)
     alt = (-1.0) ** m
-    for i, a in enumerate(sp.signed_indices):
-        s = roots[abs(a) - 1]
+    for i, (a, s) in enumerate(zip(sp.signed_indices, _roots(sp))):
         wma = sp.center(-a)
         taylor = (wma - y) ** (-m - 1.0) - wma ** (-m - 1.0)
         out[i * modes:(i + 1) * modes] = -(s ** (m + 1)) * alt * taylor
     return out
-
-
-def mode_coupling_matrix(
-    sp: SchottkyParams,
-    modes: int,
-    branch_signs: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Coupling matrix R of the mode system (square, 2*genus*modes).
-
-    Block (a, b) vanishes when b = -a (a word may not continue with the
-    inverse letter); otherwise
-
-        R[(a,m),(b,n)] = -s_a^{m+1} s_b^{n+1} (-1)^m
-                         C(m+n+1, m) (w_{-a} - w_b)^{-(m+n+2)},
-
-    the m-th Taylor coefficient at w_{-a} of the pole-basis entry (b, n)
-    dressed with the same s-weights as the moment vector.  A block depends
-    on m and n through m + n only (it is a Hankel matrix times the
-    weights), so the 2M - 1 powers of each center difference are formed
-    once and every block is assembled in one broadcast.
-    """
-    _require_valid(sp, modes)
-    return _coupling(sp, _sqrt_rho(sp, branch_signs), modes)
 
 
 def _binomials(modes: int) -> np.ndarray:
@@ -201,10 +163,26 @@ def _binomials(modes: int) -> np.ndarray:
     return binom
 
 
-def _coupling(sp: SchottkyParams, roots: list[complex], modes: int) -> np.ndarray:
+def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
+    """Coupling matrix R of the mode system (square, 2*genus*modes).
+
+    Block (a, b) vanishes when b = -a (a word may not continue with the
+    inverse letter); otherwise
+
+        R[(a,m),(b,n)] = -s_a^{m+1} s_b^{n+1} (-1)^m
+                         C(m+n+1, m) (w_{-a} - w_b)^{-(m+n+2)},
+
+    the m-th Taylor coefficient at w_{-a} of the pole-basis entry (b, n)
+    dressed with the same s-weights as the moment vector.  A block depends
+    on m and n through m + n only (it is a Hankel matrix times the
+    weights), so the 2M - 1 powers of each center difference are formed
+    once and every block is assembled in one broadcast.
+    """
+    modes = require_integer(modes, "mode cutoff", 1)
+    require_admissible(sp)
     idx = sp.signed_indices
     k = np.arange(modes)
-    s = np.array([roots[abs(a) - 1] for a in idx])[:, None]
+    s = np.array(_roots(sp))[:, None]
     row_w = -(s ** (k + 1)) * (-1.0) ** k
     col_w = s ** (k + 1)
     # Center differences d[a, b] = w_{-a} - w_b.  At b = -a the block
@@ -257,46 +235,24 @@ def _spectral_radius_estimate(R: np.ndarray) -> float:
     return radius
 
 
-def kernel_via_modes(
-    sp: SchottkyParams,
-    weight: int,
-    modes: int,
-    x: complex,
-    y: complex,
-    branch_signs: Sequence[int] | None = None,
-) -> Estimate:
-    """Third-kind differential evaluated through the mode resolvent.
-
-    seed(x, y) + p(x)^T (I - R)^{-1} q(y) with the seed 1/(x - y) - 1/x,
-    solved by LU factorization; LAPACK's zgecon estimates the 1-norm
-    condition number cond_1(I - R) from the same LU, and refuses at
-    MAX_CONDITION.  The reported tail is the drift against the leading-mode
-    sub-system at half the mode cutoff plus a rounding floor of 2gM eps
-    (|seed| + cond_1(I - R) sum_i |p_i| |s_i|), s = (I - R)^{-1} q.
-
-    Only weight 1 is served.  At weight N >= 2 the seed's basis points are
-    limit points inside the discs the Taylor modes live on, so the
-    resolvent diverges as M grows; those kernels come from the Poincare
-    sum :meth:`schottky.forms.SurfaceForms.recursion_kernel`.
-    """
-    if weight < 1:
-        raise InvalidParameterError("weight must be >= 1")
-    if weight > 1:
-        raise ConfigurationError(
-            f"the mode resolvent serves weight 1 only, got weight {weight}; "
-            "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
-        )
-    _require_valid(sp, modes)
-    x = require_in_domain(sp, x, "x")
-    roots = _sqrt_rho(sp, branch_signs)
-    y = require_in_domain(sp, y, "y")
-    p = _pole_basis(sp, roots, modes, x)
-    q = _seed_moments(sp, roots, modes, y)
-    R = _coupling(sp, roots, modes)
+# One entry: kernel and partition calls come in runs on one surface and
+# cutoff, and code that rotates surfaces keeps each surface's Z in the
+# correlators' memo.  typed=True keeps 4.0 and True from reusing the
+# system of 4 and 1 without passing mode_coupling_matrix's integer gate.
+@functools.lru_cache(maxsize=1, typed=True)
+def _system(sp: SchottkyParams, modes: int) -> tuple[_Factored, _Factored]:
+    """The gated factorizations of I - R at M and at its M/2 sub-system."""
+    R = mode_coupling_matrix(sp, modes)
     keep = _leading_modes(sp.genus, modes)
-
-    def solve(p: np.ndarray, q: np.ndarray, R: np.ndarray) -> tuple[complex, float]:
-        system = np.eye(R.shape[0], dtype=np.complex128) - R
+    factors = []
+    for block in (R, R[np.ix_(keep, keep)]):
+        radius = _spectral_radius_estimate(block)
+        if radius >= 1.0:
+            raise ConvergenceError(
+                f"coupling-matrix spectral radius estimate {radius:.3f} "
+                ">= 1; the mode expansion diverges for these parameters"
+            )
+        system = np.eye(block.shape[0], dtype=np.complex128) - block
         lu, piv = lu_factor(system)
         rcond, _ = zgecon(lu, np.abs(system).sum(axis=0).max())
         cond = 1.0 / rcond if rcond > 0.0 else math.inf
@@ -305,53 +261,69 @@ def kernel_via_modes(
                 f"mode system ill-conditioned (cond {cond:.3g}); the "
                 "expansion does not converge for these parameters"
             )
-        solved = lu_solve((lu, piv), q)
-        return complex(p @ solved), float(cond * (np.abs(p) @ np.abs(solved)))
+        lu.flags.writeable = piv.flags.writeable = False
+        factors.append(_Factored(lu, piv, cond, radius))
+    return tuple(factors)
 
-    correction, scale = solve(p, q, R)
-    half, _ = solve(p[keep], q[keep], R[np.ix_(keep, keep)])
+
+def kernel_via_modes(
+    sp: SchottkyParams,
+    weight: int,
+    modes: int,
+    x: complex,
+    y: complex,
+) -> Estimate:
+    """Third-kind differential evaluated through the mode resolvent.
+
+    seed(x, y) + p(x)^T (I - R)^{-1} q(y) with the seed 1/(x - y) - 1/x,
+    solved on the cached LU factors of the mode system.  It refuses with
+    ConvergenceError when the spectral radius of R is not below 1 or
+    cond_1(I - R) not below MAX_CONDITION, at M or at M/2.  The reported
+    tail is the drift against the leading-mode sub-system at half the mode
+    cutoff plus a rounding floor of 2gM eps
+    (|seed| + cond_1(I - R) sum_i |p_i| |s_i|), s = (I - R)^{-1} q.
+
+    Only weight 1 is served.  At weight N >= 2 the seed's basis points are
+    limit points inside the discs the Taylor modes live on, so the
+    resolvent diverges as M grows; those kernels come from the Poincare
+    sum :meth:`schottky.forms.SurfaceForms.recursion_kernel`.
+    """
+    if require_integer(weight, "weight", 1) > 1:
+        raise ConfigurationError(
+            f"the mode resolvent serves weight 1 only, got weight {weight}; "
+            "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
+        )
+    full, half = _system(sp, modes)
+    x = require_in_domain(sp, x, "x")
+    y = require_in_domain(sp, y, "y")
+    p = _pole_basis(sp, modes, x)
+    q = _seed_moments(sp, modes, y)
+    keep = _leading_modes(sp.genus, modes)
+    solved = lu_solve((full.lu, full.piv), q)
+    correction = complex(p @ solved)
+    half_correction = complex(p[keep] @ lu_solve((half.lu, half.piv), q[keep]))
     seed = kernel_seed(x, y, (0.0,))
     # The solve and the dot product round by about 2gM ulps of the terms,
     # which the drift cannot see once both cutoffs agree bit for bit.
+    scale = float(full.cond * (np.abs(p) @ np.abs(solved)))
     floor = len(p) * EPS * (abs(seed) + scale)
-    return Estimate(seed + correction, abs(correction - half) + floor)
+    return Estimate(seed + correction, abs(correction - half_correction) + floor)
 
 
-def heisenberg_partition(
-    sp: SchottkyParams,
-    modes: int,
-    branch_signs: Sequence[int] | None = None,
-) -> PartitionValue:
+def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:
     """Oscillator partition function det(I - R)^{-1/2} at weight 1.
 
-    The principal square root is taken; for admissible parameters the
-    determinant sits near 1.  A power-iteration estimate of the spectral
-    radius of R must come out below 1, otherwise the mode expansion is
-    meaningless and the computation refuses to report a number.
+    The determinants at M and M/2 are read off the diagonals of the cached
+    LU factors; the principal square root is taken, and for admissible
+    parameters the determinant sits near 1.  It refuses with
+    ConvergenceError when the spectral radius of R is not below 1 (the
+    oscillator sum diverges) or cond_1(I - R) not below MAX_CONDITION, at
+    M or at M/2.
     """
-    R = mode_coupling_matrix(sp, modes, branch_signs)
-    keep = _leading_modes(sp.genus, modes)
-
-    def det_at(R: np.ndarray) -> tuple[complex, float]:
-        radius = _spectral_radius_estimate(R)
-        if radius >= 1.0:
-            raise ConvergenceError(
-                f"coupling-matrix spectral radius estimate {radius:.3f} "
-                ">= 1; the oscillator sum diverges for these parameters"
-            )
-        system = np.eye(R.shape[0], dtype=np.complex128) - R
-        lu, piv = lu_factor(system)
-        det = complex(np.prod(np.diag(lu)))
-        swaps = int(np.sum(piv != np.arange(len(piv))))
-        if swaps % 2:
-            det = -det
-        return det, radius
-
-    det_full, radius = det_at(R)
-    det_half, _ = det_at(R[np.ix_(keep, keep)])
-    value = 1.0 / cmath.sqrt(det_full)
-    half_value = 1.0 / cmath.sqrt(det_half)
+    full, half = _system(sp, modes)
+    value = 1.0 / cmath.sqrt(full.det())
+    half_value = 1.0 / cmath.sqrt(half.det())
     # The LU of the 2gM-square system rounds the determinant by about 2gM
     # ulps, which the drift cannot see once both cutoffs agree bit for bit.
     floor = 2 * sp.genus * modes * EPS * abs(value)
-    return PartitionValue(value, abs(value - half_value) + floor, radius)
+    return PartitionValue(value, abs(value - half_value) + floor, full.radius)

@@ -25,8 +25,11 @@ from schottky.forms import (
     SurfaceForms,
     kernel_seed,
     origin_clearing_translation,
+    _abs_sum,
     select_seed_points,
 )
+from schottky.correlators import virasoro_one_point
+from schottky.modes import heisenberg_partition, kernel_via_modes
 from schottky.group import (
     ClassicalParams,
     InvalidParameterError,
@@ -785,6 +788,19 @@ class TestBlockedSums:
             shell = abs(terms[last_shell].sum())
             assert abs(got.value - exact) <= got.tail - shell, (name, args)
 
+    def test_floor_is_independent_of_buffer_alignment(self):
+        # The same terms at 8 offsets of one buffer give one floor (BLAS
+        # dasum rounded them two ways), so tails reproduce bit for bit.
+        rng = np.random.default_rng(3)
+        n = 2048
+        terms = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-12, 0, n)
+        floors = set()
+        for k in range(8):
+            view = np.empty(2 * n + 8)[k:k + 2 * n].view(np.complex128)
+            view[:] = terms
+            floors.add(_abs_sum(view))
+        assert len(floors) == 1
+
     def test_multi_y_kernel_bitwise_equals_single_y(self, genus3_params):
         # quasiperiod_coefficient sums the kernel at all its nodes in one
         # pass; each node must get exactly its single-y value and tail.
@@ -859,6 +875,45 @@ class TestConstruction:
         for arg, name, args in calls:
             with pytest.raises(InvalidParameterError, match=f"^{arg} = .* is not finite$"):
                 getattr(F, name)(*args)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda F, x, y: F.recursion_kernel(x, y, 1.5), id="kernel-weight-1.5"),
+            pytest.param(lambda F, x, y: F.recursion_kernel(x, y, True), id="kernel-weight-True"),
+            pytest.param(lambda F, x, y: F.power_bidifferential(x, y, 2.5), id="power-weight-2.5"),
+            pytest.param(lambda F, x, y: F.recursion_kernel_dy(x, y, 0), id="kernel-dy-weight-0"),
+            pytest.param(lambda F, x, y: F.quasiperiod_coefficient(2, 1, 0.5, x), id="quasiperiod-ell-0.5"),
+            pytest.param(lambda F, x, y: F.quasiperiod_coefficient(1.5, 1, 1, x), id="quasiperiod-weight-1.5"),
+            pytest.param(lambda F, x, y: F.holomorphic_form(1.0, x), id="form-handle-1.0"),
+            pytest.param(lambda F, x, y: F.holomorphic_form(True, x), id="form-handle-True"),
+            pytest.param(lambda F, x, y: heisenberg_partition(F.sp, 4.0), id="partition-modes-4.0"),
+            pytest.param(
+                # Not served from the cached system of modes = 1 either.
+                lambda F, x, y: (heisenberg_partition(F.sp, 1), heisenberg_partition(F.sp, True)),
+                id="partition-modes-True",
+            ),
+            pytest.param(lambda F, x, y: kernel_via_modes(F.sp, 1, 2.5, x, y), id="modes-2.5"),
+            pytest.param(lambda F, x, y: kernel_via_modes(F.sp, 1.0, 4, x, y), id="modes-weight-1.0"),
+            pytest.param(
+                # Not served from the surface's memoized Z of cutoff 4 either.
+                lambda F, x, y: (virasoro_one_point(F, x, modes=4), virasoro_one_point(F, x, modes=4.0)),
+                id="correlator-modes-4.0",
+            ),
+            pytest.param(lambda F, x, y: TruncationPolicy(max_word_length=True), id="policy-L-True"),
+            pytest.param(lambda F, x, y: TruncationPolicy(mode_cutoff=20.0), id="policy-M-20.0"),
+        ],
+    )
+    def test_non_integer_indices_refused(self, genus2_forms, call):
+        with pytest.raises(InvalidParameterError, match="integer|>= 1"):
+            call(genus2_forms, 0.6 + 0.2j, -0.5 - 0.8j)
+
+    def test_numpy_integers_accepted(self, genus2_forms):
+        F = genus2_forms
+        x, y = 0.6 + 0.2j, -0.5 - 0.8j
+        assert F.recursion_kernel(x, y, np.int64(2)) == F.recursion_kernel(x, y, 2)
+        assert F.holomorphic_form(np.int32(2), x) == F.holomorphic_form(2, x)
+        assert type(TruncationPolicy(max_word_length=np.int64(3)).max_word_length) is int
 
     def test_origin_inside_disc_rejected_with_guidance(self):
         sp = SchottkyParams(1, (0.05,), (3.0,), (0.04,))

@@ -18,7 +18,6 @@ sums in test_forms.
 """
 
 import cmath
-import itertools
 import math
 
 import numpy as np
@@ -51,8 +50,6 @@ from schottky.modes import (
     heisenberg_partition,
     kernel_via_modes,
     mode_coupling_matrix,
-    pole_basis,
-    seed_moments,
 )
 
 # The single pole-basis point of the weight-1 seed 1/(x - y) - 1/x.
@@ -99,6 +96,18 @@ def word_table_log_z(sp, L):
     )
 
 
+@pytest.fixture
+def fresh_system():
+    """An empty system cache around a test that fakes the coupling matrix.
+
+    A fake system left in the cache would serve the next test on the same
+    surface and cutoff.
+    """
+    modes._system.cache_clear()
+    yield
+    modes._system.cache_clear()
+
+
 @pytest.fixture(scope="module")
 def torus_sp():
     return params_from_classical(ClassicalParams((1.0,), (-1.0,), (0.04,)))
@@ -108,7 +117,7 @@ class TestVectorsAndLayout:
     def test_pole_basis_weight1_entry(self, genus2_params):
         sp = genus2_params
         x = 2.3 + 0.9j
-        p = pole_basis(sp, 4, x)
+        p = modes._pole_basis(sp, 4, x)
         assert len(p) == 2 * sp.genus * 4
         for i, b in enumerate(sp.signed_indices):
             s = cmath.sqrt(sp.rho_signed(b))
@@ -118,7 +127,7 @@ class TestVectorsAndLayout:
     def test_seed_moments_weight1_entry(self, genus2_params):
         sp = genus2_params
         y = 0.5 - 0.8j
-        q = seed_moments(sp, 4, y)
+        q = modes._seed_moments(sp, 4, y)
         for i, a in enumerate(sp.signed_indices):
             s = cmath.sqrt(sp.rho_signed(a))
             wma = sp.center(-a)
@@ -149,8 +158,8 @@ class TestVectorsAndLayout:
         keep = np.arange(2 * sp.genus * M) % M < half
         assert np.array_equal(modes._leading_modes(sp.genus, M), keep)
         x, y = 5.0 + 1.0j, -5.0 + 2.0j
-        assert np.array_equal(pole_basis(sp, half, x), pole_basis(sp, M, x)[keep])
-        assert np.array_equal(seed_moments(sp, half, y), seed_moments(sp, M, y)[keep])
+        assert np.array_equal(modes._pole_basis(sp, half, x), modes._pole_basis(sp, M, x)[keep])
+        assert np.array_equal(modes._seed_moments(sp, half, y), modes._seed_moments(sp, M, y)[keep])
         assert np.array_equal(
             mode_coupling_matrix(sp, half),
             mode_coupling_matrix(sp, M)[np.ix_(keep, keep)],
@@ -158,25 +167,22 @@ class TestVectorsAndLayout:
 
     def test_input_validation(self, genus2_params):
         sp = genus2_params
-        with pytest.raises(InvalidParameterError):
-            pole_basis(sp, 0, 2.0 + 2.0j)
-        with pytest.raises(InvalidParameterError):
-            mode_coupling_matrix(sp, 0)
-        with pytest.raises(InvalidParameterError):
-            kernel_via_modes(sp, 0, 4, 5.0 + 1.0j, -5.0 + 2.0j)
-        with pytest.raises(InvalidParameterError):
-            heisenberg_partition(sp, 10, branch_signs=(1,))
-        with pytest.raises(InvalidParameterError):
-            heisenberg_partition(sp, 10, branch_signs=(1, 2))
-        with pytest.raises(InvalidParameterError):
-            pole_basis(sp, 4, sp.center(1) + 0.01)
-        with pytest.raises(InvalidParameterError):
-            seed_moments(sp, 4, sp.center(-2))
+        x, y = 5.0 + 1.0j, -5.0 + 2.0j
+        for call in (
+            lambda: mode_coupling_matrix(sp, 0),
+            lambda: heisenberg_partition(sp, 0),
+            lambda: kernel_via_modes(sp, 0, 4, x, y),
+            lambda: kernel_via_modes(sp, 1, 0, x, y),
+            lambda: kernel_via_modes(sp, 1, 4, sp.center(1) + 0.01, y),
+            lambda: kernel_via_modes(sp, 1, 4, x, sp.center(-2)),
+        ):
+            with pytest.raises(InvalidParameterError):
+                call()
 
 
-def reference_coupling(sp, M, signs):
+def reference_coupling(sp, M):
     """The coupling matrix assembled block by block from its entry formula."""
-    roots = [sign * cmath.sqrt(rho) for sign, rho in zip(signs, sp.rho)]
+    roots = [cmath.sqrt(rho) for rho in sp.rho]
     idx = list(sp.signed_indices)
     R = np.zeros((len(idx) * M, len(idx) * M), dtype=np.complex128)
     m = np.arange(M)
@@ -212,32 +218,85 @@ class TestCouplingAssembly:
     @pytest.mark.parametrize("fixture", ["torus_sp", "genus2_params", "genus3_params"])
     @pytest.mark.parametrize("M", [1, 2, 5, 20, 21])
     def test_broadcast_equals_block_loop(self, fixture, M, request):
-        # Every entry equals the per-block formula exactly, under every
-        # branch-sign flip; the b = -a blocks are exactly zero.
+        # Every entry equals the per-block formula exactly; the b = -a
+        # blocks are exactly zero.
         sp = request.getfixturevalue(fixture)
         idx = list(sp.signed_indices)
-        for signs in itertools.product((1, -1), repeat=sp.genus):
-            R = mode_coupling_matrix(sp, M, signs)
-            assert np.array_equal(R, reference_coupling(sp, M, signs)), signs
-            for i, a in enumerate(idx):
-                j = idx.index(-a)
-                assert np.all(R[i * M:(i + 1) * M, j * M:(j + 1) * M] == 0.0)
-            assert modes._spectral_radius_estimate(R) == reference_radius(R)
+        R = mode_coupling_matrix(sp, M)
+        assert np.array_equal(R, reference_coupling(sp, M))
+        for i, a in enumerate(idx):
+            j = idx.index(-a)
+            assert np.all(R[i * M:(i + 1) * M, j * M:(j + 1) * M] == 0.0)
+        assert modes._spectral_radius_estimate(R) == reference_radius(R)
 
     def test_spectral_radius_of_zero_matrix(self):
         assert modes._spectral_radius_estimate(np.zeros((4, 4), dtype=np.complex128)) == 0.0
 
-    def test_kernel_validates_once(self, genus3_params, monkeypatch):
-        calls = []
 
-        def counted(sp):
-            calls.append(sp)
+class TestSharedSystem:
+    """One validated, assembled, factored and gated system per (sp, M)."""
+
+    def test_mixed_calls_validate_and_assemble_once(self, genus3_params, fresh_system, monkeypatch):
+        validations, assemblies = [], []
+        assemble = modes.mode_coupling_matrix
+
+        def counted_validate(sp):
+            validations.append(sp)
             return validate(sp)
 
+        def counted_assemble(sp, mm):
+            assemblies.append(mm)
+            return assemble(sp, mm)
+
         # The admissibility gate of schottky.group runs validate.
-        monkeypatch.setattr(group, "validate", counted)
-        kernel_via_modes(genus3_params, 1, 20, 5.0 + 1.0j, -5.0 + 2.0j)
-        assert len(calls) == 1
+        monkeypatch.setattr(group, "validate", counted_validate)
+        monkeypatch.setattr(modes, "mode_coupling_matrix", counted_assemble)
+        for x, y in ((5.0 + 1.0j, -5.0 + 2.0j), (3.0 - 1.0j, -0.5 - 0.8j)):
+            kernel_via_modes(genus3_params, 1, 20, x, y)
+            heisenberg_partition(genus3_params, 20)
+            kernel_via_modes(genus3_params, 1, 20, y, x)
+        assert len(validations) == 1
+        assert assemblies == [20]
+
+    def test_other_surface_in_between_changes_no_bit(self, genus2_params, genus3_params):
+        x, y = 0.62 + 0.11j, -0.4 - 0.77j
+
+        def both(sp):
+            return kernel_via_modes(sp, 1, 12, x, y), heisenberg_partition(sp, 12)
+
+        first = both(genus2_params)
+        both(genus3_params)
+        assert both(genus2_params) == first
+
+    def test_equal_params_share_the_system(self, genus2_params):
+        sp = genus2_params
+        twin = SchottkyParams(sp.genus, sp.w_plus, sp.w_minus, sp.rho)
+        assert twin is not sp and twin == sp
+        assert modes._system(twin, 12) is modes._system(sp, 12)
+
+    def test_signed_zero_twins_get_one_branch(self, genus2_params):
+        # rho_1 = -0.018 with an imaginary part of +0.0 or -0.0: equal
+        # parameters, so one cached system serves both, and both must take
+        # the same root for p and q as for R, whichever filled the cache.
+        sp = genus2_params
+        plus, minus = (
+            SchottkyParams(2, sp.w_plus, sp.w_minus, (complex(-0.018, zero), sp.rho[1]))
+            for zero in (0.0, -0.0)
+        )
+        assert plus == minus
+        x, y = 0.62 + 0.11j, -0.4 - 0.77j
+        modes._system.cache_clear()
+        first = kernel_via_modes(plus, 1, 12, x, y)
+        assert kernel_via_modes(minus, 1, 12, x, y) == first
+        modes._system.cache_clear()
+        assert kernel_via_modes(minus, 1, 12, x, y) == first
+
+    def test_cached_factors_are_read_only(self, genus2_params):
+        for factored in modes._system(genus2_params, 12):
+            for array in (factored.lu, factored.piv):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
 
 class TestWorkedCoupling:
@@ -288,7 +347,7 @@ class TestWorkedCoupling:
         # q_a(y;m) = -s_a^{m+1} (1/m!) d^m/dx^m seed(x,y) at w_{-a}.
         sp = genus2_params
         y = 0.55 - 0.92j
-        q = seed_moments(sp, 4, y)
+        q = modes._seed_moments(sp, 4, y)
         idx = list(sp.signed_indices)
         for a in (1, -1, 2):
             i = idx.index(a)
@@ -307,8 +366,8 @@ class TestRankOneContraction:
         sp = genus2_params
         M = 30
         x, y = 0.62 + 0.11j, -0.4 - 0.77j
-        p = pole_basis(sp, M, x)
-        q = seed_moments(sp, M, y)
+        p = modes._pole_basis(sp, M, x)
+        q = modes._seed_moments(sp, M, y)
         for i, a in enumerate(sp.signed_indices):
             g = generator_map(sp, a)
             expected = kernel_seed(g(x), y, ORIGIN) * g.derivative(x)
@@ -324,8 +383,8 @@ class TestShellIdentity:
         sp = genus2_params
         M = 30
         x, y = 0.62 + 0.11j, -0.4 - 0.77j
-        p = pole_basis(sp, M, x)
-        q = seed_moments(sp, M, y)
+        p = modes._pole_basis(sp, M, x)
+        q = modes._seed_moments(sp, M, y)
         R = mode_coupling_matrix(sp, M)
         via = complex(p @ (np.linalg.matrix_power(R, k - 1) @ q))
         shell = sum(
@@ -390,22 +449,28 @@ class TestKernelViaModes:
         c, f = heisenberg_partition(sp, M), heisenberg_partition(sp, 2 * M)
         assert abs(f.value - c.value) < c.tail
 
-    def test_ill_conditioned_system_refused(self, genus2_params, monkeypatch):
+    def test_ill_conditioned_system_refused(self, genus2_params, fresh_system, monkeypatch):
         # A leading-mode entry of R at 1 - 1e-10 puts cond_1(I - R) near
         # 1e10, above MAX_CONDITION; at 1 - 1e-6 it is 1e6 and passes.
+        # Both stay below the spectral-radius gate.  Both routes refuse.
         def near_singular(entry):
-            def coupling(sp, roots, mm):
+            def coupling(sp, mm):
                 R = np.zeros((2 * sp.genus * mm,) * 2, dtype=np.complex128)
                 R[0, 0] = entry
                 return R
             return coupling
 
-        x, y = 5.0 + 1.0j, -5.0 + 2.0j
-        monkeypatch.setattr(modes, "_coupling", near_singular(1.0 - 1e-6))
-        assert np.isfinite(kernel_via_modes(genus2_params, 1, 8, x, y).tail)
-        monkeypatch.setattr(modes, "_coupling", near_singular(1.0 - 1e-10))
-        with pytest.raises(ConvergenceError, match="ill-conditioned"):
-            kernel_via_modes(genus2_params, 1, 8, x, y)
+        for call in (
+            lambda: kernel_via_modes(genus2_params, 1, 8, 5.0 + 1.0j, -5.0 + 2.0j),
+            lambda: heisenberg_partition(genus2_params, 8),
+        ):
+            modes._system.cache_clear()
+            monkeypatch.setattr(modes, "mode_coupling_matrix", near_singular(1.0 - 1e-6))
+            assert np.isfinite(call().tail)
+            modes._system.cache_clear()
+            monkeypatch.setattr(modes, "mode_coupling_matrix", near_singular(1.0 - 1e-10))
+            with pytest.raises(ConvergenceError, match="ill-conditioned"):
+                call()
 
     def test_routes_accept_the_same_boundary_points(self, genus2_params):
         # A point a hair inside the circle at w_1 (1e-13 of its radius)
@@ -429,8 +494,6 @@ class TestKernelViaModes:
         for arg, call in (
             ("x", lambda: kernel_via_modes(sp, 1, 8, bad, y)),
             ("y", lambda: kernel_via_modes(sp, 1, 8, x, bad)),
-            ("x", lambda: pole_basis(sp, 4, bad)),
-            ("y", lambda: seed_moments(sp, 4, bad)),
         ):
             with pytest.raises(InvalidParameterError, match=f"^{arg} = .* is not finite$"):
                 call()
@@ -440,13 +503,23 @@ class TestKernelViaModes:
         with pytest.raises(InvalidParameterError, match="admissible: handle 2: rho = 0$"):
             heisenberg_partition(sp, 8)
 
-    def test_branch_sign_invariance(self, genus2_params):
+    def test_values_continuous_across_the_branch_cut(self, genus2_params):
+        # At rho_1 = -0.018 +- 1e-18 i the principal root s_1 jumps from
+        # +0.134i to -0.134i.  The jump conjugates the mode system by a
+        # diagonal sign matrix, so Z and the kernel must not jump with it.
         sp = genus2_params
-        x, y = 0.62 + 0.11j, -0.4 - 0.77j
-        base = kernel_via_modes(sp, 1, 20, x, y)
-        for signs in ((-1, 1), (1, -1), (-1, -1)):
-            flipped = kernel_via_modes(sp, 1, 20, x, y, branch_signs=signs)
-            assert abs(flipped.value - base.value) < 1e-12
+        above, below = (
+            SchottkyParams(2, sp.w_plus, sp.w_minus, (complex(-0.018, im), sp.rho[1]))
+            for im in (1e-18, -1e-18)
+        )
+        root = cmath.sqrt(0.018) * 1j
+        assert cmath.sqrt(above.rho[0]) == pytest.approx(root)
+        assert cmath.sqrt(below.rho[0]) == pytest.approx(-root)
+        za, zb = heisenberg_partition(above, 20), heisenberg_partition(below, 20)
+        assert abs(za.value - zb.value) <= za.tail + zb.tail
+        for x, y in ((0.62 + 0.11j, -0.4 - 0.77j), (5.0 + 1.0j, -5.0 + 2.0j)):
+            ka, kb = kernel_via_modes(above, 1, 20, x, y), kernel_via_modes(below, 1, 20, x, y)
+            assert abs(ka.value - kb.value) <= ka.tail + kb.tail
 
 
 class TestHeisenbergPartition:
@@ -497,12 +570,6 @@ class TestHeisenbergPartition:
         assert abs(z.value.imag) < 1e-12
         assert z.value.real > 0.0
 
-    def test_branch_sign_invariance(self, genus2_params):
-        base = heisenberg_partition(genus2_params, 20)
-        for signs in ((-1, 1), (1, -1), (-1, -1)):
-            flipped = heisenberg_partition(genus2_params, 20, branch_signs=signs)
-            assert abs(flipped.value - base.value) < 1e-12
-
     @pytest.mark.parametrize(
         "fixture, L",
         [("torus_sp", 7), ("genus2_params", 6), ("genus3_params", 5), ("conjugate", 6)],
@@ -521,15 +588,19 @@ class TestHeisenbergPartition:
         expected = cmath.exp(log_z)
         assert abs(z.value - expected) < z.tail + abs(expected) * (shell + floor)
 
-    def test_divergent_spectrum_refused(self, monkeypatch):
-        def fake_coupling(sp, mm, branch_signs=None):
+    def test_divergent_spectrum_refused(self, fresh_system, monkeypatch):
+        # R = 2I: both routes refuse at the spectral-radius gate.
+        def fake_coupling(sp, mm):
             return 2.0 * np.eye(2 * sp.genus * mm, dtype=np.complex128)
 
         monkeypatch.setattr(modes, "mode_coupling_matrix", fake_coupling)
-        with pytest.raises(ConvergenceError, match="spectral radius"):
-            heisenberg_partition(
-                SchottkyParams(1, (1.0,), (-1.0,), (-0.17,)), 8
-            )
+        sp = SchottkyParams(1, (1.0,), (-1.0,), (-0.17,))
+        for call in (
+            lambda: kernel_via_modes(sp, 1, 8, 5.0 + 1.0j, -5.0 + 2.0j),
+            lambda: heisenberg_partition(sp, 8),
+        ):
+            with pytest.raises(ConvergenceError, match="spectral radius"):
+                call()
 
 
 @settings(max_examples=20, deadline=None)
