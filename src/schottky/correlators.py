@@ -21,9 +21,12 @@ rounding floor.
 
 The surface data (bidifferential, projective connection, period matrix)
 comes from a SurfaceForms evaluator; the partition function from the
-mode-matrix determinant.  Z (once per mode cutoff) and the period matrix
-are computed once per SurfaceForms and kept on it, so repeated requests
-on one surface pay for them once; the kept period matrix is read-only.
+mode-matrix determinant.  A call's ``modes`` sets the mode cutoff; when
+it is None the cutoff comes from the policy: the smallest one, up to
+``mode_cutoff``, whose bound on the determinant's truncation meets
+``tol``.  Z (once per mode cutoff) and the period matrix are computed
+once per SurfaceForms and kept on it, so repeated requests on one surface
+pay for them once; the kept period matrix is read-only.
 Insertion points must lie in the fundamental domain.
 
 Every call returns an :class:`~schottky.forms.Estimate`: each correlator
@@ -49,7 +52,7 @@ from schottky.group import (
     require_in_domain,
     require_integer,
 )
-from schottky.modes import PartitionValue, heisenberg_partition
+from schottky.modes import PartitionValue, heisenberg_partition, mode_cutoff_for
 
 __all__ = [
     "LatticeSpec",
@@ -141,9 +144,19 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def _partition(forms: SurfaceForms, modes: int | None) -> PartitionValue:
-    """Z of the surface at the mode cutoff (the policy's if None), computed once per cutoff."""
-    # Gated before the lookup: 20.0 == 20 would find the Z of cutoff 20.
-    m = forms.policy.mode_cutoff if modes is None else require_integer(modes, "mode cutoff", 1)
+    """Z of the surface at the mode cutoff, computed once per cutoff.
+
+    If ``modes`` is None the cutoff is the smallest one, up to the
+    policy's ``mode_cutoff``, whose determinant bound meets its ``tol``.
+    """
+    if modes is None:
+        if "M" not in forms._memo:
+            policy = forms.policy
+            forms._memo["M"] = mode_cutoff_for(forms.sp, policy.tol, policy.mode_cutoff)
+        m = forms._memo["M"]
+    else:
+        # Gated before the lookup: 20.0 == 20 would find the Z of cutoff 20.
+        m = require_integer(modes, "mode cutoff", 1)
     if ("Z", m) not in forms._memo:
         forms._memo["Z", m] = heisenberg_partition(forms.sp, m)
     return forms._memo["Z", m]

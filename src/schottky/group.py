@@ -262,23 +262,25 @@ class SchottkyParams:
 
     def center(self, a: int) -> complex:
         """Isometric-circle center w_a for a signed index a."""
-        self._check_index(a)
+        a = self._check_index(a)
         return self.w_plus[a - 1] if a > 0 else self.w_minus[-a - 1]
 
     def rho_signed(self, a: int) -> complex:
         """Sewing parameter rho_a (independent of the sign of a)."""
-        self._check_index(a)
-        return self.rho[abs(a) - 1]
+        return self.rho[abs(self._check_index(a)) - 1]
 
     def radius(self, a: int) -> float:
         """Isometric-circle radius |rho_a|^{1/2}."""
         return math.sqrt(abs(self.rho_signed(a)))
 
-    def _check_index(self, a: int) -> None:
-        if not isinstance(a, int) or a == 0 or abs(a) > self.genus:
+    def _check_index(self, a: int) -> int:
+        """a as an int in +/-1..+/-genus, else refused (bools too, by require_integer)."""
+        value = require_integer(a, "signed index", -self.genus)
+        if value == 0 or value > self.genus:
             raise InvalidParameterError(
                 f"signed index must lie in +/-1..+/-{self.genus}, got {a!r}"
             )
+        return value
 
 
 @dataclass(frozen=True)
@@ -339,8 +341,10 @@ class TruncationPolicy:
     ``max_word_length`` bounds the reduced words kept in orbit sums,
     ``mode_cutoff`` bounds the local mode index in the coupling matrices,
     and ``tol`` is the accuracy target the caller is aiming for: the
-    Siegel theta sum is truncated where its tail bound meets it; the
-    orbit and mode sums do not enforce it.
+    Siegel theta sum is truncated where its tail bound meets it, and a
+    correlator called without an explicit mode cutoff takes the smallest
+    one, up to ``mode_cutoff``, whose determinant bound meets it; the
+    orbit sums do not enforce it.
     """
 
     max_word_length: int = 6

@@ -24,14 +24,29 @@ The Fredholm determinant gives the free-boson (Heisenberg) oscillator
 partition function det(I - R)^{-1/2}, principal square root.
 
 Both readings run on one factored system per surface and cutoff: R is
-assembled once, and I - R is factored at M and at the leading-mode
-sub-system at M/2, which gives every tail its drift.  Each of the two
-factorizations passes two gates, else the computation refuses with
-:class:`~schottky.forms.ConvergenceError`: the power-iteration spectral
-radius of R must be below 1, and LAPACK's 1-norm condition number of
-I - R (``zgecon``, from the LU) below MAX_CONDITION.  The last system is
-kept, so repeated kernel and partition calls on one surface and cutoff
-validate, assemble and factor once.
+assembled once, I - R is formed in R's own buffer and factored once.  It
+passes two gates, else the computation refuses with
+:class:`~schottky.forms.ConvergenceError`: the contraction bound
+kappa = ||R||_1 (largest column sum of |R|), which bounds the spectral
+radius of R, must be below 1, and LAPACK's 1-norm condition number of
+I - R (``zgecon``, from the LU) below MAX_CONDITION.  The same pass over
+|R| gives both 1-norms.  The last system is kept, so repeated kernel and
+partition calls on one surface and cutoff validate, assemble and factor
+once.
+
+Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
+a closed-form sum (:func:`_omitted_sums`), and so does the whole
+operator.  Bornemann's perturbation bound for Fredholm determinants turns
+them into a bound on det(I - R) at M against the untruncated operator,
+and a Neumann bound with kappa does the same for the resolvent.  The
+certified region is that of kappa < 1: on a genus-2 surface with centres
++-1.35 and +-1.4i and equal radii f * 1.945/2 (f = 1 touches), f = 0.5
+has kappa = 0.27 and f = 0.8 is refused (kappa = 1.05, while the true
+spectral radius is 0.30).  The bounds are rigorous but not tight: on
+the genus-3 test surface at M = 5 the determinant's bound gives Z a tail
+of 6e-7 where doubling M moves Z by 1e-17, so :func:`mode_cutoff_for`,
+which picks the smallest M whose determinant bound meets a tolerance,
+errs towards larger M.
 
 The layer is weight 1 only.  The weight-N seeds have poles at limit
 points inside the discs the Taylor modes live on, so their resolvent
@@ -67,6 +82,7 @@ from schottky.group import (
 __all__ = [
     "PartitionValue",
     "mode_coupling_matrix",
+    "mode_cutoff_for",
     "kernel_via_modes",
     "heisenberg_partition",
 ]
@@ -74,21 +90,18 @@ __all__ = [
 # Factorizations whose 1-norm condition number is above this are refused.
 MAX_CONDITION = 1e8
 
-# Power-iteration count for the spectral-radius gate.
-POWER_ITERATIONS = 50
-
 # Binomial tables of mode_coupling_matrix, one per mode cutoff.
 _BINOMIALS: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
 class PartitionValue(Estimate):
-    """Partition-function estimate with the coupling matrix's spectral radius.
+    """Partition-function estimate with the coupling matrix's contraction bound.
 
-    ``tail`` is the drift against the leading-mode sub-system at half
-    the cutoff plus a rounding floor of 2gM eps |value| (M the mode cutoff);
-    ``spectral_radius`` the power-iteration estimate for the coupling
-    matrix (must be below 1 for the mode expansion to mean anything).
+    ``tail`` bounds the truncation at the mode cutoff M against the
+    untruncated operator, plus a rounding floor of 2gM eps |value|;
+    ``spectral_radius`` is the contraction bound ||R||_1, which is at least
+    the spectral radius of R and below 1 for every returned value.
     """
 
     spectral_radius: float
@@ -96,12 +109,18 @@ class PartitionValue(Estimate):
 
 @dataclass(frozen=True)
 class _Factored:
-    """LU factors of I - R (read-only), cond_1(I - R) and the radius of R."""
+    """LU factors of I - R (read-only), cond_1(I - R) and bounds on R.
+
+    ``contraction`` is ||R||_1; ``omitted`` and ``whole`` bound the entry
+    sums of |R| beyond the cutoff and of the whole operator.
+    """
 
     lu: np.ndarray
     piv: np.ndarray
     cond: float
-    radius: float
+    contraction: float
+    omitted: float
+    whole: float
 
     def det(self) -> complex:
         """det(I - R): the product of U's diagonal, signed by the row swaps."""
@@ -201,38 +220,62 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     return R.reshape(len(idx) * modes, len(idx) * modes)
 
 
-def _leading_modes(genus: int, modes: int) -> np.ndarray:
-    """Mask of the first max(1, M // 2) modes of every signed handle.
+def _omitted_sums(sp: SchottkyParams, cutoffs) -> np.ndarray:
+    """Closed-form bounds on sum |R| over the entries beyond each cutoff M.
 
-    Every entry of p, q and R depends only on its own mode indices, so
-    the system at half the cutoff M is exactly the masked sub-system of
-    the one at M.
+    With d = w_{-a} - w_b, lead = |s_a| / |d| and u = (|s_a| + |s_b|) / |d|,
+    the entries of block (a, b) with m + n = k sum to at most lead u^{k+1}
+    (a binomial sum), so those with a mode index >= M sum to at most
+    lead u^{M+1} / (1 - u).  u < 1 says exactly that the discs at w_{-a}
+    and w_b are disjoint.  At M = 0 the bound covers the whole operator.
     """
-    return np.arange(2 * genus * modes) % modes < max(1, modes // 2)
+    idx = sp.signed_indices
+    blocks = [(a, b) for a in idx for b in idx if b != -a]
+    d = np.abs([sp.center(-a) - sp.center(b) for a, b in blocks])
+    ra = np.array([sp.radius(a) for a, _ in blocks])
+    u = (ra + np.array([sp.radius(b) for _, b in blocks])) / d
+    # u rounds to 1 only at touching discs; the bound is then infinite.
+    with np.errstate(divide="ignore"):
+        return (ra / d / (1.0 - u)) @ u[:, None] ** (np.asarray(cutoffs) + 1.0)
 
 
-def _spectral_radius_estimate(R: np.ndarray) -> float:
-    """Power-iteration estimate of the spectral radius (fixed seed).
+def _determinant_truncation(omitted: float, whole: float) -> float:
+    """Bound on |det(I - R) - det(I - R_M)| from the omitted and whole entry sums.
 
-    The 2-norm is formed inline, with the real/imag dot products that
-    ``np.linalg.norm`` uses, which spares its per-call overhead.
+    Bornemann's perturbation bound |det(I - A) - det(I - B)| <= ||A - B||
+    exp(1 + ||A|| + ||B||) in trace norm ("On the numerical evaluation of
+    Fredholm determinants", Math. Comp. 79, 2010); a matrix's entry sum
+    bounds its trace norm, and both A and its truncation B sum to at most
+    ``whole``.
     """
+    exponent = 1.0 + 2.0 * whole
+    return omitted * math.exp(exponent) if exponent < 700.0 else math.inf
 
-    def norm(z: np.ndarray) -> float:
-        return math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
 
-    dim = R.shape[0]
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= norm(v)
-    radius = 0.0
-    for _ in range(POWER_ITERATIONS):
-        w = R @ v
-        radius = norm(w)
-        if radius == 0.0:
-            return 0.0
-        v = w / radius
-    return radius
+def _inverse_root_change(z: complex, tau: float) -> float:
+    """Bound on |w^{-1/2} - z^{-1/2}| (principal roots) over |w - z| <= tau.
+
+    On that disc |d/dw w^{-1/2}| = |w|^{-3/2} / 2 <= (|z| - tau)^{-3/2} / 2,
+    as long as the disc misses the branch cut (-inf, 0]; else infinite.
+    """
+    cut = abs(z) if z.real >= 0.0 else abs(z.imag)
+    return tau / (2.0 * (abs(z) - tau) ** 1.5) if tau < cut else math.inf
+
+
+def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
+    """Smallest mode cutoff M <= cap whose determinant truncation bound is <= tol.
+
+    The bound is that of the reported tail of :func:`heisenberg_partition`
+    before it is carried through det^{-1/2}; it needs no assembly.  When
+    no M <= cap meets tol, the cutoff is cap.
+    """
+    require_admissible(sp)
+    cap = require_integer(cap, "mode cutoff", 1)
+    sums = _omitted_sums(sp, range(cap + 1))
+    for m in range(1, cap):
+        if _determinant_truncation(sums[m], sums[0]) <= tol:
+            return m
+    return cap
 
 
 # One entry: kernel and partition calls come in runs on one surface and
@@ -240,30 +283,89 @@ def _spectral_radius_estimate(R: np.ndarray) -> float:
 # correlators' memo.  typed=True keeps 4.0 and True from reusing the
 # system of 4 and 1 without passing mode_coupling_matrix's integer gate.
 @functools.lru_cache(maxsize=1, typed=True)
-def _system(sp: SchottkyParams, modes: int) -> tuple[_Factored, _Factored]:
-    """The gated factorizations of I - R at M and at its M/2 sub-system."""
+def _system(sp: SchottkyParams, modes: int) -> _Factored:
+    """I - R at the cutoff, formed in R's own buffer, factored and gated.
+
+    The gates are the contraction bound ||R||_1 < 1 and
+    cond_1(I - R) < MAX_CONDITION; both 1-norms come from one pass over
+    |R|.
+    """
     R = mode_coupling_matrix(sp, modes)
-    keep = _leading_modes(sp.genus, modes)
-    factors = []
-    for block in (R, R[np.ix_(keep, keep)]):
-        radius = _spectral_radius_estimate(block)
-        if radius >= 1.0:
-            raise ConvergenceError(
-                f"coupling-matrix spectral radius estimate {radius:.3f} "
-                ">= 1; the mode expansion diverges for these parameters"
-            )
-        system = np.eye(block.shape[0], dtype=np.complex128) - block
-        lu, piv = lu_factor(system)
-        rcond, _ = zgecon(lu, np.abs(system).sum(axis=0).max())
-        cond = 1.0 / rcond if rcond > 0.0 else math.inf
-        if not cond < MAX_CONDITION:
-            raise ConvergenceError(
-                f"mode system ill-conditioned (cond {cond:.3g}); the "
-                "expansion does not converge for these parameters"
-            )
-        lu.flags.writeable = piv.flags.writeable = False
-        factors.append(_Factored(lu, piv, cond, radius))
-    return tuple(factors)
+    columns = np.abs(R).sum(axis=0)
+    contraction = float(columns.max())
+    # Written so that a nan bound refuses too.
+    if not contraction < 1.0:
+        raise ConvergenceError(
+            f"contraction bound ||R||_1 = {contraction:.3g} on the coupling matrix's "
+            "spectral radius is not below 1; the mode expansion is not certified "
+            "to converge for these parameters"
+        )
+    diagonal = R.diagonal()
+    norm = float(np.max(columns - np.abs(diagonal) + np.abs(1.0 - diagonal)))
+    np.negative(R, out=R)
+    R.flat[:: R.shape[0] + 1] += 1.0
+    lu, piv = lu_factor(R, overwrite_a=True)
+    rcond, _ = zgecon(lu, norm)
+    cond = 1.0 / rcond if rcond > 0.0 else math.inf
+    if not cond < MAX_CONDITION:
+        raise ConvergenceError(
+            f"mode system ill-conditioned (cond {cond:.3g}); the "
+            "expansion does not converge for these parameters"
+        )
+    lu.flags.writeable = piv.flags.writeable = False
+    omitted, whole = _omitted_sums(sp, (modes, 0))
+    return _Factored(lu, piv, cond, contraction, float(omitted), float(whole))
+
+
+def _geometric(t: float, start: int) -> float:
+    """sum_{k >= start} t^k = t^start / (1 - t), infinite unless 0 <= t < 1."""
+    return t**start / (1.0 - t) if t < 1.0 else math.inf
+
+
+def _vector_bounds(
+    sp: SchottkyParams, modes: int, x: complex, y: complex
+) -> tuple[float, float, float]:
+    """sup|p(x)|, sum|q(y)| over all modes, and sum |p_i q_i| over the modes >= M.
+
+    With r = |s_a|, |p_(a,n)| = (r / |x - w_a|)^{n+1} / |x - w_a| and
+    |q_(a,m)| <= (r / |w_{-a} - y|)^{m+1} + (r / |w_{-a}|)^{m+1}, so every
+    sum is geometric.  A point within the slack of a circle has
+    r > |x - w_a| and gets infinite bounds.
+    """
+    sup_p = sum_q = diagonal = 0.0
+    # Every signed handle a: its center w_a, the partner's w_{-a} and |rho_a|.
+    for w, partner, rho in zip(sp.w_plus + sp.w_minus, sp.w_minus + sp.w_plus, 2 * sp.rho):
+        rho = abs(rho)
+        r = math.sqrt(rho)
+        dx, dy, d0 = abs(x - w), abs(partner - y), abs(partner)
+        sup_p = max(sup_p, r / (dx * dx) if r <= dx else math.inf)
+        sum_q += _geometric(r / dy, 1) + _geometric(r / d0, 1)
+        diagonal += (
+            _geometric(rho / (dx * dy), modes + 1) + _geometric(rho / (dx * d0), modes + 1)
+        ) / dx
+    return sup_p, sum_q, diagonal
+
+
+def _kernel_truncation(
+    sp: SchottkyParams, modes: int, system: _Factored, x: complex, y: complex
+) -> float:
+    """Bound on what the modes beyond the cutoff add to p^T (I - R)^{-1} q.
+
+    Pad the truncated R with zeros to B.  Then (I - B)^{-1} is the
+    identity on the omitted modes, and (I - R)^{-1} - (I - B)^{-1} =
+    (I - R)^{-1} (R - B) (I - B)^{-1}, so the omitted part is the diagonal
+    sum p_H . q_H over the modes beyond M plus a term of at most
+    sup|p| sum|q| ||R - B||_1 / ((1 - ||R||_1)(1 - ||B||_1)) (Neumann).
+    ||B||_1 is the contraction bound, and the omitted entry sum bounds
+    ||R - B||_1 and ||R||_1 - ||B||_1.
+    """
+    sup_p, sum_q, diagonal = _vector_bounds(sp, modes, x, y)
+    kappa, omitted = system.contraction, system.omitted
+    if omitted == 0.0:
+        return diagonal
+    if not kappa + omitted < 1.0:
+        return math.inf
+    return diagonal + sup_p * sum_q * omitted / ((1.0 - kappa - omitted) * (1.0 - kappa))
 
 
 def kernel_via_modes(
@@ -277,11 +379,12 @@ def kernel_via_modes(
 
     seed(x, y) + p(x)^T (I - R)^{-1} q(y) with the seed 1/(x - y) - 1/x,
     solved on the cached LU factors of the mode system.  It refuses with
-    ConvergenceError when the spectral radius of R is not below 1 or
-    cond_1(I - R) not below MAX_CONDITION, at M or at M/2.  The reported
-    tail is the drift against the leading-mode sub-system at half the mode
-    cutoff plus a rounding floor of 2gM eps
-    (|seed| + cond_1(I - R) sum_i |p_i| |s_i|), s = (I - R)^{-1} q.
+    ConvergenceError when the contraction bound ||R||_1 is not below 1 or
+    cond_1(I - R) not below MAX_CONDITION.  The reported tail is the
+    bound of _kernel_truncation on the modes beyond the cutoff plus a
+    rounding floor of 2gM eps (|seed| + cond_1(I - R) sum_i |p_i| |s_i|),
+    s = (I - R)^{-1} q.  The bound is infinite at a point within the
+    boundary slack of a circle.
 
     Only weight 1 is served.  At weight N >= 2 the seed's basis points are
     limit points inside the discs the Taylor modes live on, so the
@@ -293,37 +396,35 @@ def kernel_via_modes(
             f"the mode resolvent serves weight 1 only, got weight {weight}; "
             "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
         )
-    full, half = _system(sp, modes)
+    system = _system(sp, modes)
     x = require_in_domain(sp, x, "x")
     y = require_in_domain(sp, y, "y")
     p = _pole_basis(sp, modes, x)
-    q = _seed_moments(sp, modes, y)
-    keep = _leading_modes(sp.genus, modes)
-    solved = lu_solve((full.lu, full.piv), q)
+    solved = lu_solve((system.lu, system.piv), _seed_moments(sp, modes, y))
     correction = complex(p @ solved)
-    half_correction = complex(p[keep] @ lu_solve((half.lu, half.piv), q[keep]))
     seed = kernel_seed(x, y, (0.0,))
-    # The solve and the dot product round by about 2gM ulps of the terms,
-    # which the drift cannot see once both cutoffs agree bit for bit.
-    scale = float(full.cond * (np.abs(p) @ np.abs(solved)))
+    # The solve and the dot product round by about 2gM ulps of the terms.
+    scale = float(system.cond * (np.abs(p) @ np.abs(solved)))
     floor = len(p) * EPS * (abs(seed) + scale)
-    return Estimate(seed + correction, abs(correction - half_correction) + floor)
+    truncation = _kernel_truncation(sp, modes, system, x, y)
+    return Estimate(seed + correction, truncation + floor)
 
 
 def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:
     """Oscillator partition function det(I - R)^{-1/2} at weight 1.
 
-    The determinants at M and M/2 are read off the diagonals of the cached
-    LU factors; the principal square root is taken, and for admissible
-    parameters the determinant sits near 1.  It refuses with
-    ConvergenceError when the spectral radius of R is not below 1 (the
-    oscillator sum diverges) or cond_1(I - R) not below MAX_CONDITION, at
-    M or at M/2.
+    The determinant is read off the diagonal of the cached LU factors and
+    the principal square root taken; for admissible parameters the
+    determinant sits near 1.  It refuses with ConvergenceError when the
+    contraction bound ||R||_1 is not below 1 or cond_1(I - R) not below
+    MAX_CONDITION.  The tail is the determinant's truncation bound
+    carried through det^{-1/2} (infinite when it reaches the branch cut),
+    plus a rounding floor of 2gM eps |value|.
     """
-    full, half = _system(sp, modes)
-    value = 1.0 / cmath.sqrt(full.det())
-    half_value = 1.0 / cmath.sqrt(half.det())
-    # The LU of the 2gM-square system rounds the determinant by about 2gM
-    # ulps, which the drift cannot see once both cutoffs agree bit for bit.
+    system = _system(sp, modes)
+    det = system.det()
+    value = 1.0 / cmath.sqrt(det)
+    truncation = _inverse_root_change(det, _determinant_truncation(system.omitted, system.whole))
+    # The LU of the 2gM-square system rounds the determinant by about 2gM ulps.
     floor = 2 * sp.genus * modes * EPS * abs(value)
-    return PartitionValue(value, abs(value - half_value) + floor, full.radius)
+    return PartitionValue(value, truncation + floor, system.contraction)

@@ -30,6 +30,7 @@ from schottky.correlators import (
     virasoro_two_point,
 )
 from schottky.forms import SurfaceForms
+from schottky.modes import mode_cutoff_for
 
 # Rounding floor for comparisons of values whose tails can read 0.
 FLOOR = 1e-12
@@ -287,10 +288,13 @@ class TestSurfaceMemo:
         for _ in range(3):
             for request in self.requests():
                 request(forms)
-        assert calls == {("Z", 12): 1, ("Z", 8): 1, "Omega": 1}
+        # Without modes= the cutoff is the policy's tol-driven one.
+        m = mode_cutoff_for(genus2_params, self.POLICY.tol, self.POLICY.mode_cutoff)
+        assert m < self.POLICY.mode_cutoff
+        assert calls == {("Z", m): 1, ("Z", 8): 1, "Omega": 1}
         # Another surface computes its own.
         lattice_partition(SurfaceForms(genus2_params, self.POLICY), A2)
-        assert calls == {("Z", 12): 2, ("Z", 8): 1, "Omega": 2}
+        assert calls == {("Z", m): 2, ("Z", 8): 1, "Omega": 2}
 
     def test_memo_bitwise_equal_to_uncached_route(self, genus2_params):
         warm = SurfaceForms(genus2_params, self.POLICY)

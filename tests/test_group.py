@@ -144,6 +144,17 @@ def test_conversion_roundtrip_property(wp, delta, q):
     assert abs(back.q[0] - q) <= 1e-10
 
 
+@pytest.mark.parametrize("method", ["center", "rho_signed", "radius"])
+def test_signed_index_accessors_refuse_bools(genus2_params, method):
+    # True and False would pass as 1 and 0: True read w_1 and rho_1.
+    access = getattr(genus2_params, method)
+    for bad in (True, False, 1.0, 0, 3, -3):
+        with pytest.raises(InvalidParameterError):
+            access(bad)
+    for a in (np.int64(-2), np.int32(1)):
+        assert access(a) == access(int(a))
+
+
 # ---------------------------------------------------------------------------
 # Generators and point evaluation
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from schottky.group import (
     enumerate_group,
     generator_map,
     mobius_act_on_params,
+    in_fundamental_domain,
     params_from_classical,
     validate,
 )
@@ -50,6 +51,7 @@ from schottky.modes import (
     heisenberg_partition,
     kernel_via_modes,
     mode_coupling_matrix,
+    mode_cutoff_for,
 )
 
 # The single pole-basis point of the weight-1 seed 1/(x - y) - 1/x.
@@ -151,12 +153,12 @@ class TestVectorsAndLayout:
     @pytest.mark.parametrize("fixture", ["torus_sp", "genus2_params", "genus3_params"])
     @pytest.mark.parametrize("M", [1, 5, 20, 21])
     def test_half_cutoff_system_is_leading_mode_slice(self, fixture, M, request):
-        # The M/2 drift of the resolvent and the determinant is taken from
-        # this slice, so it must equal the system assembled at M/2 exactly.
+        # Every entry of p, q and R depends only on its own mode indices,
+        # so the system at M/2 is exactly the leading-mode slice of the one
+        # at M (handle-major layout, mode index inner).
         sp = request.getfixturevalue(fixture)
         half = max(1, M // 2)
         keep = np.arange(2 * sp.genus * M) % M < half
-        assert np.array_equal(modes._leading_modes(sp.genus, M), keep)
         x, y = 5.0 + 1.0j, -5.0 + 2.0j
         assert np.array_equal(modes._pole_basis(sp, half, x), modes._pole_basis(sp, M, x)[keep])
         assert np.array_equal(modes._seed_moments(sp, half, y), modes._seed_moments(sp, M, y)[keep])
@@ -198,22 +200,6 @@ def reference_coupling(sp, M):
     return R
 
 
-def reference_radius(R):
-    """Power iteration with np.linalg.norm, as the estimate is specified."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(R.shape[0]) + 1j * rng.standard_normal(R.shape[0])
-    v /= np.linalg.norm(v)
-    radius = 0.0
-    for _ in range(modes.POWER_ITERATIONS):
-        w = R @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        radius = norm
-        v = w / norm
-    return float(radius)
-
-
 class TestCouplingAssembly:
     @pytest.mark.parametrize("fixture", ["torus_sp", "genus2_params", "genus3_params"])
     @pytest.mark.parametrize("M", [1, 2, 5, 20, 21])
@@ -227,10 +213,6 @@ class TestCouplingAssembly:
         for i, a in enumerate(idx):
             j = idx.index(-a)
             assert np.all(R[i * M:(i + 1) * M, j * M:(j + 1) * M] == 0.0)
-        assert modes._spectral_radius_estimate(R) == reference_radius(R)
-
-    def test_spectral_radius_of_zero_matrix(self):
-        assert modes._spectral_radius_estimate(np.zeros((4, 4), dtype=np.complex128)) == 0.0
 
 
 class TestSharedSystem:
@@ -292,11 +274,11 @@ class TestSharedSystem:
         assert kernel_via_modes(minus, 1, 12, x, y) == first
 
     def test_cached_factors_are_read_only(self, genus2_params):
-        for factored in modes._system(genus2_params, 12):
-            for array in (factored.lu, factored.piv):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[0] = 0
+        factored = modes._system(genus2_params, 12)
+        for array in (factored.lu, factored.piv):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestWorkedCoupling:
@@ -437,8 +419,8 @@ class TestKernelViaModes:
     )
     def test_mode_doubling_within_reported_tail(self, fixture, M, request):
         # Doubling M moves both mode-route calls by less than their tails,
-        # also where the M/2 drift has fallen below rounding and only the
-        # rounding floor is left (the torus at M = 30).
+        # also where the truncation bound has fallen below rounding and
+        # only the rounding floor is left.
         sp = request.getfixturevalue(fixture)
         for x, y in (
             (3.0 + 1.0j, -2.0 + 2.0j), (5.0 + 1.0j, -4.0 + 2.0j),
@@ -528,7 +510,7 @@ class TestHeisenbergPartition:
         expected = euler_product(0.04)
         assert abs(z.value - expected) / abs(expected) < 1e-8
         assert z.spectral_radius < 1.0
-        # The M and M/2 determinants agree bit for bit here; the rounding
+        # The truncation bound at M = 40 is below rounding; the rounding
         # floor still keeps the tail above zero.
         assert z.tail > 0
 
@@ -589,17 +571,196 @@ class TestHeisenbergPartition:
         assert abs(z.value - expected) < z.tail + abs(expected) * (shell + floor)
 
     def test_divergent_spectrum_refused(self, fresh_system, monkeypatch):
-        # R = 2I: both routes refuse at the spectral-radius gate.
-        def fake_coupling(sp, mm):
-            return 2.0 * np.eye(2 * sp.genus * mm, dtype=np.complex128)
-
-        monkeypatch.setattr(modes, "mode_coupling_matrix", fake_coupling)
+        # R = 2I, and R = nan I: both routes refuse at the contraction gate.
         sp = SchottkyParams(1, (1.0,), (-1.0,), (-0.17,))
+        for entry in (2.0, math.nan):
+            monkeypatch.setattr(
+                modes, "mode_coupling_matrix",
+                lambda sp, mm: entry * np.eye(2 * sp.genus * mm, dtype=np.complex128),
+            )
+            for call in (
+                lambda: kernel_via_modes(sp, 1, 8, 5.0 + 1.0j, -5.0 + 2.0j),
+                lambda: heisenberg_partition(sp, 8),
+            ):
+                modes._system.cache_clear()
+                with pytest.raises(ConvergenceError, match="contraction bound .* spectral radius"):
+                    call()
+
+
+def perturbed(sp, seed, jitter=0.2):
+    """sp with every centre and rho moved by up to ``jitter`` of its size.
+
+    Each move is a uniform point of a disc, as the benchmark draws its
+    surfaces; draws repeat until the parameters are admissible and the
+    origin is exterior.
+    """
+    rng = np.random.default_rng(seed)
+
+    def move(z):
+        return z + abs(z) * jitter * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
+
+    while True:
+        draw = SchottkyParams(
+            sp.genus,
+            tuple(move(w) for w in sp.w_plus),
+            tuple(move(w) for w in sp.w_minus),
+            tuple(move(r) for r in sp.rho),
+        )
+        if validate(draw).ok and in_fundamental_domain(draw, 0.0):
+            return draw
+
+
+def surface(name, request):
+    """A fixture by name, or "draw<k>": the genus-3 fixture perturbed with seed k."""
+    if name.startswith("draw"):
+        return perturbed(request.getfixturevalue("genus3_params"), int(name[4:]))
+    return request.getfixturevalue(name)
+
+
+def kernel_points(sp):
+    """Point pairs in the fundamental domain: far, central, and 1.2 radii off a circle.
+
+    The last pair, off the circles of handle 1 and its partner, makes the
+    diagonal mode sum decay at ratio 1/1.44.
+    """
+    r = sp.radius(1)
+    candidates = (
+        (5.0 + 1.0j, -4.0 + 2.0j),
+        (0.62 + 0.11j, -0.4 - 0.77j),
+        (sp.center(1) + 1.2 * r * cmath.exp(0.4j), sp.center(-1) + 1.2 * r * cmath.exp(2.0j)),
+    )
+    return [
+        (x, y) for x, y in candidates
+        if in_fundamental_domain(sp, x) and in_fundamental_domain(sp, y)
+    ]
+
+
+FIXTURES = ["torus_sp", "genus2_params", "genus3_params"]
+SURFACES = FIXTURES + [f"draw{k}" for k in range(8)]
+
+
+def near_touching(f):
+    """Genus 2, centres +-1.35 and +-1.4i, equal radii f * 1.945 / 2.
+
+    1.945 is the distance from w_{-1} to w_2, so the discs of handles 1
+    and 2 touch at f = 1.
+    """
+    r = f * 1.945 / 2.0
+    return SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (r * r, r * r))
+
+
+class TestTruncationBounds:
+    """Tails are bounds on the truncation at M, not drifts."""
+
+    @pytest.mark.parametrize("name", SURFACES)
+    @pytest.mark.parametrize("M", [2, 5, 20])
+    def test_tail_bounds_the_doubling(self, name, M, request):
+        sp = surface(name, request)
+        points = kernel_points(sp)
+        assert points
+        for x, y in points:
+            c, f = kernel_via_modes(sp, 1, M, x, y), kernel_via_modes(sp, 1, 2 * M, x, y)
+            assert abs(f.value - c.value) <= c.tail, (x, y)
+        c, f = heisenberg_partition(sp, M), heisenberg_partition(sp, 2 * M)
+        assert abs(f.value - c.value) <= c.tail
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    @pytest.mark.parametrize("M", [2, 5, 20])
+    def test_contraction_bound_exceeds_spectral_radius(self, fixture, M, request):
+        sp = request.getfixturevalue(fixture)
+        radius = np.abs(np.linalg.eigvals(mode_coupling_matrix(sp, M))).max()
+        assert heisenberg_partition(sp, M).spectral_radius >= radius
+
+    def test_zero_coupling_has_zero_bound(self, genus2_params, fresh_system, monkeypatch):
+        def zero_coupling(sp, mm):
+            return np.zeros((2 * sp.genus * mm,) * 2, dtype=np.complex128)
+
+        monkeypatch.setattr(modes, "mode_coupling_matrix", zero_coupling)
+        z = heisenberg_partition(genus2_params, 8)
+        assert z.spectral_radius == 0.0
+        assert z.value == 1.0
+
+    @pytest.mark.parametrize("name", FIXTURES + ["near"])
+    @pytest.mark.parametrize("M", [2, 5])
+    def test_omitted_sum_bounds_the_entries_beyond_the_cutoff(self, name, M, request):
+        # Against the entries of R at 4M with a mode index >= M, and the
+        # whole-operator bound against all of R at 4M.
+        sp = near_touching(0.5) if name == "near" else request.getfixturevalue(name)
+        R = np.abs(mode_coupling_matrix(sp, 4 * M))
+        mode = np.arange(R.shape[0]) % (4 * M)
+        beyond = (mode[:, None] >= M) | (mode[None, :] >= M)
+        omitted, whole = modes._omitted_sums(sp, (M, 0))
+        assert R[beyond].sum() <= omitted
+        assert R.sum() <= whole
+
+    @pytest.mark.parametrize("name", FIXTURES + ["near"])
+    @pytest.mark.parametrize("M", [2, 5])
+    def test_vector_bounds_against_the_vectors_at_4M(self, name, M, request):
+        sp = near_touching(0.5) if name == "near" else request.getfixturevalue(name)
+        for x, y in kernel_points(sp):
+            p = np.abs(modes._pole_basis(sp, 4 * M, x))
+            q = np.abs(modes._seed_moments(sp, 4 * M, y))
+            beyond = np.arange(len(p)) % (4 * M) >= M
+            # The sup is attained at mode 0, so it may differ by rounding.
+            sup_p, sum_q, diagonal = (b * (1.0 + 8 * EPS) for b in modes._vector_bounds(sp, M, x, y))
+            assert p.max() <= sup_p
+            assert q.sum() <= sum_q
+            assert (p * q)[beyond].sum() <= diagonal
+
+    @pytest.mark.parametrize("z", [1.0 + 0.0j, 0.3 + 0.2j, -1.0 + 0.5j, 2e-3j])
+    def test_inverse_root_change_bounds_the_circle(self, z):
+        # The largest change of w^{-1/2} over |w - z| <= tau is on the
+        # circle; the bound holds there and is tight for small tau.
+        cut = abs(z) if z.real >= 0.0 else abs(z.imag)
+        circle = np.exp(2j * np.pi * np.arange(256) / 256)
+        for tau in (1e-6 * cut, 0.5 * cut):
+            change = np.abs((z + tau * circle) ** -0.5 - z ** -0.5).max()
+            bound = modes._inverse_root_change(z, tau)
+            assert change <= bound
+            if tau < 1e-3 * cut:
+                assert bound <= 1.01 * change
+        assert modes._inverse_root_change(z, 1.01 * cut) == math.inf
+
+    @pytest.mark.parametrize("fixture", FIXTURES)
+    def test_cutoff_from_tol(self, fixture, request):
+        # The smallest cutoff whose determinant bound meets tol: Z's tail
+        # there is within tol (plus rounding), and one mode fewer is not.
+        sp = request.getfixturevalue(fixture)
+        for tol in (1e-6, 1e-12):
+            m = mode_cutoff_for(sp, tol, 40)
+            assert 1 < m < 40
+            z = heisenberg_partition(sp, m)
+            assert z.tail <= tol + 2 * sp.genus * m * EPS * abs(z.value)
+            assert modes._determinant_truncation(*modes._omitted_sums(sp, (m - 1, 0))) > tol
+        assert mode_cutoff_for(sp, 1e-300, 7) == 7
+
+
+class TestCertifiedRegion:
+    """The contraction bound certifies part of the admissible region near touching."""
+
+    def test_certified_surface_within_tail(self):
+        sp = near_touching(0.5)
+        z, fine = heisenberg_partition(sp, 20), heisenberg_partition(sp, 40)
+        assert z.spectral_radius == pytest.approx(0.27, abs=0.01)
+        assert abs(fine.value - z.value) <= z.tail < 1e-2
+
+    @pytest.mark.parametrize("M", [5, 10, 20])
+    def test_certified_kernel_within_tail(self, M):
+        # Far from the circles the Neumann term carries the tail.
+        sp = near_touching(0.5)
+        for x, y in kernel_points(sp):
+            c, f = kernel_via_modes(sp, 1, M, x, y), kernel_via_modes(sp, 1, 2 * M, x, y)
+            assert abs(f.value - c.value) <= c.tail, (x, y)
+
+    def test_uncertified_surface_refused(self):
+        # Admissible, with true spectral radius 0.30, but ||R||_1 = 1.05.
+        sp = near_touching(0.8)
+        assert validate(sp).ok
         for call in (
-            lambda: kernel_via_modes(sp, 1, 8, 5.0 + 1.0j, -5.0 + 2.0j),
-            lambda: heisenberg_partition(sp, 8),
+            lambda: heisenberg_partition(sp, 20),
+            lambda: kernel_via_modes(sp, 1, 20, 5.0 + 1.0j, -4.0 + 2.0j),
         ):
-            with pytest.raises(ConvergenceError, match="spectral radius"):
+            with pytest.raises(ConvergenceError, match=r"contraction bound \|\|R\|\|_1 = 1\.05"):
                 call()
 
 
