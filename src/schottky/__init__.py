@@ -9,7 +9,8 @@ correlators (Heisenberg, Virasoro, lattice).
 
 Entry points:
 
-- :mod:`schottky.group`: parameter spaces, Mobius maps, word enumeration.
+- :mod:`schottky.group`: parameter spaces, Mobius maps, and the reduced
+  words as one table of arrays (no object per word).
 - :mod:`schottky.forms`: truncated series for kernels, differentials and
   the period matrix.
 - :mod:`schottky.modes`: weight-1 mode-coupling matrices, resolvent
@@ -42,7 +43,6 @@ from schottky.group import (
     params_from_classical,
     signed_indices,
     validate,
-    word_count,
 )
 
 __version__ = "0.1.0"

@@ -51,6 +51,7 @@ from schottky.group import (
     TruncationPolicy,
     require_in_domain,
     require_integer,
+    require_positive,
 )
 from schottky.modes import PartitionValue, heisenberg_partition, mode_cutoff_for
 
@@ -301,8 +302,7 @@ def siegel_theta(
     pi |N^T Re(Omega (x) G) N| + pi N^T Q N).  Omega must be symmetric to
     rounding, with Im Omega positive definite.
     """
-    if not tol > 0.0:
-        raise InvalidParameterError("tol must be a positive real")
+    tol = require_positive(tol, "tol")
     om = np.asarray(omega, dtype=np.complex128)
     if om.ndim != 2 or om.shape[0] != om.shape[1]:
         raise InvalidParameterError("period matrix must be square")

@@ -87,7 +87,6 @@ import numpy as np
 from schottky.group import (
     GroupWord,
     InvalidParameterError,
-    MobiusMap,
     SchottkyError,
     SchottkyParams,
     TruncationPolicy,
@@ -95,7 +94,6 @@ from schottky.group import (
     enumerate_group,
     generator_map,
     in_fundamental_domain,
-    ordered_fixed_points,
     require_admissible,
     require_finite,
     require_in_domain,
@@ -110,8 +108,6 @@ __all__ = [
     "ConfigurationError",
     "SurfaceForms",
     "kernel_seed",
-    "select_seed_points",
-    "origin_clearing_translation",
 ]
 
 # Points closer than this to a pole of a summand abort the evaluation.
@@ -243,35 +239,6 @@ class PeriodMatrixResult:
     omega: np.ndarray
     tail: float
 
-    def im_min_eigenvalue(self) -> float:
-        sym = 0.5 * (self.omega.imag + self.omega.imag.T)
-        return float(np.linalg.eigvalsh(sym).min())
-
-
-def select_seed_points(
-    limit_points: Sequence[complex], weight: int, genus: int
-) -> tuple[complex, ...]:
-    """First 2N-1 pairwise-distinct limit points, in the given order.
-
-    Weight 1 always uses the single point 0 (the auxiliary pole of the
-    third-kind normalization); higher weights slice the fixed ordering.
-    """
-    if weight == 1:
-        return (0.0,)
-    need = 2 * weight - 1
-    chosen: list[complex] = []
-    for p in limit_points:
-        p = complex(p)
-        if all(p != c for c in chosen):
-            chosen.append(p)
-        if len(chosen) == need:
-            return tuple(chosen)
-    raise ConfigurationError(
-        f"weight {weight} needs {need} distinct limit points, "
-        f"only {len(chosen)} available (genus {genus}); "
-        "weight >= 2 kernels need genus >= 2"
-    )
-
 
 def kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> complex:
     """Seed kernel (1/(x-y)) prod_j (y - A_j)/(x - A_j).
@@ -290,44 +257,19 @@ def kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> comp
     return out
 
 
-def origin_clearing_translation(sp: SchottkyParams) -> MobiusMap:
-    """A translation making the origin exterior to every disc.
-
-    The third-kind normalization places an auxiliary pole at 0, so the
-    origin must lie in the fundamental domain.  When it does not, conjugate
-    the parameters by the returned map (via mobius_act_on_params) first.
-    The shift moves the mean disc center to the origin's antipode at a safe
-    distance; identity if the origin is already clear.
-    """
-    if in_fundamental_domain(sp, 0.0):
-        return MobiusMap(1.0, 0.0, 0.0, 1.0)
-    centers = [sp.center(a) for a in sp.signed_indices]
-    radii = [sp.radius(a) for a in sp.signed_indices]
-    reach = max(abs(c) + r for c, r in zip(centers, radii))
-    # Any exterior point p works; translate by -p to move p to the origin.
-    best = None
-    best_clear = -math.inf
-    for k in range(32):
-        p = 1.5 * reach * cmath.exp(2j * math.pi * k / 32)
-        clear = min(abs(p - c) - r for c, r in zip(centers, radii))
-        if clear > best_clear:
-            best_clear = clear
-            best = p
-    return MobiusMap(1.0, -best, 0.0, 1.0)
-
-
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
-    Immutable after construction: the word table and the pole basis of
-    the weight-N seeds, the generator fixed points in handle order
-    (W_1, W_{-1}, W_2, W_{-2}, ...), are frozen here, so repeated
-    evaluations are deterministic.  ``words`` is the
-    :class:`~schottky.group.WordTable` of
+    Immutable after construction: the word table and the generator
+    fixed points (:func:`~schottky.group.classical_from_params`) are
+    frozen here, so repeated evaluations are deterministic.  ``words`` is
+    the :class:`~schottky.group.WordTable` of
     :func:`~schottky.group.enumerate_group`; the orbit and coset sums
-    read its arrays directly.  The only state added later is a memo of
-    Z and Omega, which :mod:`schottky.correlators` fills on first use
-    with values that the parameters and policy fix.
+    read its arrays directly.  The fixed points serve the coset series,
+    the period matrix and, sliced in handle order, the pole basis of the
+    weight-N seeds (see :meth:`_seed_points`).  The only state added
+    later is a memo of Z and Omega, which :mod:`schottky.correlators`
+    fills on first use with values that the parameters and policy fix.
 
     Parameters
     ----------
@@ -345,8 +287,8 @@ class SurfaceForms:
         if not in_fundamental_domain(sp, 0.0):
             raise InvalidParameterError(
                 "the origin lies inside a disc; the third-kind normalization "
-                "needs it exterior - conjugate the parameters by "
-                "origin_clearing_translation(sp) first"
+                "needs it exterior - move the discs off the origin with "
+                "mobius_act_on_params first"
             )
         self.words = enumerate_group(sp, self.policy.max_word_length)
         self._wa, self._wb = self.words.a, self.words.b
@@ -356,7 +298,6 @@ class SurfaceForms:
         self._sum_ulps = _sum_ulps(max(e - s for s, e, _ in self._blocks), len(self._blocks) - 1)
         self._grow = 1.0 + self.words.length
         self._classical = classical_from_params(sp)
-        self.limit_points = ordered_fixed_points(sp)
         # Per-surface results of schottky.correlators: Z per mode cutoff
         # and the period matrix, each computed on first use.
         self._memo: dict = {}
@@ -372,8 +313,25 @@ class SurfaceForms:
         return a
 
     def _seed_points(self, weight: int) -> tuple[complex, ...]:
-        """First 2N-1 pairwise-distinct limit points, in the fixed order."""
-        return select_seed_points(self.limit_points, weight, self.sp.genus)
+        """Pole basis A_1..A_{2N-1} of the weight-N seed.
+
+        Weight 1 takes the single point 0 (the auxiliary pole of the
+        third-kind normalization); weight N the first 2N-1 of the fixed
+        points in handle order (W_1, W_{-1}, W_2, W_{-2}, ...), which are
+        pairwise distinct as each lies in its own disc.  The 2g points
+        serve weights up to g.
+        """
+        if weight == 1:
+            return (0.0,)
+        if weight > self.sp.genus:
+            raise ConfigurationError(
+                f"weight {weight} needs {2 * weight - 1} seed points, but genus "
+                f"{self.sp.genus} has {2 * self.sp.genus} fixed points; "
+                "weight N kernels need genus >= N"
+            )
+        cp = self._classical
+        points = [p for pair in zip(cp.W_plus, cp.W_minus) for p in pair]
+        return tuple(points[: 2 * weight - 1])
 
     # -- orbit plumbing ------------------------------------------------------
 
@@ -470,7 +428,7 @@ class SurfaceForms:
     def _guard_poles(self, dist: np.ndarray, s: int, what: str) -> None:
         """Refuse a block whose distances to a pole (rows s..) fall below the guard."""
         if dist.min() < POLE_GUARD:
-            w = self.words[s + int(np.argmin(dist))][0]
+            w = GroupWord(self.words.letters(s + int(np.argmin(dist))))
             raise PoleProximityError(
                 f"{what}: evaluation point within {POLE_GUARD} of a pole "
                 f"(word {w.letters})",
@@ -480,20 +438,27 @@ class SurfaceForms:
     # -- seed-kernel series ----------------------------------------------------
 
     def _kernel_many_y(
-        self, x: complex, ys: np.ndarray, weight: int
+        self, x: complex, ys: np.ndarray, weight: int, dy: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
-        """sum_gamma seed(gamma x, y) (gamma'x)^weight for each y.
+        """sum_gamma seed(gamma x, y) (gamma'x)^weight at each y, or its d/dy.
 
         Returns (values, tails), one entry per y.  The seed carries the
-        pole basis fixed at construction.  The rounding floor is the
-        per-term bound of :meth:`_orbit_ulps` over the poles A_j and y.
-        Each y is summed with the same operations as a call with y alone.
+        pole basis fixed at construction; it is P(y) / ((x - y) prod_j
+        (x - A_j)) with P(y) = prod_j (y - A_j), and the value is P(y) S_1,
+        S_k the orbit sum of (gamma'x)^weight / (prod_j (gamma x - A_j)
+        (gamma x - y)^k).  Only with ``dy`` does the pass also form S_2,
+        for the term-wise derivative P'(y) S_1 + P(y) S_2.  The rounding
+        floor is the per-term bound of :meth:`_orbit_ulps` over the poles
+        A_j and y.  Each y is summed with the same operations as a call
+        with y alone.
         """
         A = self._seed_points(weight)
         poly = np.ones_like(ys)
+        dpoly = np.zeros_like(ys)
         for Aj in A:
+            dpoly = dpoly * (ys - Aj) + poly
             poly = poly * (ys - Aj)
-        what = "weight-%d kernel" % weight
+        what = "weight-%d kernel%s" % (weight, " derivative" if dy else "")
 
         def terms(s: int, e: int) -> list[tuple[np.ndarray, np.ndarray]]:
             gx, dgx, _ = self._orbit(x, s, e)
@@ -506,10 +471,18 @@ class SurfaceForms:
                 self._guard_poles(dist, s, what)
                 ulps = self._orbit_ulps(weight, abs_gx * (inv + 1.0 / dist), s, e)
                 out.append((coef / diff, ulps))
+                if dy:
+                    # The shifted terms divide by gamma x - y once more.
+                    shifted = ulps + self._orbit_ulps(0, abs_gx / dist, s, e)
+                    out.append((coef / (diff * diff), shifted))
             return out
 
-        totals, shells, floors = self._reduce(terms, len(ys))
-        return poly * totals, np.abs(poly) * self._tails(shells, floors)
+        totals, shells, floors = self._reduce(terms, (2 if dy else 1) * len(ys))
+        if not dy:
+            return poly * totals, np.abs(poly) * self._tails(shells, floors)
+        vals = dpoly * totals[::2] + poly * totals[1::2]
+        shell = dpoly * shells[::2] + poly * shells[1::2]
+        return vals, self._tails(shell, np.abs(dpoly) * floors[::2] + np.abs(poly) * floors[1::2])
 
     def _orbit_seed_coef(
         self,
@@ -541,43 +514,12 @@ class SurfaceForms:
             inv += 1.0 / np.abs(diff)
         return coef, inv
 
-    def _kernel_dy_many_y(
-        self, x: complex, ys: np.ndarray, weight: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """d/dy of the weight-N kernel at each y (analytic, term-wise).
-
-        Returns (values, tails), one entry per y, the tail being the
-        magnitude of the last word shell's contribution plus the per-term
-        rounding floor of :meth:`_orbit_ulps`.
-        """
-        A = self._seed_points(weight)
-        poly = np.ones_like(ys)
-        dpoly = np.zeros_like(ys)
-        for Aj in A:
-            dpoly = dpoly * (ys - Aj) + poly
-            poly = poly * (ys - Aj)
-        what = "weight-%d kernel derivative" % weight
-
-        def terms(s: int, e: int) -> list[tuple[np.ndarray, np.ndarray]]:
-            gx, dgx, _ = self._orbit(x, s, e)
-            coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
-            abs_gx = np.abs(gx)
-            out = []
-            for y in ys:
-                diff = gx - y
-                dist = np.abs(diff)
-                self._guard_poles(dist, s, what)
-                # The shifted terms divide by gamma x - y once more.
-                kappa_y = abs_gx / dist
-                ulps = self._orbit_ulps(weight, abs_gx * inv + kappa_y, s, e)
-                ulps_shifted = ulps + self._orbit_ulps(0, kappa_y, s, e)
-                out += [(coef / diff, ulps), (coef / (diff * diff), ulps_shifted)]
-            return out
-
-        totals, shells, floors = self._reduce(terms, 2 * len(ys))
-        vals = dpoly * totals[::2] + poly * totals[1::2]
-        shell = dpoly * shells[::2] + poly * shells[1::2]
-        return vals, self._tails(shell, np.abs(dpoly) * floors[::2] + np.abs(poly) * floors[1::2])
+    def _kernel_at(self, x: complex, y: complex, weight: int, dy: bool = False) -> Estimate:
+        """One-point :meth:`_kernel_many_y`, x and y validated."""
+        x = require_in_domain(self.sp, x, "x")
+        y = require_finite(y, "y")
+        vals, tails = self._kernel_many_y(x, np.array([y], dtype=np.complex128), weight, dy)
+        return Estimate(complex(vals[0]), float(tails[0]))
 
     # -- public evaluations ----------------------------------------------------
 
@@ -589,10 +531,7 @@ class SurfaceForms:
         fundamental domain; y may sit anywhere off the orbit of x (the
         meromorphic continuation in y), which quasi-period checks rely on.
         """
-        x = require_in_domain(self.sp, x, "x")
-        y = require_finite(y, "y")
-        vals, tails = self._kernel_many_y(x, np.array([y], dtype=np.complex128), 1)
-        return Estimate(complex(vals[0]), float(tails[0]))
+        return self._kernel_at(x, y, 1)
 
     def recursion_kernel(self, x: complex, y: complex, weight: int) -> Estimate:
         """Weight-N kernel of the genus-g recursion (N-form in x).
@@ -602,19 +541,11 @@ class SurfaceForms:
         Simple pole at x = y with residue 1 in the x variable.  As with
         the third-kind form, y may lie anywhere off the orbit of x.
         """
-        weight = require_integer(weight, "weight", 1)
-        x = require_in_domain(self.sp, x, "x")
-        y = require_finite(y, "y")
-        vals, tails = self._kernel_many_y(x, np.array([y], dtype=np.complex128), weight)
-        return Estimate(complex(vals[0]), float(tails[0]))
+        return self._kernel_at(x, y, require_integer(weight, "weight", 1))
 
     def recursion_kernel_dy(self, x: complex, y: complex, weight: int) -> Estimate:
         """Analytic d/dy of the weight-N kernel (term-wise, no differencing)."""
-        weight = require_integer(weight, "weight", 1)
-        x = require_in_domain(self.sp, x, "x")
-        y = require_finite(y, "y")
-        vals, tails = self._kernel_dy_many_y(x, np.array([y], dtype=np.complex128), weight)
-        return Estimate(complex(vals[0]), float(tails[0]))
+        return self._kernel_at(x, y, require_integer(weight, "weight", 1), dy=True)
 
     def bidifferential(self, x: complex, y: complex) -> Estimate:
         """Symmetric normalized bidifferential, double pole on the diagonal.

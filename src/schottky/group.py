@@ -31,7 +31,9 @@ orbit sums are bit-for-bit reproducible.
 :func:`enumerate_group` returns the words as a :class:`WordTable`: flat
 arrays with one row per word in that order, holding the matrix entries
 a, b, c, d (complex128), the word length, the row of the parent word
-(the word without its last letter) and the last letter.  Each matrix
+(the word without its last letter) and the last letter; no object is
+built per word, and :meth:`WordTable.letters` spells one out from the
+parent rows where a message needs it.  Each matrix
 equals, bit for bit, the left-to-right :meth:`MobiusMap.compose` product
 of its letters' :func:`generator_map` matrices.  The table forms these
 products on real and imaginary parts separately, in the order Python's
@@ -47,8 +49,8 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Iterator
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,15 +73,14 @@ __all__ = [
     "signed_indices",
     "params_from_classical",
     "classical_from_params",
-    "ordered_fixed_points",
     "generator_map",
     "apply_mobius",
     "enumerate_group",
-    "word_count",
     "validate",
     "require_admissible",
     "require_finite",
     "require_integer",
+    "require_positive",
     "require_in_domain",
     "mobius_act_on_params",
     "in_fundamental_domain",
@@ -184,22 +185,6 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         """Inverse map; for a det-1 map this is again det-1."""
         return MobiusMap(self.d, -self.b, -self.c, self.a)
-
-    def is_close_to_identity(self, tol: float = 1e-12) -> bool:
-        """True if the map fixes the sphere pointwise to tolerance.
-
-        Compares against +/- the identity matrix, since both represent
-        the identity transformation.
-        """
-        for sign in (1.0, -1.0):
-            if (
-                abs(self.a - sign) <= tol
-                and abs(self.b) <= tol
-                and abs(self.c) <= tol
-                and abs(self.d - sign) <= tol
-            ):
-                return True
-        return False
 
 
 IDENTITY_MAP = MobiusMap(1.0, 0.0, 0.0, 1.0)
@@ -354,8 +339,7 @@ class TruncationPolicy:
     def __post_init__(self):
         for name, least in (("max_word_length", 0), ("mode_cutoff", 1)):
             object.__setattr__(self, name, require_integer(getattr(self, name), name, least))
-        if not (isinstance(self.tol, (int, float)) and self.tol > 0):
-            raise InvalidParameterError("tol must be a positive real")
+        object.__setattr__(self, "tol", require_positive(self.tol, "tol"))
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +405,6 @@ def classical_from_params(sp: SchottkyParams) -> ClassicalParams:
     return ClassicalParams(tuple(W_plus), tuple(W_minus), tuple(q))
 
 
-def ordered_fixed_points(sp: SchottkyParams) -> tuple[complex, ...]:
-    """Generator fixed points interleaved in handle order.
-
-    (W_1, W_{-1}, W_2, W_{-2}, ...): the repelling then attracting point
-    of each handle.  This fixed ordering is what the weight-N expansion
-    bases are sliced from, so every consumer sees the same basis.
-    """
-    cp = classical_from_params(sp)
-    pts: list[complex] = []
-    for h in range(sp.genus):
-        pts.append(cp.W_plus[h])
-        pts.append(cp.W_minus[h])
-    return tuple(pts)
-
-
 # ---------------------------------------------------------------------------
 # Generators and words
 # ---------------------------------------------------------------------------
@@ -476,9 +445,8 @@ class WordTable:
     parent) and its ``last`` letter as a signed index (0 for the
     identity).  The arrays are read-only and shared by every consumer.
 
-    ``len(table)`` is the word count; ``table[i]`` builds the pair
-    ``(GroupWord, MobiusMap)`` for row i on demand, and iterating yields
-    these pairs in row order.  Nothing per word is built otherwise.
+    ``len(table)`` is the word count and :meth:`letters` spells out one
+    word; no per-word object is ever built.
     """
 
     a: np.ndarray
@@ -512,14 +480,6 @@ class WordTable:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             first[lo:hi] = first[self.parent[lo:hi]]
         return first
-
-    def __getitem__(self, i: int) -> tuple[GroupWord, MobiusMap]:
-        i = range(len(self))[i]
-        mat = MobiusMap(self.a[i], self.b[i], self.c[i], self.d[i])
-        return GroupWord(self.letters(i)), mat
-
-    def __iter__(self) -> Iterator[tuple[GroupWord, MobiusMap]]:
-        return (self[i] for i in range(len(self)))
 
 
 # Frontier words grown per block in enumerate_group (see its docstring).
@@ -648,12 +608,6 @@ class ValidityReport:
     violations: tuple[PairSeparation, ...]
     issues: tuple[str, ...]
 
-    @property
-    def min_margin(self) -> float:
-        if not self.pairs:
-            return math.inf
-        return min(p.margin for p in self.pairs)
-
 
 def validate(sp: SchottkyParams) -> ValidityReport:
     """Check the strict pairwise disc condition over all signed indices."""
@@ -707,6 +661,20 @@ def require_integer(n: int, name: str, least: int) -> int:
         raise InvalidParameterError(f"{name} = {n!r} is not an integer")
     if value < least:
         raise InvalidParameterError(f"{name} = {value} must be >= {least}")
+    return value
+
+
+def require_positive(x: float, name: str) -> float:
+    """x as a float > 0, else refused by name.
+
+    Accepts real numbers (int, float, numpy reals) except bools; nan,
+    zero and negative values are refused.
+    """
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise InvalidParameterError(f"{name} = {x!r} is not a real number")
+    value = float(x)
+    if not value > 0.0:
+        raise InvalidParameterError(f"{name} = {value} must be > 0")
     return value
 
 

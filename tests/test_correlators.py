@@ -201,6 +201,13 @@ def test_lattice_spec_accepts_integral_floats():
     assert LatticeSpec(((2.0, -1.0), (-1, np.int64(2)))).gram == ((2, -1), (-1, 2))
 
 
+@pytest.mark.parametrize("tol", [True, "x", 1e-9 + 0j, math.nan, 0.0, -1e-9])
+def test_siegel_theta_refuses_bad_tol(tol):
+    # One gate with TruncationPolicy: a typed error, not a bare TypeError.
+    with pytest.raises(InvalidParameterError, match="tol"):
+        siegel_theta(np.array([[1.0j]]), A2, tol)
+
+
 def test_siegel_theta_rejects_non_symmetric_omega():
     omega = np.array([[0.1 + 1.0j, 0.2 + 0.3j], [0.25 + 0.3j, -0.3 + 0.9j]])
     with pytest.raises(InvalidParameterError):

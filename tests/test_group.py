@@ -27,9 +27,9 @@ from schottky import (
     mobius_act_on_params,
     params_from_classical,
     validate,
-    word_count,
 )
 import schottky.group as group
+from schottky.group import word_count
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,10 @@ def test_generator_det_normalized(genus2_params):
 def test_generator_inverse_is_opposite_index(genus2_params):
     for a in genus2_params.signed_indices:
         prod = generator_map(genus2_params, a).compose(generator_map(genus2_params, -a))
-        assert prod.is_close_to_identity(tol=1e-12)
+        # +1 and -1 times the identity matrix both act as the identity.
+        entries = np.array([prod.a, prod.b, prod.c, prod.d])
+        identity = np.array([1, 0, 0, 1])
+        assert min(np.abs(entries - identity).max(), np.abs(entries + identity).max()) <= 1e-12
 
 
 def test_apply_mobius_identity_and_infinity():
@@ -223,8 +226,8 @@ def test_generator_maps_exterior_into_interior(genus2_params):
 def test_enumerate_identity_only(genus2_params):
     words = enumerate_group(genus2_params, 0)
     assert len(words) == 1
-    assert words[0][0].is_identity
-    assert words[0][1].is_close_to_identity()
+    assert words.letters(0) == ()
+    assert (words.a[0], words.b[0], words.c[0], words.d[0]) == (1, 0, 0, 1)
 
 
 def test_enumerate_count_genus2_length2(genus2_params):
@@ -234,7 +237,7 @@ def test_enumerate_count_genus2_length2(genus2_params):
 
 def test_enumerate_rank_one_words(torus_params):
     words = enumerate_group(torus_params, 3)
-    letters = [w.letters for w, _ in words]
+    letters = [words.letters(i) for i in range(len(words))]
     assert letters == [
         (),
         (1,), (-1,),
@@ -245,7 +248,7 @@ def test_enumerate_rank_one_words(torus_params):
 
 def test_enumerate_order_is_length_then_lex(genus2_params):
     words = enumerate_group(genus2_params, 2)
-    letters = [w.letters for w, _ in words]
+    letters = [words.letters(i) for i in range(len(words))]
     assert letters == [
         (),
         (1,), (-1,), (2,), (-2,),
@@ -302,10 +305,12 @@ def test_enumerate_matrices_compose_like_words(torus_params, genus2_params, genu
             assert got.dtype == arr.dtype
             assert got.tobytes() == arr.tobytes(), (sp.genus, length, name)
     # The product acts as the letters applied right to left.
-    words = dict((w.letters, m) for w, m in enumerate_group(genus2_params, 3))
+    table = enumerate_group(genus2_params, 3)
+    row = {table.letters(i): i for i in range(len(table))}
     z = 0.3 + 0.2j
     for letters in [(1, 2), (2, -1, 2), (-2, 1, 1)]:
-        m = words[letters]
+        i = row[letters]
+        m = MobiusMap(table.a[i], table.b[i], table.c[i], table.d[i])
         expected = z
         for a in reversed(letters):
             expected = generator_map(genus2_params, a)(expected)
@@ -336,19 +341,16 @@ def test_word_table_layout(genus3_params):
         assert len(letters) == table.length[i]
         assert letters[-1] == table.last[i]
         assert table.letters(int(table.parent[i])) == letters[:-1]
-    word, m = table[-1]
-    assert word.letters == table.letters(n - 1) == (-3, -3, -3)
-    assert m.d == table.d[n - 1]
+    assert table.letters(-1) == table.letters(n - 1) == (-3, -3, -3)
     with pytest.raises(IndexError):
-        table[n]
+        table.letters(n)
 
 
 def test_enumerate_is_deterministic(genus2_params):
     first = enumerate_group(genus2_params, 3)
     second = enumerate_group(genus2_params, 3)
-    assert [w.letters for w, _ in first] == [w.letters for w, _ in second]
-    for (_, m1), (_, m2) in zip(first, second):
-        assert (m1.a, m1.b, m1.c, m1.d) == (m2.a, m2.b, m2.c, m2.d)
+    for name in ("a", "b", "c", "d", "length", "parent", "last"):
+        assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
 
 
 def test_group_word_rejects_unreduced():
@@ -394,7 +396,7 @@ def test_validate_fixture_sets(torus_params, genus2_params, genus3_params):
     for sp in (torus_params, genus2_params, genus3_params):
         report = validate(sp)
         assert report.ok
-        assert report.min_margin > 1.0
+        assert min(p.margin for p in report.pairs) > 1.0
 
 
 def test_require_admissible_names_every_reason():
@@ -514,3 +516,15 @@ def test_truncation_policy_validation():
         TruncationPolicy(mode_cutoff=0)
     with pytest.raises(InvalidParameterError):
         TruncationPolicy(tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [True, np.bool_(True), "1e-9", 1e-9 + 0j, math.nan, -1e-9, 0])
+def test_truncation_policy_refuses_non_positive_real_tol(tol):
+    with pytest.raises(InvalidParameterError, match="tol"):
+        TruncationPolicy(tol=tol)
+
+
+def test_truncation_policy_tol_is_a_float():
+    for tol in (1, np.float32(0.5), np.int64(2)):
+        policy = TruncationPolicy(tol=tol)
+        assert type(policy.tol) is float and policy.tol == float(tol)

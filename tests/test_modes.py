@@ -369,11 +369,9 @@ class TestShellIdentity:
         q = modes._seed_moments(sp, M, y)
         R = mode_coupling_matrix(sp, M)
         via = complex(p @ (np.linalg.matrix_power(R, k - 1) @ q))
-        shell = sum(
-            kernel_seed(mat(x), y, ORIGIN) * mat.derivative(x)
-            for word, mat in enumerate_group(sp, k)
-            if len(word.letters) == k
-        )
+        W = enumerate_group(sp, k)
+        mats = [MobiusMap(W.a[i], W.b[i], W.c[i], W.d[i]) for i in np.flatnonzero(W.length == k)]
+        shell = sum(kernel_seed(m(x), y, ORIGIN) * m.derivative(x) for m in mats)
         assert via == pytest.approx(shell, rel=1e-10)
 
 
