@@ -24,7 +24,6 @@ from schottky.group import (
     ClassicalParams,
     DegenerateMapError,
     DomainExitError,
-    GroupWord,
     IDENTITY_MAP,
     InvalidParameterError,
     MobiusMap,

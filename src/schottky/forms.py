@@ -48,14 +48,18 @@ multiplier, and the one-form normalization below):
 Every evaluation returns an :class:`Estimate`, whose tail is the last
 word shell's contribution plus a rounding floor (infinite at L = 0).
 The floor is eps times the terms' sizes |Re| + |Im| times the ulps of
-two roundings: each term's own (one ulp, or the per-term bound of
-``SurfaceForms._orbit_ulps`` in the seed- and power-kernel sums, whose
-terms divide by gamma x - A_j and gamma x - y), and the summation's.  A
-term meeting at most k roundings on its way into a sum moves it by
-gamma_k = k u / (1 - k u) of its size, u = eps/2 (Higham, Accuracy and
-Stability of Numerical Algorithms, sec. 4.2); k counts numpy's pairwise
-sum (``_sum_ulps``) and one addition per later block, k = 27 + 12 on the
-genus-3 fixture at L = 6.  The period-matrix entries get the same floor.
+two roundings: each term's own and the summation's.  One rule sets a
+term's own: every difference gamma x - P to a point P that the caller
+picks (y, or the seed's limit points A_j) amplifies the rounding of
+gamma x by |gamma x| / |gamma x - P|, so the seed and power kernels and
+the bidifferential with its partials charge the per-term bound of
+:func:`_orbit_ulps`; the one-forms, the projective connection and the
+period matrix divide only by differences that the disc geometry keeps
+apart, and charge one ulp per term.  A term meeting at most k roundings
+on its way into a sum moves it by gamma_k = k u / (1 - k u) of its size,
+u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms,
+sec. 4.2); k counts numpy's pairwise sum (``_sum_ulps``) and one
+addition per later block, k = 27 + 12 on the genus-3 fixture at L = 6.
 The quasi-period coefficients carry the kernel tails at their sample
 points through the same finite Fourier transform as the values.  Raising
 the word cutoff must move any value by less than its tail; the test
@@ -85,7 +89,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from schottky.group import (
-    GroupWord,
     InvalidParameterError,
     SchottkyError,
     SchottkyParams,
@@ -107,7 +110,6 @@ __all__ = [
     "ConvergenceError",
     "ConfigurationError",
     "SurfaceForms",
-    "kernel_seed",
 ]
 
 # Points closer than this to a pole of a summand abort the evaluation.
@@ -124,11 +126,14 @@ _ORBIT_BLOCK = 2048
 
 
 class PoleProximityError(SchottkyError):
-    """An evaluation point collided with a pole of a truncated summand."""
+    """An evaluation point collided with a pole of a truncated summand.
 
-    def __init__(self, message: str, word: GroupWord | None = None):
+    ``letters`` spells the summand's word (WordTable.letters), or is None.
+    """
+
+    def __init__(self, message: str, letters: tuple[int, ...] | None = None):
         super().__init__(message)
-        self.word = word
+        self.letters = letters
 
 
 class ConvergenceError(SchottkyError):
@@ -240,7 +245,7 @@ class PeriodMatrixResult:
     tail: float
 
 
-def kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> complex:
+def _kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> complex:
     """Seed kernel (1/(x-y)) prod_j (y - A_j)/(x - A_j).
 
     With the single point A = 0 this is 1/(x-y) - 1/x, the seed of the
@@ -297,6 +302,9 @@ class SurfaceForms:
         # numpy's pairwise sum of a block, then one addition per later block.
         self._sum_ulps = _sum_ulps(max(e - s for s, e, _ in self._blocks), len(self._blocks) - 1)
         self._grow = 1.0 + self.words.length
+        # max_a (|w_a| + r_a), a bound on |gamma x| for gamma != id (see _omega_sum).
+        discs = zip(sp.w_plus + sp.w_minus, 2 * sp.rho)
+        self._reach = max(abs(w) + math.sqrt(abs(rho)) for w, rho in discs)
         self._classical = classical_from_params(sp)
         # Per-surface results of schottky.correlators: Z per mode cutoff
         # and the period matrix, each computed on first use.
@@ -362,7 +370,7 @@ class SurfaceForms:
 
     def _reduce(
         self,
-        terms: Callable[[int, int], Sequence[tuple[np.ndarray, np.ndarray | None]]],
+        terms: Callable[[int, int], Sequence[tuple[np.ndarray, np.ndarray | float]]],
         count: int,
         first: int = 0,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -370,14 +378,14 @@ class SurfaceForms:
 
         ``terms(s, e)`` returns ``count`` pairs (vals, ulps) for the rows
         s..e-1 (from row ``first`` on): the terms of each summed quantity
-        and their per-term rounding bound from :meth:`_orbit_ulps`, or
-        None for a bound of one ulp (eps |term|, the magnitude taken as
-        |Re| + |Im|).  Each block's sum, its rounding floor sum |vals| ulps
-        and, for a block of the last shell, its sum again are added to
-        running totals in row order, so the result depends on the word
-        table only.  Returns per quantity the total, the last shell's sum
-        and the floor in units of eps: the terms' own rounding plus that
-        of the summation (see the module docstring).
+        and the bound, stated by the caller, on their own rounding in ulps
+        of eps |term|: one per term, or one for the block with the sizes
+        taken as |Re| + |Im|.  Each block's sum, its rounding floor
+        sum |vals| ulps and, for a block of the last shell, its sum again
+        are added to running totals in row order, so the result depends
+        on the word table only.  Returns per quantity the total, the last
+        shell's sum and the floor in units of eps: the terms' own rounding
+        plus that of the summation (see the module docstring).
         """
         totals = np.zeros(count, dtype=np.complex128)
         shells = np.zeros(count, dtype=np.complex128)
@@ -391,11 +399,11 @@ class SurfaceForms:
                 totals[j] += part
                 if last:
                     shells[j] += part
-                if ulps is None:
-                    floors[j] += (1.0 + self._sum_ulps) * _abs_sum(vals)
-                else:
+                if isinstance(ulps, np.ndarray):
                     # The summation's share per term, as |Re| + |Im| <= sqrt(2) |term|.
                     floors[j] += np.abs(vals) @ (ulps + math.sqrt(2.0) * self._sum_ulps)
+                else:
+                    floors[j] += (ulps + self._sum_ulps) * _abs_sum(vals)
         return totals, shells, floors
 
     def _tails(self, shells: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -406,34 +414,23 @@ class SurfaceForms:
 
     def _sum(
         self,
-        term: Callable[[int, int], tuple[np.ndarray, np.ndarray | None]],
+        term: Callable[[int, int], tuple[np.ndarray, np.ndarray | float]],
         first: int = 0,
     ) -> Estimate:
         """One blocked sum (see :meth:`_reduce`) and its tail."""
         totals, shells, floors = self._reduce(lambda s, e: (term(s, e),), 1, first)
         return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
 
-    def _orbit_ulps(self, weight: int, kappa: np.ndarray, s: int, e: int) -> np.ndarray:
-        """Per-word bound, in ulps, on the rounding of an orbit term (rows s..e-1).
-
-        A term (gamma'x)^N / prod_P (gamma x - P) gets (1 + k)(6N + 4 kappa)
-        ulps, k the word length and kappa the sum over the poles P of
-        |gamma x| / |gamma x - P|.  The word table gives gamma x and
-        gamma'x to 4(1 + k) and 6(1 + k) ulps (measured on the test
-        fixtures), and each difference gamma x - P amplifies the first by
-        |gamma x| / |gamma x - P|, large where the orbit nears a pole.
-        """
-        return self._grow[s:e] * (6.0 * weight + 4.0 * kappa)
-
-    def _guard_poles(self, dist: np.ndarray, s: int, what: str) -> None:
-        """Refuse a block whose distances to a pole (rows s..) fall below the guard."""
-        if dist.min() < POLE_GUARD:
-            w = GroupWord(self.words.letters(s + int(np.argmin(dist))))
+    def _guard_poles(self, dist: np.ndarray, s: int, what: str) -> float:
+        """Least distance to a pole in rows s.., refused below the guard with the word."""
+        near = dist.min()
+        if near < POLE_GUARD:
+            letters = self.words.letters(s + int(np.argmin(dist)))
             raise PoleProximityError(
-                f"{what}: evaluation point within {POLE_GUARD} of a pole "
-                f"(word {w.letters})",
-                word=w,
+                f"{what}: evaluation point within {POLE_GUARD} of a pole (word {letters})",
+                letters,
             )
+        return near
 
     # -- seed-kernel series ----------------------------------------------------
 
@@ -448,7 +445,7 @@ class SurfaceForms:
         S_k the orbit sum of (gamma'x)^weight / (prod_j (gamma x - A_j)
         (gamma x - y)^k).  Only with ``dy`` does the pass also form S_2,
         for the term-wise derivative P'(y) S_1 + P(y) S_2.  The rounding
-        floor is the per-term bound of :meth:`_orbit_ulps` over the poles
+        floor is the per-term bound of :func:`_orbit_ulps` over the poles
         A_j and y.  Each y is summed with the same operations as a call
         with y alone.
         """
@@ -469,11 +466,11 @@ class SurfaceForms:
                 diff = gx - y
                 dist = np.abs(diff)
                 self._guard_poles(dist, s, what)
-                ulps = self._orbit_ulps(weight, abs_gx * (inv + 1.0 / dist), s, e)
+                ulps = _orbit_ulps(weight, abs_gx * (inv + 1.0 / dist), self._grow[s:e])
                 out.append((coef / diff, ulps))
                 if dy:
                     # The shifted terms divide by gamma x - y once more.
-                    shifted = ulps + self._orbit_ulps(0, abs_gx / dist, s, e)
+                    shifted = ulps + _orbit_ulps(0, abs_gx / dist, self._grow[s:e])
                     out.append((coef / (diff * diff), shifted))
             return out
 
@@ -494,7 +491,7 @@ class SurfaceForms:
         """(gamma'x)^N / prod_j (gamma x - A_j) over a block of the orbit.
 
         Returns the coefficients and sum_j 1 / |gamma x - A_j|, which
-        times |gamma x| amplifies their rounding (see :meth:`_orbit_ulps`).
+        times |gamma x| amplifies their rounding (see :func:`_orbit_ulps`).
         No pole guard on gx - A_j: the truncated orbit clusters at the
         limit points by design, and the derivative power vanishes fast
         enough that these terms decay.  Deep words can even collide with
@@ -550,46 +547,28 @@ class SurfaceForms:
     def bidifferential(self, x: complex, y: complex) -> Estimate:
         """Symmetric normalized bidifferential, double pole on the diagonal.
 
-        x must lie in the fundamental domain; y anywhere off the orbit
-        of x (the continuation in the second argument).
+        The weight-1 :meth:`power_bidifferential`.  x must lie in the
+        fundamental domain; y anywhere off the orbit of x (the
+        continuation in the second argument).
         """
-        x = require_in_domain(self.sp, x, "x")
-        y = require_finite(y, "y")
-
-        def term(s: int, e: int) -> tuple[np.ndarray, None]:
-            gx, dgx, _ = self._orbit(x, s, e)
-            diff = gx - y
-            self._guard_poles(np.abs(diff), s, "bidifferential")
-            return dgx / (diff * diff), None
-
-        return self._sum(term)
+        return self.power_bidifferential(x, y, 1)
 
     def bidifferential_dfirst(self, x: complex, y: complex) -> Estimate:
         """Analytic partial of the bidifferential in its first argument."""
-        x = require_in_domain(self.sp, x, "x")
-        y = require_finite(y, "y")
 
-        def term(s: int, e: int) -> tuple[np.ndarray, None]:
-            gx, dgx, den = self._orbit(x, s, e)
+        def term(diff, dgx, den, s, e):
             ggx = self._second_derivatives(den, s, e)
-            diff = gx - y
-            self._guard_poles(np.abs(diff), s, "bidifferential derivative")
-            return ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff), None
+            return ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff)
 
-        return self._sum(term)
+        # gamma''x counts as (gamma'x)^2, weight 2, and gamma x - y thrice.
+        return self._omega_sum(x, y, "bidifferential derivative", 2, 3, term)
 
     def bidifferential_dsecond(self, x: complex, y: complex) -> Estimate:
         """Analytic partial of the bidifferential in its second argument."""
-        x = require_in_domain(self.sp, x, "x")
-        y = require_finite(y, "y")
-
-        def term(s: int, e: int) -> tuple[np.ndarray, None]:
-            gx, dgx, _ = self._orbit(x, s, e)
-            diff = gx - y
-            self._guard_poles(np.abs(diff), s, "bidifferential derivative")
-            return 2.0 * dgx / (diff * diff * diff), None
-
-        return self._sum(term)
+        return self._omega_sum(
+            x, y, "bidifferential derivative", 1, 3,
+            lambda diff, dgx, den, s, e: 2.0 * dgx / (diff * diff * diff),
+        )
 
     def _second_derivatives(self, den: np.ndarray, s: int, e: int) -> np.ndarray:
         """d^2(gamma x)/dx^2 for the rows s..e-1, given their c x + d."""
@@ -598,20 +577,36 @@ class SurfaceForms:
     def power_bidifferential(self, x: complex, y: complex, weight: int) -> Estimate:
         """sum_gamma (d(gamma x) dy / (gamma x - y)^2)^N, weight (N, N)."""
         weight = require_integer(weight, "weight", 1)
+
+        def term(diff, dgx, den, s, e):
+            omega = dgx / (diff * diff)
+            # numpy's complex ** 1 is no copy but a full power loop.
+            return omega if weight == 1 else omega**weight
+
+        what = "bidifferential" if weight == 1 else "power bidifferential"
+        return self._omega_sum(x, y, what, weight, 2 * weight, term)
+
+    def _omega_sum(
+        self, x: complex, y: complex, what: str, weight: int, poles: int, term: Callable
+    ) -> Estimate:
+        """Blocked orbit sum of term(gamma x - y, gamma'x, c x + d, s, e).
+
+        Each block's floor is :func:`_orbit_ulps` at its longest word, the
+        pole y counted ``poles`` times as kappa = poles max(reach, |x|) / near:
+        |gamma x| <= reach for every word but the identity (whose image is
+        x), and near is the block's least |gamma x - y|, from the pole guard.
+        """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
+        top = poles * max(self._reach, abs(x))
 
-        def term(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-            gx, dgx, _ = self._orbit(x, s, e)
+        def block(s: int, e: int) -> tuple[np.ndarray, float]:
+            gx, dgx, den = self._orbit(x, s, e)
             diff = gx - y
-            dist = np.abs(diff)
-            self._guard_poles(dist, s, "power bidifferential")
-            # The rounding floor is the per-term bound of _orbit_ulps with
-            # the pole y counted 2N times.
-            kappa = 2.0 * weight * np.abs(gx) / dist
-            return (dgx / (diff * diff)) ** weight, self._orbit_ulps(weight, kappa, s, e)
+            near = self._guard_poles(np.abs(diff), s, what)
+            return term(diff, dgx, den, s, e), _orbit_ulps(weight, top / near, self._grow[e - 1])
 
-        return self._sum(term)
+        return self._sum(block)
 
     def projective_connection(self, x: complex) -> Estimate:
         """s(x) = 6 sum_{gamma != id} d(gamma x) dx / (gamma x - x)^2.
@@ -622,12 +617,11 @@ class SurfaceForms:
         """
         x = require_in_domain(self.sp, x, "x")
 
-        def term(s: int, e: int) -> tuple[np.ndarray, None]:
+        def term(s: int, e: int) -> tuple[np.ndarray, float]:
             gx, dgx, _ = self._orbit(x, s, e)
             diff = gx - x
-            if np.abs(diff).min() < POLE_GUARD:
-                raise PoleProximityError("projective connection: x at an orbit point")
-            return 6.0 * dgx / (diff * diff), None
+            self._guard_poles(np.abs(diff), s, "projective connection")
+            return 6.0 * dgx / (diff * diff), 1.0
 
         return self._sum(term, first=1)
 
@@ -635,13 +629,12 @@ class SurfaceForms:
         """Analytic d/dx of the projective connection."""
         x = require_in_domain(self.sp, x, "x")
 
-        def term(s: int, e: int) -> tuple[np.ndarray, None]:
+        def term(s: int, e: int) -> tuple[np.ndarray, float]:
             gx, dgx, den = self._orbit(x, s, e)
             ggx = self._second_derivatives(den, s, e)
             diff = gx - x
-            if np.abs(diff).min() < POLE_GUARD:
-                raise PoleProximityError("projective connection derivative: pole")
-            return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3)), None
+            self._guard_poles(np.abs(diff), s, "projective connection derivative")
+            return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3)), 1.0
 
         return self._sum(term, first=1)
 
@@ -664,10 +657,10 @@ class SurfaceForms:
         x = require_in_domain(self.sp, x, "x")
         last = self.words.last
 
-        def block(s: int, e: int) -> tuple[np.ndarray, None]:
+        def block(s: int, e: int) -> tuple[np.ndarray, float]:
             rows = s + np.flatnonzero(np.abs(last[s:e]) != a)
             img_p, img_m, delta = self._fixed_point_images(rows, a)
-            return term(delta, x - img_m, x - img_p), None
+            return term(delta, x - img_m, x - img_p), 1.0
 
         return self._sum(block)
 
@@ -803,6 +796,21 @@ def _row_blocks(length: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
     start = int(np.searchsorted(length, length[-1]))
     cuts = [*range(0, start, _ORBIT_BLOCK), *range(start, n, _ORBIT_BLOCK), n]
     return tuple((s, e, s >= start) for s, e in zip(cuts[:-1], cuts[1:]))
+
+
+def _orbit_ulps(weight: int, kappa, grow):
+    """Bound, in ulps, on the rounding of orbit terms of words with 1 + k = ``grow``.
+
+    A term (gamma'x)^N / prod_P (gamma x - P) gets (1 + k)(6N + 4 kappa)
+    ulps, k the word length and kappa the sum over the poles P of
+    |gamma x| / |gamma x - P|.  The word table gives gamma x and
+    gamma'x to 4(1 + k) and 6(1 + k) ulps (measured on the test
+    fixtures), and each difference gamma x - P amplifies the first by
+    |gamma x| / |gamma x - P|, large where the orbit nears a pole.
+    gamma''x, measured at 1.5 times the ulps of gamma'x, counts as
+    (gamma'x)^2.  Arrays give one bound per word, numbers one per block.
+    """
+    return grow * (6.0 * weight + 4.0 * kappa)
 
 
 def _sum_ulps(n: int, more: int) -> float:

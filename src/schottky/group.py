@@ -14,6 +14,8 @@ admissible when the 2g closed discs are pairwise disjoint,
     |w_a - w_b| > |rho_a|^{1/2} + |rho_b|^{1/2}    for all a != b,
 
 with signed indices running over {1, -1, ..., g, -g} and rho_{-a} := rho_a.
+:func:`in_fundamental_domain` and :func:`require_in_domain` test a point
+against the open discs in one scan over the centres and rho.
 
 The classical coordinates (repelling fixed point W_a, attracting fixed
 point W_{-a}, multiplier q_a with 0 < |q_a| < 1) are related to the disc
@@ -33,7 +35,7 @@ arrays with one row per word in that order, holding the matrix entries
 a, b, c, d (complex128), the word length, the row of the parent word
 (the word without its last letter) and the last letter; no object is
 built per word, and :meth:`WordTable.letters` spells one out from the
-parent rows where a message needs it.  Each matrix
+parent rows where a message or an error needs it.  Each matrix
 equals, bit for bit, the left-to-right :meth:`MobiusMap.compose` product
 of its letters' :func:`generator_map` matrices.  The table forms these
 products on real and imaginary parts separately, in the order Python's
@@ -65,7 +67,6 @@ __all__ = [
     "IDENTITY_MAP",
     "SchottkyParams",
     "ClassicalParams",
-    "GroupWord",
     "WordTable",
     "TruncationPolicy",
     "PairSeparation",
@@ -297,29 +298,6 @@ class ClassicalParams:
 
 
 @dataclass(frozen=True)
-class GroupWord:
-    """A reduced word in the generators, stored as signed indices."""
-
-    letters: tuple[int, ...]
-
-    def __post_init__(self):
-        letters = tuple(int(a) for a in self.letters)
-        object.__setattr__(self, "letters", letters)
-        for x, y in zip(letters, letters[1:]):
-            if x == -y:
-                raise InvalidParameterError(f"word {letters} is not reduced")
-        if any(a == 0 for a in letters):
-            raise InvalidParameterError("0 is not a generator index")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-
-@dataclass(frozen=True)
 class TruncationPolicy:
     """Shared truncation knobs: word length L, mode cutoff M, tolerance.
 
@@ -426,7 +404,7 @@ def generator_map(sp: SchottkyParams, a: int) -> MobiusMap:
     return MobiusMap(wma, rho - wma * wa, 1.0, -wa).normalized()
 
 
-def word_count(genus: int, max_word_length: int) -> int:
+def _word_count(genus: int, max_word_length: int) -> int:
     """Number of reduced words of length <= L in the free group of rank g."""
     g = genus
     total = 1
@@ -539,7 +517,7 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     follow = np.zeros((2 * sp.genus + 1, 2 * sp.genus - 1), dtype=np.int64)
     for x in letters:
         follow[x] = [y for y in letters if y != -x]  # in generator order
-    n = word_count(sp.genus, max_word_length)
+    n = _word_count(sp.genus, max_word_length)
     a, b, c, d = (np.empty(n, dtype=np.complex128) for _ in range(4))
     length = np.zeros(n, dtype=np.int64)
     parent = np.zeros(n, dtype=np.int64)
@@ -685,9 +663,8 @@ def require_in_domain(sp: SchottkyParams, z: complex, name: str) -> complex:
     their generator images can land an ulp inside.
     """
     z = require_finite(z, name)
-    for b in sp.signed_indices:
-        if abs(z - sp.center(b)) < sp.radius(b) * (1.0 - 1e-12):
-            raise InvalidParameterError(f"{name} = {z} lies inside an isometric disc")
+    if _in_a_disc(sp, z, 1.0 - 1e-12):
+        raise InvalidParameterError(f"{name} = {z} lies inside an isometric disc")
     return z
 
 
@@ -697,13 +674,15 @@ def in_fundamental_domain(sp: SchottkyParams, z: complex) -> bool:
     The boundary counts as inside the fundamental domain (closed
     convention); the point at infinity is always inside.
     """
-    if is_infinity(z):
-        return True
-    z = complex(z)
-    for a in sp.signed_indices:
-        if abs(z - sp.center(a)) < sp.radius(a):
-            return False
-    return True
+    return is_infinity(z) or not _in_a_disc(sp, complex(z), 1.0)
+
+
+def _in_a_disc(sp: SchottkyParams, z: complex, shrink: float) -> bool:
+    """True iff the finite z lies strictly inside a disc, every radius times ``shrink``."""
+    for w, rho in zip(sp.w_plus + sp.w_minus, 2 * sp.rho):
+        if abs(z - w) < math.sqrt(abs(rho)) * shrink:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -70,13 +70,14 @@ from schottky.forms import (
     ConfigurationError,
     ConvergenceError,
     Estimate,
-    kernel_seed,
+    _kernel_seed,
 )
 from schottky.group import (
     SchottkyParams,
     require_admissible,
     require_in_domain,
     require_integer,
+    require_positive,
 )
 
 __all__ = [
@@ -89,9 +90,6 @@ __all__ = [
 
 # Factorizations whose 1-norm condition number is above this are refused.
 MAX_CONDITION = 1e8
-
-# Binomial tables of mode_coupling_matrix, one per mode cutoff.
-_BINOMIALS: dict[int, np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -170,15 +168,13 @@ def _seed_moments(sp: SchottkyParams, modes: int, y: complex) -> np.ndarray:
     return out
 
 
+@functools.cache
 def _binomials(modes: int) -> np.ndarray:
     """Read-only table C(m + n + 1, m) for m, n < modes, built once per cutoff."""
-    binom = _BINOMIALS.get(modes)
-    if binom is None:
-        binom = np.array(
-            [[float(math.comb(m + n + 1, m)) for n in range(modes)] for m in range(modes)]
-        )
-        binom.flags.writeable = False
-        _BINOMIALS[modes] = binom
+    binom = np.array(
+        [[float(math.comb(m + n + 1, m)) for n in range(modes)] for m in range(modes)]
+    )
+    binom.flags.writeable = False
     return binom
 
 
@@ -270,6 +266,7 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
     no M <= cap meets tol, the cutoff is cap.
     """
     require_admissible(sp)
+    tol = require_positive(tol, "tol")
     cap = require_integer(cap, "mode cutoff", 1)
     sums = _omitted_sums(sp, range(cap + 1))
     for m in range(1, cap):
@@ -402,7 +399,7 @@ def kernel_via_modes(
     p = _pole_basis(sp, modes, x)
     solved = lu_solve((system.lu, system.piv), _seed_moments(sp, modes, y))
     correction = complex(p @ solved)
-    seed = kernel_seed(x, y, (0.0,))
+    seed = _kernel_seed(x, y, (0.0,))
     # The solve and the dot product round by about 2gM ulps of the terms.
     scale = float(system.cond * (np.abs(p) @ np.abs(solved)))
     floor = len(p) * EPS * (abs(seed) + scale)

@@ -23,7 +23,7 @@ from schottky.forms import (
     Estimate,
     PoleProximityError,
     SurfaceForms,
-    kernel_seed,
+    _kernel_seed,
     _abs_sum,
 )
 from schottky.correlators import virasoro_one_point
@@ -100,18 +100,18 @@ def trapezoid_loop(f, center, radius, n=256):
 class TestSeedKernel:
     def test_single_point_seed_is_third_kind_identity_term(self):
         # (1/(x-y)) * (y-0)/(x-0) = 1/(x-y) - 1/x; at x=2, y=1 both give 1/2.
-        assert kernel_seed(2.0, 1.0, (0.0,)) == pytest.approx(0.5)
+        assert _kernel_seed(2.0, 1.0, (0.0,)) == pytest.approx(0.5)
         x, y = 1.7 - 0.3j, -0.4 + 2.1j
-        assert kernel_seed(x, y, (0.0,)) == pytest.approx(1 / (x - y) - 1 / x)
+        assert _kernel_seed(x, y, (0.0,)) == pytest.approx(1 / (x - y) - 1 / x)
 
     def test_three_point_seed_worked_example(self):
         # (1/(3-1)) * ((1-0)(1+2)(1-5)) / ((3-0)(3+2)(3-5))
         #   = (1/2) * (1*3*(-4)) / (3*5*(-2)) = (1/2)(-12/-30) = 0.2
-        assert kernel_seed(3.0, 1.0, (0.0, -2.0, 5.0)) == pytest.approx(0.2)
+        assert _kernel_seed(3.0, 1.0, (0.0, -2.0, 5.0)) == pytest.approx(0.2)
 
     def test_diagonal_pole_rejected(self):
         with pytest.raises(PoleProximityError):
-            kernel_seed(1.0, 1.0, (0.0,))
+            _kernel_seed(1.0, 1.0, (0.0,))
 
 
 class TestThirdKind:
@@ -352,7 +352,7 @@ class TestRecursionKernel:
         F = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=0))
         x, y = 2.6 + 0.3j, -1.9 + 2.2j
         v = F.recursion_kernel(x, y, 2)
-        assert v.value == pytest.approx(kernel_seed(x, y, F._seed_points(2)))
+        assert v.value == pytest.approx(_kernel_seed(x, y, F._seed_points(2)))
 
     def test_diagonal_residue_one(self, genus2_forms):
         y = 0.5 - 0.6j
@@ -770,10 +770,14 @@ class TestBlockedSums:
             assert abs(got.value - exact) <= 8 * EPS * scale, (name, args)
             # The tail's last shell is the same rows' sum; the floor on top
             # is (1 + the summation bound) eps * sum |terms| unless the
-            # evaluator bounds each term.
+            # evaluator's terms divide by gamma x - y and charge its
+            # amplification.
             shell = abs(terms[last_shell].sum())
             assert got.tail >= shell, (name, args)
-            if name not in ("power_bidifferential", "recursion_kernel", "recursion_kernel_dy"):
+            if name not in (
+                "bidifferential", "bidifferential_dfirst", "bidifferential_dsecond",
+                "power_bidifferential", "recursion_kernel", "recursion_kernel_dy",
+            ):
                 assert got.tail <= shell + (2 + F._sum_ulps) * EPS * scale, (name, args)
 
     def test_floor_bounds_the_summation(self, genus3_params):
@@ -800,6 +804,47 @@ class TestBlockedSums:
             exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
             shell = abs(terms[last_shell].sum())
             assert abs(got.value - exact) <= got.tail - shell, (name, args)
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    @pytest.mark.parametrize("x", [2.6 + 0.9j, 3.1 + 0.4j])
+    def test_omega_family_within_tail_of_exact_sum(self, fixture, x, request):
+        # The bidifferential family against the exact sum of its terms over
+        # the word table's float entries.  At y a micron off gamma_1 x the
+        # difference gamma_1 x - y amplifies the rounding of gamma_1 x a
+        # millionfold: a one-ulp floor missed the error by 7.6-476x
+        # (bidifferential) and 7.9e4-7.7e5x (its partials).
+        sp = request.getfixturevalue(fixture)
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=2))
+        W = F.words
+        X = _exact(x)
+        for y in (generator_map(sp, 1)(x) + 1e-6 * (1 + 1j), -0.5 - 0.8j):
+            Y = _exact(y)
+            sums = dict.fromkeys(("omega", "dfirst", "dsecond", "power2"), (0, 0))
+            for i in range(len(W)):
+                a, b, c, d = (_exact(v[i]) for v in (W.a, W.b, W.c, W.d))
+                den = _exact_add(_exact_mul(c, X), d)
+                dgx = _exact_div((1, 0), _exact_mul(den, den))
+                diff = _exact_add(_exact_div(_exact_add(_exact_mul(a, X), b), den), (-Y[0], -Y[1]))
+                omega = _exact_div(dgx, _exact_mul(diff, diff))
+                cube = _exact_mul(diff, _exact_mul(diff, diff))
+                dsecond = _exact_div(_exact_mul((2, 0), dgx), cube)
+                ggx = _exact_div(_exact_mul((-2, 0), c), _exact_mul(den, _exact_mul(den, den)))
+                dfirst = _exact_add(
+                    _exact_div(ggx, _exact_mul(diff, diff)),
+                    _exact_div(_exact_mul((-2, 0), _exact_mul(dgx, dgx)), cube),
+                )
+                terms = {"omega": omega, "dfirst": dfirst, "dsecond": dsecond,
+                         "power2": _exact_mul(omega, omega)}
+                sums = {k: _exact_add(sums[k], t) for k, t in terms.items()}
+            calls = [
+                (F.bidifferential(x, y), "omega"),
+                (F.bidifferential_dfirst(x, y), "dfirst"),
+                (F.bidifferential_dsecond(x, y), "dsecond"),
+                (F.power_bidifferential(x, y, 1), "omega"),
+                (F.power_bidifferential(x, y, 2), "power2"),
+            ]
+            for got, key in calls:
+                assert _within(got, sums[key]), (key, y)
 
     def test_floor_is_independent_of_buffer_alignment(self):
         # The same terms at 8 offsets of one buffer give one floor (BLAS
@@ -852,7 +897,7 @@ class TestBlockedSums:
             ):
                 with pytest.raises(PoleProximityError) as info:
                     call()
-                assert info.value.word.letters == W.letters(row)
+                assert info.value.letters == W.letters(row)
 
 class TestConstruction:
     def test_invalid_parameters_rejected(self):
@@ -949,6 +994,16 @@ def _exact(z):
 
 def _exact_mul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _exact_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _exact_div(a, b):
+    norm = Fraction(b[0] * b[0] + b[1] * b[1])
+    p = _exact_mul(a, (b[0], -b[1]))
+    return p[0] / norm, p[1] / norm
 
 
 def _near(true, dr, di):

@@ -13,7 +13,6 @@ from schottky import (
     ClassicalParams,
     DegenerateMapError,
     DomainExitError,
-    GroupWord,
     IDENTITY_MAP,
     InvalidParameterError,
     MobiusMap,
@@ -29,7 +28,7 @@ from schottky import (
     validate,
 )
 import schottky.group as group
-from schottky.group import word_count
+from schottky.group import _word_count
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +262,7 @@ def test_enumerate_order_is_length_then_lex(genus2_params):
 @pytest.mark.parametrize("length", [0, 1, 2, 3, 4, 5, 6])
 def test_enumerate_count_matches_closed_form(genus, length, torus_params, genus2_params, genus3_params):
     sp = {1: torus_params, 2: genus2_params, 3: genus3_params}[genus]
-    assert len(enumerate_group(sp, length)) == word_count(genus, length)
+    assert len(enumerate_group(sp, length)) == _word_count(genus, length)
 
 
 def compose_chain_table(sp, length):
@@ -295,11 +294,11 @@ def test_enumerate_matrices_compose_like_words(torus_params, genus2_params, genu
     # the left-to-right compose product of its letters' generator maps.
     # At genus 3, L = 6 the last frontier (3750 words) spans several
     # growth blocks; at genus 1 every word has exactly one child.
-    assert word_count(3, 5) - word_count(3, 4) > 3 * group._GROW_BLOCK
+    assert _word_count(3, 5) - _word_count(3, 4) > 3 * group._GROW_BLOCK
     for sp, length in ((torus_params, 9), (genus2_params, 5), (genus3_params, 4), (genus3_params, 6)):
         table = enumerate_group(sp, length)
         expected = compose_chain_table(sp, length)
-        assert len(table) == word_count(sp.genus, length) == len(expected["a"])
+        assert len(table) == _word_count(sp.genus, length) == len(expected["a"])
         for name, arr in expected.items():
             got = getattr(table, name)
             assert got.dtype == arr.dtype
@@ -351,13 +350,6 @@ def test_enumerate_is_deterministic(genus2_params):
     second = enumerate_group(genus2_params, 3)
     for name in ("a", "b", "c", "d", "length", "parent", "last"):
         assert getattr(first, name).tobytes() == getattr(second, name).tobytes(), name
-
-
-def test_group_word_rejects_unreduced():
-    with pytest.raises(InvalidParameterError):
-        GroupWord((1, -1))
-    with pytest.raises(InvalidParameterError):
-        GroupWord((2, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from schottky.forms import (
     ConfigurationError,
     ConvergenceError,
     SurfaceForms,
-    kernel_seed,
+    _kernel_seed,
 )
 from schottky.group import (
     ClassicalParams,
@@ -336,7 +336,7 @@ class TestWorkedCoupling:
             wma = sp.center(-a)
             sa = cmath.sqrt(sp.rho_signed(a))
             for m in range(4):
-                coeff = cauchy_taylor(lambda z: kernel_seed(z, y, ORIGIN), wma, m, 0.3)
+                coeff = cauchy_taylor(lambda z: _kernel_seed(z, y, ORIGIN), wma, m, 0.3)
                 expected = -(sa ** (m + 1)) * coeff
                 assert q[i * 4 + m] == pytest.approx(expected, rel=1e-6), (a, m)
 
@@ -352,7 +352,7 @@ class TestRankOneContraction:
         q = modes._seed_moments(sp, M, y)
         for i, a in enumerate(sp.signed_indices):
             g = generator_map(sp, a)
-            expected = kernel_seed(g(x), y, ORIGIN) * g.derivative(x)
+            expected = _kernel_seed(g(x), y, ORIGIN) * g.derivative(x)
             got = complex(p[i * M:(i + 1) * M] @ q[i * M:(i + 1) * M])
             assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
@@ -371,7 +371,7 @@ class TestShellIdentity:
         via = complex(p @ (np.linalg.matrix_power(R, k - 1) @ q))
         W = enumerate_group(sp, k)
         mats = [MobiusMap(W.a[i], W.b[i], W.c[i], W.d[i]) for i in np.flatnonzero(W.length == k)]
-        shell = sum(kernel_seed(m(x), y, ORIGIN) * m.derivative(x) for m in mats)
+        shell = sum(_kernel_seed(m(x), y, ORIGIN) * m.derivative(x) for m in mats)
         assert via == pytest.approx(shell, rel=1e-10)
 
 
@@ -407,7 +407,7 @@ class TestKernelViaModes:
         for scale in (1e-6, 1e-8):
             sp = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (scale, scale))
             kv = kernel_via_modes(sp, 1, 6, x, y)
-            drifts.append(abs(kv.value - kernel_seed(x, y, ORIGIN)))
+            drifts.append(abs(kv.value - _kernel_seed(x, y, ORIGIN)))
         assert drifts[1] < 1e-5
         ratio = drifts[0] / drifts[1]
         assert 30.0 < ratio < 300.0
@@ -731,6 +731,12 @@ class TestTruncationBounds:
             assert z.tail <= tol + 2 * sp.genus * m * EPS * abs(z.value)
             assert modes._determinant_truncation(*modes._omitted_sums(sp, (m - 1, 0))) > tol
         assert mode_cutoff_for(sp, 1e-300, 7) == 7
+
+    @pytest.mark.parametrize("tol", [True, math.nan, -1.0, 0.0, "x"])
+    def test_cutoff_refuses_bad_tol(self, genus2_params, tol):
+        # Like TruncationPolicy(tol=), not a cutoff of 1 or of the cap.
+        with pytest.raises(InvalidParameterError):
+            mode_cutoff_for(genus2_params, tol, 20)
 
 
 class TestCertifiedRegion:

@@ -1,7 +1,9 @@
 """The package's own description matches what is installed."""
 
+import ast
 import importlib
 import re
+from pathlib import Path
 
 import schottky
 
@@ -19,3 +21,22 @@ def test_every_exported_name_resolves():
         module = importlib.import_module(name)
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, (name, missing)
+
+
+def test_no_unused_module_imports():
+    # Every name a module imports at its top level is used in it or named
+    # in its __all__.  The package __init__ imports only to re-export.
+    for path in sorted(Path(schottky.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= set(getattr(importlib.import_module(f"schottky.{path.stem}"), "__all__", ()))
+        assert not sorted(imported - used), (path.name, sorted(imported - used))
