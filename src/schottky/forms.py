@@ -48,34 +48,34 @@ multiplier, and the one-form normalization below):
 Every evaluation returns an :class:`Estimate`, whose tail is the last
 word shell's contribution plus a rounding floor (infinite at L = 0).
 The floor is eps times the terms' sizes |Re| + |Im| times the ulps of
-two roundings: each term's own and the summation's.  One rule sets a
-term's own: every difference gamma x - P to a point P that the caller
-picks (y, or the seed's limit points A_j) amplifies the rounding of
-gamma x by |gamma x| / |gamma x - P|, so the seed and power kernels and
-the bidifferential with its partials charge the per-term bound of
-:func:`_orbit_ulps`; the one-forms, the projective connection and the
-period matrix divide only by differences that the disc geometry keeps
-apart, and charge one ulp per term.  A term meeting at most k roundings
-on its way into a sum moves it by gamma_k = k u / (1 - k u) of its size,
-u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms,
-sec. 4.2); k counts numpy's pairwise sum (``_sum_ulps``) and one
-addition per later block, k = 27 + 12 on the genus-3 fixture at L = 6.
-The quasi-period coefficients carry the kernel tails at their sample
-points through the same finite Fourier transform as the values.  Raising
-the word cutoff must move any value by less than its tail; the test
-suite enforces this.
+two roundings: each term's own and the summation's.  One rule,
+:func:`_orbit_ulps`, sets a term's own in every pointwise sum.  A term
+(gamma'x)^N / prod (z - P) of a word of k letters gets (1 + k)(6N +
+4 kappa) ulps of rounding and k c (N + drift) of the float generators'
+error.  kappa sums |z| / |z - P| and drift sums r / |z - P| over the
+differences z - P it divides by: z is gamma x, or gamma W_{+-a} in the
+one-forms, and P is y, x or a seed point A_j.  r is the largest radius
+and c = max_a (|w_a w_{-a}| + |rho_a|) / |rho_a| the conditioning of
+the float generators.  The period matrix alone charges one ulp per
+term; against 40-digit sums over the true group it stayed within 0.06
+of its tail.  A term meeting at most m roundings on its way into a sum
+moves it by gamma_m = m u / (1 - m u) of its size, u = eps/2 (Higham,
+Accuracy and Stability of Numerical Algorithms, sec. 4.2); m counts
+numpy's pairwise sum (``_sum_ulps``) and one addition per later block,
+m = 27 + 12 on the genus-3 fixture at L = 6.  The quasi-period
+coefficients carry the kernel tails at their sample points through the
+same finite Fourier transform as the values.  Raising the word cutoff
+must move any value by less than its tail; the test suite enforces this.
 
-The pointwise sums (everything above but the period matrix) walk the
-word table in fixed blocks of at most ``_ORBIT_BLOCK`` rows, the last
-shell starting a block of its own.  Per block they form gamma x and
-gamma'x, the terms and their rounding bounds, and add the block's sum,
-floor and last-shell part to running totals in row order; no temporary
-spans the whole table.
-The blocks depend on the word table only, so every value is reproduced
-bit for bit on every call, and a kernel summed at several y in one pass
-(as the quasi-period coefficients do) equals its single-y value.
-Against a sum over the whole table in one pass, blocking moves a value by
-summation rounding only, which the floor bounds.
+The pointwise sums (all but the period matrix) walk the word table in
+fixed blocks of at most ``_ORBIT_BLOCK`` rows, the last shell starting a
+block of its own, and add each block's sum, floor and last-shell part to
+running totals in row order; no temporary spans the whole table.  The
+blocks depend on the word table only, so every value is reproduced bit
+for bit on every call, and a kernel summed at several y in one pass (as
+the quasi-period coefficients do) equals its single-y value.  Against a
+one-pass sum over the whole table, blocking moves a value by summation
+rounding only, which the floor bounds.
 """
 
 from __future__ import annotations
@@ -265,11 +265,12 @@ def _kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> com
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
-    Immutable after construction: the word table and the generator
-    fixed points (:func:`~schottky.group.classical_from_params`) are
-    frozen here, so repeated evaluations are deterministic.  ``words`` is
-    the :class:`~schottky.group.WordTable` of
-    :func:`~schottky.group.enumerate_group`; the orbit and coset sums
+    Immutable after construction: the word table, the generator fixed
+    points (:func:`~schottky.group.classical_from_params`) and the
+    generators' conditioning c of every rounding floor
+    (:func:`_orbit_ulps`) are frozen here, so repeated evaluations are
+    deterministic.  ``words`` is the :class:`~schottky.group.WordTable`
+    of :func:`~schottky.group.enumerate_group`; the orbit and coset sums
     read its arrays directly.  The fixed points serve the coset series,
     the period matrix and, sliced in handle order, the pole basis of the
     weight-N seeds (see :meth:`_seed_points`).  The only state added
@@ -305,6 +306,11 @@ class SurfaceForms:
         # max_a (|w_a| + r_a), a bound on |gamma x| for gamma != id (see _omega_sum).
         discs = zip(sp.w_plus + sp.w_minus, 2 * sp.rho)
         self._reach = max(abs(w) + math.sqrt(abs(rho)) for w, rho in discs)
+        # The generators' conditioning c, charged k c per word, and the largest radius.
+        pairs = zip(sp.w_plus, sp.w_minus, sp.rho)
+        cond = max((abs(wp * wm) + abs(rho)) / abs(rho) for wp, wm, rho in pairs)
+        self._skew = cond * self.words.length
+        self._radius = max(math.sqrt(abs(rho)) for rho in sp.rho)
         self._classical = classical_from_params(sp)
         # Per-surface results of schottky.correlators: Z per mode cutoff
         # and the period matrix, each computed on first use.
@@ -379,13 +385,13 @@ class SurfaceForms:
         ``terms(s, e)`` returns ``count`` pairs (vals, ulps) for the rows
         s..e-1 (from row ``first`` on): the terms of each summed quantity
         and the bound, stated by the caller, on their own rounding in ulps
-        of eps |term|: one per term, or one for the block with the sizes
-        taken as |Re| + |Im|.  Each block's sum, its rounding floor
-        sum |vals| ulps and, for a block of the last shell, its sum again
-        are added to running totals in row order, so the result depends
-        on the word table only.  Returns per quantity the total, the last
-        shell's sum and the floor in units of eps: the terms' own rounding
-        plus that of the summation (see the module docstring).
+        of eps times their sizes |Re| + |Im|, one per term or one for the
+        block.  Each block's sum, its rounding floor and, for a block of
+        the last shell, its sum again are added to running totals in row
+        order, so the result depends on the word table only.  Returns per
+        quantity the total, the last shell's sum and the floor in units of
+        eps: the terms' own rounding plus that of the summation (see the
+        module docstring).
         """
         totals = np.zeros(count, dtype=np.complex128)
         shells = np.zeros(count, dtype=np.complex128)
@@ -400,8 +406,9 @@ class SurfaceForms:
                 if last:
                     shells[j] += part
                 if isinstance(ulps, np.ndarray):
-                    # The summation's share per term, as |Re| + |Im| <= sqrt(2) |term|.
-                    floors[j] += np.abs(vals) @ (ulps + math.sqrt(2.0) * self._sum_ulps)
+                    # Sizes |Re| + |Im| as per block; the summation's share with margin sqrt(2).
+                    sizes = np.abs(vals.real) + np.abs(vals.imag)
+                    floors[j] += sizes @ (ulps + math.sqrt(2.0) * self._sum_ulps)
                 else:
                     floors[j] += (ulps + self._sum_ulps) * _abs_sum(vals)
         return totals, shells, floors
@@ -412,11 +419,7 @@ class SurfaceForms:
             return np.full(len(shells), math.inf)
         return np.abs(shells) + EPS * floors
 
-    def _sum(
-        self,
-        term: Callable[[int, int], tuple[np.ndarray, np.ndarray | float]],
-        first: int = 0,
-    ) -> Estimate:
+    def _sum(self, term: Callable[[int, int], tuple], first: int = 0) -> Estimate:
         """One blocked sum (see :meth:`_reduce`) and its tail."""
         totals, shells, floors = self._reduce(lambda s, e: (term(s, e),), 1, first)
         return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
@@ -460,17 +463,18 @@ class SurfaceForms:
         def terms(s: int, e: int) -> list[tuple[np.ndarray, np.ndarray]]:
             gx, dgx, _ = self._orbit(x, s, e)
             coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
-            abs_gx = np.abs(gx)
+            abs_gx, grow, skew = np.abs(gx), self._grow[s:e], self._skew[s:e]
             out = []
             for y in ys:
                 diff = gx - y
                 dist = np.abs(diff)
                 self._guard_poles(dist, s, what)
-                ulps = _orbit_ulps(weight, abs_gx * (inv + 1.0 / dist), self._grow[s:e])
+                poles = inv + 1.0 / dist
+                ulps = _orbit_ulps(weight, abs_gx * poles, self._radius * poles, grow, skew)
                 out.append((coef / diff, ulps))
                 if dy:
                     # The shifted terms divide by gamma x - y once more.
-                    shifted = ulps + _orbit_ulps(0, abs_gx / dist, self._grow[s:e])
+                    shifted = ulps + _orbit_ulps(0, abs_gx / dist, self._radius / dist, grow, skew)
                     out.append((coef / (diff * diff), shifted))
             return out
 
@@ -482,11 +486,7 @@ class SurfaceForms:
         return vals, self._tails(shell, np.abs(dpoly) * floors[::2] + np.abs(poly) * floors[1::2])
 
     def _orbit_seed_coef(
-        self,
-        gx: np.ndarray,
-        dgx: np.ndarray,
-        A: tuple[complex, ...],
-        weight: int,
+        self, gx: np.ndarray, dgx: np.ndarray, A: tuple[complex, ...], weight: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """(gamma'x)^N / prod_j (gamma x - A_j) over a block of the orbit.
 
@@ -499,7 +499,8 @@ class SurfaceForms:
         resolution); such a term vanishes like the word multiplier to the
         power N-1, so it is zeroed rather than divided.
         """
-        coef = dgx**weight
+        # numpy's complex ** 1 is no copy but a full power loop.
+        coef = dgx if weight == 1 else dgx**weight
         inv = np.zeros(len(gx))
         for Aj in A:
             diff = gx - Aj
@@ -587,80 +588,85 @@ class SurfaceForms:
         return self._omega_sum(x, y, what, weight, 2 * weight, term)
 
     def _omega_sum(
-        self, x: complex, y: complex, what: str, weight: int, poles: int, term: Callable
+        self, x: complex, y: complex, what: str, weight: int, poles: int, term: Callable,
+        first: int = 0,
     ) -> Estimate:
-        """Blocked orbit sum of term(gamma x - y, gamma'x, c x + d, s, e).
+        """Blocked orbit sum of term(gamma x - y, gamma'x, c x + d, s, e) from row ``first``.
 
         Each block's floor is :func:`_orbit_ulps` at its longest word, the
-        pole y counted ``poles`` times as kappa = poles max(reach, |x|) / near:
-        |gamma x| <= reach for every word but the identity (whose image is
-        x), and near is the block's least |gamma x - y|, from the pole guard.
+        pole y counted ``poles`` times as kappa = poles max(reach, |x|) / near
+        and drift = poles r / near: |gamma x| <= reach but at the identity
+        (whose image is x), and near is the block's least |gamma x - y|.
+        The first block, with the identity (which carries no generator
+        error) and the largest terms, takes skew per word.
         """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
-        top = poles * max(self._reach, abs(x))
+        top, rim = poles * max(self._reach, abs(x)), poles * self._radius
 
-        def block(s: int, e: int) -> tuple[np.ndarray, float]:
+        def block(s: int, e: int) -> tuple[np.ndarray, np.ndarray | float]:
             gx, dgx, den = self._orbit(x, s, e)
             diff = gx - y
             near = self._guard_poles(np.abs(diff), s, what)
-            return term(diff, dgx, den, s, e), _orbit_ulps(weight, top / near, self._grow[e - 1])
+            skew = self._skew[s:e] if s == first else self._skew[e - 1]
+            ulps = _orbit_ulps(weight, top / near, rim / near, self._grow[e - 1], skew)
+            return term(diff, dgx, den, s, e), ulps
 
-        return self._sum(block)
+        return self._sum(block, first)
 
     def projective_connection(self, x: complex) -> Estimate:
         """s(x) = 6 sum_{gamma != id} d(gamma x) dx / (gamma x - x)^2.
 
         The prefactor 6 matches the regularized-diagonal definition
         s(x) = 6 lim_{y->x} (omega(x,y) - dx dy/(x-y)^2), which is what
-        the Virasoro one-point value s(x)/12 is built from.
+        the Virasoro one-point value s(x)/12 is built from.  It is the
+        bidifferential's pass at y = x from row 1, past the identity.
         """
-        x = require_in_domain(self.sp, x, "x")
-
-        def term(s: int, e: int) -> tuple[np.ndarray, float]:
-            gx, dgx, _ = self._orbit(x, s, e)
-            diff = gx - x
-            self._guard_poles(np.abs(diff), s, "projective connection")
-            return 6.0 * dgx / (diff * diff), 1.0
-
-        return self._sum(term, first=1)
+        return self._omega_sum(
+            x, x, "projective connection", 1, 2,
+            lambda diff, dgx, den, s, e: 6.0 * dgx / (diff * diff), first=1,
+        )
 
     def projective_connection_derivative(self, x: complex) -> Estimate:
         """Analytic d/dx of the projective connection."""
-        x = require_in_domain(self.sp, x, "x")
 
-        def term(s: int, e: int) -> tuple[np.ndarray, float]:
-            gx, dgx, den = self._orbit(x, s, e)
+        def term(diff, dgx, den, s, e):
             ggx = self._second_derivatives(den, s, e)
-            diff = gx - x
-            self._guard_poles(np.abs(diff), s, "projective connection derivative")
-            return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3)), 1.0
+            return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3))
 
-        return self._sum(term, first=1)
+        return self._omega_sum(x, x, "projective connection derivative", 2, 3, term, first=1)
 
     # -- holomorphic one-forms ---------------------------------------------------
 
-    def _one_form_sum(
-        self,
-        a: int,
-        x: complex,
-        term: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    ) -> Estimate:
-        """Blocked sum over G/<gamma_a> of term(delta, dm, dp) at x.
+    def _one_form_sum(self, a: int, x: complex, derivative: bool) -> Estimate:
+        """Blocked sum over G/<gamma_a> of the terms of nu_a, or of nu_a', at x.
 
-        The cosets are the words whose last letter is not +-a; per word
-        delta = gamma W_a - gamma W_{-a}, dm = x - gamma W_{-a} and
-        dp = x - gamma W_a.  The images are limit points, strictly inside
-        the discs, so they never meet an x of the fundamental domain.
+        The cosets are the words whose last letter is not +-a (at genus 1
+        only the identity); per word delta = gamma W_a - gamma W_{-a}, which
+        counts as gamma'x in :func:`_orbit_ulps`, dm = x - gamma W_{-a} and
+        dp = x - gamma W_a.  nu_a' divides by dm and dp twice and by
+        dm + dp, which cancels where x nears the midpoint of the images.
         """
         a = self._require_handle(a)
         x = require_in_domain(self.sp, x, "x")
         last = self.words.last
 
-        def block(s: int, e: int) -> tuple[np.ndarray, float]:
+        def block(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
             rows = s + np.flatnonzero(np.abs(last[s:e]) != a)
             img_p, img_m, delta = self._fixed_point_images(rows, a)
-            return term(delta, x - img_m, x - img_p), 1.0
+            dm, dp = x - img_m, x - img_p
+            size_m, size_p = np.abs(img_m), np.abs(img_p)
+            inv_m, inv_p = 1.0 / np.abs(dm), 1.0 / np.abs(dp)
+            kappa, drift = size_m * inv_m + size_p * inv_p, self._radius * (inv_m + inv_p)
+            prod = dm * dp
+            if derivative:
+                total = dm + dp
+                vals = delta * total / (prod * prod)
+                kappa = 2.0 * kappa + (size_m + size_p) / np.abs(total)
+                drift = 2.0 * (drift + self._radius / np.abs(total))
+            else:
+                vals = -delta / prod
+            return vals, _orbit_ulps(1, kappa, drift, self._grow[rows], self._skew[rows])
 
         return self._sum(block)
 
@@ -674,16 +680,11 @@ class SurfaceForms:
         Normalization: (1/2*pi*i) oint nu_b = delta_ab on the circle at
         w_{-a}, counterclockwise.
         """
-        return self._one_form_sum(a, x, lambda delta, dm, dp: -delta / (dm * dp))
+        return self._one_form_sum(a, x, False)
 
     def holomorphic_form_derivative(self, a: int, x: complex) -> Estimate:
-        """Analytic d/dx of nu_a (term-wise differentiation)."""
-
-        def term(delta: np.ndarray, dm: np.ndarray, dp: np.ndarray) -> np.ndarray:
-            prod = dm * dp
-            return delta * (dm + dp) / (prod * prod)
-
-        return self._one_form_sum(a, x, term)
+        """Analytic d/dx of nu_a, term-wise: delta (dm + dp) / (dm dp)^2."""
+        return self._one_form_sum(a, x, True)
 
     # -- quasi-period coefficients ----------------------------------------------
 
@@ -798,19 +799,18 @@ def _row_blocks(length: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
     return tuple((s, e, s >= start) for s, e in zip(cuts[:-1], cuts[1:]))
 
 
-def _orbit_ulps(weight: int, kappa, grow):
-    """Bound, in ulps, on the rounding of orbit terms of words with 1 + k = ``grow``.
+def _orbit_ulps(weight: int, kappa, drift, grow, skew):
+    """Rounding bound in ulps of orbit terms: the rule of the module docstring.
 
-    A term (gamma'x)^N / prod_P (gamma x - P) gets (1 + k)(6N + 4 kappa)
-    ulps, k the word length and kappa the sum over the poles P of
-    |gamma x| / |gamma x - P|.  The word table gives gamma x and
-    gamma'x to 4(1 + k) and 6(1 + k) ulps (measured on the test
-    fixtures), and each difference gamma x - P amplifies the first by
-    |gamma x| / |gamma x - P|, large where the orbit nears a pole.
-    gamma''x, measured at 1.5 times the ulps of gamma'x, counts as
-    (gamma'x)^2.  Arrays give one bound per word, numbers one per block.
+    ``grow`` is 1 + k (per block, its longest word's) and ``skew`` k c.
+    The table gives gamma x and gamma'x to 4 and 6 ulps per letter, and
+    gamma''x counts as (gamma'x)^2.  generator_map forms rho_a - w_{-a} w_a,
+    which cancels: each letter is the det-1 form of a map whose rho is off
+    by up to c ulps, which moves gamma'x (and the one-forms' delta) by
+    c ulps and gamma x by c r eps.  Arrays give one bound per word,
+    numbers one per block.
     """
-    return grow * (6.0 * weight + 4.0 * kappa)
+    return grow * (6.0 * weight + 4.0 * kappa) + skew * (weight + drift)
 
 
 def _sum_ulps(n: int, more: int) -> float:

@@ -406,11 +406,8 @@ def generator_map(sp: SchottkyParams, a: int) -> MobiusMap:
 
 def _word_count(genus: int, max_word_length: int) -> int:
     """Number of reduced words of length <= L in the free group of rank g."""
-    g = genus
-    total = 1
-    for k in range(1, max_word_length + 1):
-        total += 2 * g * (2 * g - 1) ** (k - 1)
-    return total
+    g, L = genus, max_word_length
+    return 1 + 2 * L if g == 1 else 1 + g * ((2 * g - 1) ** L - 1) // (g - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,6 +459,10 @@ class WordTable:
 
 # Frontier words grown per block in enumerate_group (see its docstring).
 _GROW_BLOCK = 512
+
+# enumerate_group refuses a table of more words than this (88 bytes each,
+# 1.5 GB in all) before allocating it.
+MAX_WORDS = 2**24
 
 
 def _dot(x, y, u, v):
@@ -517,7 +518,14 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     follow = np.zeros((2 * sp.genus + 1, 2 * sp.genus - 1), dtype=np.int64)
     for x in letters:
         follow[x] = [y for y in letters if y != -x]  # in generator order
-    n = _word_count(sp.genus, max_word_length)
+    # Past genus 1 the count passes the cap long before L = 64, so a longer
+    # cutoff is counted at 64 and never forms a huge integer.
+    n = _word_count(sp.genus, max_word_length if sp.genus == 1 else min(max_word_length, 64))
+    if n > MAX_WORDS:
+        raise InvalidParameterError(
+            f"max_word_length = {max_word_length} at genus {sp.genus} needs at least "
+            f"{n} words; a word table holds at most {MAX_WORDS}"
+        )
     a, b, c, d = (np.empty(n, dtype=np.complex128) for _ in range(4))
     length = np.zeros(n, dtype=np.int64)
     parent = np.zeros(n, dtype=np.int64)

@@ -73,6 +73,7 @@ from schottky.forms import (
     _kernel_seed,
 )
 from schottky.group import (
+    InvalidParameterError,
     SchottkyParams,
     require_admissible,
     require_in_domain,
@@ -90,6 +91,21 @@ __all__ = [
 
 # Factorizations whose 1-norm condition number is above this are refused.
 MAX_CONDITION = 1e8
+
+# Mode systems of larger dimension 2gM are refused before assembly: past
+# it the binomials C(2M - 1, M) of a genus-1 system overflow a float.
+MAX_SYSTEM_DIM = 1024
+
+
+def _require_cutoff(sp: SchottkyParams, modes: int) -> int:
+    """The mode cutoff M as an int, refused where 2gM passes MAX_SYSTEM_DIM."""
+    modes = require_integer(modes, "mode cutoff", 1)
+    if 2 * sp.genus * modes > MAX_SYSTEM_DIM:
+        raise InvalidParameterError(
+            f"mode cutoff {modes} at genus {sp.genus} gives a mode system of "
+            f"dimension {2 * sp.genus * modes}; at most {MAX_SYSTEM_DIM} is assembled"
+        )
+    return modes
 
 
 @dataclass(frozen=True)
@@ -193,7 +209,7 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     weights), so the 2M - 1 powers of each center difference are formed
     once and every block is assembled in one broadcast.
     """
-    modes = require_integer(modes, "mode cutoff", 1)
+    modes = _require_cutoff(sp, modes)
     require_admissible(sp)
     idx = sp.signed_indices
     k = np.arange(modes)
@@ -267,7 +283,7 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
     """
     require_admissible(sp)
     tol = require_positive(tol, "tol")
-    cap = require_integer(cap, "mode cutoff", 1)
+    cap = _require_cutoff(sp, cap)
     sums = _omitted_sums(sp, range(cap + 1))
     for m in range(1, cap):
         if _determinant_truncation(sums[m], sums[0]) <= tol:

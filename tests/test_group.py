@@ -265,6 +265,22 @@ def test_enumerate_count_matches_closed_form(genus, length, torus_params, genus2
     assert len(enumerate_group(sp, length)) == _word_count(genus, length)
 
 
+@pytest.mark.parametrize(
+    "genus, length, count",
+    [(3, 20, "143051147460937"), (3, 10**9, "8131516293641283255055"), (1, 10**12, "2000000000001")],
+)
+def test_oversize_table_refused_before_allocating(
+    genus, length, count, torus_params, genus3_params
+):
+    # Past MAX_WORDS = 2^24 words the table is refused by name, in no time:
+    # genus 3 at L = 20 would need 1.4e14 rows (numpy asked for 2 PiB), and
+    # a cutoff past 64 is counted at 64.
+    sp = {1: torus_params, 3: genus3_params}[genus]
+    with pytest.raises(InvalidParameterError, match=f"at least {count}"):
+        enumerate_group(sp, length)
+    assert _word_count(3, 9) <= group.MAX_WORDS < _word_count(3, 20)
+
+
 def compose_chain_table(sp, length):
     """The seven WordTable arrays built word by word in plain Python.
 

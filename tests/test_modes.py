@@ -181,6 +181,22 @@ class TestVectorsAndLayout:
             with pytest.raises(InvalidParameterError):
                 call()
 
+    @pytest.mark.parametrize("M", [171, 10**12])
+    def test_oversize_cutoff_refused_before_assembly(self, genus3_params, M):
+        # 2gM > MAX_SYSTEM_DIM = 1024 is refused by name, before R (16 (2gM)^2
+        # bytes) or the M x M binomial table is built: at M = 10^12 any
+        # allocation would fail or exhaust memory.
+        sp = genus3_params
+        for call in (
+            lambda: mode_coupling_matrix(sp, M),
+            lambda: heisenberg_partition(sp, M),
+            lambda: kernel_via_modes(sp, 1, M, 5.0 + 1.0j, -5.0 + 2.0j),
+            lambda: mode_cutoff_for(sp, 1e-9, M),
+        ):
+            with pytest.raises(InvalidParameterError, match=f"dimension {6 * M}"):
+                call()
+        assert 2 * sp.genus * 170 <= modes.MAX_SYSTEM_DIM
+
 
 def reference_coupling(sp, M):
     """The coupling matrix assembled block by block from its entry formula."""
