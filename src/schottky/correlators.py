@@ -34,6 +34,13 @@ is its formula in Estimate arithmetic, which bounds how the tails of the
 surface data propagate and adds each operation's rounding.  They are the
 pairing sum times Z, s Z / 12, (s_x s_y / 144 + omega^2 / 2) Z, and
 theta' Z^d, where theta' has |theta| tail(Omega) added to its tail.
+
+The pairing sums take every bidifferential (and, for the Virasoro
+two-point function, both projective connections) from one
+:meth:`~schottky.forms.SurfaceForms.bidifferential_pairs` pass, which
+forms the orbit of each point once: n - 1 orbits for the n(n-1)/2 pairs
+of n current insertions, and 2 for omega(x, y), s(x) and s(y).  Each
+value and tail is that of the single call, bit for bit.
 """
 
 from __future__ import annotations
@@ -181,7 +188,8 @@ def heisenberg_npoint(
 
     Zero for odd n; for even n the pairing sum of bidifferentials times
     the oscillator partition function (n = 0 gives the partition function
-    itself, through the one empty pairing).  Every point must lie in the
+    itself, through the one empty pairing).  The n(n-1)/2 bidifferentials
+    come from one shared-orbit pass.  Every point must lie in the
     fundamental domain.
     """
     pts = tuple(
@@ -194,7 +202,7 @@ def heisenberg_npoint(
             raise InvalidParameterError(f"insertion points {i} and {j} coincide")
     if n % 2:
         return Estimate(0.0j, 0.0)
-    omega = {(i, j): forms.bidifferential(pts[i], pts[j]) for i, j in pairs}
+    omega = dict(zip(pairs, forms.bidifferential_pairs(pts, pairs)))
     total = sum(math.prod(omega[pair] for pair in pairing) for pairing in pairings(n))
     return total * _partition(forms, modes)
 
@@ -217,9 +225,7 @@ def virasoro_two_point(
     y = require_in_domain(forms.sp, y, "y")
     if x == y:
         raise InvalidParameterError("two-point insertions coincide")
-    sx = forms.projective_connection(x)
-    sy = forms.projective_connection(y)
-    w = forms.bidifferential(x, y)
+    w, sx, sy = forms.bidifferential_pairs((x, y), ((0, 1), (0, 0), (1, 1)))
     return (sx * sy / 144.0 + 0.5 * w**2) * _partition(forms, modes)
 
 

@@ -72,10 +72,16 @@ fixed blocks of at most ``_ORBIT_BLOCK`` rows, the last shell starting a
 block of its own, and add each block's sum, floor and last-shell part to
 running totals in row order; no temporary spans the whole table.  The
 blocks depend on the word table only, so every value is reproduced bit
-for bit on every call, and a kernel summed at several y in one pass (as
-the quasi-period coefficients do) equals its single-y value.  Against a
-one-pass sum over the whole table, blocking moves a value by summation
-rounding only, which the floor bounds.
+for bit on every call.  A pass may sum several quantities: per block it
+forms the orbit of each point once and each quantity its terms from that
+orbit, with the same operations as alone.  So a kernel summed at several
+y in one pass (as the quasi-period coefficients do) equals its single-y
+value, and the bidifferentials and projective connections of a point
+set summed in one pass (:meth:`SurfaceForms.bidifferential_pairs`, which
+the pairing sums of :mod:`schottky.correlators` use) equal their single
+calls, value and tail.  Against a one-pass sum over the whole table,
+blocking moves a value by summation rounding only, which the floor
+bounds.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ import cmath
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -262,6 +268,29 @@ def _kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> com
     return out
 
 
+class _Summand(NamedTuple):
+    """The terms of one omega-family sum (see :meth:`SurfaceForms._omega_pass`).
+
+    ``term(gamma x - y, gamma'x, c x + d, s, e)`` forms the terms of rows
+    s..e-1; ``weight`` and ``poles`` (divisions by gamma x - y) set their
+    floor in :func:`_orbit_ulps`; the sum starts at row ``first``, and
+    ``what`` names it in a pole-guard error.
+    """
+
+    what: str
+    weight: int
+    poles: int
+    term: Callable
+    first: int = 0
+
+
+_OMEGA = _Summand("bidifferential", 1, 2, lambda diff, dgx, den, s, e: dgx / (diff * diff))
+# s(x): the bidifferential's terms at y = x, times 6, past the identity.
+_CONNECTION = _Summand(
+    "projective connection", 1, 2, lambda diff, dgx, den, s, e: 6.0 * dgx / (diff * diff), 1
+)
+
+
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
@@ -376,19 +405,19 @@ class SurfaceForms:
 
     def _reduce(
         self,
-        terms: Callable[[int, int], Sequence[tuple[np.ndarray, np.ndarray | float]]],
+        terms: Callable[[int, int], Iterable[tuple[int, np.ndarray, np.ndarray | float]]],
         count: int,
-        first: int = 0,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sums over the word table, one row block at a time.
+        """Sums of ``count`` quantities over the word table, one row block at a time.
 
-        ``terms(s, e)`` returns ``count`` pairs (vals, ulps) for the rows
-        s..e-1 (from row ``first`` on): the terms of each summed quantity
-        and the bound, stated by the caller, on their own rounding in ulps
-        of eps times their sizes |Re| + |Im|, one per term or one for the
-        block.  Each block's sum, its rounding floor and, for a block of
-        the last shell, its sum again are added to running totals in row
-        order, so the result depends on the word table only.  Returns per
+        ``terms(s, e)`` yields triples (j, vals, ulps) for the block of rows
+        s..e-1: the terms of quantity j over its rows of the block (a
+        quantity with none there is not yielded) and the bound, stated by
+        the caller, on their own rounding in ulps of eps times their sizes
+        |Re| + |Im|, one per term or one for the block.  Each block's sum,
+        its rounding floor and, for a block of the last shell, its sum
+        again are added to the quantity's running totals in row order, so
+        the result depends on the word table only.  Returns per
         quantity the total, the last shell's sum and the floor in units of
         eps: the terms' own rounding plus that of the summation (see the
         module docstring).
@@ -397,10 +426,7 @@ class SurfaceForms:
         shells = np.zeros(count, dtype=np.complex128)
         floors = np.zeros(count)
         for s, e, last in self._blocks:
-            s = max(s, first)
-            if s >= e:
-                continue
-            for j, (vals, ulps) in enumerate(terms(s, e)):
+            for j, vals, ulps in terms(s, e):
                 part = vals.sum()
                 totals[j] += part
                 if last:
@@ -419,9 +445,9 @@ class SurfaceForms:
             return np.full(len(shells), math.inf)
         return np.abs(shells) + EPS * floors
 
-    def _sum(self, term: Callable[[int, int], tuple], first: int = 0) -> Estimate:
-        """One blocked sum (see :meth:`_reduce`) and its tail."""
-        totals, shells, floors = self._reduce(lambda s, e: (term(s, e),), 1, first)
+    def _sum(self, term: Callable[[int, int], tuple]) -> Estimate:
+        """One blocked sum (see :meth:`_reduce`) of term(s, e) = (vals, ulps) and its tail."""
+        totals, shells, floors = self._reduce(lambda s, e: ((0, *term(s, e)),), 1)
         return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
 
     def _guard_poles(self, dist: np.ndarray, s: int, what: str) -> float:
@@ -459,26 +485,25 @@ class SurfaceForms:
             dpoly = dpoly * (ys - Aj) + poly
             poly = poly * (ys - Aj)
         what = "weight-%d kernel%s" % (weight, " derivative" if dy else "")
+        step = 2 if dy else 1
 
-        def terms(s: int, e: int) -> list[tuple[np.ndarray, np.ndarray]]:
+        def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
             gx, dgx, _ = self._orbit(x, s, e)
             coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
             abs_gx, grow, skew = np.abs(gx), self._grow[s:e], self._skew[s:e]
-            out = []
-            for y in ys:
+            for k, y in enumerate(ys):
                 diff = gx - y
                 dist = np.abs(diff)
                 self._guard_poles(dist, s, what)
                 poles = inv + 1.0 / dist
                 ulps = _orbit_ulps(weight, abs_gx * poles, self._radius * poles, grow, skew)
-                out.append((coef / diff, ulps))
+                yield step * k, coef / diff, ulps
                 if dy:
                     # The shifted terms divide by gamma x - y once more.
                     shifted = ulps + _orbit_ulps(0, abs_gx / dist, self._radius / dist, grow, skew)
-                    out.append((coef / (diff * diff), shifted))
-            return out
+                    yield step * k + 1, coef / (diff * diff), shifted
 
-        totals, shells, floors = self._reduce(terms, (2 if dy else 1) * len(ys))
+        totals, shells, floors = self._reduce(terms, step * len(ys))
         if not dy:
             return poly * totals, np.abs(poly) * self._tails(shells, floors)
         vals = dpoly * totals[::2] + poly * totals[1::2]
@@ -554,6 +579,29 @@ class SurfaceForms:
         """
         return self.power_bidifferential(x, y, 1)
 
+    def bidifferential_pairs(
+        self, points: Sequence[complex], pairs: Iterable[tuple[int, int]]
+    ) -> list[Estimate]:
+        """omega(x_i, x_j) for each index pair (i, j), i != j, and s(x_i) for (i, i).
+
+        One :class:`Estimate` per pair, in the order given, each equal bit
+        for bit, value and tail, to ``bidifferential(x_i, x_j)`` or
+        ``projective_connection(x_i)``.  Every point must lie in the
+        fundamental domain.  All pairs are summed in one pass that forms
+        the orbit of each x_i once per row block (see :meth:`_omega_pass`),
+        so the n(n-1)/2 pairs of n points take n - 1 orbits, not one each.
+        """
+        xs = [require_in_domain(self.sp, p, f"point {k}") for k, p in enumerate(points)]
+        quantities = []
+        for pair in pairs:
+            i, j = (require_integer(k, "point index", 0) for k in pair)
+            if max(i, j) >= len(xs):
+                raise InvalidParameterError(
+                    f"point index pair {pair!r} out of range for {len(xs)} points"
+                )
+            quantities.append((i, xs[j], _CONNECTION if i == j else _OMEGA))
+        return self._omega_pass(xs, quantities)
+
     def bidifferential_dfirst(self, x: complex, y: complex) -> Estimate:
         """Analytic partial of the bidifferential in its first argument."""
 
@@ -562,14 +610,14 @@ class SurfaceForms:
             return ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff)
 
         # gamma''x counts as (gamma'x)^2, weight 2, and gamma x - y thrice.
-        return self._omega_sum(x, y, "bidifferential derivative", 2, 3, term)
+        return self._omega_sum(x, y, _Summand("bidifferential derivative", 2, 3, term))
 
     def bidifferential_dsecond(self, x: complex, y: complex) -> Estimate:
         """Analytic partial of the bidifferential in its second argument."""
-        return self._omega_sum(
-            x, y, "bidifferential derivative", 1, 3,
+        return self._omega_sum(x, y, _Summand(
+            "bidifferential derivative", 1, 3,
             lambda diff, dgx, den, s, e: 2.0 * dgx / (diff * diff * diff),
-        )
+        ))
 
     def _second_derivatives(self, den: np.ndarray, s: int, e: int) -> np.ndarray:
         """d^2(gamma x)/dx^2 for the rows s..e-1, given their c x + d."""
@@ -578,41 +626,66 @@ class SurfaceForms:
     def power_bidifferential(self, x: complex, y: complex, weight: int) -> Estimate:
         """sum_gamma (d(gamma x) dy / (gamma x - y)^2)^N, weight (N, N)."""
         weight = require_integer(weight, "weight", 1)
+        if weight == 1:
+            return self._omega_sum(x, y, _OMEGA)
+        return self._omega_sum(x, y, _Summand(
+            "power bidifferential", weight, 2 * weight,
+            lambda diff, dgx, den, s, e: (dgx / (diff * diff)) ** weight,
+        ))
 
-        def term(diff, dgx, den, s, e):
-            omega = dgx / (diff * diff)
-            # numpy's complex ** 1 is no copy but a full power loop.
-            return omega if weight == 1 else omega**weight
-
-        what = "bidifferential" if weight == 1 else "power bidifferential"
-        return self._omega_sum(x, y, what, weight, 2 * weight, term)
-
-    def _omega_sum(
-        self, x: complex, y: complex, what: str, weight: int, poles: int, term: Callable,
-        first: int = 0,
-    ) -> Estimate:
-        """Blocked orbit sum of term(gamma x - y, gamma'x, c x + d, s, e) from row ``first``.
-
-        Each block's floor is :func:`_orbit_ulps` at its longest word, the
-        pole y counted ``poles`` times as kappa = poles max(reach, |x|) / near
-        and drift = poles r / near: |gamma x| <= reach but at the identity
-        (whose image is x), and near is the block's least |gamma x - y|.
-        The first block, with the identity (which carries no generator
-        error) and the largest terms, takes skew per word.
-        """
+    def _omega_sum(self, x: complex, y: complex, summand: _Summand) -> Estimate:
+        """One-quantity :meth:`_omega_pass`: x in the fundamental domain, y finite."""
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
-        top, rim = poles * max(self._reach, abs(x)), poles * self._radius
+        return self._omega_pass((x,), ((0, y, summand),))[0]
 
-        def block(s: int, e: int) -> tuple[np.ndarray, np.ndarray | float]:
-            gx, dgx, den = self._orbit(x, s, e)
-            diff = gx - y
-            near = self._guard_poles(np.abs(diff), s, what)
-            skew = self._skew[s:e] if s == first else self._skew[e - 1]
-            ulps = _orbit_ulps(weight, top / near, rim / near, self._grow[e - 1], skew)
-            return term(diff, dgx, den, s, e), ulps
+    def _omega_pass(
+        self, xs: Sequence[complex], quantities: Sequence[tuple[int, complex, _Summand]]
+    ) -> list[Estimate]:
+        """Blocked orbit sums of the omega family, many quantities on one point set.
 
-        return self._sum(block, first)
+        Quantity (i, y, summand) sums summand.term(gamma x - y, gamma'x,
+        c x + d, s, e) over the orbit of x = xs[i], rows s..e-1, from row
+        summand.first.  In each row block the orbit of each source point
+        is formed once, from the block's first row, and every quantity of
+        that source forms its terms from its own rows of it, one quantity
+        at a time, so only that quantity's temporaries are alive.
+
+        Each block's floor is :func:`_orbit_ulps` at its longest word, the
+        pole y counted ``poles`` times as kappa = poles max(reach, |x|) /
+        near and drift = poles r / near: |gamma x| <= reach but at the
+        identity (whose image is x), and near is the block's least
+        |gamma x - y|, refused below the pole guard with its word.  A
+        quantity's first block, with the identity (which carries no
+        generator error) and the largest terms, takes skew per word.  A
+        quantity's operations do not depend on the others in the pass, so
+        each equals its one-quantity call bit for bit.
+        """
+        # Per source point, its quantities as (j, y, summand, top, rim).
+        sources: dict[int, list] = {}
+        for j, (i, y, summand) in enumerate(quantities):
+            top = summand.poles * max(self._reach, abs(xs[i]))
+            sources.setdefault(i, []).append((j, y, summand, top, summand.poles * self._radius))
+
+        def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
+            for i, group in sources.items():
+                orbit = None
+                for j, y, summand, top, rim in group:
+                    t = max(s, summand.first)
+                    if t >= e:
+                        continue
+                    if orbit is None:
+                        orbit = self._orbit(xs[i], s, e)
+                    gx, dgx, den = orbit if t == s else (part[t - s:] for part in orbit)
+                    diff = gx - y
+                    near = self._guard_poles(np.abs(diff), t, summand.what)
+                    skew = self._skew[t:e] if t == summand.first else self._skew[e - 1]
+                    ulps = _orbit_ulps(summand.weight, top / near, rim / near, self._grow[e - 1], skew)
+                    yield j, summand.term(diff, dgx, den, t, e), ulps
+
+        totals, shells, floors = self._reduce(terms, len(quantities))
+        tails = self._tails(shells, floors)
+        return [Estimate(complex(v), float(t)) for v, t in zip(totals, tails)]
 
     def projective_connection(self, x: complex) -> Estimate:
         """s(x) = 6 sum_{gamma != id} d(gamma x) dx / (gamma x - x)^2.
@@ -622,10 +695,7 @@ class SurfaceForms:
         the Virasoro one-point value s(x)/12 is built from.  It is the
         bidifferential's pass at y = x from row 1, past the identity.
         """
-        return self._omega_sum(
-            x, x, "projective connection", 1, 2,
-            lambda diff, dgx, den, s, e: 6.0 * dgx / (diff * diff), first=1,
-        )
+        return self._omega_sum(x, x, _CONNECTION)
 
     def projective_connection_derivative(self, x: complex) -> Estimate:
         """Analytic d/dx of the projective connection."""
@@ -634,7 +704,7 @@ class SurfaceForms:
             ggx = self._second_derivatives(den, s, e)
             return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3))
 
-        return self._omega_sum(x, x, "projective connection derivative", 2, 3, term, first=1)
+        return self._omega_sum(x, x, _Summand("projective connection derivative", 2, 3, term, 1))
 
     # -- holomorphic one-forms ---------------------------------------------------
 

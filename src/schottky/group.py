@@ -464,6 +464,12 @@ _GROW_BLOCK = 512
 # 1.5 GB in all) before allocating it.
 MAX_WORDS = 2**24
 
+# enumerate_group refuses a table with a real or imaginary part of an entry
+# above this.  The orbit sums form (c x + d)^3, which then stays below the
+# float range, 2**1024, for every |x| < 1400: at most 2 |c x + d|^3 <=
+# 2**(1 + 1.5 + 3 * 330) (|x| + 1)^3.
+_ENTRY_LIMIT = 2.0**330
+
 
 def _dot(x, y, u, v):
     """x*y + u*v on (real, imag) pairs, rounded as Python complex arithmetic rounds it."""
@@ -503,7 +509,11 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     factors stay det-1, and the composed matrices are deliberately *not*
     renormalized (for long words the entries are large and a recomputed
     ad - bc is cancellation noise, so dividing by its square root would
-    corrupt the matrix).
+    corrupt the matrix).  So the entries grow geometrically with the
+    length, and a shell with a real or imaginary part above 2**330 (or a
+    non-finite one) is refused with :class:`InvalidParameterError`, naming
+    the cutoff, before the next shell is formed: the orbit sums' (c x + d)^3
+    would overflow, and a longer table would hold inf and nan.
     """
     max_word_length = require_integer(max_word_length, "max_word_length", 0)
     letters = sp.signed_indices
@@ -532,6 +542,11 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     last = np.zeros(n, dtype=np.int64)
     a[0], b[0], c[0], d[0] = IDENTITY_MAP.a, IDENTITY_MAP.b, IDENTITY_MAP.c, IDENTITY_MAP.d
     entries = (a, b, c, d)
+    # A child's real and imaginary parts are at most 4 G times its parent's
+    # largest, G the generators' largest part (rounding included).
+    step = 4.0 * max(float(np.abs(part).max()) for parts in gen_parts for part in parts)
+    step *= 1.0 + 2.0**-40
+    peak = 1.0  # a bound on the parts of the frontier's entries
     start, lo = 0, 1  # the frontier (the last shell) is rows start..lo
     for k in range(1, max_word_length + 1):
         # Every letter may follow the identity.
@@ -555,6 +570,18 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
             last[o0:o1] = new
         hi = lo + (lo - start) * width
         length[lo:hi] = k
+        # The entries grow geometrically with the length.  Only a shell whose
+        # bound passes the limit is read, and it is refused if its largest
+        # part does too (or is not finite), before the next shell is formed.
+        peak *= step
+        if peak > _ENTRY_LIMIT:
+            peak = max(max(v.max(), -v.min()) for v in (arr[lo:hi].view(np.float64) for arr in entries))
+            if not peak <= _ENTRY_LIMIT:
+                raise InvalidParameterError(
+                    f"max_word_length = {max_word_length}: the words of length {k} have "
+                    f"matrix entries of size {peak:.3g}, past 2**330, where the orbit sums "
+                    "overflow a float; lower the cutoff"
+                )
         start, lo = lo, hi
     for arr in (a, b, c, d, length, parent, last):
         arr.flags.writeable = False

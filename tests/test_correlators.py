@@ -357,3 +357,29 @@ def test_zero_cutoff_tails_are_infinite_not_nan(genus2_params):
     x, y = 3.0 + 1.0j, -2.0 + 2.0j
     for res in (virasoro_one_point(forms, x), virasoro_two_point(forms, x, y)):
         assert math.isinf(res.tail)
+
+
+def test_pairing_sums_share_one_orbit_per_point(genus3_params, monkeypatch):
+    # The pairing sums form each point's orbit once per row block, not once
+    # per pair: heisenberg_npoint on 6 points takes n - 1 = 5 orbits per
+    # block (one per point that heads a pair) where 15 single calls took
+    # 15, and virasoro_two_point 2 where omega, s(x) and s(y) took 3.  This
+    # guards the speedup without a timer.
+    forms = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=6))
+    blocks = len(forms._blocks)
+    assert blocks == 13
+    orbit = SurfaceForms._orbit
+    calls = 0
+
+    def counted(self, *args):
+        nonlocal calls
+        calls += 1
+        return orbit(self, *args)
+
+    monkeypatch.setattr(SurfaceForms, "_orbit", counted)
+    points = [3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j, 4.1 + 0.2j]
+    heisenberg_npoint(forms, points, modes=5)
+    assert calls == (len(points) - 1) * blocks
+    calls = 0
+    virasoro_two_point(forms, points[0], points[1], modes=5)
+    assert calls == 2 * blocks

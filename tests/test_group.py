@@ -28,6 +28,7 @@ from schottky import (
     validate,
 )
 import schottky.group as group
+from schottky.forms import SurfaceForms
 from schottky.group import _word_count
 
 
@@ -279,6 +280,32 @@ def test_oversize_table_refused_before_allocating(
     with pytest.raises(InvalidParameterError, match=f"at least {count}"):
         enumerate_group(sp, length)
     assert _word_count(3, 9) <= group.MAX_WORDS < _word_count(3, 20)
+
+
+@pytest.mark.parametrize("length", [300, 1000])
+def test_overflowing_table_refused_by_cutoff(length, torus_params):
+    # On the torus (q = 0.04) the entries grow 5-fold per letter.  At
+    # L = 1000 they reached inf and nan and the bidifferential returned
+    # nan with no error; at L = 300 the table was finite but the orbit's
+    # (c x + d)^2 overflowed.  Both cutoffs are refused by name, with no
+    # RuntimeWarning on the way (the suite turns those into errors).
+    with pytest.raises(InvalidParameterError, match=f"max_word_length = {length}:"):
+        enumerate_group(torus_params, length)
+    with pytest.raises(InvalidParameterError, match=f"max_word_length = {length}:"):
+        SurfaceForms(torus_params, TruncationPolicy(max_word_length=length))
+    # At the longest accepted cutoff the derivative sums, which form
+    # (c x + d)^3, stay finite.
+    longest = 140
+    while True:
+        try:
+            enumerate_group(torus_params, longest + 1)
+        except InvalidParameterError:
+            break
+        longest += 1
+    F = SurfaceForms(torus_params, TruncationPolicy(max_word_length=longest))
+    for x in (2.0, 1000.0j):
+        for value in (F.bidifferential_dfirst(x, -0.5 + 0.3j), F.projective_connection_derivative(x)):
+            assert math.isfinite(abs(value.value)) and math.isfinite(value.tail)
 
 
 def compose_chain_table(sp, length):
