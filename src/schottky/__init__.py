@@ -14,7 +14,8 @@ Entry points:
 - :mod:`schottky.forms`: truncated series for kernels, differentials and
   the period matrix.
 - :mod:`schottky.modes`: weight-1 mode-coupling matrices, resolvent
-  route to the third-kind differential, determinant partition function.
+  route to the third-kind differential, the bidifferential and the
+  projective connection, determinant partition function.
 - :mod:`schottky.correlators`: Heisenberg / Virasoro / lattice
   correlation functions and Siegel theta sums.
 """

@@ -19,14 +19,17 @@ theta functions" (Math. Comp. 2004).  ``lattice_partition`` takes tol
 from the SurfaceForms policy; the reported tail is that bound plus a
 rounding floor.
 
-The surface data (bidifferential, projective connection, period matrix)
-comes from a SurfaceForms evaluator; the partition function from the
-mode-matrix determinant.  A call's ``modes`` sets the mode cutoff; when
-it is None the cutoff comes from the policy: the smallest one, up to
+The bidifferential and the projective connection come from the mode
+resolvent (:func:`~schottky.modes.bidifferential_via_modes`), the period
+matrix from a SurfaceForms evaluator, and the partition function from
+the mode-matrix determinant.  A call's ``modes`` sets the mode cutoff;
+when it is None the cutoff comes from the policy: the smallest one, up to
 ``mode_cutoff``, whose bound on the determinant's truncation meets
-``tol``.  Z (once per mode cutoff) and the period matrix are computed
-once per SurfaceForms and kept on it, so repeated requests on one surface
-pay for them once; the kept period matrix is read-only.
+``tol``.  Z and omega use the same cutoff, so one factored mode system
+serves a whole request.  Z (once per mode cutoff) and the period matrix
+are computed once per SurfaceForms and kept on it, so repeated requests
+on one surface pay for them once; the kept period matrix is read-only.
+No correlator but ``lattice_partition`` enumerates the word table.
 Insertion points must lie in the fundamental domain.
 
 Every call returns an :class:`~schottky.forms.Estimate`: each correlator
@@ -36,11 +39,9 @@ pairing sum times Z, s Z / 12, (s_x s_y / 144 + omega^2 / 2) Z, and
 theta' Z^d, where theta' has |theta| tail(Omega) added to its tail.
 
 The pairing sums take every bidifferential (and, for the Virasoro
-two-point function, both projective connections) from one
-:meth:`~schottky.forms.SurfaceForms.bidifferential_pairs` pass, which
-forms the orbit of each point once: n - 1 orbits for the n(n-1)/2 pairs
-of n current insertions, and 2 for omega(x, y), s(x) and s(y).  Each
-value and tail is that of the single call, bit for bit.
+two-point function, both projective connections) from one omega matrix
+of the insertion points: one solve with a right-hand side per point on
+the factors that Z is read from.
 """
 
 from __future__ import annotations
@@ -60,7 +61,12 @@ from schottky.group import (
     require_integer,
     require_positive,
 )
-from schottky.modes import PartitionValue, heisenberg_partition, mode_cutoff_for
+from schottky.modes import (
+    PartitionValue,
+    bidifferential_via_modes,
+    heisenberg_partition,
+    mode_cutoff_for,
+)
 
 __all__ = [
     "LatticeSpec",
@@ -151,20 +157,25 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     yield from rec(list(range(n)))
 
 
-def _partition(forms: SurfaceForms, modes: int | None) -> PartitionValue:
-    """Z of the surface at the mode cutoff, computed once per cutoff.
+def _cutoff(forms: SurfaceForms, modes: int | None) -> int:
+    """The mode cutoff of a request: ``modes``, or the policy's for None.
 
-    If ``modes`` is None the cutoff is the smallest one, up to the
-    policy's ``mode_cutoff``, whose determinant bound meets its ``tol``.
+    For None it is the smallest cutoff, up to the policy's
+    ``mode_cutoff``, whose determinant bound meets its ``tol``, computed
+    once per surface.
     """
-    if modes is None:
-        if "M" not in forms._memo:
-            policy = forms.policy
-            forms._memo["M"] = mode_cutoff_for(forms.sp, policy.tol, policy.mode_cutoff)
-        m = forms._memo["M"]
-    else:
-        # Gated before the lookup: 20.0 == 20 would find the Z of cutoff 20.
-        m = require_integer(modes, "mode cutoff", 1)
+    if modes is not None:
+        # Gated before any lookup: 20.0 == 20 would find the Z of cutoff 20.
+        return require_integer(modes, "mode cutoff", 1)
+    if "M" not in forms._memo:
+        policy = forms.policy
+        forms._memo["M"] = mode_cutoff_for(forms.sp, policy.tol, policy.mode_cutoff)
+    return forms._memo["M"]
+
+
+def _partition(forms: SurfaceForms, modes: int | None) -> PartitionValue:
+    """Z of the surface at the request's mode cutoff, computed once per cutoff."""
+    m = _cutoff(forms, modes)
     if ("Z", m) not in forms._memo:
         forms._memo["Z", m] = heisenberg_partition(forms.sp, m)
     return forms._memo["Z", m]
@@ -189,21 +200,22 @@ def heisenberg_npoint(
     Zero for odd n; for even n the pairing sum of bidifferentials times
     the oscillator partition function (n = 0 gives the partition function
     itself, through the one empty pairing).  The n(n-1)/2 bidifferentials
-    come from one shared-orbit pass.  Every point must lie in the
-    fundamental domain.
+    come from one omega matrix of the mode resolvent, at the cutoff of Z.
+    Every point must lie in the fundamental domain.
     """
     pts = tuple(
         require_in_domain(forms.sp, p, f"insertion point {i}") for i, p in enumerate(points)
     )
     n = len(pts)
-    pairs = list(itertools.combinations(range(n), 2))
-    for i, j in pairs:
+    for i, j in itertools.combinations(range(n), 2):
         if pts[i] == pts[j]:
             raise InvalidParameterError(f"insertion points {i} and {j} coincide")
     if n % 2:
         return Estimate(0.0j, 0.0)
-    omega = dict(zip(pairs, forms.bidifferential_pairs(pts, pairs)))
-    total = sum(math.prod(omega[pair] for pair in pairing) for pairing in pairings(n))
+    omega = bidifferential_via_modes(forms.sp, _cutoff(forms, modes), pts)
+    total = sum(
+        math.prod(omega[i][j] for i, j in pairing) for pairing in pairings(n)
+    )
     return total * _partition(forms, modes)
 
 
@@ -211,7 +223,9 @@ def virasoro_one_point(
     forms: SurfaceForms, x: complex, modes: int | None = None
 ) -> Estimate:
     """One-point function of the Virasoro vector: s(x) Z / 12."""
-    return forms.projective_connection(x) * _partition(forms, modes) / 12.0
+    x = require_in_domain(forms.sp, x, "x")
+    [[s]] = bidifferential_via_modes(forms.sp, _cutoff(forms, modes), (x,))
+    return s * _partition(forms, modes) / 12.0
 
 
 def virasoro_two_point(
@@ -225,7 +239,7 @@ def virasoro_two_point(
     y = require_in_domain(forms.sp, y, "y")
     if x == y:
         raise InvalidParameterError("two-point insertions coincide")
-    w, sx, sy = forms.bidifferential_pairs((x, y), ((0, 1), (0, 0), (1, 1)))
+    (sx, w), (_, sy) = bidifferential_via_modes(forms.sp, _cutoff(forms, modes), (x, y))
     return (sx * sy / 144.0 + 0.5 * w**2) * _partition(forms, modes)
 
 

@@ -73,20 +73,24 @@ block of its own, and add each block's sum, floor and last-shell part to
 running totals in row order; no temporary spans the whole table.  The
 blocks depend on the word table only, so every value is reproduced bit
 for bit on every call.  A pass may sum several quantities: per block it
-forms the orbit of each point once and each quantity its terms from that
-orbit, with the same operations as alone.  So a kernel summed at several
-y in one pass (as the quasi-period coefficients do) equals its single-y
-value, and the bidifferentials and projective connections of a point
-set summed in one pass (:meth:`SurfaceForms.bidifferential_pairs`, which
-the pairing sums of :mod:`schottky.correlators` use) equal their single
-calls, value and tail.  Against a one-pass sum over the whole table,
-blocking moves a value by summation rounding only, which the floor
-bounds.
+forms the orbit of x once and each quantity its terms from that orbit,
+with the same operations as alone.  So a kernel summed at several y in
+one pass (as the quasi-period coefficients do) equals its single-y
+value.  Against a one-pass sum over the whole table, blocking moves a
+value by summation rounding only, which the floor bounds.
+
+The word table is enumerated on the first orbit, coset or period sum of
+a :class:`SurfaceForms`, not at construction: the correlators of
+:mod:`schottky.correlators` take omega, s and Z from the mode resolvent
+of :mod:`schottky.modes`, so a surface that only serves them never
+enumerates.  These Poincare sums stay the oracle of that route, and the
+only route at weight >= 2.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -99,6 +103,7 @@ from schottky.group import (
     SchottkyError,
     SchottkyParams,
     TruncationPolicy,
+    WordTable,
     classical_from_params,
     enumerate_group,
     generator_map,
@@ -269,7 +274,7 @@ def _kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> com
 
 
 class _Summand(NamedTuple):
-    """The terms of one omega-family sum (see :meth:`SurfaceForms._omega_pass`).
+    """The terms of one omega-family sum (see :meth:`SurfaceForms._omega_sum`).
 
     ``term(gamma x - y, gamma'x, c x + d, s, e)`` forms the terms of rows
     s..e-1; ``weight`` and ``poles`` (divisions by gamma x - y) set their
@@ -294,16 +299,17 @@ _CONNECTION = _Summand(
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
-    Immutable after construction: the word table, the generator fixed
-    points (:func:`~schottky.group.classical_from_params`) and the
-    generators' conditioning c of every rounding floor
+    Immutable after construction: the parameters are validated and the
+    generator fixed points (:func:`~schottky.group.classical_from_params`)
+    and the generators' conditioning c of every rounding floor
     (:func:`_orbit_ulps`) are frozen here, so repeated evaluations are
     deterministic.  ``words`` is the :class:`~schottky.group.WordTable`
-    of :func:`~schottky.group.enumerate_group`; the orbit and coset sums
-    read its arrays directly.  The fixed points serve the coset series,
+    of :func:`~schottky.group.enumerate_group`, built on first use (an
+    oversize or overflowing cutoff is refused then); the orbit and coset
+    sums read its arrays directly.  The fixed points serve the coset series,
     the period matrix and, sliced in handle order, the pole basis of the
-    weight-N seeds (see :meth:`_seed_points`).  The only state added
-    later is a memo of Z and Omega, which :mod:`schottky.correlators`
+    weight-N seeds (see :meth:`_seed_points`).  The only other state
+    added later is a memo of Z and Omega, which :mod:`schottky.correlators`
     fills on first use with values that the parameters and policy fix.
 
     Parameters
@@ -325,25 +331,41 @@ class SurfaceForms:
                 "needs it exterior - move the discs off the origin with "
                 "mobius_act_on_params first"
             )
-        self.words = enumerate_group(sp, self.policy.max_word_length)
-        self._wa, self._wb = self.words.a, self.words.b
-        self._wc, self._wd = self.words.c, self.words.d
-        self._blocks = _row_blocks(self.words.length)
-        # numpy's pairwise sum of a block, then one addition per later block.
-        self._sum_ulps = _sum_ulps(max(e - s for s, e, _ in self._blocks), len(self._blocks) - 1)
-        self._grow = 1.0 + self.words.length
         # max_a (|w_a| + r_a), a bound on |gamma x| for gamma != id (see _omega_sum).
         discs = zip(sp.w_plus + sp.w_minus, 2 * sp.rho)
         self._reach = max(abs(w) + math.sqrt(abs(rho)) for w, rho in discs)
         # The generators' conditioning c, charged k c per word, and the largest radius.
         pairs = zip(sp.w_plus, sp.w_minus, sp.rho)
-        cond = max((abs(wp * wm) + abs(rho)) / abs(rho) for wp, wm, rho in pairs)
-        self._skew = cond * self.words.length
+        self._cond = max((abs(wp * wm) + abs(rho)) / abs(rho) for wp, wm, rho in pairs)
         self._radius = max(math.sqrt(abs(rho)) for rho in sp.rho)
         self._classical = classical_from_params(sp)
         # Per-surface results of schottky.correlators: Z per mode cutoff
         # and the period matrix, each computed on first use.
         self._memo: dict = {}
+
+    # -- the word table, built on first use -------------------------------------
+
+    @functools.cached_property
+    def words(self) -> WordTable:
+        """The reduced words of length <= the policy's cutoff."""
+        return enumerate_group(self.sp, self.policy.max_word_length)
+
+    @functools.cached_property
+    def _blocks(self) -> tuple[tuple[int, int, bool], ...]:
+        return _row_blocks(self.words.length)
+
+    @functools.cached_property
+    def _sum_ulps(self) -> float:
+        """numpy's pairwise sum of a block, then one addition per later block."""
+        return _sum_ulps(max(e - s for s, e, _ in self._blocks), len(self._blocks) - 1)
+
+    @functools.cached_property
+    def _grow(self) -> np.ndarray:
+        return 1.0 + self.words.length
+
+    @functools.cached_property
+    def _skew(self) -> np.ndarray:
+        return self._cond * self.words.length
 
     # -- construction helpers ------------------------------------------------
 
@@ -382,8 +404,9 @@ class SurfaceForms:
         self, x: complex, s: int, e: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """gamma x, d(gamma x)/dx and c x + d for the words in rows s..e-1."""
-        den = self._wc[s:e] * x + self._wd[s:e]
-        gx = (self._wa[s:e] * x + self._wb[s:e]) / den
+        w = self.words
+        den = w.c[s:e] * x + w.d[s:e]
+        gx = (w.a[s:e] * x + w.b[s:e]) / den
         dgx = 1.0 / (den * den)
         return gx, dgx, den
 
@@ -398,7 +421,8 @@ class SurfaceForms:
         """
         Wp = self._classical.W_plus[h - 1]
         Wm = self._classical.W_minus[h - 1]
-        a, b, c, d = (w[rows] for w in (self._wa, self._wb, self._wc, self._wd))
+        w = self.words
+        a, b, c, d = (part[rows] for part in (w.a, w.b, w.c, w.d))
         den_p = c * Wp + d
         den_m = c * Wm + d
         return (a * Wp + b) / den_p, (a * Wm + b) / den_m, (Wp - Wm) / (den_p * den_m)
@@ -579,34 +603,11 @@ class SurfaceForms:
         """
         return self.power_bidifferential(x, y, 1)
 
-    def bidifferential_pairs(
-        self, points: Sequence[complex], pairs: Iterable[tuple[int, int]]
-    ) -> list[Estimate]:
-        """omega(x_i, x_j) for each index pair (i, j), i != j, and s(x_i) for (i, i).
-
-        One :class:`Estimate` per pair, in the order given, each equal bit
-        for bit, value and tail, to ``bidifferential(x_i, x_j)`` or
-        ``projective_connection(x_i)``.  Every point must lie in the
-        fundamental domain.  All pairs are summed in one pass that forms
-        the orbit of each x_i once per row block (see :meth:`_omega_pass`),
-        so the n(n-1)/2 pairs of n points take n - 1 orbits, not one each.
-        """
-        xs = [require_in_domain(self.sp, p, f"point {k}") for k, p in enumerate(points)]
-        quantities = []
-        for pair in pairs:
-            i, j = (require_integer(k, "point index", 0) for k in pair)
-            if max(i, j) >= len(xs):
-                raise InvalidParameterError(
-                    f"point index pair {pair!r} out of range for {len(xs)} points"
-                )
-            quantities.append((i, xs[j], _CONNECTION if i == j else _OMEGA))
-        return self._omega_pass(xs, quantities)
-
     def bidifferential_dfirst(self, x: complex, y: complex) -> Estimate:
         """Analytic partial of the bidifferential in its first argument."""
 
         def term(diff, dgx, den, s, e):
-            ggx = self._second_derivatives(den, s, e)
+            ggx = self._second_derivatives(dgx, den, s, e)
             return ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff)
 
         # gamma''x counts as (gamma'x)^2, weight 2, and gamma x - y thrice.
@@ -619,9 +620,13 @@ class SurfaceForms:
             lambda diff, dgx, den, s, e: 2.0 * dgx / (diff * diff * diff),
         ))
 
-    def _second_derivatives(self, den: np.ndarray, s: int, e: int) -> np.ndarray:
-        """d^2(gamma x)/dx^2 for the rows s..e-1, given their c x + d."""
-        return -2.0 * self._wc[s:e] / (den * den * den)
+    def _second_derivatives(self, dgx: np.ndarray, den: np.ndarray, s: int, e: int) -> np.ndarray:
+        """d^2(gamma x)/dx^2 for the rows s..e-1, given gamma'x and c x + d.
+
+        Formed as -2 c gamma'x / (c x + d), never through (c x + d)^3,
+        which overflows for the deep words of a long table at large |x|.
+        """
+        return -2.0 * self.words.c[s:e] * dgx / den
 
     def power_bidifferential(self, x: complex, y: complex, weight: int) -> Estimate:
         """sum_gamma (d(gamma x) dy / (gamma x - y)^2)^N, weight (N, N)."""
@@ -634,58 +639,36 @@ class SurfaceForms:
         ))
 
     def _omega_sum(self, x: complex, y: complex, summand: _Summand) -> Estimate:
-        """One-quantity :meth:`_omega_pass`: x in the fundamental domain, y finite."""
+        """Blocked orbit sum of one omega-family quantity; x in the fundamental domain, y finite.
+
+        Sums summand.term(gamma x - y, gamma'x, c x + d, s, e) over the
+        orbit of x, rows s..e-1, from row summand.first.  Each block's
+        floor is :func:`_orbit_ulps` at its longest word, the pole y
+        counted ``poles`` times as kappa = poles max(reach, |x|) / near and
+        drift = poles r / near: |gamma x| <= reach but at the identity
+        (whose image is x), and near is the block's least |gamma x - y|,
+        refused below the pole guard with its word.  The first block, with
+        the identity (which carries no generator error) and the largest
+        terms, takes skew per word.
+        """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
-        return self._omega_pass((x,), ((0, y, summand),))[0]
-
-    def _omega_pass(
-        self, xs: Sequence[complex], quantities: Sequence[tuple[int, complex, _Summand]]
-    ) -> list[Estimate]:
-        """Blocked orbit sums of the omega family, many quantities on one point set.
-
-        Quantity (i, y, summand) sums summand.term(gamma x - y, gamma'x,
-        c x + d, s, e) over the orbit of x = xs[i], rows s..e-1, from row
-        summand.first.  In each row block the orbit of each source point
-        is formed once, from the block's first row, and every quantity of
-        that source forms its terms from its own rows of it, one quantity
-        at a time, so only that quantity's temporaries are alive.
-
-        Each block's floor is :func:`_orbit_ulps` at its longest word, the
-        pole y counted ``poles`` times as kappa = poles max(reach, |x|) /
-        near and drift = poles r / near: |gamma x| <= reach but at the
-        identity (whose image is x), and near is the block's least
-        |gamma x - y|, refused below the pole guard with its word.  A
-        quantity's first block, with the identity (which carries no
-        generator error) and the largest terms, takes skew per word.  A
-        quantity's operations do not depend on the others in the pass, so
-        each equals its one-quantity call bit for bit.
-        """
-        # Per source point, its quantities as (j, y, summand, top, rim).
-        sources: dict[int, list] = {}
-        for j, (i, y, summand) in enumerate(quantities):
-            top = summand.poles * max(self._reach, abs(xs[i]))
-            sources.setdefault(i, []).append((j, y, summand, top, summand.poles * self._radius))
+        top = summand.poles * max(self._reach, abs(x))
+        rim = summand.poles * self._radius
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
-            for i, group in sources.items():
-                orbit = None
-                for j, y, summand, top, rim in group:
-                    t = max(s, summand.first)
-                    if t >= e:
-                        continue
-                    if orbit is None:
-                        orbit = self._orbit(xs[i], s, e)
-                    gx, dgx, den = orbit if t == s else (part[t - s:] for part in orbit)
-                    diff = gx - y
-                    near = self._guard_poles(np.abs(diff), t, summand.what)
-                    skew = self._skew[t:e] if t == summand.first else self._skew[e - 1]
-                    ulps = _orbit_ulps(summand.weight, top / near, rim / near, self._grow[e - 1], skew)
-                    yield j, summand.term(diff, dgx, den, t, e), ulps
+            t = max(s, summand.first)
+            if t >= e:
+                return
+            gx, dgx, den = self._orbit(x, t, e)
+            diff = gx - y
+            near = self._guard_poles(np.abs(diff), t, summand.what)
+            skew = self._skew[t:e] if t == summand.first else self._skew[e - 1]
+            ulps = _orbit_ulps(summand.weight, top / near, rim / near, self._grow[e - 1], skew)
+            yield 0, summand.term(diff, dgx, den, t, e), ulps
 
-        totals, shells, floors = self._reduce(terms, len(quantities))
-        tails = self._tails(shells, floors)
-        return [Estimate(complex(v), float(t)) for v, t in zip(totals, tails)]
+        totals, shells, floors = self._reduce(terms, 1)
+        return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
 
     def projective_connection(self, x: complex) -> Estimate:
         """s(x) = 6 sum_{gamma != id} d(gamma x) dx / (gamma x - x)^2.
@@ -701,7 +684,7 @@ class SurfaceForms:
         """Analytic d/dx of the projective connection."""
 
         def term(diff, dgx, den, s, e):
-            ggx = self._second_derivatives(den, s, e)
+            ggx = self._second_derivatives(dgx, den, s, e)
             return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3))
 
         return self._omega_sum(x, x, _Summand("projective connection derivative", 2, 3, term, 1))

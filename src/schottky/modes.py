@@ -1,4 +1,4 @@
-"""Mode-matrix route to the third-kind form and the boson partition sum.
+"""Mode-matrix route to the weight-1 forms and the boson partition sum.
 
 The orbit sum for the third-kind differential, with seed
 1/(x - y) - 1/x, can be resummed as a resolvent: the seed's Taylor data
@@ -13,6 +13,29 @@ truncated at M modes per signed handle in the fixed layout (handle-major,
 signed order 1, -1, 2, -2, ..., mode index ascending), so vectors have
 2*g*M entries and R is square of that size.
 
+The identity part p^T q of the resolvent is the sum over the 2g
+one-letter words, and its terms are the only ones that do not decay with
+the mode index where x or y lies on a circle.  So every evaluation is
+split:
+
+    psi_1(x, y) = seed(x, y) + sum_{|gamma| = 1} seed(gamma x, y) gamma'(x)
+                  + p(x)^T R (I - R)^{-1} q(y),
+
+the one-letter words in closed form, and only the last term truncated
+at M; it decays geometrically on the circles too.  R (I - R)^{-1} q is
+S - q with S = (I - R)^{-1} q, one solve on the cached factors.  The
+bidifferential is d/dy of psi_1, so the same split with the closed-form
+y-derivative q' of the moments gives
+
+    omega(x, y) = 1/(x - y)^2 + sum_{|gamma| = 1} gamma'(x) / (gamma x - y)^2
+                  + p(x)^T R (I - R)^{-1} q'(y),
+
+and the projective connection s(x) is 6 times the same at y = x without
+the identity term.  :func:`bidifferential_via_modes` returns the omega
+matrix of a point set, with s on its diagonal, from one multi-right-hand
+side solve; the correlators of :mod:`schottky.correlators` take their
+omega and s from it.
+
 The coupling entries carry half-integer powers of the handle parameters
 rho through s_h = sqrt(rho_h), principal branch (a negative real rho
 counts as rho + 0i).  That choice is safe across the branch cut:
@@ -23,30 +46,30 @@ the principal root jumps.
 The Fredholm determinant gives the free-boson (Heisenberg) oscillator
 partition function det(I - R)^{-1/2}, principal square root.
 
-Both readings run on one factored system per surface and cutoff: R is
+Every reading runs on one factored system per surface and cutoff: R is
 assembled once, I - R is formed in R's own buffer and factored once.  It
 passes two gates, else the computation refuses with
 :class:`~schottky.forms.ConvergenceError`: the contraction bound
 kappa = ||R||_1 (largest column sum of |R|), which bounds the spectral
 radius of R, must be below 1, and LAPACK's 1-norm condition number of
 I - R (``zgecon``, from the LU) below MAX_CONDITION.  The same pass over
-|R| gives both 1-norms.  The last system is kept, so repeated kernel and
-partition calls on one surface and cutoff validate, assemble and factor
+|R| gives both 1-norms.  The last system is kept, so Z, the kernel and
+the omega matrix of one surface and cutoff validate, assemble and factor
 once.
 
 Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
 a closed-form sum (:func:`_omitted_sums`), and so does the whole
 operator.  Bornemann's perturbation bound for Fredholm determinants turns
 them into a bound on det(I - R) at M against the untruncated operator,
-and a Neumann bound with kappa does the same for the resolvent.  The
-certified region is that of kappa < 1: on a genus-2 surface with centres
-+-1.35 and +-1.4i and equal radii f * 1.945/2 (f = 1 touches), f = 0.5
-has kappa = 0.27 and f = 0.8 is refused (kappa = 1.05, while the true
-spectral radius is 0.30).  The bounds are rigorous but not tight: on
-the genus-3 test surface at M = 5 the determinant's bound gives Z a tail
-of 6e-7 where doubling M moves Z by 1e-17, so :func:`mode_cutoff_for`,
-which picks the smallest M whose determinant bound meets a tolerance,
-errs towards larger M.
+and a Neumann bound on |R| with kappa does the same for the resolvent
+(:func:`_truncation`).  The certified region is that of kappa < 1: on a
+genus-2 surface with centres +-1.35 and +-1.4i and equal radii
+f * 1.945/2 (f = 1 touches), f = 0.5 has kappa = 0.27 and f = 0.8 is
+refused (kappa = 1.05, while the true spectral radius is 0.30).  The
+bounds are rigorous but not tight: on the genus-3 test surface at M = 5
+the determinant's bound gives Z a tail of 6e-7 where doubling M moves Z
+by 1e-17, so :func:`mode_cutoff_for`, which picks the smallest M whose
+determinant bound meets a tolerance, errs towards larger M.
 
 The layer is weight 1 only.  The weight-N seeds have poles at limit
 points inside the discs the Taylor modes live on, so their resolvent
@@ -60,17 +83,21 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.lapack import zgecon
+from scipy.linalg import lu_factor
+from scipy.linalg.lapack import zgecon, zgetrs
 
 from schottky.forms import (
     EPS,
+    POLE_GUARD,
     ConfigurationError,
     ConvergenceError,
     Estimate,
+    PoleProximityError,
     _kernel_seed,
+    _orbit_ulps,
 )
 from schottky.group import (
     InvalidParameterError,
@@ -86,6 +113,7 @@ __all__ = [
     "mode_coupling_matrix",
     "mode_cutoff_for",
     "kernel_via_modes",
+    "bidifferential_via_modes",
     "heisenberg_partition",
 ]
 
@@ -143,45 +171,103 @@ class _Factored:
         return -det if swaps % 2 else det
 
 
-def _roots(sp: SchottkyParams) -> list[complex]:
-    """s_a = sqrt(rho_a + 0j) for each signed index a, principal branch.
+class _Geometry(NamedTuple):
+    """Per signed handle, in the layout order, and per coupling block.
 
-    Equal parameters share one cached system, so no root may hang on the
-    sign of a zero imaginary part, which picks the side of the cut.
+    ``centers``, ``partners``, ``rho``, ``roots`` and ``radii`` hold w_a,
+    w_{-a}, rho_a, s_a = sqrt(rho_a + 0j) (principal branch) and
+    r_a = |rho_a|^{1/2}.  The blocks (a, b) with b != -a, row-major, have
+    layout positions ``row`` and ``col`` and center distances
+    ``gap`` = |w_{-a} - w_b|.  ``cond`` is the generators' conditioning
+    c of :func:`schottky.forms._orbit_ulps`.
     """
-    return [cmath.sqrt(sp.rho_signed(a) + 0j) for a in sp.signed_indices]
+
+    centers: np.ndarray
+    partners: np.ndarray
+    rho: np.ndarray
+    roots: np.ndarray
+    radii: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    gap: np.ndarray
+    cond: float
 
 
-def _pole_basis(sp: SchottkyParams, modes: int, x: complex) -> np.ndarray:
-    """Pole-basis vector p at x: entries s_b^{n+1} / (x - w_b)^{n+2}.
+@functools.lru_cache(maxsize=4)
+def _geometry(sp: SchottkyParams) -> _Geometry:
+    """The handle and block data of admissible parameters, built once per surface.
 
-    Layout: signed handles in the order 1, -1, 2, -2, ... (outer), mode
-    index n = 0..modes-1 (inner); length 2 * genus * modes.
+    Equal parameters share one entry, so no root may hang on the sign of
+    a zero imaginary part, which picks the side of the cut.
     """
-    out = np.empty(2 * sp.genus * modes, dtype=np.complex128)
-    n = np.arange(modes)
-    for i, (b, s) in enumerate(zip(sp.signed_indices, _roots(sp))):
-        d = x - sp.center(b)
-        out[i * modes:(i + 1) * modes] = s ** (n + 1) / d ** (n + 2)
-    return out
+    idx = sp.signed_indices
+    rho = np.array([sp.rho_signed(a) for a in idx])
+    centers = np.array([sp.center(a) for a in idx])
+    # The partner of layout position i is position i ^ 1.
+    pos = np.arange(len(idx))
+    partners = centers[pos ^ 1]
+    row, col = np.nonzero(pos[None, :] != (pos ^ 1)[:, None])
+    cond = max(
+        (abs(wp * wm) + abs(r)) / abs(r) for wp, wm, r in zip(sp.w_plus, sp.w_minus, sp.rho)
+    )
+    return _Geometry(
+        centers, partners, rho,
+        np.array([cmath.sqrt(r + 0j) for r in rho]),
+        np.array([sp.radius(a) for a in idx]),
+        row, col, np.abs(partners[row] - centers[col]), cond,
+    )
 
 
-def _seed_moments(sp: SchottkyParams, modes: int, y: complex) -> np.ndarray:
-    """Seed-moment vector q at y (same layout as the pole basis).
+def _powers(z: np.ndarray, modes: int) -> np.ndarray:
+    """z^{k+1} for k = 0..modes-1 on a new last axis, as a running product.
 
-    Entry (a, m) is -s_a^{m+1} times the m-th Taylor coefficient of the
-    seed 1/(x - y) - 1/x in x at the partner center w_{-a}:
-
-        -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ].
+    One product of the whole array per k, so entry k does not depend on
+    ``modes`` (numpy's cumprod does: its vector loop may fuse the
+    multiply-adds differently by length).  Entry k carries k complex
+    products, so it is off by at most 2 k eps of its size.
     """
-    out = np.empty(2 * sp.genus * modes, dtype=np.complex128)
-    m = np.arange(modes)
-    alt = (-1.0) ** m
-    for i, (a, s) in enumerate(zip(sp.signed_indices, _roots(sp))):
-        wma = sp.center(-a)
-        taylor = (wma - y) ** (-m - 1.0) - wma ** (-m - 1.0)
-        out[i * modes:(i + 1) * modes] = -(s ** (m + 1)) * alt * taylor
-    return out
+    out = np.empty((modes,) + z.shape, dtype=np.complex128)
+    out[0] = z
+    for k in range(1, modes):
+        np.multiply(out[k - 1], z, out=out[k])
+    return np.moveaxis(out, 0, -1)
+
+
+def _pole_basis(sp: SchottkyParams, modes: int, x) -> np.ndarray:
+    """Pole-basis vectors p at x (a point or an array of points).
+
+    Entries s_b^{n+1} / (x - w_b)^{n+2}, formed as (x - w_b)^{-1} times
+    the running powers of s_b / (x - w_b) for every point and handle at
+    once.  Layout: signed handles in the order 1, -1, 2, -2, ...
+    (outer), mode index n = 0..modes-1 (inner); the last axis has
+    2 * genus * modes entries.
+    """
+    geo = _geometry(sp)
+    inv = 1.0 / (np.asarray(x, dtype=np.complex128)[..., None] - geo.centers)
+    p = inv[..., None] * _powers(geo.roots * inv, modes)
+    return p.reshape(*inv.shape[:-1], -1)
+
+
+def _seed_moments(sp: SchottkyParams, modes: int, y, derivative: bool = False) -> np.ndarray:
+    """Seed-moment vectors q at y, or their y-derivatives q' (same layout as p).
+
+    Entry (a, m) of q is -s_a^{m+1} times the m-th Taylor coefficient of
+    the seed 1/(x - y) - 1/x in x at the partner center w_{-a}:
+
+        -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ]
+            = z_a(y)^{m+1} - z_a(0)^{m+1},   z_a(y) = -s_a / (w_{-a} - y),
+
+    and entry (a, m) of q' is (m + 1) z_a(y)^{m+1} / (w_{-a} - y).  The
+    powers are running products over every point and handle at once.
+    """
+    geo = _geometry(sp)
+    inv = 1.0 / (geo.partners - np.asarray(y, dtype=np.complex128)[..., None])
+    powers = _powers(-geo.roots * inv, modes)
+    if derivative:
+        q = inv[..., None] * powers * np.arange(1.0, modes + 1.0)
+    else:
+        q = powers - _powers(-geo.roots / geo.partners, modes)
+    return q.reshape(*inv.shape[:-1], -1)
 
 
 @functools.cache
@@ -211,15 +297,16 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     """
     modes = _require_cutoff(sp, modes)
     require_admissible(sp)
-    idx = sp.signed_indices
+    geo = _geometry(sp)
+    n = len(geo.centers)
     k = np.arange(modes)
-    s = np.array(_roots(sp))[:, None]
+    s = geo.roots[:, None]
     row_w = -(s ** (k + 1)) * (-1.0) ** k
     col_w = s ** (k + 1)
     # Center differences d[a, b] = w_{-a} - w_b.  At b = -a the block
     # vanishes, so d gets a placeholder there instead of a pole.
-    inverse = np.array([[b == -a for b in idx] for a in idx])
-    d = np.array([[sp.center(-a) - sp.center(b) for b in idx] for a in idx])
+    inverse = np.arange(n)[None, :] == (np.arange(n) ^ 1)[:, None]
+    d = geo.partners[:, None] - geo.centers[None, :]
     d[inverse] = 1.0
     power = d[:, :, None] ** -(np.arange(2 * modes - 1) + 2.0)
     # hankel[a, b, m, n] = power[a, b, m + n], a strided view without a copy.
@@ -229,7 +316,7 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     R *= _binomials(modes)[None, :, None, :]
     R *= hankel.transpose(0, 2, 1, 3)
     R.transpose(0, 2, 1, 3)[inverse] = 0.0
-    return R.reshape(len(idx) * modes, len(idx) * modes)
+    return R.reshape(n * modes, n * modes)
 
 
 def _omitted_sums(sp: SchottkyParams, cutoffs) -> np.ndarray:
@@ -241,11 +328,9 @@ def _omitted_sums(sp: SchottkyParams, cutoffs) -> np.ndarray:
     lead u^{M+1} / (1 - u).  u < 1 says exactly that the discs at w_{-a}
     and w_b are disjoint.  At M = 0 the bound covers the whole operator.
     """
-    idx = sp.signed_indices
-    blocks = [(a, b) for a in idx for b in idx if b != -a]
-    d = np.abs([sp.center(-a) - sp.center(b) for a, b in blocks])
-    ra = np.array([sp.radius(a) for a, _ in blocks])
-    u = (ra + np.array([sp.radius(b) for _, b in blocks])) / d
+    geo = _geometry(sp)
+    ra, d = geo.radii[geo.row], geo.gap
+    u = (ra + geo.radii[geo.col]) / d
     # u rounds to 1 only at touching discs; the bound is then infinite.
     with np.errstate(divide="ignore"):
         return (ra / d / (1.0 - u)) @ u[:, None] ** (np.asarray(cutoffs) + 1.0)
@@ -291,8 +376,8 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
     return cap
 
 
-# One entry: kernel and partition calls come in runs on one surface and
-# cutoff, and code that rotates surfaces keeps each surface's Z in the
+# One entry: kernel, omega and partition calls come in runs on one surface
+# and cutoff, and code that rotates surfaces keeps each surface's Z in the
 # correlators' memo.  typed=True keeps 4.0 and True from reusing the
 # system of 4 and 1 without passing mode_coupling_matrix's integer gate.
 @functools.lru_cache(maxsize=1, typed=True)
@@ -330,55 +415,178 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
     return _Factored(lu, piv, cond, contraction, float(omitted), float(whole))
 
 
-def _geometric(t: float, start: int) -> float:
-    """sum_{k >= start} t^k = t^start / (1 - t), infinite unless 0 <= t < 1."""
-    return t**start / (1.0 - t) if t < 1.0 else math.inf
+def _series(X, Y, power: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sums of C(m+n+1, m) X^m Y^n (n + 1)^power over all m, n >= 0, and over m + n >= modes.
+
+    The first is exact: 1 / ((1 - X)(1 - X - Y)) at power 0 and
+    1 / (1 - X - Y)^2 at power 1.  The second bounds the terms of total
+    degree k = m + n by (k + 1)^power (X + Y)^{k+1} / Y, as
+    sum_{m+n=k} C(k+1, m) X^m Y^n = ((X + Y)^{k+1} - X^{k+1}) / Y.  Both
+    are infinite unless X + Y < 1.
+    """
+    u = X + Y
+    ok = u < 1.0
+    whole = ok.all()
+    if not whole:
+        u, X = np.where(ok, u, 0.0), np.where(ok, X, 0.0)
+    rest = 1.0 - u
+    head = u ** (modes + 1) / (rest * Y)
+    if power == 0:
+        full = 1.0 / ((1.0 - X) * rest)
+    else:
+        full = 1.0 / (rest * rest)
+        head *= (modes + 1 - modes * u) / rest
+    if whole:
+        return full, head
+    return np.where(ok, full, math.inf), np.where(ok, head, math.inf)
 
 
 def _vector_bounds(
-    sp: SchottkyParams, modes: int, x: complex, y: complex
-) -> tuple[float, float, float]:
-    """sup|p(x)|, sum|q(y)| over all modes, and sum |p_i q_i| over the modes >= M.
+    sp: SchottkyParams, modes: int, xs: np.ndarray, ys: np.ndarray, derivative: bool
+) -> tuple[np.ndarray, ...]:
+    """Entry sums of |p(x_i)|^T |R| and |R| |q(y_j)| (or q'), whole and past the cutoff.
 
-    With r = |s_a|, |p_(a,n)| = (r / |x - w_a|)^{n+1} / |x - w_a| and
-    |q_(a,m)| <= (r / |w_{-a} - y|)^{m+1} + (r / |w_{-a}|)^{m+1}, so every
-    sum is geometric.  A point within the slack of a circle has
-    r > |x - w_a| and gets infinite bounds.
+    Over the untruncated operator: per x_i the sums of |p|^T |R| and of
+    |p|^T |D|, per y_j those of |R| |q| and |D| |q|, and per pair
+    |p|^T |D| |q|, D being the entries of R with a mode index >= M.
+    Block (a, b) has |R| entries lead C(m+n+1, m) alpha^m beta^n with
+    alpha = r_a / d, beta = r_b / d, lead = alpha beta and
+    d = |w_{-a} - w_b|; |p_(a,m)(x)| = t^{m+1} / |x - w_a| with
+    t = r_a / |x - w_a|; and |q_(b,n)(y)| is at most
+    sigma^{n+1} + sigma_0^{n+1} with sigma = r_b / |w_{-b} - y| and
+    sigma_0 = r_b / |w_{-b}|, |q'_(b,n)(y)| = (n + 1) sigma^{n+1} / |w_{-b} - y|.
+    So every sum is a :func:`_series` per block.  A point within the
+    slack of a circle (t or sigma a hair above 1) keeps them finite, as
+    the products decay at alpha t + beta < 1.
     """
-    sup_p = sum_q = diagonal = 0.0
-    # Every signed handle a: its center w_a, the partner's w_{-a} and |rho_a|.
-    for w, partner, rho in zip(sp.w_plus + sp.w_minus, sp.w_minus + sp.w_plus, 2 * sp.rho):
-        rho = abs(rho)
-        r = math.sqrt(rho)
-        dx, dy, d0 = abs(x - w), abs(partner - y), abs(partner)
-        sup_p = max(sup_p, r / (dx * dx) if r <= dx else math.inf)
-        sum_q += _geometric(r / dy, 1) + _geometric(r / d0, 1)
-        diagonal += (
-            _geometric(rho / (dx * dy), modes + 1) + _geometric(rho / (dx * d0), modes + 1)
-        ) / dx
-    return sup_p, sum_q, diagonal
+    geo = _geometry(sp)
+    ra, rb = geo.radii[geo.row], geo.radii[geo.col]
+    alpha, beta = ra / geo.gap, rb / geo.gap
+    dx = np.abs(xs[:, None] - geo.centers[geo.row])
+    t = ra / dx
+    weight = alpha * beta * t / dx
+    full, tail = _series(alpha * t, beta, 0, modes)
+    rows_full, rows_tail = (weight * full).sum(axis=-1), (weight * tail).sum(axis=-1)
+    dy = np.abs(geo.partners[geo.col] - ys[:, None])
+    if derivative:
+        terms = ((1.0 / dy, rb / dy, 1),)
+    else:
+        origin = np.ones_like(dy) * (rb / np.abs(geo.partners[geo.col]))
+        terms = ((1.0, rb / dy, 0), (1.0, origin, 0))
+    cols_full = cols_tail = both = 0.0
+    for coef, sigma, power in terms:
+        scale = alpha * beta * coef * sigma
+        full, tail = _series(alpha, beta * sigma, power, modes)
+        cols_full = cols_full + (scale * full).sum(axis=-1)
+        cols_tail = cols_tail + (scale * tail).sum(axis=-1)
+        _, tail = _series((alpha * t)[:, None, :], beta * sigma, power, modes)
+        both = both + (weight[:, None, :] * (coef * sigma) * tail).sum(axis=-1)
+    return rows_full, rows_tail, cols_full, cols_tail, both
 
 
-def _kernel_truncation(
-    sp: SchottkyParams, modes: int, system: _Factored, x: complex, y: complex
-) -> float:
-    """Bound on what the modes beyond the cutoff add to p^T (I - R)^{-1} q.
+def _truncation(
+    sp: SchottkyParams, modes: int, system: _Factored, xs: np.ndarray, ys: np.ndarray,
+    derivative: bool,
+) -> np.ndarray:
+    """Bound on what the modes beyond the cutoff add to p(x_i)^T R (I - R)^{-1} q(y_j).
 
-    Pad the truncated R with zeros to B.  Then (I - B)^{-1} is the
-    identity on the omitted modes, and (I - R)^{-1} - (I - B)^{-1} =
-    (I - R)^{-1} (R - B) (I - B)^{-1}, so the omitted part is the diagonal
-    sum p_H . q_H over the modes beyond M plus a term of at most
-    sup|p| sum|q| ||R - B||_1 / ((1 - ||R||_1)(1 - ||B||_1)) (Neumann).
-    ||B||_1 is the contraction bound, and the omitted entry sum bounds
-    ||R - B||_1 and ||R||_1 - ||B||_1.
+    Pad the truncated R with zeros to B, and let D = R - B.  Entrywise
+    |sum_k p^T (R^k - B^k) q| <= P^T ((I - A)^{-1} - (I - |B|)^{-1}) Q
+    with P = |p|, Q = |q|, A = |R| = |B| + |D|, and that difference is
+    (I - A)^{-1} |D| (I - |B|)^{-1}.  Expanding both inverses once,
+
+        P^T |D| Q + (P^T A)(I - A)^{-1}(|D| Q) + (P^T |D|)(I - |B|)^{-1}(|B| Q)
+        + (P^T A)(I - A)^{-1} |D| (I - |B|)^{-1} (|B| Q),
+
+    where every vector has finite entry sums (:func:`_vector_bounds`)
+    even on the circles, as p and q only meet R.  ||B||_1 is the
+    contraction bound kappa, the omitted entry sum w bounds ||D||_1, so
+    ||(I - |B|)^{-1}||_1 <= 1 / (1 - kappa) and
+    ||(I - A)^{-1}||_1 <= 1 / (1 - kappa - w).
     """
-    sup_p, sum_q, diagonal = _vector_bounds(sp, modes, x, y)
+    rows_full, rows_tail, cols_full, cols_tail, both = _vector_bounds(sp, modes, xs, ys, derivative)
     kappa, omitted = system.contraction, system.omitted
-    if omitted == 0.0:
-        return diagonal
     if not kappa + omitted < 1.0:
-        return math.inf
-    return diagonal + sup_p * sum_q * omitted / ((1.0 - kappa - omitted) * (1.0 - kappa))
+        return np.full(both.shape, math.inf)
+    inner, outer = 1.0 - kappa - omitted, 1.0 - kappa
+
+    def bound() -> np.ndarray:
+        return both + (
+            rows_full[:, None] * cols_tail + rows_tail[:, None] * (inner / outer) * cols_full
+            + rows_full[:, None] * (omitted / outer) * cols_full
+        ) / inner
+
+    if np.isfinite(rows_full).all() and np.isfinite(cols_full).all():
+        return bound()
+    # An infinite sum times one that underflowed to zero is infinite.
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.nan_to_num(bound(), nan=math.inf)
+
+
+def _one_letter_words(
+    sp: SchottkyParams, xs: np.ndarray, ys: np.ndarray, derivative: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum over the 2g one-letter words of the kernel's terms (or their d/dy), and floors.
+
+    gamma_a x = w_{-a} + rho_a / (x - w_a) and gamma_a'(x) =
+    -rho_a / (x - w_a)^2.  The kernel's term is
+    (gamma_a'x / gamma_a x) y / (gamma_a x - y), its d/dy
+    gamma_a'x / (gamma_a x - y)^2.  Each term is charged
+    :func:`~schottky.forms._orbit_ulps` at k = 1, plus one ulp per later
+    addition.  A point within POLE_GUARD of gamma_a x is refused, naming
+    the word (a,).
+    """
+    geo = _geometry(sp)
+    h = 1.0 / (xs[:, None] - geo.centers)
+    gx = geo.partners + geo.rho * h
+    dgx = -geo.rho * h * h
+    diff = gx[:, None, :] - ys[None, :, None]
+    dist = np.abs(diff)
+    if dist.size and dist.min() < POLE_GUARD:
+        letters = (sp.signed_indices[np.unravel_index(np.argmin(dist), dist.shape)[2]],)
+        raise PoleProximityError(
+            f"weight-1 form: evaluation point within {POLE_GUARD} of a pole (word {letters})",
+            letters,
+        )
+    size, radius = np.abs(gx)[:, None, :], float(geo.radii.max())
+    if derivative:
+        terms = dgx[:, None, :] / (diff * diff)
+        kappa, drift = 2.0 * size / dist, 2.0 * radius / dist
+    else:
+        terms = (dgx / gx)[:, None, :] * (ys[None, :, None] / diff)
+        kappa, drift = size / dist + 1.0, radius / dist + radius / size
+    ulps = _orbit_ulps(1, kappa, drift, 2.0, geo.cond) + len(geo.centers) + 2
+    sizes = np.abs(terms.real) + np.abs(terms.imag)
+    return terms.sum(axis=-1), EPS * (sizes * ulps).sum(axis=-1)
+
+
+def _split_sums(
+    sp: SchottkyParams, modes: int, system: _Factored, xs: np.ndarray, ys: np.ndarray,
+    derivative: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every word but the identity at each pair (x_i, y_j): values and tails.
+
+    The one-letter words in closed form plus p(x_i)^T (S - q(y_j)), S the
+    solution of (I - R) S = q for all y_j at once (q' with
+    ``derivative``).  The tail is the truncation bound of
+    :func:`_truncation`, the one-letter floors, and a rounding floor of
+    (2gM + 4(M + 1)) eps cond_1(I - R) |p|^T (|S| + |q|): the solve and the
+    products round by about 2gM ulps of the terms, and the running powers
+    of p and q by 2(M + 1) each.
+    """
+    P = _pole_basis(sp, modes, xs)
+    Q = _seed_moments(sp, modes, ys, derivative).T
+    S, _ = zgetrs(system.lu, system.piv, Q)
+    values, floors = _one_letter_words(sp, xs, ys, derivative)
+    values += P @ (S - Q)
+    ulps = P.shape[1] + 4 * (modes + 1)
+    floors += ulps * EPS * system.cond * (np.abs(P) @ (np.abs(S) + np.abs(Q)))
+    return values, floors + _truncation(sp, modes, system, xs, ys, derivative)
+
+
+def _identity_floor(term: np.ndarray, kappa: np.ndarray) -> np.ndarray:
+    """Rounding of the identity word's term, as :func:`~schottky.forms._orbit_ulps` at k = 0."""
+    return EPS * (np.abs(term.real) + np.abs(term.imag)) * _orbit_ulps(1, kappa, 0.0, 1.0, 0.0)
 
 
 def kernel_via_modes(
@@ -390,14 +598,13 @@ def kernel_via_modes(
 ) -> Estimate:
     """Third-kind differential evaluated through the mode resolvent.
 
-    seed(x, y) + p(x)^T (I - R)^{-1} q(y) with the seed 1/(x - y) - 1/x,
-    solved on the cached LU factors of the mode system.  It refuses with
+    seed(x, y) + the one-letter words in closed form + p(x)^T R (I - R)^{-1}
+    q(y) with the seed 1/(x - y) - 1/x, solved on the cached LU factors of
+    the mode system (see the module docstring).  It refuses with
     ConvergenceError when the contraction bound ||R||_1 is not below 1 or
     cond_1(I - R) not below MAX_CONDITION.  The reported tail is the
-    bound of _kernel_truncation on the modes beyond the cutoff plus a
-    rounding floor of 2gM eps (|seed| + cond_1(I - R) sum_i |p_i| |s_i|),
-    s = (I - R)^{-1} q.  The bound is infinite at a point within the
-    boundary slack of a circle.
+    truncation bound of :func:`_truncation`, finite on the circles, plus
+    the rounding floors of :func:`_split_sums` and of the seed.
 
     Only weight 1 is served.  At weight N >= 2 the seed's basis points are
     limit points inside the discs the Taylor modes live on, so the
@@ -412,15 +619,50 @@ def kernel_via_modes(
     system = _system(sp, modes)
     x = require_in_domain(sp, x, "x")
     y = require_in_domain(sp, y, "y")
-    p = _pole_basis(sp, modes, x)
-    solved = lu_solve((system.lu, system.piv), _seed_moments(sp, modes, y))
-    correction = complex(p @ solved)
+    values, tails = _split_sums(sp, modes, system, np.array([x]), np.array([y]), False)
     seed = _kernel_seed(x, y, (0.0,))
-    # The solve and the dot product round by about 2gM ulps of the terms.
-    scale = float(system.cond * (np.abs(p) @ np.abs(solved)))
-    floor = len(p) * EPS * (abs(seed) + scale)
-    truncation = _kernel_truncation(sp, modes, system, x, y)
-    return Estimate(seed + correction, truncation + floor)
+    value = seed + complex(values[0, 0])
+    floor = _identity_floor(np.array(seed), abs(x) / abs(x - y) + 1.0)
+    return Estimate(value, float(tails[0, 0] + floor) + EPS * abs(value))
+
+
+def bidifferential_via_modes(
+    sp: SchottkyParams, modes: int, points: Sequence[complex]
+) -> list[list[Estimate]]:
+    """omega(x_i, x_j) for i != j and s(x_i) on the diagonal, from the mode resolvent.
+
+    Row i, column j of the result is the bidifferential of the normalized
+    second kind at (x_i, x_j), or at i = j the projective connection
+    s(x_i) = 6 lim_{y -> x} (omega(x, y) - 1/(x - y)^2), both as
+    :meth:`schottky.forms.SurfaceForms.bidifferential` and
+    ``projective_connection`` sum them.  All come from one solve with a
+    right-hand side q'(x_j) per point (see the module docstring).  Every
+    point must lie in the fundamental domain; two points within
+    POLE_GUARD of each other, or of the other's one-letter image, are
+    refused.  Each tail is the bound of :func:`_split_sums` (times 6 on
+    the diagonal) plus the identity term's rounding.
+    """
+    system = _system(sp, modes)
+    xs = np.array(
+        [require_in_domain(sp, p, f"point {k}") for k, p in enumerate(points)], dtype=np.complex128
+    )
+    if not len(xs):
+        return []
+    values, tails = _split_sums(sp, modes, system, xs, xs, True)
+    off = ~np.eye(len(xs), dtype=bool)
+    diff = np.where(off, xs[:, None] - xs[None, :], 1.0)
+    if np.abs(diff).min() < POLE_GUARD:
+        raise PoleProximityError(
+            f"bidifferential: evaluation point within {POLE_GUARD} of a pole (word ())", ()
+        )
+    identity = 1.0 / (diff * diff)
+    floor = _identity_floor(identity, 2.0 * np.abs(xs)[:, None] / np.abs(diff))
+    omega = np.where(off, identity + values, 6.0 * values)
+    tails = np.where(off, tails + floor, 6.0 * tails) + EPS * np.abs(omega)
+    return [
+        [Estimate(complex(v), float(t)) for v, t in zip(vrow, trow)]
+        for vrow, trow in zip(omega, tails)
+    ]
 
 
 def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:

@@ -7,6 +7,7 @@ Jacobi theta series), theta series of D4 and E8 (Jacobi thetas, the
 Eisenstein series E4), and the integrality of the theta exponent.
 """
 
+import cmath
 import math
 from collections import Counter
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import schottky.correlators as correlators
+import schottky.forms as forms
 from schottky import (
     ClassicalParams,
     InvalidParameterError,
@@ -30,7 +32,7 @@ from schottky.correlators import (
     virasoro_two_point,
 )
 from schottky.forms import SurfaceForms
-from schottky.modes import mode_cutoff_for
+from schottky.modes import bidifferential_via_modes, mode_cutoff_for
 
 # Rounding floor for comparisons of values whose tails can read 0.
 FLOOR = 1e-12
@@ -352,34 +354,63 @@ def test_non_finite_insertions_refused_by_name(torus_forms, bad):
 
 def test_zero_cutoff_tails_are_infinite_not_nan(genus2_params):
     # At L = 0 the projective connection is the empty sum, 0 with an
-    # infinite tail; s(x) s(y) must keep that tail infinite.
+    # infinite tail, and the bidifferential the identity term alone, with
+    # an infinite tail too; the Virasoro formulas multiplied out as
+    # Estimates must keep those tails infinite, not nan.
     forms = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=0, mode_cutoff=8))
     x, y = 3.0 + 1.0j, -2.0 + 2.0j
-    for res in (virasoro_one_point(forms, x), virasoro_two_point(forms, x, y)):
+    sx, sy = forms.projective_connection(x), forms.projective_connection(y)
+    w = forms.bidifferential(x, y)
+    assert sx.value == 0 and math.isinf(sx.tail) and math.isinf(w.tail)
+    z = correlators._partition(forms, None)
+    for res in (sx * z / 12.0, (sx * sy / 144.0 + 0.5 * w**2) * z):
         assert math.isinf(res.tail)
 
 
-def test_pairing_sums_share_one_orbit_per_point(genus3_params, monkeypatch):
-    # The pairing sums form each point's orbit once per row block, not once
-    # per pair: heisenberg_npoint on 6 points takes n - 1 = 5 orbits per
-    # block (one per point that heads a pair) where 15 single calls took
-    # 15, and virasoro_two_point 2 where omega, s(x) and s(y) took 3.  This
-    # guards the speedup without a timer.
-    forms = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=6))
-    blocks = len(forms._blocks)
-    assert blocks == 13
-    orbit = SurfaceForms._orbit
-    calls = 0
+def test_correlators_build_no_word_table(genus3_params, monkeypatch):
+    # omega, s and Z of a request come from one factored mode system: on a
+    # fresh surface heisenberg_npoint and both Virasoro functions enumerate
+    # no word table and form no orbit, while lattice_partition (whose
+    # period matrix is a coset series) builds the table once.  This guards
+    # the speedup without a timer.
+    calls = Counter()
+    enumerate_group, orbit = forms.enumerate_group, SurfaceForms._orbit
 
-    def counted(self, *args):
-        nonlocal calls
-        calls += 1
+    def counted_enumerate(*args):
+        calls["enumerate"] += 1
+        return enumerate_group(*args)
+
+    def counted_orbit(self, *args):
+        calls["orbit"] += 1
         return orbit(self, *args)
 
-    monkeypatch.setattr(SurfaceForms, "_orbit", counted)
+    monkeypatch.setattr(forms, "enumerate_group", counted_enumerate)
+    monkeypatch.setattr(SurfaceForms, "_orbit", counted_orbit)
     points = [3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j, 4.1 + 0.2j]
-    heisenberg_npoint(forms, points, modes=5)
-    assert calls == (len(points) - 1) * blocks
-    calls = 0
-    virasoro_two_point(forms, points[0], points[1], modes=5)
-    assert calls == 2 * blocks
+    for modes in (5, None):
+        surface = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=6))
+        heisenberg_npoint(surface, points, modes=modes)
+        virasoro_one_point(surface, points[0], modes=modes)
+        virasoro_two_point(surface, points[0], points[1], modes=modes)
+    assert calls == {}
+    surface = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=4))
+    lattice_partition(surface, A2)
+    lattice_partition(surface, D4)
+    assert calls == {"enumerate": 1}
+
+
+@pytest.mark.parametrize("cp", TORI)
+def test_genus1_mode_route_matches_closed_forms(cp):
+    # omega and s from the mode resolvent against the cyclic orbit summed
+    # in the coordinate where the generator is a dilation, at points far
+    # out and on both circles (where the one-letter words do not decay).
+    sp = params_from_classical(cp)
+    circle = [sp.center(a) + sp.radius(a) * cmath.exp(0.7j * a) for a in sp.signed_indices]
+    pts = [2.0 + 0.5j, -1.5 - 1.2j, *circle]
+    for M in (10, 30):
+        omega = bidifferential_via_modes(sp, M, pts)
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                got = omega[i][j]
+                ref = torus_projective_connection(x, cp) if i == j else torus_bidifferential(x, y, cp)
+                assert abs(got.value - ref) <= got.tail + FLOOR * abs(ref), (M, i, j)

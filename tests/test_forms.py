@@ -30,7 +30,7 @@ from schottky.forms import (
     _abs_sum,
 )
 from schottky.correlators import virasoro_one_point
-from schottky.modes import heisenberg_partition, kernel_via_modes
+from schottky.modes import bidifferential_via_modes, heisenberg_partition, kernel_via_modes
 from schottky.group import (
     ClassicalParams,
     InvalidParameterError,
@@ -859,7 +859,6 @@ class TestBlockedSums:
             "recursion_kernel": (x, y, 2),
             "recursion_kernel_dy": (x, y, 2),
             "bidifferential": (x, y),
-            "bidifferential_pairs": ((x, y), ((0, 1), (0, 0))),
             "bidifferential_dfirst": (x, y),
             "bidifferential_dsecond": (x, y),
             "power_bidifferential": (x, y, 2),
@@ -870,7 +869,8 @@ class TestBlockedSums:
             "quasiperiod_coefficient": (2, 1, 0, x),
         }
         public = {name for name in vars(SurfaceForms) if not name.startswith("_")}
-        assert public == set(calls) | {"period_matrix"}
+        # words is the lazily built word table, not an evaluator.
+        assert public == set(calls) | {"period_matrix", "words"}
         original = forms._orbit_ulps
         for name, args in calls.items():
             count = 0
@@ -937,50 +937,25 @@ class TestBlockedSums:
                     call()
                 assert info.value.letters == W.letters(row)
 
-    @pytest.mark.parametrize("fixture", ["torus_params", "genus2_params", "genus3_params"])
-    @pytest.mark.parametrize("L", [0, 1, 6])
-    def test_pairs_bitwise_equal_single_calls(self, fixture, L, request):
-        # One pass forms each point's orbit once per block and every pair's
-        # terms from its rows of it; each entry must be its single call,
-        # value and tail, bit for bit.  At L = 0 the diagonal's row-1 start
-        # leaves its only block empty: s = 0 with an infinite tail.  One
-        # point sits on the circle at w_1, where the floor's skew matters.
-        sp = request.getfixturevalue(fixture)
-        F = SurfaceForms(sp, TruncationPolicy(max_word_length=L))
-        points = [
-            3.0 - 1.0j, sp.center(1) + sp.radius(1) * cmath.exp(1.3j), -3.1 + 0.4j,
-            0.3 + 3.3j, -2.7 - 2.9j, 4.1 + 0.2j,
-        ]
-        for n in (1, 2, 3, 6):
-            pts = points[:n]
-            pairs = [(i, j) for i in range(n) for j in range(n)]
-            for got, (i, j) in zip(F.bidifferential_pairs(pts, pairs), pairs, strict=True):
-                one = F.projective_connection(pts[i]) if i == j else F.bidifferential(pts[i], pts[j])
-                assert (got.value, got.tail) == (one.value, one.tail), (n, i, j)
-        if L == 0:
-            assert F.bidifferential_pairs(points[:1], [(0, 0)]) == [Estimate(0j, math.inf)]
-
     def test_pairs_pole_guard_names_the_word(self, genus3_params):
         # x on the circle at w_1 has gamma_1 x on the circle at w_{-1}: both
         # lie in the fundamental domain, and omega(x, gamma_1 x) meets the
-        # pole of the word (1,), omega(gamma_1 x, x) that of (-1,), in
-        # whichever quantity of the pass they come.
+        # pole of the word (1,), omega(gamma_1 x, x) that of (-1,).  The
+        # orbit sum and the omega matrix of the mode route (where the pair
+        # may sit among other points) both refuse, naming the word.
         sp = genus3_params
         F = SurfaceForms(sp, TruncationPolicy(max_word_length=6))
         x = sp.center(1) + sp.radius(1) * cmath.exp(1.3j)
-        pts = [3.0 - 1.0j, x, -3.1 + 0.4j, generator_map(sp, 1)(x)]
-        for pairs, letters in ((((0, 2), (1, 1), (1, 3)), (1,)), (((0, 1), (3, 1)), (-1,))):
+        gx = generator_map(sp, 1)(x)
+        for first, second, letters in ((x, gx, (1,)), (gx, x, (-1,))):
             with pytest.raises(PoleProximityError) as info:
-                F.bidifferential_pairs(pts, pairs)
-            assert info.value.letters == letters, pairs
-
-    def test_pairs_refuse_bad_indices(self, genus2_forms):
-        pts = [3.0 - 1.0j, -3.1 + 0.4j]
-        for pairs in ([(0, 2)], [(-1, 0)], [(0, 1.0)], [(True, 0)]):
-            with pytest.raises(InvalidParameterError, match="point index"):
-                genus2_forms.bidifferential_pairs(pts, pairs)
-        with pytest.raises(InvalidParameterError, match="point 1"):
-            genus2_forms.bidifferential_pairs([3.0, genus2_forms.sp.center(1)], [(0, 1)])
+                F.bidifferential(first, second)
+            assert info.value.letters == letters
+            # The matrix holds both orders, so either word may be named.
+            for points in ([first, second], [3.0 - 1.0j, first, -3.1 + 0.4j, second]):
+                with pytest.raises(PoleProximityError) as info:
+                    bidifferential_via_modes(sp, 8, points)
+                assert info.value.letters in ((1,), (-1,))
 
 
 class TestTrueGroup:

@@ -291,10 +291,13 @@ def test_overflowing_table_refused_by_cutoff(length, torus_params):
     # RuntimeWarning on the way (the suite turns those into errors).
     with pytest.raises(InvalidParameterError, match=f"max_word_length = {length}:"):
         enumerate_group(torus_params, length)
+    # SurfaceForms builds its table on the first sum and refuses there.
+    F = SurfaceForms(torus_params, TruncationPolicy(max_word_length=length))
     with pytest.raises(InvalidParameterError, match=f"max_word_length = {length}:"):
-        SurfaceForms(torus_params, TruncationPolicy(max_word_length=length))
-    # At the longest accepted cutoff the derivative sums, which form
-    # (c x + d)^3, stay finite.
+        F.bidifferential(2.0, -0.5 + 0.3j)
+    # At the longest accepted cutoff the derivative sums stay finite, far
+    # out too: gamma''x is -2 c gamma'x / (c x + d), since (c x + d)^3
+    # overflowed there at |x| = 1e4.
     longest = 140
     while True:
         try:
@@ -303,7 +306,7 @@ def test_overflowing_table_refused_by_cutoff(length, torus_params):
             break
         longest += 1
     F = SurfaceForms(torus_params, TruncationPolicy(max_word_length=longest))
-    for x in (2.0, 1000.0j):
+    for x in (2.0, 1000.0j, 1e4, 1e6, 1e6j):
         for value in (F.bidifferential_dfirst(x, -0.5 + 0.3j), F.projective_connection_derivative(x)):
             assert math.isfinite(abs(value.value)) and math.isfinite(value.tail)
 

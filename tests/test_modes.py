@@ -29,6 +29,7 @@ from schottky.forms import (
     EPS,
     ConfigurationError,
     ConvergenceError,
+    PoleProximityError,
     SurfaceForms,
     _kernel_seed,
 )
@@ -48,6 +49,7 @@ from schottky.group import (
 import schottky.group as group
 import schottky.modes as modes
 from schottky.modes import (
+    bidifferential_via_modes,
     heisenberg_partition,
     kernel_via_modes,
     mode_coupling_matrix,
@@ -478,6 +480,9 @@ class TestKernelViaModes:
         x = sp.center(1) + sp.radius(1) * (1.0 - 1e-13)
         direct, kv = F.third_kind_form(x, y), kernel_via_modes(sp, 1, 24, x, y)
         assert abs(kv.value - direct.value) <= kv.tail + direct.tail
+        # With the one-letter words in closed form the truncated part
+        # decays there too, so its bound is finite.
+        assert math.isfinite(kv.tail)
         inside = sp.center(1) + sp.radius(1) * (1.0 - 1e-11)
         for call in (lambda: F.third_kind_form(inside, y), lambda: kernel_via_modes(sp, 1, 24, inside, y)):
             with pytest.raises(InvalidParameterError, match="inside an isometric disc"):
@@ -649,6 +654,14 @@ def kernel_points(sp):
     ]
 
 
+def circle_points(sp):
+    """One point on every isometric circle, each at its own angle."""
+    return [
+        sp.center(a) + sp.radius(a) * cmath.exp(1j * (0.4 + 0.9 * k))
+        for k, a in enumerate(sp.signed_indices)
+    ]
+
+
 FIXTURES = ["torus_sp", "genus2_params", "genus3_params"]
 SURFACES = FIXTURES + [f"draw{k}" for k in range(8)]
 
@@ -710,16 +723,27 @@ class TestTruncationBounds:
     @pytest.mark.parametrize("name", FIXTURES + ["near"])
     @pytest.mark.parametrize("M", [2, 5])
     def test_vector_bounds_against_the_vectors_at_4M(self, name, M, request):
+        # The entry sums of _vector_bounds against p, q, q' and R at 4M:
+        # |p|^T |R| and |R| |q| whole and over the entries D with a mode
+        # index >= M, and |p|^T |D| |q|; also at points on the circles.
         sp = near_touching(0.5) if name == "near" else request.getfixturevalue(name)
-        for x, y in kernel_points(sp):
+        R = np.abs(mode_coupling_matrix(sp, 4 * M))
+        mode = np.arange(R.shape[0]) % (4 * M)
+        D = np.where((mode[:, None] >= M) | (mode[None, :] >= M), R, 0.0)
+        ring = circle_points(sp)
+        for x, y in [*kernel_points(sp), (ring[0], ring[1]), (ring[1], ring[1])]:
             p = np.abs(modes._pole_basis(sp, 4 * M, x))
-            q = np.abs(modes._seed_moments(sp, 4 * M, y))
-            beyond = np.arange(len(p)) % (4 * M) >= M
-            # The sup is attained at mode 0, so it may differ by rounding.
-            sup_p, sum_q, diagonal = (b * (1.0 + 8 * EPS) for b in modes._vector_bounds(sp, M, x, y))
-            assert p.max() <= sup_p
-            assert q.sum() <= sum_q
-            assert (p * q)[beyond].sum() <= diagonal
+            for derivative in (False, True):
+                q = np.abs(modes._seed_moments(sp, 4 * M, y, derivative))
+                bounds = modes._vector_bounds(sp, M, np.array([x]), np.array([y]), derivative)
+                rows, rows_d, cols, cols_d, both = (
+                    float(np.ravel(b)[0]) * (1.0 + 8 * EPS) for b in bounds
+                )
+                assert (p @ R).sum() <= rows < math.inf
+                assert (p @ D).sum() <= rows_d
+                assert (R @ q).sum() <= cols < math.inf
+                assert (D @ q).sum() <= cols_d
+                assert p @ D @ q <= both < math.inf
 
     @pytest.mark.parametrize("z", [1.0 + 0.0j, 0.3 + 0.2j, -1.0 + 0.5j, 2e-3j])
     def test_inverse_root_change_bounds_the_circle(self, z):
@@ -753,6 +777,117 @@ class TestTruncationBounds:
         # Like TruncationPolicy(tol=), not a cutoff of 1 or of the cap.
         with pytest.raises(InvalidParameterError):
             mode_cutoff_for(genus2_params, tol, 20)
+
+
+class TestModeRoute:
+    """psi_1, omega and s from the resolvent, the one-letter words split off."""
+
+    @staticmethod
+    def poincare(sp):
+        """The orbit sums at a cutoff where they are far below the targets."""
+        return SurfaceForms(sp, TruncationPolicy(max_word_length={1: 12, 2: 7, 3: 6}[sp.genus]))
+
+    @staticmethod
+    def points(sp):
+        return [5.0 + 1.0j, 0.62 + 0.11j, -3.1 + 0.4j, *circle_points(sp)]
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_omega_matrix_matches_poincare_sums(self, name, request):
+        # Off the diagonal omega, on it s, at points on every circle too,
+        # where omega(x, gamma_a x') and s meet the non-decaying one-letter
+        # terms that the split sums in closed form.
+        sp = surface(name, request)
+        F = self.poincare(sp)
+        pts = self.points(sp)
+        omega = bidifferential_via_modes(sp, 20, pts)
+        for i, x in enumerate(pts):
+            for j, y in enumerate(pts):
+                got = omega[i][j]
+                ref = F.projective_connection(x) if i == j else F.bidifferential(x, y)
+                assert abs(got.value - ref.value) <= got.tail + ref.tail, (i, j)
+                # Not vacuous: on the torus, whose discs are the largest,
+                # a pair on the two circles decays at u = 0.39 per mode.
+                assert got.tail <= 1e-6 * abs(got.value), (i, j)
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_kernel_matches_poincare_sums_on_the_circles(self, name, request):
+        sp = surface(name, request)
+        F = self.poincare(sp)
+        pts = self.points(sp)
+        for x in circle_points(sp):
+            for y in pts:
+                if y == x:
+                    continue
+                got, ref = kernel_via_modes(sp, 1, 20, x, y), F.third_kind_form(x, y)
+                assert abs(got.value - ref.value) <= got.tail + ref.tail, (x, y)
+                assert got.tail <= 1e-6 * abs(got.value), (x, y)
+
+    @pytest.mark.parametrize("name", SURFACES + ["near"])
+    @pytest.mark.parametrize("M", [3, 10])
+    def test_mode_doubling_within_reported_tail(self, name, M, request):
+        sp = near_touching(0.5) if name == "near" else surface(name, request)
+        pts = self.points(sp)
+        coarse, fine = bidifferential_via_modes(sp, M, pts), bidifferential_via_modes(sp, 2 * M, pts)
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                c, f = coarse[i][j], fine[i][j]
+                assert abs(f.value - c.value) <= c.tail, (i, j)
+        for x in circle_points(sp):
+            for y in pts[:3]:
+                c, f = kernel_via_modes(sp, 1, M, x, y), kernel_via_modes(sp, 1, 2 * M, x, y)
+                assert abs(f.value - c.value) <= c.tail, (x, y)
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_covariant_under_mobius_conjugation(self, fixture, request):
+        # The conjugated surface has another mode system, but omega is a
+        # (1, 1)-form and s a quadratic differential: omega'(m x, m y)
+        # m'(x) m'(y) = omega(x, y) and s'(m x) m'(x)^2 = s(x).
+        sp = request.getfixturevalue(fixture)
+        m = MobiusMap(1.0, 0.15 - 0.1j, 0.02, 1.0).normalized()
+        moved = mobius_act_on_params(sp, m)
+        # Isometric circles are not carried to isometric circles, so the
+        # points keep off them: half a radius out.
+        near = [
+            sp.center(a) + 1.5 * sp.radius(a) * cmath.exp(1j * (0.4 + 0.9 * k))
+            for k, a in enumerate(sp.signed_indices)
+        ]
+        pts = [x for x in self.points(sp)[:3] + near if in_fundamental_domain(moved, m(x))]
+        assert len(pts) == 3 + 2 * sp.genus
+        omega = bidifferential_via_modes(sp, 20, pts)
+        image = bidifferential_via_modes(moved, 20, [m(x) for x in pts])
+        slope = [complex(m.derivative(x)) for x in pts]
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                scale = slope[i] * slope[j]
+                got, ref = image[i][j], omega[i][j]
+                assert abs(got.value * scale - ref.value) <= got.tail * abs(scale) + ref.tail + (
+                    1e-12 * abs(ref.value)
+                ), (i, j)
+
+    def test_points_within_the_boundary_slack(self, genus2_params):
+        # 1e-13 of a radius inside a circle, as the domain gate accepts:
+        # finite tails, and the same values as on the circle to the tails.
+        sp = genus2_params
+        y = -0.4 - 0.77j
+        for a in sp.signed_indices:
+            on = sp.center(a) + sp.radius(a) * cmath.exp(0.3j)
+            hair = sp.center(a) + sp.radius(a) * (1.0 - 1e-13) * cmath.exp(0.3j)
+            near, exact = bidifferential_via_modes(sp, 12, [hair, y]), bidifferential_via_modes(sp, 12, [on, y])
+            for i in range(2):
+                for j in range(2):
+                    assert math.isfinite(near[i][j].tail)
+                    assert abs(near[i][j].value - exact[i][j].value) <= (
+                        near[i][j].tail + exact[i][j].tail + 1e-11 * abs(exact[i][j].value)
+                    )
+
+    def test_refusals(self, genus2_params):
+        sp = genus2_params
+        assert bidifferential_via_modes(sp, 8, []) == []
+        with pytest.raises(InvalidParameterError, match="point 1"):
+            bidifferential_via_modes(sp, 8, [3.0, sp.center(1)])
+        with pytest.raises(PoleProximityError) as info:
+            bidifferential_via_modes(sp, 8, [3.0, 3.0 + 1e-12])
+        assert info.value.letters == ()
 
 
 class TestCertifiedRegion:
