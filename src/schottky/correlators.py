@@ -26,10 +26,12 @@ the mode-matrix determinant.  A call's ``modes`` sets the mode cutoff;
 when it is None the cutoff comes from the policy: the smallest one, up to
 ``mode_cutoff``, whose bound on the determinant's truncation meets
 ``tol``.  Z and omega use the same cutoff, so one factored mode system
-serves a whole request.  Z (once per mode cutoff) and the period matrix
-are computed once per SurfaceForms and kept on it, so repeated requests
-on one surface pay for them once; the kept period matrix is read-only.
-No correlator but ``lattice_partition`` enumerates the word table.
+serves a whole request.  This module keeps no state: Z lives on the
+factored system, which :mod:`schottky.modes` caches per parameter set
+and cutoff, and the period matrix on the SurfaceForms
+(``SurfaceForms.periods``, read-only), so repeated requests on a few
+surfaces pay for each once.  No correlator but ``lattice_partition``
+enumerates the word table.
 Insertion points must lie in the fundamental domain.
 
 Every call returns an :class:`~schottky.forms.Estimate`: each correlator
@@ -53,16 +55,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from schottky.forms import EPS, Estimate, PeriodMatrixResult, SurfaceForms
+from schottky.forms import EPS, Estimate, SurfaceForms
 from schottky.group import (
     InvalidParameterError,
     TruncationPolicy,
     require_in_domain,
-    require_integer,
     require_positive,
 )
 from schottky.modes import (
-    PartitionValue,
     bidifferential_via_modes,
     heisenberg_partition,
     mode_cutoff_for,
@@ -158,36 +158,12 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def _cutoff(forms: SurfaceForms, modes: int | None) -> int:
-    """The mode cutoff of a request: ``modes``, or the policy's for None.
-
-    For None it is the smallest cutoff, up to the policy's
-    ``mode_cutoff``, whose determinant bound meets its ``tol``, computed
-    once per surface.
-    """
+    """The mode cutoff of a request: ``modes``, or for None the smallest
+    one, up to the policy's ``mode_cutoff``, whose determinant bound meets
+    its ``tol``.  :mod:`schottky.modes` gates ``modes``."""
     if modes is not None:
-        # Gated before any lookup: 20.0 == 20 would find the Z of cutoff 20.
-        return require_integer(modes, "mode cutoff", 1)
-    if "M" not in forms._memo:
-        policy = forms.policy
-        forms._memo["M"] = mode_cutoff_for(forms.sp, policy.tol, policy.mode_cutoff)
-    return forms._memo["M"]
-
-
-def _partition(forms: SurfaceForms, modes: int | None) -> PartitionValue:
-    """Z of the surface at the request's mode cutoff, computed once per cutoff."""
-    m = _cutoff(forms, modes)
-    if ("Z", m) not in forms._memo:
-        forms._memo["Z", m] = heisenberg_partition(forms.sp, m)
-    return forms._memo["Z", m]
-
-
-def _period_matrix(forms: SurfaceForms) -> PeriodMatrixResult:
-    """The surface's period matrix, computed once; its ``omega`` is read-only."""
-    if "Omega" not in forms._memo:
-        result = forms.period_matrix()
-        result.omega.flags.writeable = False
-        forms._memo["Omega"] = result
-    return forms._memo["Omega"]
+        return modes
+    return mode_cutoff_for(forms.sp, forms.policy.tol, forms.policy.mode_cutoff)
 
 
 def heisenberg_npoint(
@@ -212,11 +188,12 @@ def heisenberg_npoint(
             raise InvalidParameterError(f"insertion points {i} and {j} coincide")
     if n % 2:
         return Estimate(0.0j, 0.0)
-    omega = bidifferential_via_modes(forms.sp, _cutoff(forms, modes), pts)
+    m = _cutoff(forms, modes)
+    omega = bidifferential_via_modes(forms.sp, m, pts)
     total = sum(
         math.prod(omega[i][j] for i, j in pairing) for pairing in pairings(n)
     )
-    return total * _partition(forms, modes)
+    return total * heisenberg_partition(forms.sp, m)
 
 
 def virasoro_one_point(
@@ -224,8 +201,9 @@ def virasoro_one_point(
 ) -> Estimate:
     """One-point function of the Virasoro vector: s(x) Z / 12."""
     x = require_in_domain(forms.sp, x, "x")
-    [[s]] = bidifferential_via_modes(forms.sp, _cutoff(forms, modes), (x,))
-    return s * _partition(forms, modes) / 12.0
+    m = _cutoff(forms, modes)
+    [[s]] = bidifferential_via_modes(forms.sp, m, (x,))
+    return s * heisenberg_partition(forms.sp, m) / 12.0
 
 
 def virasoro_two_point(
@@ -239,8 +217,9 @@ def virasoro_two_point(
     y = require_in_domain(forms.sp, y, "y")
     if x == y:
         raise InvalidParameterError("two-point insertions coincide")
-    (sx, w), (_, sy) = bidifferential_via_modes(forms.sp, _cutoff(forms, modes), (x, y))
-    return (sx * sy / 144.0 + 0.5 * w**2) * _partition(forms, modes)
+    m = _cutoff(forms, modes)
+    (sx, w), (_, sy) = bidifferential_via_modes(forms.sp, m, (x, y))
+    return (sx * sy / 144.0 + 0.5 * w**2) * heisenberg_partition(forms.sp, m)
 
 
 def _upper_gammas(n: int, x: float) -> list[float]:
@@ -405,7 +384,7 @@ def lattice_partition(
     d = lattice.rank
     if d == 0:
         return Estimate(1.0 + 0.0j, 0.0)
-    omega = _period_matrix(forms)
-    theta = siegel_theta(omega.omega, lattice, forms.policy.tol)
-    theta = Estimate(theta.value, theta.tail + abs(theta.value) * omega.tail)
-    return theta * _partition(forms, modes) ** d
+    periods = forms.periods
+    theta = siegel_theta(periods.omega, lattice, forms.policy.tol)
+    theta = Estimate(theta.value, theta.tail + abs(theta.value) * periods.tail)
+    return theta * heisenberg_partition(forms.sp, _cutoff(forms, modes)) ** d

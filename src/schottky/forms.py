@@ -84,7 +84,8 @@ a :class:`SurfaceForms`, not at construction: the correlators of
 :mod:`schottky.correlators` take omega, s and Z from the mode resolvent
 of :mod:`schottky.modes`, so a surface that only serves them never
 enumerates.  These Poincare sums stay the oracle of that route, and the
-only route at weight >= 2.
+only route at weight >= 2.  ``lattice_partition`` reads the period
+matrix that each surface computes once and keeps (``periods``).
 """
 
 from __future__ import annotations
@@ -308,9 +309,9 @@ class SurfaceForms:
     oversize or overflowing cutoff is refused then); the orbit and coset
     sums read its arrays directly.  The fixed points serve the coset series,
     the period matrix and, sliced in handle order, the pole basis of the
-    weight-N seeds (see :meth:`_seed_points`).  The only other state
-    added later is a memo of Z and Omega, which :mod:`schottky.correlators`
-    fills on first use with values that the parameters and policy fix.
+    weight-N seeds (see :meth:`_seed_points`).  ``periods`` is the
+    period matrix, computed on first use and kept with a read-only
+    ``omega``.
 
     Parameters
     ----------
@@ -334,14 +335,8 @@ class SurfaceForms:
         # max_a (|w_a| + r_a), a bound on |gamma x| for gamma != id (see _omega_sum).
         discs = zip(sp.w_plus + sp.w_minus, 2 * sp.rho)
         self._reach = max(abs(w) + math.sqrt(abs(rho)) for w, rho in discs)
-        # The generators' conditioning c, charged k c per word, and the largest radius.
-        pairs = zip(sp.w_plus, sp.w_minus, sp.rho)
-        self._cond = max((abs(wp * wm) + abs(rho)) / abs(rho) for wp, wm, rho in pairs)
-        self._radius = max(math.sqrt(abs(rho)) for rho in sp.rho)
+        self._cond, self._radius = _conditioning(sp)
         self._classical = classical_from_params(sp)
-        # Per-surface results of schottky.correlators: Z per mode cutoff
-        # and the period matrix, each computed on first use.
-        self._memo: dict = {}
 
     # -- the word table, built on first use -------------------------------------
 
@@ -838,6 +833,13 @@ class SurfaceForms:
                 worst = max(worst, tail)
         return PeriodMatrixResult(omega, worst)
 
+    @functools.cached_property
+    def periods(self) -> PeriodMatrixResult:
+        """The period matrix of :meth:`period_matrix`, computed once; its ``omega`` is read-only."""
+        result = self.period_matrix()
+        result.omega.flags.writeable = False
+        return result
+
 
 def _row_blocks(length: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
     """Row blocks (s, e, last) of a word table with word lengths ``length``.
@@ -850,6 +852,13 @@ def _row_blocks(length: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
     start = int(np.searchsorted(length, length[-1]))
     cuts = [*range(0, start, _ORBIT_BLOCK), *range(start, n, _ORBIT_BLOCK), n]
     return tuple((s, e, s >= start) for s, e in zip(cuts[:-1], cuts[1:]))
+
+
+def _conditioning(sp: SchottkyParams) -> tuple[float, float]:
+    """c = max_a (|w_a w_{-a}| + |rho_a|) / |rho_a| of :func:`_orbit_ulps`, and max_a r_a."""
+    pairs = zip(sp.w_plus, sp.w_minus, sp.rho)
+    cond = max((abs(wp * wm) + abs(rho)) / abs(rho) for wp, wm, rho in pairs)
+    return cond, max(math.sqrt(abs(rho)) for rho in sp.rho)
 
 
 def _orbit_ulps(weight: int, kappa, drift, grow, skew):

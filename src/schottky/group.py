@@ -628,16 +628,19 @@ def validate(sp: SchottkyParams) -> ValidityReport:
     for h in range(1, sp.genus + 1):
         if sp.rho[h - 1] == 0:
             issues.append(f"handle {h}: rho = 0")
-    idx = sp.signed_indices
+    # (a, w_a, r_a) for a = 1, -1, 2, -2, ...
+    discs = [
+        (s * h, w, math.sqrt(abs(rho)))
+        for h, (wp, wm, rho) in enumerate(zip(sp.w_plus, sp.w_minus, sp.rho), start=1)
+        for s, w in ((1, wp), (-1, wm))
+    ]
     pairs: list[PairSeparation] = []
     violations: list[PairSeparation] = []
-    for i, a in enumerate(idx):
-        for b in idx[i + 1:]:
-            sep = abs(sp.center(a) - sp.center(b))
-            rsum = sp.radius(a) + sp.radius(b)
-            rec = PairSeparation(a, b, sep, rsum)
+    for i, (a, wa, ra) in enumerate(discs):
+        for b, wb, rb in discs[i + 1:]:
+            rec = PairSeparation(a, b, abs(wa - wb), ra + rb)
             pairs.append(rec)
-            if not sep > rsum:
+            if not rec.separation > rec.radius_sum:
                 violations.append(rec)
     ok = not issues and not violations
     return ValidityReport(ok, tuple(pairs), tuple(violations), tuple(issues))

@@ -23,9 +23,9 @@ split:
 
 the one-letter words in closed form, and only the last term truncated
 at M; it decays geometrically on the circles too.  R (I - R)^{-1} q is
-S - q with S = (I - R)^{-1} q, one solve on the cached factors.  The
-bidifferential is d/dy of psi_1, so the same split with the closed-form
-y-derivative q' of the moments gives
+R S with S = (I - R)^{-1} q: one solve on the cached factors and one
+product with the kept R.  The bidifferential is d/dy of psi_1, so the
+same split with the closed-form y-derivative q' of the moments gives
 
     omega(x, y) = 1/(x - y)^2 + sum_{|gamma| = 1} gamma'(x) / (gamma x - y)^2
                   + p(x)^T R (I - R)^{-1} q'(y),
@@ -47,15 +47,16 @@ The Fredholm determinant gives the free-boson (Heisenberg) oscillator
 partition function det(I - R)^{-1/2}, principal square root.
 
 Every reading runs on one factored system per surface and cutoff: R is
-assembled once, I - R is formed in R's own buffer and factored once.  It
-passes two gates, else the computation refuses with
-:class:`~schottky.forms.ConvergenceError`: the contraction bound
-kappa = ||R||_1 (largest column sum of |R|), which bounds the spectral
-radius of R, must be below 1, and LAPACK's 1-norm condition number of
-I - R (``zgecon``, from the LU) below MAX_CONDITION.  The same pass over
-|R| gives both 1-norms.  The last system is kept, so Z, the kernel and
-the omega matrix of one surface and cutoff validate, assemble and factor
-once.
+assembled once and kept, I - R is formed beside it and factored once,
+and Z is read off the factors.  It passes two gates, else the
+computation refuses with :class:`~schottky.forms.ConvergenceError`: the
+contraction bound kappa = ||R||_1 (largest column sum of |R|), which
+bounds the spectral radius of R, must be below 1, and LAPACK's 1-norm
+condition number of I - R (``zgecon``, from the LU) below
+MAX_CONDITION.  LRU caches keep the last four systems, keyed by the
+parameters and the cutoff (equal parameters share one), and the handle
+data of the last four parameter sets, validated once: a caller rotating
+five or more surface and cutoff pairs refactors on every call.
 
 Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
 a closed-form sum (:func:`_omitted_sums`), and so does the whole
@@ -87,6 +88,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor
+from scipy.linalg.blas import dgemm, dgemv, zgemm, zgemv
 from scipy.linalg.lapack import zgecon, zgetrs
 
 from schottky.forms import (
@@ -96,6 +98,7 @@ from schottky.forms import (
     ConvergenceError,
     Estimate,
     PoleProximityError,
+    _conditioning,
     _kernel_seed,
     _orbit_ulps,
 )
@@ -151,24 +154,22 @@ class PartitionValue(Estimate):
 
 @dataclass(frozen=True)
 class _Factored:
-    """LU factors of I - R (read-only), cond_1(I - R) and bounds on R.
+    """R, |R| (``size``) and the LU factors of I - R, all read-only, with Z.
 
-    ``contraction`` is ||R||_1; ``omitted`` and ``whole`` bound the entry
-    sums of |R| beyond the cutoff and of the whole operator.
+    ``cond`` is cond_1(I - R), ``contraction`` ||R||_1, ``omitted`` a
+    bound on the entry sum of |R| beyond the cutoff, and ``partition``
+    Z = det(I - R)^{-1/2}.  |R| is kept for every omega call's rounding
+    floor: recomputing it costs 33 us a call at genus 3 and M = 20.
     """
 
+    R: np.ndarray
+    size: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
     cond: float
     contraction: float
     omitted: float
-    whole: float
-
-    def det(self) -> complex:
-        """det(I - R): the product of U's diagonal, signed by the row swaps."""
-        det = complex(np.prod(np.diag(self.lu)))
-        swaps = np.count_nonzero(self.piv != np.arange(len(self.piv)))
-        return -det if swaps % 2 else det
+    partition: PartitionValue
 
 
 class _Geometry(NamedTuple):
@@ -178,8 +179,9 @@ class _Geometry(NamedTuple):
     w_{-a}, rho_a, s_a = sqrt(rho_a + 0j) (principal branch) and
     r_a = |rho_a|^{1/2}.  The blocks (a, b) with b != -a, row-major, have
     layout positions ``row`` and ``col`` and center distances
-    ``gap`` = |w_{-a} - w_b|.  ``cond`` is the generators' conditioning
-    c of :func:`schottky.forms._orbit_ulps`.
+    ``gap`` = |w_{-a} - w_b|.  ``cond`` and ``radius`` are the
+    generators' conditioning c of :func:`schottky.forms._orbit_ulps` and
+    the largest radius (:func:`schottky.forms._conditioning`).
     """
 
     centers: np.ndarray
@@ -191,30 +193,29 @@ class _Geometry(NamedTuple):
     col: np.ndarray
     gap: np.ndarray
     cond: float
+    radius: float
 
 
+# Four entries here and in _system: perfbench's g3-lattice rotates four surfaces.
 @functools.lru_cache(maxsize=4)
 def _geometry(sp: SchottkyParams) -> _Geometry:
-    """The handle and block data of admissible parameters, built once per surface.
+    """The handle and block data of admissible parameters, validated and built once per surface.
 
     Equal parameters share one entry, so no root may hang on the sign of
     a zero imaginary part, which picks the side of the cut.
     """
-    idx = sp.signed_indices
-    rho = np.array([sp.rho_signed(a) for a in idx])
-    centers = np.array([sp.center(a) for a in idx])
-    # The partner of layout position i is position i ^ 1.
-    pos = np.arange(len(idx))
+    require_admissible(sp)
+    # Layout order 1, -1, 2, -2, ...: the partner of position i is i ^ 1.
+    centers = np.array([w for pair in zip(sp.w_plus, sp.w_minus) for w in pair])
+    rho = [r for r in sp.rho for _ in (1, -1)]
+    pos = np.arange(len(centers))
     partners = centers[pos ^ 1]
     row, col = np.nonzero(pos[None, :] != (pos ^ 1)[:, None])
-    cond = max(
-        (abs(wp * wm) + abs(r)) / abs(r) for wp, wm, r in zip(sp.w_plus, sp.w_minus, sp.rho)
-    )
     return _Geometry(
-        centers, partners, rho,
+        centers, partners, np.array(rho),
         np.array([cmath.sqrt(r + 0j) for r in rho]),
-        np.array([sp.radius(a) for a in idx]),
-        row, col, np.abs(partners[row] - centers[col]), cond,
+        np.array([math.sqrt(abs(r)) for r in rho]),
+        row, col, np.abs(partners[row] - centers[col]), *_conditioning(sp),
     )
 
 
@@ -273,9 +274,7 @@ def _seed_moments(sp: SchottkyParams, modes: int, y, derivative: bool = False) -
 @functools.cache
 def _binomials(modes: int) -> np.ndarray:
     """Read-only table C(m + n + 1, m) for m, n < modes, built once per cutoff."""
-    binom = np.array(
-        [[float(math.comb(m + n + 1, m)) for n in range(modes)] for m in range(modes)]
-    )
+    binom = np.array([[math.comb(m + n + 1, m) for n in range(modes)] for m in range(modes)], float)
     binom.flags.writeable = False
     return binom
 
@@ -296,7 +295,6 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     once and every block is assembled in one broadcast.
     """
     modes = _require_cutoff(sp, modes)
-    require_admissible(sp)
     geo = _geometry(sp)
     n = len(geo.centers)
     k = np.arange(modes)
@@ -366,7 +364,6 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
     before it is carried through det^{-1/2}; it needs no assembly.  When
     no M <= cap meets tol, the cutoff is cap.
     """
-    require_admissible(sp)
     tol = require_positive(tol, "tol")
     cap = _require_cutoff(sp, cap)
     sums = _omitted_sums(sp, range(cap + 1))
@@ -376,20 +373,17 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
     return cap
 
 
-# One entry: kernel, omega and partition calls come in runs on one surface
-# and cutoff, and code that rotates surfaces keeps each surface's Z in the
-# correlators' memo.  typed=True keeps 4.0 and True from reusing the
-# system of 4 and 1 without passing mode_coupling_matrix's integer gate.
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=4)
 def _system(sp: SchottkyParams, modes: int) -> _Factored:
-    """I - R at the cutoff, formed in R's own buffer, factored and gated.
+    """R and I - R at a cutoff that passed :func:`_require_cutoff`, factored, gated, and Z.
 
-    The gates are the contraction bound ||R||_1 < 1 and
-    cond_1(I - R) < MAX_CONDITION; both 1-norms come from one pass over
-    |R|.
+    The gates are ||R||_1 < 1 and cond_1(I - R) < MAX_CONDITION; both
+    1-norms come from one pass over |R|.  Z is read off the diagonal of
+    the factors.  At genus 3 and M = 20 an entry holds 575 KB.
     """
     R = mode_coupling_matrix(sp, modes)
-    columns = np.abs(R).sum(axis=0)
+    size = np.abs(R)
+    columns = size.sum(axis=0)
     contraction = float(columns.max())
     # Written so that a nan bound refuses too.
     if not contraction < 1.0:
@@ -400,9 +394,10 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
         )
     diagonal = R.diagonal()
     norm = float(np.max(columns - np.abs(diagonal) + np.abs(1.0 - diagonal)))
-    np.negative(R, out=R)
-    R.flat[:: R.shape[0] + 1] += 1.0
-    lu, piv = lu_factor(R, overwrite_a=True)
+    # Column-major, so that LAPACK factors it in place rather than a copy.
+    lu = np.negative(R, order="F")
+    lu.flat[:: R.shape[0] + 1] += 1.0
+    lu, piv = lu_factor(lu, overwrite_a=True)
     rcond, _ = zgecon(lu, norm)
     cond = 1.0 / rcond if rcond > 0.0 else math.inf
     if not cond < MAX_CONDITION:
@@ -410,9 +405,19 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
             f"mode system ill-conditioned (cond {cond:.3g}); the "
             "expansion does not converge for these parameters"
         )
-    lu.flags.writeable = piv.flags.writeable = False
+    for array in (R, size, lu, piv):
+        array.flags.writeable = False
     omitted, whole = _omitted_sums(sp, (modes, 0))
-    return _Factored(lu, piv, cond, contraction, float(omitted), float(whole))
+    # det(I - R): the product of U's diagonal, signed by the row swaps.
+    det = complex(np.prod(np.diag(lu)))
+    if np.count_nonzero(piv != np.arange(len(piv))) % 2:
+        det = -det
+    value = 1.0 / cmath.sqrt(det)
+    truncation = _inverse_root_change(det, _determinant_truncation(float(omitted), float(whole)))
+    # The LU of the 2gM-square system rounds the determinant by about 2gM ulps.
+    floor = 2 * sp.genus * modes * EPS * abs(value)
+    partition = PartitionValue(value, truncation + floor, contraction)
+    return _Factored(R, size, lu, piv, cond, contraction, float(omitted), partition)
 
 
 def _series(X, Y, power: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -548,7 +553,7 @@ def _one_letter_words(
             f"weight-1 form: evaluation point within {POLE_GUARD} of a pole (word {letters})",
             letters,
         )
-    size, radius = np.abs(gx)[:, None, :], float(geo.radii.max())
+    size, radius = np.abs(gx)[:, None, :], geo.radius
     if derivative:
         terms = dgx[:, None, :] / (diff * diff)
         kappa, drift = 2.0 * size / dist, 2.0 * radius / dist
@@ -560,17 +565,28 @@ def _one_letter_words(
     return terms.sum(axis=-1), EPS * (sizes * ulps).sum(axis=-1)
 
 
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for C-ordered a in the solve's BLAS (scipy's), read in place as
+    the Fortran a.T.  Threads of a second BLAS, numpy's, would contend with
+    its threads for the cores.  One column takes gemv, a third of gemm's cost."""
+    gemm, gemv = (zgemm, zgemv) if a.dtype.kind == "c" else (dgemm, dgemv)
+    if b.shape[1] == 1:
+        return gemv(1.0, a.T, b[:, 0], trans=1)[:, None]
+    return gemm(1.0, a.T, b, trans_a=1)
+
+
 def _split_sums(
     sp: SchottkyParams, modes: int, system: _Factored, xs: np.ndarray, ys: np.ndarray,
     derivative: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every word but the identity at each pair (x_i, y_j): values and tails.
 
-    The one-letter words in closed form plus p(x_i)^T (S - q(y_j)), S the
-    solution of (I - R) S = q for all y_j at once (q' with
-    ``derivative``).  The tail is the truncation bound of
-    :func:`_truncation`, the one-letter floors, and a rounding floor of
-    (2gM + 4(M + 1)) eps cond_1(I - R) |p|^T (|S| + |q|): the solve and the
+    The one-letter words in closed form plus p(x_i)^T R S, S the solution
+    of (I - R) S = q for all y_j at once (q' with ``derivative``).  R S is
+    a product, not S - q: on a circle q does not decay with the mode
+    index, and S - q would cancel it.  The tail is the truncation bound
+    of :func:`_truncation`, the one-letter floors, and a rounding floor of
+    (2gM + 4(M + 1)) eps cond_1(I - R) |p|^T |R| |S|: the solve and the
     products round by about 2gM ulps of the terms, and the running powers
     of p and q by 2(M + 1) each.
     """
@@ -578,9 +594,9 @@ def _split_sums(
     Q = _seed_moments(sp, modes, ys, derivative).T
     S, _ = zgetrs(system.lu, system.piv, Q)
     values, floors = _one_letter_words(sp, xs, ys, derivative)
-    values += P @ (S - Q)
+    values += P @ _times(system.R, S)
     ulps = P.shape[1] + 4 * (modes + 1)
-    floors += ulps * EPS * system.cond * (np.abs(P) @ (np.abs(S) + np.abs(Q)))
+    floors += ulps * EPS * system.cond * (np.abs(P) @ _times(system.size, np.abs(S)))
     return values, floors + _truncation(sp, modes, system, xs, ys, derivative)
 
 
@@ -616,7 +632,7 @@ def kernel_via_modes(
             f"the mode resolvent serves weight 1 only, got weight {weight}; "
             "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
         )
-    system = _system(sp, modes)
+    system = _system(sp, _require_cutoff(sp, modes))
     x = require_in_domain(sp, x, "x")
     y = require_in_domain(sp, y, "y")
     values, tails = _split_sums(sp, modes, system, np.array([x]), np.array([y]), False)
@@ -642,7 +658,7 @@ def bidifferential_via_modes(
     refused.  Each tail is the bound of :func:`_split_sums` (times 6 on
     the diagonal) plus the identity term's rounding.
     """
-    system = _system(sp, modes)
+    system = _system(sp, _require_cutoff(sp, modes))
     xs = np.array(
         [require_in_domain(sp, p, f"point {k}") for k, p in enumerate(points)], dtype=np.complex128
     )
@@ -666,20 +682,12 @@ def bidifferential_via_modes(
 
 
 def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:
-    """Oscillator partition function det(I - R)^{-1/2} at weight 1.
+    """Oscillator partition function det(I - R)^{-1/2} at weight 1, principal root.
 
-    The determinant is read off the diagonal of the cached LU factors and
-    the principal square root taken; for admissible parameters the
-    determinant sits near 1.  It refuses with ConvergenceError when the
-    contraction bound ||R||_1 is not below 1 or cond_1(I - R) not below
-    MAX_CONDITION.  The tail is the determinant's truncation bound
-    carried through det^{-1/2} (infinite when it reaches the branch cut),
-    plus a rounding floor of 2gM eps |value|.
+    Read once per cached system off the diagonal of its LU factors; for
+    admissible parameters the determinant sits near 1.  It refuses as
+    :func:`kernel_via_modes` does.  The tail is the determinant's
+    truncation bound carried through det^{-1/2} (infinite when it reaches
+    the branch cut), plus a rounding floor of 2gM eps |value|.
     """
-    system = _system(sp, modes)
-    det = system.det()
-    value = 1.0 / cmath.sqrt(det)
-    truncation = _inverse_root_change(det, _determinant_truncation(system.omitted, system.whole))
-    # The LU of the 2gM-square system rounds the determinant by about 2gM ulps.
-    floor = 2 * sp.genus * modes * EPS * abs(value)
-    return PartitionValue(value, truncation + floor, system.contraction)
+    return _system(sp, _require_cutoff(sp, modes)).partition

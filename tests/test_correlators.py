@@ -7,18 +7,26 @@ Jacobi theta series), theta series of D4 and E8 (Jacobi thetas, the
 Eisenstein series E4), and the integrality of the theta exponent.
 """
 
+import ast
 import cmath
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import schottky
 import schottky.correlators as correlators
 import schottky.forms as forms
+import schottky.modes as modes
 from schottky import (
     ClassicalParams,
     InvalidParameterError,
+    SchottkyParams,
     TruncationPolicy,
     params_from_classical,
 )
@@ -32,7 +40,7 @@ from schottky.correlators import (
     virasoro_two_point,
 )
 from schottky.forms import SurfaceForms
-from schottky.modes import bidifferential_via_modes, mode_cutoff_for
+from schottky.modes import bidifferential_via_modes, heisenberg_partition, mode_cutoff_for
 
 # Rounding floor for comparisons of values whose tails can read 0.
 FLOOR = 1e-12
@@ -261,7 +269,8 @@ class TestTruncationDiscipline:
 
 
 class TestSurfaceMemo:
-    """Z and Omega are computed once per surface (Z once per mode cutoff)."""
+    """Z once per parameter set and mode cutoff, on the cached mode system;
+    Omega once per SurfaceForms.  The correlators keep no state."""
 
     X, Y = 0.6 + 0.2j, -0.5 - 0.8j
     POLICY = TruncationPolicy(max_word_length=4, mode_cutoff=12)
@@ -280,19 +289,20 @@ class TestSurfaceMemo:
 
     def test_one_computation_per_surface(self, genus2_params, monkeypatch):
         calls = Counter()
-        partition = correlators.heisenberg_partition
+        assemble = modes.mode_coupling_matrix
         period_matrix = SurfaceForms.period_matrix
 
-        def counted_partition(sp, modes):
-            calls[("Z", modes)] += 1
-            return partition(sp, modes)
+        def counted_assemble(sp, m):
+            calls[("R", m)] += 1
+            return assemble(sp, m)
 
         def counted_period_matrix(forms):
             calls["Omega"] += 1
             return period_matrix(forms)
 
-        monkeypatch.setattr(correlators, "heisenberg_partition", counted_partition)
+        monkeypatch.setattr(modes, "mode_coupling_matrix", counted_assemble)
         monkeypatch.setattr(SurfaceForms, "period_matrix", counted_period_matrix)
+        modes._system.cache_clear()
         forms = SurfaceForms(genus2_params, self.POLICY)
         for _ in range(3):
             for request in self.requests():
@@ -300,32 +310,35 @@ class TestSurfaceMemo:
         # Without modes= the cutoff is the policy's tol-driven one.
         m = mode_cutoff_for(genus2_params, self.POLICY.tol, self.POLICY.mode_cutoff)
         assert m < self.POLICY.mode_cutoff
-        assert calls == {("Z", m): 1, ("Z", 8): 1, "Omega": 1}
-        # Another surface computes its own.
-        lattice_partition(SurfaceForms(genus2_params, self.POLICY), A2)
-        assert calls == {("Z", m): 2, ("Z", 8): 1, "Omega": 2}
+        assert calls == {("R", m): 1, ("R", 8): 1, "Omega": 1}
+        # Another surface with equal parameters shares the mode system and
+        # computes its own period matrix.
+        twin = SchottkyParams(2, genus2_params.w_plus, genus2_params.w_minus, genus2_params.rho)
+        lattice_partition(SurfaceForms(twin, self.POLICY), A2)
+        assert calls == {("R", m): 1, ("R", 8): 1, "Omega": 2}
 
     def test_memo_bitwise_equal_to_uncached_route(self, genus2_params):
         warm = SurfaceForms(genus2_params, self.POLICY)
         for request in self.requests():
             request(warm)
-        for request in self.requests():
-            hot = request(warm)
-            cold = request(SurfaceForms(genus2_params, self.POLICY))
-            assert (hot.value, hot.tail) == (cold.value, cold.tail)
-        for modes in (8, 12):
-            z = correlators._partition(warm, modes)
-            fresh = correlators.heisenberg_partition(genus2_params, modes)
-            assert (z.value, z.tail) == (fresh.value, fresh.tail)
-        omega = correlators._period_matrix(warm)
-        fresh = SurfaceForms(genus2_params, self.POLICY).period_matrix()
-        assert np.array_equal(omega.omega, fresh.omega) and omega.tail == fresh.tail
+        hot = [request(warm) for request in self.requests()]
+        cached = [heisenberg_partition(genus2_params, m) for m in (8, 12)]
+        modes._system.cache_clear()
+        cold = [request(SurfaceForms(genus2_params, self.POLICY)) for request in self.requests()]
+        assert [(h.value, h.tail) for h in hot] == [(c.value, c.tail) for c in cold]
+        modes._system.cache_clear()
+        fresh = [heisenberg_partition(genus2_params, m) for m in (8, 12)]
+        assert [(z.value, z.tail) for z in cached] == [(z.value, z.tail) for z in fresh]
+        periods = SurfaceForms(genus2_params, self.POLICY).period_matrix()
+        assert np.array_equal(warm.periods.omega, periods.omega)
+        assert warm.periods.tail == periods.tail
 
     def test_cached_omega_is_read_only(self, genus2_params):
         forms = SurfaceForms(genus2_params, self.POLICY)
         lattice_partition(forms, A2)
+        assert forms.periods is forms.periods
         with pytest.raises(ValueError):
-            correlators._period_matrix(forms).omega[0, 0] = 0.0
+            forms.periods.omega[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("where", [[0], [1, 0, 2], [1, 0], [0, 1]])
@@ -362,7 +375,7 @@ def test_zero_cutoff_tails_are_infinite_not_nan(genus2_params):
     sx, sy = forms.projective_connection(x), forms.projective_connection(y)
     w = forms.bidifferential(x, y)
     assert sx.value == 0 and math.isinf(sx.tail) and math.isinf(w.tail)
-    z = correlators._partition(forms, None)
+    z = heisenberg_partition(genus2_params, mode_cutoff_for(genus2_params, forms.policy.tol, 8))
     for res in (sx * z / 12.0, (sx * sy / 144.0 + 0.5 * w**2) * z):
         assert math.isinf(res.tail)
 
@@ -397,6 +410,69 @@ def test_correlators_build_no_word_table(genus3_params, monkeypatch):
     lattice_partition(surface, A2)
     lattice_partition(surface, D4)
     assert calls == {"enumerate": 1}
+
+
+# Serves each surface once in a fresh interpreter: argv[1] holds the
+# parameters as float pairs and the insertion points.
+FRESH_PROCESS = """
+import ast, sys
+from schottky import SchottkyParams, TruncationPolicy
+from schottky.correlators import LatticeSpec, heisenberg_npoint, lattice_partition
+from schottky.forms import SurfaceForms
+surfaces, points = ast.literal_eval(sys.argv[1])
+out = []
+for genus, *parts in surfaces:
+    sp = SchottkyParams(genus, *([complex(*z) for z in part] for part in parts))
+    forms = SurfaceForms(sp, TruncationPolicy(max_word_length=4))
+    for r in (heisenberg_npoint(forms, points), lattice_partition(forms, LatticeSpec(%r))):
+        out.append(tuple(map(float, (r.value.real, r.value.imag, r.tail))))
+print(repr(out))
+""" % (A2.gram,)
+
+
+def test_rotating_surfaces_compute_each_once(genus3_params, perturbed, monkeypatch):
+    # Four surfaces served in turn for three rounds: one mode system
+    # assembled and one period matrix computed per surface, and every
+    # value and tail the same, bit for bit, as a fresh process's that
+    # serves each surface once.
+    surfaces = [perturbed(genus3_params, seed) for seed in range(4)]
+    points = (0.6 + 0.2j, -0.5 - 0.8j)
+    calls = Counter()
+    assemble, period_matrix = modes.mode_coupling_matrix, SurfaceForms.period_matrix
+
+    def counted_assemble(sp, m):
+        calls["R"] += 1
+        return assemble(sp, m)
+
+    def counted_period_matrix(forms):
+        calls["Omega"] += 1
+        return period_matrix(forms)
+
+    monkeypatch.setattr(modes, "mode_coupling_matrix", counted_assemble)
+    monkeypatch.setattr(SurfaceForms, "period_matrix", counted_period_matrix)
+    modes._system.cache_clear()
+    served = [SurfaceForms(sp, TruncationPolicy(max_word_length=4)) for sp in surfaces]
+    rounds = []
+    for _ in range(3):
+        out = []
+        for surface in served:
+            for r in (heisenberg_npoint(surface, points), lattice_partition(surface, A2)):
+                out.append(tuple(map(float, (r.value.real, r.value.imag, r.tail))))
+        rounds.append(out)
+    assert calls == {"R": 4, "Omega": 4}
+    floats = [
+        (sp.genus, *([(z.real, z.imag) for z in part] for part in (sp.w_plus, sp.w_minus, sp.rho)))
+        for sp in surfaces
+    ]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(schottky.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
+    child = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, repr((floats, points))],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    fresh = ast.literal_eval(child.stdout)
+    assert all(out == fresh for out in rounds)
 
 
 @pytest.mark.parametrize("cp", TORI)

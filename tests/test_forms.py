@@ -869,8 +869,9 @@ class TestBlockedSums:
             "quasiperiod_coefficient": (2, 1, 0, x),
         }
         public = {name for name in vars(SurfaceForms) if not name.startswith("_")}
-        # words is the lazily built word table, not an evaluator.
-        assert public == set(calls) | {"period_matrix", "words"}
+        # words and periods are the lazily built word table and period
+        # matrix, not evaluators.
+        assert public == set(calls) | {"period_matrix", "periods", "words"}
         original = forms._orbit_ulps
         for name, args in calls.items():
             count = 0

@@ -102,12 +102,14 @@ def word_table_log_z(sp, L):
 
 @pytest.fixture
 def fresh_system():
-    """An empty system cache around a test that fakes the coupling matrix.
+    """Empty system and geometry caches around a test that fakes the
+    coupling matrix or counts validations.
 
     A fake system left in the cache would serve the next test on the same
-    surface and cutoff.
+    surface and cutoff, and a cached geometry skips validation.
     """
     modes._system.cache_clear()
+    modes._geometry.cache_clear()
     yield
     modes._system.cache_clear()
 
@@ -293,7 +295,7 @@ class TestSharedSystem:
 
     def test_cached_factors_are_read_only(self, genus2_params):
         factored = modes._system(genus2_params, 12)
-        for array in (factored.lu, factored.piv):
+        for array in (factored.R, factored.lu, factored.piv):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
@@ -606,32 +608,10 @@ class TestHeisenbergPartition:
                     call()
 
 
-def perturbed(sp, seed, jitter=0.2):
-    """sp with every centre and rho moved by up to ``jitter`` of its size.
-
-    Each move is a uniform point of a disc, as the benchmark draws its
-    surfaces; draws repeat until the parameters are admissible and the
-    origin is exterior.
-    """
-    rng = np.random.default_rng(seed)
-
-    def move(z):
-        return z + abs(z) * jitter * math.sqrt(rng.random()) * cmath.exp(2j * math.pi * rng.random())
-
-    while True:
-        draw = SchottkyParams(
-            sp.genus,
-            tuple(move(w) for w in sp.w_plus),
-            tuple(move(w) for w in sp.w_minus),
-            tuple(move(r) for r in sp.rho),
-        )
-        if validate(draw).ok and in_fundamental_domain(draw, 0.0):
-            return draw
-
-
 def surface(name, request):
     """A fixture by name, or "draw<k>": the genus-3 fixture perturbed with seed k."""
     if name.startswith("draw"):
+        perturbed = request.getfixturevalue("perturbed")
         return perturbed(request.getfixturevalue("genus3_params"), int(name[4:]))
     return request.getfixturevalue(name)
 
@@ -879,6 +859,22 @@ class TestModeRoute:
                     assert abs(near[i][j].value - exact[i][j].value) <= (
                         near[i][j].tail + exact[i][j].tail + 1e-11 * abs(exact[i][j].value)
                     )
+
+    def test_partner_circle_tail_does_not_grow_with_cutoff(self, torus_sp):
+        # x on C_1 and y on C_-1, where q'(y) does not decay with the mode
+        # index but R S does: the rounding floor is charged on |R||S|, not
+        # on |S| + |q'|, with which the tail grew 62-fold from M = 40 to
+        # 160 while the value stayed the same to the last bit.  What grows
+        # is the floor's 2gM ulps for the products' length, against sizes
+        # far below the one-letter floors: 3% from M = 40 to 160.
+        sp = torus_sp
+        r = sp.radius(1)
+        x, y = sp.center(1) + r * cmath.exp(0.7j), sp.center(-1) + r * cmath.exp(2.1j)
+        ref = SurfaceForms(sp, TruncationPolicy(max_word_length=12)).bidifferential(x, y)
+        omega = {M: bidifferential_via_modes(sp, M, [x, y])[0][1] for M in (40, 80, 160)}
+        assert max(omega[80].tail, omega[160].tail) <= 1.1 * omega[40].tail
+        for got in omega.values():
+            assert abs(got.value - ref.value) <= got.tail + ref.tail
 
     def test_refusals(self, genus2_params):
         sp = genus2_params

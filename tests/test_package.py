@@ -40,3 +40,25 @@ def test_no_unused_module_imports():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         used |= set(getattr(importlib.import_module(f"schottky.{path.stem}"), "__all__", ()))
         assert not sorted(imported - used), (path.name, sorted(imported - used))
+
+
+def test_cache_inventory():
+    # The module-level functions cached with functools.cache or lru_cache
+    # are exactly the mode route's: its per-surface state lives in these
+    # bounded caches, the Poincare route's on SurfaceForms, and a new
+    # hidden cache is a deliberate change to this list.
+    def cached(node):
+        for dec in node.decorator_list:
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in ("cache", "lru_cache"):
+                return True
+        return False
+
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in sorted(Path(schottky.__file__).parent.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cached(node)
+    }
+    assert found == {"modes._geometry", "modes._system", "modes._binomials"}
