@@ -63,6 +63,7 @@ from schottky.group import (
     require_positive,
 )
 from schottky.modes import (
+    _require_cutoff,
     bidifferential_via_modes,
     heisenberg_partition,
     mode_cutoff_for,
@@ -158,11 +159,13 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 
 def _cutoff(forms: SurfaceForms, modes: int | None) -> int:
-    """The mode cutoff of a request: ``modes``, or for None the smallest
-    one, up to the policy's ``mode_cutoff``, whose determinant bound meets
-    its ``tol``.  :mod:`schottky.modes` gates ``modes``."""
+    """The mode cutoff of a request: ``modes``, gated as :mod:`schottky.modes`
+    gates it, or for None the smallest one, up to the policy's
+    ``mode_cutoff``, whose determinant bound meets its ``tol``.  Every
+    correlator takes it first, so a bad cutoff is refused also where the
+    value needs no mode system."""
     if modes is not None:
-        return modes
+        return _require_cutoff(forms.sp, modes)
     return mode_cutoff_for(forms.sp, forms.policy.tol, forms.policy.mode_cutoff)
 
 
@@ -186,9 +189,9 @@ def heisenberg_npoint(
     for i, j in itertools.combinations(range(n), 2):
         if pts[i] == pts[j]:
             raise InvalidParameterError(f"insertion points {i} and {j} coincide")
+    m = _cutoff(forms, modes)
     if n % 2:
         return Estimate(0.0j, 0.0)
-    m = _cutoff(forms, modes)
     omega = bidifferential_via_modes(forms.sp, m, pts)
     total = sum(
         math.prod(omega[i][j] for i, j in pairing) for pairing in pairings(n)
@@ -379,12 +382,16 @@ def lattice_partition(
 
     The theta sum is truncated at the policy's ``tol``; the period
     matrix's tail enters theta's to first order, as |theta| tail(Omega).
-    Rank 0 is exactly 1, computed without the period matrix or Z.
+    Rank 0 is exactly 1, computed without the period matrix or Z.  Z
+    comes before the period matrix and theta, so a surface whose mode
+    system is refused pays for neither.
     """
+    m = _cutoff(forms, modes)
     d = lattice.rank
     if d == 0:
         return Estimate(1.0 + 0.0j, 0.0)
+    z = heisenberg_partition(forms.sp, m)
     periods = forms.periods
     theta = siegel_theta(periods.omega, lattice, forms.policy.tol)
     theta = Estimate(theta.value, theta.tail + abs(theta.value) * periods.tail)
-    return theta * heisenberg_partition(forms.sp, _cutoff(forms, modes)) ** d
+    return theta * z**d

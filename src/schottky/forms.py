@@ -277,24 +277,21 @@ def _kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> com
 class _Summand(NamedTuple):
     """The terms of one omega-family sum (see :meth:`SurfaceForms._omega_sum`).
 
-    ``term(gamma x - y, gamma'x, c x + d, s, e)`` forms the terms of rows
-    s..e-1; ``weight`` and ``poles`` (divisions by gamma x - y) set their
-    floor in :func:`_orbit_ulps`; the sum starts at row ``first``, and
-    ``what`` names it in a pole-guard error.
+    ``term(gamma x - y, gamma'x)`` forms the terms of a block, (gamma'x)^N
+    over (gamma x - y)^(2N) at ``weight`` N, which sets their floor in
+    :func:`_orbit_ulps`; the sum starts at row ``first``, and ``what``
+    names it in a pole-guard error.
     """
 
     what: str
     weight: int
-    poles: int
     term: Callable
     first: int = 0
 
 
-_OMEGA = _Summand("bidifferential", 1, 2, lambda diff, dgx, den, s, e: dgx / (diff * diff))
+_OMEGA = _Summand("bidifferential", 1, lambda diff, dgx: dgx / (diff * diff))
 # s(x): the bidifferential's terms at y = x, times 6, past the identity.
-_CONNECTION = _Summand(
-    "projective connection", 1, 2, lambda diff, dgx, den, s, e: 6.0 * dgx / (diff * diff), 1
-)
+_CONNECTION = _Summand("projective connection", 1, lambda diff, dgx: 6.0 * dgx / (diff * diff), 1)
 
 
 class SurfaceForms:
@@ -395,15 +392,13 @@ class SurfaceForms:
 
     # -- orbit plumbing ------------------------------------------------------
 
-    def _orbit(
-        self, x: complex, s: int, e: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """gamma x, d(gamma x)/dx and c x + d for the words in rows s..e-1."""
+    def _orbit(self, x: complex, s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
+        """gamma x and d(gamma x)/dx = (c x + d)^-2 for the words in rows s..e-1."""
         w = self.words
         den = w.c[s:e] * x + w.d[s:e]
         gx = (w.a[s:e] * x + w.b[s:e]) / den
         dgx = 1.0 / (den * den)
-        return gx, dgx, den
+        return gx, dgx
 
     def _fixed_point_images(
         self, rows: np.ndarray, h: int
@@ -483,31 +478,26 @@ class SurfaceForms:
     # -- seed-kernel series ----------------------------------------------------
 
     def _kernel_many_y(
-        self, x: complex, ys: np.ndarray, weight: int, dy: bool = False
+        self, x: complex, ys: np.ndarray, weight: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """sum_gamma seed(gamma x, y) (gamma'x)^weight at each y, or its d/dy.
+        """sum_gamma seed(gamma x, y) (gamma'x)^weight at each y.
 
         Returns (values, tails), one entry per y.  The seed carries the
         pole basis fixed at construction; it is P(y) / ((x - y) prod_j
-        (x - A_j)) with P(y) = prod_j (y - A_j), and the value is P(y) S_1,
-        S_k the orbit sum of (gamma'x)^weight / (prod_j (gamma x - A_j)
-        (gamma x - y)^k).  Only with ``dy`` does the pass also form S_2,
-        for the term-wise derivative P'(y) S_1 + P(y) S_2.  The rounding
-        floor is the per-term bound of :func:`_orbit_ulps` over the poles
-        A_j and y.  Each y is summed with the same operations as a call
-        with y alone.
+        (x - A_j)) with P(y) = prod_j (y - A_j), and the value is P(y)
+        times the orbit sum of (gamma'x)^weight / (prod_j (gamma x - A_j)
+        (gamma x - y)).  The rounding floor is the per-term bound of
+        :func:`_orbit_ulps` over the poles A_j and y.  Each y is summed
+        with the same operations as a call with y alone.
         """
         A = self._seed_points(weight)
         poly = np.ones_like(ys)
-        dpoly = np.zeros_like(ys)
         for Aj in A:
-            dpoly = dpoly * (ys - Aj) + poly
             poly = poly * (ys - Aj)
-        what = "weight-%d kernel%s" % (weight, " derivative" if dy else "")
-        step = 2 if dy else 1
+        what = f"weight-{weight} kernel"
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-            gx, dgx, _ = self._orbit(x, s, e)
+            gx, dgx = self._orbit(x, s, e)
             coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
             abs_gx, grow, skew = np.abs(gx), self._grow[s:e], self._skew[s:e]
             for k, y in enumerate(ys):
@@ -516,18 +506,10 @@ class SurfaceForms:
                 self._guard_poles(dist, s, what)
                 poles = inv + 1.0 / dist
                 ulps = _orbit_ulps(weight, abs_gx * poles, self._radius * poles, grow, skew)
-                yield step * k, coef / diff, ulps
-                if dy:
-                    # The shifted terms divide by gamma x - y once more.
-                    shifted = ulps + _orbit_ulps(0, abs_gx / dist, self._radius / dist, grow, skew)
-                    yield step * k + 1, coef / (diff * diff), shifted
+                yield k, coef / diff, ulps
 
-        totals, shells, floors = self._reduce(terms, step * len(ys))
-        if not dy:
-            return poly * totals, np.abs(poly) * self._tails(shells, floors)
-        vals = dpoly * totals[::2] + poly * totals[1::2]
-        shell = dpoly * shells[::2] + poly * shells[1::2]
-        return vals, self._tails(shell, np.abs(dpoly) * floors[::2] + np.abs(poly) * floors[1::2])
+        totals, shells, floors = self._reduce(terms, len(ys))
+        return poly * totals, np.abs(poly) * self._tails(shells, floors)
 
     def _orbit_seed_coef(
         self, gx: np.ndarray, dgx: np.ndarray, A: tuple[complex, ...], weight: int
@@ -556,11 +538,11 @@ class SurfaceForms:
             inv += 1.0 / np.abs(diff)
         return coef, inv
 
-    def _kernel_at(self, x: complex, y: complex, weight: int, dy: bool = False) -> Estimate:
+    def _kernel_at(self, x: complex, y: complex, weight: int) -> Estimate:
         """One-point :meth:`_kernel_many_y`, x and y validated."""
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
-        vals, tails = self._kernel_many_y(x, np.array([y], dtype=np.complex128), weight, dy)
+        vals, tails = self._kernel_many_y(x, np.array([y], dtype=np.complex128), weight)
         return Estimate(complex(vals[0]), float(tails[0]))
 
     # -- public evaluations ----------------------------------------------------
@@ -585,10 +567,6 @@ class SurfaceForms:
         """
         return self._kernel_at(x, y, require_integer(weight, "weight", 1))
 
-    def recursion_kernel_dy(self, x: complex, y: complex, weight: int) -> Estimate:
-        """Analytic d/dy of the weight-N kernel (term-wise, no differencing)."""
-        return self._kernel_at(x, y, require_integer(weight, "weight", 1), dy=True)
-
     def bidifferential(self, x: complex, y: complex) -> Estimate:
         """Symmetric normalized bidifferential, double pole on the diagonal.
 
@@ -598,49 +576,23 @@ class SurfaceForms:
         """
         return self.power_bidifferential(x, y, 1)
 
-    def bidifferential_dfirst(self, x: complex, y: complex) -> Estimate:
-        """Analytic partial of the bidifferential in its first argument."""
-
-        def term(diff, dgx, den, s, e):
-            ggx = self._second_derivatives(dgx, den, s, e)
-            return ggx / (diff * diff) - 2.0 * dgx * dgx / (diff * diff * diff)
-
-        # gamma''x counts as (gamma'x)^2, weight 2, and gamma x - y thrice.
-        return self._omega_sum(x, y, _Summand("bidifferential derivative", 2, 3, term))
-
-    def bidifferential_dsecond(self, x: complex, y: complex) -> Estimate:
-        """Analytic partial of the bidifferential in its second argument."""
-        return self._omega_sum(x, y, _Summand(
-            "bidifferential derivative", 1, 3,
-            lambda diff, dgx, den, s, e: 2.0 * dgx / (diff * diff * diff),
-        ))
-
-    def _second_derivatives(self, dgx: np.ndarray, den: np.ndarray, s: int, e: int) -> np.ndarray:
-        """d^2(gamma x)/dx^2 for the rows s..e-1, given gamma'x and c x + d.
-
-        Formed as -2 c gamma'x / (c x + d), never through (c x + d)^3,
-        which overflows for the deep words of a long table at large |x|.
-        """
-        return -2.0 * self.words.c[s:e] * dgx / den
-
     def power_bidifferential(self, x: complex, y: complex, weight: int) -> Estimate:
         """sum_gamma (d(gamma x) dy / (gamma x - y)^2)^N, weight (N, N)."""
         weight = require_integer(weight, "weight", 1)
         if weight == 1:
             return self._omega_sum(x, y, _OMEGA)
         return self._omega_sum(x, y, _Summand(
-            "power bidifferential", weight, 2 * weight,
-            lambda diff, dgx, den, s, e: (dgx / (diff * diff)) ** weight,
+            "power bidifferential", weight, lambda diff, dgx: (dgx / (diff * diff)) ** weight
         ))
 
     def _omega_sum(self, x: complex, y: complex, summand: _Summand) -> Estimate:
         """Blocked orbit sum of one omega-family quantity; x in the fundamental domain, y finite.
 
-        Sums summand.term(gamma x - y, gamma'x, c x + d, s, e) over the
-        orbit of x, rows s..e-1, from row summand.first.  Each block's
-        floor is :func:`_orbit_ulps` at its longest word, the pole y
-        counted ``poles`` times as kappa = poles max(reach, |x|) / near and
-        drift = poles r / near: |gamma x| <= reach but at the identity
+        Sums summand.term(gamma x - y, gamma'x) over the orbit of x, one
+        row block at a time, from row summand.first.  Each block's floor
+        is :func:`_orbit_ulps` at its longest word, the pole y counted 2N
+        times (N the summand's weight) as kappa = 2N max(reach, |x|) / near
+        and drift = 2N r / near: |gamma x| <= reach but at the identity
         (whose image is x), and near is the block's least |gamma x - y|,
         refused below the pole guard with its word.  The first block, with
         the identity (which carries no generator error) and the largest
@@ -648,19 +600,19 @@ class SurfaceForms:
         """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
-        top = summand.poles * max(self._reach, abs(x))
-        rim = summand.poles * self._radius
+        top = 2 * summand.weight * max(self._reach, abs(x))
+        rim = 2 * summand.weight * self._radius
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
             t = max(s, summand.first)
             if t >= e:
                 return
-            gx, dgx, den = self._orbit(x, t, e)
+            gx, dgx = self._orbit(x, t, e)
             diff = gx - y
             near = self._guard_poles(np.abs(diff), t, summand.what)
             skew = self._skew[t:e] if t == summand.first else self._skew[e - 1]
             ulps = _orbit_ulps(summand.weight, top / near, rim / near, self._grow[e - 1], skew)
-            yield 0, summand.term(diff, dgx, den, t, e), ulps
+            yield 0, summand.term(diff, dgx), ulps
 
         totals, shells, floors = self._reduce(terms, 1)
         return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
@@ -675,25 +627,19 @@ class SurfaceForms:
         """
         return self._omega_sum(x, x, _CONNECTION)
 
-    def projective_connection_derivative(self, x: complex) -> Estimate:
-        """Analytic d/dx of the projective connection."""
-
-        def term(diff, dgx, den, s, e):
-            ggx = self._second_derivatives(dgx, den, s, e)
-            return 6.0 * (ggx / (diff * diff) - 2.0 * dgx * (dgx - 1.0) / (diff**3))
-
-        return self._omega_sum(x, x, _Summand("projective connection derivative", 2, 3, term, 1))
-
     # -- holomorphic one-forms ---------------------------------------------------
 
-    def _one_form_sum(self, a: int, x: complex, derivative: bool) -> Estimate:
-        """Blocked sum over G/<gamma_a> of the terms of nu_a, or of nu_a', at x.
+    def holomorphic_form(self, a: int, x: complex) -> Estimate:
+        """Normalized holomorphic 1-form nu_a at x (a in 1..g).
 
-        The cosets are the words whose last letter is not +-a (at genus 1
-        only the identity); per word delta = gamma W_a - gamma W_{-a}, which
-        counts as gamma'x in :func:`_orbit_ulps`, dm = x - gamma W_{-a} and
-        dp = x - gamma W_a.  nu_a' divides by dm and dp twice and by
-        dm + dp, which cancels where x nears the midpoint of the images.
+        nu_a(x) = sum_{gamma in G/<gamma_a>} [1/(x - gamma W_{-a})
+        - 1/(x - gamma W_a)], a blocked sum over the cosets, the words
+        whose last letter is not +-a (at genus 1 only the identity).  Each
+        term is formed as -delta / ((x - gamma W_{-a})(x - gamma W_a))
+        with delta = gamma W_a - gamma W_{-a}, so that no digits cancel;
+        delta counts as gamma'x in :func:`_orbit_ulps`.  Normalization:
+        (1/2*pi*i) oint nu_b = delta_ab on the circle at w_{-a},
+        counterclockwise.
         """
         a = self._require_handle(a)
         x = require_in_domain(self.sp, x, "x")
@@ -703,36 +649,13 @@ class SurfaceForms:
             rows = s + np.flatnonzero(np.abs(last[s:e]) != a)
             img_p, img_m, delta = self._fixed_point_images(rows, a)
             dm, dp = x - img_m, x - img_p
-            size_m, size_p = np.abs(img_m), np.abs(img_p)
             inv_m, inv_p = 1.0 / np.abs(dm), 1.0 / np.abs(dp)
-            kappa, drift = size_m * inv_m + size_p * inv_p, self._radius * (inv_m + inv_p)
-            prod = dm * dp
-            if derivative:
-                total = dm + dp
-                vals = delta * total / (prod * prod)
-                kappa = 2.0 * kappa + (size_m + size_p) / np.abs(total)
-                drift = 2.0 * (drift + self._radius / np.abs(total))
-            else:
-                vals = -delta / prod
+            kappa = np.abs(img_m) * inv_m + np.abs(img_p) * inv_p
+            drift = self._radius * (inv_m + inv_p)
+            vals = -delta / (dm * dp)
             return vals, _orbit_ulps(1, kappa, drift, self._grow[rows], self._skew[rows])
 
         return self._sum(block)
-
-    def holomorphic_form(self, a: int, x: complex) -> Estimate:
-        """Normalized holomorphic 1-form nu_a at x (a in 1..g).
-
-        nu_a(x) = sum_{gamma in G/<gamma_a>} [1/(x - gamma W_{-a})
-        - 1/(x - gamma W_a)], each term formed as
-        -delta / ((x - gamma W_{-a})(x - gamma W_a)) with
-        delta = gamma W_a - gamma W_{-a}, so that no digits cancel.
-        Normalization: (1/2*pi*i) oint nu_b = delta_ab on the circle at
-        w_{-a}, counterclockwise.
-        """
-        return self._one_form_sum(a, x, False)
-
-    def holomorphic_form_derivative(self, a: int, x: complex) -> Estimate:
-        """Analytic d/dx of nu_a, term-wise: delta (dm + dp) / (dm dp)^2."""
-        return self._one_form_sum(a, x, True)
 
     # -- quasi-period coefficients ----------------------------------------------
 
@@ -865,8 +788,8 @@ def _orbit_ulps(weight: int, kappa, drift, grow, skew):
     """Rounding bound in ulps of orbit terms: the rule of the module docstring.
 
     ``grow`` is 1 + k (per block, its longest word's) and ``skew`` k c.
-    The table gives gamma x and gamma'x to 4 and 6 ulps per letter, and
-    gamma''x counts as (gamma'x)^2.  generator_map forms rho_a - w_{-a} w_a,
+    The table gives gamma x and gamma'x to 4 and 6 ulps per letter.
+    generator_map forms rho_a - w_{-a} w_a,
     which cancels: each letter is the det-1 form of a map whose rho is off
     by up to c ulps, which moves gamma'x (and the one-forms' delta) by
     c ulps and gamma x by c r eps.  Arrays give one bound per word,

@@ -465,9 +465,10 @@ _GROW_BLOCK = 512
 MAX_WORDS = 2**24
 
 # enumerate_group refuses a table with a real or imaginary part of an entry
-# above this.  The orbit sums form (c x + d)^3, which then stays below the
-# float range, 2**1024, for every |x| < 1400: at most 2 |c x + d|^3 <=
-# 2**(1 + 1.5 + 3 * 330) (|x| + 1)^3.
+# above this.  The largest power the orbit sums form is (c x + d)^2, whose
+# parts then stay below the float range, 2**1024, for every |x| < 2**180:
+# each part of c x + d is at most 2**330.5 (|x| + 1), so each part of the
+# square is at most 2**662 (|x| + 1)^2.
 _ENTRY_LIMIT = 2.0**330
 
 
@@ -512,8 +513,8 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     corrupt the matrix).  So the entries grow geometrically with the
     length, and a shell with a real or imaginary part above 2**330 (or a
     non-finite one) is refused with :class:`InvalidParameterError`, naming
-    the cutoff, before the next shell is formed: the orbit sums' (c x + d)^3
-    would overflow, and a longer table would hold inf and nan.
+    the cutoff, before the next shell is formed: the orbit sums' (c x + d)^2
+    would overflow far out, and a longer table would hold inf and nan.
     """
     max_word_length = require_integer(max_word_length, "max_word_length", 0)
     letters = sp.signed_indices

@@ -39,7 +39,7 @@ from schottky.correlators import (
     virasoro_one_point,
     virasoro_two_point,
 )
-from schottky.forms import SurfaceForms
+from schottky.forms import ConvergenceError, SurfaceForms
 from schottky.modes import bidifferential_via_modes, heisenberg_partition, mode_cutoff_for
 
 # Rounding floor for comparisons of values whose tails can read 0.
@@ -108,10 +108,17 @@ def test_pairings_count_and_shape(n):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_odd_heisenberg_npoint_vanishes(torus_forms, n):
+def test_odd_heisenberg_npoint_vanishes(torus_forms, n, monkeypatch):
+    # Exactly 0, with no mode system factored and no omega formed.
+    def unused(*args, **kwargs):
+        raise AssertionError("an odd n needs no mode system")
+
+    monkeypatch.setattr(correlators, "heisenberg_partition", unused)
+    monkeypatch.setattr(correlators, "bidifferential_via_modes", unused)
     pts = [2.0 + 0.5j * k for k in range(n)]
-    res = heisenberg_npoint(torus_forms, pts)
-    assert res.value == 0
+    for m in (None, 5):
+        res = heisenberg_npoint(torus_forms, pts, modes=m)
+        assert res.value == 0
 
 
 def test_genus1_two_point_is_omega_times_z(torus_forms):
@@ -148,6 +155,47 @@ def test_rank0_lattice_on_torus_is_one(torus_forms, monkeypatch):
     res = lattice_partition(torus_forms, LatticeSpec(()))
     assert res.value == 1
     assert res.tail == 0.0
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 10**6])
+def test_bad_cutoff_refused_where_no_mode_system_is_needed(torus_forms, bad):
+    # An odd n and a rank-0 lattice need no mode system, yet a cutoff that
+    # an even n or a rank >= 1 lattice refuses is refused there too, with
+    # the same message.
+    def refusal(call):
+        with pytest.raises(InvalidParameterError, match="mode cutoff") as info:
+            call(bad)
+        return str(info.value)
+
+    x, y = 2.0 + 0.5j, -1.5 - 1.2j
+    even = refusal(lambda m: heisenberg_npoint(torus_forms, [x, y], modes=m))
+    assert refusal(lambda m: heisenberg_npoint(torus_forms, [x], modes=m)) == even
+    assert refusal(lambda m: heisenberg_npoint(torus_forms, [x, y, -x], modes=m)) == even
+    assert refusal(lambda m: lattice_partition(torus_forms, LatticeSpec(()), modes=m)) == even
+    assert refusal(lambda m: lattice_partition(torus_forms, A2, modes=m)) == even
+
+
+def test_lattice_partition_refuses_before_the_period_matrix(genus2_params, monkeypatch):
+    # A bad cutoff, or a surface whose mode system fails its contraction
+    # bound, is refused before the period matrix and theta are computed.
+    calls = Counter()
+    period_matrix = SurfaceForms.period_matrix
+
+    def counted_period_matrix(forms):
+        calls["Omega"] += 1
+        return period_matrix(forms)
+
+    monkeypatch.setattr(SurfaceForms, "period_matrix", counted_period_matrix)
+    surface = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=4))
+    for bad in (0, 2.5, 10**6):
+        with pytest.raises(InvalidParameterError, match="mode cutoff"):
+            lattice_partition(surface, A2, modes=bad)
+    # Admissible, but ||R||_1 = 1.05 at centres +-1.35, +-1.4i and equal radii.
+    r = 0.8 * 1.945 / 2.0
+    uncertified = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (r * r, r * r))
+    with pytest.raises(ConvergenceError, match="contraction bound"):
+        lattice_partition(SurfaceForms(uncertified), A2, modes=20)
+    assert calls == {}
 
 
 def test_rank1_lattice_on_torus_matches_jacobi_theta(torus_forms):

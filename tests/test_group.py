@@ -295,9 +295,9 @@ def test_overflowing_table_refused_by_cutoff(length, torus_params):
     F = SurfaceForms(torus_params, TruncationPolicy(max_word_length=length))
     with pytest.raises(InvalidParameterError, match=f"max_word_length = {length}:"):
         F.bidifferential(2.0, -0.5 + 0.3j)
-    # At the longest accepted cutoff the derivative sums stay finite, far
-    # out too: gamma''x is -2 c gamma'x / (c x + d), since (c x + d)^3
-    # overflowed there at |x| = 1e4.
+    # At the longest accepted cutoff the orbit and coset sums stay finite,
+    # far out too: the largest power of an entry they form is (c x + d)^2,
+    # which the entry limit keeps in range for |x| < 2**180.
     longest = 140
     while True:
         try:
@@ -307,7 +307,10 @@ def test_overflowing_table_refused_by_cutoff(length, torus_params):
         longest += 1
     F = SurfaceForms(torus_params, TruncationPolicy(max_word_length=longest))
     for x in (2.0, 1000.0j, 1e4, 1e6, 1e6j):
-        for value in (F.bidifferential_dfirst(x, -0.5 + 0.3j), F.projective_connection_derivative(x)):
+        values = (
+            F.bidifferential(x, -0.5 + 0.3j), F.projective_connection(x), F.holomorphic_form(1, x)
+        )
+        for value in values:
             assert math.isfinite(abs(value.value)) and math.isfinite(value.tail)
 
 

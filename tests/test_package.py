@@ -62,3 +62,61 @@ def test_cache_inventory():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cached(node)
     }
     assert found == {"modes._geometry", "modes._system", "modes._binomials"}
+
+
+# Public API that nothing in the library or the benchmark calls, kept as an
+# oracle of the tests: name -> why it stays.
+ORACLES = {
+    "holomorphic_form": "nu_a, which the normalization tests integrate and the b-cycle "
+    "quadrature check of period_matrix sums",
+    "power_bidifferential": "the reference for the third y-derivative of the weight-2 "
+    "recursion_kernel",
+    "quasiperiod_coefficient": "the holomorphic N-forms theta_a(x; l), checked against contour "
+    "integrals of the recursion kernel",
+}
+
+
+def test_public_api_inventory():
+    # Every public method of SurfaceForms and public function of modes and
+    # correlators is referenced by name (as a name, an attribute or a
+    # string, __all__ aside) from the library or the benchmark, or is a
+    # listed oracle.  A method written for a consumer that does not exist
+    # fails here, and so does a stale oracle entry.
+    package = Path(schottky.__file__).parent
+    bench = package.parents[1] / "perfbench"
+    trees = {
+        path: ast.parse(path.read_text())
+        for path in [*sorted(package.glob("*.py")), *sorted(bench.glob("*.py"))]
+    }
+
+    def public(body):
+        return {
+            n.name for n in body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+        }
+
+    [surface] = [
+        n for n in trees[package / "forms.py"].body
+        if isinstance(n, ast.ClassDef) and n.name == "SurfaceForms"
+    ]
+    api = public(surface.body)
+    api |= public(trees[package / "modes.py"].body) | public(trees[package / "correlators.py"].body)
+    referenced = set()
+    for tree in trees.values():
+        exported = {
+            id(const)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for const in ast.walk(node.value)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if id(node) not in exported:
+                    referenced.add(node.value)
+    assert {"recursion_kernel", "kernel_via_modes", "heisenberg_npoint"} <= api
+    assert sorted(api - referenced - set(ORACLES)) == []
+    assert set(ORACLES) <= api
