@@ -85,7 +85,10 @@ a :class:`SurfaceForms`, not at construction: the correlators of
 of :mod:`schottky.modes`, so a surface that only serves them never
 enumerates.  These Poincare sums stay the oracle of that route, and the
 only route at weight >= 2.  ``lattice_partition`` reads the period
-matrix that each surface computes once and keeps (``periods``).
+matrix that each surface computes once and keeps (``periods``).  One
+cached record per parameter set (:func:`_surface`), the only admissibility
+check, holds the handle data of both routes; SurfaceForms takes its gates
+and the c, r and reach of its floors from it.
 """
 
 from __future__ import annotations
@@ -297,12 +300,12 @@ _CONNECTION = _Summand("projective connection", 1, lambda diff, dgx: 6.0 * dgx /
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
-    Immutable after construction: the parameters are validated and the
-    generator fixed points (:func:`~schottky.group.classical_from_params`)
-    and the generators' conditioning c of every rounding floor
-    (:func:`_orbit_ulps`) are frozen here, so repeated evaluations are
-    deterministic.  ``words`` is the :class:`~schottky.group.WordTable`
-    of :func:`~schottky.group.enumerate_group`, built on first use (an
+    Immutable after construction: the parameters' validated record
+    (:func:`_surface`, which the mode route reads too) and the generator
+    fixed points (:func:`~schottky.group.classical_from_params`) are
+    frozen here, so repeated evaluations are deterministic.  ``words`` is
+    the :class:`~schottky.group.WordTable` of
+    :func:`~schottky.group.enumerate_group`, built on first use (an
     oversize or overflowing cutoff is refused then); the orbit and coset
     sums read its arrays directly.  The fixed points serve the coset series,
     the period matrix and, sliced in handle order, the pole basis of the
@@ -313,8 +316,8 @@ class SurfaceForms:
     Parameters
     ----------
     sp:
-        Validated Schottky parameters (validation is re-run; invalid sets
-        are rejected).
+        Schottky parameters, refused if inadmissible or with the origin
+        inside a disc (the record's gates, checked once per parameter set).
     policy:
         Truncation policy; ``max_word_length`` bounds the cached words.
     """
@@ -322,17 +325,7 @@ class SurfaceForms:
     def __init__(self, sp: SchottkyParams, policy: TruncationPolicy | None = None):
         self.sp = sp
         self.policy = policy if policy is not None else TruncationPolicy()
-        require_admissible(sp)
-        if not in_fundamental_domain(sp, 0.0):
-            raise InvalidParameterError(
-                "the origin lies inside a disc; the third-kind normalization "
-                "needs it exterior - move the discs off the origin with "
-                "mobius_act_on_params first"
-            )
-        # max_a (|w_a| + r_a), a bound on |gamma x| for gamma != id (see _omega_sum).
-        discs = zip(sp.w_plus + sp.w_minus, 2 * sp.rho)
-        self._reach = max(abs(w) + math.sqrt(abs(rho)) for w, rho in discs)
-        self._cond, self._radius = _conditioning(sp)
+        self._surface = _origin_exterior(sp)
         self._classical = classical_from_params(sp)
 
     # -- the word table, built on first use -------------------------------------
@@ -357,7 +350,7 @@ class SurfaceForms:
 
     @functools.cached_property
     def _skew(self) -> np.ndarray:
-        return self._cond * self.words.length
+        return self._surface.cond * self.words.length
 
     # -- construction helpers ------------------------------------------------
 
@@ -468,11 +461,7 @@ class SurfaceForms:
         """Least distance to a pole in rows s.., refused below the guard with the word."""
         near = dist.min()
         if near < POLE_GUARD:
-            letters = self.words.letters(s + int(np.argmin(dist)))
-            raise PoleProximityError(
-                f"{what}: evaluation point within {POLE_GUARD} of a pole (word {letters})",
-                letters,
-            )
+            raise _pole_error(what, self.words.letters(s + int(np.argmin(dist))))
         return near
 
     # -- seed-kernel series ----------------------------------------------------
@@ -505,7 +494,7 @@ class SurfaceForms:
                 dist = np.abs(diff)
                 self._guard_poles(dist, s, what)
                 poles = inv + 1.0 / dist
-                ulps = _orbit_ulps(weight, abs_gx * poles, self._radius * poles, grow, skew)
+                ulps = _orbit_ulps(weight, abs_gx * poles, self._surface.radius * poles, grow, skew)
                 yield k, coef / diff, ulps
 
         totals, shells, floors = self._reduce(terms, len(ys))
@@ -600,8 +589,8 @@ class SurfaceForms:
         """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
-        top = 2 * summand.weight * max(self._reach, abs(x))
-        rim = 2 * summand.weight * self._radius
+        top = 2 * summand.weight * max(self._surface.reach, abs(x))
+        rim = 2 * summand.weight * self._surface.radius
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
             t = max(s, summand.first)
@@ -651,7 +640,7 @@ class SurfaceForms:
             dm, dp = x - img_m, x - img_p
             inv_m, inv_p = 1.0 / np.abs(dm), 1.0 / np.abs(dp)
             kappa = np.abs(img_m) * inv_m + np.abs(img_p) * inv_p
-            drift = self._radius * (inv_m + inv_p)
+            drift = self._surface.radius * (inv_m + inv_p)
             vals = -delta / (dm * dp)
             return vals, _orbit_ulps(1, kappa, drift, self._grow[rows], self._skew[rows])
 
@@ -777,11 +766,74 @@ def _row_blocks(length: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
     return tuple((s, e, s >= start) for s, e in zip(cuts[:-1], cuts[1:]))
 
 
-def _conditioning(sp: SchottkyParams) -> tuple[float, float]:
-    """c = max_a (|w_a w_{-a}| + |rho_a|) / |rho_a| of :func:`_orbit_ulps`, and max_a r_a."""
-    pairs = zip(sp.w_plus, sp.w_minus, sp.rho)
-    cond = max((abs(wp * wm) + abs(rho)) / abs(rho) for wp, wm, rho in pairs)
-    return cond, max(math.sqrt(abs(rho)) for rho in sp.rho)
+class _Surface(NamedTuple):
+    """The validated handle data of one parameter set; the arrays are read-only.
+
+    Per signed handle in the mode layout's order 1, -1, 2, -2, ...: w_a,
+    w_{-a}, rho_a, s_a = sqrt(rho_a + 0j) (principal root) and r_a; per mode
+    block (a, b != -a), row-major: the positions of a, b and |w_{-a} - w_b|;
+    c of :func:`_orbit_ulps`, max_a r_a, max_a (|w_a| + r_a) >= |gamma x|
+    (gamma != id), and whether the origin lies outside every disc.
+    """
+
+    centers: np.ndarray
+    partners: np.ndarray
+    rho: np.ndarray
+    roots: np.ndarray
+    radii: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    gap: np.ndarray
+    cond: float
+    radius: float
+    reach: float
+    origin_exterior: bool
+
+
+# Four entries here and in modes._system: perfbench's g3-lattice rotates four surfaces.
+@functools.lru_cache(maxsize=4)
+def _surface(sp: SchottkyParams) -> _Surface:
+    """The record of admissible parameters: the library's one admissibility check.
+
+    Equal parameters share one entry, so no root may hang on the sign of
+    a zero imaginary part, which picks the side of the cut.
+    """
+    require_admissible(sp)
+    # Layout order 1, -1, 2, -2, ...: the partner of position i is i ^ 1.
+    centers = np.array([w for pair in zip(sp.w_plus, sp.w_minus) for w in pair])
+    rho = [r for r in sp.rho for _ in (1, -1)]
+    radii = [math.sqrt(abs(r)) for r in rho]
+    pos = np.arange(len(centers))
+    partners = centers[pos ^ 1]
+    row, col = np.nonzero(pos[None, :] != (pos ^ 1)[:, None])
+    handles = list(zip(centers.tolist(), partners.tolist(), rho, radii))
+    surface = _Surface(
+        centers, partners, np.array(rho), np.array([cmath.sqrt(r + 0j) for r in rho]),
+        np.array(radii), row, col, np.abs(partners[row] - centers[col]),
+        max((abs(w * v) + abs(rh)) / abs(rh) for w, v, rh, _ in handles), max(radii),
+        max(abs(w) + r for w, _, _, r in handles), in_fundamental_domain(sp, 0.0),
+    )
+    for array in (field for field in surface if isinstance(field, np.ndarray)):
+        array.flags.writeable = False
+    return surface
+
+
+def _origin_exterior(sp: SchottkyParams) -> _Surface:
+    """The record of sp, refused unless the origin (psi_1's second pole) lies outside every disc."""
+    surface = _surface(sp)
+    if not surface.origin_exterior:
+        raise InvalidParameterError(
+            "the origin lies inside a disc; the third-kind normalization needs it exterior - "
+            "move the discs off the origin with mobius_act_on_params first"
+        )
+    return surface
+
+
+def _pole_error(what: str, letters: tuple[int, ...]) -> PoleProximityError:
+    """The refusal of an evaluation point within POLE_GUARD of the pole of word ``letters``."""
+    return PoleProximityError(
+        f"{what}: evaluation point within {POLE_GUARD} of a pole (word {letters})", letters
+    )
 
 
 def _orbit_ulps(weight: int, kappa, drift, grow, skew):

@@ -53,10 +53,10 @@ computation refuses with :class:`~schottky.forms.ConvergenceError`: the
 contraction bound kappa = ||R||_1 (largest column sum of |R|), which
 bounds the spectral radius of R, must be below 1, and LAPACK's 1-norm
 condition number of I - R (``zgecon``, from the LU) below
-MAX_CONDITION.  LRU caches keep the last four systems, keyed by the
-parameters and the cutoff (equal parameters share one), and the handle
-data of the last four parameter sets, validated once: a caller rotating
-five or more surface and cutoff pairs refactors on every call.
+MAX_CONDITION.  An LRU cache keeps four systems, keyed by parameters and
+cutoff (equal ones share one): rotating five or more pairs refactors on
+every call.  The handle data come from the record SurfaceForms reads
+(``forms._surface``), so both routes check a parameter set once.
 
 Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
 a closed-form sum (:func:`_omitted_sums`), and so does the whole
@@ -84,7 +84,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor
@@ -97,15 +97,15 @@ from schottky.forms import (
     ConfigurationError,
     ConvergenceError,
     Estimate,
-    PoleProximityError,
-    _conditioning,
     _kernel_seed,
+    _origin_exterior,
     _orbit_ulps,
+    _pole_error,
+    _surface,
 )
 from schottky.group import (
     InvalidParameterError,
     SchottkyParams,
-    require_admissible,
     require_in_domain,
     require_integer,
     require_positive,
@@ -172,53 +172,6 @@ class _Factored:
     partition: PartitionValue
 
 
-class _Geometry(NamedTuple):
-    """Per signed handle, in the layout order, and per coupling block.
-
-    ``centers``, ``partners``, ``rho``, ``roots`` and ``radii`` hold w_a,
-    w_{-a}, rho_a, s_a = sqrt(rho_a + 0j) (principal branch) and
-    r_a = |rho_a|^{1/2}.  The blocks (a, b) with b != -a, row-major, have
-    layout positions ``row`` and ``col`` and center distances
-    ``gap`` = |w_{-a} - w_b|.  ``cond`` and ``radius`` are the
-    generators' conditioning c of :func:`schottky.forms._orbit_ulps` and
-    the largest radius (:func:`schottky.forms._conditioning`).
-    """
-
-    centers: np.ndarray
-    partners: np.ndarray
-    rho: np.ndarray
-    roots: np.ndarray
-    radii: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    gap: np.ndarray
-    cond: float
-    radius: float
-
-
-# Four entries here and in _system: perfbench's g3-lattice rotates four surfaces.
-@functools.lru_cache(maxsize=4)
-def _geometry(sp: SchottkyParams) -> _Geometry:
-    """The handle and block data of admissible parameters, validated and built once per surface.
-
-    Equal parameters share one entry, so no root may hang on the sign of
-    a zero imaginary part, which picks the side of the cut.
-    """
-    require_admissible(sp)
-    # Layout order 1, -1, 2, -2, ...: the partner of position i is i ^ 1.
-    centers = np.array([w for pair in zip(sp.w_plus, sp.w_minus) for w in pair])
-    rho = [r for r in sp.rho for _ in (1, -1)]
-    pos = np.arange(len(centers))
-    partners = centers[pos ^ 1]
-    row, col = np.nonzero(pos[None, :] != (pos ^ 1)[:, None])
-    return _Geometry(
-        centers, partners, np.array(rho),
-        np.array([cmath.sqrt(r + 0j) for r in rho]),
-        np.array([math.sqrt(abs(r)) for r in rho]),
-        row, col, np.abs(partners[row] - centers[col]), *_conditioning(sp),
-    )
-
-
 def _powers(z: np.ndarray, modes: int) -> np.ndarray:
     """z^{k+1} for k = 0..modes-1 on a new last axis, as a running product.
 
@@ -243,7 +196,7 @@ def _pole_basis(sp: SchottkyParams, modes: int, x) -> np.ndarray:
     (outer), mode index n = 0..modes-1 (inner); the last axis has
     2 * genus * modes entries.
     """
-    geo = _geometry(sp)
+    geo = _surface(sp)
     inv = 1.0 / (np.asarray(x, dtype=np.complex128)[..., None] - geo.centers)
     p = inv[..., None] * _powers(geo.roots * inv, modes)
     return p.reshape(*inv.shape[:-1], -1)
@@ -261,7 +214,7 @@ def _seed_moments(sp: SchottkyParams, modes: int, y, derivative: bool = False) -
     and entry (a, m) of q' is (m + 1) z_a(y)^{m+1} / (w_{-a} - y).  The
     powers are running products over every point and handle at once.
     """
-    geo = _geometry(sp)
+    geo = _surface(sp)
     inv = 1.0 / (geo.partners - np.asarray(y, dtype=np.complex128)[..., None])
     powers = _powers(-geo.roots * inv, modes)
     if derivative:
@@ -295,7 +248,7 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     once and every block is assembled in one broadcast.
     """
     modes = _require_cutoff(sp, modes)
-    geo = _geometry(sp)
+    geo = _surface(sp)
     n = len(geo.centers)
     k = np.arange(modes)
     s = geo.roots[:, None]
@@ -326,7 +279,7 @@ def _omitted_sums(sp: SchottkyParams, cutoffs) -> np.ndarray:
     lead u^{M+1} / (1 - u).  u < 1 says exactly that the discs at w_{-a}
     and w_b are disjoint.  At M = 0 the bound covers the whole operator.
     """
-    geo = _geometry(sp)
+    geo = _surface(sp)
     ra, d = geo.radii[geo.row], geo.gap
     u = (ra + geo.radii[geo.col]) / d
     # u rounds to 1 only at touching discs; the bound is then infinite.
@@ -464,7 +417,7 @@ def _vector_bounds(
     slack of a circle (t or sigma a hair above 1) keeps them finite, as
     the products decay at alpha t + beta < 1.
     """
-    geo = _geometry(sp)
+    geo = _surface(sp)
     ra, rb = geo.radii[geo.row], geo.radii[geo.col]
     alpha, beta = ra / geo.gap, rb / geo.gap
     dx = np.abs(xs[:, None] - geo.centers[geo.row])
@@ -514,18 +467,13 @@ def _truncation(
     if not kappa + omitted < 1.0:
         return np.full(both.shape, math.inf)
     inner, outer = 1.0 - kappa - omitted, 1.0 - kappa
-
-    def bound() -> np.ndarray:
-        return both + (
+    with np.errstate(invalid="ignore", over="ignore"):
+        bound = both + (
             rows_full[:, None] * cols_tail + rows_tail[:, None] * (inner / outer) * cols_full
             + rows_full[:, None] * (omitted / outer) * cols_full
         ) / inner
-
-    if np.isfinite(rows_full).all() and np.isfinite(cols_full).all():
-        return bound()
     # An infinite sum times one that underflowed to zero is infinite.
-    with np.errstate(invalid="ignore", over="ignore"):
-        return np.nan_to_num(bound(), nan=math.inf)
+    return np.where(np.isnan(bound), math.inf, bound)
 
 
 def _one_letter_words(
@@ -538,21 +486,18 @@ def _one_letter_words(
     (gamma_a'x / gamma_a x) y / (gamma_a x - y), its d/dy
     gamma_a'x / (gamma_a x - y)^2.  Each term is charged
     :func:`~schottky.forms._orbit_ulps` at k = 1, plus one ulp per later
-    addition.  A point within POLE_GUARD of gamma_a x is refused, naming
-    the word (a,).
+    addition.  A point within POLE_GUARD of gamma_a x is refused with the
+    Poincare route's error, naming the word (a,).
     """
-    geo = _geometry(sp)
+    geo = _surface(sp)
     h = 1.0 / (xs[:, None] - geo.centers)
     gx = geo.partners + geo.rho * h
     dgx = -geo.rho * h * h
     diff = gx[:, None, :] - ys[None, :, None]
     dist = np.abs(diff)
     if dist.size and dist.min() < POLE_GUARD:
-        letters = (sp.signed_indices[np.unravel_index(np.argmin(dist), dist.shape)[2]],)
-        raise PoleProximityError(
-            f"weight-1 form: evaluation point within {POLE_GUARD} of a pole (word {letters})",
-            letters,
-        )
+        letter = sp.signed_indices[np.unravel_index(np.argmin(dist), dist.shape)[2]]
+        raise _pole_error("bidifferential" if derivative else "weight-1 kernel", (letter,))
     size, radius = np.abs(gx)[:, None, :], geo.radius
     if derivative:
         terms = dgx[:, None, :] / (diff * diff)
@@ -590,10 +535,10 @@ def _split_sums(
     products round by about 2gM ulps of the terms, and the running powers
     of p and q by 2(M + 1) each.
     """
+    values, floors = _one_letter_words(sp, xs, ys, derivative)
     P = _pole_basis(sp, modes, xs)
     Q = _seed_moments(sp, modes, ys, derivative).T
     S, _ = zgetrs(system.lu, system.piv, Q)
-    values, floors = _one_letter_words(sp, xs, ys, derivative)
     values += P @ _times(system.R, S)
     ulps = P.shape[1] + 4 * (modes + 1)
     floors += ulps * EPS * system.cond * (np.abs(P) @ _times(system.size, np.abs(S)))
@@ -616,9 +561,11 @@ def kernel_via_modes(
 
     seed(x, y) + the one-letter words in closed form + p(x)^T R (I - R)^{-1}
     q(y) with the seed 1/(x - y) - 1/x, solved on the cached LU factors of
-    the mode system (see the module docstring).  It refuses with
-    ConvergenceError when the contraction bound ||R||_1 is not below 1 or
-    cond_1(I - R) not below MAX_CONDITION.  The reported tail is the
+    the mode system (see the module docstring).  It refuses an origin
+    inside a disc before assembly, as SurfaceForms does, and a y within
+    POLE_GUARD of x or of gamma_a x before the solve, as third_kind_form
+    does; with ConvergenceError, a contraction bound ||R||_1 not below 1
+    or cond_1(I - R) not below MAX_CONDITION.  The reported tail is the
     truncation bound of :func:`_truncation`, finite on the circles, plus
     the rounding floors of :func:`_split_sums` and of the seed.
 
@@ -632,9 +579,12 @@ def kernel_via_modes(
             f"the mode resolvent serves weight 1 only, got weight {weight}; "
             "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
         )
+    _origin_exterior(sp)
     system = _system(sp, _require_cutoff(sp, modes))
     x = require_in_domain(sp, x, "x")
     y = require_in_domain(sp, y, "y")
+    if abs(x - y) < POLE_GUARD:
+        raise _pole_error("weight-1 kernel", ())
     values, tails = _split_sums(sp, modes, system, np.array([x]), np.array([y]), False)
     seed = _kernel_seed(x, y, (0.0,))
     value = seed + complex(values[0, 0])
@@ -664,13 +614,11 @@ def bidifferential_via_modes(
     )
     if not len(xs):
         return []
-    values, tails = _split_sums(sp, modes, system, xs, xs, True)
     off = ~np.eye(len(xs), dtype=bool)
     diff = np.where(off, xs[:, None] - xs[None, :], 1.0)
     if np.abs(diff).min() < POLE_GUARD:
-        raise PoleProximityError(
-            f"bidifferential: evaluation point within {POLE_GUARD} of a pole (word ())", ()
-        )
+        raise _pole_error("bidifferential", ())
+    values, tails = _split_sums(sp, modes, system, xs, xs, True)
     identity = 1.0 / (diff * diff)
     floor = _identity_floor(identity, 2.0 * np.abs(xs)[:, None] / np.abs(diff))
     omega = np.where(off, identity + values, 6.0 * values)
@@ -686,7 +634,7 @@ def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:
 
     Read once per cached system off the diagonal of its LU factors; for
     admissible parameters the determinant sits near 1.  It refuses as
-    :func:`kernel_via_modes` does.  The tail is the determinant's
+    :func:`_system` does.  The tail is the determinant's
     truncation bound carried through det^{-1/2} (infinite when it reaches
     the branch cut), plus a rounding floor of 2gM eps |value|.
     """

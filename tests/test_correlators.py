@@ -22,6 +22,7 @@ import pytest
 import schottky
 import schottky.correlators as correlators
 import schottky.forms as forms
+import schottky.group as group
 import schottky.modes as modes
 from schottky import (
     ClassicalParams,
@@ -29,6 +30,7 @@ from schottky import (
     SchottkyParams,
     TruncationPolicy,
     params_from_classical,
+    validate,
 )
 from schottky.correlators import (
     LatticeSpec,
@@ -40,7 +42,12 @@ from schottky.correlators import (
     virasoro_two_point,
 )
 from schottky.forms import ConvergenceError, SurfaceForms
-from schottky.modes import bidifferential_via_modes, heisenberg_partition, mode_cutoff_for
+from schottky.modes import (
+    bidifferential_via_modes,
+    heisenberg_partition,
+    kernel_via_modes,
+    mode_cutoff_for,
+)
 
 # Rounding floor for comparisons of values whose tails can read 0.
 FLOOR = 1e-12
@@ -387,6 +394,30 @@ class TestSurfaceMemo:
         assert forms.periods is forms.periods
         with pytest.raises(ValueError):
             forms.periods.omega[0, 0] = 0.0
+
+
+def test_fresh_surface_validated_once(genus3_params, perturbed, monkeypatch):
+    # SurfaceForms, the correlators and the mode route all read one
+    # validated record per parameter set, so a fresh draw is checked once.
+    sp = perturbed(genus3_params, 11)
+    x, y = 0.6 + 0.2j, -0.5 - 0.8j
+    validations = []
+
+    def counted_validate(params):
+        validations.append(params)
+        return validate(params)
+
+    # The admissibility gate of schottky.group runs validate.
+    monkeypatch.setattr(group, "validate", counted_validate)
+    forms._surface.cache_clear()
+    modes._system.cache_clear()
+    surface = SurfaceForms(sp, TruncationPolicy(max_word_length=4))
+    heisenberg_npoint(surface, [x, y])
+    virasoro_two_point(surface, x, y)
+    lattice_partition(surface, A2)
+    kernel_via_modes(sp, 1, 12, x, y)
+    mode_cutoff_for(sp, 1e-10, 20)
+    assert validations == [sp]
 
 
 @pytest.mark.parametrize("where", [[0], [1, 0, 2], [1, 0], [0, 1]])

@@ -1007,9 +1007,26 @@ class TestConstruction:
         assert type(TruncationPolicy(max_word_length=np.int64(3)).max_word_length) is int
 
     def test_origin_inside_disc_rejected_with_guidance(self):
+        # Both psi_1 routes refuse it; Z and omega do not use the origin.
+        # x = 2.2 is gamma_1(0), the image of the auxiliary pole.
         sp = SchottkyParams(1, (0.05,), (3.0,), (0.04,))
-        with pytest.raises(InvalidParameterError, match="origin.*mobius_act_on_params"):
-            SurfaceForms(sp)
+        for call in (lambda: SurfaceForms(sp), lambda: kernel_via_modes(sp, 1, 20, 2.2, 1.5j)):
+            with pytest.raises(InvalidParameterError, match="origin.*mobius_act_on_params"):
+                call()
+        assert math.isfinite(heisenberg_partition(sp, 20).tail)
+        [[s]] = bidifferential_via_modes(sp, 20, (2.2,))
+        assert math.isfinite(s.tail)
+
+    def test_equal_parameters_share_one_read_only_record(self, genus2_params):
+        sp = genus2_params
+        twin = SchottkyParams(sp.genus, sp.w_plus, sp.w_minus, sp.rho)
+        record = forms._surface(sp)
+        assert forms._surface(twin) is record
+        arrays = [field for field in record if isinstance(field, np.ndarray)]
+        assert len(arrays) == 8
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0] = 0
 
     def test_word_cache_matches_policy(self, genus2_params):
         F = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=3))

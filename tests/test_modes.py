@@ -32,6 +32,7 @@ from schottky.forms import (
     PoleProximityError,
     SurfaceForms,
     _kernel_seed,
+    _surface,
 )
 from schottky.group import (
     ClassicalParams,
@@ -102,14 +103,14 @@ def word_table_log_z(sp, L):
 
 @pytest.fixture
 def fresh_system():
-    """Empty system and geometry caches around a test that fakes the
+    """Empty system and surface-record caches around a test that fakes the
     coupling matrix or counts validations.
 
     A fake system left in the cache would serve the next test on the same
-    surface and cutoff, and a cached geometry skips validation.
+    surface and cutoff, and a cached record skips validation.
     """
     modes._system.cache_clear()
-    modes._geometry.cache_clear()
+    _surface.cache_clear()
     yield
     modes._system.cache_clear()
 
@@ -490,6 +491,46 @@ class TestKernelViaModes:
             with pytest.raises(InvalidParameterError, match="inside an isometric disc"):
                 call()
 
+    def test_routes_share_the_pole_guards(self, genus3_params, monkeypatch):
+        # Within POLE_GUARD of x, or of its one-letter image, both psi_1
+        # routes refuse y with one error, and so do both omega routes, the
+        # mode routes before their solve; 1e-8 off x, both psi_1 routes
+        # serve values that agree within their tails.
+        sp, x = genus3_params, 3.0 + 1.0j
+        F = SurfaceForms(sp, policy=TruncationPolicy(max_word_length=6))
+        solves = []
+        solve = modes.zgetrs
+
+        def counted_solve(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(modes, "zgetrs", counted_solve)
+        for dy in (0.0, 1e-12, 1e-10):
+            for call in (
+                lambda: F.third_kind_form(x, x + dy),
+                lambda: kernel_via_modes(sp, 1, 10, x, x + dy),
+            ):
+                with pytest.raises(PoleProximityError, match=r"^weight-1 kernel: .* \(word \(\)\)$"):
+                    call()
+            with pytest.raises(PoleProximityError, match=r"^bidifferential: .* \(word \(\)\)$"):
+                bidifferential_via_modes(sp, 10, (x, x + dy))
+        # On a circle the image gamma_1 x of x is a point of the domain.
+        edge = sp.center(1) + sp.radius(1) * cmath.exp(0.7j)
+        image = generator_map(sp, 1)(edge)
+        for what, call in (
+            ("weight-1 kernel", lambda: F.third_kind_form(edge, image)),
+            ("weight-1 kernel", lambda: kernel_via_modes(sp, 1, 10, edge, image)),
+            ("bidifferential", lambda: F.bidifferential(edge, image)),
+            ("bidifferential", lambda: bidifferential_via_modes(sp, 10, (edge, image))),
+        ):
+            with pytest.raises(PoleProximityError, match=rf"^{what}: .* \(word \(-?1,\)\)$"):
+                call()
+        assert solves == []
+        y = x + 1e-8
+        direct, kv = F.third_kind_form(x, y), kernel_via_modes(sp, 1, 10, x, y)
+        assert abs(kv.value - direct.value) <= kv.tail + direct.tail
+
     @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 1.0)])
     def test_non_finite_points_refused_by_name(self, genus2_params, bad):
         sp = genus2_params
@@ -677,6 +718,16 @@ class TestTruncationBounds:
         sp = request.getfixturevalue(fixture)
         radius = np.abs(np.linalg.eigvals(mode_coupling_matrix(sp, M))).max()
         assert heisenberg_partition(sp, M).spectral_radius >= radius
+
+    def test_unbounded_truncation_reads_inf(self, genus2_params):
+        # A y deep inside a disc makes the moment sums diverge: the bound is
+        # infinite, not the largest float.
+        sp = genus2_params
+        y = sp.center(1) + 1e-3 * sp.radius(1)
+        bound = modes._truncation(
+            sp, 10, modes._system(sp, 10), np.array([3.0 + 1.0j]), np.array([y]), False
+        )
+        assert bound.tolist() == [[math.inf]]
 
     def test_zero_coupling_has_zero_bound(self, genus2_params, fresh_system, monkeypatch):
         def zero_coupling(sp, mm):

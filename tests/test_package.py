@@ -61,7 +61,7 @@ def test_cache_inventory():
         for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and cached(node)
     }
-    assert found == {"modes._geometry", "modes._system", "modes._binomials"}
+    assert found == {"forms._surface", "modes._system", "modes._binomials"}
 
 
 # Public API that nothing in the library or the benchmark calls, kept as an
@@ -73,15 +73,25 @@ ORACLES = {
     "recursion_kernel",
     "quasiperiod_coefficient": "the holomorphic N-forms theta_a(x; l), checked against contour "
     "integrals of the recursion kernel",
+    "compose": "MobiusMap.compose, enumerate_group's bit-identity oracle, which builds every "
+    "word as a product of generator maps",
+    "inverse": "MobiusMap.inverse, with which the Mobius-covariance tests conjugate the "
+    "generators",
+    "derivative": "MobiusMap.derivative, the gamma'(x) of the Mobius-covariance tests and of "
+    "the mode route's shell oracles",
+    "mobius_act_on_params": "the Mobius-covariance tests move whole surfaces with it, and "
+    "SurfaceForms' origin guidance names it",
 }
 
 
 def test_public_api_inventory():
-    # Every public method of SurfaceForms and public function of modes and
-    # correlators is referenced by name (as a name, an attribute or a
-    # string, __all__ aside) from the library or the benchmark, or is a
-    # listed oracle.  A method written for a consumer that does not exist
-    # fails here, and so does a stale oracle entry.
+    # Every public function of group, modes and correlators is referenced
+    # (as a name, an attribute or a string, __all__ aside) from the
+    # library or the benchmark, and so is every public method of
+    # SurfaceForms and of group's classes, counted only as an attribute or
+    # a string: a local variable that shares a method's name does not call
+    # it.  Else it is a listed oracle.  A function written for a consumer
+    # that does not exist fails here, and so does a stale oracle entry.
     package = Path(schottky.__file__).parent
     bench = package.parents[1] / "perfbench"
     trees = {
@@ -89,18 +99,21 @@ def test_public_api_inventory():
         for path in [*sorted(package.glob("*.py")), *sorted(bench.glob("*.py"))]
     }
 
-    def public(body):
+    def body(module):
+        return trees[package / f"{module}.py"].body
+
+    def public(nodes):
         return {
-            n.name for n in body if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
+            n.name for n in nodes if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")
         }
 
-    [surface] = [
-        n for n in trees[package / "forms.py"].body
-        if isinstance(n, ast.ClassDef) and n.name == "SurfaceForms"
+    functions = set().union(*(public(body(m)) for m in ("group", "modes", "correlators")))
+    classes = [n for n in body("forms") if isinstance(n, ast.ClassDef) and n.name == "SurfaceForms"]
+    classes += [
+        n for n in body("group") if isinstance(n, ast.ClassDef) and not n.name.startswith("_")
     ]
-    api = public(surface.body)
-    api |= public(trees[package / "modes.py"].body) | public(trees[package / "correlators.py"].body)
-    referenced = set()
+    methods = set().union(*(public(c.body) for c in classes))
+    names, attributes = set(), set()
     for tree in trees.values():
         exported = {
             id(const)
@@ -111,12 +124,14 @@ def test_public_api_inventory():
         }
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if id(node) not in exported:
-                    referenced.add(node.value)
-    assert {"recursion_kernel", "kernel_via_modes", "heisenberg_npoint"} <= api
-    assert sorted(api - referenced - set(ORACLES)) == []
-    assert set(ORACLES) <= api
+                    attributes.add(node.value)
+    assert {"kernel_via_modes", "heisenberg_npoint", "enumerate_group"} <= functions
+    assert {"recursion_kernel", "compose", "center"} <= methods
+    unreferenced = (functions - names - attributes) | (methods - attributes)
+    assert sorted(unreferenced - set(ORACLES)) == []
+    assert set(ORACLES) <= functions | methods
