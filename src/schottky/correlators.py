@@ -32,7 +32,9 @@ and cutoff, and the period matrix on the SurfaceForms
 (``SurfaceForms.periods``, read-only), so repeated requests on a few
 surfaces pay for each once.  No correlator but ``lattice_partition``
 enumerates the word table.
-Insertion points must lie in the fundamental domain.
+Each insertion point is checked once, by the mode route's gate after the
+cutoff and before any factorization: it must lie in the fundamental domain,
+and points closer than POLE_GUARD, equal ones too, raise PoleProximityError.
 
 Every call returns an :class:`~schottky.forms.Estimate`: each correlator
 is its formula in Estimate arithmetic, which bounds how the tails of the
@@ -48,7 +50,6 @@ the factors that Z is read from.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -56,13 +57,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from schottky.forms import EPS, Estimate, SurfaceForms
-from schottky.group import (
-    InvalidParameterError,
-    TruncationPolicy,
-    require_in_domain,
-    require_positive,
-)
+from schottky.group import InvalidParameterError, TruncationPolicy, require_positive
 from schottky.modes import (
+    _insertion_points,
     _require_cutoff,
     bidifferential_via_modes,
     heisenberg_partition,
@@ -180,22 +177,15 @@ def heisenberg_npoint(
     the oscillator partition function (n = 0 gives the partition function
     itself, through the one empty pairing).  The n(n-1)/2 bidifferentials
     come from one omega matrix of the mode resolvent, at the cutoff of Z.
-    Every point must lie in the fundamental domain.
+    Odd n passes the same gate on its points as even n.
     """
-    pts = tuple(
-        require_in_domain(forms.sp, p, f"insertion point {i}") for i, p in enumerate(points)
-    )
-    n = len(pts)
-    for i, j in itertools.combinations(range(n), 2):
-        if pts[i] == pts[j]:
-            raise InvalidParameterError(f"insertion points {i} and {j} coincide")
     m = _cutoff(forms, modes)
-    if n % 2:
+    points = tuple(points)
+    if len(points) % 2:
+        _insertion_points(forms.sp, points)
         return Estimate(0.0j, 0.0)
-    omega = bidifferential_via_modes(forms.sp, m, pts)
-    total = sum(
-        math.prod(omega[i][j] for i, j in pairing) for pairing in pairings(n)
-    )
+    omega = bidifferential_via_modes(forms.sp, m, points)
+    total = sum(math.prod(omega[i][j] for i, j in pairing) for pairing in pairings(len(points)))
     return total * heisenberg_partition(forms.sp, m)
 
 
@@ -203,7 +193,6 @@ def virasoro_one_point(
     forms: SurfaceForms, x: complex, modes: int | None = None
 ) -> Estimate:
     """One-point function of the Virasoro vector: s(x) Z / 12."""
-    x = require_in_domain(forms.sp, x, "x")
     m = _cutoff(forms, modes)
     [[s]] = bidifferential_via_modes(forms.sp, m, (x,))
     return s * heisenberg_partition(forms.sp, m) / 12.0
@@ -216,10 +205,6 @@ def virasoro_two_point(
 
         ( s(x) s(y) / 144 + omega(x,y)^2 / 2 ) Z.
     """
-    x = require_in_domain(forms.sp, x, "x")
-    y = require_in_domain(forms.sp, y, "y")
-    if x == y:
-        raise InvalidParameterError("two-point insertions coincide")
     m = _cutoff(forms, modes)
     (sx, w), (_, sy) = bidifferential_via_modes(forms.sp, m, (x, y))
     return (sx * sy / 144.0 + 0.5 * w**2) * heisenberg_partition(forms.sp, m)
@@ -308,6 +293,8 @@ def siegel_theta(
     om = np.asarray(omega, dtype=np.complex128)
     if om.ndim != 2 or om.shape[0] != om.shape[1]:
         raise InvalidParameterError("period matrix must be square")
+    if not np.isfinite(om).all():
+        raise InvalidParameterError("period matrix must be finite")
     asym = float(np.abs(om - om.T).max(initial=0.0))
     if asym > 1e-12 * max(1.0, float(np.abs(om).max(initial=0.0))):
         raise InvalidParameterError(
@@ -315,7 +302,7 @@ def siegel_theta(
         )
     om = 0.5 * (om + om.T)
     lam_min = float(np.linalg.eigvalsh(om.imag)[0])
-    if lam_min <= 0.0:
+    if not lam_min > 0.0:
         raise InvalidParameterError(
             f"Im(period matrix) must be positive definite (min eig {lam_min:.3g})"
         )

@@ -133,6 +133,10 @@ POLE_GUARD = 1e-9
 # Machine epsilon of float64, the unit of every tail's rounding floor.
 EPS = float(np.finfo(np.float64).eps)
 
+# Entries of each per-surface LRU cache, forms._surface and modes._system:
+# perfbench's g3-lattice rotates four surfaces; rotating more recomputes.
+CACHE_ENTRIES = 4
+
 # Rows per block of the orbit sums.  A complex temporary of one block
 # takes 32 KiB, so the dozen alive at once stay in cache and under glibc's
 # default 128 KiB mmap threshold: they are reused from the heap instead
@@ -269,8 +273,6 @@ def _kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> com
     """
     x = complex(x)
     y = complex(y)
-    if x == y:
-        raise PoleProximityError("seed kernel evaluated on its diagonal pole")
     out = 1.0 / (x - y)
     for A in limit_points:
         out *= (y - A) / (x - A)
@@ -790,8 +792,7 @@ class _Surface(NamedTuple):
     origin_exterior: bool
 
 
-# Four entries here and in modes._system: perfbench's g3-lattice rotates four surfaces.
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
 def _surface(sp: SchottkyParams) -> _Surface:
     """The record of admissible parameters: the library's one admissibility check.
 

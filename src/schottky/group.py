@@ -657,7 +657,10 @@ def require_admissible(sp: SchottkyParams) -> None:
 
 
 def require_finite(z: complex, name: str) -> complex:
-    """z as a complex number; infinite or NaN parts are refused, naming the argument."""
+    """z as a complex number, else refused by name: anything but a number
+    (numpy scalars count, bools do not), and infinite or NaN parts."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Number):
+        raise InvalidParameterError(f"{name} = {z!r} is not a number")
     z = complex(z)
     if is_infinity(z):
         raise InvalidParameterError(f"{name} = {z} is not finite")

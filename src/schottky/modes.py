@@ -53,10 +53,9 @@ computation refuses with :class:`~schottky.forms.ConvergenceError`: the
 contraction bound kappa = ||R||_1 (largest column sum of |R|), which
 bounds the spectral radius of R, must be below 1, and LAPACK's 1-norm
 condition number of I - R (``zgecon``, from the LU) below
-MAX_CONDITION.  An LRU cache keeps four systems, keyed by parameters and
-cutoff (equal ones share one): rotating five or more pairs refactors on
-every call.  The handle data come from the record SurfaceForms reads
-(``forms._surface``), so both routes check a parameter set once.
+MAX_CONDITION.  An LRU cache keeps CACHE_ENTRIES systems, keyed by
+parameters and cutoff.  The handle data come from the record SurfaceForms
+reads (``forms._surface``), so both routes check a parameter set once.
 
 Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
 a closed-form sum (:func:`_omitted_sums`), and so does the whole
@@ -92,6 +91,7 @@ from scipy.linalg.blas import dgemm, dgemv, zgemm, zgemv
 from scipy.linalg.lapack import zgecon, zgetrs
 
 from schottky.forms import (
+    CACHE_ENTRIES,
     EPS,
     POLE_GUARD,
     ConfigurationError,
@@ -326,7 +326,7 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
     return cap
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
 def _system(sp: SchottkyParams, modes: int) -> _Factored:
     """R and I - R at a cutoff that passed :func:`_require_cutoff`, factored, gated, and Z.
 
@@ -561,13 +561,13 @@ def kernel_via_modes(
 
     seed(x, y) + the one-letter words in closed form + p(x)^T R (I - R)^{-1}
     q(y) with the seed 1/(x - y) - 1/x, solved on the cached LU factors of
-    the mode system (see the module docstring).  It refuses an origin
-    inside a disc before assembly, as SurfaceForms does, and a y within
-    POLE_GUARD of x or of gamma_a x before the solve, as third_kind_form
-    does; with ConvergenceError, a contraction bound ||R||_1 not below 1
-    or cond_1(I - R) not below MAX_CONDITION.  The reported tail is the
-    truncation bound of :func:`_truncation`, finite on the circles, plus
-    the rounding floors of :func:`_split_sums` and of the seed.
+    the mode system (see the module docstring).  Before any factorization
+    it refuses an origin inside a disc, then the cutoff, then x or y
+    outside the domain or |x - y| < POLE_GUARD; before the solve, y within
+    POLE_GUARD of gamma_a x, as third_kind_form does; with ConvergenceError,
+    ||R||_1 not below 1 or cond_1(I - R) not below MAX_CONDITION.  The tail
+    is the bound of :func:`_truncation`, finite on the circles, plus the
+    rounding floors of :func:`_split_sums` and of the seed.
 
     Only weight 1 is served.  At weight N >= 2 the seed's basis points are
     limit points inside the discs the Taylor modes live on, so the
@@ -580,16 +580,27 @@ def kernel_via_modes(
             "use SurfaceForms.recursion_kernel for weight >= 2 kernels"
         )
     _origin_exterior(sp)
-    system = _system(sp, _require_cutoff(sp, modes))
+    modes = _require_cutoff(sp, modes)
     x = require_in_domain(sp, x, "x")
     y = require_in_domain(sp, y, "y")
     if abs(x - y) < POLE_GUARD:
         raise _pole_error("weight-1 kernel", ())
+    system = _system(sp, modes)
     values, tails = _split_sums(sp, modes, system, np.array([x]), np.array([y]), False)
     seed = _kernel_seed(x, y, (0.0,))
     value = seed + complex(values[0, 0])
     floor = _identity_floor(np.array(seed), abs(x) / abs(x - y) + 1.0)
     return Estimate(value, float(tails[0, 0] + floor) + EPS * abs(value))
+
+
+def _insertion_points(sp: SchottkyParams, points: Sequence[complex]) -> np.ndarray:
+    """The points as an array: the library's one check of insertion points,
+    each in the fundamental domain ("insertion point k") and no two, equal
+    ones too, closer than POLE_GUARD (refused as the identity word's pole)."""
+    xs = [require_in_domain(sp, p, f"insertion point {k}") for k, p in enumerate(points)]
+    if any(abs(x - y) < POLE_GUARD for k, x in enumerate(xs) for y in xs[:k]):
+        raise _pole_error("bidifferential", ())
+    return np.array(xs, dtype=np.complex128)
 
 
 def bidifferential_via_modes(
@@ -602,22 +613,19 @@ def bidifferential_via_modes(
     s(x_i) = 6 lim_{y -> x} (omega(x, y) - 1/(x - y)^2), both as
     :meth:`schottky.forms.SurfaceForms.bidifferential` and
     ``projective_connection`` sum them.  All come from one solve with a
-    right-hand side q'(x_j) per point (see the module docstring).  Every
-    point must lie in the fundamental domain; two points within
-    POLE_GUARD of each other, or of the other's one-letter image, are
-    refused.  Each tail is the bound of :func:`_split_sums` (times 6 on
-    the diagonal) plus the identity term's rounding.
+    right-hand side q'(x_j) per point (see the module docstring).  The
+    cutoff and then the points (:func:`_insertion_points`) are checked
+    before the system is factored, a point within POLE_GUARD of another's
+    one-letter image before the solve.  Each tail is the bound of
+    :func:`_split_sums` (times 6 on the diagonal) plus the identity term's rounding.
     """
-    system = _system(sp, _require_cutoff(sp, modes))
-    xs = np.array(
-        [require_in_domain(sp, p, f"point {k}") for k, p in enumerate(points)], dtype=np.complex128
-    )
+    modes = _require_cutoff(sp, modes)
+    xs = _insertion_points(sp, points)
+    system = _system(sp, modes)
     if not len(xs):
         return []
     off = ~np.eye(len(xs), dtype=bool)
     diff = np.where(off, xs[:, None] - xs[None, :], 1.0)
-    if np.abs(diff).min() < POLE_GUARD:
-        raise _pole_error("bidifferential", ())
     values, tails = _split_sums(sp, modes, system, xs, xs, True)
     identity = 1.0 / (diff * diff)
     floor = _identity_floor(identity, 2.0 * np.abs(xs)[:, None] / np.abs(diff))

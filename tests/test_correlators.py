@@ -13,6 +13,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -41,7 +42,7 @@ from schottky.correlators import (
     virasoro_one_point,
     virasoro_two_point,
 )
-from schottky.forms import ConvergenceError, SurfaceForms
+from schottky.forms import ConvergenceError, PoleProximityError, SurfaceForms
 from schottky.modes import (
     bidifferential_via_modes,
     heisenberg_partition,
@@ -282,6 +283,22 @@ def test_siegel_theta_rejects_non_symmetric_omega():
     assert abs(siegel_theta(omega, A2).value) > 0.5
 
 
+@pytest.mark.parametrize("entry", [math.nan, complex(0.1, math.nan), complex(0.0, math.inf)])
+def test_siegel_theta_refuses_non_finite_omega(entry):
+    # Refused before the symmetry test, whose Omega - Omega^T would warn on inf.
+    omega = np.array([[0.1 + 1.0j, 0.2 + 0.3j], [0.2 + 0.3j, -0.3 + 0.9j]])
+    omega[1, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="^period matrix must be finite$"):
+            siegel_theta(omega, A2)
+
+
+def test_siegel_theta_refuses_indefinite_imaginary_part():
+    with pytest.raises(InvalidParameterError, match="positive definite"):
+        siegel_theta(np.array([[1.0j, 0.0], [0.0, -1.0j]]), A2)
+
+
 def test_e8_genus2_diagonal_is_product_of_eisenstein_series():
     # theta_E8 = E4, and a diagonal Omega factors the genus-2 sum.
     tau1, tau2 = 0.1 + 2.0j, -0.3 + 2.5j
@@ -430,15 +447,92 @@ def test_heisenberg_npoint_requires_every_point_in_domain(genus3_params, where):
         heisenberg_npoint(forms, [choices[k] for k in where])
 
 
+def counted(monkeypatch, module, name, calls):
+    """Count the calls of module.name in calls[name], passing them through."""
+    inner = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_each_insertion_point_checked_once(genus3_params, monkeypatch):
+    # One gate in the mode route checks every point once per request, and
+    # nothing else in the library checks them.
+    calls = Counter()
+    for module in (correlators, modes, forms):
+        if hasattr(module, "require_in_domain"):
+            counted(monkeypatch, module, "require_in_domain", calls)
+    surface = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=3))
+    points = [3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j, 4.1 + 0.2j]
+    for call, expected in (
+        (lambda: heisenberg_npoint(surface, points, modes=5), 6),
+        (lambda: virasoro_two_point(surface, points[0], points[1], modes=5), 2),
+        (lambda: virasoro_one_point(surface, points[0], modes=5), 1),
+        (lambda: heisenberg_npoint(surface, points[:3], modes=5), 3),
+    ):
+        calls.clear()
+        call()
+        assert calls["require_in_domain"] == expected
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-12])
+def test_coincident_insertions_share_one_refusal(genus3_params, monkeypatch, gap):
+    # Equal points and points 1e-12 apart get the mode route's pole-guard
+    # error, for even and odd n alike, before any solve.
+    calls = Counter()
+    counted(monkeypatch, modes, "zgetrs", calls)
+    surface = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=3))
+    x, y = 3.0 - 1.0j, -3.1 + 0.4j
+    for call in (
+        lambda: heisenberg_npoint(surface, [x, x + gap], modes=5),
+        lambda: heisenberg_npoint(surface, [x, x + gap, y], modes=5),
+        lambda: heisenberg_npoint(surface, [y, x, x + gap, -y], modes=5),
+        lambda: virasoro_two_point(surface, x, x + gap, modes=5),
+    ):
+        with pytest.raises(PoleProximityError, match=r"^bidifferential: .* \(word \(\)\)$") as info:
+            call()
+        assert info.value.letters == ()
+    assert calls == {}
+
+
+def test_point_in_a_disc_refused_before_factorization(genus3_params, perturbed, monkeypatch):
+    # The gate runs after the cutoff and before the system is factored: on
+    # a fresh surface a point inside a disc costs no LU, and on a surface
+    # whose contraction bound is refused (||R||_1 = 1.05) the point error
+    # comes first.
+    r = 0.8 * 1.945 / 2.0
+    uncertified = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (r * r, r * r))
+    calls = Counter()
+    counted(monkeypatch, modes, "lu_factor", calls)
+    x = 5.0 + 1.0j
+    for sp in (perturbed(genus3_params, 5), uncertified):
+        inside = sp.center(1)
+        surface = SurfaceForms(sp, TruncationPolicy(max_word_length=3))
+        modes._system.cache_clear()
+        for call in (
+            lambda: bidifferential_via_modes(sp, 8, [x, inside]),
+            lambda: kernel_via_modes(sp, 1, 8, x, inside),
+            lambda: heisenberg_npoint(surface, [inside, x], modes=8),
+        ):
+            with pytest.raises(InvalidParameterError, match="inside an isometric disc"):
+                call()
+    assert calls == {}
+    with pytest.raises(ConvergenceError, match="contraction bound"):
+        heisenberg_npoint(SurfaceForms(uncertified), [x, -x], modes=8)
+
+
 @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, math.nan)])
 def test_non_finite_insertions_refused_by_name(torus_forms, bad):
     x = 2.0 + 0.5j
     for arg, call in (
         ("insertion point 1", lambda: heisenberg_npoint(torus_forms, [x, bad])),
         ("insertion point 0", lambda: heisenberg_npoint(torus_forms, [bad])),
-        ("x", lambda: virasoro_one_point(torus_forms, bad)),
-        ("x", lambda: virasoro_two_point(torus_forms, bad, x)),
-        ("y", lambda: virasoro_two_point(torus_forms, x, bad)),
+        ("insertion point 0", lambda: virasoro_one_point(torus_forms, bad)),
+        ("insertion point 0", lambda: virasoro_two_point(torus_forms, bad, x)),
+        ("insertion point 1", lambda: virasoro_two_point(torus_forms, x, bad)),
     ):
         with pytest.raises(InvalidParameterError, match=f"^{arg} = .* is not finite$"):
             call()

@@ -112,10 +112,6 @@ class TestSeedKernel:
         #   = (1/2) * (1*3*(-4)) / (3*5*(-2)) = (1/2)(-12/-30) = 0.2
         assert _kernel_seed(3.0, 1.0, (0.0, -2.0, 5.0)) == pytest.approx(0.2)
 
-    def test_diagonal_pole_rejected(self):
-        with pytest.raises(PoleProximityError):
-            _kernel_seed(1.0, 1.0, (0.0,))
-
 
 class TestThirdKind:
     def test_identity_term_only_at_length_zero(self, torus_params):

@@ -460,6 +460,21 @@ def test_require_in_domain_refuses_non_finite_points(genus2_params, z):
         group.require_finite(z, "w")
 
 
+@pytest.mark.parametrize("z", ["3", "3+1j", "a", None, True, False, np.bool_(True), [1.0], (1.0,)])
+def test_require_finite_refuses_non_numbers(genus2_params, z):
+    # Like require_integer and require_positive: a typed error naming the
+    # argument, and no bool passes as 0 or 1.
+    with pytest.raises(InvalidParameterError, match="^w = .* is not a number$"):
+        group.require_finite(z, "w")
+    with pytest.raises(InvalidParameterError, match="^x = .* is not a number$"):
+        group.require_in_domain(genus2_params, z, "x")
+
+
+@pytest.mark.parametrize("z", [3, 2.5, 1 - 2j, np.int64(3), np.float32(2.5), np.complex128(1 - 2j)])
+def test_require_finite_accepts_numbers(z):
+    assert group.require_finite(z, "w") == complex(z)
+
+
 def test_require_in_domain_slack(genus2_params):
     # One part in 1e12 of a radius inside the circle still counts as on it.
     sp = genus2_params
