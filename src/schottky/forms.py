@@ -631,6 +631,12 @@ class SurfaceForms:
         delta counts as gamma'x in :func:`_orbit_ulps`.  Normalization:
         (1/2*pi*i) oint nu_b = delta_ab on the circle at w_{-a},
         counterclockwise.
+
+        At L = 1 the tail charges the larger of the two shells, the identity's
+        term and the one-letter words: the words ending in gamma_{-a} see x
+        on C_a through an isometric circle, so there the next shell is as
+        large as the last (the move to L = 2 reached 2.6 times the last
+        shell on the genus-2 test surface).
         """
         a = self._require_handle(a)
         x = require_in_domain(self.sp, x, "x")
@@ -646,7 +652,10 @@ class SurfaceForms:
             vals = -delta / (dm * dp)
             return vals, _orbit_ulps(1, kappa, drift, self._grow[rows], self._skew[rows])
 
-        return self._sum(block)
+        totals, shells, floors = self._reduce(lambda s, e: ((0, *block(s, e)),), 1)
+        if self.policy.max_word_length == 1:
+            shells = np.maximum(np.abs(shells), np.abs(totals - shells))
+        return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
 
     # -- quasi-period coefficients ----------------------------------------------
 

@@ -619,7 +619,13 @@ def bidifferential_via_modes(
     one-letter image before the solve.  Each tail is the bound of
     :func:`_split_sums` (times 6 on the diagonal) plus the identity term's rounding.
     """
-    modes = _require_cutoff(sp, modes)
+    return _bidifferentials(sp, _require_cutoff(sp, modes), points)
+
+
+def _bidifferentials(
+    sp: SchottkyParams, modes: int, points: Sequence[complex]
+) -> list[list[Estimate]]:
+    """:func:`bidifferential_via_modes` at a cutoff that passed :func:`_require_cutoff`."""
     xs = _insertion_points(sp, points)
     system = _system(sp, modes)
     if not len(xs):

@@ -9,10 +9,12 @@ Eisenstein series E4), and the integrality of the theta exponent.
 
 import ast
 import cmath
+import itertools
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -42,7 +44,7 @@ from schottky.correlators import (
     virasoro_one_point,
     virasoro_two_point,
 )
-from schottky.forms import ConvergenceError, PoleProximityError, SurfaceForms
+from schottky.forms import ConvergenceError, PeriodMatrixResult, PoleProximityError, SurfaceForms
 from schottky.modes import (
     bidifferential_via_modes,
     heisenberg_partition,
@@ -121,8 +123,8 @@ def test_odd_heisenberg_npoint_vanishes(torus_forms, n, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("an odd n needs no mode system")
 
-    monkeypatch.setattr(correlators, "heisenberg_partition", unused)
-    monkeypatch.setattr(correlators, "bidifferential_via_modes", unused)
+    monkeypatch.setattr(correlators, "_system", unused)
+    monkeypatch.setattr(correlators, "_bidifferentials", unused)
     pts = [2.0 + 0.5j * k for k in range(n)]
     for m in (None, 5):
         res = heisenberg_npoint(torus_forms, pts, modes=m)
@@ -159,7 +161,7 @@ def test_rank0_lattice_on_torus_is_one(torus_forms, monkeypatch):
         raise AssertionError("rank 0 needs no period matrix or partition function")
 
     monkeypatch.setattr(type(torus_forms), "period_matrix", unused)
-    monkeypatch.setattr(correlators, "heisenberg_partition", unused)
+    monkeypatch.setattr(correlators, "_system", unused)
     res = lattice_partition(torus_forms, LatticeSpec(()))
     assert res.value == 1
     assert res.tail == 0.0
@@ -338,6 +340,151 @@ class TestTruncationDiscipline:
         for lattice in (A2, A3, D4):
             c, f = lattice_partition(loose, lattice), lattice_partition(tight, lattice)
             assert abs(f.value - c.value) < c.tail
+
+
+def theta_with_characteristic(omega, a, b, box=6):
+    """theta[a; b](0, Omega) for a, b in {0, 1}^g, summed over the box |n_i| <= box:
+    sum_n exp(i pi (n + a/2)^T Omega (n + a/2) + i pi (n + a/2)^T b)."""
+    g = omega.shape[0]
+    n = np.stack(np.meshgrid(*[np.arange(-box, box + 1)] * g, indexing="ij"), -1).reshape(-1, g)
+    y = n + 0.5 * np.asarray(a)
+    return np.exp(1j * math.pi * (np.einsum("ka,ab,kb->k", y, omega, y) + y @ np.asarray(b))).sum()
+
+
+def e8_from_even_characteristics(omega):
+    """theta_E8(Omega) = 2^-g sum over the even characteristics m of theta[m]^8."""
+    g = omega.shape[0]
+    chars = [np.array(c) for c in itertools.product((0, 1), repeat=g)]
+    total = sum(
+        theta_with_characteristic(omega, a, b) ** 8
+        for a in chars
+        for b in chars
+        if a @ b % 2 == 0
+    )
+    return total / 2**g
+
+
+class TestThetaRoutes:
+    """The coset route through an orthogonal frame against the Fincke-Pohst
+    sum and the even-characteristic formula for E8."""
+
+    @pytest.mark.parametrize(
+        "lattice, norms, index",
+        [(A2, (2, 6), 2), (A3, (2, 2, 4), 2), (D4, (2, 2, 2, 2), 2), (E8, (2,) * 8, 16)],
+    )
+    def test_frames_of_the_root_lattices(self, lattice, norms, index):
+        frame = lattice._frame
+        G = np.array(lattice.gram)
+        V = frame.vectors
+        assert frame.norms == norms and frame.index == index
+        assert np.array_equal(V @ G @ V.T, np.diag(norms))
+        # [Lambda : K]^2 det G = det Gram(K), and the residues tell the cosets apart.
+        assert index**2 * round(np.linalg.det(G)) == math.prod(norms)
+        assert len({tuple(row) for row in frame.residues}) == index
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    @pytest.mark.parametrize("seed", [None, 0, 1])
+    def test_routes_agree_within_tails(self, fixture, seed, request, perturbed):
+        sp = request.getfixturevalue(fixture)
+        if seed is not None:
+            sp = perturbed(sp, seed)
+        omega = np.array(SurfaceForms(sp, TruncationPolicy(max_word_length=5)).periods.omega)
+        for lattice in (A2, A3, D4):
+            for tol in (1e-9, 1e-12):
+                fp = correlators._fincke_pohst(omega, lattice.gram_array(), tol)[1](0.0)
+                cs = correlators._coset_theta(omega, lattice._frame, tol)[1](0.0)
+                assert fp.tail <= tol + FLOOR and cs.tail <= tol + FLOOR
+                assert abs(fp.value - cs.value) <= fp.tail + cs.tail, (lattice, tol)
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_e8_matches_even_characteristics(self, fixture, request):
+        omega = np.array(SurfaceForms(request.getfixturevalue(fixture)).periods.omega)
+        res = siegel_theta(omega, E8, 1e-12)
+        expected = e8_from_even_characteristics(omega)
+        assert res.tail <= 1e-12 + FLOOR
+        assert abs(res.value - expected) <= res.tail + FLOOR * abs(expected)
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_siegel_theta_takes_the_route_of_least_predicted_work(self, fixture, request):
+        omega = np.array(SurfaceForms(request.getfixturevalue(fixture)).periods.omega)
+        for lattice in (A2, A3, D4):
+            # Each route is a pair (predicted work, evaluate(tau)).
+            fp = correlators._fincke_pohst(omega, lattice.gram_array(), 1e-9)
+            cs = correlators._coset_theta(omega, lattice._frame, 1e-9)
+            expected = min((fp, cs), key=lambda route: route[0])[1](0.0)
+            got = siegel_theta(omega, lattice, 1e-9)
+            assert (got.value, got.tail) == (expected.value, expected.tail)
+            if lattice is D4:
+                # Twelve (genus 3) or eight dimensions against one to three.
+                assert cs[0] < fp[0] / 4
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_e8_lattice_partition_under_a_second(self, fixture, request):
+        # Aim 1's budget for a public call at the default policy; the
+        # (g d)-dimensional sum took 8.8 s on the genus-2 fixture at tol 1e-3.
+        start = time.perf_counter()
+        res = lattice_partition(SurfaceForms(request.getfixturevalue(fixture)), E8)
+        assert time.perf_counter() - start < 1.0
+        assert res.tail <= 1e-8
+
+    def test_period_tail_charged_through_the_derivative(self, monkeypatch):
+        # E8 at genus 1 is E4, and at Omega = i (q = e^-2pi) E6 = 0 and
+        # E2 = 3/pi, so dtheta/dOmega = (2 pi i / 3)(E2 E4 - E6) = 2i E4(i):
+        # an error tau in Omega moves theta by 2 |theta| tau to first order,
+        # twice the |theta| tau that was charged before.  At genus 1 with a
+        # real q every term is positive and the charge is that slope.
+        tau = 1e-6
+        omega = np.array([[1j]])
+        slope = 2.0 * abs(eisenstein_e4(1j))
+        exact = siegel_theta(omega, E8, 1e-12)
+        moved = siegel_theta(omega, E8, 1e-12, omega_tail=tau)
+        assert moved.value == exact.value
+        assert slope * tau <= moved.tail - exact.tail <= 1.001 * slope * tau
+        # The same charge reaches lattice_partition from the period matrix's tail.
+        sp = params_from_classical(ClassicalParams((1.0,), (-1.0,), (math.exp(-2 * math.pi),)))
+        surface = SurfaceForms(sp)
+        assert abs(surface.periods.omega[0, 0] - 1j) < 1e-12
+        moved_periods = PeriodMatrixResult(omega, tau)
+        monkeypatch.setattr(SurfaceForms, "periods", property(lambda self: moved_periods))
+        res = lattice_partition(surface, E8)
+        z = correlators._system(sp, mode_cutoff_for(sp, 1e-9, 20)).partition.value
+        assert abs(res.value - exact.value * z**8) <= res.tail
+        assert res.tail >= slope * tau * abs(z) ** 8
+
+    @pytest.mark.parametrize("tau", [-1e-9, math.nan, True, "0", 1j])
+    def test_siegel_theta_refuses_bad_omega_tail(self, tau):
+        with pytest.raises(InvalidParameterError, match="omega_tail"):
+            siegel_theta(np.array([[1.0j]]), A2, 1e-9, tau)
+
+
+def test_mode_cutoff_checked_once_per_request(genus3_params, monkeypatch):
+    # The correlator checks its cutoff (or, without one, the policy's cap)
+    # and hands the checked int to the mode route's private entry points.
+    # Assembling a fresh system adds the public assembler's own check.
+    calls = Counter()
+    for module in (correlators, modes):
+        counted(monkeypatch, module, "_require_cutoff", calls)
+    surface = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=3))
+    x, y, w = 3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j
+    requests = [
+        lambda m: heisenberg_npoint(surface, [x, y], modes=m),
+        lambda m: heisenberg_npoint(surface, [x, y, w], modes=m),
+        lambda m: virasoro_one_point(surface, x, modes=m),
+        lambda m: virasoro_two_point(surface, x, y, modes=m),
+        lambda m: lattice_partition(surface, A2, modes=m),
+        lambda m: lattice_partition(surface, LatticeSpec(()), modes=m),
+    ]
+    for m in (None, 12):
+        for request in requests:
+            request(m)
+        for request in requests:
+            calls.clear()
+            request(m)
+            assert calls == {"_require_cutoff": 1}
+    modes._system.cache_clear()
+    calls.clear()
+    heisenberg_npoint(surface, [x, y], modes=12)
+    assert calls == {"_require_cutoff": 2}
 
 
 class TestSurfaceMemo:

@@ -614,6 +614,25 @@ class TestTruncationDiscipline:
             c, f = getattr(coarse, name)(*args), getattr(fine, name)(*args)
             assert abs(f.value - c.value) < c.tail, (name, args)
 
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_holomorphic_form_within_reported_tail_from_one_letter(self, fixture, request):
+        # At L = 1 every form, at 24 angles on both circles of every handle
+        # and at two points off them.  With the last shell alone as its
+        # tail, x on C_a at angle 0 moved to L = 2 by 2.62 times it on
+        # genus 2 and 1.41 times on genus 3.
+        sp = request.getfixturevalue(fixture)
+        coarse = SurfaceForms(sp, TruncationPolicy(max_word_length=1))
+        fine = SurfaceForms(sp, TruncationPolicy(max_word_length=2))
+        circles = [
+            sp.center(b) + sp.radius(b) * cmath.exp(2j * math.pi * k / 24)
+            for b in sp.signed_indices
+            for k in range(24)
+        ]
+        for x in (0.6 + 0.2j, 3.0 - 1.0j, *circles):
+            for a in range(1, sp.genus + 1):
+                c, f = coarse.holomorphic_form(a, x), fine.holomorphic_form(a, x)
+                assert abs(f.value - c.value) < c.tail, (a, x)
+
     def test_tails_decay_with_cutoff(self, genus2_params):
         x, y = 0.6 + 0.2j, -0.5 - 0.8j
         tails = []

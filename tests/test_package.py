@@ -81,6 +81,9 @@ ORACLES = {
     "the mode route's shell oracles",
     "mobius_act_on_params": "the Mobius-covariance tests move whole surfaces with it, and "
     "SurfaceForms' origin guidance names it",
+    "bidifferential_via_modes": "the mode route's omega and s behind their own cutoff gate, "
+    "checked against the Poincare sums; the correlators call its core with the cutoff they "
+    "checked",
 }
 
 
