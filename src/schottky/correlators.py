@@ -420,13 +420,17 @@ class _Enumeration:
 
     ``U`` is the Cholesky factor of Q, ``r2`` the radius of
     :func:`_theta_truncation` for ``tol`` and ``bound`` its bound on the
-    omitted sum of |term|, over all classes together.
+    omitted sum of |term|, over all classes together.  ``negated`` maps
+    each class c to -c, the identity for p <= 2.
     """
 
     def __init__(self, A: np.ndarray, Q: np.ndarray, tol: float, p: int):
         self.A, self.p = A, p
         self.U = np.linalg.cholesky(Q).T
         self.r2, self.bound = _theta_truncation(self.U, tol)
+        self.weights = p ** np.arange(len(self.U))
+        digits = np.arange(p ** len(self.U))[:, None] // self.weights % p
+        self.negated = -digits % p @ self.weights
 
     @property
     def points(self) -> float:
@@ -449,11 +453,8 @@ class _Enumeration:
         pi N^T Q N)) and charge(self, moments), the moments being the
         class sums of |term| N^T Q N.
         """
-        n = len(self.U)
-        count = self.p**n
-        weights = self.p ** np.arange(n)
-        plus = [np.zeros(count, dtype=np.complex128)] + [np.zeros(count) for _ in range(3)]
-        minus = plus if self.p <= 2 else [np.zeros_like(a) for a in plus]
+        count = len(self.negated)
+        sums = [np.zeros(count, dtype=np.complex128)] + [np.zeros(count) for _ in range(3)]
         # Enumerating a hair past r2 keeps points that rounding of the
         # partial norms would drop; the bound covers what lies beyond r2.
         for N, parent, x, norm, phase in _ellipsoid(self.U, self.A, self.r2 * (1.0 + 1e-12)):
@@ -465,18 +466,16 @@ class _Enumeration:
                 size * (1.0 + math.pi * (np.abs(phase) + norm)),
             )
             if count == 1:
-                for acc, part in zip(plus, parts):
+                for acc, part in zip(sums, parts):
                     acc[0] += np.sum(part)
                 continue
-            coords = _points(N, parent, x)
-            for acc, sign in ((plus, 1.0), (minus, -1.0))[: 1 if minus is plus else 2]:
-                index = (np.mod(sign * coords, self.p) @ weights).astype(np.int64)
-                acc[0] += np.bincount(index, parts[0].real, count) + 1j * np.bincount(
-                    index, parts[0].imag, count
-                )
-                for k in (1, 2, 3):
-                    acc[k] += np.bincount(index, parts[k], count)
-        values, sizes, moments, floors = (a + b for a, b in zip(plus, minus))
+            index = (np.mod(_points(N, parent, x), self.p) @ self.weights).astype(np.int64)
+            sums[0] += np.bincount(index, parts[0].real, count) + 1j * np.bincount(
+                index, parts[0].imag, count
+            )
+            for k in (1, 2, 3):
+                sums[k] += np.bincount(index, parts[k], count)
+        values, sizes, moments, floors = (a + a[self.negated] for a in sums)
         values[0] += 1.0
         sizes[0] += 1.0
         floors[0] += 1.0

@@ -279,26 +279,6 @@ def _kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> com
     return out
 
 
-class _Summand(NamedTuple):
-    """The terms of one omega-family sum (see :meth:`SurfaceForms._omega_sum`).
-
-    ``term(gamma x - y, gamma'x)`` forms the terms of a block, (gamma'x)^N
-    over (gamma x - y)^(2N) at ``weight`` N, which sets their floor in
-    :func:`_orbit_ulps`; the sum starts at row ``first``, and ``what``
-    names it in a pole-guard error.
-    """
-
-    what: str
-    weight: int
-    term: Callable
-    first: int = 0
-
-
-_OMEGA = _Summand("bidifferential", 1, lambda diff, dgx: dgx / (diff * diff))
-# s(x): the bidifferential's terms at y = x, times 6, past the identity.
-_CONNECTION = _Summand("projective connection", 1, lambda diff, dgx: 6.0 * dgx / (diff * diff), 1)
-
-
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
@@ -454,11 +434,6 @@ class SurfaceForms:
             return np.full(len(shells), math.inf)
         return np.abs(shells) + EPS * floors
 
-    def _sum(self, term: Callable[[int, int], tuple]) -> Estimate:
-        """One blocked sum (see :meth:`_reduce`) of term(s, e) = (vals, ulps) and its tail."""
-        totals, shells, floors = self._reduce(lambda s, e: ((0, *term(s, e)),), 1)
-        return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
-
     def _guard_poles(self, dist: np.ndarray, s: int, what: str) -> float:
         """Least distance to a pole in rows s.., refused below the guard with the word."""
         near = dist.min()
@@ -570,40 +545,40 @@ class SurfaceForms:
     def power_bidifferential(self, x: complex, y: complex, weight: int) -> Estimate:
         """sum_gamma (d(gamma x) dy / (gamma x - y)^2)^N, weight (N, N)."""
         weight = require_integer(weight, "weight", 1)
-        if weight == 1:
-            return self._omega_sum(x, y, _OMEGA)
-        return self._omega_sum(x, y, _Summand(
-            "power bidifferential", weight, lambda diff, dgx: (dgx / (diff * diff)) ** weight
-        ))
+        what = "bidifferential" if weight == 1 else "power bidifferential"
+        return self._omega_sum(x, y, what, weight)
 
-    def _omega_sum(self, x: complex, y: complex, summand: _Summand) -> Estimate:
-        """Blocked orbit sum of one omega-family quantity; x in the fundamental domain, y finite.
+    def _omega_sum(
+        self, x: complex, y: complex, what: str, weight: int, scale: float = 1.0, first: int = 0
+    ) -> Estimate:
+        """Blocked orbit sum of (scale gamma'x / (gamma x - y)^2)^N, N = ``weight``;
+        x in the fundamental domain, y finite.
 
-        Sums summand.term(gamma x - y, gamma'x) over the orbit of x, one
-        row block at a time, from row summand.first.  Each block's floor
-        is :func:`_orbit_ulps` at its longest word, the pole y counted 2N
-        times (N the summand's weight) as kappa = 2N max(reach, |x|) / near
-        and drift = 2N r / near: |gamma x| <= reach but at the identity
-        (whose image is x), and near is the block's least |gamma x - y|,
-        refused below the pole guard with its word.  The first block, with
-        the identity (which carries no generator error) and the largest
-        terms, takes skew per word.
+        One row block at a time, from row ``first``; ``what`` names the sum
+        in a pole-guard error.  Each block's floor is :func:`_orbit_ulps` at
+        its longest word, the pole y counted 2N times as
+        kappa = 2N max(reach, |x|) / near and drift = 2N r / near:
+        |gamma x| <= reach but at the identity (whose image is x), and near
+        is the block's least |gamma x - y|, refused below the pole guard
+        with its word.  The first block, with the identity (which carries
+        no generator error) and the largest terms, takes skew per word.
         """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
-        top = 2 * summand.weight * max(self._surface.reach, abs(x))
-        rim = 2 * summand.weight * self._surface.radius
+        top = 2 * weight * max(self._surface.reach, abs(x))
+        rim = 2 * weight * self._surface.radius
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
-            t = max(s, summand.first)
+            t = max(s, first)
             if t >= e:
                 return
             gx, dgx = self._orbit(x, t, e)
             diff = gx - y
-            near = self._guard_poles(np.abs(diff), t, summand.what)
-            skew = self._skew[t:e] if t == summand.first else self._skew[e - 1]
-            ulps = _orbit_ulps(summand.weight, top / near, rim / near, self._grow[e - 1], skew)
-            yield 0, summand.term(diff, dgx), ulps
+            near = self._guard_poles(np.abs(diff), t, what)
+            skew = self._skew[t:e] if t == first else self._skew[e - 1]
+            ulps = _orbit_ulps(weight, top / near, rim / near, self._grow[e - 1], skew)
+            term = scale * dgx / (diff * diff)
+            yield 0, term ** weight if weight > 1 else term, ulps
 
         totals, shells, floors = self._reduce(terms, 1)
         return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
@@ -616,7 +591,7 @@ class SurfaceForms:
         the Virasoro one-point value s(x)/12 is built from.  It is the
         bidifferential's pass at y = x from row 1, past the identity.
         """
-        return self._omega_sum(x, x, _CONNECTION)
+        return self._omega_sum(x, x, "projective connection", 1, scale=6.0, first=1)
 
     # -- holomorphic one-forms ---------------------------------------------------
 

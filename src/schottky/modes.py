@@ -48,14 +48,16 @@ partition function det(I - R)^{-1/2}, principal square root.
 
 Every reading runs on one factored system per surface and cutoff: R is
 assembled once and kept, I - R is formed beside it and factored once,
-and Z is read off the factors.  It passes two gates, else the
+and Z is read off the factors.  It passes one gate, else the
 computation refuses with :class:`~schottky.forms.ConvergenceError`: the
 contraction bound kappa = ||R||_1 (largest column sum of |R|), which
-bounds the spectral radius of R, must be below 1, and LAPACK's 1-norm
-condition number of I - R (``zgecon``, from the LU) below
-MAX_CONDITION.  An LRU cache keeps CACHE_ENTRIES systems, keyed by
-parameters and cutoff.  The handle data come from the record SurfaceForms
-reads (``forms._surface``), so both routes check a parameter set once.
+bounds the spectral radius of R, must be below 1.  As ||I - R||_1 <=
+1 + kappa and ||(I - R)^{-1}||_1 <= 1 / (1 - kappa), the same gate
+bounds cond_1(I - R) by (1 + kappa) / (1 - kappa) (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 7).  An LRU cache keeps
+CACHE_ENTRIES systems, keyed by parameters and cutoff.  The handle data
+come from the record SurfaceForms reads (``forms._surface``), so both
+routes check a parameter set once.
 
 Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
 a closed-form sum (:func:`_omitted_sums`), and so does the whole
@@ -88,7 +90,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import lu_factor
 from scipy.linalg.blas import dgemm, dgemv, zgemm, zgemv
-from scipy.linalg.lapack import zgecon, zgetrs
+from scipy.linalg.lapack import zgetrs
 
 from schottky.forms import (
     CACHE_ENTRIES,
@@ -119,9 +121,6 @@ __all__ = [
     "bidifferential_via_modes",
     "heisenberg_partition",
 ]
-
-# Factorizations whose 1-norm condition number is above this are refused.
-MAX_CONDITION = 1e8
 
 # Mode systems of larger dimension 2gM are refused before assembly: past
 # it the binomials C(2M - 1, M) of a genus-1 system overflow a float.
@@ -156,7 +155,7 @@ class PartitionValue(Estimate):
 class _Factored:
     """R, |R| (``size``) and the LU factors of I - R, all read-only, with Z.
 
-    ``cond`` is cond_1(I - R), ``contraction`` ||R||_1, ``omitted`` a
+    ``contraction`` is kappa = ||R||_1 < 1, the one gate, ``omitted`` a
     bound on the entry sum of |R| beyond the cutoff, and ``partition``
     Z = det(I - R)^{-1/2}.  |R| is kept for every omega call's rounding
     floor: recomputing it costs 33 us a call at genus 3 and M = 20.
@@ -166,7 +165,6 @@ class _Factored:
     size: np.ndarray
     lu: np.ndarray
     piv: np.ndarray
-    cond: float
     contraction: float
     omitted: float
     partition: PartitionValue
@@ -330,14 +328,13 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
 def _system(sp: SchottkyParams, modes: int) -> _Factored:
     """R and I - R at a cutoff that passed :func:`_require_cutoff`, factored, gated, and Z.
 
-    The gates are ||R||_1 < 1 and cond_1(I - R) < MAX_CONDITION; both
-    1-norms come from one pass over |R|.  Z is read off the diagonal of
-    the factors.  At genus 3 and M = 20 an entry holds 575 KB.
+    The one gate, kappa = ||R||_1 < 1, comes before the factorization.
+    Z is read off the diagonal of the factors.  At genus 3 and M = 20 an
+    entry holds 575 KB.
     """
     R = mode_coupling_matrix(sp, modes)
     size = np.abs(R)
-    columns = size.sum(axis=0)
-    contraction = float(columns.max())
+    contraction = float(size.sum(axis=0).max())
     # Written so that a nan bound refuses too.
     if not contraction < 1.0:
         raise ConvergenceError(
@@ -345,19 +342,10 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
             "spectral radius is not below 1; the mode expansion is not certified "
             "to converge for these parameters"
         )
-    diagonal = R.diagonal()
-    norm = float(np.max(columns - np.abs(diagonal) + np.abs(1.0 - diagonal)))
     # Column-major, so that LAPACK factors it in place rather than a copy.
     lu = np.negative(R, order="F")
     lu.flat[:: R.shape[0] + 1] += 1.0
     lu, piv = lu_factor(lu, overwrite_a=True)
-    rcond, _ = zgecon(lu, norm)
-    cond = 1.0 / rcond if rcond > 0.0 else math.inf
-    if not cond < MAX_CONDITION:
-        raise ConvergenceError(
-            f"mode system ill-conditioned (cond {cond:.3g}); the "
-            "expansion does not converge for these parameters"
-        )
     for array in (R, size, lu, piv):
         array.flags.writeable = False
     omitted, whole = _omitted_sums(sp, (modes, 0))
@@ -370,7 +358,7 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
     # The LU of the 2gM-square system rounds the determinant by about 2gM ulps.
     floor = 2 * sp.genus * modes * EPS * abs(value)
     partition = PartitionValue(value, truncation + floor, contraction)
-    return _Factored(R, size, lu, piv, cond, contraction, float(omitted), partition)
+    return _Factored(R, size, lu, piv, contraction, float(omitted), partition)
 
 
 def _series(X, Y, power: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -531,17 +519,19 @@ def _split_sums(
     a product, not S - q: on a circle q does not decay with the mode
     index, and S - q would cancel it.  The tail is the truncation bound
     of :func:`_truncation`, the one-letter floors, and a rounding floor of
-    (2gM + 4(M + 1)) eps cond_1(I - R) |p|^T |R| |S|: the solve and the
-    products round by about 2gM ulps of the terms, and the running powers
-    of p and q by 2(M + 1) each.
+    (2gM + 4(M + 1)) eps c |p|^T |R| |S|, c = (1 + kappa) / (1 - kappa)
+    the gate's bound on cond_1(I - R): the solve and the products round
+    by about 2gM ulps of the terms, and the running powers of p and q by
+    2(M + 1) each.
     """
     values, floors = _one_letter_words(sp, xs, ys, derivative)
     P = _pole_basis(sp, modes, xs)
     Q = _seed_moments(sp, modes, ys, derivative).T
     S, _ = zgetrs(system.lu, system.piv, Q)
     values += P @ _times(system.R, S)
-    ulps = P.shape[1] + 4 * (modes + 1)
-    floors += ulps * EPS * system.cond * (np.abs(P) @ _times(system.size, np.abs(S)))
+    kappa = system.contraction
+    ulps = (P.shape[1] + 4 * (modes + 1)) * (1.0 + kappa) / (1.0 - kappa)
+    floors += ulps * EPS * (np.abs(P) @ _times(system.size, np.abs(S)))
     return values, floors + _truncation(sp, modes, system, xs, ys, derivative)
 
 
@@ -565,9 +555,9 @@ def kernel_via_modes(
     it refuses an origin inside a disc, then the cutoff, then x or y
     outside the domain or |x - y| < POLE_GUARD; before the solve, y within
     POLE_GUARD of gamma_a x, as third_kind_form does; with ConvergenceError,
-    ||R||_1 not below 1 or cond_1(I - R) not below MAX_CONDITION.  The tail
-    is the bound of :func:`_truncation`, finite on the circles, plus the
-    rounding floors of :func:`_split_sums` and of the seed.
+    kappa = ||R||_1 not below 1, the one gate.  The tail is the bound of
+    :func:`_truncation`, finite on the circles, plus the rounding floors
+    of :func:`_split_sums` and of the seed.
 
     Only weight 1 is served.  At weight N >= 2 the seed's basis points are
     limit points inside the discs the Taylor modes live on, so the
@@ -648,8 +638,9 @@ def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:
 
     Read once per cached system off the diagonal of its LU factors; for
     admissible parameters the determinant sits near 1.  It refuses as
-    :func:`_system` does.  The tail is the determinant's
-    truncation bound carried through det^{-1/2} (infinite when it reaches
-    the branch cut), plus a rounding floor of 2gM eps |value|.
+    :func:`_system` does, at kappa = ||R||_1 >= 1 only.  The tail is the
+    determinant's truncation bound carried through det^{-1/2} (infinite
+    when it reaches the branch cut), plus a rounding floor of
+    2gM eps |value|.
     """
     return _system(sp, _require_cutoff(sp, modes)).partition

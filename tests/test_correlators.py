@@ -232,6 +232,8 @@ def test_siegel_theta_a2_invariant_under_integral_shift():
 A2 = LatticeSpec(((2, -1), (-1, 2)))
 A3 = LatticeSpec(((2, -1, 0), (-1, 2, -1), (0, -1, 2)))
 D4 = LatticeSpec(((2, -1, 0, 0), (-1, 2, -1, -1), (0, -1, 2, 0), (0, -1, 0, 2)))
+# Its frame has residues of order 4, so -c differs from c among the classes.
+A4 = LatticeSpec(((2, -1, 0, 0), (-1, 2, -1, 0), (0, -1, 2, -1), (0, 0, -1, 2)))
 # Cartan matrix of E8: even, unimodular, rank 8.
 E8 = LatticeSpec((
     (2, -1, 0, 0, 0, 0, 0, 0),
@@ -342,6 +344,32 @@ class TestTruncationDiscipline:
             assert abs(f.value - c.value) < c.tail
 
 
+@pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+@pytest.mark.parametrize("M", [4, 10])
+def test_mode_route_correlators_within_tail_of_the_doubled_cutoff(fixture, M, request):
+    # Every correlator built on the mode route moves by less than its tail
+    # when M doubles, with points on each isometric circle among others.
+    sp = request.getfixturevalue(fixture)
+    forms = SurfaceForms(sp, TruncationPolicy(max_word_length=3))
+    circles = [
+        sp.center(a) + sp.radius(a) * cmath.exp(1j * (0.4 + 0.9 * k))
+        for k, a in enumerate(sp.signed_indices)
+    ]
+    points = circles + [3.0 - 1.0j, -3.1 + 0.4j, 2.6 + 0.9j]
+    requests = [
+        lambda m, n=n, k=k: heisenberg_npoint(forms, points[k:k + n], modes=m)
+        for n in (2, 4, 6) for k in (0, len(points) - n)
+    ]
+    requests += [lambda m, x=x: virasoro_one_point(forms, x, modes=m) for x in points]
+    requests += [
+        lambda m, x=x, y=y: virasoro_two_point(forms, x, y, modes=m)
+        for x, y in zip(points, points[1:])
+    ]
+    for request_at in requests:
+        c, f = request_at(M), request_at(2 * M)
+        assert abs(f.value - c.value) < c.tail
+
+
 def theta_with_characteristic(omega, a, b, box=6):
     """theta[a; b](0, Omega) for a, b in {0, 1}^g, summed over the box |n_i| <= box:
     sum_n exp(i pi (n + a/2)^T Omega (n + a/2) + i pi (n + a/2)^T b)."""
@@ -370,13 +398,18 @@ class TestThetaRoutes:
 
     @pytest.mark.parametrize(
         "lattice, norms, index",
-        [(A2, (2, 6), 2), (A3, (2, 2, 4), 2), (D4, (2, 2, 2, 2), 2), (E8, (2,) * 8, 16)],
+        [
+            (A2, (2, 6), 2), (A3, (2, 2, 4), 2), (D4, (2, 2, 2, 2), 2), (E8, (2,) * 8, 16),
+            (A4, (2, 2, 4, 20), 8),
+        ],
     )
     def test_frames_of_the_root_lattices(self, lattice, norms, index):
         frame = lattice._frame
         G = np.array(lattice.gram)
         V = frame.vectors
         assert frame.norms == norms and frame.index == index
+        if lattice is A4:
+            assert frame.orders == (2, 2, 4, 4)
         assert np.array_equal(V @ G @ V.T, np.diag(norms))
         # [Lambda : K]^2 det G = det Gram(K), and the residues tell the cosets apart.
         assert index**2 * round(np.linalg.det(G)) == math.prod(norms)
@@ -389,12 +422,28 @@ class TestThetaRoutes:
         if seed is not None:
             sp = perturbed(sp, seed)
         omega = np.array(SurfaceForms(sp, TruncationPolicy(max_word_length=5)).periods.omega)
-        for lattice in (A2, A3, D4):
+        for lattice in (A2, A3, D4, A4):
             for tol in (1e-9, 1e-12):
                 fp = correlators._fincke_pohst(omega, lattice.gram_array(), tol)[1](0.0)
                 cs = correlators._coset_theta(omega, lattice._frame, tol)[1](0.0)
                 assert fp.tail <= tol + FLOOR and cs.tail <= tol + FLOOR
                 assert abs(fp.value - cs.value) <= fp.tail + cs.tail, (lattice, tol)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_class_sums_against_a_box(self, genus2_params, p):
+        # Per class m mod p of m in Z^2, the enumeration's sums of
+        # exp(i pi (n / p^2) m^T Omega m) against all m in a box, whose
+        # omitted terms are below 1e-30.  Only half of each +-m is
+        # enumerated, so the class of -m is read through the negation.
+        forms = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=5))
+        om = 4.0 / p**2 * np.array(forms.periods.omega)
+        plan = correlators._Enumeration(om.real, om.imag, 1e-13, p)
+        values, _, errors = plan.sums(correlators._charge(om, 0.0))
+        m = np.indices((21, 21)).reshape(2, -1).T - 10
+        terms = np.exp(1j * math.pi * np.einsum("ka,ab,kb->k", m, om, m))
+        index = m % p @ (p ** np.arange(2))
+        box = np.bincount(index, terms.real, p * p) + 1j * np.bincount(index, terms.imag, p * p)
+        assert np.all(np.abs(values - box) <= errors + FLOOR * np.abs(box))
 
     @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
     def test_e8_matches_even_characteristics(self, fixture, request):

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import zgecon
 
 from schottky.forms import (
     EPS,
@@ -450,28 +451,29 @@ class TestKernelViaModes:
         c, f = heisenberg_partition(sp, M), heisenberg_partition(sp, 2 * M)
         assert abs(f.value - c.value) < c.tail
 
-    def test_ill_conditioned_system_refused(self, genus2_params, fresh_system, monkeypatch):
-        # A leading-mode entry of R at 1 - 1e-10 puts cond_1(I - R) near
-        # 1e10, above MAX_CONDITION; at 1 - 1e-6 it is 1e6 and passes.
-        # Both stay below the spectral-radius gate.  Both routes refuse.
-        def near_singular(entry):
-            def coupling(sp, mm):
-                R = np.zeros((2 * sp.genus * mm,) * 2, dtype=np.complex128)
-                R[0, 0] = entry
-                return R
-            return coupling
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10])
+    def test_near_singular_system_served(self, genus2_params, gap, fresh_system, monkeypatch):
+        # One leading-mode entry r = 1 - gap puts cond_1(I - R) near
+        # 2 / gap, but kappa = r < 1 passes the one gate: Z is the closed
+        # form (1 - r)^{-1/2}, exact up to rounding, and the kernel is
+        # served.  The determinant's truncation bound for the surface's own
+        # omitted entries is below 1e-6 but not 1e-10, so the tail is
+        # finite at the first gap and infinite at the second.
+        r = 1.0 - gap
 
-        for call in (
-            lambda: kernel_via_modes(genus2_params, 1, 8, 5.0 + 1.0j, -5.0 + 2.0j),
-            lambda: heisenberg_partition(genus2_params, 8),
-        ):
-            modes._system.cache_clear()
-            monkeypatch.setattr(modes, "mode_coupling_matrix", near_singular(1.0 - 1e-6))
-            assert np.isfinite(call().tail)
-            modes._system.cache_clear()
-            monkeypatch.setattr(modes, "mode_coupling_matrix", near_singular(1.0 - 1e-10))
-            with pytest.raises(ConvergenceError, match="ill-conditioned"):
-                call()
+        def coupling(sp, mm):
+            R = np.zeros((2 * sp.genus * mm,) * 2, dtype=np.complex128)
+            R[0, 0] = r
+            return R
+
+        monkeypatch.setattr(modes, "mode_coupling_matrix", coupling)
+        z = heisenberg_partition(genus2_params, 8)
+        expected = (1.0 - r) ** -0.5
+        assert z.spectral_radius == r
+        assert abs(z.value - expected) <= min(z.tail, 4 * EPS * expected)
+        assert math.isfinite(z.tail) == (gap == 1e-6)
+        kv = kernel_via_modes(genus2_params, 1, 8, 5.0 + 1.0j, -5.0 + 2.0j)
+        assert cmath.isfinite(kv.value)
 
     def test_routes_accept_the_same_boundary_points(self, genus2_params):
         # A point a hair inside the circle at w_1 (1e-13 of its radius)
@@ -718,6 +720,23 @@ class TestTruncationBounds:
         sp = request.getfixturevalue(fixture)
         radius = np.abs(np.linalg.eigvals(mode_coupling_matrix(sp, M))).max()
         assert heisenberg_partition(sp, M).spectral_radius >= radius
+
+    @pytest.mark.parametrize("name", SURFACES)
+    @pytest.mark.parametrize("M", [2, 5, 20])
+    def test_contraction_bounds_the_condition_number(self, name, M, request):
+        # The rounding floors charge (1 + kappa) / (1 - kappa) for
+        # cond_1(I - R); LAPACK's estimate from the same factors, a lower
+        # bound on cond_1, and the condition number through the inverse
+        # stay below it.
+        sp = surface(name, request)
+        system = modes._system(sp, M)
+        kappa = system.contraction
+        A = np.eye(len(system.R)) - system.R
+        rcond, info = zgecon(system.lu, float(np.abs(A).sum(axis=0).max()))
+        assert info == 0 and rcond > 0.0
+        bound = (1.0 + kappa) / (1.0 - kappa)
+        assert 1.0 / rcond <= bound
+        assert np.linalg.cond(A, 1) <= bound
 
     def test_unbounded_truncation_reads_inf(self, genus2_params):
         # A y deep inside a disc makes the moment sums diverge: the bound is
