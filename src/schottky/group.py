@@ -332,10 +332,8 @@ def params_from_classical(cp: ClassicalParams) -> SchottkyParams:
     the report from :func:`validate`.
     """
     w_plus, w_minus, rho = [], [], []
-    for h, (Wp, Wm, qh) in enumerate(zip(cp.W_plus, cp.W_minus, cp.q), start=1):
+    for Wp, Wm, qh in zip(cp.W_plus, cp.W_minus, cp.q):
         den = 1.0 - qh
-        if den == 0:
-            raise InvalidParameterError(f"handle {h}: multiplier q = 1")
         w_plus.append((Wp - qh * Wm) / den)
         w_minus.append((Wm - qh * Wp) / den)
         rho.append(-qh * (Wp - Wm) ** 2 / (den * den))

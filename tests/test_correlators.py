@@ -260,10 +260,30 @@ def jacobi_theta(tau: complex, sign: int, terms: int = 30) -> complex:
 
 
 @pytest.mark.parametrize(
-    "gram", [((2, 0.5), (0.5, 2)), ((2.9,),), (("2",),), ((2 + 0j,),), ((float("nan"),),)]
+    "gram",
+    [
+        ((2, 0.5), (0.5, 2)), ((2.9,),), (("2",),), ((2 + 0j,),), ((float("nan"),),),
+        ((2, True), (True, 2)), ((2, np.True_), (np.True_, 2)),
+    ],
 )
 def test_lattice_spec_rejects_non_integer_gram(gram):
-    with pytest.raises(InvalidParameterError):
+    # Bools would pass as 0 and 1; require_integer refuses them too.
+    with pytest.raises(InvalidParameterError, match="Gram entries must be integers"):
+        LatticeSpec(gram)
+
+
+@pytest.mark.parametrize(
+    "gram, reason",
+    [
+        (((2, -1),), "square"),
+        (((2, -1), (0, 2)), "symmetric"),
+        (((3,),), "even"),
+        (((2, 3), (3, 2)), "positive definite"),
+        (((0,),), "positive definite"),
+    ],
+)
+def test_lattice_spec_rejects_malformed_gram(gram, reason):
+    with pytest.raises(InvalidParameterError, match=reason):
         LatticeSpec(gram)
 
 
@@ -301,6 +321,50 @@ def test_siegel_theta_refuses_non_finite_omega(entry):
 def test_siegel_theta_refuses_indefinite_imaginary_part():
     with pytest.raises(InvalidParameterError, match="positive definite"):
         siegel_theta(np.array([[1.0j, 0.0], [0.0, -1.0j]]), A2)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (2, 3), (2,), (1, 1, 1)])
+def test_siegel_theta_refuses_non_square_or_empty_omega(shape):
+    with pytest.raises(InvalidParameterError, match="period matrix must be square"):
+        siegel_theta(np.full(shape, 1.0j), A2)
+
+
+def test_rank0_siegel_theta_is_one_after_validating_omega():
+    rank0 = LatticeSpec(())
+    res = siegel_theta(np.array([[0.3 + 1.0j]]), rank0, omega_tail=1.0)
+    assert (res.value, res.tail) == (1.0, 0.0)
+    for bad in (np.array([[-1.0j]]), np.zeros((0, 0)), np.array([[math.nan]])):
+        with pytest.raises(InvalidParameterError, match="period matrix"):
+            siegel_theta(bad, rank0)
+
+
+def test_omega_tail_past_a_quarter_charges_an_infinite_tail():
+    # At genus 1 and Im Omega = 1, t = g tau / lambda_min is tau itself:
+    # the first-order charge holds up to t = 1/4 and not past it.
+    omega = np.array([[0.2 + 1.0j]])
+    exact = siegel_theta(omega, A2)
+    at_quarter = siegel_theta(omega, A2, omega_tail=0.25)
+    past = siegel_theta(omega, A2, omega_tail=0.26)
+    assert at_quarter.value == past.value == exact.value
+    assert exact.tail < at_quarter.tail < math.inf == past.tail
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 12, 24])
+def test_theta_truncation_stops_within_a_sixteenth_per_dimension(n):
+    # The radius meets tol and exceeds the least one that does by at most
+    # a factor 1 + 1/(16 n), the least found here by 60 bisection steps.
+    rng = np.random.default_rng(n)
+    B = rng.normal(size=(n, n))
+    U = np.linalg.cholesky(B @ B.T / n + 0.5 * np.eye(n)).T
+    bound = correlators._tail_bound(U)
+    for tol in (1e-3, 1e-9, 1e-13):
+        r2, tail = correlators._theta_truncation(U, tol)
+        assert tail == bound(r2) <= tol
+        lo, hi = 0.0, r2
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if bound(mid) > tol else (lo, mid)
+        assert r2 <= (1.0 + 1.0 / (16 * n)) * hi
 
 
 def test_e8_genus2_diagonal_is_product_of_eisenstein_series():
@@ -422,10 +486,11 @@ class TestThetaRoutes:
         if seed is not None:
             sp = perturbed(sp, seed)
         omega = np.array(SurfaceForms(sp, TruncationPolicy(max_word_length=5)).periods.omega)
+        lam = np.linalg.eigvalsh(omega.imag)[0]
         for lattice in (A2, A3, D4, A4):
             for tol in (1e-9, 1e-12):
                 fp = correlators._fincke_pohst(omega, lattice.gram_array(), tol)[1](0.0)
-                cs = correlators._coset_theta(omega, lattice._frame, tol)[1](0.0)
+                cs = correlators._coset_theta(omega, lattice._frame, tol, lam)[1](0.0)
                 assert fp.tail <= tol + FLOOR and cs.tail <= tol + FLOOR
                 assert abs(fp.value - cs.value) <= fp.tail + cs.tail, (lattice, tol)
 
@@ -438,7 +503,7 @@ class TestThetaRoutes:
         forms = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=5))
         om = 4.0 / p**2 * np.array(forms.periods.omega)
         plan = correlators._Enumeration(om.real, om.imag, 1e-13, p)
-        values, _, errors = plan.sums(correlators._charge(om, 0.0))
+        values, _, errors = plan.sums(correlators._charge(0.0))
         m = np.indices((21, 21)).reshape(2, -1).T - 10
         terms = np.exp(1j * math.pi * np.einsum("ka,ab,kb->k", m, om, m))
         index = m % p @ (p ** np.arange(2))
@@ -456,16 +521,43 @@ class TestThetaRoutes:
     @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
     def test_siegel_theta_takes_the_route_of_least_predicted_work(self, fixture, request):
         omega = np.array(SurfaceForms(request.getfixturevalue(fixture)).periods.omega)
+        lam = np.linalg.eigvalsh(omega.imag)[0]
         for lattice in (A2, A3, D4):
-            # Each route is a pair (predicted work, evaluate(tau)).
+            # Each route is a pair (predicted work, evaluate(t)).
             fp = correlators._fincke_pohst(omega, lattice.gram_array(), 1e-9)
-            cs = correlators._coset_theta(omega, lattice._frame, 1e-9)
+            cs = correlators._coset_theta(omega, lattice._frame, 1e-9, lam)
             expected = min((fp, cs), key=lambda route: route[0])[1](0.0)
             got = siegel_theta(omega, lattice, 1e-9)
             assert (got.value, got.tail) == (expected.value, expected.tail)
             if lattice is D4:
                 # Twelve (genus 3) or eight dimensions against one to three.
                 assert cs[0] < fp[0] / 4
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_one_eigendecomposition_per_call(self, fixture, request, monkeypatch):
+        # lambda_min(Im Omega) is found once, by validation, and passed to the
+        # coset route's majorant and to the charge of Omega's tail.
+        omega = np.array(SurfaceForms(request.getfixturevalue(fixture)).periods.omega)
+        expected = siegel_theta(omega, D4, 1e-9, omega_tail=1e-10)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a) or eigvalsh(a))
+        got = siegel_theta(omega, D4, 1e-9, omega_tail=1e-10)
+        assert len(calls) == 1
+        assert (got.value, got.tail) == (expected.value, expected.tail)
+        assert expected.tail < math.inf
+
+    @pytest.mark.parametrize("limit", ["_FRAME_CANDIDATES", "_FRAME_INDEX"])
+    def test_lattice_without_a_frame_takes_fincke_pohst(self, limit, genus2_params, monkeypatch):
+        omega = np.array(SurfaceForms(genus2_params).periods.omega)
+        framed = siegel_theta(omega, D4, 1e-9)
+        monkeypatch.setattr(correlators, limit, 1)
+        fresh = LatticeSpec(D4.gram)
+        assert fresh._frame is None
+        got = siegel_theta(omega, fresh, 1e-9)
+        fp = correlators._fincke_pohst(omega, fresh.gram_array(), 1e-9)[1](0.0)
+        assert (got.value, got.tail) == (fp.value, fp.tail)
+        assert abs(got.value - framed.value) <= got.tail + framed.tail
 
     @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
     def test_e8_lattice_partition_under_a_second(self, fixture, request):

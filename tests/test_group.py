@@ -116,7 +116,14 @@ def test_multiplier_is_conjugation_invariant(genus2_params):
 def test_parabolic_handle_rejected():
     # Zero discriminant: (w_1 - w_{-1})^2 + 4 rho = 0.
     sp = SchottkyParams(1, (1.0,), (-1.0,), (-1.0,))
-    with pytest.raises(DegenerateMapError):
+    with pytest.raises(DegenerateMapError, match="parabolic"):
+        classical_from_params(sp)
+    # rho = -2 gives fixed points +-i, both of multiplier modulus 1 (elliptic).
+    sp = SchottkyParams(1, (1.0,), (-1.0,), (-2.0,))
+    with pytest.raises(DegenerateMapError, match="not loxodromic"):
+        classical_from_params(sp)
+    sp = SchottkyParams(1, (1.0,), (-1.0,), (0.0,))
+    with pytest.raises(InvalidParameterError, match="rho = 0"):
         classical_from_params(sp)
 
 
@@ -125,6 +132,10 @@ def test_unit_multiplier_rejected_at_construction():
         ClassicalParams((1.0,), (-1.0,), (1.0,))
     with pytest.raises(InvalidParameterError):
         ClassicalParams((1.0,), (-1.0,), (cmath.exp(0.3j),))
+    with pytest.raises(InvalidParameterError, match="share a positive length"):
+        ClassicalParams((1.0, 2.0), (-1.0,), (0.1,))
+    with pytest.raises(InvalidParameterError, match="coincident fixed points"):
+        ClassicalParams((1.0,), (1.0,), (0.1,))
 
 
 @given(
@@ -163,6 +174,15 @@ def test_generator_sends_infinity_to_opposite_center(genus2_params):
     for a in genus2_params.signed_indices:
         gamma = generator_map(genus2_params, a)
         assert gamma(INFINITY) == pytest.approx(genus2_params.center(-a), abs=1e-13)
+
+
+def test_malformed_params_and_singular_maps_refused():
+    with pytest.raises(InvalidParameterError, match="w_minus must have length 2, got 1"):
+        SchottkyParams(2, (1.0, 2.0), (-1.0,), (0.01, 0.01))
+    with pytest.raises(InvalidParameterError, match="rho = 0"):
+        generator_map(SchottkyParams(1, (1.0,), (-1.0,), (0.0,)), -1)
+    with pytest.raises(DegenerateMapError, match="zero determinant"):
+        MobiusMap(1.0, 2.0, 2.0, 4.0).normalized()
 
 
 def test_generator_worked_value():
