@@ -791,6 +791,61 @@ class TestBlockedSums:
             for got, key in calls:
                 assert _within(got, sums[key]), (key, y)
 
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_kernels_and_forms_within_tail_of_exact_sum(self, fixture, request):
+        # The weight-N kernels (N = 1..g) and the one-forms against the
+        # exact sum of their terms over the word table's float entries,
+        # written from gamma x, gamma'x and gamma W, whatever formula the
+        # evaluators use.  x on the circle at w_1, where c x + d cancels;
+        # y a micron off gamma_1 x, where gamma_1 x - y amplifies the
+        # rounding of the image, and y far out (|y| >> reach), where the
+        # rounding of a difference with y scales with |y|.
+        sp = request.getfixturevalue(fixture)
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=2))
+        W = F.words
+        cp = classical_from_params(sp)
+        fixed = [_exact(p) for h in range(sp.genus) for p in (cp.W_plus[h], cp.W_minus[h])]
+        x = sp.center(1) + sp.radius(1) * cmath.exp(1.3j)
+        X = _exact(x)
+        rows = [tuple(_exact(v[i]) for v in (W.a, W.b, W.c, W.d)) for i in range(len(W))]
+
+        def image(row, z):
+            a, b, c, d = row
+            return _exact_div(_exact_add(_exact_mul(a, z), b), _exact_add(_exact_mul(c, z), d))
+
+        def minus(u, v):
+            return _exact_add(u, _neg(v))
+
+        orbit = []
+        for row in rows:
+            den = _exact_add(_exact_mul(row[2], X), row[3])
+            orbit.append((image(row, X), _exact_div((1, 0), _exact_mul(den, den))))
+        for y in (generator_map(sp, 1)(x) + 1e-6 * (1 + 1j), 500.0 + 300.0j):
+            Y = _exact(y)
+            for N in range(1, sp.genus + 1):
+                A = [(0, 0)] if N == 1 else fixed[: 2 * N - 1]
+                total = (0, 0)
+                for gx, dgx in orbit:
+                    term = _exact_div((1, 0), minus(gx, Y))
+                    for _ in range(N):
+                        term = _exact_mul(term, dgx)
+                    for Aj in A:
+                        term = _exact_div(term, minus(gx, Aj))
+                    total = _exact_add(total, term)
+                for Aj in A:
+                    total = _exact_mul(total, minus(Y, Aj))
+                assert _within(F.recursion_kernel(x, y, N), total), (N, y)
+        for h in range(1, sp.genus + 1):
+            total = (0, 0)
+            for row, last in zip(rows, W.last):
+                if abs(last) != h:
+                    attracting, repelling = (
+                        _exact_div((1, 0), minus(X, image(row, fixed[k])))
+                        for k in (2 * h - 1, 2 * h - 2)
+                    )
+                    total = _exact_add(total, minus(attracting, repelling))
+            assert _within(F.holomorphic_form(h, x), total), h
+
     def test_every_pointwise_evaluator_reaches_orbit_ulps(self, genus2_forms, monkeypatch):
         # One rounding rule for every pointwise sum: each public evaluator
         # but the period matrix (whose floor is its own, see the module
