@@ -161,7 +161,10 @@ class LatticeSpec:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(_gram_entry(v) for v in row) for row in self.gram)
+        try:  # _gram_entry refuses an entry; an int where a row belongs raises TypeError
+            rows = tuple(tuple(_gram_entry(v) for v in row) for row in self.gram)
+        except TypeError:
+            raise InvalidParameterError("Gram matrix must be a sequence of rows") from None
         object.__setattr__(self, "gram", rows)
         d = len(rows)
         for row in rows:

@@ -50,22 +50,33 @@ word shell's contribution plus a rounding floor (infinite at L = 0).
 The floor is eps times the terms' sizes |Re| + |Im| times the ulps of
 two roundings: each term's own and the summation's.  One rule,
 :func:`_orbit_ulps`, sets a term's own in every pointwise sum.  A term
-(gamma'x)^N / prod (z - P) of a word of k letters gets (1 + k)(6N +
-4 kappa) ulps of rounding and k c (N + drift) of the float generators'
-error.  kappa sums |z| / |z - P| and drift sums r / |z - P| over the
-differences z - P it divides by: z is gamma x, or gamma W_{+-a} in the
-one-forms, and P is y, x or a seed point A_j.  r is the largest radius
-and c = max_a (|w_a w_{-a}| + |rho_a|) / |rho_a| the conditioning of
-the float generators.  The period matrix alone charges one ulp per
-term; against 40-digit sums over the true group it stayed within 0.06
-of its tail.  A term meeting at most m roundings on its way into a sum
-moves it by gamma_m = m u / (1 - m u) of its size, u = eps/2 (Higham,
-Accuracy and Stability of Numerical Algorithms, sec. 4.2); m counts
-numpy's pairwise sum (``_sum_ulps``) and one addition per later block,
-m = 27 + 12 on the genus-3 fixture at L = 6.  The quasi-period
-coefficients carry the kernel tails at their sample points through the
-same finite Fourier transform as the values.  Raising the word cutoff
-must move any value by less than its tail; the test suite enforces this.
+of a word of k letters, one over 2N forms l_P = num - P den = den (gamma
+x - P) of its pair (num, den) = (a x + b, c x + d) (gamma x = num / den,
+gamma'x = den^-2), gets (1 + k)(6N + 4 kappa) ulps of rounding and
+k c (N + drift) of the float generators' error; kappa sums (|gamma x| +
+|P|) / |gamma x - P| and drift r / |gamma x - P| over its forms.  The
+table gives gamma x and den to 4 and 3 ulps per letter, so a form is
+computed as l_P (1 + h) + num g plus its own rounding against |num| +
+|P| |den|: h counts once per form (6N), g is amplified by |gamma x| /
+|gamma x - P| and the own rounding by kappa's share.  The one-forms put
+x for P and gamma W_{+-a} for gamma x.  r is the largest radius and c =
+max_a (|w_a w_{-a}| + |rho_a|) / |rho_a| the generators' conditioning.
+Poles off the limit set (the omega family's y, the weight-1 kernel's y
+and 0) are charged per block, at its least |gamma x - y|, with reach =
+max_a (|w_a| + r_a) >= |gamma x| >= min_a (|w_a| - r_a) (gamma != id);
+limit points (the seed's basis points, gamma W_{+-a}) per term, as deep
+words approach them.  grow and skew are per block, its longest word's,
+but per word in the identity's block, as is the weight-1 kernel's y.
+The period matrix alone charges one ulp per term; against 40-digit sums over the
+true group it stayed within 0.06 of its tail.  A term meeting at most m
+roundings on its way into a sum moves it by gamma_m = m u / (1 - m u)
+of its size, u = eps/2 (Higham, Accuracy and Stability of Numerical
+Algorithms, sec. 4.2); m counts numpy's pairwise sum (``_sum_ulps``)
+and one addition per later block, m = 27 + 12 on the genus-3 fixture
+at L = 6.  The quasi-period coefficients carry the kernel tails at
+their sample points through the same finite Fourier transform as the
+values.  Raising the word cutoff must move any value by less than its
+tail; the test suite enforces this.
 
 The pointwise sums (all but the period matrix) walk the word table in
 fixed blocks of at most ``_ORBIT_BLOCK`` rows, the last shell starting a
@@ -111,7 +122,6 @@ from schottky.group import (
     classical_from_params,
     enumerate_group,
     generator_map,
-    in_fundamental_domain,
     require_admissible,
     require_finite,
     require_in_domain,
@@ -326,14 +336,6 @@ class SurfaceForms:
         """numpy's pairwise sum of a block, then one addition per later block."""
         return _sum_ulps(max(e - s for s, e, _ in self._blocks), len(self._blocks) - 1)
 
-    @functools.cached_property
-    def _grow(self) -> np.ndarray:
-        return 1.0 + self.words.length
-
-    @functools.cached_property
-    def _skew(self) -> np.ndarray:
-        return self._surface.cond * self.words.length
-
     # -- construction helpers ------------------------------------------------
 
     def _require_handle(self, a: int) -> int:
@@ -368,29 +370,19 @@ class SurfaceForms:
     # -- orbit plumbing ------------------------------------------------------
 
     def _orbit(self, x: complex, s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """gamma x and d(gamma x)/dx = (c x + d)^-2 for the words in rows s..e-1."""
+        """(num, den) = (a x + b, c x + d) of the words in rows s..e-1 (module docstring)."""
         w = self.words
-        den = w.c[s:e] * x + w.d[s:e]
-        gx = (w.a[s:e] * x + w.b[s:e]) / den
-        dgx = 1.0 / (den * den)
-        return gx, dgx
+        return w.a[s:e] * x + w.b[s:e], w.c[s:e] * x + w.d[s:e]
 
     def _fixed_point_images(
         self, rows: np.ndarray, h: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """gamma W_h, gamma W_{-h} and their difference for the words in rows.
-
-        The difference is formed as (W_h - W_{-h}) / ((c W_h + d)(c W_{-h} + d))
-        (the words are det-1), which keeps its full relative accuracy where
-        the two images agree to many digits.
-        """
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(num, den) of gamma W_h, then of gamma W_{-h}, for the words in rows."""
         Wp = self._classical.W_plus[h - 1]
         Wm = self._classical.W_minus[h - 1]
         w = self.words
         a, b, c, d = (part[rows] for part in (w.a, w.b, w.c, w.d))
-        den_p = c * Wp + d
-        den_m = c * Wm + d
-        return (a * Wp + b) / den_p, (a * Wm + b) / den_m, (Wp - Wm) / (den_p * den_m)
+        return a * Wp + b, c * Wp + d, a * Wm + b, c * Wm + d
 
     def _reduce(
         self,
@@ -436,10 +428,15 @@ class SurfaceForms:
 
     def _guard_poles(self, dist: np.ndarray, s: int, what: str) -> float:
         """Least distance to a pole in rows s.., refused below the guard with the word."""
-        near = dist.min()
-        if near < POLE_GUARD:
-            raise _pole_error(what, self.words.letters(s + int(np.argmin(dist))))
-        return near
+        k = int(dist.argmin())
+        if dist[k] < POLE_GUARD:
+            raise _pole_error(what, self.words.letters(s + k))
+        return float(dist[k])
+
+    def _block_floor(self, s: int, e: int, first: int) -> tuple[np.ndarray | float, ...]:
+        """(grow, skew) = (1 + k, c k), k letters: per word if s is ``first``, else row e-1's."""
+        k = self.words.length[s:e] if s == first else float(self.words.length[e - 1])
+        return 1.0 + k, self._surface.cond * k
 
     # -- seed-kernel series ----------------------------------------------------
 
@@ -451,58 +448,56 @@ class SurfaceForms:
         Returns (values, tails), one entry per y.  The seed carries the
         pole basis fixed at construction; it is P(y) / ((x - y) prod_j
         (x - A_j)) with P(y) = prod_j (y - A_j), and the value is P(y)
-        times the orbit sum of (gamma'x)^weight / (prod_j (gamma x - A_j)
-        (gamma x - y)).  The rounding floor is the per-term bound of
-        :func:`_orbit_ulps` over the poles A_j and y.  Each y is summed
-        with the same operations as a call with y alone.
+        times the orbit sum of 1 / (prod_j l_{A_j} l_y) (:meth:`_orbit`),
+        the forms inverted in pairs so that no product leaves the range.
+        y is guarded on every word, weight-1 x at the identity's pole 0;
+        a word on a basis point to the bit (l_{A_j} = 0) adds 0, its term
+        vanishing like its multiplier^(N-1).  Floors: the module
+        docstring's.  Each y is summed as in a call with y alone.
         """
         A = self._seed_points(weight)
         poly = np.ones_like(ys)
         for Aj in A:
             poly = poly * (ys - Aj)
         what = f"weight-{weight} kernel"
+        if weight == 1 and abs(x) < POLE_GUARD:
+            raise _pole_error(what, ())
+        radius = self._surface.radius
+        top = max(self._surface.reach, abs(x))
+        seed_top = top + max(map(abs, A))
 
-        def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-            gx, dgx = self._orbit(x, s, e)
-            coef, inv = self._orbit_seed_coef(gx, dgx, A, weight)
-            abs_gx, grow, skew = np.abs(gx), self._grow[s:e], self._skew[s:e]
+        def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
+            num, den = self._orbit(x, s, e)
+            abs_den = np.abs(den)
+            grow, skew = self._block_floor(s, e, 0)
+            if weight == 1:
+                base = _orbit_ulps(1, 1.0, radius / self._surface.inner, grow, skew)
+            else:
+                forms, inv, dead = [], 0.0, False
+                for Aj in A:
+                    ell = num - Aj * den
+                    size = np.abs(ell)
+                    if not size.all():
+                        dead = dead | (size == 0)
+                        ell, size = np.where(dead, 1.0, ell), np.where(dead, 1.0, size)
+                    forms.append(ell)
+                    inv = inv + 1.0 / size
+                last = forms.pop()
+                coef = np.where(dead, 0.0, 1.0)
+                for u, v in zip(forms[::2], forms[1::2]):
+                    coef = coef / (u * v)
+                t_seed = abs_den * inv
+                base = _orbit_ulps(weight, seed_top * t_seed, radius * t_seed, grow, skew)
             for k, y in enumerate(ys):
-                diff = gx - y
-                dist = np.abs(diff)
-                self._guard_poles(dist, s, what)
-                poles = inv + 1.0 / dist
-                ulps = _orbit_ulps(weight, abs_gx * poles, self._surface.radius * poles, grow, skew)
-                yield k, coef / diff, ulps
+                ell = num - y * den
+                dist = np.abs(ell) / abs_den
+                near = self._guard_poles(dist, s, what)
+                share = _orbit_ulps(0, top + abs(y), radius, grow, skew)
+                term = np.reciprocal(num * ell) if weight == 1 else coef / (last * ell)
+                yield k, term, base + share / (near if weight == 1 and s else dist)
 
         totals, shells, floors = self._reduce(terms, len(ys))
         return poly * totals, np.abs(poly) * self._tails(shells, floors)
-
-    def _orbit_seed_coef(
-        self, gx: np.ndarray, dgx: np.ndarray, A: tuple[complex, ...], weight: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(gamma'x)^N / prod_j (gamma x - A_j) over a block of the orbit.
-
-        Returns the coefficients and sum_j 1 / |gamma x - A_j|, which
-        times |gamma x| amplifies their rounding (see :func:`_orbit_ulps`).
-        No pole guard on gx - A_j: the truncated orbit clusters at the
-        limit points by design, and the derivative power vanishes fast
-        enough that these terms decay.  Deep words can even collide with
-        a basis point bitwise (both sit on the same limit point to float
-        resolution); such a term vanishes like the word multiplier to the
-        power N-1, so it is zeroed rather than divided.
-        """
-        # numpy's complex ** 1 is no copy but a full power loop.
-        coef = dgx if weight == 1 else dgx**weight
-        inv = np.zeros(len(gx))
-        for Aj in A:
-            diff = gx - Aj
-            dead = diff == 0
-            if dead.any():
-                diff = np.where(dead, 1.0, diff)
-                coef = np.where(dead, 0.0, coef)
-            coef = coef / diff
-            inv += 1.0 / np.abs(diff)
-        return coef, inv
 
     def _kernel_at(self, x: complex, y: complex, weight: int) -> Estimate:
         """One-point :meth:`_kernel_many_y`, x and y validated."""
@@ -549,35 +544,34 @@ class SurfaceForms:
         return self._omega_sum(x, y, what, weight)
 
     def _omega_sum(
-        self, x: complex, y: complex, what: str, weight: int, scale: float = 1.0, first: int = 0
+        self, x: complex, y: complex, what: str, weight: int, first: int = 0
     ) -> Estimate:
-        """Blocked orbit sum of (scale gamma'x / (gamma x - y)^2)^N, N = ``weight``;
+        """Blocked orbit sum of (gamma'x / (gamma x - y)^2)^N, N = ``weight``;
         x in the fundamental domain, y finite.
 
         One row block at a time, from row ``first``; ``what`` names the sum
-        in a pole-guard error.  Each block's floor is :func:`_orbit_ulps` at
-        its longest word, the pole y counted 2N times as
-        kappa = 2N max(reach, |x|) / near and drift = 2N r / near:
+        in a pole-guard error.  The term is 1 / l_y^2 (see :meth:`_orbit`).
+        Each block's floor is :func:`_orbit_ulps` at its longest word, the
+        pole y counted 2N times as
+        kappa = 2N (max(reach, |x|) + |y|) / near and drift = 2N r / near:
         |gamma x| <= reach but at the identity (whose image is x), and near
         is the block's least |gamma x - y|, refused below the pole guard
-        with its word.  The first block, with the identity (which carries
-        no generator error) and the largest terms, takes skew per word.
+        with its word; grow and skew are :meth:`_block_floor`'s.
         """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
-        top = 2 * weight * max(self._surface.reach, abs(x))
+        top = 2 * weight * (max(self._surface.reach, abs(x)) + abs(y))
         rim = 2 * weight * self._surface.radius
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
             t = max(s, first)
             if t >= e:
                 return
-            gx, dgx = self._orbit(x, t, e)
-            diff = gx - y
-            near = self._guard_poles(np.abs(diff), t, what)
-            skew = self._skew[t:e] if t == first else self._skew[e - 1]
-            ulps = _orbit_ulps(weight, top / near, rim / near, self._grow[e - 1], skew)
-            term = scale * dgx / (diff * diff)
+            num, den = self._orbit(x, t, e)
+            ell = num - y * den
+            near = self._guard_poles(np.abs(ell) / np.abs(den), t, what)
+            ulps = _orbit_ulps(weight, top / near, rim / near, *self._block_floor(t, e, first))
+            term = np.reciprocal(ell * ell)
             yield 0, term ** weight if weight > 1 else term, ulps
 
         totals, shells, floors = self._reduce(terms, 1)
@@ -591,7 +585,7 @@ class SurfaceForms:
         the Virasoro one-point value s(x)/12 is built from.  It is the
         bidifferential's pass at y = x from row 1, past the identity.
         """
-        return self._omega_sum(x, x, "projective connection", 1, scale=6.0, first=1)
+        return 6.0 * self._omega_sum(x, x, "projective connection", 1, first=1)
 
     # -- holomorphic one-forms ---------------------------------------------------
 
@@ -601,9 +595,11 @@ class SurfaceForms:
         nu_a(x) = sum_{gamma in G/<gamma_a>} [1/(x - gamma W_{-a})
         - 1/(x - gamma W_a)], a blocked sum over the cosets, the words
         whose last letter is not +-a (at genus 1 only the identity).  Each
-        term is formed as -delta / ((x - gamma W_{-a})(x - gamma W_a))
-        with delta = gamma W_a - gamma W_{-a}, so that no digits cancel;
-        delta counts as gamma'x in :func:`_orbit_ulps`.  Normalization:
+        term is formed as -(W_a - W_{-a}) / (l_{-a} l_a) from the linear
+        forms l_{+-a} = x den_{+-a} - num_{+-a} of the word's rows at
+        W_{+-a} (:meth:`_fixed_point_images`), so that no digits cancel
+        where the two images agree; each form adds |den| / |l| times its
+        share of the floor (see the module docstring).  Normalization:
         (1/2*pi*i) oint nu_b = delta_ab on the circle at w_{-a},
         counterclockwise.
 
@@ -616,16 +612,19 @@ class SurfaceForms:
         a = self._require_handle(a)
         x = require_in_domain(self.sp, x, "x")
         last = self.words.last
+        delta = self._classical.W_plus[a - 1] - self._classical.W_minus[a - 1]
+        top = self._surface.reach + abs(x)
 
         def block(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
             rows = s + np.flatnonzero(np.abs(last[s:e]) != a)
-            img_p, img_m, delta = self._fixed_point_images(rows, a)
-            dm, dp = x - img_m, x - img_p
-            inv_m, inv_p = 1.0 / np.abs(dm), 1.0 / np.abs(dp)
-            kappa = np.abs(img_m) * inv_m + np.abs(img_p) * inv_p
-            drift = self._surface.radius * (inv_m + inv_p)
-            vals = -delta / (dm * dp)
-            return vals, _orbit_ulps(1, kappa, drift, self._grow[rows], self._skew[rows])
+            grow, skew = self._block_floor(s, e, 0)
+            if s == 0:
+                grow, skew = grow[rows], skew[rows]
+            num_p, den_p, num_m, den_m = self._fixed_point_images(rows, a)
+            ell_m, ell_p = x * den_m - num_m, x * den_p - num_p
+            t = np.abs(den_m) / np.abs(ell_m) + np.abs(den_p) / np.abs(ell_p)
+            share = _orbit_ulps(0, top, self._surface.radius, grow, skew)
+            return -delta / (ell_m * ell_p), _orbit_ulps(1, 0.0, 0.0, grow, skew) + t * share
 
         totals, shells, floors = self._reduce(lambda s, e: ((0, *block(s, e)),), 1)
         if self.policy.max_word_length == 1:
@@ -704,7 +703,9 @@ class SurfaceForms:
         worst = 0.0
         for b in range(1, g + 1):
             rows = np.flatnonzero(last != b)
-            img_p, img_m, delta = self._fixed_point_images(rows, b)
+            num_p, den_p, num_m, den_m = self._fixed_point_images(rows, b)
+            img_p, img_m = num_p / den_p, num_m / den_m
+            delta = (cp.W_plus[b - 1] - cp.W_minus[b - 1]) / (den_p * den_m)
             for a in range(1, b + 1):
                 keep = first[rows] != a
                 if a == b:
@@ -759,7 +760,7 @@ class _Surface(NamedTuple):
     w_{-a}, rho_a, s_a = sqrt(rho_a + 0j) (principal root) and r_a; per mode
     block (a, b != -a), row-major: the positions of a, b and |w_{-a} - w_b|;
     c of :func:`_orbit_ulps`, max_a r_a, max_a (|w_a| + r_a) >= |gamma x|
-    (gamma != id), and whether the origin lies outside every disc.
+    (gamma != id), and min_a (|w_a| - r_a) <= |gamma x|, > 0 iff the origin is exterior.
     """
 
     centers: np.ndarray
@@ -773,7 +774,7 @@ class _Surface(NamedTuple):
     cond: float
     radius: float
     reach: float
-    origin_exterior: bool
+    inner: float
 
 
 @functools.lru_cache(maxsize=CACHE_ENTRIES)
@@ -796,7 +797,7 @@ def _surface(sp: SchottkyParams) -> _Surface:
         centers, partners, np.array(rho), np.array([cmath.sqrt(r + 0j) for r in rho]),
         np.array(radii), row, col, np.abs(partners[row] - centers[col]),
         max((abs(w * v) + abs(rh)) / abs(rh) for w, v, rh, _ in handles), max(radii),
-        max(abs(w) + r for w, _, _, r in handles), in_fundamental_domain(sp, 0.0),
+        max(abs(w) + r for w, _, _, r in handles), min(abs(w) - r for w, _, _, r in handles),
     )
     for array in (field for field in surface if isinstance(field, np.ndarray)):
         array.flags.writeable = False
@@ -804,11 +805,11 @@ def _surface(sp: SchottkyParams) -> _Surface:
 
 
 def _origin_exterior(sp: SchottkyParams) -> _Surface:
-    """The record of sp, refused unless the origin (psi_1's second pole) lies outside every disc."""
+    """The record of sp, refused unless psi_1's second pole, the origin, is outside every disc."""
     surface = _surface(sp)
-    if not surface.origin_exterior:
+    if not surface.inner > 0.0:
         raise InvalidParameterError(
-            "the origin lies inside a disc; the third-kind normalization needs it exterior - "
+            "the origin lies in a closed disc; the third-kind normalization needs it exterior - "
             "move the discs off the origin with mobius_act_on_params first"
         )
     return surface
@@ -824,13 +825,12 @@ def _pole_error(what: str, letters: tuple[int, ...]) -> PoleProximityError:
 def _orbit_ulps(weight: int, kappa, drift, grow, skew):
     """Rounding bound in ulps of orbit terms: the rule of the module docstring.
 
-    ``grow`` is 1 + k (per block, its longest word's) and ``skew`` k c.
-    The table gives gamma x and gamma'x to 4 and 6 ulps per letter.
-    generator_map forms rho_a - w_{-a} w_a,
-    which cancels: each letter is the det-1 form of a map whose rho is off
-    by up to c ulps, which moves gamma'x (and the one-forms' delta) by
-    c ulps and gamma x by c r eps.  Arrays give one bound per word,
-    numbers one per block.
+    ``grow`` is 1 + k and ``skew`` k c (per block, its longest word's).
+    generator_map forms rho_a - w_{-a} w_a, which cancels: each letter is
+    the det-1 form of a map whose rho is off by up to c ulps, which moves
+    gamma'x by c ulps and gamma x by c r eps.  Linear in kappa and drift:
+    at weight 0 it is a pole's share per unit of 1 / |gamma x - P|.
+    Arrays give one bound per word, numbers one per block.
     """
     return grow * (6.0 * weight + 4.0 * kappa) + skew * (weight + drift)
 

@@ -185,41 +185,39 @@ def _powers(z: np.ndarray, modes: int) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def _pole_basis(sp: SchottkyParams, modes: int, x) -> np.ndarray:
-    """Pole-basis vectors p at x (a point or an array of points).
+def _mode_vectors(
+    sp: SchottkyParams, modes: int, xs: np.ndarray, ys: np.ndarray, derivative: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pole-basis vectors p at each x_i and seed-moment vectors q at each y_j
+    (their y-derivatives q' with ``derivative``), one row per point.
 
-    Entries s_b^{n+1} / (x - w_b)^{n+2}, formed as (x - w_b)^{-1} times
-    the running powers of s_b / (x - w_b) for every point and handle at
-    once.  Layout: signed handles in the order 1, -1, 2, -2, ...
-    (outer), mode index n = 0..modes-1 (inner); the last axis has
-    2 * genus * modes entries.
-    """
-    geo = _surface(sp)
-    inv = 1.0 / (np.asarray(x, dtype=np.complex128)[..., None] - geo.centers)
-    p = inv[..., None] * _powers(geo.roots * inv, modes)
-    return p.reshape(*inv.shape[:-1], -1)
-
-
-def _seed_moments(sp: SchottkyParams, modes: int, y, derivative: bool = False) -> np.ndarray:
-    """Seed-moment vectors q at y, or their y-derivatives q' (same layout as p).
-
-    Entry (a, m) of q is -s_a^{m+1} times the m-th Taylor coefficient of
-    the seed 1/(x - y) - 1/x in x at the partner center w_{-a}:
+    Entry (b, n) of p is s_b^{n+1} / (x - w_b)^{n+2}, formed as
+    (x - w_b)^{-1} times the running powers of s_b / (x - w_b).  Entry
+    (a, m) of q is -s_a^{m+1} times the m-th Taylor coefficient of the
+    seed 1/(x - y) - 1/x in x at the partner center w_{-a}:
 
         -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ]
             = z_a(y)^{m+1} - z_a(0)^{m+1},   z_a(y) = -s_a / (w_{-a} - y),
 
     and entry (a, m) of q' is (m + 1) z_a(y)^{m+1} / (w_{-a} - y).  The
-    powers are running products over every point and handle at once.
+    running powers of s_b / (x_i - w_b), z_a(y_j) and z_a(0) are formed in
+    one :func:`_powers` pass over them stacked; each entry is the same
+    product whatever it is stacked with.  Layout: signed handles in the
+    order 1, -1, 2, -2, ... (outer), mode index 0..modes-1 (inner); each
+    row has 2 * genus * modes entries.
     """
     geo = _surface(sp)
-    inv = 1.0 / (geo.partners - np.asarray(y, dtype=np.complex128)[..., None])
-    powers = _powers(-geo.roots * inv, modes)
+    inv_x = 1.0 / (xs[:, None] - geo.centers)
+    inv_y = 1.0 / (geo.partners - ys[:, None])
+    z = np.concatenate([geo.roots * inv_x, -geo.roots * inv_y, [-geo.roots / geo.partners]])
+    powers = _powers(z, modes)
+    p = inv_x[..., None] * powers[: len(xs)]
+    q = powers[len(xs) : -1]
     if derivative:
-        q = inv[..., None] * powers * np.arange(1.0, modes + 1.0)
+        q = inv_y[..., None] * q * np.arange(1.0, modes + 1.0)
     else:
-        q = powers - _powers(-geo.roots / geo.partners, modes)
-    return q.reshape(*inv.shape[:-1], -1)
+        q = q - powers[-1]
+    return p.reshape(len(xs), -1), q.reshape(len(ys), -1)
 
 
 @functools.cache
@@ -525,9 +523,8 @@ def _split_sums(
     2(M + 1) each.
     """
     values, floors = _one_letter_words(sp, xs, ys, derivative)
-    P = _pole_basis(sp, modes, xs)
-    Q = _seed_moments(sp, modes, ys, derivative).T
-    S, _ = zgetrs(system.lu, system.piv, Q)
+    P, Q = _mode_vectors(sp, modes, xs, ys, derivative)
+    S, _ = zgetrs(system.lu, system.piv, Q.T)
     values += P @ _times(system.R, S)
     kappa = system.contraction
     ulps = (P.shape[1] + 4 * (modes + 1)) * (1.0 + kappa) / (1.0 - kappa)
@@ -552,12 +549,12 @@ def kernel_via_modes(
     seed(x, y) + the one-letter words in closed form + p(x)^T R (I - R)^{-1}
     q(y) with the seed 1/(x - y) - 1/x, solved on the cached LU factors of
     the mode system (see the module docstring).  Before any factorization
-    it refuses an origin inside a disc, then the cutoff, then x or y
-    outside the domain or |x - y| < POLE_GUARD; before the solve, y within
-    POLE_GUARD of gamma_a x, as third_kind_form does; with ConvergenceError,
-    kappa = ||R||_1 not below 1, the one gate.  The tail is the bound of
-    :func:`_truncation`, finite on the circles, plus the rounding floors
-    of :func:`_split_sums` and of the seed.
+    it refuses an origin inside a disc, then the cutoff, then x or y outside
+    the domain or |x - y| or |x| < POLE_GUARD (the identity's poles); before
+    the solve, y within POLE_GUARD of gamma_a x, as third_kind_form does;
+    with ConvergenceError, kappa = ||R||_1 not below 1, the one gate.  The
+    tail is the bound of :func:`_truncation`, finite on the circles, plus
+    the rounding floors of :func:`_split_sums` and of the seed.
 
     Only weight 1 is served.  At weight N >= 2 the seed's basis points are
     limit points inside the discs the Taylor modes live on, so the
@@ -573,7 +570,7 @@ def kernel_via_modes(
     modes = _require_cutoff(sp, modes)
     x = require_in_domain(sp, x, "x")
     y = require_in_domain(sp, y, "y")
-    if abs(x - y) < POLE_GUARD:
+    if abs(x - y) < POLE_GUARD or abs(x) < POLE_GUARD:
         raise _pole_error("weight-1 kernel", ())
     system = _system(sp, modes)
     values, tails = _split_sums(sp, modes, system, np.array([x]), np.array([y]), False)

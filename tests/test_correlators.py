@@ -280,6 +280,8 @@ def test_lattice_spec_rejects_non_integer_gram(gram):
         (((3,),), "even"),
         (((2, 3), (3, 2)), "positive definite"),
         (((0,),), "positive definite"),
+        (2, "sequence of rows"),
+        ((2,), "sequence of rows"),
     ],
 )
 def test_lattice_spec_rejects_malformed_gram(gram, reason):

@@ -657,42 +657,40 @@ def whole_table_terms(sp, L, name, args):
     """
     W = word_table(sp, L)
     last_shell = W.length == L
+    cp = classical_from_params(sp)
     if name == "holomorphic_form":
         a, x = args
         rows = np.abs(W.last) != a
-        cp = classical_from_params(sp)
         Wp, Wm = cp.W_plus[a - 1], cp.W_minus[a - 1]
         a_, b_, c_, d_ = (v[rows] for v in (W.a, W.b, W.c, W.d))
-        den_p, den_m = c_ * Wp + d_, c_ * Wm + d_
-        delta = (Wp - Wm) / (den_p * den_m)
-        dm, dp = x - (a_ * Wm + b_) / den_m, x - (a_ * Wp + b_) / den_p
-        return -delta / (dm * dp), last_shell[rows]
+        ell_p, ell_m = x * (c_ * Wp + d_) - (a_ * Wp + b_), x * (c_ * Wm + d_) - (a_ * Wm + b_)
+        return -(Wp - Wm) / (ell_m * ell_p), last_shell[rows]
     x = args[0]
-    den = W.c * x + W.d
-    gx = (W.a * x + W.b) / den
-    dgx = 1.0 / (den * den)
+    num, den = W.a * x + W.b, W.c * x + W.d
     if name == "projective_connection":
-        diff = gx[1:] - x
-        return 6.0 * dgx[1:] / (diff * diff), last_shell[1:]
+        ell = num[1:] - x * den[1:]
+        return 6.0 * np.reciprocal(ell * ell), last_shell[1:]
     y = args[1]
-    diff = gx - y
+    ell = num - y * den
     if name == "bidifferential":
-        return dgx / (diff * diff), last_shell
+        return np.reciprocal(ell * ell), last_shell
     N = args[2]
     if name == "power_bidifferential":
-        return (dgx / (diff * diff)) ** N, last_shell
-    cp = classical_from_params(sp)
-    fixed = [W for h in range(sp.genus) for W in (cp.W_plus[h], cp.W_minus[h])]
-    A = (0.0,) if N == 1 else fixed[: 2 * N - 1]
-    coef = dgx**N
-    poly = 1.0
-    for Aj in A:
-        # An image on a basis point to the bit contributes 0 (see
-        # SurfaceForms._orbit_seed_coef).
-        dead = gx == Aj
-        coef = np.where(dead, 0.0, coef) / np.where(dead, 1.0, gx - Aj)
-        poly = poly * (y - Aj)
-    return poly * (coef / diff), last_shell
+        return np.reciprocal(ell * ell) ** N, last_shell
+    if N == 1:
+        return y * np.reciprocal(num * ell), last_shell
+    fixed = [p for h in range(sp.genus) for p in (cp.W_plus[h], cp.W_minus[h])]
+    A = fixed[: 2 * N - 1]
+    forms = [num - Aj * den for Aj in A]
+    # An image on a basis point to the bit contributes 0 (see
+    # SurfaceForms._kernel_many_y).
+    dead = np.any([f == 0 for f in forms], axis=0)
+    forms = [np.where(dead, 1.0, f) for f in forms]
+    coef = 1.0
+    for u, v in zip(forms[:-1:2], forms[1::2]):
+        coef = coef / (u * v)
+    poly = np.prod([y - Aj for Aj in A])
+    return poly * np.where(dead, 0.0, coef / (forms[-1] * ell)), last_shell
 
 
 class TestBlockedSums:
@@ -904,6 +902,17 @@ class TestBlockedSums:
                 one = F.recursion_kernel(x, y, N)
                 assert (vals[j], tails[j]) == (one.value, one.tail)
 
+    def test_weight1_kernel_refuses_x_on_the_origin(self, genus3_params):
+        # x = 0 is the identity's pole of psi_1 in x; the other images stay
+        # off the origin.  Both routes refuse it, naming the identity.
+        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=2))
+        for x in (0.0, 5e-10j):
+            for call in (F.third_kind_form, functools.partial(kernel_via_modes, F.sp, 1, 8)):
+                with pytest.raises(PoleProximityError) as info:
+                    call(x, -0.5 - 0.8j)
+                assert info.value.letters == ()
+        assert math.isfinite(F.third_kind_form(1e-6, -0.5 - 0.8j).tail)
+
     def test_pole_guard_names_word_past_first_block(self):
         # y = gamma x for a word in a later block must be refused with that
         # word.  The discs are large so that the chosen images lie farther
@@ -1086,6 +1095,17 @@ class TestConstruction:
         assert math.isfinite(heisenberg_partition(sp, 20).tail)
         [[s]] = bidifferential_via_modes(sp, 20, (2.2,))
         assert math.isfinite(s.tail)
+
+    def test_origin_on_a_circle_rejected(self):
+        # |w_1| = r_1 to the bit: the weight-1 floor bounds 1 / |gamma x|
+        # by 1 / min_a (|w_a| - r_a), so the origin must lie outside every
+        # closed disc.  Z and omega stay served.
+        sp = SchottkyParams(1, (0.1,), (3.0,), (0.01,))
+        assert abs(sp.w_plus[0]) == sp.radius(1)
+        for call in (lambda: SurfaceForms(sp), lambda: kernel_via_modes(sp, 1, 20, 2.2, 1.5j)):
+            with pytest.raises(InvalidParameterError, match="origin lies in a closed disc"):
+                call()
+        assert math.isfinite(heisenberg_partition(sp, 20).tail)
 
     def test_equal_parameters_share_one_read_only_record(self, genus2_params):
         sp = genus2_params

@@ -116,6 +116,12 @@ def fresh_system():
     modes._system.cache_clear()
 
 
+def vectors(sp, M, x, y, derivative=False):
+    """p(x) and q(y) (q'(y) with ``derivative``) of one pair of points."""
+    p, q = modes._mode_vectors(sp, M, np.array([x], complex), np.array([y], complex), derivative)
+    return p[0], q[0]
+
+
 @pytest.fixture(scope="module")
 def torus_sp():
     return params_from_classical(ClassicalParams((1.0,), (-1.0,), (0.04,)))
@@ -125,7 +131,7 @@ class TestVectorsAndLayout:
     def test_pole_basis_weight1_entry(self, genus2_params):
         sp = genus2_params
         x = 2.3 + 0.9j
-        p = modes._pole_basis(sp, 4, x)
+        p, _ = vectors(sp, 4, x, 0.5 - 0.8j)
         assert len(p) == 2 * sp.genus * 4
         for i, b in enumerate(sp.signed_indices):
             s = cmath.sqrt(sp.rho_signed(b))
@@ -135,12 +141,25 @@ class TestVectorsAndLayout:
     def test_seed_moments_weight1_entry(self, genus2_params):
         sp = genus2_params
         y = 0.5 - 0.8j
-        q = modes._seed_moments(sp, 4, y)
+        _, q = vectors(sp, 4, 2.3 + 0.9j, y)
         for i, a in enumerate(sp.signed_indices):
             s = cmath.sqrt(sp.rho_signed(a))
             wma = sp.center(-a)
             expected = -s * (1.0 / (wma - y) - 1.0 / wma)
             assert q[i * 4] == pytest.approx(expected, rel=1e-13)
+
+    def test_vectors_do_not_depend_on_the_other_points(self, genus3_params):
+        # One running-power pass serves every point of a call: each row
+        # equals its point's row alone, bit for bit.
+        sp = genus3_params
+        xs = np.array([3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j])
+        ys = xs[:2] + 0.5
+        for derivative in (False, True):
+            P, Q = modes._mode_vectors(sp, 20, xs, ys, derivative)
+            for x, p in zip(xs, P):
+                assert np.array_equal(p, vectors(sp, 20, x, ys[0], derivative)[0])
+            for y, q in zip(ys, Q):
+                assert np.array_equal(q, vectors(sp, 20, xs[0], y, derivative)[1])
 
     def test_coupling_zero_blocks(self, genus2_params):
         M = 6
@@ -166,8 +185,10 @@ class TestVectorsAndLayout:
         half = max(1, M // 2)
         keep = np.arange(2 * sp.genus * M) % M < half
         x, y = 5.0 + 1.0j, -5.0 + 2.0j
-        assert np.array_equal(modes._pole_basis(sp, half, x), modes._pole_basis(sp, M, x)[keep])
-        assert np.array_equal(modes._seed_moments(sp, half, y), modes._seed_moments(sp, M, y)[keep])
+        for derivative in (False, True):
+            pairs = zip(vectors(sp, half, x, y, derivative), vectors(sp, M, x, y, derivative))
+            for got, full in pairs:
+                assert np.array_equal(got, full[keep])
         assert np.array_equal(
             mode_coupling_matrix(sp, half),
             mode_coupling_matrix(sp, M)[np.ix_(keep, keep)],
@@ -351,7 +372,7 @@ class TestWorkedCoupling:
         # q_a(y;m) = -s_a^{m+1} (1/m!) d^m/dx^m seed(x,y) at w_{-a}.
         sp = genus2_params
         y = 0.55 - 0.92j
-        q = modes._seed_moments(sp, 4, y)
+        _, q = vectors(sp, 4, 2.3 + 0.9j, y)
         idx = list(sp.signed_indices)
         for a in (1, -1, 2):
             i = idx.index(a)
@@ -370,8 +391,7 @@ class TestRankOneContraction:
         sp = genus2_params
         M = 30
         x, y = 0.62 + 0.11j, -0.4 - 0.77j
-        p = modes._pole_basis(sp, M, x)
-        q = modes._seed_moments(sp, M, y)
+        p, q = vectors(sp, M, x, y)
         for i, a in enumerate(sp.signed_indices):
             g = generator_map(sp, a)
             expected = _kernel_seed(g(x), y, ORIGIN) * g.derivative(x)
@@ -387,8 +407,7 @@ class TestShellIdentity:
         sp = genus2_params
         M = 30
         x, y = 0.62 + 0.11j, -0.4 - 0.77j
-        p = modes._pole_basis(sp, M, x)
-        q = modes._seed_moments(sp, M, y)
+        p, q = vectors(sp, M, x, y)
         R = mode_coupling_matrix(sp, M)
         via = complex(p @ (np.linalg.matrix_power(R, k - 1) @ q))
         W = enumerate_group(sp, k)
@@ -782,9 +801,8 @@ class TestTruncationBounds:
         D = np.where((mode[:, None] >= M) | (mode[None, :] >= M), R, 0.0)
         ring = circle_points(sp)
         for x, y in [*kernel_points(sp), (ring[0], ring[1]), (ring[1], ring[1])]:
-            p = np.abs(modes._pole_basis(sp, 4 * M, x))
             for derivative in (False, True):
-                q = np.abs(modes._seed_moments(sp, 4 * M, y, derivative))
+                p, q = (np.abs(v) for v in vectors(sp, 4 * M, x, y, derivative))
                 bounds = modes._vector_bounds(sp, M, np.array([x]), np.array([y]), derivative)
                 rows, rows_d, cols, cols_d, both = (
                     float(np.ravel(b)[0]) * (1.0 + 8 * EPS) for b in bounds
