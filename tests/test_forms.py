@@ -682,7 +682,7 @@ def whole_table_terms(sp, L, name, args):
     fixed = [p for h in range(sp.genus) for p in (cp.W_plus[h], cp.W_minus[h])]
     A = fixed[: 2 * N - 1]
     forms = [num - Aj * den for Aj in A]
-    # An image on a basis point to the bit contributes 0 (see
+    # A word whose form l_{A_j} is 0 to the bit contributes 0 (see
     # SurfaceForms._kernel_many_y).
     dead = np.any([f == 0 for f in forms], axis=0)
     forms = [np.where(dead, 1.0, f) for f in forms]
