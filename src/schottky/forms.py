@@ -374,9 +374,7 @@ class SurfaceForms:
         w = self.words
         return w.a[s:e] * x + w.b[s:e], w.c[s:e] * x + w.d[s:e]
 
-    def _fixed_point_images(
-        self, rows: np.ndarray, h: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _fixed_point_images(self, rows: np.ndarray, h: int) -> tuple[np.ndarray, ...]:
         """(num, den) of gamma W_h, then of gamma W_{-h}, for the words in rows."""
         Wp = self._classical.W_plus[h - 1]
         Wm = self._classical.W_minus[h - 1]
@@ -452,8 +450,10 @@ class SurfaceForms:
         the forms inverted in pairs so that no product leaves the range.
         y is guarded on every word, weight-1 x at the identity's pole 0;
         a word on a basis point to the bit (l_{A_j} = 0) adds 0, its term
-        vanishing like its multiplier^(N-1).  Floors: the module
-        docstring's.  Each y is summed as in a call with y alone.
+        vanishing like its multiplier^(N-1).  Floor shares (module
+        docstring): per term for the basis points, limit points that deep
+        words approach; per block for y and 0 at weight 1, off the limit
+        set.  Each y is summed as in a call with y alone.
         """
         A = self._seed_points(weight)
         poly = np.ones_like(ys)
