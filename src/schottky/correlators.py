@@ -33,12 +33,15 @@ properties of the input, and there is no option.
   finds its frame once: the least index among its short vectors, 2 for
   A2 ((2) + (6)), A3 (A1^2 + (4)) and D4 (A1^4), 16 for E8 (A1^8).
 
-Each n-dimensional sum is truncated at an r2, found by bisection to
-within 1/(16 n) of the smallest, at which a rigorous bound on the omitted
-terms meets its tolerance: a lattice-point count by Voronoi cells and the
-covering radius, integrated against the Gaussian, in the spirit of
-Deconinck, Heil, Bobenko, van Hoeij and Schmies, "Computing Riemann theta
-functions" (Math. Comp. 2004).  The Fincke-Pohst sum meets
+Each n-dimensional sum sum_N exp(-pi |U N|^2), U upper triangular, is
+truncated at an r2 given in closed form by a Chernoff bound.  Summed one
+coordinate at a time, the first first, every row is a shifted
+one-dimensional sum, at most m(U_ii^2) with m(t) = min(1 + 1/sqrt(t),
+1 + 2 e^(-pi t) / (1 - e^(-3 pi t))), so for 0 < s < 1 the terms with
+|U N|^2 >= r2 sum to at most exp(-pi (1 - s) r2) prod_i m(s U_ii^2), in
+every residue class too.  The least r2 at which the bound of some share
+s of a fixed grid meets the tolerance is then a minimum over the grid of
+closed forms, with no search.  The Fincke-Pohst sum meets
 the caller's tol.  On the coset route the factors combine through
 majorants, |theta[f]| <= sum |term| + tail, by the product rule, and
 each factor's tolerance is a share of tol small enough that the whole
@@ -276,80 +279,54 @@ def virasoro_two_point(
     return (sx * sy / 144.0 + 0.5 * w**2) * _system(forms.sp, m).partition
 
 
-def _upper_gammas(n: int, x: float) -> list[float]:
-    """Gamma(k/2 + 1, x) for k = 0..n (n >= 1), the upper incomplete gamma function.
+# The shares s of the Chernoff bound in _tail_bound, j / 16 for j = 1..15.  On
+# random U a grid of 1023 shares lowered no radius by more than 3.2% at n = 1,
+# 0.8% at n = 3 and 0.4% at n = 24.
+_SHARES = np.arange(1, 16) / 16.0
 
-    Upward recurrence Gamma(a + 1, x) = a Gamma(a, x) + x^a e^-x from
-    Gamma(1, x) = e^-x and Gamma(1/2, x) = sqrt(pi) erfc(sqrt(x)); every
-    term is positive, so it keeps full relative accuracy.
+
+def _log_majorant(U: np.ndarray) -> np.ndarray:
+    """Per share s of _SHARES, sum_i log m(s U_ii^2), with
+    m(t) = min(1 + 1/sqrt(t), 1 + 2 e^(-pi t) / (1 - e^(-3 pi t))).
+
+    m(t) bounds sum_k exp(-pi t (k + c)^2) for every real c: the first form
+    because a unimodal sum with peak 1 is at most 1 plus its integral, the
+    second because a shifted sum is at most the unshifted one (Poisson
+    summation) and k^2 >= 3k - 2 for k >= 1.  Summed one coordinate at a
+    time over the upper triangular U, the first coordinate first, each
+    row is such a sum, so the result is the log of a bound on
+    sum_N exp(-pi s |U (N + f)|^2) for every shift f.
     """
-    ex = math.exp(-x)
-    out = [ex, 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)) + math.sqrt(x) * ex]
-    for k in range(2, n + 1):
-        out.append(0.5 * k * out[k - 2] + x ** (0.5 * k) * ex)
-    return out
+    u = U.diagonal()
+    pi_t = _SHARES[:, None] * (math.pi * u * u)
+    m = np.minimum(_SHARES[:, None] ** -0.5 / u, np.exp(-pi_t) * (-2.0 / np.expm1(-3.0 * pi_t)))
+    return np.log1p(m).sum(axis=1)
 
 
-def _tail_bound(U: np.ndarray) -> Callable[[float], float]:
-    """The bound r2 -> sum of exp(-pi |U N|^2) over the integer N with |U N|^2 > r2.
+def _tail_bound(U: np.ndarray, r2: float) -> float:
+    """A bound on the sum of exp(-pi |U N|^2) over the integer N with |U N|^2 >= r2.
 
-    Each lattice point owns its Voronoi cell of volume det U, and a point
-    within r of the origin has its cell inside the ball of radius r + mu,
-    mu the covering radius; Babai's nearest-plane bound gives
-    mu <= sqrt(sum U_ii^2) / 2.  So at most V_n (r + mu)^n / det U points
-    lie within r, and integrating that count against pi exp(-pi t) dt
-    from r2 bounds the omitted sum by
-
-        (V_n / det U) sum_k C(n, k) mu^(n-k) pi^(-k/2) Gamma(k/2 + 1, pi r2).
-
-    The argument holds for every translate of the lattice too, so the
-    bound covers each class of a sum split by residues.  The coefficients
-    are formed in logs.
+    For 0 < s < 1 each such term is at most exp(-pi (1 - s) r2)
+    exp(-pi s |U N|^2), so the sum is at most exp(-pi (1 - s) r2) prod_i
+    m(s U_ii^2) (see :func:`_log_majorant`); the least over the shares is
+    taken.  Every bound of m holds for shifted sums, so this one holds for
+    every translate of the lattice too: for each class of a sum split by
+    residues, and for theta[f] (at r2 = 0, where it covers every term).
     """
-    n = U.shape[0]
-    diag = np.diag(U)
-    log_mu = math.log(0.5 * math.sqrt(float(np.sum(diag * diag))))
-    log_lead = (
-        0.5 * n * math.log(math.pi) - math.lgamma(0.5 * n + 1.0) - float(np.sum(np.log(diag)))
-        + math.lgamma(n + 1.0)
-    )
-    log_coef = [
-        log_lead - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
-        + (n - k) * log_mu - 0.5 * k * math.log(math.pi)
-        for k in range(n + 1)
-    ]
-
-    def bound(r2: float) -> float:
-        gammas = _upper_gammas(n, math.pi * r2)
-        return sum(math.exp(c + math.log(gm)) for c, gm in zip(log_coef, gammas) if gm > 0.0)
-
-    return bound
+    return float(np.exp(np.min(_log_majorant(U) - math.pi * (1.0 - _SHARES) * r2)))
 
 
 def _theta_truncation(U: np.ndarray, tol: float) -> tuple[float, float]:
-    """An r2 at most 1 + 1/(16 n) times the least whose :func:`_tail_bound` is <= tol, and its bound.
+    """The least r2 >= 0 at which :func:`_tail_bound` meets tol, and the bound there.
 
-    The bracket doubles from log(1/tol) / pi, where exp(-pi r2) alone
-    meets tol; bisection then stops once hi - lo <= lo / (16 n), n the
-    dimension, and returns hi.  Its ellipsoid holds at most
-    (1 + 1/(16 n))^(n/2) < e^(1/32), about 3%, more points than the least
-    one, after six to eight evaluations of the bound for n <= 3 and up to
-    twelve for n = 24.
+    Each share's bound falls with r2, so in closed form r2 = max(0, min_s
+    (log prod_i m(s U_ii^2) - log tol) / (pi (1 - s))).  The bound is then
+    tol, or at r2 = 0, where the bound on the whole sum meets tol, that
+    bound, min_s prod_i m(s U_ii^2).
     """
-    bound = _tail_bound(U)
-    lo, hi = 0.0, max(1.0, -math.log(tol) / math.pi)
-    b_hi = bound(hi)
-    while b_hi > tol:
-        lo, hi = hi, 2.0 * hi
-        b_hi = bound(hi)
-    while hi - lo > lo / (16 * len(U)):
-        mid = 0.5 * (lo + hi)
-        b = bound(mid)
-        if b > tol:
-            lo = mid
-        else:
-            hi, b_hi = mid, b
-    return hi, b_hi
+    logs = _log_majorant(U)
+    r2 = float(np.min((logs - math.log(tol)) / (math.pi * (1.0 - _SHARES))))
+    return max(0.0, r2), min(tol, float(np.exp(np.min(logs))))
 
 
 def _ellipsoid(
@@ -427,7 +404,9 @@ class _Enumeration:
     @property
     def points(self) -> float:
         """Predicted count of one of each +-N in the ellipsoid, by its volume
-        V_n r2^(n/2) / det U."""
+        V_n r2^(n/2) / det U; 0 at r2 = 0, where the sum is N = 0 alone."""
+        if self.r2 == 0.0:
+            return 0.0
         n = len(self.U)
         log_volume = (
             0.5 * n * math.log(math.pi * self.r2) - math.lgamma(0.5 * n + 1.0)
@@ -435,15 +414,23 @@ class _Enumeration:
         )
         return 0.5 * math.exp(log_volume)
 
-    def sums(self, charge: Callable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sums(self, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per class sum_a (N_a mod p) p^a of p^n (one for p = 1): the sum,
-        the sum of |term|, and the error bound.
+        the sum of |term|, and the error bound, for an Omega known to tau
+        per entry and t = tau g / lambda_min(Im Omega).
 
         N and -N give equal terms, in classes c and -c, and N = 0 counts
         once, exactly.  The error is ``bound``, eps times the rounding
         floor (each term rounds by at most eps |term| (1 + pi |N^T A N| +
-        pi N^T Q N)) and charge(self, moments), the moments being the
-        class sums of |term| N^T Q N.
+        pi N^T Q N)) and the charge of Omega's tail.  A term moves by
+        |term| |e^z - 1| <= |term| |z| e^|z|, |z| <= pi tau W, W = sum_ab
+        |<lambda_a, lambda_b>| <= g sum_a <lambda_a, lambda_a> <= (g /
+        lambda_min(Im Omega)) s, with s = N^T Q N, so |z| <= pi t s and the
+        kept terms (s <= r2) move by at most pi t e^(pi t r2) times the
+        class sum of |term| s.  For t <= 1/4 an omitted term moves by at
+        most (4/e) t exp(-pi s / 2), and the omitted exp(-pi s / 2) sum to
+        at most the tail bound of U / sqrt(2) at r2 / 2; past t = 1/4 the
+        charge is infinite.
         """
         count = len(self.negated)
         sums = [np.zeros(count, dtype=np.complex128)] + [np.zeros(count) for _ in range(3)]
@@ -471,37 +458,18 @@ class _Enumeration:
         values[0] += 1.0
         sizes[0] += 1.0
         floors[0] += 1.0
-        return values, sizes, self.bound + EPS * floors + charge(self, moments)
+        charge = 0.0 if t == 0.0 else math.inf
+        if 0.0 < t <= 0.25:
+            omitted = 4.0 / math.e * t * _tail_bound(self.U / math.sqrt(2.0), 0.5 * self.r2)
+            kept = math.pi * t * math.exp(math.pi * t * self.r2 * (1.0 + 1e-12))
+            charge = kept * moments + omitted
+        return values, sizes, self.bound + EPS * floors + charge
 
 
 # A theta route planned for one Omega and tol: its predicted work, and
 # evaluate(t), the value for an Omega known to tau per entry, with
-# t = tau g / lambda_min(Im Omega) as in _charge.
+# t = tau g / lambda_min(Im Omega) as in _Enumeration.sums.
 _Route = tuple[float, Callable[[float], Estimate]]
-
-
-def _charge(t: float) -> Callable:
-    """Bound, per class, on how far the sums move when each Omega_ab moves by <= tau,
-    with t = tau g / lambda_min(Im Omega).
-
-    A term moves by |term| |e^z - 1| <= |term| |z| e^|z|, |z| <= pi tau W,
-    W = sum_ab |<lambda_a, lambda_b>| <= g sum_a <lambda_a, lambda_a>
-    <= (g / lambda_min(Im Omega)) s, with s = N^T Q N, so |z| <= pi t s
-    and the kept terms (s <= r2) move by at most pi t e^(pi t r2) times the
-    moment sum.  For t <= 1/4 an omitted term moves by at most (4/e) t
-    exp(-pi s / 2), and the omitted exp(-pi s / 2) sum to at most the tail
-    bound of U / sqrt(2) at r2 / 2; past t = 1/4 the charge is infinite.
-    """
-
-    def charge(plan: _Enumeration, moments: np.ndarray) -> np.ndarray:
-        if t == 0.0:
-            return np.zeros_like(moments)
-        if not t <= 0.25:
-            return np.full_like(moments, math.inf)
-        omitted = 4.0 / math.e * t * _tail_bound(plan.U / math.sqrt(2.0))(0.5 * plan.r2)
-        return math.pi * t * math.exp(math.pi * t * plan.r2 * (1.0 + 1e-12)) * moments + omitted
-
-    return charge
 
 
 def _fincke_pohst(om: np.ndarray, G: np.ndarray, tol: float) -> _Route:
@@ -509,7 +477,8 @@ def _fincke_pohst(om: np.ndarray, G: np.ndarray, tol: float) -> _Route:
 
     The Riemann theta function of Omega (x) G at zero, truncated where the
     tail bound of Q = Im Omega (x) G meets ``tol``.  The tail is that bound,
-    eps times the rounding floor and the charge of :func:`_charge`.
+    eps times the rounding floor and the charge of Omega's tail, as
+    :meth:`_Enumeration.sums` gives them.
     """
     g, d = om.shape[0], len(G)
 
@@ -520,34 +489,30 @@ def _fincke_pohst(om: np.ndarray, G: np.ndarray, tol: float) -> _Route:
     plan = _Enumeration(kron(om.real), kron(om.imag), tol, 1)
 
     def evaluate(t: float) -> Estimate:
-        values, _, errors = plan.sums(_charge(t))
+        values, _, errors = plan.sums(t)
         return Estimate(complex(values[0]), float(errors[0]))
 
     return plan.points + _LEVEL_WORK * len(plan.U) + _SUM_WORK, evaluate
 
 
-def _theta_majorant(t: float) -> float:
-    """Upper bound on sum_{k in Z} exp(-pi t k^2), as k^2 >= 3k - 2 for k >= 1."""
-    return 1.0 + 2.0 * math.exp(-math.pi * t) / -math.expm1(-3.0 * math.pi * t)
-
-
-def _coset_theta(om: np.ndarray, frame: _Frame, tol: float, lam: float) -> _Route:
-    """theta_Lambda(Omega) through the frame K = sum Z v_i (see the module docstring),
-    with lam = lambda_min(Im Omega).
+def _coset_theta(om: np.ndarray, frame: _Frame, tol: float) -> _Route:
+    """theta_Lambda(Omega) through the frame K = sum Z v_i (see the module docstring).
 
     One g-dimensional enumeration per distinct (n_i, p_i), split into the
     p_i^g characteristic sums theta[s / p_i](n_i Omega), s in (Z/p_i)^g, as
     the classes mod p_i of m = p_i k + s in Z^g under (n_i / p_i^2) Omega;
     then the sum over the idx^g coset tuples of products of d of them.
     Each enumeration is truncated at eps = tol / (2 d idx^g prod_i S_i),
-    S_i >= every class sum of |term| (a shifted Gaussian sum is at most the
-    unshifted one, by Poisson summation).  The tail is the product rule's
-    sum_c sum_i e_i prod_{j<i} (A_j + e_j) prod_{j>i} A_j, with A the
-    computed sums of |term| and e the class errors, plus the rounding of
-    the products and of the coset sum.
+    with S_i = :func:`_tail_bound` at r2 = 0 of the Cholesky factor of
+    n_i Im Omega, which bounds every theta[f](n_i Omega)'s sum of |term|.
+    The tail is the product rule's sum_c sum_i e_i prod_{j<i} (A_j + e_j)
+    prod_{j>i} A_j, with A the computed sums of |term| and e the class
+    errors, plus the rounding of the products and of the coset sum.
     """
     g, d, idx = om.shape[0], len(frame.norms), frame.index
-    majorant = math.prod(_theta_majorant(n * lam) ** g for n in frame.norms)
+    U = np.linalg.cholesky(om.imag).T
+    whole = {n: _tail_bound(math.sqrt(n) * U, 0.0) for n in set(frame.norms)}
+    majorant = math.prod(whole[n] for n in frame.norms)
     eps = tol / (2.0 * d * idx**g * majorant)
     plans = {
         (n, p): _Enumeration(n / p**2 * om.real, n / p**2 * om.imag, eps, p)
@@ -556,8 +521,7 @@ def _coset_theta(om: np.ndarray, frame: _Frame, tol: float, lam: float) -> _Rout
     work = frame.fixed_work(g) + sum(plan.points for plan in plans.values())
 
     def evaluate(t: float) -> Estimate:
-        charge = _charge(t)
-        tables = {key: plan.sums(charge) for key, plan in plans.items()}
+        tables = {key: plan.sums(t) for key, plan in plans.items()}
         # Row a: the coset of handle a in each of the idx^g tuples.
         handles = np.indices((idx,) * g).reshape(g, -1)
         value = np.ones(idx**g, dtype=np.complex128)
@@ -746,7 +710,7 @@ def siegel_theta(
     # Where the coset route's fixed work alone exceeds the Fincke-Pohst
     # prediction, its truncations are not worth planning.
     if frame is not None and frame.fixed_work(om.shape[0]) < work:
-        coset_work, coset = _coset_theta(om, frame, tol, lam_min)
+        coset_work, coset = _coset_theta(om, frame, tol)
         if coset_work < work:
             evaluate = coset
     return evaluate(tau * om.shape[0] / lam_min)

@@ -463,11 +463,14 @@ _GROW_BLOCK = 512
 MAX_WORDS = 2**24
 
 # enumerate_group refuses a table with a real or imaginary part of an entry
-# above this.  The largest power the orbit sums form is (c x + d)^2, whose
-# parts then stay below the float range, 2**1024, for every |x| < 2**180:
-# each part of c x + d is at most 2**330.5 (|x| + 1), so each part of the
-# square is at most 2**662 (|x| + 1)^2.
+# above this, and require_finite an evaluation point of modulus above
+# _POINT_LIMIT.  The orbit sums form the linear forms num - P den of a
+# word's rows, num = a x + b and den = c x + d, at a point x and a pole P,
+# and divide by products of two of them.  With |x|, |P| <= 2**64 each form
+# is at most 2**330.5 (2**64 + 1)^2 < 2**460, and a product of two stays
+# below 2**920, inside the float range, 2**1024.
 _ENTRY_LIMIT = 2.0**330
+_POINT_LIMIT = 2.0**64
 
 
 def _dot(x, y, u, v):
@@ -511,8 +514,9 @@ def enumerate_group(sp: SchottkyParams, max_word_length: int) -> WordTable:
     corrupt the matrix).  So the entries grow geometrically with the
     length, and a shell with a real or imaginary part above 2**330 (or a
     non-finite one) is refused with :class:`InvalidParameterError`, naming
-    the cutoff, before the next shell is formed: the orbit sums' (c x + d)^2
-    would overflow far out, and a longer table would hold inf and nan.
+    the cutoff, before the next shell is formed: the orbit sums' products
+    of linear forms would overflow far out, and a longer table would hold
+    inf and nan.
     """
     max_word_length = require_integer(max_word_length, "max_word_length", 0)
     letters = sp.signed_indices
@@ -655,13 +659,17 @@ def require_admissible(sp: SchottkyParams) -> None:
 
 
 def require_finite(z: complex, name: str) -> complex:
-    """z as a complex number, else refused by name: anything but a number
-    (numpy scalars count, bools do not), and infinite or NaN parts."""
+    """z as an evaluation point, a complex number, else refused by name:
+    anything but a number (numpy scalars count, bools do not), infinite or
+    NaN parts, and a modulus past 2**64, where the orbit sums would
+    overflow (see _POINT_LIMIT)."""
     if isinstance(z, bool) or not isinstance(z, numbers.Number):
         raise InvalidParameterError(f"{name} = {z!r} is not a number")
     z = complex(z)
     if is_infinity(z):
         raise InvalidParameterError(f"{name} = {z} is not finite")
+    if math.hypot(z.real, z.imag) > _POINT_LIMIT:
+        raise InvalidParameterError(f"{name} = {z} lies past |z| = 2**64")
     return z
 
 

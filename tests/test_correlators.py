@@ -351,22 +351,71 @@ def test_omega_tail_past_a_quarter_charges_an_infinite_tail():
     assert exact.tail < at_quarter.tail < math.inf == past.tail
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tail_bound_against_a_box(n):
+    # The Chernoff bound against the exact sum of exp(-pi |U (N + f)|^2)
+    # over |U (N + f)|^2 >= r2, over all N and per class of N mod p, for
+    # f = 0 and a random shift.  The box holds every N with |U N|^2 <= 20
+    # (|N_i|^2 <= 20 (Q^-1)_ii), so each term outside it is below
+    # exp(-20 pi), about 5e-28, far under the omitted sums compared.
+    # The bound is formed in logs, and it may round a few ulps below an
+    # exact sum that it meets.
+    rng = np.random.default_rng(n)
+    for cond in (1.0, 10.0, 1e2, 1e3):
+        R, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        Q = R @ np.diag(np.geomspace(0.1, 0.1 * cond, n)) @ R.T
+        U = np.linalg.cholesky(Q).T
+        half = np.ceil(np.sqrt(20.0 * np.diag(np.linalg.inv(Q)))).astype(int)
+        N = np.stack(np.meshgrid(*[np.arange(-b, b + 1) for b in half], indexing="ij"), -1)
+        N = N.reshape(-1, n)
+        classes = {p: N % p @ (p ** np.arange(n)) for p in (1, 2, 3)}
+        for shift in (np.zeros(n), rng.random(n)):
+            norms = np.einsum("ka,ab,kb->k", N + shift, Q, N + shift)
+            terms = np.exp(-math.pi * norms)
+            for r2 in (0.0, 0.5, 2.0, 5.0, 10.0):
+                bound = correlators._tail_bound(U, r2)
+                omitted = np.where(norms >= r2, terms, 0.0)
+                for p, index in classes.items():
+                    worst = np.bincount(index, omitted, p**n).max()
+                    assert worst <= bound * (1.0 + 1e-15), (cond, r2, p)
+
+
 @pytest.mark.parametrize("n", [1, 3, 6, 12, 24])
-def test_theta_truncation_stops_within_a_sixteenth_per_dimension(n):
-    # The radius meets tol and exceeds the least one that does by at most
-    # a factor 1 + 1/(16 n), the least found here by 60 bisection steps.
+def test_truncation_radius_is_the_least_that_meets_tol(n):
+    # The bound at the radius meets tol (to the rounding of its logs), no
+    # smaller radius does, and the radius is 0 once tol exceeds the bound
+    # on the whole sum.
     rng = np.random.default_rng(n)
     B = rng.normal(size=(n, n))
     U = np.linalg.cholesky(B @ B.T / n + 0.5 * np.eye(n)).T
-    bound = correlators._tail_bound(U)
     for tol in (1e-3, 1e-9, 1e-13):
         r2, tail = correlators._theta_truncation(U, tol)
-        assert tail == bound(r2) <= tol
-        lo, hi = 0.0, r2
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if bound(mid) > tol else (lo, mid)
-        assert r2 <= (1.0 + 1.0 / (16 * n)) * hi
+        assert tail == tol and r2 > 0.0
+        assert correlators._tail_bound(U, r2) <= tol * (1.0 + 1e-12)
+        assert correlators._tail_bound(U, (1.0 - 1e-9) * r2) > tol
+    whole = correlators._tail_bound(U, 0.0)
+    for tol in (1.01 * whole, 1e6):
+        assert correlators._theta_truncation(U, tol) == (0.0, whole)
+
+
+@pytest.mark.parametrize("tol", [10.0, 1e6])
+def test_siegel_theta_at_a_tol_past_the_whole_sum(genus3_params, tol):
+    # At tol 1e6 every radius is 0 and each sum is its N = 0 term; the
+    # volume of the empty ellipsoid took log(0).  Both routes, and the
+    # route that siegel_theta takes, lie within their tails of a tight value.
+    omega = np.array(SurfaceForms(genus3_params).periods.omega)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lattice in (A2, D4):
+            exact = siegel_theta(omega, lattice, 1e-12)
+            got = [
+                siegel_theta(omega, lattice, tol),
+                correlators._fincke_pohst(omega, lattice.gram_array(), tol)[1](0.0),
+                correlators._coset_theta(omega, lattice._frame, tol)[1](0.0),
+            ]
+            for res in got:
+                assert res.tail <= tol
+                assert abs(res.value - exact.value) <= res.tail + exact.tail
 
 
 def test_e8_genus2_diagonal_is_product_of_eisenstein_series():
@@ -488,11 +537,10 @@ class TestThetaRoutes:
         if seed is not None:
             sp = perturbed(sp, seed)
         omega = np.array(SurfaceForms(sp, TruncationPolicy(max_word_length=5)).periods.omega)
-        lam = np.linalg.eigvalsh(omega.imag)[0]
         for lattice in (A2, A3, D4, A4):
             for tol in (1e-9, 1e-12):
                 fp = correlators._fincke_pohst(omega, lattice.gram_array(), tol)[1](0.0)
-                cs = correlators._coset_theta(omega, lattice._frame, tol, lam)[1](0.0)
+                cs = correlators._coset_theta(omega, lattice._frame, tol)[1](0.0)
                 assert fp.tail <= tol + FLOOR and cs.tail <= tol + FLOOR
                 assert abs(fp.value - cs.value) <= fp.tail + cs.tail, (lattice, tol)
 
@@ -505,7 +553,7 @@ class TestThetaRoutes:
         forms = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=5))
         om = 4.0 / p**2 * np.array(forms.periods.omega)
         plan = correlators._Enumeration(om.real, om.imag, 1e-13, p)
-        values, _, errors = plan.sums(correlators._charge(0.0))
+        values, _, errors = plan.sums(0.0)
         m = np.indices((21, 21)).reshape(2, -1).T - 10
         terms = np.exp(1j * math.pi * np.einsum("ka,ab,kb->k", m, om, m))
         index = m % p @ (p ** np.arange(2))
@@ -523,11 +571,10 @@ class TestThetaRoutes:
     @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
     def test_siegel_theta_takes_the_route_of_least_predicted_work(self, fixture, request):
         omega = np.array(SurfaceForms(request.getfixturevalue(fixture)).periods.omega)
-        lam = np.linalg.eigvalsh(omega.imag)[0]
         for lattice in (A2, A3, D4):
             # Each route is a pair (predicted work, evaluate(t)).
             fp = correlators._fincke_pohst(omega, lattice.gram_array(), 1e-9)
-            cs = correlators._coset_theta(omega, lattice._frame, 1e-9, lam)
+            cs = correlators._coset_theta(omega, lattice._frame, 1e-9)
             expected = min((fp, cs), key=lambda route: route[0])[1](0.0)
             got = siegel_theta(omega, lattice, 1e-9)
             assert (got.value, got.tail) == (expected.value, expected.tail)
@@ -538,7 +585,7 @@ class TestThetaRoutes:
     @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
     def test_one_eigendecomposition_per_call(self, fixture, request, monkeypatch):
         # lambda_min(Im Omega) is found once, by validation, and passed to the
-        # coset route's majorant and to the charge of Omega's tail.
+        # charge of Omega's tail.
         omega = np.array(SurfaceForms(request.getfixturevalue(fixture)).periods.omega)
         expected = siegel_theta(omega, D4, 1e-9, omega_tail=1e-10)
         calls = []

@@ -10,6 +10,7 @@ import cmath
 import decimal
 import functools
 import math
+import warnings
 from decimal import Decimal
 from fractions import Fraction
 
@@ -1045,6 +1046,44 @@ class TestConstruction:
         for arg, name, args in calls:
             with pytest.raises(InvalidParameterError, match=f"^{arg} = .* is not finite$"):
                 getattr(F, name)(*args)
+
+    @pytest.mark.parametrize("far", [1e200, 1e300])
+    def test_far_points_refused_by_name(self, genus3_params, far):
+        # Past |z| = 2**64 the orbit sums' products of linear forms overflow,
+        # and every evaluator of both routes refuses the point by name; at
+        # |z| = 2**64 each returns a finite value without a warning.
+        sp = genus3_params
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=6))
+        near = 3.0 - 1.0j
+        two_point = [
+            F.third_kind_form, F.bidifferential,
+            lambda x, y: F.power_bidifferential(x, y, 2),
+            lambda x, y: F.recursion_kernel(x, y, 2),
+            lambda x, y: kernel_via_modes(sp, 1, 20, x, y),
+        ]
+        one_point = [
+            F.projective_connection,
+            lambda x: F.holomorphic_form(1, x),
+            lambda x: F.quasiperiod_coefficient(2, 1, 0, x),
+        ]
+        for z in (far, -far * 1j, 2.0**64, -(2.0**64) * 1j):
+            calls = [("x", lambda f=f: f(z, near)) for f in two_point]
+            calls += [("y", lambda f=f: f(near, z)) for f in two_point]
+            calls += [("x", lambda f=f: f(z)) for f in one_point]
+            calls += [
+                ("insertion point 0", lambda: bidifferential_via_modes(sp, 20, (z, near))),
+                ("insertion point 1", lambda: bidifferential_via_modes(sp, 20, (near, z))),
+            ]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for arg, call in calls:
+                    if abs(z) > 2.0**64:
+                        with pytest.raises(InvalidParameterError, match=f"^{arg} = .* past "):
+                            call()
+                    else:
+                        res = call()
+                        for e in sum(res, []) if isinstance(res, list) else [res]:
+                            assert cmath.isfinite(e.value) and math.isfinite(e.tail)
 
     @pytest.mark.parametrize(
         "call",
