@@ -9,8 +9,9 @@ the Siegel theta function of the period matrix.
 
 The Siegel theta function of a rank-d lattice at genus g is the Riemann
 theta function of Omega (x) Gram on Z^(g d).  It has two exact routes,
-and ``siegel_theta`` takes the one of smaller predicted work; both are
-properties of the input, and there is no option.
+and ``siegel_theta`` takes the one of smaller predicted work, refusing a
+call past a budget of 1e9 points; both are properties of the input, and
+there is no option.
 
 - Fincke-Pohst: the (g d)-dimensional sum over the ellipsoid
   N^T (Im Omega (x) Gram) N <= r2, enumerated block by block with the
@@ -29,9 +30,10 @@ properties of the input, and there is no option.
   group of some order p_i, so the p_i^g characteristics of one (n_i, p_i)
   are the classes mod p_i of a single g-dimensional sum, of
   m = p_i (k + f) under (n_i / p_i^2) Omega.  The predicted work is
-  those sums' point counts plus the idx^g d products.  A LatticeSpec
-  finds its frame once: the least index among its short vectors, 2 for
-  A2 ((2) + (6)), A3 (A1^2 + (4)) and D4 (A1^4), 16 for E8 (A1^8).
+  those sums' point counts plus the idx^g d products, formed a block of
+  tuples at a time.  A LatticeSpec finds its frame once: the least index
+  among its short vectors, 2 for A2 ((2) + (6)), A3 (A1^2 + (4)) and D4
+  (A1^4), 16 for E8 (A1^8), 256 for D16+ (A1^16).
 
 Each n-dimensional sum sum_N exp(-pi |U N|^2), U upper triangular, is
 truncated at an r2 given in closed form by a Chernoff bound.  Summed one
@@ -94,7 +96,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from schottky.forms import EPS, Estimate, SurfaceForms
+from schottky.forms import EPS, ConfigurationError, Estimate, SurfaceForms
 from schottky.group import InvalidParameterError, TruncationPolicy, require_positive
 from schottky.modes import (
     _bidifferentials,
@@ -118,10 +120,15 @@ __all__ = [
     "lattice_partition",
 ]
 
-# Partial vectors per block of the Siegel theta enumeration: large enough
-# that numpy's per-call cost is small against the block's arithmetic,
-# small enough that the n blocks alive at once take a few MB.
+# Partial vectors per block of the theta enumeration, and coset tuples per
+# block of its product: large enough that numpy's per-call cost is small
+# against a block's arithmetic, small enough that the blocks alive take a few MB.
 _THETA_BLOCK = 4096
+
+# siegel_theta refuses a call whose least predicted work passes this many
+# points, minutes of work: D16+ passes at genus 3 (6.7e7 points, 19 s) and
+# is refused at genus 4 (1.7e10, hours).
+_WORK_BUDGET = 1e9
 
 # Predicted work of a theta route, in enumerated points (about 0.12 us
 # each on a 2-vCPU machine with BLAS on one thread, where these were
@@ -501,7 +508,7 @@ def _coset_theta(om: np.ndarray, frame: _Frame, tol: float) -> _Route:
     One g-dimensional enumeration per distinct (n_i, p_i), split into the
     p_i^g characteristic sums theta[s / p_i](n_i Omega), s in (Z/p_i)^g, as
     the classes mod p_i of m = p_i k + s in Z^g under (n_i / p_i^2) Omega;
-    then the sum over the idx^g coset tuples of products of d of them.
+    then the sum over the idx^g coset tuples, in blocks, of products of d.
     Each enumeration is truncated at eps = tol / (2 d idx^g prod_i S_i),
     with S_i = :func:`_tail_bound` at r2 = 0 of the Cholesky factor of
     n_i Im Omega, which bounds every theta[f](n_i Omega)'s sum of |term|.
@@ -522,22 +529,28 @@ def _coset_theta(om: np.ndarray, frame: _Frame, tol: float) -> _Route:
 
     def evaluate(t: float) -> Estimate:
         tables = {key: plan.sums(t) for key, plan in plans.items()}
-        # Row a: the coset of handle a in each of the idx^g tuples.
-        handles = np.indices((idx,) * g).reshape(g, -1)
-        value = np.ones(idx**g, dtype=np.complex128)
-        upper, lower, tail = np.ones(idx**g), np.ones(idx**g), np.zeros(idx**g)
-        for i, (n, p) in enumerate(zip(frame.norms, frame.orders)):
-            flat = (frame.residues[handles, i] * (p ** np.arange(g))[:, None]).sum(axis=0)
-            values, sizes, errors = (table[flat] for table in tables[n, p])
-            value *= values
-            tail = tail * sizes + upper * errors
-            upper *= sizes + errors
-            lower *= sizes
-        # A product of d factors rounds by at most 2 eps per factor, and
-        # numpy's pairwise coset sum by (log2 of the count + 16) eps of the
-        # sum of |products|.
-        ulps = 2 * d + (idx**g).bit_length() + 16
-        return Estimate(complex(value.sum()), float(tail.sum() + ulps * EPS * lower.sum()))
+        count, block = idx**g, min(idx**g, _THETA_BLOCK)
+        total, tails, sizes_sum = 0j, 0.0, 0.0
+        for start in range(0, count, block):
+            # Row a: the coset of handle a in each tuple of the block.
+            tuples = np.arange(start, min(start + block, count))
+            handles = tuples // idx ** np.arange(g)[::-1, None] % idx
+            value, tail, upper, lower = 1.0 + 0.0j, 0.0, 1.0, 1.0
+            for i, (n, p) in enumerate(zip(frame.norms, frame.orders)):
+                flat = (frame.residues[handles, i] * (p ** np.arange(g))[:, None]).sum(axis=0)
+                values, sizes, errors = (table[flat] for table in tables[n, p])
+                value = value * values
+                tail = tail * sizes + upper * errors
+                upper = upper * (sizes + errors)
+                lower = lower * sizes
+            total += complex(value.sum())
+            tails += float(tail.sum())
+            sizes_sum += float(lower.sum())
+        # A product of d factors rounds by at most 2 eps per factor, numpy's
+        # pairwise sum of a block by (log2 of its count + 16) eps of the sum
+        # of |products|, and the running total by one eps per later block.
+        ulps = 2 * d + block.bit_length() + 16 + (count - 1) // block
+        return Estimate(total, float(tails + ulps * EPS * sizes_sum))
 
     return work, evaluate
 
@@ -679,7 +692,9 @@ def siegel_theta(
     (``lattice_partition`` passes its policy's ``tol``).  The tail adds a
     rounding floor and, for an Omega whose entries are known to within
     ``omega_tail``, a bound on how far that moves the value.  Omega must be
-    symmetric to rounding, with Im Omega positive definite.
+    symmetric to rounding, with Im Omega positive definite.  Past
+    ``_WORK_BUDGET`` = 1e9 points of predicted work on the cheaper route the
+    call is refused with ConfigurationError before any sum runs.
     """
     tol = require_positive(tol, "tol")
     if isinstance(omega_tail, bool) or not isinstance(omega_tail, numbers.Real):
@@ -705,15 +720,21 @@ def siegel_theta(
         )
     if lattice.rank == 0:
         return Estimate(1.0 + 0.0j, 0.0)
+    g = om.shape[0]
     work, evaluate = _fincke_pohst(om, lattice.gram_array(), tol)
     frame = lattice._frame
     # Where the coset route's fixed work alone exceeds the Fincke-Pohst
     # prediction, its truncations are not worth planning.
-    if frame is not None and frame.fixed_work(om.shape[0]) < work:
+    if frame is not None and frame.fixed_work(g) < work:
         coset_work, coset = _coset_theta(om, frame, tol)
         if coset_work < work:
-            evaluate = coset
-    return evaluate(tau * om.shape[0] / lam_min)
+            work, evaluate = coset_work, coset
+    if work > _WORK_BUDGET:
+        raise ConfigurationError(
+            f"siegel_theta of a rank-{lattice.rank} lattice at genus {g} needs a predicted "
+            f"{work:.3g} points of work, past the budget of {_WORK_BUDGET:.3g}"
+        )
+    return evaluate(tau * g / lam_min)
 
 
 def lattice_partition(

@@ -21,7 +21,7 @@ generator gamma_a, and q_a its multiplier
   summed as  sum_gamma seed(gamma x, y) (d(gamma x)/dx)^N,
 - the holomorphic N-forms theta_a(x; l), the coefficients of the
   quasi-period polynomial of Psi_N around w_a, read off exactly from its
-  values at 2N-1 points of the isometric circle, and
+  values at 2N-1 points of the isometric circle, all a and l at once, and
 - the period matrix, a sum over the double cosets <gamma_a>\G/<gamma_b>
       2 pi i Omega_ab = delta_ab log q_a
                         + sum'_gamma log{W_a, W_{-a}; gamma W_b, gamma W_{-b}}
@@ -67,9 +67,9 @@ max_a (|w_a| + r_a) >= |gamma x| >= min_a (|w_a| - r_a) (gamma != id);
 limit points (the seed's basis points, gamma W_{+-a}) per term, as deep
 words approach them.  grow and skew are per block, its longest word's,
 but per word in the identity's block, as is the weight-1 kernel's y.
-The period matrix alone charges one ulp per term; against 40-digit sums over the
-true group it stayed within 0.06 of its tail.  A term meeting at most m
-roundings on its way into a sum moves it by gamma_m = m u / (1 - m u)
+The period matrix charges one ulp per term, log q_a too; against 40-digit
+sums over the true group it stayed within 0.06 of its tail.  A term meeting
+at most m roundings on its way into a sum moves it by gamma_m = m u / (1 - m u)
 of its size, u = eps/2 (Higham, Accuracy and Stability of Numerical
 Algorithms, sec. 4.2); m counts numpy's pairwise sum (``_sum_ulps``)
 and one addition per later block, m = 27 + 12 on the genus-3 fixture
@@ -78,16 +78,15 @@ their sample points through the same finite Fourier transform as the
 values.  Raising the word cutoff must move any value by less than its
 tail; the test suite enforces this.
 
-The pointwise sums (all but the period matrix) walk the word table in
-fixed blocks of at most ``_ORBIT_BLOCK`` rows, the last shell starting a
-block of its own, and add each block's sum, floor and last-shell part to
-running totals in row order; no temporary spans the whole table.  The
-blocks depend on the word table only, so every value is reproduced bit
-for bit on every call.  A pass may sum several quantities: per block it
-forms the orbit of x once and each quantity its terms from that orbit,
-with the same operations as alone.  So a kernel summed at several y in
-one pass (as the quasi-period coefficients do) equals its single-y
-value.  Against a one-pass sum over the whole table, blocking moves a
+Every sum walks the word table in fixed blocks of at most ``_ORBIT_BLOCK``
+rows, the last shell starting a block of its own, and adds each block's
+sum, floor and last-shell part to running totals in row order; no
+temporary spans the whole table.  The blocks depend on the word table
+only, so every value is reproduced bit for bit on every call.  A pass may
+sum several quantities, each with the same operations as alone: a kernel
+at several y (every quasi-period coefficient at x is one pass) equals its
+single-y value, and the period matrix is one pass over its g(g+1)/2
+entries.  Against a one-pass sum over the whole table, blocking moves a
 value by summation rounding only, which the floor bounds.
 
 The word table is enumerated on the first orbit, coset or period sum of
@@ -119,6 +118,7 @@ from schottky.group import (
     SchottkyParams,
     TruncationPolicy,
     WordTable,
+    _first_letters,
     classical_from_params,
     enumerate_group,
     generator_map,
@@ -329,7 +329,13 @@ class SurfaceForms:
 
     @functools.cached_property
     def _blocks(self) -> tuple[tuple[int, int, bool], ...]:
-        return _row_blocks(self.words.length)
+        """Row blocks (s, e, last) of at most _ORBIT_BLOCK rows.  The last shell
+        (the longest words, last in the breadth-first order) starts a block of
+        its own, so every block lies wholly inside it (``last``) or before it."""
+        length = self.words.length
+        start = int(np.searchsorted(length, length[-1]))
+        cuts = [*range(0, start, _ORBIT_BLOCK), *range(start, len(length), _ORBIT_BLOCK)]
+        return tuple((s, e, s >= start) for s, e in zip(cuts, [*cuts[1:], len(length)]))
 
     @functools.cached_property
     def _sum_ulps(self) -> float:
@@ -337,14 +343,6 @@ class SurfaceForms:
         return _sum_ulps(max(e - s for s, e, _ in self._blocks), len(self._blocks) - 1)
 
     # -- construction helpers ------------------------------------------------
-
-    def _require_handle(self, a: int) -> int:
-        a = require_integer(a, "handle index", 1)
-        if a > self.sp.genus:
-            raise InvalidParameterError(
-                f"handle index must be 1..{self.sp.genus}, got {a}"
-            )
-        return a
 
     def _seed_points(self, weight: int) -> tuple[complex, ...]:
         """Pole basis A_1..A_{2N-1} of the weight-N seed.
@@ -609,7 +607,9 @@ class SurfaceForms:
         large as the last (the move to L = 2 reached 2.6 times the last
         shell on the genus-2 test surface).
         """
-        a = self._require_handle(a)
+        a = require_integer(a, "handle index", 1)
+        if a > self.sp.genus:
+            raise InvalidParameterError(f"handle index must be 1..{self.sp.genus}, got {a}")
         x = require_in_domain(self.sp, x, "x")
         last = self.words.last
         delta = self._classical.W_plus[a - 1] - self._classical.W_minus[a - 1]
@@ -633,13 +633,11 @@ class SurfaceForms:
 
     # -- quasi-period coefficients ----------------------------------------------
 
-    def quasiperiod_coefficient(
-        self, weight: int, a: int, ell: int, x: complex
-    ) -> Estimate:
-        """Holomorphic N-form theta_a(x; l) from the kernel quasi-periods.
+    def quasiperiod_coefficients(self, weight: int, x: complex) -> list[list[Estimate]]:
+        """Holomorphic N-forms theta_a(x; l) from the kernel quasi-periods.
 
-        For a in 1..g and 0 <= l <= 2N-2 the theta_a(x; l) are the
-        coefficients of the quasi-period polynomial
+        Entry [a - 1][l], for a in 1..g and 0 <= l <= 2N-2, is the
+        coefficient theta_a(x; l) of the quasi-period polynomial
 
             psi_N(x,y) - psi_N(x,gamma_a y) (gamma_a'(y))^{1-N}
                 = sum_l theta_a(x;l) (y - w_a)^l,
@@ -649,7 +647,8 @@ class SurfaceForms:
         with gamma_a'(y)^{1-N} = (c y + d)^{2N-2} for the det-1 generator,
         and its coefficients are the discrete Fourier transform of the
         samples, theta_a(x;l) = mean_k(d_k e^{-2 pi i l k/(2N-1)}) / r_a^l,
-        exact for a polynomial of that degree.  The tail is the same
+        exact for a polynomial of that degree; one kernel pass serves the
+        nodes y_k and gamma_a y_k of every handle.  The tail is the same
         transform of the node errors: the kernel tails at y_k and
         gamma_a y_k plus the rounding of the difference, over r_a^l.  At
         weight 1 the single member is theta_a(x;0) = -nu_a(x) (the
@@ -657,28 +656,30 @@ class SurfaceForms:
         orientation fixed in the module docstring).
         """
         weight = require_integer(weight, "weight", 1)
-        a = self._require_handle(a)
-        ell = require_integer(ell, "coefficient index", 0)
-        if ell > 2 * weight - 2:
-            raise InvalidParameterError("coefficient index must lie in 0..2N-2")
         x = require_in_domain(self.sp, x, "x")
         n = 2 * weight - 1
-        r = self.sp.radius(a)
-        g = generator_map(self.sp, a)
-        ys = self.sp.center(a) + r * np.exp(2j * np.pi * np.arange(n) / n)
-        den = g.c * ys + g.d
-        vals, tails = self._kernel_many_y(
-            x, np.concatenate([ys, (g.a * ys + g.b) / den]), weight
-        )
-        factor = den ** (2 * weight - 2)
-        moved = vals[n:] * factor
-        phase = np.exp(-2j * np.pi * ell * np.arange(n) / n)
-        value = complex(np.mean((vals[:n] - moved) * phase)) / r**ell
-        tail = np.mean(
-            tails[:n] + np.abs(factor) * tails[n:]
-            + EPS * (np.abs(vals[:n]) + np.abs(moved))
-        ) / r**ell
-        return Estimate(value, float(tail))
+        handles = range(1, self.sp.genus + 1)
+        nodes, factors = [], []
+        for a in handles:
+            g = generator_map(self.sp, a)
+            ys = self.sp.center(a) + self.sp.radius(a) * np.exp(2j * np.pi * np.arange(n) / n)
+            den = g.c * ys + g.d
+            nodes += [ys, (g.a * ys + g.b) / den]
+            factors.append(den ** (2 * weight - 2))
+        # Row a - 1 of each: the handle's values (tails) at y_k, then at gamma_a y_k.
+        vals, tails = self._kernel_many_y(x, np.concatenate(nodes), weight)
+        out = []
+        for a, factor, (v, v_img), (t, t_img) in zip(
+            handles, factors, vals.reshape(-1, 2, n), tails.reshape(-1, 2, n)
+        ):
+            r, moved = self.sp.radius(a), v_img * factor
+            spread = np.mean(t + np.abs(factor) * t_img + EPS * (np.abs(v) + np.abs(moved)))
+            phases = (np.exp(-2j * np.pi * ell * np.arange(n) / n) for ell in range(n))
+            out.append([
+                Estimate(complex(np.mean((v - moved) * phase)) / r**ell, float(spread / r**ell))
+                for ell, phase in enumerate(phases)
+            ])
+        return out
 
     # -- period matrix ---------------------------------------------------
 
@@ -691,46 +692,41 @@ class SurfaceForms:
         gamma W_{-b}}.  Each log is taken as log1p of cross-ratio - 1,
         formed as (W_a - W_{-a})(gamma W_b - gamma W_{-b}) /
         ((W_a - gamma W_{-b})(W_{-a} - gamma W_b)), so the deep terms keep
-        their relative accuracy.  See :class:`PeriodMatrixResult` for the
-        integer rule and the tail.
+        their relative accuracy.  Per row block, each gather of W_{+-b}'s
+        images serves the entries a <= b, and log q_a takes the identity's
+        place in the diagonal's first block.  See :class:`PeriodMatrixResult`
+        for the integer rule and the tail.
         """
         g = self.sp.genus
-        L = self.policy.max_word_length
         cp = self._classical
-        first = np.abs(self.words.first_letters())
-        last = np.abs(self.words.last)
-        omega = np.empty((g, g), dtype=np.complex128)
-        worst = 0.0
-        for b in range(1, g + 1):
-            rows = np.flatnonzero(last != b)
-            num_p, den_p, num_m, den_m = self._fixed_point_images(rows, b)
-            img_p, img_m = num_p / den_p, num_m / den_m
-            delta = (cp.W_plus[b - 1] - cp.W_minus[b - 1]) / (den_p * den_m)
-            for a in range(1, b + 1):
+        w = self.words
+        pairs = [(a, b) for b in range(1, g + 1) for a in range(1, b + 1)]
+
+        def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float]]:
+            last = np.abs(w.last[s:e])
+            first = np.abs(_first_letters(g, s, w.length[s:e]))
+            for j, (a, b) in enumerate(pairs):
+                if a == 1:  # a new column b: the images of W_{+-b} under its cosets
+                    rows = np.flatnonzero(last != b)
+                    num_p, den_p, num_m, den_m = self._fixed_point_images(s + rows, b)
+                    img_p, img_m = num_p / den_p, num_m / den_m
+                    delta = (cp.W_plus[b - 1] - cp.W_minus[b - 1]) / (den_p * den_m)
                 keep = first[rows] != a
-                if a == b:
-                    keep[0] = False  # rows[0] is the identity
+                head = a == b and s == 0
+                keep[:1] &= not head  # row 0 is the identity
                 Wa, Wma = cp.W_plus[a - 1], cp.W_minus[a - 1]
-                terms = _log1p(
-                    (Wa - Wma) * delta[keep] / ((Wa - img_m[keep]) * (Wma - img_p[keep]))
-                )
-                total = complex(terms.sum())
-                scale = _abs_sum(terms)
-                if a == b:
-                    log_q = cmath.log(cp.q[a - 1])
-                    total += log_q
-                    scale += abs(log_q)
-                # One ulp per term, the pairwise sum and the log q addition.
-                floor = EPS * scale * (1.0 + _sum_ulps(len(terms), 1)) / (2.0 * math.pi)
-                tail = math.inf
-                if L > 0:
-                    shell = abs(terms[self.words.length[rows][keep] == L].sum())
-                    tail = shell / (2.0 * math.pi) + floor
-                value = total / (2j * math.pi)
-                re = value.real - math.ceil(value.real - 0.5 - floor)
-                omega[a - 1, b - 1] = omega[b - 1, a - 1] = complex(re, value.imag)
-                worst = max(worst, tail)
-        return PeriodMatrixResult(omega, worst)
+                vals = _log1p((Wa - Wma) * delta[keep] / ((Wa - img_m[keep]) * (Wma - img_p[keep])))
+                yield j, np.concatenate(([cmath.log(cp.q[a - 1])], vals)) if head else vals, 1.0
+
+        totals, shells, floors = self._reduce(terms, len(pairs))
+        tails = self._tails(shells, floors) / (2.0 * math.pi)
+        omega = np.empty((g, g), dtype=np.complex128)
+        for (a, b), total, floor in zip(pairs, totals, floors):
+            value = complex(total) / (2j * math.pi)
+            floor = EPS * floor / (2.0 * math.pi)
+            re = value.real - math.ceil(value.real - 0.5 - floor)
+            omega[a - 1, b - 1] = omega[b - 1, a - 1] = complex(re, value.imag)
+        return PeriodMatrixResult(omega, float(tails.max()))
 
     @functools.cached_property
     def periods(self) -> PeriodMatrixResult:
@@ -738,19 +734,6 @@ class SurfaceForms:
         result = self.period_matrix()
         result.omega.flags.writeable = False
         return result
-
-
-def _row_blocks(length: np.ndarray) -> tuple[tuple[int, int, bool], ...]:
-    """Row blocks (s, e, last) of a word table with word lengths ``length``.
-
-    Blocks hold at most _ORBIT_BLOCK rows.  The last shell (the longest
-    words, last in the breadth-first order) starts a block of its own, so
-    every block lies wholly inside it (``last`` true) or wholly before it.
-    """
-    n = len(length)
-    start = int(np.searchsorted(length, length[-1]))
-    cuts = [*range(0, start, _ORBIT_BLOCK), *range(start, n, _ORBIT_BLOCK), n]
-    return tuple((s, e, s >= start) for s, e in zip(cuts[:-1], cuts[1:]))
 
 
 class _Surface(NamedTuple):

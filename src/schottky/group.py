@@ -35,9 +35,10 @@ arrays with one row per word in that order, holding the matrix entries
 a, b, c, d (complex128), the word length, the row of the parent word
 (the word without its last letter) and the last letter; no object is
 built per word, and :meth:`WordTable.letters` spells one out from the
-parent rows where a message or an error needs it.  Each matrix
-equals, bit for bit, the left-to-right :meth:`MobiusMap.compose` product
-of its letters' :func:`generator_map` matrices.  The table forms these
+parent rows where a message or an error needs it; a row's place in its
+shell gives its first letter (``_first_letters``).  Each matrix equals,
+bit for bit, the left-to-right :meth:`MobiusMap.compose` product of its
+letters' :func:`generator_map` matrices.  The table forms these
 products on real and imaginary parts separately, in the order Python's
 complex arithmetic uses, because numpy's vectorized complex multiply may
 fuse multiply-adds and round differently.  The tree grows shell by shell
@@ -403,9 +404,23 @@ def generator_map(sp: SchottkyParams, a: int) -> MobiusMap:
 
 
 def _word_count(genus: int, max_word_length: int) -> int:
-    """Number of reduced words of length <= L in the free group of rank g."""
+    """Number of reduced words of length <= L in the free group of rank g; L may be an array."""
     g, L = genus, max_word_length
     return 1 + 2 * L if g == 1 else 1 + g * ((2 * g - 1) ** L - 1) // (g - 1)
+
+
+def _first_letters(genus: int, start: int, length: np.ndarray) -> np.ndarray:
+    """First letters, as signed indices (0 for the identity), of the rows
+    start, start + 1, ... of a word table, whose lengths are ``length``.
+
+    A shell of length k >= 1 starts at row S_k, the count of the shorter
+    words, and is lexicographic with the first letter most significant, so
+    row i begins with letter number (i - S_k) // (2g - 1)^(k-1) of the
+    generator order 1, -1, 2, -2, ...
+    """
+    k = np.maximum(length, 1)
+    n = (start + np.arange(len(length)) - _word_count(genus, k - 1)) // (2 * genus - 1) ** (k - 1)
+    return np.where(length == 0, 0, (n // 2 + 1) * (1 - 2 * (n % 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,7 +434,8 @@ class WordTable:
     identity).  The arrays are read-only and shared by every consumer.
 
     ``len(table)`` is the word count and :meth:`letters` spells out one
-    word; no per-word object is ever built.
+    word; no per-word object is ever built.  The first letter follows
+    from the row's place in its shell (``_first_letters``).
     """
 
     a: np.ndarray
@@ -441,18 +457,6 @@ class WordTable:
             out.append(int(self.last[i]))
             i = int(self.parent[i])
         return tuple(reversed(out))
-
-    def first_letters(self) -> np.ndarray:
-        """First letter of every word as a signed index (0 for the identity).
-
-        Built one shell at a time: a word of length >= 2 has the first
-        letter of its parent, which sits in the previous shell.
-        """
-        first = self.last.copy()
-        bounds = np.searchsorted(self.length, np.arange(2, int(self.length[-1]) + 2))
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            first[lo:hi] = first[self.parent[lo:hi]]
-        return first
 
 
 # Frontier words grown per block in enumerate_group (see its docstring).

@@ -89,7 +89,6 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg import lu_factor
-from scipy.linalg.blas import dgemm, dgemv, zgemm, zgemv
 from scipy.linalg.lapack import zgetrs
 
 from schottky.forms import (
@@ -496,16 +495,6 @@ def _one_letter_words(
     return terms.sum(axis=-1), EPS * (sizes * ulps).sum(axis=-1)
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for C-ordered a in the solve's BLAS (scipy's), read in place as
-    the Fortran a.T.  Threads of a second BLAS, numpy's, would contend with
-    its threads for the cores.  One column takes gemv, a third of gemm's cost."""
-    gemm, gemv = (zgemm, zgemv) if a.dtype.kind == "c" else (dgemm, dgemv)
-    if b.shape[1] == 1:
-        return gemv(1.0, a.T, b[:, 0], trans=1)[:, None]
-    return gemm(1.0, a.T, b, trans_a=1)
-
-
 def _split_sums(
     sp: SchottkyParams, modes: int, system: _Factored, xs: np.ndarray, ys: np.ndarray,
     derivative: bool,
@@ -525,10 +514,10 @@ def _split_sums(
     values, floors = _one_letter_words(sp, xs, ys, derivative)
     P, Q = _mode_vectors(sp, modes, xs, ys, derivative)
     S, _ = zgetrs(system.lu, system.piv, Q.T)
-    values += P @ _times(system.R, S)
+    values += P @ (system.R @ S)
     kappa = system.contraction
     ulps = (P.shape[1] + 4 * (modes + 1)) * (1.0 + kappa) / (1.0 - kappa)
-    floors += ulps * EPS * (np.abs(P) @ _times(system.size, np.abs(S)))
+    floors += ulps * EPS * (np.abs(P) @ (system.size @ np.abs(S)))
     return values, floors + _truncation(sp, modes, system, xs, ys, derivative)
 
 

@@ -44,7 +44,9 @@ from schottky.correlators import (
     virasoro_one_point,
     virasoro_two_point,
 )
-from schottky.forms import ConvergenceError, PeriodMatrixResult, PoleProximityError, SurfaceForms
+from schottky.forms import (
+    ConfigurationError, ConvergenceError, PeriodMatrixResult, PoleProximityError, SurfaceForms,
+)
 from schottky.modes import (
     bidifferential_via_modes,
     heisenberg_partition,
@@ -245,6 +247,21 @@ E8 = LatticeSpec((
     (0, 0, 0, 0, 0, -1, 2, 0),
     (0, 0, -1, 0, 0, 0, 0, 2),
 ))
+
+
+
+def _d16_plus() -> LatticeSpec:
+    """D16+: the D16 basis e_i - e_{i+1} (i = 1..15) and e_15 + e_16, with
+    e_1 - e_2 replaced by (1/2, ..., 1/2); even, unimodular, rank 16."""
+    basis = np.zeros((16, 16))
+    basis[0] = 0.5
+    for i in range(1, 15):
+        basis[i, i], basis[i, i + 1] = 1.0, -1.0
+    basis[15, 14] = basis[15, 15] = 1.0
+    return LatticeSpec(tuple(map(tuple, np.rint(basis @ basis.T).astype(int).tolist())))
+
+
+D16_PLUS = _d16_plus()
 
 
 def eisenstein_e4(tau: complex, terms: int = 40) -> complex:
@@ -607,6 +624,30 @@ class TestThetaRoutes:
         fp = correlators._fincke_pohst(omega, fresh.gram_array(), 1e-9)[1](0.0)
         assert (got.value, got.tail) == (fp.value, fp.tail)
         assert abs(got.value - framed.value) <= got.tail + framed.tail
+
+    def test_work_past_the_budget_refused_in_under_a_second(self):
+        # D16+ has frame A1^16 of index 256: at genus 4 the coset product
+        # alone is 256^4 tuples, 1.7e10 points of predicted work, and the
+        # Fincke-Pohst sum 1.3e26.  The call is refused before any sum runs,
+        # where an unblocked product would ask for 128 GiB.
+        assert D16_PLUS._frame.index == 256
+        omega = 1j * np.eye(4) + 0.1 * np.ones((4, 4))
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="rank-16 lattice at genus 4 .* 1.7"):
+            siegel_theta(omega, D16_PLUS)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_coset_product_in_small_blocks(self, fixture, request, monkeypatch):
+        # E8's 16^g coset tuples in blocks of 7 (and its class sums'
+        # enumeration too) give the value of one block within rounding,
+        # and a tail still within tol plus the floor.
+        omega = np.array(SurfaceForms(request.getfixturevalue(fixture)).periods.omega)
+        whole = siegel_theta(omega, E8, 1e-9)
+        monkeypatch.setattr(correlators, "_THETA_BLOCK", 7)
+        blocked = siegel_theta(omega, E8, 1e-9)
+        assert abs(blocked.value - whole.value) <= FLOOR * abs(whole.value)
+        assert blocked.tail <= 1e-9 + FLOOR
 
     @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
     def test_e8_lattice_partition_under_a_second(self, fixture, request):

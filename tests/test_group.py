@@ -414,6 +414,20 @@ def test_word_table_layout(genus3_params):
         table.letters(n)
 
 
+@pytest.mark.parametrize("length", range(8))
+def test_first_letters_follow_from_the_row(length, torus_params, genus2_params, genus3_params):
+    # The closed form against the parent chain on every row, and on a row
+    # block that starts inside a shell.
+    for sp in (torus_params, genus2_params, genus3_params):
+        table = enumerate_group(sp, length)
+        chain = table.last.copy()
+        for i in range(len(table)):
+            chain[i] = chain[table.parent[i]] if table.length[i] > 1 else table.last[i]
+        assert np.array_equal(group._first_letters(sp.genus, 0, table.length), chain)
+        s = len(table) // 3
+        assert np.array_equal(group._first_letters(sp.genus, s, table.length[s:]), chain[s:])
+
+
 def test_enumerate_is_deterministic(genus2_params):
     first = enumerate_group(genus2_params, 3)
     second = enumerate_group(genus2_params, 3)
@@ -550,6 +564,15 @@ def test_action_domain_exit_raises(genus2_params):
 
 
 small = st.floats(-0.04, 0.04)
+
+
+def test_action_sending_a_centre_to_infinity_raises():
+    # (0, -1; 1, 1/2) sends -1/2 to infinity; with w = +-1 and rho = -3/4,
+    # den = (1 + 1/2)(-1 + 1/2) + 3/4 is exactly 0.
+    sp = SchottkyParams(1, (1.0,), (-1.0,), (-0.75,))
+    assert validate(sp).ok
+    with pytest.raises(DegenerateMapError, match="sent to infinity"):
+        mobius_act_on_params(sp, MobiusMap(0.0, -1.0, 1.0, 0.5))
 
 
 @given(a1=small, b1=small, c1=small, d1=small, a2=small, b2=small, c2=small, d2=small)

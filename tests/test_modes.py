@@ -88,7 +88,7 @@ def word_table_log_z(sp, L):
     lose digits.  Returns (sum, |last shell|, rounding floor).
     """
     words = enumerate_group(sp, L)
-    keep = (words.length >= 1) & (words.first_letters() != -words.last)
+    keep = (words.length >= 1) & (group._first_letters(sp.genus, 0, words.length) != -words.last)
     tr = words.a[keep] + words.d[keep]
     root = np.sqrt(tr * tr - 4.0)
     lam = np.where(np.abs(tr + root) >= np.abs(tr - root), tr + root, tr - root) / 2.0
@@ -469,6 +469,23 @@ class TestKernelViaModes:
             assert abs(f.value - c.value) < c.tail, (x, y)
         c, f = heisenberg_partition(sp, M), heisenberg_partition(sp, 2 * M)
         assert abs(f.value - c.value) < c.tail
+
+    def test_row_swaps_sign_the_determinant(self, torus_params, fresh_system, monkeypatch):
+        # LAPACK pivots on |Re| + |Im|, so kappa < 1 does not rule out a row
+        # swap: in column 0 of I - R, |0.69 + 0.69i| = 0.976 < 1 but 1.38 > 1.
+        # The factors' diagonal is then (-(0.69 + 0.69i), 1 / (0.69 + 0.69i)),
+        # of product -1, and only the swap's sign gives det(I - R) = 1, Z = 1
+        # rather than -i.
+        def coupling(sp, mm):
+            return np.array([[0.0, 0.0], [0.69 + 0.69j, 0.0]])
+
+        monkeypatch.setattr(modes, "mode_coupling_matrix", coupling)
+        system = modes._system(torus_params, 1)
+        assert np.count_nonzero(system.piv != np.arange(2)) == 1
+        assert abs(np.prod(np.diag(system.lu)) + 1.0) < 4 * EPS
+        z = heisenberg_partition(torus_params, 1)
+        assert 0.975 < z.spectral_radius < 0.976
+        assert z.value == 1.0 and z.tail < abs(-1j - 1.0)
 
     @pytest.mark.parametrize("gap", [1e-6, 1e-10])
     def test_near_singular_system_served(self, genus2_params, gap, fresh_system, monkeypatch):

@@ -71,7 +71,7 @@ ORACLES = {
     "quadrature check of period_matrix sums",
     "power_bidifferential": "the reference for the third y-derivative of the weight-2 "
     "recursion_kernel",
-    "quasiperiod_coefficient": "the holomorphic N-forms theta_a(x; l), checked against contour "
+    "quasiperiod_coefficients": "the holomorphic N-forms theta_a(x; l), checked against contour "
     "integrals of the recursion kernel",
     "compose": "MobiusMap.compose, enumerate_group's bit-identity oracle, which builds every "
     "word as a product of generator maps",
