@@ -693,9 +693,10 @@ class SurfaceForms:
         formed as (W_a - W_{-a})(gamma W_b - gamma W_{-b}) /
         ((W_a - gamma W_{-b})(W_{-a} - gamma W_b)), so the deep terms keep
         their relative accuracy.  Per row block, each gather of W_{+-b}'s
-        images serves the entries a <= b, and log q_a takes the identity's
-        place in the diagonal's first block.  See :class:`PeriodMatrixResult`
-        for the integer rule and the tail.
+        images serves the entries a <= b, and one log1p call takes their
+        terms, joined.  log q_a takes the identity's place in the
+        diagonal's first block.  See :class:`PeriodMatrixResult` for the
+        integer rule and the tail.
         """
         g = self.sp.genus
         cp = self._classical
@@ -705,18 +706,24 @@ class SurfaceForms:
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float]]:
             last = np.abs(w.last[s:e])
             first = np.abs(_first_letters(g, s, w.length[s:e]))
-            for j, (a, b) in enumerate(pairs):
-                if a == 1:  # a new column b: the images of W_{+-b} under its cosets
-                    rows = np.flatnonzero(last != b)
-                    num_p, den_p, num_m, den_m = self._fixed_point_images(s + rows, b)
-                    img_p, img_m = num_p / den_p, num_m / den_m
-                    delta = (cp.W_plus[b - 1] - cp.W_minus[b - 1]) / (den_p * den_m)
-                keep = first[rows] != a
-                head = a == b and s == 0
-                keep[:1] &= not head  # row 0 is the identity
-                Wa, Wma = cp.W_plus[a - 1], cp.W_minus[a - 1]
-                vals = _log1p((Wa - Wma) * delta[keep] / ((Wa - img_m[keep]) * (Wma - img_p[keep])))
-                yield j, np.concatenate(([cmath.log(cp.q[a - 1])], vals)) if head else vals, 1.0
+            for b in range(1, g + 1):  # the images of W_{+-b} under the cosets of column b
+                rows = np.flatnonzero(last != b)
+                num_p, den_p, num_m, den_m = self._fixed_point_images(s + rows, b)
+                img_p, img_m = num_p / den_p, num_m / den_m
+                delta = (cp.W_plus[b - 1] - cp.W_minus[b - 1]) / (den_p * den_m)
+                args, ends = [], [0]
+                for a in range(1, b + 1):
+                    keep = first[rows] != a
+                    keep[:1] &= not (a == b and s == 0)  # row 0 is the identity
+                    Wa, Wma = cp.W_plus[a - 1], cp.W_minus[a - 1]
+                    args.append((Wa - Wma) * delta[keep] / ((Wa - img_m[keep]) * (Wma - img_p[keep])))
+                    ends.append(ends[-1] + len(args[-1]))
+                vals = _log1p(np.concatenate(args))
+                for a in range(1, b + 1):
+                    part = vals[ends[a - 1]:ends[a]]
+                    if a == b and s == 0:
+                        part = np.concatenate(([cmath.log(cp.q[a - 1])], part))
+                    yield b * (b - 1) // 2 + a - 1, part, 1.0  # the index of (a, b) in pairs
 
         totals, shells, floors = self._reduce(terms, len(pairs))
         tails = self._tails(shells, floors) / (2.0 * math.pi)

@@ -47,17 +47,22 @@ The Fredholm determinant gives the free-boson (Heisenberg) oscillator
 partition function det(I - R)^{-1/2}, principal square root.
 
 Every reading runs on one factored system per surface and cutoff: R is
-assembled once and kept, I - R is formed beside it and factored once,
-and Z is read off the factors.  It passes one gate, else the
-computation refuses with :class:`~schottky.forms.ConvergenceError`: the
-contraction bound kappa = ||R||_1 (largest column sum of |R|), which
-bounds the spectral radius of R, must be below 1.  As ||I - R||_1 <=
-1 + kappa and ||(I - R)^{-1}||_1 <= 1 / (1 - kappa), the same gate
-bounds cond_1(I - R) by (1 + kappa) / (1 - kappa) (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 7).  An LRU cache keeps
-CACHE_ENTRIES systems, keyed by parameters and cutoff.  The handle data
-come from the record SurfaceForms reads (``forms._surface``), so both
-routes check a parameter set once.
+assembled once, column-major, and kept; I - R, its contiguous negated
+copy, is factored in place by zgetrf; Z is read off the factors.  They
+are the only complex N x N arrays a system allocates (N = 2gM), 230 KB
+each at genus 3 and M = 20: above glibc's initial 128 KiB mmap
+threshold, so while it stays there each is mapped and zero-filled afresh
+(a copy of R then takes 87 us, against 7 us from the heap, on a 2-vCPU
+x86-64 host).  The system passes one gate, else the computation refuses with
+:class:`~schottky.forms.ConvergenceError`: kappa = ||R||_1 (largest
+column sum of |R|), which bounds the spectral radius of R, must be below
+1.  A nan or inf entry makes kappa nan or inf, so the gate also stands
+in for a finiteness scan.  As ||I - R||_1 <= 1 + kappa and
+||(I - R)^{-1}||_1 <= 1 / (1 - kappa), it bounds cond_1(I - R) by
+(1 + kappa) / (1 - kappa) (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 7).  An LRU cache keeps CACHE_ENTRIES systems, keyed by
+parameters and cutoff, built from the handle record that SurfaceForms
+reads (``forms._surface``), so both routes check a parameter set once.
 
 Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
 a closed-form sum (:func:`_omitted_sums`), and so does the whole
@@ -71,12 +76,8 @@ refused (kappa = 1.05, while the true spectral radius is 0.30).  The
 bounds are rigorous but not tight: on the genus-3 test surface at M = 5
 the determinant's bound gives Z a tail of 6e-7 where doubling M moves Z
 by 1e-17, so :func:`mode_cutoff_for`, which picks the smallest M whose
-determinant bound meets a tolerance, errs towards larger M.
-
-The layer is weight 1 only.  The weight-N seeds have poles at limit
-points inside the discs the Taylor modes live on, so their resolvent
-diverges as M grows; the weight-N kernels are the Poincare sums of
-:class:`schottky.forms.SurfaceForms`.
+determinant bound meets a tolerance, errs towards larger M.  The layer
+is weight 1 only (see :func:`kernel_via_modes`).
 """
 
 from __future__ import annotations
@@ -88,8 +89,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor
-from scipy.linalg.lapack import zgetrs
+from scipy.linalg.lapack import zgetrf, zgetrs
 
 from schottky.forms import (
     CACHE_ENTRIES,
@@ -255,14 +255,14 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     d = geo.partners[:, None] - geo.centers[None, :]
     d[inverse] = 1.0
     power = d[:, :, None] ** -(np.arange(2 * modes - 1) + 2.0)
-    # hankel[a, b, m, n] = power[a, b, m + n], a strided view without a copy.
-    hankel = np.lib.stride_tricks.sliding_window_view(power, modes, axis=2)
-    # Indices (a, m, b, n), flattened to the (a, m) x (b, n) layout.
-    R = row_w[:, :, None, None] * col_w[None, None, :, :]
-    R *= _binomials(modes)[None, :, None, :]
-    R *= hankel.transpose(0, 2, 1, 3)
+    # Indices (b, n, a, m), so R is column-major; hankel[b, n, a, m] = power[a, b, m + n].
+    sa, sb, sk = power.strides
+    hankel = np.lib.stride_tricks.as_strided(power, (n, modes, n, modes), (sb, sk, sa, sk))
+    R = row_w[None, None, :, :] * col_w[:, :, None, None]
+    R *= _binomials(modes).T[None, :, None, :]
+    R *= hankel
     R.transpose(0, 2, 1, 3)[inverse] = 0.0
-    return R.reshape(n * modes, n * modes)
+    return R.reshape(n * modes, n * modes).T
 
 
 def _omitted_sums(sp: SchottkyParams, cutoffs) -> np.ndarray:
@@ -325,24 +325,24 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
 def _system(sp: SchottkyParams, modes: int) -> _Factored:
     """R and I - R at a cutoff that passed :func:`_require_cutoff`, factored, gated, and Z.
 
-    The one gate, kappa = ||R||_1 < 1, comes before the factorization.
-    Z is read off the diagonal of the factors.  At genus 3 and M = 20 an
-    entry holds 575 KB.
+    R is column-major; after the gate, zgetrf factors I - R, its contiguous
+    negated copy, in place with no finiteness scan.  R and the factors are
+    the only complex N x N arrays it allocates.  A zero pivot is refused.
     """
     R = mode_coupling_matrix(sp, modes)
-    size = np.abs(R)
+    size = np.abs(R, order="C")  # row-major, so kappa sums each column row by row
     contraction = float(size.sum(axis=0).max())
-    # Written so that a nan bound refuses too.
-    if not contraction < 1.0:
+    if not contraction < 1.0:  # a nan bound refuses too
         raise ConvergenceError(
             f"contraction bound ||R||_1 = {contraction:.3g} on the coupling matrix's "
             "spectral radius is not below 1; the mode expansion is not certified "
             "to converge for these parameters"
         )
-    # Column-major, so that LAPACK factors it in place rather than a copy.
     lu = np.negative(R, order="F")
-    lu.flat[:: R.shape[0] + 1] += 1.0
-    lu, piv = lu_factor(lu, overwrite_a=True)
+    np.einsum("ii->i", lu)[:] += 1.0
+    lu, piv, info = zgetrf(lu, overwrite_a=True)
+    if info:
+        raise ConvergenceError(f"pivot {info} of the LU factors of I - R is exactly zero")
     for array in (R, size, lu, piv):
         array.flags.writeable = False
     omitted, whole = _omitted_sums(sp, (modes, 0))
@@ -624,9 +624,9 @@ def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:
 
     Read once per cached system off the diagonal of its LU factors; for
     admissible parameters the determinant sits near 1.  It refuses as
-    :func:`_system` does, at kappa = ||R||_1 >= 1 only.  The tail is the
-    determinant's truncation bound carried through det^{-1/2} (infinite
-    when it reaches the branch cut), plus a rounding floor of
+    :func:`_system` does, at kappa = ||R||_1 >= 1 or a zero pivot.  The
+    tail is the determinant's truncation bound carried through det^{-1/2}
+    (infinite when it reaches the branch cut), plus a rounding floor of
     2gM eps |value|.
     """
     return _system(sp, _require_cutoff(sp, modes)).partition

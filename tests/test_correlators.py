@@ -884,7 +884,7 @@ def test_point_in_a_disc_refused_before_factorization(genus3_params, perturbed, 
     r = 0.8 * 1.945 / 2.0
     uncertified = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (r * r, r * r))
     calls = Counter()
-    counted(monkeypatch, modes, "lu_factor", calls)
+    counted(monkeypatch, modes, "zgetrf", calls)
     x = 5.0 + 1.0j
     for sp in (perturbed(genus3_params, 5), uncertified):
         inside = sp.center(1)

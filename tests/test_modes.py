@@ -19,11 +19,13 @@ sums in test_forms.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor
 from scipy.linalg.lapack import zgecon
 
 from schottky.forms import (
@@ -322,6 +324,65 @@ class TestSharedSystem:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+
+class TestFactoredSystem:
+    """The system's R and factors, built column-major and factored by zgetrf directly."""
+
+    @pytest.mark.parametrize("fixture", ["torus_sp", "genus2_params", "genus3_params"])
+    @pytest.mark.parametrize("M", [1, 5, 20])
+    def test_factors_equal_lu_factor(self, fixture, M, request, fresh_system, monkeypatch):
+        # lu and piv are scipy's lu_factor of I - R bit for bit.  I - R is
+        # formed as the system forms it, -R with 1 - R_ii on the diagonal,
+        # so that the zero blocks keep their sign (-0.0).  R is a fresh
+        # assembly bit for bit and shares no memory with the factors, and
+        # a C-order copy of R gives the same system.
+        sp = request.getfixturevalue(fixture)
+        system = modes._system(sp, M)
+        R = mode_coupling_matrix(sp, M)
+        assert system.R.tobytes() == R.tobytes()
+        assert not np.shares_memory(system.R, system.lu)
+        A = np.negative(R)
+        np.fill_diagonal(A, 1.0 - np.diag(R))
+        lu, piv = lu_factor(A)
+        assert system.lu.tobytes() == lu.tobytes()
+        assert system.piv.dtype == piv.dtype and np.array_equal(system.piv, piv)
+        monkeypatch.setattr(modes, "mode_coupling_matrix", lambda sp, mm: np.ascontiguousarray(R))
+        twin = modes._system.__wrapped__(sp, M)
+        assert twin.lu.tobytes() == lu.tobytes() and np.array_equal(twin.piv, piv)
+        assert twin.partition == system.partition
+
+    def test_build_allocates_only_what_it_keeps(self, genus3_params):
+        # An uncached build at genus 3 and M = 20 keeps R, |R| and the
+        # factors, 563 KiB; its peak stays within 16 KiB of them, so no
+        # N x N temporary (115 KB for a real one) is made on the way.
+        build = modes._system.__wrapped__
+        build(genus3_params, 20)
+        tracemalloc.start()
+        try:
+            system = build(genus3_params, 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (system.R, system.size, system.lu, system.piv))
+        assert peak - kept < 16 * 1024, (peak, kept)
+
+    def test_zero_pivot_refused_by_name(self, genus2_params, fresh_system, monkeypatch):
+        # A factorization that reports U[0, 0] = 0 (info = 1) is refused
+        # as a ConvergenceError naming the pivot, before Z is read off.
+        factor = modes.zgetrf
+
+        def singular(a, overwrite_a):
+            lu, piv, _ = factor(a, overwrite_a=overwrite_a)
+            return lu, piv, 1
+
+        monkeypatch.setattr(modes, "zgetrf", singular)
+        for call in (
+            lambda: heisenberg_partition(genus2_params, 8),
+            lambda: kernel_via_modes(genus2_params, 1, 8, 5.0 + 1.0j, -5.0 + 2.0j),
+        ):
+            with pytest.raises(ConvergenceError, match=r"^pivot 1 of the LU factors of I - R is exactly zero"):
+                call()
 
 
 class TestWorkedCoupling:
@@ -671,12 +732,13 @@ class TestHeisenbergPartition:
         assert abs(z.value - expected) < z.tail + abs(expected) * (shell + floor)
 
     def test_divergent_spectrum_refused(self, fresh_system, monkeypatch):
-        # R = 2I, and R = nan I: both routes refuse at the contraction gate.
+        # R = 2I, R = nan I and R = inf I: both routes refuse at the contraction
+        # gate, which is also the only check for non-finite entries.
         sp = SchottkyParams(1, (1.0,), (-1.0,), (-0.17,))
-        for entry in (2.0, math.nan):
+        for entry in (2.0, math.nan, math.inf):
             monkeypatch.setattr(
                 modes, "mode_coupling_matrix",
-                lambda sp, mm: entry * np.eye(2 * sp.genus * mm, dtype=np.complex128),
+                lambda sp, mm: np.diag(np.full(2 * sp.genus * mm, entry, dtype=np.complex128)),
             )
             for call in (
                 lambda: kernel_via_modes(sp, 1, 8, 5.0 + 1.0j, -5.0 + 2.0j),
