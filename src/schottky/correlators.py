@@ -530,7 +530,7 @@ def _coset_theta(om: np.ndarray, frame: _Frame, tol: float) -> _Route:
     def evaluate(t: float) -> Estimate:
         tables = {key: plan.sums(t) for key, plan in plans.items()}
         count, block = idx**g, min(idx**g, _THETA_BLOCK)
-        total, tails, sizes_sum = 0j, 0.0, 0.0
+        sums = []  # per block: its total, tail and sum of |products|
         for start in range(0, count, block):
             # Row a: the coset of handle a in each tuple of the block.
             tuples = np.arange(start, min(start + block, count))
@@ -543,13 +543,14 @@ def _coset_theta(om: np.ndarray, frame: _Frame, tol: float) -> _Route:
                 tail = tail * sizes + upper * errors
                 upper = upper * (sizes + errors)
                 lower = lower * sizes
-            total += complex(value.sum())
-            tails += float(tail.sum())
-            sizes_sum += float(lower.sum())
+            sums.append((complex(value.sum()), float(tail.sum()), float(lower.sum())))
         # A product of d factors rounds by at most 2 eps per factor, numpy's
         # pairwise sum of a block by (log2 of its count + 16) eps of the sum
-        # of |products|, and the running total by one eps per later block.
-        ulps = 2 * d + block.bit_length() + 16 + (count - 1) // block
+        # of |products|, and the block sums, added pairwise, by one eps per level.
+        ulps = 2 * d + block.bit_length() + 16 + (len(sums) - 1).bit_length()
+        while len(sums) > 1:
+            sums = [tuple(map(sum, zip(*sums[k : k + 2]))) for k in range(0, len(sums), 2)]
+        total, tails, sizes_sum = sums[0]
         return Estimate(total, float(tails + ulps * EPS * sizes_sum))
 
     return work, evaluate

@@ -66,16 +66,22 @@ reads (``forms._surface``), so both routes check a parameter set once.
 
 Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
 a closed-form sum (:func:`_omitted_sums`), and so does the whole
-operator.  Bornemann's perturbation bound for Fredholm determinants turns
-them into a bound on det(I - R) at M against the untruncated operator,
-and a Neumann bound on |R| with kappa does the same for the resolvent
-(:func:`_truncation`).  The certified region is that of kappa < 1: on a
+operator.  Bornemann's perturbation bound for Fredholm determinants
+turns them into a bound on det(I - R) at M against the untruncated
+operator, and a Neumann bound on |R| with kappa does the same for the
+resolvent (:func:`_truncation`).  Per flag (psi_1 or omega) a system
+also keeps a certificate: that bound at a virtual pair nearer every disc
+than the domain gate admits, so a bound at every pair of the closed
+domain.  A request whose smallest rounding floor is at least the
+certificate is charged it and skips the per-pair series; as the
+certificate depends on the system alone, no tail depends on which
+requests ran before.  The certified region is that of kappa < 1: on a
 genus-2 surface with centres +-1.35 and +-1.4i and equal radii
 f * 1.945/2 (f = 1 touches), f = 0.5 has kappa = 0.27 and f = 0.8 is
-refused (kappa = 1.05, while the true spectral radius is 0.30).  The
-bounds are rigorous but not tight: on the genus-3 test surface at M = 5
-the determinant's bound gives Z a tail of 6e-7 where doubling M moves Z
-by 1e-17, so :func:`mode_cutoff_for`, which picks the smallest M whose
+refused (kappa = 1.05, while the true spectral radius is 0.30).  The bounds are
+rigorous but not tight: on the genus-3 test surface at M = 5 the
+determinant's bound gives Z a tail of 6e-7 where doubling M moves Z by
+1e-17, so :func:`mode_cutoff_for`, which picks the smallest M whose
 determinant bound meets a tolerance, errs towards larger M.  The layer
 is weight 1 only (see :func:`kernel_via_modes`).
 """
@@ -85,7 +91,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -152,12 +158,14 @@ class PartitionValue(Estimate):
 
 @dataclass(frozen=True)
 class _Factored:
-    """R, |R| (``size``) and the LU factors of I - R, all read-only, with Z.
+    """R, |R| (``size``) and the LU factors of I - R, read-only, with Z.
 
     ``contraction`` is kappa = ||R||_1 < 1, the one gate, ``omitted`` a
     bound on the entry sum of |R| beyond the cutoff, and ``partition``
     Z = det(I - R)^{-1/2}.  |R| is kept for every omega call's rounding
     floor: recomputing it costs 33 us a call at genus 3 and M = 20.
+    ``certificates``, mutable and ignored by equality, maps each flag
+    ``derivative`` to its :func:`_truncation` bound over the whole domain.
     """
 
     R: np.ndarray
@@ -167,6 +175,7 @@ class _Factored:
     contraction: float
     omitted: float
     partition: PartitionValue
+    certificates: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _powers(z: np.ndarray, modes: int) -> np.ndarray:
@@ -338,7 +347,8 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
             "spectral radius is not below 1; the mode expansion is not certified "
             "to converge for these parameters"
         )
-    lu = np.negative(R, order="F")
+    # Negated as float64 pairs, 4x faster; only a C-order R (as tests patch in) is copied.
+    lu = np.negative(np.asfortranarray(R).T.view(np.float64)).view(np.complex128).T
     np.einsum("ii->i", lu)[:] += 1.0
     lu, piv, info = zgetrf(lu, overwrite_a=True)
     if info:
@@ -400,17 +410,22 @@ def _vector_bounds(
     sigma_0 = r_b / |w_{-b}|, |q'_(b,n)(y)| = (n + 1) sigma^{n+1} / |w_{-b} - y|.
     So every sum is a :func:`_series` per block.  A point within the
     slack of a circle (t or sigma a hair above 1) keeps them finite, as
-    the products decay at alpha t + beta < 1.
+    the products decay at alpha t + beta < 1.  A last row and column are
+    those of a virtual pair nearer every disc than require_in_domain
+    admits, at t = sigma = 1 / (1 - 2e-12) in every block.  With the 1/Y
+    of :func:`_series` multiplied through, each sum is a power series in t
+    and sigma with nonnegative coefficients, so it bounds every admitted
+    pair's.
     """
     geo = _surface(sp)
     ra, rb = geo.radii[geo.row], geo.radii[geo.col]
     alpha, beta = ra / geo.gap, rb / geo.gap
-    dx = np.abs(xs[:, None] - geo.centers[geo.row])
+    dx = np.concatenate([np.abs(xs[:, None] - geo.centers[geo.row]), [ra * (1.0 - 2e-12)]])
     t = ra / dx
     weight = alpha * beta * t / dx
     full, tail = _series(alpha * t, beta, 0, modes)
     rows_full, rows_tail = (weight * full).sum(axis=-1), (weight * tail).sum(axis=-1)
-    dy = np.abs(geo.partners[geo.col] - ys[:, None])
+    dy = np.concatenate([np.abs(geo.partners[geo.col] - ys[:, None]), [rb * (1.0 - 2e-12)]])
     if derivative:
         terms = ((1.0 / dy, rb / dy, 1),)
     else:
@@ -445,20 +460,24 @@ def _truncation(
     even on the circles, as p and q only meet R.  ||B||_1 is the
     contraction bound kappa, the omitted entry sum w bounds ||D||_1, so
     ||(I - |B|)^{-1}||_1 <= 1 / (1 - kappa) and
-    ||(I - A)^{-1}||_1 <= 1 / (1 - kappa - w).
+    ||(I - A)^{-1}||_1 <= 1 / (1 - kappa - w).  The bound is a positive
+    combination of those sums, so at the virtual pair of
+    :func:`_vector_bounds` it bounds the truncation at every pair of the
+    closed domain: that entry is kept in ``system.certificates``.
     """
     rows_full, rows_tail, cols_full, cols_tail, both = _vector_bounds(sp, modes, xs, ys, derivative)
     kappa, omitted = system.contraction, system.omitted
-    if not kappa + omitted < 1.0:
-        return np.full(both.shape, math.inf)
     inner, outer = 1.0 - kappa - omitted, 1.0 - kappa
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         bound = both + (
             rows_full[:, None] * cols_tail + rows_tail[:, None] * (inner / outer) * cols_full
             + rows_full[:, None] * (omitted / outer) * cols_full
         ) / inner
-    # An infinite sum times one that underflowed to zero is infinite.
-    return np.where(np.isnan(bound), math.inf, bound)
+    # An infinite sum times one that underflowed to zero is infinite, and
+    # nothing is bounded unless kappa + w < 1.
+    bound = np.where(np.isnan(bound) | (not kappa + omitted < 1.0), math.inf, bound)
+    system.certificates.setdefault(derivative, float(bound[-1, -1]))
+    return bound[:-1, :-1]
 
 
 def _one_letter_words(
@@ -509,7 +528,10 @@ def _split_sums(
     (2gM + 4(M + 1)) eps c |p|^T |R| |S|, c = (1 + kappa) / (1 - kappa)
     the gate's bound on cond_1(I - R): the solve and the products round
     by about 2gM ulps of the terms, and the running powers of p and q by
-    2(M + 1) each.
+    2(M + 1) each.  Where the system's certificate is at most the
+    smallest floor, it is charged in place of the per-pair bound, at most
+    doubling a tail, and the series are skipped.  The certificate depends
+    on the system alone, so the tail does not depend on earlier requests.
     """
     values, floors = _one_letter_words(sp, xs, ys, derivative)
     P, Q = _mode_vectors(sp, modes, xs, ys, derivative)
@@ -518,7 +540,12 @@ def _split_sums(
     kappa = system.contraction
     ulps = (P.shape[1] + 4 * (modes + 1)) * (1.0 + kappa) / (1.0 - kappa)
     floors += ulps * EPS * (np.abs(P) @ (system.size @ np.abs(S)))
-    return values, floors + _truncation(sp, modes, system, xs, ys, derivative)
+    floor = floors.min()
+    if system.certificates.get(derivative, math.inf) > floor:
+        bound = _truncation(sp, modes, system, xs, ys, derivative)
+        if system.certificates[derivative] > floor:
+            return values, floors + bound
+    return values, floors + system.certificates[derivative]
 
 
 def _identity_floor(term: np.ndarray, kappa: np.ndarray) -> np.ndarray:

@@ -649,6 +649,18 @@ class TestThetaRoutes:
         assert abs(blocked.value - whole.value) <= FLOOR * abs(whole.value)
         assert blocked.tail <= 1e-9 + FLOOR
 
+    def test_block_sums_added_pairwise(self, genus2_params, monkeypatch):
+        # E8's 256 coset tuples at genus 2 in 256 blocks of one: the block
+        # sums are added pairwise, 8 levels, so with one block's pairwise
+        # sum no longer charged the rounding stays that of one block of 256.
+        # Charged one eps per later block, the tail read 5.4 times as much.
+        omega = np.array(SurfaceForms(genus2_params).periods.omega)
+        whole = siegel_theta(omega, E8, 1e-13)
+        monkeypatch.setattr(correlators, "_THETA_BLOCK", 1)
+        blocked = siegel_theta(omega, E8, 1e-13)
+        assert abs(blocked.value - whole.value) <= whole.tail
+        assert blocked.tail <= 1.01 * whole.tail
+
     @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
     def test_e8_lattice_partition_under_a_second(self, fixture, request):
         # Aim 1's budget for a public call at the default policy; the

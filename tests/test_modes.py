@@ -52,6 +52,7 @@ from schottky.group import (
 )
 import schottky.group as group
 import schottky.modes as modes
+from schottky.correlators import heisenberg_npoint, virasoro_two_point
 from schottky.modes import (
     bidifferential_via_modes,
     heisenberg_partition,
@@ -924,6 +925,93 @@ class TestTruncationBounds:
         # Like TruncationPolicy(tol=), not a cutoff of 1 or of the cap.
         with pytest.raises(InvalidParameterError):
             mode_cutoff_for(genus2_params, tol, 20)
+
+
+class TestCertificate:
+    """One truncation bound per system and flag, over the whole closed domain."""
+
+    @staticmethod
+    def points(sp):
+        """Points off the circles, on every circle, and 1e-13 of a radius inside each."""
+        ring = circle_points(sp)
+        hair = [
+            sp.center(a) + (1.0 - 1e-13) * (z - sp.center(a))
+            for a, z in zip(sp.signed_indices, ring)
+        ]
+        return np.array([x for pair in kernel_points(sp) for x in pair] + ring + hair)
+
+    @pytest.mark.parametrize("name", SURFACES)
+    @pytest.mark.parametrize("M", [2, 5, 20])
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_certificate_dominates(self, name, M, derivative, request):
+        # At least every per-pair bound, and at least what the modes past M
+        # add at 4M, P^T ((I - A)^{-1} - (I - |B|)^{-1}) Q: with A = |R| at
+        # 4M, |B| its entries below M and D = A - |B|, the difference is
+        # (I - A)^{-1} D (I - |B|)^{-1}, summed here without cancellation.
+        sp = surface(name, request)
+        pts = self.points(sp)
+        system = modes._system.__wrapped__(sp, M)
+        bound = modes._truncation(sp, M, system, pts, pts, derivative)
+        certificate = system.certificates[derivative]
+        assert bound.shape == (len(pts), len(pts))
+        assert (bound <= certificate).all()
+        assert certificate < math.inf
+        A = np.abs(mode_coupling_matrix(sp, 4 * M))
+        mode = np.arange(A.shape[0]) % (4 * M)
+        D = np.where((mode[:, None] >= M) | (mode[None, :] >= M), A, 0.0)
+        P, Q = (np.abs(v) for v in modes._mode_vectors(sp, 4 * M, pts, pts, derivative))
+        eye = np.eye(len(A))
+        left = np.linalg.solve((eye - A).T, P.T)
+        right = np.linalg.solve(eye - (A - D), Q.T)
+        assert (left.T @ D @ right).max() <= certificate
+
+    @pytest.mark.parametrize("fixture, fires", [("genus3_params", True), ("torus_sp", False)])
+    def test_tails_do_not_depend_on_earlier_requests(
+        self, fixture, fires, request, fresh_system, monkeypatch
+    ):
+        # Each call's value and tail, bit for bit, on a cold system and on
+        # one warmed by other requests of both flags.  On the genus-3
+        # fixture at M = 20 the certificate is charged and the warm call
+        # skips the per-pair series; on the torus, a pair on partner
+        # circles, it is not.
+        sp = request.getfixturevalue(fixture)
+        forms = SurfaceForms(sp)
+        if fires:
+            x, y = 3.0 - 1.0j, -0.5 - 0.8j
+        else:
+            r = sp.radius(1)
+            x, y = sp.center(1) + r * cmath.exp(0.7j), sp.center(-1) + r * cmath.exp(2.1j)
+        u, v = kernel_points(sp)[0]
+        calls = {
+            "heisenberg_npoint": lambda: heisenberg_npoint(forms, [x, y], modes=20),
+            "virasoro_two_point": lambda: virasoro_two_point(forms, x, y, modes=20),
+            "kernel_via_modes": lambda: kernel_via_modes(sp, 1, 20, x, y),
+        }
+        bounds = []
+        vector_bounds = modes._vector_bounds
+        monkeypatch.setattr(modes, "_vector_bounds", lambda *a: bounds.append(a) or vector_bounds(*a))
+        for name, call in calls.items():
+            modes._system.cache_clear()
+            cold = call()
+            modes._system.cache_clear()
+            heisenberg_npoint(forms, [u, v], modes=20)
+            kernel_via_modes(sp, 1, 20, v, u)
+            bounds.clear()
+            warm = call()
+            assert (warm.value, warm.tail) == (cold.value, cold.tail), name
+            assert (not bounds) == fires, name
+
+    def test_cached_surface_skips_the_series(self, genus3_params, fresh_system, monkeypatch):
+        # The first request fills the certificate; a second request at other
+        # points on the cached system makes no per-pair pass.
+        forms = SurfaceForms(genus3_params)
+        calls = []
+        vector_bounds = modes._vector_bounds
+        monkeypatch.setattr(modes, "_vector_bounds", lambda *a: calls.append(a) or vector_bounds(*a))
+        heisenberg_npoint(forms, [3.0 - 1.0j, -0.5 - 0.8j], modes=20)
+        assert len(calls) == 1
+        heisenberg_npoint(forms, [4.0 + 2.0j, -3.0 + 3.5j], modes=20)
+        assert len(calls) == 1
 
 
 class TestModeRoute:
