@@ -62,21 +62,26 @@ computed as l_P (1 + h) + num g plus its own rounding against |num| +
 x for P and gamma W_{+-a} for gamma x.  r is the largest radius and c =
 max_a (|w_a w_{-a}| + |rho_a|) / |rho_a| the generators' conditioning.
 Poles off the limit set (the omega family's y, the weight-1 kernel's y
-and 0) are charged per block, at its least |gamma x - y|, with reach =
-max_a (|w_a| + r_a) >= |gamma x| >= min_a (|w_a| - r_a) (gamma != id);
-limit points (the seed's basis points, gamma W_{+-a}) per term, as deep
-words approach them.  grow and skew are per block, its longest word's,
-but per word in the identity's block, as is the weight-1 kernel's y.
-The period matrix charges one ulp per term, log q_a too; against 40-digit
-sums over the true group it stayed within 0.06 of its tail.  A term meeting
-at most m roundings on its way into a sum moves it by gamma_m = m u / (1 - m u)
-of its size, u = eps/2 (Higham, Accuracy and Stability of Numerical
-Algorithms, sec. 4.2); m counts numpy's pairwise sum (``_sum_ulps``)
-and one addition per later block, m = 27 + 12 on the genus-3 fixture
-at L = 6.  The quasi-period coefficients carry the kernel tails at
-their sample points through the same finite Fourier transform as the
-values.  Raising the word cutoff must move any value by less than its
-tail; the test suite enforces this.
+and 0) are charged per block, with reach = max_a (|w_a| + r_a) >= |gamma
+x| (gamma != id): 0 at min_a (|w_a| - r_a) <= |gamma x|, and y at its
+clearance delta(y) <= |gamma x - y|, the least |y - w_a| - r_a less a
+rounding margin, as every gamma x but x itself lies in a closed disc
+(``SurfaceForms._clearance``).  In the identity's block, and where
+delta(y) is at most the pole guard (y on a circle, inside a disc or
+nearly so), y is charged at the block's least |gamma x - y| instead.
+Limit points (the seed's basis points, gamma W_{+-a}) are charged per
+term, as deep words approach them.  grow and skew are per block, its
+longest word's, but per word in the identity's block, as is the weight-1
+kernel's y there.  The period matrix charges one ulp per term, log q_a
+too; against 40-digit sums over the true group it stayed within 0.06 of
+its tail.  A term meeting at most m roundings on its way into a sum
+moves it by gamma_m = m u / (1 - m u) of its size, u = eps/2 (Higham,
+Accuracy and Stability of Numerical Algorithms, sec. 4.2); m counts
+numpy's pairwise sum (``_sum_ulps``) and one addition per later block,
+m = 27 + 12 on the genus-3 fixture at L = 6.  The quasi-period
+coefficients carry the kernel tails at their sample points through the
+same finite Fourier transform as the values.  Raising the word cutoff
+must move any value by less than its tail; the test suite enforces this.
 
 Every sum walks the word table in fixed blocks of at most ``_ORBIT_BLOCK``
 rows, the last shell starting a block of its own, and adds each block's
@@ -429,10 +434,54 @@ class SurfaceForms:
             raise _pole_error(what, self.words.letters(s + k))
         return float(dist[k])
 
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """The point-independent block constants of :meth:`_per_table`, filled on first use."""
+        return {}
+
+    def _per_table(self, key: tuple, make: Callable[[], object]):
+        """make() under ``key``, computed once per word table; arrays come back read-only."""
+        memo = self._memo
+        if key not in memo:
+            value = make()
+            for array in value if isinstance(value, tuple) else (value,):
+                if isinstance(array, np.ndarray):
+                    array.flags.writeable = False
+            memo[key] = value
+        return memo[key]
+
     def _block_floor(self, s: int, e: int, first: int) -> tuple[np.ndarray | float, ...]:
         """(grow, skew) = (1 + k, c k), k letters: per word if s is ``first``, else row e-1's."""
-        k = self.words.length[s:e] if s == first else float(self.words.length[e - 1])
-        return 1.0 + k, self._surface.cond * k
+
+        def make() -> tuple[np.ndarray | float, ...]:
+            k = self.words.length[s:e] if s == first else float(self.words.length[e - 1])
+            return 1.0 + k, self._surface.cond * k
+
+        return self._per_table(("floor", s, e, s == first), make)
+
+    def _clearance(self, y: complex) -> float:
+        """delta(y), at most every |gamma x - y| the orbit sums compute, gamma != id.
+
+        gamma_a maps the exterior of the disc at w_a into the disc at
+        w_{-a}, so every gamma x with gamma != id lies in one of the 2g
+        closed discs (the nesting argument of M. Schmies, "Computing
+        Poincare theta series for Schottky groups", in Bobenko and Klein
+        (eds.), Computational Approach to Riemann Surfaces, LNM 2013), and
+        min over the discs of |y - w| - r bounds |gamma x - y| for every x
+        of the domain.  Less a margin: 2e-12 r for the domain gate's slack
+        (x that far inside the disc at w_a puts gamma_a x as far outside
+        that at w_{-a}), and for the rounding of the computed distance,
+        2 eps times :func:`_orbit_ulps`' share of a pole at the cutoff's
+        longest word, plus a relative (10 (1 + L) + c L) eps.  Nonpositive
+        on a circle and inside a disc.
+        """
+        sf = self._surface
+        y = complex(y)
+        L = self.policy.max_word_length
+        grow, skew = 1.0 + L, sf.cond * L
+        gap = min(abs(y - w) - r for w, r in zip(sf.centers.tolist(), sf.radii.tolist()))
+        share = _orbit_ulps(0, sf.reach + abs(y), sf.radius, grow, skew)
+        return gap * (1.0 - EPS * (10.0 * grow + skew)) - 2e-12 * sf.radius - 2.0 * EPS * share
 
     # -- seed-kernel series ----------------------------------------------------
 
@@ -446,12 +495,18 @@ class SurfaceForms:
         (x - A_j)) with P(y) = prod_j (y - A_j), and the value is P(y)
         times the orbit sum of 1 / (prod_j l_{A_j} l_y) (:meth:`_orbit`),
         the forms inverted in pairs so that no product leaves the range.
-        y is guarded on every word, weight-1 x at the identity's pole 0;
-        a word on a basis point to the bit (l_{A_j} = 0) adds 0, its term
-        vanishing like its multiplier^(N-1).  Floor shares (module
+        Weight-1 x is guarded at the identity's pole 0, and y on every
+        word of the identity's block; past that block, y only where its
+        clearance delta(y) (:meth:`_clearance`, a bound on every |gamma x
+        - y| there) is within the pole guard: on a circle or inside a
+        disc.  A word on a basis point to the bit (l_{A_j} = 0) adds 0, its
+        term vanishing like its multiplier^(N-1).  Floor shares (module
         docstring): per term for the basis points, limit points that deep
-        words approach; per block for y and 0 at weight 1, off the limit
-        set.  Each y is summed as in a call with y alone.
+        words approach, and for y at weight >= 2 and in the identity's
+        block; per block for 0 and, at weight 1, for y: at its clearance
+        where that clears the guard, with no |den| formed, else at the
+        block's least |gamma x - y|.  Each y is summed as in a call with
+        y alone.
         """
         A = self._seed_points(weight)
         poly = np.ones_like(ys)
@@ -463,14 +518,17 @@ class SurfaceForms:
         radius = self._surface.radius
         top = max(self._surface.reach, abs(x))
         seed_top = top + max(map(abs, A))
+        drift = radius / self._surface.inner
+        clear = [self._clearance(y) for y in ys]
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
             num, den = self._orbit(x, s, e)
-            abs_den = np.abs(den)
             grow, skew = self._block_floor(s, e, 0)
+            abs_den = None
             if weight == 1:
-                base = _orbit_ulps(1, 1.0, radius / self._surface.inner, grow, skew)
+                base = self._per_table(("psi1", s, e), lambda: _orbit_ulps(1, 1.0, drift, grow, skew))
             else:
+                abs_den = np.abs(den)
                 forms, inv, dead = [], 0.0, False
                 for Aj in A:
                     ell = num - Aj * den
@@ -488,11 +546,20 @@ class SurfaceForms:
                 base = _orbit_ulps(weight, seed_top * t_seed, radius * t_seed, grow, skew)
             for k, y in enumerate(ys):
                 ell = num - y * den
-                dist = np.abs(ell) / abs_den
-                near = self._guard_poles(dist, s, what)
+                cleared = s > 0 and clear[k] > POLE_GUARD
+                if cleared and weight == 1:
+                    at = clear[k]
+                else:
+                    if abs_den is None:
+                        abs_den = np.abs(den)
+                    at = np.abs(ell) / abs_den
+                    if not cleared:
+                        near = self._guard_poles(at, s, what)
+                        if weight == 1 and s:
+                            at = near
                 share = _orbit_ulps(0, top + abs(y), radius, grow, skew)
                 term = np.reciprocal(num * ell) if weight == 1 else coef / (last * ell)
-                yield k, term, base + share / (near if weight == 1 and s else dist)
+                yield k, term, base + share / at
 
         totals, shells, floors = self._reduce(terms, len(ys))
         return poly * totals, np.abs(poly) * self._tails(shells, floors)
@@ -552,14 +619,19 @@ class SurfaceForms:
         Each block's floor is :func:`_orbit_ulps` at its longest word, the
         pole y counted 2N times as
         kappa = 2N (max(reach, |x|) + |y|) / near and drift = 2N r / near:
-        |gamma x| <= reach but at the identity (whose image is x), and near
-        is the block's least |gamma x - y|, refused below the pole guard
-        with its word; grow and skew are :meth:`_block_floor`'s.
+        |gamma x| <= reach but at the identity (whose image is x); grow and
+        skew are :meth:`_block_floor`'s.  near is y's clearance delta(y)
+        (:meth:`_clearance`) in every block past the identity's where that
+        exceeds the pole guard; in the identity's block, and for a y on a
+        circle or inside a disc, it is the block's least |gamma x - y|,
+        refused below the pole guard with its word.
         """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
         top = 2 * weight * (max(self._surface.reach, abs(x)) + abs(y))
         rim = 2 * weight * self._surface.radius
+        clear = self._clearance(y)
+        cleared = clear > POLE_GUARD
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
             t = max(s, first)
@@ -567,7 +639,10 @@ class SurfaceForms:
                 return
             num, den = self._orbit(x, t, e)
             ell = num - y * den
-            near = self._guard_poles(np.abs(ell) / np.abs(den), t, what)
+            if s and cleared:
+                near = clear
+            else:
+                near = self._guard_poles(np.abs(ell) / np.abs(den), t, what)
             ulps = _orbit_ulps(weight, top / near, rim / near, *self._block_floor(t, e, first))
             term = np.reciprocal(ell * ell)
             yield 0, term ** weight if weight > 1 else term, ulps

@@ -179,17 +179,23 @@ class _Factored:
 
 
 def _powers(z: np.ndarray, modes: int) -> np.ndarray:
-    """z^{k+1} for k = 0..modes-1 on a new last axis, as a running product.
+    """z^{k+1} for k = 0..modes-1 on a new last axis, by doubling.
 
-    One product of the whole array per k, so entry k does not depend on
-    ``modes`` (numpy's cumprod does: its vector loop may fuse the
-    multiply-adds differently by length).  Entry k carries k complex
-    products, so it is off by at most 2 k eps of its size.
+    With the first k entries filled, entries k..2k-1 are entries 0..k-1
+    times entry k-1 in one product, ceil(log2(modes)) products in all.
+    Entry j in k..2k-1 is formed from entries j-k and k-1 whatever
+    ``modes`` is, so it does not depend on ``modes`` (numpy's cumprod
+    does: its vector loop may fuse the multiply-adds differently by
+    length).  Entry k carries k complex products, (j - k) + (k - 1) + 1,
+    so it is off by at most 2 k eps of its size.
     """
     out = np.empty((modes,) + z.shape, dtype=np.complex128)
     out[0] = z
-    for k in range(1, modes):
-        np.multiply(out[k - 1], z, out=out[k])
+    k = 1
+    while k < modes:
+        n = min(k, modes - k)
+        np.multiply(out[:n], out[k - 1], out=out[k : k + n])
+        k += n
     return np.moveaxis(out, 0, -1)
 
 
@@ -200,27 +206,28 @@ def _mode_vectors(
     (their y-derivatives q' with ``derivative``), one row per point.
 
     Entry (b, n) of p is s_b^{n+1} / (x - w_b)^{n+2}, formed as
-    (x - w_b)^{-1} times the running powers of s_b / (x - w_b).  Entry
-    (a, m) of q is -s_a^{m+1} times the m-th Taylor coefficient of the
+    (x - w_b)^{-1} times the powers of s_b / (x - w_b).  Entry (a, m) of q is -s_a^{m+1} times the m-th Taylor coefficient of the
     seed 1/(x - y) - 1/x in x at the partner center w_{-a}:
 
         -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ]
             = z_a(y)^{m+1} - z_a(0)^{m+1},   z_a(y) = -s_a / (w_{-a} - y),
 
     and entry (a, m) of q' is (m + 1) z_a(y)^{m+1} / (w_{-a} - y).  The
-    running powers of s_b / (x_i - w_b), z_a(y_j) and z_a(0) are formed in
-    one :func:`_powers` pass over them stacked; each entry is the same
-    product whatever it is stacked with.  Layout: signed handles in the
-    order 1, -1, 2, -2, ... (outer), mode index 0..modes-1 (inner); each
-    row has 2 * genus * modes entries.
+    powers of s_b / (x_i - w_b), z_a(y_j) and, for q alone, z_a(0) are
+    formed in one :func:`_powers` pass over them stacked; each entry is
+    the same product whatever it is stacked with.  Layout: signed handles
+    in the order 1, -1, 2, -2, ... (outer), mode index 0..modes-1 (inner);
+    each row has 2 * genus * modes entries.
     """
     geo = _surface(sp)
     inv_x = 1.0 / (xs[:, None] - geo.centers)
     inv_y = 1.0 / (geo.partners - ys[:, None])
-    z = np.concatenate([geo.roots * inv_x, -geo.roots * inv_y, [-geo.roots / geo.partners]])
-    powers = _powers(z, modes)
+    z = [geo.roots * inv_x, -geo.roots * inv_y]
+    if not derivative:
+        z.append([-geo.roots / geo.partners])
+    powers = _powers(np.concatenate(z), modes)
     p = inv_x[..., None] * powers[: len(xs)]
-    q = powers[len(xs) : -1]
+    q = powers[len(xs) : len(xs) + len(ys)]
     if derivative:
         q = inv_y[..., None] * q * np.arange(1.0, modes + 1.0)
     else:
@@ -527,7 +534,7 @@ def _split_sums(
     of :func:`_truncation`, the one-letter floors, and a rounding floor of
     (2gM + 4(M + 1)) eps c |p|^T |R| |S|, c = (1 + kappa) / (1 - kappa)
     the gate's bound on cond_1(I - R): the solve and the products round
-    by about 2gM ulps of the terms, and the running powers of p and q by
+    by about 2gM ulps of the terms, and the powers of p and q by
     2(M + 1) each.  Where the system's certificate is at most the
     smallest floor, it is charged in place of the per-pair bound, at most
     doubling a tail, and the series are skipped.  The certificate depends

@@ -1011,6 +1011,153 @@ class TestBlockedSums:
                 assert info.value.letters in ((1,), (-1,))
 
 
+def _exact_psi1_and_omega(sp, W, x, y):
+    """Exact sums of psi_1(x, y) and omega(x, y) over the word table's float entries.
+
+    Written from gamma x and gamma'x: psi_1 as y sum gamma'x / ((gamma x -
+    y) gamma x), omega as sum gamma'x / (gamma x - y)^2.
+    """
+    X, Y = _exact(x), _exact(y)
+    psi1 = omega = (0, 0)
+    for i in range(len(W)):
+        a, b, c, d = (_exact(v[i]) for v in (W.a, W.b, W.c, W.d))
+        den = _exact_add(_exact_mul(c, X), d)
+        image = _exact_div(_exact_add(_exact_mul(a, X), b), den)
+        dgx = _exact_div((1, 0), _exact_mul(den, den))
+        diff = _exact_add(image, _neg(Y))
+        psi1 = _exact_add(psi1, _exact_div(dgx, _exact_mul(diff, image)))
+        omega = _exact_add(omega, _exact_div(dgx, _exact_mul(diff, diff)))
+    return _exact_mul(psi1, Y), omega
+
+
+def _scans(F, monkeypatch):
+    """A list that records the first row of every per-word pole scan of F."""
+    rows = []
+    guard = F._guard_poles
+
+    def counted(dist, s, what):
+        rows.append(s)
+        return guard(dist, s, what)
+
+    monkeypatch.setattr(F, "_guard_poles", counted)
+    return rows
+
+
+class TestClearance:
+    """Past the identity's block, y is charged at its disc clearance instead of a scan."""
+
+    @pytest.mark.parametrize("L", [1, 4])
+    def test_clearance_bounds_every_image(self, genus3_params, L):
+        # delta(y) is at most every computed |gamma x - y|, gamma != id, also
+        # for x on a circle and y a nanoradius outside the circle through
+        # gamma_{-1} x, and for x inside a disc by the domain gate's slack;
+        # it is nonpositive on a circle and inside a disc.
+        sp = genus3_params
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=L))
+        W = F.words
+        rng = np.random.default_rng(29)
+        w1, r1 = sp.center(1), sp.radius(1)
+        x_on = sp.center(-1) + r1 * cmath.exp(1.3j)
+        hair = w1 + (generator_map(sp, -1)(x_on) - w1) * (1 + 1e-9)
+        # x inside the disc at w_1 by 0.9 of the domain gate's slack puts
+        # gamma_1 x outside the disc at w_{-1}, and y just beyond it.
+        x_in = w1 + r1 * (1 - 9e-13) * cmath.exp(0.3j)
+        w = sp.center(-1)
+        past = w + (generator_map(sp, 1)(x_in) - w) * (1 + 1e-12)
+        xs = [3.0 - 1.0j, x_on, x_in, sp.center(2) + sp.radius(2) * 1j]
+        ys = [-0.5 - 0.8j, hair, past, w1 + r1 * 1j, w1 + 0.5 * r1]
+        ys += [complex(*rng.uniform(-4.0, 4.0, 2)) for _ in range(20)]
+        for x in xs:
+            num, den = W.a[1:] * x + W.b[1:], W.c[1:] * x + W.d[1:]
+            for y in ys:
+                clear = F._clearance(y)
+                assert clear <= (np.abs(num - y * den) / np.abs(den)).min(), (x, y)
+                if any(abs(y - sp.center(b)) <= sp.radius(b) for b in sp.signed_indices):
+                    assert clear <= 0, y
+        assert F._clearance(hair) > 0
+
+    @pytest.mark.parametrize("row", [37, 120, 186])
+    def test_pole_at_a_length3_word_past_the_first_block(self, genus3_params, row):
+        # At L = 3 on g3 the identity's block holds rows 0..36 and the
+        # length-3 words fill the next: y exactly at gamma x lies in a disc,
+        # so the later block scans and names the word.
+        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=3))
+        W = F.words
+        assert F._blocks[0][1] == 37 and W.length[row] == 3
+        x = 3.0 - 1.0j
+        images = (W.a * x + W.b) / (W.c * x + W.d)
+        y = images[row]
+        assert np.sort(np.abs(images - y))[1] > POLE_GUARD
+        assert F._clearance(y) < 0
+        for call in (
+            lambda: F.third_kind_form(x, y),
+            lambda: F.recursion_kernel(x, y, 1),
+            lambda: F.bidifferential(x, y),
+        ):
+            with pytest.raises(PoleProximityError) as info:
+                call()
+            assert info.value.letters == W.letters(row)
+
+    @pytest.mark.parametrize("fixture", ["genus2_params", "genus3_params"])
+    def test_continuation_and_circle_points_scan(self, fixture, request, monkeypatch):
+        # y inside a disc (the continuation in y) and y on a circle have no
+        # positive clearance: every block scans, and the sums stay within
+        # their tails of the exact sums of their terms.
+        sp = request.getfixturevalue(fixture)
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=2))
+        assert len(F._blocks) == 2
+        rows = _scans(F, monkeypatch)
+        x = 3.0 - 1.0j if sp.genus == 3 else 2.6 + 0.9j
+        w, r = sp.center(-1), sp.radius(1)
+        for y in (w + 0.3 * r * cmath.exp(0.7j), w + r * cmath.exp(2.1j)):
+            assert F._clearance(y) <= 0
+            psi1, omega = _exact_psi1_and_omega(sp, F.words, x, y)
+            del rows[:]
+            assert _within(F.third_kind_form(x, y), psi1)
+            assert _within(F.bidifferential(x, y), omega)
+            assert rows == [0, F._blocks[1][0]] * 2
+
+    @pytest.mark.parametrize("fixture", ["torus_params", "genus2_params", "genus3_params"])
+    def test_clearance_keeps_values_and_raises_no_tail(self, fixture, request, monkeypatch):
+        # Against a clearance of 0, which forces the scan everywhere, at 200
+        # random pairs (a third within 1e-12..1e-3 radii outside a circle):
+        # the values are bit-identical and the tails no smaller.  Where x
+        # and y clear the guard, only the identity's block scans.
+        sp = request.getfixturevalue(fixture)
+        F = SurfaceForms(sp, TruncationPolicy(max_word_length=6))
+        rng = np.random.default_rng(sp.genus)
+        discs = [(sp.center(b), sp.radius(b)) for b in sp.signed_indices]
+
+        def draw(k):
+            if k % 3 == 0:
+                w, r = discs[rng.integers(len(discs))]
+                return w + r * (1 + 10.0 ** rng.uniform(-12, -3)) * cmath.exp(2j * math.pi * rng.random())
+            while True:
+                z = complex(*rng.uniform(-6.0, 6.0, 2))
+                if all(abs(z - w) > r for w, r in discs):
+                    return z
+
+        pairs = [(draw(k), draw(k + 1)) for k in range(200)]
+        calls = {
+            "third_kind_form": lambda x, y: F.third_kind_form(x, y),
+            "bidifferential": lambda x, y: F.bidifferential(x, y),
+            "projective_connection": lambda x, y: F.projective_connection(x),
+        }
+        certified = {name: [call(x, y) for x, y in pairs] for name, call in calls.items()}
+        rows = _scans(F, monkeypatch)
+        for x, y in pairs:
+            if min(F._clearance(x), F._clearance(y)) > POLE_GUARD:
+                for call in calls.values():
+                    call(x, y)
+        assert set(rows) == {0, 1}
+        monkeypatch.setattr(SurfaceForms, "_clearance", lambda self, y: 0.0)
+        for name, call in calls.items():
+            for (x, y), got in zip(pairs, certified[name]):
+                scanned = call(x, y)
+                assert got.value == scanned.value, (name, x, y)
+                assert got.tail >= scanned.tail, (name, x, y)
+
+
 class TestTrueGroup:
     """Pointwise sums within their tails of the same words summed over the true group.
 

@@ -20,6 +20,7 @@ sums in test_forms.
 import cmath
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -152,7 +153,7 @@ class TestVectorsAndLayout:
             assert q[i * 4] == pytest.approx(expected, rel=1e-13)
 
     def test_vectors_do_not_depend_on_the_other_points(self, genus3_params):
-        # One running-power pass serves every point of a call: each row
+        # One _powers pass serves every point of a call: each row
         # equals its point's row alone, bit for bit.
         sp = genus3_params
         xs = np.array([3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j])
@@ -163,6 +164,25 @@ class TestVectorsAndLayout:
                 assert np.array_equal(p, vectors(sp, 20, x, ys[0], derivative)[0])
             for y, q in zip(ys, Q):
                 assert np.array_equal(q, vectors(sp, 20, xs[0], y, derivative)[1])
+
+    def test_powers_do_not_depend_on_the_cutoff(self):
+        # Entry k of _powers (z^(k+1)) is the same product at M and at 2M,
+        # bit for bit, and within 2k eps of the exact power.
+        rng = np.random.default_rng(5)
+        z = (rng.uniform(-1.5, 1.5, 8) + 1j * rng.uniform(-1.5, 1.5, 8)).reshape(2, 4)
+        for M in (1, 2, 3, 5, 8, 13, 20):
+            powers, doubled = modes._powers(z, M), modes._powers(z, 2 * M)
+            assert powers.shape == (2, 4, M)
+            assert np.array_equal(powers, doubled[..., :M])
+        eps = Fraction(EPS)
+        for zi, row in zip(z.ravel(), doubled.reshape(-1, 2 * M)):
+            re, im = Fraction(zi.real), Fraction(zi.imag)
+            exact_re, exact_im = re, im
+            for k, got in enumerate(row):
+                if k:
+                    exact_re, exact_im = exact_re * re - exact_im * im, exact_re * im + exact_im * re
+                error = (Fraction(got.real) - exact_re) ** 2 + (Fraction(got.imag) - exact_im) ** 2
+                assert error <= (2 * k * eps) ** 2 * (exact_re**2 + exact_im**2), k
 
     def test_coupling_zero_blocks(self, genus2_params):
         M = 6
