@@ -77,15 +77,16 @@ too; against 40-digit sums over the true group it stayed within 0.06 of
 its tail.  A term meeting at most m roundings on its way into a sum
 moves it by gamma_m = m u / (1 - m u) of its size, u = eps/2 (Higham,
 Accuracy and Stability of Numerical Algorithms, sec. 4.2); m counts
-numpy's pairwise sum (``_sum_ulps``) and one addition per later block,
-m = 27 + 12 on the genus-3 fixture at L = 6.  The quasi-period
+numpy's pairwise sum of a block (``_sum_ulps``) and the pairwise sum of
+the B block sums, ceil(log2 B) additions: m = 27 + 4 on the genus-3
+fixture at L = 6 (B = 13).  The quasi-period
 coefficients carry the kernel tails at their sample points through the
 same finite Fourier transform as the values.  Raising the word cutoff
 must move any value by less than its tail; the test suite enforces this.
 
 Every sum walks the word table in fixed blocks of at most ``_ORBIT_BLOCK``
-rows, the last shell starting a block of its own, and adds each block's
-sum, floor and last-shell part to running totals in row order; no
+rows, the last shell starting a block of its own, adds the block sums
+and their last-shell parts pairwise and the floors in row order; no
 temporary spans the whole table.  The blocks depend on the word table
 only, so every value is reproduced bit for bit on every call.  A pass may
 sum several quantities, each with the same operations as alone: a kernel
@@ -344,8 +345,8 @@ class SurfaceForms:
 
     @functools.cached_property
     def _sum_ulps(self) -> float:
-        """numpy's pairwise sum of a block, then one addition per later block."""
-        return _sum_ulps(max(e - s for s, e, _ in self._blocks), len(self._blocks) - 1)
+        """numpy's pairwise sum of a block, then the block sums' pairwise sum."""
+        return _sum_ulps(max(e - s for s, e, _ in self._blocks), (len(self._blocks) - 1).bit_length())
 
     # -- construction helpers ------------------------------------------------
 
@@ -396,29 +397,31 @@ class SurfaceForms:
         s..e-1: the terms of quantity j over its rows of the block (a
         quantity with none there is not yielded) and the bound, stated by
         the caller, on their own rounding in ulps of eps times their sizes
-        |Re| + |Im|, one per term or one for the block.  Each block's sum,
-        its rounding floor and, for a block of the last shell, its sum
-        again are added to the quantity's running totals in row order, so
-        the result depends on the word table only.  Returns per
+        |Re| + |Im|, one per term or one for the block.  The block sums, and
+        apart those of the last shell's blocks, are added pairwise in row
+        order (:func:`_pairwise`), the floors in row order, so the result
+        depends on the word table only.  Returns per
         quantity the total, the last shell's sum and the floor in units of
         eps: the terms' own rounding plus that of the summation (see the
         module docstring).
         """
-        totals = np.zeros(count, dtype=np.complex128)
-        shells = np.zeros(count, dtype=np.complex128)
+        parts: list[list[complex]] = [[] for _ in range(count)]
+        shell_parts: list[list[complex]] = [[] for _ in range(count)]
         floors = np.zeros(count)
         for s, e, last in self._blocks:
             for j, vals, ulps in terms(s, e):
                 part = vals.sum()
-                totals[j] += part
+                parts[j].append(part)
                 if last:
-                    shells[j] += part
+                    shell_parts[j].append(part)
                 if isinstance(ulps, np.ndarray):
                     # Sizes |Re| + |Im| as per block; the summation's share with margin sqrt(2).
                     sizes = np.abs(vals.real) + np.abs(vals.imag)
                     floors[j] += sizes @ (ulps + math.sqrt(2.0) * self._sum_ulps)
                 else:
                     floors[j] += (ulps + self._sum_ulps) * _abs_sum(vals)
+        totals = np.array([_pairwise(p) for p in parts], dtype=np.complex128)
+        shells = np.array([_pairwise(p) for p in shell_parts], dtype=np.complex128)
         return totals, shells, floors
 
     def _tails(self, shells: np.ndarray, floors: np.ndarray) -> np.ndarray:
@@ -914,6 +917,13 @@ def _sum_ulps(n: int, more: int) -> float:
     k = min(m, m // 4 + 4) if m <= 64 else 20 + math.ceil(math.log2((m - 7) / 57))
     k += 1 + (n - 1) // 8192 + more
     return k / (2.0 - k * EPS)
+
+
+def _pairwise(parts: list[complex]) -> complex:
+    """The sum of ``parts`` added pairwise, each through (len - 1).bit_length() additions; 0 if none."""
+    while len(parts) > 1:
+        parts = [sum(parts[k : k + 2]) for k in range(0, len(parts), 2)]
+    return sum(parts, 0j)
 
 
 def _abs_sum(terms: np.ndarray) -> float:
