@@ -397,20 +397,19 @@ class SurfaceForms:
         s..e-1: the terms of quantity j over its rows of the block (a
         quantity with none there is not yielded) and the bound, stated by
         the caller, on their own rounding in ulps of eps times their sizes
-        |Re| + |Im|, one per term or one for the block.  The block sums, and
-        apart those of the last shell's blocks, are added pairwise in row
-        order (:func:`_pairwise`), the floors in row order, so the result
-        depends on the word table only.  Returns per
-        quantity the total, the last shell's sum and the floor in units of
-        eps: the terms' own rounding plus that of the summation (see the
-        module docstring).
+        |Re| + |Im|, one per term or one for the block.  The block sums are
+        added pairwise in row order (:func:`_pairwise`), and so, apart, are
+        the last shell's; the floors are added in row order.  So the result
+        depends on the word table only.  Returns per quantity the total,
+        the last shell's sum and the floor in units of eps: the terms' own
+        rounding plus that of the summation (see the module docstring).
         """
         parts: list[list[complex]] = [[] for _ in range(count)]
         shell_parts: list[list[complex]] = [[] for _ in range(count)]
         floors = np.zeros(count)
         for s, e, last in self._blocks:
             for j, vals, ulps in terms(s, e):
-                part = vals.sum()
+                part = np.add.reduce(vals)
                 parts[j].append(part)
                 if last:
                     shell_parts[j].append(part)
@@ -439,28 +438,24 @@ class SurfaceForms:
 
     @functools.cached_property
     def _memo(self) -> dict:
-        """The point-independent block constants of :meth:`_per_table`, filled on first use."""
+        """Point-independent block constants, filled on first use: :meth:`_block_floor`'s,
+        keyed (s, e, per word), and the weight-1 kernel's base share, keyed (s, e)."""
         return {}
 
-    def _per_table(self, key: tuple, make: Callable[[], object]):
-        """make() under ``key``, computed once per word table; arrays come back read-only."""
-        memo = self._memo
-        if key not in memo:
-            value = make()
-            for array in value if isinstance(value, tuple) else (value,):
-                if isinstance(array, np.ndarray):
-                    array.flags.writeable = False
-            memo[key] = value
-        return memo[key]
-
     def _block_floor(self, s: int, e: int, first: int) -> tuple[np.ndarray | float, ...]:
-        """(grow, skew) = (1 + k, c k), k letters: per word if s is ``first``, else row e-1's."""
+        """(grow, skew) = (1 + k, c k), k letters: per word if s is ``first``, else row e-1's.
 
-        def make() -> tuple[np.ndarray | float, ...]:
+        Computed once per word table; the per-word arrays are read-only.
+        """
+        key = (s, e, s == first)
+        floor = self._memo.get(key)
+        if floor is None:
             k = self.words.length[s:e] if s == first else float(self.words.length[e - 1])
-            return 1.0 + k, self._surface.cond * k
-
-        return self._per_table(("floor", s, e, s == first), make)
+            floor = self._memo[key] = (1.0 + k, self._surface.cond * k)
+            for part in floor:
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+        return floor
 
     def _clearance(self, y: complex) -> float:
         """delta(y), at most every |gamma x - y| the orbit sums compute, gamma != id.
@@ -529,7 +524,9 @@ class SurfaceForms:
             grow, skew = self._block_floor(s, e, 0)
             abs_den = None
             if weight == 1:
-                base = self._per_table(("psi1", s, e), lambda: _orbit_ulps(1, 1.0, drift, grow, skew))
+                base = self._memo.get((s, e))
+                if base is None:
+                    base = self._memo[(s, e)] = _orbit_ulps(1, 1.0, drift, grow, skew)
             else:
                 abs_den = np.abs(den)
                 forms, inv, dead = [], 0.0, False
@@ -547,7 +544,7 @@ class SurfaceForms:
                     coef = coef / (u * v)
                 t_seed = abs_den * inv
                 base = _orbit_ulps(weight, seed_top * t_seed, radius * t_seed, grow, skew)
-            for k, y in enumerate(ys):
+            for k, y in enumerate(ys.tolist()):
                 ell = num - y * den
                 cleared = s > 0 and clear[k] > POLE_GUARD
                 if cleared and weight == 1:
@@ -920,7 +917,10 @@ def _sum_ulps(n: int, more: int) -> float:
 
 
 def _pairwise(parts: list[complex]) -> complex:
-    """The sum of ``parts`` added pairwise, each through (len - 1).bit_length() additions; 0 if none."""
+    """The sum of ``parts`` added pairwise, 0 if none.
+
+    Each part meets (len(parts) - 1).bit_length() additions.
+    """
     while len(parts) > 1:
         parts = [sum(parts[k : k + 2]) for k in range(0, len(parts), 2)]
     return sum(parts, 0j)
@@ -933,7 +933,7 @@ def _abs_sum(terms: np.ndarray) -> float:
     roots.  Unlike BLAS ``dasum``, whose result depends on the alignment
     of its input, it rounds the same wherever the terms sit in memory.
     """
-    return float(np.abs(np.ascontiguousarray(terms).view(np.float64)).sum())
+    return float(np.add.reduce(np.abs(np.ascontiguousarray(terms).view(np.float64))))
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:
