@@ -181,13 +181,14 @@ class _Factored:
 def _powers(z: np.ndarray, modes: int) -> np.ndarray:
     """z^{k+1} for k = 0..modes-1 on a new last axis, by doubling.
 
-    With the first k entries filled, entries k..2k-1 are entries 0..k-1
-    times entry k-1 in one product, ceil(log2(modes)) products in all.
-    Entry j in k..2k-1 is formed from entries j-k and k-1 whatever
-    ``modes`` is, so it does not depend on ``modes`` (numpy's cumprod
-    does: its vector loop may fuse the multiply-adds differently by
-    length).  Entry k carries k complex products, (j - k) + (k - 1) + 1,
-    so it is off by at most 2 k eps of its size.
+    With entries 0..k-1 filled, entries k..2k-1 are entries 0..k-1 times
+    entry k-1, one product of the whole slice: ceil(log2(modes)) products
+    in all.  Entry j is formed from entries j - k and k - 1, k the largest
+    power of two at most j, whatever ``modes`` is, so it does not depend
+    on ``modes`` (numpy's cumprod does: its vector loop may fuse the
+    multiply-adds differently by length).  By induction entry j carries
+    (j - k) + (k - 1) + 1 = j complex products, so it is off by at most
+    2 j eps of its size.
     """
     out = np.empty((modes,) + z.shape, dtype=np.complex128)
     out[0] = z
@@ -206,8 +207,9 @@ def _mode_vectors(
     (their y-derivatives q' with ``derivative``), one row per point.
 
     Entry (b, n) of p is s_b^{n+1} / (x - w_b)^{n+2}, formed as
-    (x - w_b)^{-1} times the powers of s_b / (x - w_b).  Entry (a, m) of q is -s_a^{m+1} times the m-th Taylor coefficient of the
-    seed 1/(x - y) - 1/x in x at the partner center w_{-a}:
+    (x - w_b)^{-1} times the powers of s_b / (x - w_b).  Entry (a, m)
+    of q is -s_a^{m+1} times the m-th Taylor coefficient of the seed
+    1/(x - y) - 1/x in x at the partner center w_{-a}:
 
         -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ]
             = z_a(y)^{m+1} - z_a(0)^{m+1},   z_a(y) = -s_a / (w_{-a} - y),
