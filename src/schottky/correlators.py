@@ -78,7 +78,11 @@ Every call returns an :class:`~schottky.forms.Estimate`: each correlator
 is its formula in Estimate arithmetic, which bounds how the tails of the
 surface data propagate and adds each operation's rounding.  They are the
 pairing sum times Z, s Z / 12, (s_x s_y / 144 + omega^2 / 2) Z, and
-theta Z^d, where theta's tail covers the period matrix's.
+theta Z^d, where theta's tail covers the period matrix's.  The pairing
+sum alone runs on plain numbers, with its formula's operations and bits,
+and carries the Estimate bound in closed form: a product of m entries
+within t of omega moves by at most prod (|omega| + t) - prod |omega|, and
+its m - 1 rounded products and the additions by what Estimate charges.
 
 The pairing sums take every bidifferential (and, for the Virasoro
 two-point function, both projective connections) from one omega matrix
@@ -96,11 +100,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from schottky.forms import EPS, ConfigurationError, Estimate, SurfaceForms
+from schottky.forms import _TAIL_UP, _UNDERFLOW, EPS, ConfigurationError, Estimate, SurfaceForms
 from schottky.group import InvalidParameterError, TruncationPolicy, require_positive
 from schottky.modes import (
-    _bidifferentials,
     _insertion_points,
+    _omega_matrix,
     _require_cutoff,
     _system,
     heisenberg_partition,
@@ -215,19 +219,20 @@ def pairings(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """
     if n % 2 or n < 0:
         return
+    if not n:
+        yield ()
+        return
 
-    def rec(rest: list[int]):
-        if not rest:
-            yield ()
-            return
+    # A pairing is built as it descends; the last pair needs no generator.
+    def rec(prefix: tuple, rest: tuple[int, ...]):
         first = rest[0]
+        if len(rest) == 2:
+            yield prefix + ((first, rest[1]),)
+            return
         for k in range(1, len(rest)):
-            partner = rest[k]
-            tail = rest[1:k] + rest[k + 1:]
-            for sub in rec(tail):
-                yield ((first, partner),) + sub
+            yield from rec(prefix + ((first, rest[k]),), rest[1:k] + rest[k + 1:])
 
-    yield from rec(list(range(n)))
+    yield from rec((), tuple(range(n)))
 
 
 def _cutoff(forms: SurfaceForms, modes: int | None) -> int:
@@ -242,6 +247,49 @@ def _cutoff(forms: SurfaceForms, modes: int | None) -> int:
     return mode_cutoff_for(forms.sp, forms.policy.tol, forms.policy.mode_cutoff)
 
 
+def _pairing_sum(values: list[list[complex]], tails: list[list[float]]) -> Estimate:
+    """The sum over :func:`pairings` of the products of values[i][j], and its tail.
+
+    The value is bit for bit that of ``sum(math.prod(e[i][j] for i, j in
+    pairing))`` on Estimates e of these entries: the same complex
+    operations in the same order.  Entry (i, j) is known to tails[i][j].
+    For a product of m entries of sizes a and tails t, d = prod (a + t) -
+    prod a bounds what the tails do, as Estimate's product rule does term
+    by term; it is carried as d <- d (a + t) + h t, h the product of the
+    sizes so far, so nothing cancels.  The m - 1 rounded products (1 times
+    the first entry is exact) are each off by at most 2 eps times a partial
+    product, which carried forward comes to 2 (m - 1) eps prod (a + t);
+    each addition but the first (0 plus a product, exact) rounds by at
+    most eps |running total|.  Every eps brings ``_UNDERFLOW``, as in
+    Estimate; a product's 2 ``_UNDERFLOW`` (the exact first's too) is
+    carried forward in d, as Estimate's tail carries it.  The bound's own
+    evaluation, sums of k nonnegative terms and products of m, is off by
+    at most (k + m) eps relative, so it is raised by that and by
+    ``_TAIL_UP``.  An infinite tail gives an infinite bound.
+    """
+    cells = [[(v, abs(v), abs(v) + t, t) for v, t in zip(vrow, trow)]
+             for vrow, trow in zip(values, tails)]
+    total, count, spread, size, sizes, tiny = 0, 0, 0.0, 0.0, 0.0, 2.0 * _UNDERFLOW
+    for pairing in pairings(len(values)):
+        p, h, d = 1, 1.0, 0.0
+        for i, j in pairing:
+            v, a, s, t = cells[i][j]
+            p = p * v
+            d = d * s + h * t + tiny
+            h = h * a
+        rounds = total != 0
+        total = total + p
+        if rounds:
+            sizes += abs(total)
+        spread += d
+        size += h + d
+        count += 1
+    ulps = 2 * max(len(values) // 2 - 1, 0)
+    tail = spread + EPS * (ulps * size + sizes) + _UNDERFLOW * (count - 1)
+    tail *= (1.0 + (count + len(values)) * EPS) * _TAIL_UP
+    return Estimate(total, tail if tail == tail else math.inf)
+
+
 def heisenberg_npoint(
     forms: SurfaceForms,
     points: Sequence[complex],
@@ -254,15 +302,17 @@ def heisenberg_npoint(
     itself, through the one empty pairing).  The n(n-1)/2 bidifferentials
     come from one omega matrix of the mode resolvent, at the cutoff of Z.
     Odd n passes the same gate on its points as even n.
+
+    The pairing sum (:func:`_pairing_sum`) is its Estimate formula's value
+    bit for bit, with that formula's tail in closed form.
     """
     m = _cutoff(forms, modes)
     points = tuple(points)
     if len(points) % 2:
         _insertion_points(forms.sp, points)
         return Estimate(0.0j, 0.0)
-    omega = _bidifferentials(forms.sp, m, points)
-    total = sum(math.prod(omega[i][j] for i, j in pairing) for pairing in pairings(len(points)))
-    return total * _system(forms.sp, m).partition
+    omega, tails = _omega_matrix(forms.sp, m, points)
+    return _pairing_sum(omega.tolist(), tails.tolist()) * _system(forms.sp, m).partition
 
 
 def virasoro_one_point(
@@ -270,8 +320,8 @@ def virasoro_one_point(
 ) -> Estimate:
     """One-point function of the Virasoro vector: s(x) Z / 12."""
     m = _cutoff(forms, modes)
-    [[s]] = _bidifferentials(forms.sp, m, (x,))
-    return s * _system(forms.sp, m).partition / 12.0
+    [[s]], [[t]] = (a.tolist() for a in _omega_matrix(forms.sp, m, (x,)))
+    return Estimate(s, t) * _system(forms.sp, m).partition / 12.0
 
 
 def virasoro_two_point(
@@ -282,7 +332,8 @@ def virasoro_two_point(
         ( s(x) s(y) / 144 + omega(x,y)^2 / 2 ) Z.
     """
     m = _cutoff(forms, modes)
-    (sx, w), (_, sy) = _bidifferentials(forms.sp, m, (x, y))
+    omega, tails = _omega_matrix(forms.sp, m, (x, y))
+    sx, sy, w = (Estimate(complex(omega[k]), float(tails[k])) for k in ((0, 0), (1, 1), (0, 1)))
     return (sx * sy / 144.0 + 0.5 * w**2) * _system(forms.sp, m).partition
 
 

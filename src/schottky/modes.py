@@ -197,7 +197,7 @@ def _powers(z: np.ndarray, modes: int) -> np.ndarray:
         n = min(k, modes - k)
         np.multiply(out[:n], out[k - 1], out=out[k : k + n])
         k += n
-    return np.moveaxis(out, 0, -1)
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def _mode_vectors(
@@ -624,12 +624,9 @@ def bidifferential_via_modes(
     second kind at (x_i, x_j), or at i = j the projective connection
     s(x_i) = 6 lim_{y -> x} (omega(x, y) - 1/(x - y)^2), both as
     :meth:`schottky.forms.SurfaceForms.bidifferential` and
-    ``projective_connection`` sum them.  All come from one solve with a
-    right-hand side q'(x_j) per point (see the module docstring).  The
-    cutoff and then the points (:func:`_insertion_points`) are checked
-    before the system is factored, a point within POLE_GUARD of another's
-    one-letter image before the solve.  Each tail is the bound of
-    :func:`_split_sums` (times 6 on the diagonal) plus the identity term's rounding.
+    ``projective_connection`` sum them.  The cutoff is checked first; the
+    rest, the points' gates and each entry's tail, is :func:`_omega_matrix`'s,
+    one Estimate per entry of its arrays.
     """
     return _bidifferentials(sp, _require_cutoff(sp, modes), points)
 
@@ -637,22 +634,36 @@ def bidifferential_via_modes(
 def _bidifferentials(
     sp: SchottkyParams, modes: int, points: Sequence[complex]
 ) -> list[list[Estimate]]:
-    """:func:`bidifferential_via_modes` at a cutoff that passed :func:`_require_cutoff`."""
+    """:func:`bidifferential_via_modes` at a cutoff that passed :func:`_require_cutoff`:
+    the entries of :func:`_omega_matrix` as Estimates."""
+    omega, tails = (a.tolist() for a in _omega_matrix(sp, modes, points))
+    return [[Estimate(v, t) for v, t in zip(*rows)] for rows in zip(omega, tails)]
+
+
+def _omega_matrix(
+    sp: SchottkyParams, modes: int, points: Sequence[complex]
+) -> tuple[np.ndarray, np.ndarray]:
+    """omega(x_i, x_j) off the diagonal and s(x_i) on it, and their tails, as
+    two arrays, at a cutoff that passed :func:`_require_cutoff`.
+
+    All come from one solve with a right-hand side q'(x_j) per point (see
+    the module docstring).  The points (:func:`_insertion_points`) are
+    checked before the system is factored, a point within POLE_GUARD of
+    another's one-letter image before the solve.  Each tail is the bound of
+    :func:`_split_sums` (times 6 on the diagonal) plus the identity term's
+    rounding.
+    """
     xs = _insertion_points(sp, points)
     system = _system(sp, modes)
     if not len(xs):
-        return []
+        return np.empty((0, 0), complex), np.empty((0, 0))
     off = ~np.eye(len(xs), dtype=bool)
     diff = np.where(off, xs[:, None] - xs[None, :], 1.0)
     values, tails = _split_sums(sp, modes, system, xs, xs, True)
     identity = 1.0 / (diff * diff)
     floor = _identity_floor(identity, 2.0 * np.abs(xs)[:, None] / np.abs(diff))
     omega = np.where(off, identity + values, 6.0 * values)
-    tails = np.where(off, tails + floor, 6.0 * tails) + EPS * np.abs(omega)
-    return [
-        [Estimate(complex(v), float(t)) for v, t in zip(vrow, trow)]
-        for vrow, trow in zip(omega, tails)
-    ]
+    return omega, np.where(off, tails + floor, 6.0 * tails) + EPS * np.abs(omega)
 
 
 def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:

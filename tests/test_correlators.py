@@ -17,6 +17,7 @@ import sys
 import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -126,11 +127,134 @@ def test_odd_heisenberg_npoint_vanishes(torus_forms, n, monkeypatch):
         raise AssertionError("an odd n needs no mode system")
 
     monkeypatch.setattr(correlators, "_system", unused)
-    monkeypatch.setattr(correlators, "_bidifferentials", unused)
+    monkeypatch.setattr(correlators, "_omega_matrix", unused)
+    monkeypatch.setattr(modes, "_bidifferentials", unused)
     pts = [2.0 + 0.5j * k for k in range(n)]
     for m in (None, 5):
         res = heisenberg_npoint(torus_forms, pts, modes=m)
         assert res.value == 0
+
+
+def estimate_pairing_sum(omega):
+    """The pairing sum in Estimate arithmetic: the oracle of correlators._pairing_sum."""
+    return sum(math.prod(omega[i][j] for i, j in pairing) for pairing in pairings(len(omega)))
+
+
+def value_bits(z) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+def domain_points(sp, n: int, seed: int) -> list[complex]:
+    """n seeded points of the fundamental domain of sp within |z| <= 6, at
+    least 0.5 apart and from the origin."""
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < n:
+        z = complex(*rng.uniform(-6.0, 6.0, 2))
+        if abs(z) <= 6.0 and group.in_fundamental_domain(sp, z) and min(
+            abs(z - w) for w in [0.0, *pts]
+        ) >= 0.5:
+            pts.append(z)
+    return pts
+
+
+def exact_pairing_sum(values) -> tuple[Fraction, Fraction]:
+    """The pairing sum of float entries in exact rational arithmetic, as (re, im)."""
+    re, im = Fraction(0), Fraction(0)
+    for pairing in pairings(len(values)):
+        pr, pi = Fraction(1), Fraction(0)
+        for i, j in pairing:
+            vr, vi = Fraction(values[i][j].real), Fraction(values[i][j].imag)
+            pr, pi = pr * vr - pi * vi, pr * vi + pi * vr
+        re, im = re + pr, im + pi
+    return re, im
+
+
+def assert_within_tail(values):
+    got = correlators._pairing_sum(values, [[0.0] * len(row) for row in values])
+    re, im = exact_pairing_sum(values)
+    value = complex(got.value)
+    err2 = (Fraction(value.real) - re) ** 2 + (Fraction(value.imag) - im) ** 2
+    assert err2 <= Fraction(got.tail) ** 2, (float(err2) ** 0.5, got.tail)
+
+
+class TestPairingSum:
+    @pytest.mark.parametrize("surface", ["torus", "genus2", "genus3", *range(8)])
+    def test_matches_the_estimate_formula(self, surface, request, genus3_params, perturbed):
+        # Values bit for bit, and tails within 0.9-1.0001 of the Estimate
+        # formula's, alone and times Z, for n = 0..10 at M = 10 on the
+        # fixtures and on eight perturbed genus-3 draws.
+        if isinstance(surface, str):
+            sp = request.getfixturevalue(f"{surface}_params")
+        else:
+            sp = perturbed(genus3_params, surface)
+        pts = domain_points(sp, 10, 1)
+        z = modes._system(sp, 10).partition
+        for n in range(0, 11, 2):
+            values, tails = modes._omega_matrix(sp, 10, pts[:n])
+            got = correlators._pairing_sum(values.tolist(), tails.tolist())
+            want = estimate_pairing_sum(modes._bidifferentials(sp, 10, pts[:n]))
+            if n == 0:  # the empty product, an exact int 1
+                assert want == 1 and got.value == 1 and got.tail == 0.0
+                want = forms.Estimate(want, 0.0)
+            assert value_bits(got.value) == value_bits(want.value), n
+            assert 0.9 * want.tail <= got.tail <= 1.0001 * want.tail, (n, got.tail / want.tail)
+            full, ref = heisenberg_npoint(SurfaceForms(sp), pts[:n], modes=10), want * z
+            assert value_bits(full.value) == value_bits(ref.value), n
+            assert 0.9 * ref.tail <= full.tail <= 1.0001 * ref.tail, (n, full.tail / ref.tail)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rounding_charge_bounds_the_exact_sum(self, seed):
+        # With exact entries the tail is rounding alone, and it must cover
+        # the distance to the exact rational sum.
+        rng = np.random.default_rng(seed)
+        for n in (2, 4, 6, 8):
+            m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            assert_within_tail((m * 10.0 ** rng.uniform(-3, 3, size=(n, n))).tolist())
+        # Only the last pairing, ((0, 3), (1, 2)), is not zero: every addition
+        # is exact and uncharged, and its one rounded product is all the error.
+        lone = (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))).tolist()
+        lone[0][1] = lone[0][2] = 0j
+        assert_within_tail(lone)
+
+    def test_addition_charge_bounds_lost_low_order_terms(self):
+        # Every product is exact: the 15 pairings with (0, 1) give 2^53 each,
+        # the other 90 give 7 each, below half an ulp of 15 * 2^53, so each
+        # of those additions loses 7 and only the additions' charge covers
+        # the 630.
+        values = [[1.0 + 0j] * 8 for _ in range(8)]
+        values[0] = [1.0 + 0j, 2.0**53 + 0j] + [7.0 + 0j] * 6
+        assert complex(correlators._pairing_sum(values, [[0.0] * 8] * 8).value) == 15 * 2.0**53
+        assert_within_tail(values)
+
+    def test_an_infinite_tail_is_infinite_not_nan(self):
+        values = [[0j, 1.0 + 1j, 2.0, 3.0]] * 4
+        for k in range(1, 4):
+            tails = [[0.0] * 4 for _ in range(4)]
+            tails[0][k] = math.inf
+            assert math.isinf(correlators._pairing_sum(values, tails).tail)
+
+    def test_one_estimate_product_per_request(self, genus3_params, monkeypatch):
+        # On a cached system an 8-point request multiplies one Estimate (the
+        # pairing sum by Z), adds none, and draws its 105 pairings through
+        # the module attribute correlators.pairings.
+        surface = SurfaceForms(genus3_params)
+        pts = domain_points(genus3_params, 8, 2)
+        heisenberg_npoint(surface, pts, modes=12)
+        calls = Counter()
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            counted(monkeypatch, forms.Estimate, name, calls)
+        drawn = pairings
+
+        def counting(n):
+            for pairing in drawn(n):
+                calls["pairings"] += 1
+                yield pairing
+
+        monkeypatch.setattr(correlators, "pairings", counting)
+        heisenberg_npoint(surface, pts, modes=12)
+        assert calls == Counter({"__mul__": 1, "pairings": 105})
 
 
 def test_genus1_two_point_is_omega_times_z(torus_forms):
