@@ -69,21 +69,22 @@ a closed-form sum (:func:`_omitted_sums`), and so does the whole
 operator.  Bornemann's perturbation bound for Fredholm determinants
 turns them into a bound on det(I - R) at M against the untruncated
 operator, and a Neumann bound on |R| with kappa does the same for the
-resolvent (:func:`_truncation`).  Per flag (psi_1 or omega) a system
-also keeps a certificate: that bound at a virtual pair nearer every disc
-than the domain gate admits, so a bound at every pair of the closed
-domain.  A request whose smallest rounding floor is at least the
-certificate is charged it and skips the per-pair series; as the
-certificate depends on the system alone, no tail depends on which
-requests ran before.  The certified region is that of kappa < 1: on a
-genus-2 surface with centres +-1.35 and +-1.4i and equal radii
-f * 1.945/2 (f = 1 touches), f = 0.5 has kappa = 0.27 and f = 0.8 is
-refused (kappa = 1.05, while the true spectral radius is 0.30).  The bounds are
-rigorous but not tight: on the genus-3 test surface at M = 5 the
-determinant's bound gives Z a tail of 6e-7 where doubling M moves Z by
-1e-17, so :func:`mode_cutoff_for`, which picks the smallest M whose
-determinant bound meets a tolerance, errs towards larger M.  The layer
-is weight 1 only (see :func:`kernel_via_modes`).
+resolvent (:func:`_truncation`).  Per kernel (psi_1 or omega, each a
+:class:`_Kernel` record of its poles) a system also keeps a certificate:
+that bound at a virtual pair nearer every disc than the domain gate
+admits, so a bound at every pair of the closed domain.  A request whose
+smallest rounding floor is at least the certificate is charged it and
+skips the per-pair series; as the certificate depends on the system
+alone, no tail depends on which requests ran before.  The certified
+region is that of kappa < 1: on a genus-2 surface with centres +-1.35
+and +-1.4i and equal radii f * 1.945/2 (f = 1 touches), f = 0.5 has
+kappa = 0.27 and f = 0.8 is refused (kappa = 1.05, while the true
+spectral radius is 0.30).  The bounds are rigorous but not tight: on the
+genus-3 test surface at M = 5 the determinant's bound gives Z a tail of
+6e-7 where doubling M moves Z by 1e-17, so :func:`mode_cutoff_for`,
+which picks the smallest M whose determinant bound meets a tolerance,
+errs towards larger M.  The layer is weight 1 only (see
+:func:`kernel_via_modes`).
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg.blas import dgemm, zgemm
 from scipy.linalg.lapack import zgetrf, zgetrs
 
 from schottky.forms import (
@@ -164,8 +166,9 @@ class _Factored:
     bound on the entry sum of |R| beyond the cutoff, and ``partition``
     Z = det(I - R)^{-1/2}.  |R| is kept for every omega call's rounding
     floor: recomputing it costs 33 us a call at genus 3 and M = 20.
-    ``certificates``, mutable and ignored by equality, maps each flag
-    ``derivative`` to its :func:`_truncation` bound over the whole domain.
+    ``certificates``, mutable and ignored by equality, maps each kernel
+    record (:class:`_Kernel`) to its :func:`_truncation` bound over the
+    whole domain.
     """
 
     R: np.ndarray
@@ -176,6 +179,46 @@ class _Factored:
     omitted: float
     partition: PartitionValue
     certificates: dict = field(default_factory=dict, compare=False, repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class _Kernel:
+    """A mode-route kernel K(X, y) of X = gamma x, stated once, as its poles.
+
+    ``poles`` lists (sign, at_y, order): K is the sum of sign / (X - P)^order
+    with P = y where ``at_y`` and P = 0 elsewhere, order 1 or 2 (the degrees
+    in the mode index that :func:`_series` sums).  The orbit sum of
+    K(gamma x, y) gamma'(x) is psi_1 for ``_PSI``, K = 1/(X - y) - 1/X, and
+    omega = d psi_1 / dy for ``_OMEGA``, K = 1/(X - y)^2.  All else the mode
+    route knows of a kernel is read from its poles:
+
+    * the moment vector: entry (a, m) is -s_a^{m+1} times the m-th Taylor
+      coefficient of K in X at w_{-a}, which for a pole of order k at P is
+      sign C(m + k - 1, m) z_a(P)^{m+1} / (w_{-a} - P)^{k-1}, with
+      z_a(P) = -s_a / (w_{-a} - P).  So psi_1 has q = z_a(y)^{m+1} -
+      z_a(0)^{m+1} and omega q' = (m + 1) z_a(y)^{m+1} / (w_{-a} - y);
+    * its majorants (:func:`_vector_bounds`): |entry (b, n)| is at most the
+      sum over poles of (n + 1)^{k-1} sigma^{n+1} / |w_{-b} - P|^{k-1},
+      sigma = r_b / |w_{-b} - P|, one (coefficient, ratio, power) triple of
+      :func:`_series` per pole;
+    * the rounding of a term at X (:func:`_pole_sums`): kappa =
+      sum order |X| / |X - P| and drift = sum order r / |X - P|, the
+      poles' shares in :func:`~schottky.forms._orbit_ulps`.
+
+    ``term(gx, dgx, y, diff)`` is the one-letter words' term
+    K(gamma x, y) gamma'(x) in closed form, at gx = gamma x, dgx = gamma'(x)
+    and diff = gx - y; ``name`` is what its pole guard calls the kernel.
+    Records hash by identity: a system keys its certificates by them.
+    """
+
+    name: str
+    poles: tuple[tuple[float, bool, int], ...]
+    term: Callable[..., np.ndarray]
+
+
+_PSI = _Kernel("weight-1 kernel", ((1.0, True, 1), (-1.0, False, 1)),
+               lambda gx, dgx, y, diff: dgx / gx * (y / diff))
+_OMEGA = _Kernel("bidifferential", ((1.0, True, 2),), lambda gx, dgx, y, diff: dgx / (diff * diff))
 
 
 def _powers(z: np.ndarray, modes: int) -> np.ndarray:
@@ -201,39 +244,32 @@ def _powers(z: np.ndarray, modes: int) -> np.ndarray:
 
 
 def _mode_vectors(
-    sp: SchottkyParams, modes: int, xs: np.ndarray, ys: np.ndarray, derivative: bool = False
+    sp: SchottkyParams, modes: int, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pole-basis vectors p at each x_i and seed-moment vectors q at each y_j
-    (their y-derivatives q' with ``derivative``), one row per point.
+    """Pole-basis vectors p at each x_i and the kernel's moment vectors at each y_j,
+    one row per point.
 
     Entry (b, n) of p is s_b^{n+1} / (x - w_b)^{n+2}, formed as
-    (x - w_b)^{-1} times the powers of s_b / (x - w_b).  Entry (a, m)
-    of q is -s_a^{m+1} times the m-th Taylor coefficient of the seed
-    1/(x - y) - 1/x in x at the partner center w_{-a}:
-
-        -s_a^{m+1} (-1)^m [ (w_{-a} - y)^{-m-1} - w_{-a}^{-m-1} ]
-            = z_a(y)^{m+1} - z_a(0)^{m+1},   z_a(y) = -s_a / (w_{-a} - y),
-
-    and entry (a, m) of q' is (m + 1) z_a(y)^{m+1} / (w_{-a} - y).  The
-    powers of s_b / (x_i - w_b), z_a(y_j) and, for q alone, z_a(0) are
-    formed in one :func:`_powers` pass over them stacked; each entry is
-    the same product whatever it is stacked with.  Layout: signed handles
-    in the order 1, -1, 2, -2, ... (outer), mode index 0..modes-1 (inner);
-    each row has 2 * genus * modes entries.
+    (x - w_b)^{-1} times the powers of s_b / (x - w_b); the moment entries
+    are those of the kernel's poles (:class:`_Kernel`).  The powers of
+    s_b / (x_i - w_b) and of z_a(P) at P = y_j and P = 0 are formed in one
+    :func:`_powers` pass over them stacked; each entry is the same product
+    whatever it is stacked with.  Layout: signed handles in the order
+    1, -1, 2, -2, ... (outer), mode index 0..modes-1 (inner); each row has
+    2 * genus * modes entries.
     """
     geo = _surface(sp)
     inv_x = 1.0 / (xs[:, None] - geo.centers)
     inv_y = 1.0 / (geo.partners - ys[:, None])
-    z = [geo.roots * inv_x, -geo.roots * inv_y]
-    if not derivative:
-        z.append([-geo.roots / geo.partners])
-    powers = _powers(np.concatenate(z), modes)
+    powers = _powers(np.concatenate([geo.roots * inv_x, -geo.roots * inv_y, [-geo.roots / geo.partners]]), modes)
     p = inv_x[..., None] * powers[: len(xs)]
-    q = powers[len(xs) : len(xs) + len(ys)]
-    if derivative:
-        q = inv_y[..., None] * q * np.arange(1.0, modes + 1.0)
-    else:
-        q = q - powers[-1]
+    terms = []
+    for sign, at_y, order in kernel.poles:
+        term = powers[len(xs) : -1] if at_y else powers[-1:]
+        if order == 2:
+            term = (inv_y if at_y else 1.0 / geo.partners)[..., None] * term * np.arange(1.0, modes + 1.0)
+        terms.append(term if sign > 0 else -term)
+    q = sum(terms[1:], terms[0])
     return p.reshape(len(xs), -1), q.reshape(len(ys), -1)
 
 
@@ -404,9 +440,9 @@ def _series(X, Y, power: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _vector_bounds(
-    sp: SchottkyParams, modes: int, xs: np.ndarray, ys: np.ndarray, derivative: bool
+    sp: SchottkyParams, modes: int, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
 ) -> tuple[np.ndarray, ...]:
-    """Entry sums of |p(x_i)|^T |R| and |R| |q(y_j)| (or q'), whole and past the cutoff.
+    """Entry sums of |p(x_i)|^T |R| and |R| |q(y_j)|, q the kernel's moments, whole and past the cutoff.
 
     Over the untruncated operator: per x_i the sums of |p|^T |R| and of
     |p|^T |D|, per y_j those of |R| |q| and |D| |q|, and per pair
@@ -414,11 +450,10 @@ def _vector_bounds(
     Block (a, b) has |R| entries lead C(m+n+1, m) alpha^m beta^n with
     alpha = r_a / d, beta = r_b / d, lead = alpha beta and
     d = |w_{-a} - w_b|; |p_(a,m)(x)| = t^{m+1} / |x - w_a| with
-    t = r_a / |x - w_a|; and |q_(b,n)(y)| is at most
-    sigma^{n+1} + sigma_0^{n+1} with sigma = r_b / |w_{-b} - y| and
-    sigma_0 = r_b / |w_{-b}|, |q'_(b,n)(y)| = (n + 1) sigma^{n+1} / |w_{-b} - y|.
-    So every sum is a :func:`_series` per block.  A point within the
-    slack of a circle (t or sigma a hair above 1) keeps them finite, as
+    t = r_a / |x - w_a|; and |q_(b,n)(y)| is at most the kernel's pole
+    majorants (:class:`_Kernel`), sigma = r_b / |w_{-b} - y| at a pole at y.
+    So every sum is a :func:`_series` per block and pole.  A point within
+    the slack of a circle (t or sigma a hair above 1) keeps them finite, as
     the products decay at alpha t + beta < 1.  A last row and column are
     those of a virtual pair nearer every disc than require_in_domain
     admits, at t = sigma = 1 / (1 - 2e-12) in every block.  With the 1/Y
@@ -435,13 +470,11 @@ def _vector_bounds(
     full, tail = _series(alpha * t, beta, 0, modes)
     rows_full, rows_tail = (weight * full).sum(axis=-1), (weight * tail).sum(axis=-1)
     dy = np.concatenate([np.abs(geo.partners[geo.col] - ys[:, None]), [rb * (1.0 - 2e-12)]])
-    if derivative:
-        terms = ((1.0 / dy, rb / dy, 1),)
-    else:
-        origin = np.ones_like(dy) * (rb / np.abs(geo.partners[geo.col]))
-        terms = ((1.0, rb / dy, 0), (1.0, origin, 0))
     cols_full = cols_tail = both = 0.0
-    for coef, sigma, power in terms:
+    for _, at_y, order in kernel.poles:
+        # |w_{-b} - P|, and the pole's (coefficient, ratio, power).
+        dist = dy if at_y else np.ones_like(dy) * np.abs(geo.partners[geo.col])
+        coef, sigma, power = (1.0 if order == 1 else 1.0 / dist), rb / dist, order - 1
         scale = alpha * beta * coef * sigma
         full, tail = _series(alpha, beta * sigma, power, modes)
         cols_full = cols_full + (scale * full).sum(axis=-1)
@@ -453,7 +486,7 @@ def _vector_bounds(
 
 def _truncation(
     sp: SchottkyParams, modes: int, system: _Factored, xs: np.ndarray, ys: np.ndarray,
-    derivative: bool,
+    kernel: _Kernel,
 ) -> np.ndarray:
     """Bound on what the modes beyond the cutoff add to p(x_i)^T R (I - R)^{-1} q(y_j).
 
@@ -474,7 +507,7 @@ def _truncation(
     :func:`_vector_bounds` it bounds the truncation at every pair of the
     closed domain: that entry is kept in ``system.certificates``.
     """
-    rows_full, rows_tail, cols_full, cols_tail, both = _vector_bounds(sp, modes, xs, ys, derivative)
+    rows_full, rows_tail, cols_full, cols_tail, both = _vector_bounds(sp, modes, xs, ys, kernel)
     kappa, omitted = system.contraction, system.omitted
     inner, outer = 1.0 - kappa - omitted, 1.0 - kappa
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -485,20 +518,25 @@ def _truncation(
     # An infinite sum times one that underflowed to zero is infinite, and
     # nothing is bounded unless kappa + w < 1.
     bound = np.where(np.isnan(bound) | (not kappa + omitted < 1.0), math.inf, bound)
-    system.certificates.setdefault(derivative, float(bound[-1, -1]))
+    system.certificates.setdefault(kernel, float(bound[-1, -1]))
     return bound[:-1, :-1]
 
 
+def _pole_sums(kernel: _Kernel, size, dist, scale):
+    """sum over the kernel's poles P of order * scale / |X - P|, given
+    size = |X| and dist = |X - y|: kappa at scale |X|, drift at scale r."""
+    return sum(order * scale / (dist if at_y else size) for _, at_y, order in kernel.poles)
+
+
 def _one_letter_words(
-    sp: SchottkyParams, xs: np.ndarray, ys: np.ndarray, derivative: bool
+    sp: SchottkyParams, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum over the 2g one-letter words of the kernel's terms (or their d/dy), and floors.
+    """Sum over the 2g one-letter words of the kernel's terms, and floors.
 
     gamma_a x = w_{-a} + rho_a / (x - w_a) and gamma_a'(x) =
-    -rho_a / (x - w_a)^2.  The kernel's term is
-    (gamma_a'x / gamma_a x) y / (gamma_a x - y), its d/dy
-    gamma_a'x / (gamma_a x - y)^2.  Each term is charged
-    :func:`~schottky.forms._orbit_ulps` at k = 1, plus one ulp per later
+    -rho_a / (x - w_a)^2 enter the record's closed-form ``term``.  Each
+    term is charged :func:`~schottky.forms._orbit_ulps` at k = 1 with the
+    kappa and drift of the kernel's poles, plus one ulp per later
     addition.  A point within POLE_GUARD of gamma_a x is refused with the
     Poincare route's error, naming the word (a,).
     """
@@ -510,14 +548,10 @@ def _one_letter_words(
     dist = np.abs(diff)
     if dist.size and dist.min() < POLE_GUARD:
         letter = sp.signed_indices[np.unravel_index(np.argmin(dist), dist.shape)[2]]
-        raise _pole_error("bidifferential" if derivative else "weight-1 kernel", (letter,))
-    size, radius = np.abs(gx)[:, None, :], geo.radius
-    if derivative:
-        terms = dgx[:, None, :] / (diff * diff)
-        kappa, drift = 2.0 * size / dist, 2.0 * radius / dist
-    else:
-        terms = (dgx / gx)[:, None, :] * (ys[None, :, None] / diff)
-        kappa, drift = size / dist + 1.0, radius / dist + radius / size
+        raise _pole_error(kernel.name, (letter,))
+    size = np.abs(gx)[:, None, :]
+    terms = kernel.term(gx[:, None, :], dgx[:, None, :], ys[None, :, None], diff)
+    kappa, drift = _pole_sums(kernel, size, dist, size), _pole_sums(kernel, size, dist, geo.radius)
     ulps = _orbit_ulps(1, kappa, drift, 2.0, geo.cond) + len(geo.centers) + 2
     sizes = np.abs(terms.real) + np.abs(terms.imag)
     return terms.sum(axis=-1), EPS * (sizes * ulps).sum(axis=-1)
@@ -525,12 +559,12 @@ def _one_letter_words(
 
 def _split_sums(
     sp: SchottkyParams, modes: int, system: _Factored, xs: np.ndarray, ys: np.ndarray,
-    derivative: bool,
+    kernel: _Kernel,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every word but the identity at each pair (x_i, y_j): values and tails.
 
     The one-letter words in closed form plus p(x_i)^T R S, S the solution
-    of (I - R) S = q for all y_j at once (q' with ``derivative``).  R S is
+    of (I - R) S = q for all y_j at once, q the kernel's moments.  R S is
     a product, not S - q: on a circle q does not decay with the mode
     index, and S - q would cancel it.  The tail is the truncation bound
     of :func:`_truncation`, the one-letter floors, and a rounding floor of
@@ -542,23 +576,27 @@ def _split_sums(
     doubling a tail, and the series are skipped.  The certificate depends
     on the system alone, so the tail does not depend on earlier requests.
     """
-    values, floors = _one_letter_words(sp, xs, ys, derivative)
-    P, Q = _mode_vectors(sp, modes, xs, ys, derivative)
+    values, floors = _one_letter_words(sp, xs, ys, kernel)
+    P, Q = _mode_vectors(sp, modes, xs, ys, kernel)
     S, _ = zgetrs(system.lu, system.piv, Q.T)
-    values += P @ (system.R @ S)
+    # R S and |R| |S| on scipy's BLAS, which did the solve: numpy bundles
+    # its own, and two thread pools contend.  Transposed, they round as @.
+    values += P @ zgemm(1.0, S, system.R, trans_a=1, trans_b=1).T
     kappa = system.contraction
     ulps = (P.shape[1] + 4 * (modes + 1)) * (1.0 + kappa) / (1.0 - kappa)
-    floors += ulps * EPS * (np.abs(P) @ (system.size @ np.abs(S)))
+    floors += ulps * EPS * (np.abs(P) @ dgemm(1.0, system.size.T, np.abs(S), trans_a=1))
     floor = floors.min()
-    if system.certificates.get(derivative, math.inf) > floor:
-        bound = _truncation(sp, modes, system, xs, ys, derivative)
-        if system.certificates[derivative] > floor:
+    if system.certificates.get(kernel, math.inf) > floor:
+        bound = _truncation(sp, modes, system, xs, ys, kernel)
+        if system.certificates[kernel] > floor:
             return values, floors + bound
-    return values, floors + system.certificates[derivative]
+    return values, floors + system.certificates[kernel]
 
 
-def _identity_floor(term: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-    """Rounding of the identity word's term, as :func:`~schottky.forms._orbit_ulps` at k = 0."""
+def _identity_floor(kernel: _Kernel, term: np.ndarray, size, dist) -> np.ndarray:
+    """Rounding of the identity word's term at X = x, size = |x| and dist =
+    |x - y|, as :func:`~schottky.forms._orbit_ulps` at k = 0."""
+    kappa = _pole_sums(kernel, size, dist, size)
     return EPS * (np.abs(term.real) + np.abs(term.imag)) * _orbit_ulps(1, kappa, 0.0, 1.0, 0.0)
 
 
@@ -596,12 +634,12 @@ def kernel_via_modes(
     x = require_in_domain(sp, x, "x")
     y = require_in_domain(sp, y, "y")
     if abs(x - y) < POLE_GUARD or abs(x) < POLE_GUARD:
-        raise _pole_error("weight-1 kernel", ())
+        raise _pole_error(_PSI.name, ())
     system = _system(sp, modes)
-    values, tails = _split_sums(sp, modes, system, np.array([x]), np.array([y]), False)
+    values, tails = _split_sums(sp, modes, system, np.array([x]), np.array([y]), _PSI)
     seed = _kernel_seed(x, y, (0.0,))
     value = seed + complex(values[0, 0])
-    floor = _identity_floor(np.array(seed), abs(x) / abs(x - y) + 1.0)
+    floor = _identity_floor(_PSI, np.array(seed), abs(x), abs(x - y))
     return Estimate(value, float(tails[0, 0] + floor) + EPS * abs(value))
 
 
@@ -611,7 +649,7 @@ def _insertion_points(sp: SchottkyParams, points: Sequence[complex]) -> np.ndarr
     ones too, closer than POLE_GUARD (refused as the identity word's pole)."""
     xs = [require_in_domain(sp, p, f"insertion point {k}") for k, p in enumerate(points)]
     if any(abs(x - y) < POLE_GUARD for k, x in enumerate(xs) for y in xs[:k]):
-        raise _pole_error("bidifferential", ())
+        raise _pole_error(_OMEGA.name, ())
     return np.array(xs, dtype=np.complex128)
 
 
@@ -628,15 +666,7 @@ def bidifferential_via_modes(
     rest, the points' gates and each entry's tail, is :func:`_omega_matrix`'s,
     one Estimate per entry of its arrays.
     """
-    return _bidifferentials(sp, _require_cutoff(sp, modes), points)
-
-
-def _bidifferentials(
-    sp: SchottkyParams, modes: int, points: Sequence[complex]
-) -> list[list[Estimate]]:
-    """:func:`bidifferential_via_modes` at a cutoff that passed :func:`_require_cutoff`:
-    the entries of :func:`_omega_matrix` as Estimates."""
-    omega, tails = (a.tolist() for a in _omega_matrix(sp, modes, points))
+    omega, tails = (a.tolist() for a in _omega_matrix(sp, _require_cutoff(sp, modes), points))
     return [[Estimate(v, t) for v, t in zip(*rows)] for rows in zip(omega, tails)]
 
 
@@ -659,9 +689,9 @@ def _omega_matrix(
         return np.empty((0, 0), complex), np.empty((0, 0))
     off = ~np.eye(len(xs), dtype=bool)
     diff = np.where(off, xs[:, None] - xs[None, :], 1.0)
-    values, tails = _split_sums(sp, modes, system, xs, xs, True)
+    values, tails = _split_sums(sp, modes, system, xs, xs, _OMEGA)
     identity = 1.0 / (diff * diff)
-    floor = _identity_floor(identity, 2.0 * np.abs(xs)[:, None] / np.abs(diff))
+    floor = _identity_floor(_OMEGA, identity, np.abs(xs)[:, None], np.abs(diff))
     omega = np.where(off, identity + values, 6.0 * values)
     return omega, np.where(off, tails + floor, 6.0 * tails) + EPS * np.abs(omega)
 

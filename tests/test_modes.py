@@ -19,8 +19,12 @@ sums in test_forms.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,9 +124,13 @@ def fresh_system():
     modes._system.cache_clear()
 
 
-def vectors(sp, M, x, y, derivative=False):
-    """p(x) and q(y) (q'(y) with ``derivative``) of one pair of points."""
-    p, q = modes._mode_vectors(sp, M, np.array([x], complex), np.array([y], complex), derivative)
+# Both mode-route kernels: psi_1, with moments q, and omega, with q'.
+KERNELS = (modes._PSI, modes._OMEGA)
+
+
+def vectors(sp, M, x, y, kernel=modes._PSI):
+    """p(x) and the kernel's moments q(y) (psi_1's by default) of one pair of points."""
+    p, q = modes._mode_vectors(sp, M, np.array([x], complex), np.array([y], complex), kernel)
     return p[0], q[0]
 
 
@@ -158,12 +166,12 @@ class TestVectorsAndLayout:
         sp = genus3_params
         xs = np.array([3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j])
         ys = xs[:2] + 0.5
-        for derivative in (False, True):
-            P, Q = modes._mode_vectors(sp, 20, xs, ys, derivative)
+        for kernel in KERNELS:
+            P, Q = modes._mode_vectors(sp, 20, xs, ys, kernel)
             for x, p in zip(xs, P):
-                assert np.array_equal(p, vectors(sp, 20, x, ys[0], derivative)[0])
+                assert np.array_equal(p, vectors(sp, 20, x, ys[0], kernel)[0])
             for y, q in zip(ys, Q):
-                assert np.array_equal(q, vectors(sp, 20, xs[0], y, derivative)[1])
+                assert np.array_equal(q, vectors(sp, 20, xs[0], y, kernel)[1])
 
     def test_powers_do_not_depend_on_the_cutoff(self):
         # Entry k of _powers (z^(k+1)) is the same product at M and at 2M,
@@ -208,8 +216,8 @@ class TestVectorsAndLayout:
         half = max(1, M // 2)
         keep = np.arange(2 * sp.genus * M) % M < half
         x, y = 5.0 + 1.0j, -5.0 + 2.0j
-        for derivative in (False, True):
-            pairs = zip(vectors(sp, half, x, y, derivative), vectors(sp, M, x, y, derivative))
+        for kernel in KERNELS:
+            pairs = zip(vectors(sp, half, x, y, kernel), vectors(sp, M, x, y, kernel))
             for got, full in pairs:
                 assert np.array_equal(got, full[keep])
         assert np.array_equal(
@@ -451,34 +459,45 @@ class TestWorkedCoupling:
                     ), (a, b, m, n)
 
     def test_moments_are_taylor_of_seed(self, genus2_params):
-        # q_a(y;m) = -s_a^{m+1} (1/m!) d^m/dx^m seed(x,y) at w_{-a}.
+        # q_a(y;m) = -s_a^{m+1} (1/m!) d^m/dx^m K(x,y) at w_{-a}, for each
+        # kernel's moments read from its poles: psi_1's seed
+        # K = 1/(x - y) - 1/x, and omega's K = 1/(x - y)^2 for q'.
         sp = genus2_params
         y = 0.55 - 0.92j
-        _, q = vectors(sp, 4, 2.3 + 0.9j, y)
+        seeds = (lambda z: _kernel_seed(z, y, ORIGIN), lambda z: 1.0 / (z - y) ** 2)
         idx = list(sp.signed_indices)
-        for a in (1, -1, 2):
-            i = idx.index(a)
-            wma = sp.center(-a)
-            sa = cmath.sqrt(sp.rho_signed(a))
-            for m in range(4):
-                coeff = cauchy_taylor(lambda z: _kernel_seed(z, y, ORIGIN), wma, m, 0.3)
-                expected = -(sa ** (m + 1)) * coeff
-                assert q[i * 4 + m] == pytest.approx(expected, rel=1e-6), (a, m)
+        for kernel, seed in zip(KERNELS, seeds):
+            _, q = vectors(sp, 4, 2.3 + 0.9j, y, kernel)
+            for a in (1, -1, 2):
+                i = idx.index(a)
+                wma = sp.center(-a)
+                sa = cmath.sqrt(sp.rho_signed(a))
+                for m in range(4):
+                    coeff = cauchy_taylor(seed, wma, m, 0.3)
+                    expected = -(sa ** (m + 1)) * coeff
+                    assert q[i * 4 + m] == pytest.approx(expected, rel=1e-6), (kernel.name, a, m)
 
 
 class TestRankOneContraction:
     def test_weight1_handle_sums(self, genus2_params):
         # sum_m p_a(x;m) q_a(y;m) = seed(gamma_a x, y) gamma_a'(x) for
-        # each signed handle; weight 1 converges for any exterior pair.
+        # each signed handle, and with q' the omega term
+        # gamma_a'(x) / (gamma_a x - y)^2: each record's closed-form
+        # one-letter term against its pole data.  Weight 1 converges for
+        # any exterior pair.
         sp = genus2_params
         M = 30
         x, y = 0.62 + 0.11j, -0.4 - 0.77j
-        p, q = vectors(sp, M, x, y)
-        for i, a in enumerate(sp.signed_indices):
-            g = generator_map(sp, a)
-            expected = _kernel_seed(g(x), y, ORIGIN) * g.derivative(x)
-            got = complex(p[i * M:(i + 1) * M] @ q[i * M:(i + 1) * M])
-            assert got == pytest.approx(expected, rel=1e-12, abs=1e-14)
+        seeds = (lambda z: _kernel_seed(z, y, ORIGIN), lambda z: 1.0 / (z - y) ** 2)
+        for kernel, seed in zip(KERNELS, seeds):
+            p, q = vectors(sp, M, x, y, kernel)
+            for i, a in enumerate(sp.signed_indices):
+                g = generator_map(sp, a)
+                expected = seed(g(x)) * g.derivative(x)
+                got = complex(p[i * M:(i + 1) * M] @ q[i * M:(i + 1) * M])
+                assert got == pytest.approx(expected, rel=1e-12, abs=1e-14), kernel.name
+                term = kernel.term(complex(g(x)), complex(g.derivative(x)), y, complex(g(x)) - y)
+                assert term == pytest.approx(expected, rel=1e-13), kernel.name
 
 
 class TestShellIdentity:
@@ -862,10 +881,11 @@ class TestTruncationBounds:
         # infinite, not the largest float.
         sp = genus2_params
         y = sp.center(1) + 1e-3 * sp.radius(1)
-        bound = modes._truncation(
-            sp, 10, modes._system(sp, 10), np.array([3.0 + 1.0j]), np.array([y]), False
-        )
-        assert bound.tolist() == [[math.inf]]
+        for kernel in KERNELS:
+            bound = modes._truncation(
+                sp, 10, modes._system(sp, 10), np.array([3.0 + 1.0j]), np.array([y]), kernel
+            )
+            assert bound.tolist() == [[math.inf]]
 
     def test_zero_coupling_has_zero_bound(self, genus2_params, fresh_system, monkeypatch):
         def zero_coupling(sp, mm):
@@ -901,9 +921,9 @@ class TestTruncationBounds:
         D = np.where((mode[:, None] >= M) | (mode[None, :] >= M), R, 0.0)
         ring = circle_points(sp)
         for x, y in [*kernel_points(sp), (ring[0], ring[1]), (ring[1], ring[1])]:
-            for derivative in (False, True):
-                p, q = (np.abs(v) for v in vectors(sp, 4 * M, x, y, derivative))
-                bounds = modes._vector_bounds(sp, M, np.array([x]), np.array([y]), derivative)
+            for kernel in KERNELS:
+                p, q = (np.abs(v) for v in vectors(sp, 4 * M, x, y, kernel))
+                bounds = modes._vector_bounds(sp, M, np.array([x]), np.array([y]), kernel)
                 rows, rows_d, cols, cols_d, both = (
                     float(np.ravel(b)[0]) * (1.0 + 8 * EPS) for b in bounds
                 )
@@ -948,7 +968,7 @@ class TestTruncationBounds:
 
 
 class TestCertificate:
-    """One truncation bound per system and flag, over the whole closed domain."""
+    """One truncation bound per system and kernel, over the whole closed domain."""
 
     @staticmethod
     def points(sp):
@@ -962,7 +982,7 @@ class TestCertificate:
 
     @pytest.mark.parametrize("name", SURFACES)
     @pytest.mark.parametrize("M", [2, 5, 20])
-    @pytest.mark.parametrize("derivative", [False, True])
+    @pytest.mark.parametrize("derivative", [False, True])  # psi_1, or omega = d psi_1 / dy
     def test_certificate_dominates(self, name, M, derivative, request):
         # At least every per-pair bound, and at least what the modes past M
         # add at 4M, P^T ((I - A)^{-1} - (I - |B|)^{-1}) Q: with A = |R| at
@@ -971,15 +991,16 @@ class TestCertificate:
         sp = surface(name, request)
         pts = self.points(sp)
         system = modes._system.__wrapped__(sp, M)
-        bound = modes._truncation(sp, M, system, pts, pts, derivative)
-        certificate = system.certificates[derivative]
+        kernel = KERNELS[derivative]
+        bound = modes._truncation(sp, M, system, pts, pts, kernel)
+        certificate = system.certificates[kernel]
         assert bound.shape == (len(pts), len(pts))
         assert (bound <= certificate).all()
         assert certificate < math.inf
         A = np.abs(mode_coupling_matrix(sp, 4 * M))
         mode = np.arange(A.shape[0]) % (4 * M)
         D = np.where((mode[:, None] >= M) | (mode[None, :] >= M), A, 0.0)
-        P, Q = (np.abs(v) for v in modes._mode_vectors(sp, 4 * M, pts, pts, derivative))
+        P, Q = (np.abs(v) for v in modes._mode_vectors(sp, 4 * M, pts, pts, kernel))
         eye = np.eye(len(A))
         left = np.linalg.solve((eye - A).T, P.T)
         right = np.linalg.solve(eye - (A - D), Q.T)
@@ -990,7 +1011,7 @@ class TestCertificate:
         self, fixture, fires, request, fresh_system, monkeypatch
     ):
         # Each call's value and tail, bit for bit, on a cold system and on
-        # one warmed by other requests of both flags.  On the genus-3
+        # one warmed by other requests of both kernels.  On the genus-3
         # fixture at M = 20 the certificate is charged and the warm call
         # skips the per-pair series; on the torus, a pair on partner
         # circles, it is not.
@@ -1203,3 +1224,39 @@ def test_torus_partition_tracks_euler_product(re, im):
     z = heisenberg_partition(sp, 24)
     expected = euler_product(q)
     assert abs(z.value - expected) / abs(expected) < 1e-6
+
+
+# The thread-count variables of the BLAS libraries that numpy and scipy bundle.
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Prints the median time of 50 six-point heisenberg_npoint calls on the
+# cached genus-3 system at M = 20.
+SIX_POINT_TIMING = """
+import statistics, timeit
+from schottky import SchottkyParams, TruncationPolicy
+from schottky.correlators import heisenberg_npoint
+from schottky.forms import SurfaceForms
+sp = SchottkyParams(3, (2.2, 2.2j, 2+2j), (-2.2, -2.2j, -2-2j), (0.01+0.002j, 0.012-0.001j, 0.008))
+forms = SurfaceForms(sp, TruncationPolicy(6, 20, 1e-9))
+pts = [3-1j, -0.5-0.8j, 4+2j, -3+3.5j, 1.2+4j, -4.5-1j]
+heisenberg_npoint(forms, pts, modes=20)
+print(statistics.median(timeit.repeat(lambda: heisenberg_npoint(forms, pts, modes=20), number=1, repeat=50)))
+"""
+
+
+def test_blas_thread_pools_do_not_contend():
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool.
+    # When the mode route solved on scipy's and multiplied on numpy's, the
+    # two pools contended: on a 2-vCPU x86-64 host a 6-point call took
+    # about 8 ms with BLAS on its default threads against 0.35 ms pinned
+    # to one, 23 times as long.  Whether this test fails on such code
+    # depends on the host: it does only where the pools contend.
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    base["PYTHONPATH"] = os.pathsep.join([str(Path(modes.__file__).parents[1]), base.get("PYTHONPATH", "")])
+    times = {}
+    for name, env in (("default", base), ("pinned", {**base, **dict.fromkeys(BLAS_THREADS, "1")})):
+        child = subprocess.run(
+            [sys.executable, "-c", SIX_POINT_TIMING], capture_output=True, text=True, env=env, check=True
+        )
+        times[name] = float(child.stdout)
+    assert times["default"] < 3.0 * times["pinned"], times
