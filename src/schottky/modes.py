@@ -580,7 +580,8 @@ def _split_sums(
     P, Q = _mode_vectors(sp, modes, xs, ys, kernel)
     S, _ = zgetrs(system.lu, system.piv, Q.T)
     # R S and |R| |S| on scipy's BLAS, which did the solve: numpy bundles
-    # its own, and two thread pools contend.  Transposed, they round as @.
+    # its own, and two thread pools contend.  On two or more columns these
+    # argument orders round as numpy's @ does.
     values += P @ zgemm(1.0, S, system.R, trans_a=1, trans_b=1).T
     kappa = system.contraction
     ulps = (P.shape[1] + 4 * (modes + 1)) * (1.0 + kappa) / (1.0 - kappa)
