@@ -311,8 +311,8 @@ def heisenberg_npoint(
     if len(points) % 2:
         _insertion_points(forms.sp, points)
         return Estimate(0.0j, 0.0)
-    omega, tails = _omega_matrix(forms.sp, m, points)
-    return _pairing_sum(omega.tolist(), tails.tolist()) * _system(forms.sp, m).partition
+    omega, tails, z = _omega_matrix(forms.sp, m, points)
+    return _pairing_sum(omega.tolist(), tails.tolist()) * z
 
 
 def virasoro_one_point(
@@ -320,8 +320,8 @@ def virasoro_one_point(
 ) -> Estimate:
     """One-point function of the Virasoro vector: s(x) Z / 12."""
     m = _cutoff(forms, modes)
-    [[s]], [[t]] = (a.tolist() for a in _omega_matrix(forms.sp, m, (x,)))
-    return Estimate(s, t) * _system(forms.sp, m).partition / 12.0
+    omega, tails, z = _omega_matrix(forms.sp, m, (x,))
+    return Estimate(complex(omega[0, 0]), float(tails[0, 0])) * z / 12.0
 
 
 def virasoro_two_point(
@@ -332,9 +332,9 @@ def virasoro_two_point(
         ( s(x) s(y) / 144 + omega(x,y)^2 / 2 ) Z.
     """
     m = _cutoff(forms, modes)
-    omega, tails = _omega_matrix(forms.sp, m, (x, y))
+    omega, tails, z = _omega_matrix(forms.sp, m, (x, y))
     sx, sy, w = (Estimate(complex(omega[k]), float(tails[k])) for k in ((0, 0), (1, 1), (0, 1)))
-    return (sx * sy / 144.0 + 0.5 * w**2) * _system(forms.sp, m).partition
+    return (sx * sy / 144.0 + 0.5 * w**2) * z
 
 
 # The shares s of the Chernoff bound in _tail_bound, j / 16 for j = 1..15.  On

@@ -64,6 +64,19 @@ Algorithms, ch. 7).  An LRU cache keeps CACHE_ENTRIES systems, keyed by
 parameters and cutoff, built from the handle record that SurfaceForms
 reads (``forms._surface``), so both routes check a parameter set once.
 
+A system computes once what does not depend on the points: R, |R| and
+the factors, kappa, Z, the omitted entry sum, and the record, the mode
+ramp 1..M and the rounding factor of :func:`_split_sums` that every
+request reads; per kernel it keeps a truncation certificate, formed by
+the first request that needs it.  A request reads the record and the
+cached system once and makes one pass over its points
+(:func:`_point_terms`): it forms 1/(x_i - w_b) and 1/(w_{-b} - y_j) once,
+and from them the one-letter words with their floors and the vectors p
+and q; then one solve on the factors with a right-hand side per y_j and
+the two products with R and |R|.  An omega matrix forms its points'
+pairwise differences once, for the coincident-point check, the identity
+word, its floor and the diagonal.
+
 Tails are bounds, not drifts.  The entries of R beyond the cutoff M have
 a closed-form sum (:func:`_omitted_sums`), and so does the whole
 operator.  Bornemann's perturbation bound for Fredholm determinants
@@ -110,6 +123,7 @@ from schottky.forms import (
     _origin_exterior,
     _orbit_ulps,
     _pole_error,
+    _Surface,
     _surface,
 )
 from schottky.group import (
@@ -160,12 +174,16 @@ class PartitionValue(Estimate):
 
 @dataclass(frozen=True)
 class _Factored:
-    """R, |R| (``size``) and the LU factors of I - R, read-only, with Z.
+    """R, |R| (``size``) and the LU factors of I - R, read-only, with Z and
+    what every request on the system reads.
 
     ``contraction`` is kappa = ||R||_1 < 1, the one gate, ``omitted`` a
     bound on the entry sum of |R| beyond the cutoff, and ``partition``
     Z = det(I - R)^{-1/2}.  |R| is kept for every omega call's rounding
     floor: recomputing it costs 33 us a call at genus 3 and M = 20.
+    ``surface`` is the parameters' record (``forms._surface``), ``ramp``
+    the mode numbers 1..M as floats, read-only, and ``ulps`` the split
+    sums' rounding factor (2gM + 4(M + 1)) (1 + kappa) / (1 - kappa).
     ``certificates``, mutable and ignored by equality, maps each kernel
     record (:class:`_Kernel`) to its :func:`_truncation` bound over the
     whole domain.
@@ -178,6 +196,9 @@ class _Factored:
     contraction: float
     omitted: float
     partition: PartitionValue
+    surface: _Surface
+    ramp: np.ndarray
+    ulps: float
     certificates: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -243,36 +264,6 @@ def _powers(z: np.ndarray, modes: int) -> np.ndarray:
     return out.transpose(*range(1, out.ndim), 0)
 
 
-def _mode_vectors(
-    sp: SchottkyParams, modes: int, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pole-basis vectors p at each x_i and the kernel's moment vectors at each y_j,
-    one row per point.
-
-    Entry (b, n) of p is s_b^{n+1} / (x - w_b)^{n+2}, formed as
-    (x - w_b)^{-1} times the powers of s_b / (x - w_b); the moment entries
-    are those of the kernel's poles (:class:`_Kernel`).  The powers of
-    s_b / (x_i - w_b) and of z_a(P) at P = y_j and P = 0 are formed in one
-    :func:`_powers` pass over them stacked; each entry is the same product
-    whatever it is stacked with.  Layout: signed handles in the order
-    1, -1, 2, -2, ... (outer), mode index 0..modes-1 (inner); each row has
-    2 * genus * modes entries.
-    """
-    geo = _surface(sp)
-    inv_x = 1.0 / (xs[:, None] - geo.centers)
-    inv_y = 1.0 / (geo.partners - ys[:, None])
-    powers = _powers(np.concatenate([geo.roots * inv_x, -geo.roots * inv_y, [-geo.roots / geo.partners]]), modes)
-    p = inv_x[..., None] * powers[: len(xs)]
-    terms = []
-    for sign, at_y, order in kernel.poles:
-        term = powers[len(xs) : -1] if at_y else powers[-1:]
-        if order == 2:
-            term = (inv_y if at_y else 1.0 / geo.partners)[..., None] * term * np.arange(1.0, modes + 1.0)
-        terms.append(term if sign > 0 else -term)
-    q = sum(terms[1:], terms[0])
-    return p.reshape(len(xs), -1), q.reshape(len(ys), -1)
-
-
 @functools.cache
 def _binomials(modes: int) -> np.ndarray:
     """Read-only table C(m + n + 1, m) for m, n < modes, built once per cutoff."""
@@ -300,9 +291,8 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     geo = _surface(sp)
     n = len(geo.centers)
     k = np.arange(modes)
-    s = geo.roots[:, None]
-    row_w = -(s ** (k + 1)) * (-1.0) ** k
-    col_w = s ** (k + 1)
+    col_w = geo.roots[:, None] ** (k + 1)
+    row_w = -col_w * (-1.0) ** k
     # Center differences d[a, b] = w_{-a} - w_b.  At b = -a the block
     # vanishes, so d gets a placeholder there instead of a pole.
     inverse = np.arange(n)[None, :] == (np.arange(n) ^ 1)[:, None]
@@ -382,6 +372,8 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
     R is column-major; after the gate, zgetrf factors I - R, its contiguous
     negated copy, in place with no finiteness scan.  R and the factors are
     the only complex N x N arrays it allocates.  A zero pivot is refused.
+    The record, ramp and rounding factor that every request on the system
+    reads are formed here, once.
     """
     R = mode_coupling_matrix(sp, modes)
     size = np.abs(R, order="C")  # row-major, so kappa sums each column row by row
@@ -398,7 +390,8 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
     lu, piv, info = zgetrf(lu, overwrite_a=True)
     if info:
         raise ConvergenceError(f"pivot {info} of the LU factors of I - R is exactly zero")
-    for array in (R, size, lu, piv):
+    ramp = np.arange(1.0, modes + 1.0)
+    for array in (R, size, lu, piv, ramp):
         array.flags.writeable = False
     omitted, whole = _omitted_sums(sp, (modes, 0))
     # det(I - R): the product of U's diagonal, signed by the row swaps.
@@ -410,7 +403,8 @@ def _system(sp: SchottkyParams, modes: int) -> _Factored:
     # The LU of the 2gM-square system rounds the determinant by about 2gM ulps.
     floor = 2 * sp.genus * modes * EPS * abs(value)
     partition = PartitionValue(value, truncation + floor, contraction)
-    return _Factored(R, size, lu, piv, contraction, float(omitted), partition)
+    ulps = (2 * sp.genus * modes + 4 * (modes + 1)) * (1.0 + contraction) / (1.0 - contraction)
+    return _Factored(R, size, lu, piv, contraction, float(omitted), partition, _surface(sp), ramp, ulps)
 
 
 def _series(X, Y, power: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -525,36 +519,59 @@ def _truncation(
 def _pole_sums(kernel: _Kernel, size, dist, scale):
     """sum over the kernel's poles P of order * scale / |X - P|, given
     size = |X| and dist = |X - y|: kappa at scale |X|, drift at scale r."""
-    return sum(order * scale / (dist if at_y else size) for _, at_y, order in kernel.poles)
+    total = None
+    for _, at_y, order in kernel.poles:
+        share = order * scale / (dist if at_y else size)
+        total = share if total is None else total + share
+    return total
 
 
-def _one_letter_words(
-    sp: SchottkyParams, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum over the 2g one-letter words of the kernel's terms, and floors.
+def _point_terms(
+    sp: SchottkyParams, system: _Factored, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
+) -> tuple[np.ndarray, ...]:
+    """One pass over a request's points: the one-letter words' sums and
+    floors at each pair (x_i, y_j), the pole-basis vectors p(x_i) and the
+    kernel's moment vectors at y_j, one row per point.
 
-    gamma_a x = w_{-a} + rho_a / (x - w_a) and gamma_a'(x) =
-    -rho_a / (x - w_a)^2 enter the record's closed-form ``term``.  Each
-    term is charged :func:`~schottky.forms._orbit_ulps` at k = 1 with the
-    kappa and drift of the kernel's poles, plus one ulp per later
-    addition.  A point within POLE_GUARD of gamma_a x is refused with the
-    Poincare route's error, naming the word (a,).
+    All are read from h = 1/(x_i - w_b) and 1/(w_{-b} - y_j), each formed
+    once.  gamma_a x = w_{-a} + rho_a h and gamma_a'(x) = -rho_a h^2 enter
+    the record's closed-form ``term``; each term is charged
+    :func:`~schottky.forms._orbit_ulps` at k = 1 with the kappa and drift
+    of the kernel's poles, plus one ulp per later addition.  A point
+    within POLE_GUARD of gamma_a x is refused with the Poincare route's
+    error, naming the word (a,).  Entry (b, n) of p is s_b^{n+1} /
+    (x - w_b)^{n+2}, h times the powers of s_b h; the moment entries are
+    those of the kernel's poles (:class:`_Kernel`).  The powers of s_b h
+    and of z_a(P) at P = y_j, and at P = 0 only for a kernel with a pole
+    there, are formed in one :func:`_powers` pass over them stacked; each
+    entry is the same product whatever it is stacked with.  Layout: signed
+    handles in the order 1, -1, 2, -2, ... (outer), mode index 0..M-1
+    (inner); each row has 2gM entries.
     """
-    geo = _surface(sp)
-    h = 1.0 / (xs[:, None] - geo.centers)
-    gx = geo.partners + geo.rho * h
-    dgx = -geo.rho * h * h
+    geo = system.surface
+    h, inv_y = 1.0 / (xs[:, None] - geo.centers), 1.0 / (geo.partners - ys[:, None])
+    gx, dgx = geo.partners + geo.rho * h, -geo.rho * h * h
     diff = gx[:, None, :] - ys[None, :, None]
     dist = np.abs(diff)
     if dist.size and dist.min() < POLE_GUARD:
-        letter = sp.signed_indices[np.unravel_index(np.argmin(dist), dist.shape)[2]]
-        raise _pole_error(kernel.name, (letter,))
+        raise _pole_error(kernel.name, (sp.signed_indices[np.argmin(dist) % len(geo.centers)],))
     size = np.abs(gx)[:, None, :]
-    terms = kernel.term(gx[:, None, :], dgx[:, None, :], ys[None, :, None], diff)
+    words = kernel.term(gx[:, None, :], dgx[:, None, :], ys[None, :, None], diff)
     kappa, drift = _pole_sums(kernel, size, dist, size), _pole_sums(kernel, size, dist, geo.radius)
     ulps = _orbit_ulps(1, kappa, drift, 2.0, geo.cond) + len(geo.centers) + 2
-    sizes = np.abs(terms.real) + np.abs(terms.imag)
-    return terms.sum(axis=-1), EPS * (sizes * ulps).sum(axis=-1)
+    rows = [geo.roots * h, -geo.roots * inv_y]
+    if not all(at_y for _, at_y, _ in kernel.poles):
+        rows.append([-geo.roots / geo.partners])
+    powers = _powers(np.concatenate(rows), len(system.ramp))
+    terms = []
+    for sign, at_y, order in kernel.poles:
+        term = powers[len(xs) : len(xs) + len(ys)] if at_y else powers[-1:]
+        if order == 2:
+            term = (inv_y if at_y else 1.0 / geo.partners)[..., None] * term * system.ramp
+        terms.append(term if sign > 0 else -term)
+    p, q = h[..., None] * powers[: len(xs)], sum(terms[1:], terms[0])
+    floors = EPS * ((np.abs(words.real) + np.abs(words.imag)) * ulps).sum(axis=-1)
+    return words.sum(axis=-1), floors, p.reshape(len(xs), -1), q.reshape(len(ys), -1)
 
 
 def _split_sums(
@@ -564,7 +581,10 @@ def _split_sums(
     """Every word but the identity at each pair (x_i, y_j): values and tails.
 
     The one-letter words in closed form plus p(x_i)^T R S, S the solution
-    of (I - R) S = q for all y_j at once, q the kernel's moments.  R S is
+    of (I - R) S = q for all y_j at once, q the kernel's moments.  Per
+    point it forms what :func:`_point_terms` does, in one pass; the
+    factors, R and |R|, the surface record, the ramp 1..M and the rounding
+    factor below come from the system, formed once per system.  R S is
     a product, not S - q: on a circle q does not decay with the mode
     index, and S - q would cancel it.  The tail is the truncation bound
     of :func:`_truncation`, the one-letter floors, and a rounding floor of
@@ -576,16 +596,13 @@ def _split_sums(
     doubling a tail, and the series are skipped.  The certificate depends
     on the system alone, so the tail does not depend on earlier requests.
     """
-    values, floors = _one_letter_words(sp, xs, ys, kernel)
-    P, Q = _mode_vectors(sp, modes, xs, ys, kernel)
+    values, floors, P, Q = _point_terms(sp, system, xs, ys, kernel)
     S, _ = zgetrs(system.lu, system.piv, Q.T)
     # R S and |R| |S| on scipy's BLAS, which did the solve: numpy bundles
     # its own, and two thread pools contend.  On two or more columns these
     # argument orders round as numpy's @ does.
     values += P @ zgemm(1.0, S, system.R, trans_a=1, trans_b=1).T
-    kappa = system.contraction
-    ulps = (P.shape[1] + 4 * (modes + 1)) * (1.0 + kappa) / (1.0 - kappa)
-    floors += ulps * EPS * (np.abs(P) @ dgemm(1.0, system.size.T, np.abs(S), trans_a=1))
+    floors += system.ulps * EPS * (np.abs(P) @ dgemm(1.0, system.size.T, np.abs(S), trans_a=1))
     floor = floors.min()
     if system.certificates.get(kernel, math.inf) > floor:
         bound = _truncation(sp, modes, system, xs, ys, kernel)
@@ -636,22 +653,24 @@ def kernel_via_modes(
     y = require_in_domain(sp, y, "y")
     if abs(x - y) < POLE_GUARD or abs(x) < POLE_GUARD:
         raise _pole_error(_PSI.name, ())
-    system = _system(sp, modes)
-    values, tails = _split_sums(sp, modes, system, np.array([x]), np.array([y]), _PSI)
+    values, tails = _split_sums(sp, modes, _system(sp, modes), np.array([x]), np.array([y]), _PSI)
     seed = _kernel_seed(x, y, (0.0,))
     value = seed + complex(values[0, 0])
     floor = _identity_floor(_PSI, np.array(seed), abs(x), abs(x - y))
     return Estimate(value, float(tails[0, 0] + floor) + EPS * abs(value))
 
 
-def _insertion_points(sp: SchottkyParams, points: Sequence[complex]) -> np.ndarray:
-    """The points as an array: the library's one check of insertion points,
-    each in the fundamental domain ("insertion point k") and no two, equal
-    ones too, closer than POLE_GUARD (refused as the identity word's pole)."""
-    xs = [require_in_domain(sp, p, f"insertion point {k}") for k, p in enumerate(points)]
-    if any(abs(x - y) < POLE_GUARD for k, x in enumerate(xs) for y in xs[:k]):
+def _insertion_points(sp: SchottkyParams, points: Sequence[complex]) -> tuple[np.ndarray, ...]:
+    """The points as an array x and their differences x_i - x_j, 1 on the
+    diagonal: the library's one check of insertion points, each in the
+    fundamental domain ("insertion point k") and no two, equal ones too,
+    closer than POLE_GUARD (refused as the identity word's pole)."""
+    xs = np.array([require_in_domain(sp, p, f"insertion point {k}") for k, p in enumerate(points)])
+    diff = xs[:, None] - xs
+    np.fill_diagonal(diff, 1.0)
+    if diff.size and np.abs(diff).min() < POLE_GUARD:
         raise _pole_error(_OMEGA.name, ())
-    return np.array(xs, dtype=np.complex128)
+    return xs, diff
 
 
 def bidifferential_via_modes(
@@ -667,34 +686,39 @@ def bidifferential_via_modes(
     rest, the points' gates and each entry's tail, is :func:`_omega_matrix`'s,
     one Estimate per entry of its arrays.
     """
-    omega, tails = (a.tolist() for a in _omega_matrix(sp, _require_cutoff(sp, modes), points))
+    omega, tails = (a.tolist() for a in _omega_matrix(sp, _require_cutoff(sp, modes), points)[:2])
     return [[Estimate(v, t) for v, t in zip(*rows)] for rows in zip(omega, tails)]
 
 
 def _omega_matrix(
     sp: SchottkyParams, modes: int, points: Sequence[complex]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, PartitionValue]:
     """omega(x_i, x_j) off the diagonal and s(x_i) on it, and their tails, as
-    two arrays, at a cutoff that passed :func:`_require_cutoff`.
+    two arrays, at a cutoff that passed :func:`_require_cutoff`, and Z of
+    the system they were solved on, so that a correlator reads it once.
 
     All come from one solve with a right-hand side q'(x_j) per point (see
     the module docstring).  The points (:func:`_insertion_points`) are
     checked before the system is factored, a point within POLE_GUARD of
-    another's one-letter image before the solve.  Each tail is the bound of
-    :func:`_split_sums` (times 6 on the diagonal) plus the identity term's
-    rounding.
+    another's one-letter image before the solve.  The checks' pairwise
+    differences x_i - x_j, 1 on the diagonal, also give the identity word
+    1/(x_i - x_j)^2 and its rounding; per request the rest is one pass of
+    :func:`_split_sums`, whose values and tails are taken 6 times on the
+    diagonal.  Each tail is the bound of :func:`_split_sums` plus, off the
+    diagonal, the identity term's rounding, plus eps |value| for the last
+    addition.
     """
-    xs = _insertion_points(sp, points)
+    xs, diff = _insertion_points(sp, points)
     system = _system(sp, modes)
     if not len(xs):
-        return np.empty((0, 0), complex), np.empty((0, 0))
-    off = ~np.eye(len(xs), dtype=bool)
-    diff = np.where(off, xs[:, None] - xs[None, :], 1.0)
+        return np.empty((0, 0), complex), np.empty((0, 0)), system.partition
     values, tails = _split_sums(sp, modes, system, xs, xs, _OMEGA)
     identity = 1.0 / (diff * diff)
-    floor = _identity_floor(_OMEGA, identity, np.abs(xs)[:, None], np.abs(diff))
-    omega = np.where(off, identity + values, 6.0 * values)
-    return omega, np.where(off, tails + floor, 6.0 * tails) + EPS * np.abs(omega)
+    omega = identity + values
+    np.fill_diagonal(omega, 6.0 * values.diagonal())
+    total = tails + _identity_floor(_OMEGA, identity, np.abs(xs)[:, None], np.abs(diff))
+    np.fill_diagonal(total, 6.0 * tails.diagonal())
+    return omega, total + EPS * np.abs(omega), system.partition
 
 
 def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:

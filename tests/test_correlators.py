@@ -191,7 +191,7 @@ class TestPairingSum:
         pts = domain_points(sp, 10, 1)
         z = modes._system(sp, 10).partition
         for n in range(0, 11, 2):
-            values, tails = modes._omega_matrix(sp, 10, pts[:n])
+            values, tails, _ = modes._omega_matrix(sp, 10, pts[:n])
             got = correlators._pairing_sum(values.tolist(), tails.tolist())
             want = estimate_pairing_sum(modes.bidifferential_via_modes(sp, 10, pts[:n]))
             if n == 0:  # the empty product, an exact int 1
@@ -973,7 +973,8 @@ def counted(monkeypatch, module, name, calls):
 
 def test_each_insertion_point_checked_once(genus3_params, monkeypatch):
     # One gate in the mode route checks every point once per request, and
-    # nothing else in the library checks them.
+    # nothing else in the library checks them: the correlators' points,
+    # kernel_via_modes' x and y, and bidifferential_via_modes' points.
     calls = Counter()
     for module in (correlators, modes, forms):
         if hasattr(module, "require_in_domain"):
@@ -985,6 +986,8 @@ def test_each_insertion_point_checked_once(genus3_params, monkeypatch):
         (lambda: virasoro_two_point(surface, points[0], points[1], modes=5), 2),
         (lambda: virasoro_one_point(surface, points[0], modes=5), 1),
         (lambda: heisenberg_npoint(surface, points[:3], modes=5), 3),
+        (lambda: kernel_via_modes(genus3_params, 1, 5, points[0], points[1]), 2),
+        (lambda: bidifferential_via_modes(genus3_params, 5, points[:4]), 4),
     ):
         calls.clear()
         call()

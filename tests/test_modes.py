@@ -130,7 +130,8 @@ KERNELS = (modes._PSI, modes._OMEGA)
 
 def vectors(sp, M, x, y, kernel=modes._PSI):
     """p(x) and the kernel's moments q(y) (psi_1's by default) of one pair of points."""
-    p, q = modes._mode_vectors(sp, M, np.array([x], complex), np.array([y], complex), kernel)
+    pts = np.array([x], complex), np.array([y], complex)
+    *_, p, q = modes._point_terms(sp, modes._system(sp, M), *pts, kernel)
     return p[0], q[0]
 
 
@@ -167,7 +168,7 @@ class TestVectorsAndLayout:
         xs = np.array([3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j])
         ys = xs[:2] + 0.5
         for kernel in KERNELS:
-            P, Q = modes._mode_vectors(sp, 20, xs, ys, kernel)
+            *_, P, Q = modes._point_terms(sp, modes._system(sp, 20), xs, ys, kernel)
             for x, p in zip(xs, P):
                 assert np.array_equal(p, vectors(sp, 20, x, ys[0], kernel)[0])
             for y, q in zip(ys, Q):
@@ -755,17 +756,21 @@ class TestHeisenbergPartition:
 
     @pytest.mark.parametrize(
         "fixture, L",
-        [("torus_sp", 7), ("genus2_params", 6), ("genus3_params", 5), ("conjugate", 6)],
+        [
+            ("torus_sp", 7), ("genus2_params", 6), ("genus3_params", 5), ("conjugate", 6),
+            ("draw1", 5), ("draw2", 5),
+        ],
     )
     def test_matches_word_table_product_formula(self, fixture, L, request):
         # Z from the determinant against Z from the primitive classes, to
-        # within the determinant's tail, the last word shell and rounding.
+        # within the determinant's tail, the last word shell and rounding,
+        # on the fixtures, a conjugate of one and two perturbed genus-3 draws.
         if fixture == "conjugate":
             sp = mobius_act_on_params(
                 request.getfixturevalue("genus2_params"), MobiusMap(1.0, 0.3, 0.2, 1.0)
             )
         else:
-            sp = request.getfixturevalue(fixture)
+            sp = surface(fixture, request)
         z = heisenberg_partition(sp, 30)
         log_z, shell, floor = word_table_log_z(sp, L)
         expected = cmath.exp(log_z)
@@ -1000,7 +1005,8 @@ class TestCertificate:
         A = np.abs(mode_coupling_matrix(sp, 4 * M))
         mode = np.arange(A.shape[0]) % (4 * M)
         D = np.where((mode[:, None] >= M) | (mode[None, :] >= M), A, 0.0)
-        P, Q = (np.abs(v) for v in modes._mode_vectors(sp, 4 * M, pts, pts, kernel))
+        fine = modes._system(sp, 4 * M)
+        *_, P, Q = (np.abs(v) for v in modes._point_terms(sp, fine, pts, pts, kernel))
         eye = np.eye(len(A))
         left = np.linalg.solve((eye - A).T, P.T)
         right = np.linalg.solve(eye - (A - D), Q.T)
