@@ -36,6 +36,13 @@ matrix of a point set, with s on its diagonal, from one multi-right-hand
 side solve; the correlators of :mod:`schottky.correlators` take their
 omega and s from it.
 
+Block (a, b) of R is C(m+n+1, m) u_ab[m] v_ab[n], u_ab and v_ab the
+powers 1..M of the ratios -s_a / d and s_b / d, d = w_{-a} - w_b (see
+:func:`mode_coupling_matrix`).  The discs at w_{-a} and w_b are disjoint,
+so both ratios lie inside the unit disc: the powers cannot overflow,
+however close the centres, and the binomials, capped by MAX_SYSTEM_DIM,
+are the only factors that grow.
+
 The coupling entries carry half-integer powers of the handle parameters
 rho through s_h = sqrt(rho_h), principal branch (a negative real rho
 counts as rho + 0i).  That choice is safe across the branch cut:
@@ -109,7 +116,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dgemm, zgemm
+from scipy.linalg.blas import dgemm, dgemv, zgemm, zgemv
 from scipy.linalg.lapack import zgetrf, zgetrs
 
 from schottky.forms import (
@@ -144,7 +151,8 @@ __all__ = [
 ]
 
 # Mode systems of larger dimension 2gM are refused before assembly: past
-# it the binomials C(2M - 1, M) of a genus-1 system overflow a float.
+# it the binomials C(2M - 1, M) of a genus-1 system overflow a float.  They
+# are the only factors of R that grow; its ratio powers are below 1.
 MAX_SYSTEM_DIM = 1024
 
 
@@ -276,36 +284,30 @@ def mode_coupling_matrix(sp: SchottkyParams, modes: int) -> np.ndarray:
     """Coupling matrix R of the mode system (square, 2*genus*modes).
 
     Block (a, b) vanishes when b = -a (a word may not continue with the
-    inverse letter); otherwise
+    inverse letter); otherwise, with d = w_{-a} - w_b,
 
-        R[(a,m),(b,n)] = -s_a^{m+1} s_b^{n+1} (-1)^m
-                         C(m+n+1, m) (w_{-a} - w_b)^{-(m+n+2)},
+        R[(a,m),(b,n)] = C(m+n+1, m) u_ab[m] v_ab[n],
+        u_ab[m] = (-s_a / d)^{m+1},  v_ab[n] = (s_b / d)^{n+1},
 
     the m-th Taylor coefficient at w_{-a} of the pole-basis entry (b, n)
-    dressed with the same s-weights as the moment vector.  A block depends
-    on m and n through m + n only (it is a Hankel matrix times the
-    weights), so the 2M - 1 powers of each center difference are formed
-    once and every block is assembled in one broadcast.
+    dressed with the same s-weights as the moment vector.  The discs at
+    w_{-a} and w_b are disjoint, so |s_a| and |s_b| are below |d|: no
+    ratio reaches 1 in modulus, no power can overflow, and only the
+    binomials grow, up to C(2M - 1, M) (see MAX_SYSTEM_DIM).  The ratios
+    of every block, zero at b = -a, are raised in one :func:`_powers` pass,
+    and R is formed by two broadcast products, (v C) u, in its
+    column-major layout.
     """
     modes = _require_cutoff(sp, modes)
     geo = _surface(sp)
     n = len(geo.centers)
-    k = np.arange(modes)
-    col_w = geo.roots[:, None] ** (k + 1)
-    row_w = -col_w * (-1.0) ** k
-    # Center differences d[a, b] = w_{-a} - w_b.  At b = -a the block
-    # vanishes, so d gets a placeholder there instead of a pole.
-    inverse = np.arange(n)[None, :] == (np.arange(n) ^ 1)[:, None]
-    d = geo.partners[:, None] - geo.centers[None, :]
-    d[inverse] = 1.0
-    power = d[:, :, None] ** -(np.arange(2 * modes - 1) + 2.0)
-    # Indices (b, n, a, m), so R is column-major; hankel[b, n, a, m] = power[a, b, m + n].
-    sa, sb, sk = power.strides
-    hankel = np.lib.stride_tricks.as_strided(power, (n, modes, n, modes), (sb, sk, sa, sk))
-    R = row_w[None, None, :, :] * col_w[:, :, None, None]
-    R *= _binomials(modes).T[None, :, None, :]
-    R *= hankel
-    R.transpose(0, 2, 1, 3)[inverse] = 0.0
+    d = geo.partners[geo.row] - geo.centers[geo.col]
+    ratios = np.zeros((2, n, n), complex)
+    ratios[:, geo.row, geo.col] = -geo.roots[geo.row] / d, geo.roots[geo.col] / d
+    u, v = _powers(ratios, modes)
+    # Indices (b, n, a, m), so R is column-major.
+    R = np.multiply(v.transpose(1, 2, 0)[..., None], _binomials(modes).T[:, None, :], order="C")
+    R *= u.transpose(1, 0, 2)[:, None]
     return R.reshape(n * modes, n * modes).T
 
 
@@ -599,10 +601,17 @@ def _split_sums(
     values, floors, P, Q = _point_terms(sp, system, xs, ys, kernel)
     S, _ = zgetrs(system.lu, system.piv, Q.T)
     # R S and |R| |S| on scipy's BLAS, which did the solve: numpy bundles
-    # its own, and two thread pools contend.  On two or more columns these
-    # argument orders round as numpy's @ does.
-    values += P @ zgemm(1.0, S, system.R, trans_a=1, trans_b=1).T
-    floors += system.ulps * EPS * (np.abs(P) @ dgemm(1.0, system.size.T, np.abs(S), trans_a=1))
+    # its own, and two thread pools contend.  One column takes gemv, 3-4
+    # times faster there than gemm; on two or more columns these argument
+    # orders round as numpy's @ does.
+    if S.shape[1] == 1:
+        RS = zgemv(1.0, system.R, S[:, 0])[:, None]
+        sizes = dgemv(1.0, system.size.T, np.abs(S[:, 0]), trans=1)[:, None]
+    else:
+        RS = zgemm(1.0, S, system.R, trans_a=1, trans_b=1).T
+        sizes = dgemm(1.0, system.size.T, np.abs(S), trans_a=1)
+    values += P @ RS
+    floors += system.ulps * EPS * (np.abs(P) @ sizes)
     floor = floors.min()
     if system.certificates.get(kernel, math.inf) > floor:
         bound = _truncation(sp, modes, system, xs, ys, kernel)

@@ -31,7 +31,7 @@ from schottky.forms import (
     _kernel_seed,
     _abs_sum,
 )
-from schottky.correlators import virasoro_one_point
+from schottky.correlators import heisenberg_npoint, virasoro_one_point, virasoro_two_point
 from schottky.modes import bidifferential_via_modes, heisenberg_partition, kernel_via_modes
 from schottky.group import (
     ClassicalParams,
@@ -227,6 +227,28 @@ class TestHolomorphicForms:
                 v2 = genus2_forms.holomorphic_form(c, gx)
                 moved = v2.value * complex(g.derivative(x))
                 assert abs(moved - v1.value) < 1e-5
+
+    def test_coset_blocks_kept_once_and_read_only(self, genus3_params):
+        # Per row block and handle the cosets' floors and fixed-point images
+        # are formed once, read-only, and equal the per-call expressions bit
+        # for bit, so no value or tail depends on what was kept before.
+        x = 3.0 - 1.0j
+        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=5))
+        first = [F.holomorphic_form(a, x) for a in (1, 2, 3)]
+        kept = {key: block for key, block in F._memo.items() if "nu" in key}
+        assert len(kept) == 3 * len(F._blocks)
+        for (s, e, _, a), block in kept.items():
+            rows = s + np.flatnonzero(np.abs(F.words.last[s:e]) != a)
+            grow, skew = F._block_floor(s, e, 0)
+            if s == 0:
+                grow, skew = grow[rows], skew[rows]
+            for got, want in zip(block, (grow, skew, *F._fixed_point_images(rows, a)), strict=True):
+                assert np.array_equal(got, want)
+                assert not isinstance(got, np.ndarray) or not got.flags.writeable
+        assert [F.holomorphic_form(a, x) for a in (3, 2, 1)] == first[::-1]
+        assert len(F._memo) == len(kept) + len(F._blocks)
+        fresh = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=5))
+        assert [fresh.holomorphic_form(a, x) for a in (3, 1, 2)] == [first[2], first[0], first[1]]
 
 
 class TestProjectiveConnection:
@@ -1355,6 +1377,27 @@ class TestConstruction:
         for array in arrays:
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_fixed_points_formed_only_where_read(self, genus3_params, monkeypatch):
+        # No mode-route request reads the generator fixed points, so a
+        # SurfaceForms that serves only those never forms them; the period
+        # matrix and the one-forms form them once between them.
+        calls = []
+
+        def counted(sp):
+            calls.append(sp)
+            return classical_from_params(sp)
+
+        monkeypatch.setattr(forms, "classical_from_params", counted)
+        F = SurfaceForms(genus3_params, TruncationPolicy(3, 20, 1e-9))
+        x, y = 3.0 - 1.0j, -0.5 - 0.8j
+        heisenberg_npoint(F, [x, y], modes=20)
+        virasoro_two_point(F, x, y, modes=20)
+        kernel_via_modes(F.sp, 1, 20, x, y)
+        assert calls == []
+        F.period_matrix()
+        F.holomorphic_form(1, x)
+        assert calls == [genus3_params]
 
     def test_word_cache_matches_policy(self, genus2_params):
         F = SurfaceForms(genus2_params, TruncationPolicy(max_word_length=3))

@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -174,6 +175,20 @@ class TestVectorsAndLayout:
             for y, q in zip(ys, Q):
                 assert np.array_equal(q, vectors(sp, 20, xs[0], y, kernel)[1])
 
+    def test_one_column_products_agree_with_many(self, genus3_params):
+        # One right-hand side takes gemv for R S and |R| |S|, several take
+        # gemm; per column the two agree to rounding, well inside either tail.
+        sp = genus3_params
+        system = modes._system(sp, 20)
+        xs, ys = np.array([3.0 - 1.0j, -0.5 - 0.8j]), np.array([4.0 + 2.0j, -3.0 + 3.5j])
+        for kernel in KERNELS:
+            values, tails = modes._split_sums(sp, 20, system, xs, ys, kernel)
+            for j in range(len(ys)):
+                one, one_tails = modes._split_sums(sp, 20, system, xs, ys[j:j + 1], kernel)
+                gap = np.abs(one[:, 0] - values[:, j])
+                assert np.all(gap <= 1e-14 * np.abs(values[:, j]))
+                assert np.all(gap <= np.minimum(one_tails[:, 0], tails[:, j]))
+
     def test_powers_do_not_depend_on_the_cutoff(self):
         # Entry k of _powers (z^(k+1)) is the same product at M and at 2M,
         # bit for bit, and within 2k eps of the exact power.
@@ -258,21 +273,32 @@ class TestVectorsAndLayout:
 
 
 def reference_coupling(sp, M):
-    """The coupling matrix assembled block by block from its entry formula."""
-    roots = [cmath.sqrt(rho) for rho in sp.rho]
+    """The coupling matrix assembled block by block from its factored entry formula.
+
+    Block (a, b != -a) is C(m+n+1, m) u[m] v[n], u = (-s_a / d)^{m+1} and
+    v = (s_b / d)^{n+1} with d = w_{-a} - w_b, the powers by modes._powers and
+    the products in the library's order, (v C) u.
+    """
     idx = list(sp.signed_indices)
     R = np.zeros((len(idx) * M, len(idx) * M), dtype=np.complex128)
-    m = np.arange(M)
-    binom = np.array([[float(math.comb(i + j + 1, i)) for j in range(M)] for i in range(M)])
+    binom = np.array([[float(math.comb(m + n + 1, m)) for n in range(M)] for m in range(M)])
     for i, a in enumerate(idx):
-        row_w = -(roots[abs(a) - 1] ** (m + 1)) * (-1.0) ** m
         for j, b in enumerate(idx):
             if b == -a:
                 continue
-            col_w = roots[abs(b) - 1] ** (m + 1)
-            power = (sp.center(-a) - sp.center(b)) ** (-(m[:, None] + m[None, :] + 2.0))
-            R[i * M:(i + 1) * M, j * M:(j + 1) * M] = row_w[:, None] * col_w[None, :] * binom * power
+            d = sp.center(-a) - sp.center(b)
+            # numpy's division, which rounds unlike Python's complex division.
+            ratios = np.array([-cmath.sqrt(sp.rho_signed(a)), cmath.sqrt(sp.rho_signed(b))]) / d
+            u, v = modes._powers(ratios, M)
+            R[i * M:(i + 1) * M, j * M:(j + 1) * M] = (v[None, :] * binom) * u[:, None]
     return R
+
+
+def exact_ratio(num: complex, den: complex) -> tuple[Fraction, Fraction]:
+    """num / den in exact arithmetic, as (real, imaginary) Fractions."""
+    nr, ni, dr, di = (Fraction(part) for part in (num.real, num.imag, den.real, den.imag))
+    norm = dr * dr + di * di
+    return (nr * dr + ni * di) / norm, (ni * dr - nr * di) / norm
 
 
 class TestCouplingAssembly:
@@ -288,6 +314,49 @@ class TestCouplingAssembly:
         for i, a in enumerate(idx):
             j = idx.index(-a)
             assert np.all(R[i * M:(i + 1) * M, j * M:(j + 1) * M] == 0.0)
+
+    @pytest.mark.parametrize("fixture, M", [("genus2_params", 5), ("genus3_params", 20)])
+    def test_entries_within_their_rounding_of_the_exact_formula(self, fixture, M, request):
+        # Each entry of block (a, b != -a) against C(m+n+1, m) (-s_a/d)^{m+1}
+        # (s_b/d)^{n+1} in exact arithmetic from the same s_a = sqrt(rho_a)
+        # and d = w_{-a} - w_b.  A ratio rounds once, by a relative delta
+        # measured here and at most 4 eps (Smith's division, to first order),
+        # and its power k + 1 carries (k + 1) delta; each of the k products
+        # of _powers and the two of (v C) u adds at most 2 eps.
+        # Every block is checked at the modes 0, 1, M/2 and M - 1 and at
+        # 40 more seeded pairs (m, n).
+        sp = request.getfixturevalue(fixture)
+        idx = list(sp.signed_indices)
+        R = mode_coupling_matrix(sp, M)
+        rng = np.random.default_rng(11)
+        corners = sorted({0, 1, M // 2, M - 1})
+        pairs = {(m, n) for m in corners for n in corners} | {tuple(p) for p in rng.integers(0, M, (40, 2))}
+        eps = Fraction(EPS)
+        for i, a in enumerate(idx):
+            for j, b in enumerate(idx):
+                if b == -a:
+                    continue
+                d = sp.center(-a) - sp.center(b)
+                factors = []
+                for num in (-cmath.sqrt(sp.rho_signed(a)), cmath.sqrt(sp.rho_signed(b))):
+                    re, im = exact_ratio(num, d)
+                    got = complex(np.complex128(num) / d)
+                    delta2 = ((Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2) / (re * re + im * im)
+                    assert delta2 <= (4 * eps) ** 2
+                    powers = [(re, im)]
+                    for _ in range(M - 1):
+                        pr, pi = powers[-1]
+                        powers.append((pr * re - pi * im, pr * im + pi * re))
+                    factors.append((powers, math.sqrt(delta2) / EPS))
+                (u, du), (v, dv) = factors
+                for m, n in pairs:
+                    (ur, ui), (vr, vi) = u[m], v[n]
+                    c = math.comb(m + n + 1, m)
+                    re, im = c * (ur * vr - ui * vi), c * (ur * vi + ui * vr)
+                    entry = complex(R[i * M + m, j * M + n])
+                    error = (Fraction(entry.real) - re) ** 2 + (Fraction(entry.imag) - im) ** 2
+                    ulps = Fraction((m + 1) * du + (n + 1) * dv) + 2 * (m + n + 2)
+                    assert error <= (ulps * eps) ** 2 * (re * re + im * im), (a, b, m, n)
 
 
 class TestSharedSystem:
@@ -729,6 +798,21 @@ class TestHeisenbergPartition:
         z20 = heisenberg_partition(genus2_params, 20)
         assert abs(z20.value - z10.value) <= max(z10.tail, 1e-15)
         assert z20.tail <= z10.tail or z20.tail < 1e-14
+
+    def test_close_centres_at_large_cutoffs(self):
+        # Discs of radius 1e-3 at 1 and 1.02: kappa = 0.0028, yet a power
+        # (w_{-a} - w_b)^{-(m+n+2)} of the centre difference 0.02 overflows
+        # past M = 90.  Each factor of the factored blocks is a power of a
+        # ratio below 1, so M = 100 and the largest cutoff, 2gM = 1024,
+        # compute, warn of nothing and agree with M = 20 within both tails.
+        sp = SchottkyParams(2, (1.0, 3.0j), (1.02, -3.0j), (1e-6, 0.01))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coarse = heisenberg_partition(sp, 20)
+            for M in (100, modes.MAX_SYSTEM_DIM // 4):
+                z = heisenberg_partition(sp, M)
+                assert z.spectral_radius == pytest.approx(0.0028, abs=5e-5)
+                assert abs(z.value - coarse.value) <= z.tail + coarse.tail
 
     def test_rho_to_zero(self):
         sp = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (1e-20, 1e-20))
