@@ -446,8 +446,7 @@ class SurfaceForms:
     @functools.cached_property
     def _memo(self) -> dict:
         """Point-independent block constants, filled on first use: :meth:`_block_floor`'s,
-        keyed (s, e, per word), the weight-1 kernel's base share, keyed (s, e), and
-        :meth:`_coset_block`'s, keyed (s, e, "nu", a)."""
+        keyed (s, e, per word), and the weight-1 kernel's base share, keyed (s, e)."""
         return {}
 
     def _block_floor(self, s: int, e: int, first: int) -> tuple[np.ndarray | float, ...]:
@@ -464,27 +463,6 @@ class SurfaceForms:
                 if isinstance(part, np.ndarray):
                     part.flags.writeable = False
         return floor
-
-    def _coset_block(self, s: int, e: int, a: int) -> tuple[np.ndarray | float, ...]:
-        """(grow, skew, num_p, den_p, num_m, den_m) of the cosets G/<gamma_a> in rows s..e-1.
-
-        The cosets are the words whose last letter is not +-a; their floor is
-        :meth:`_block_floor`'s (per word in the first block) and (num, den)
-        the images of W_{+-a} (:meth:`_fixed_point_images`).  Computed once
-        per word table and handle; the arrays are read-only.
-        """
-        key = (s, e, "nu", a)
-        block = self._memo.get(key)
-        if block is None:
-            rows = s + np.flatnonzero(np.abs(self.words.last[s:e]) != a)
-            grow, skew = self._block_floor(s, e, 0)
-            if s == 0:
-                grow, skew = grow[rows], skew[rows]
-            block = self._memo[key] = (grow, skew, *self._fixed_point_images(rows, a))
-            for part in block:
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
-        return block
 
     def _clearance(self, y: complex) -> float:
         """delta(y), at most every |gamma x - y| the orbit sums compute, gamma != id.
@@ -699,10 +677,9 @@ class SurfaceForms:
         whose last letter is not +-a (at genus 1 only the identity).  Each
         term is formed as -(W_a - W_{-a}) / (l_{-a} l_a) from the linear
         forms l_{+-a} = x den_{+-a} - num_{+-a} of the word's rows at
-        W_{+-a}, kept per table and handle (:meth:`_coset_block`), so that
-        no digits cancel where the two images agree; each form adds
-        |den| / |l| times its share of the floor (see the module
-        docstring).  Normalization:
+        W_{+-a} (:meth:`_fixed_point_images`), so that no digits cancel
+        where the two images agree; each form adds |den| / |l| times its
+        share of the floor (see the module docstring).  Normalization:
         (1/2*pi*i) oint nu_b = delta_ab on the circle at w_{-a},
         counterclockwise.
 
@@ -716,11 +693,16 @@ class SurfaceForms:
         if a > self.sp.genus:
             raise InvalidParameterError(f"handle index must be 1..{self.sp.genus}, got {a}")
         x = require_in_domain(self.sp, x, "x")
+        last = self.words.last
         delta = self._classical.W_plus[a - 1] - self._classical.W_minus[a - 1]
         top = self._surface.reach + abs(x)
 
         def block(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-            grow, skew, num_p, den_p, num_m, den_m = self._coset_block(s, e, a)
+            rows = s + np.flatnonzero(np.abs(last[s:e]) != a)
+            grow, skew = self._block_floor(s, e, 0)
+            if s == 0:
+                grow, skew = grow[rows], skew[rows]
+            num_p, den_p, num_m, den_m = self._fixed_point_images(rows, a)
             ell_m, ell_p = x * den_m - num_m, x * den_p - num_p
             t = np.abs(den_m) / np.abs(ell_m) + np.abs(den_p) / np.abs(ell_p)
             share = _orbit_ulps(0, top, self._surface.radius, grow, skew)

@@ -731,30 +731,10 @@ def in_fundamental_domain(sp: SchottkyParams, z: complex) -> bool:
 
 def _in_a_disc(sp: SchottkyParams, z: complex, shrink: float) -> bool:
     """True iff the finite z lies strictly inside a disc, every radius times ``shrink``."""
-    for w, radius in _discs(sp):
-        if abs(z - w) < radius * shrink:
+    for w, rho in zip(sp.w_plus + sp.w_minus, 2 * sp.rho):
+        if abs(z - w) < math.sqrt(abs(rho)) * shrink:
             return True
     return False
-
-
-# The parameter set last scanned by _in_a_disc and its discs.
-_LAST_DISCS: tuple = (None, ())
-
-
-def _discs(sp: SchottkyParams) -> tuple[tuple[complex, float], ...]:
-    """(center, radius) of every disc of sp, w_plus then w_minus, kept for the last sp.
-
-    A request checks all its points against one parameter set, so one entry
-    serves it.  It is matched by identity: hashing the parameters costs as
-    much as the scan, and a pair kept on every parameter set would grow
-    with the sets a caller holds.
-    """
-    global _LAST_DISCS
-    last = _LAST_DISCS
-    if last[0] is not sp:
-        radii = [math.sqrt(abs(rho)) for rho in sp.rho]
-        last = _LAST_DISCS = (sp, tuple(zip(sp.w_plus + sp.w_minus, 2 * radii)))
-    return last[1]
 
 
 # ---------------------------------------------------------------------------

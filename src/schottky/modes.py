@@ -116,7 +116,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.blas import dgemm, dgemv, zgemm, zgemv
+from scipy.linalg.blas import dgemm, zgemm
 from scipy.linalg.lapack import zgetrf, zgetrs
 
 from schottky.forms import (
@@ -601,17 +601,10 @@ def _split_sums(
     values, floors, P, Q = _point_terms(sp, system, xs, ys, kernel)
     S, _ = zgetrs(system.lu, system.piv, Q.T)
     # R S and |R| |S| on scipy's BLAS, which did the solve: numpy bundles
-    # its own, and two thread pools contend.  One column takes gemv, 3-4
-    # times faster there than gemm; on two or more columns these argument
-    # orders round as numpy's @ does.
-    if S.shape[1] == 1:
-        RS = zgemv(1.0, system.R, S[:, 0])[:, None]
-        sizes = dgemv(1.0, system.size.T, np.abs(S[:, 0]), trans=1)[:, None]
-    else:
-        RS = zgemm(1.0, S, system.R, trans_a=1, trans_b=1).T
-        sizes = dgemm(1.0, system.size.T, np.abs(S), trans_a=1)
-    values += P @ RS
-    floors += system.ulps * EPS * (np.abs(P) @ sizes)
+    # its own, and two thread pools contend.  On two or more columns these
+    # argument orders round as numpy's @ does.
+    values += P @ zgemm(1.0, S, system.R, trans_a=1, trans_b=1).T
+    floors += system.ulps * EPS * (np.abs(P) @ dgemm(1.0, system.size.T, np.abs(S), trans_a=1))
     floor = floors.min()
     if system.certificates.get(kernel, math.inf) > floor:
         bound = _truncation(sp, modes, system, xs, ys, kernel)

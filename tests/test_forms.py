@@ -228,28 +228,6 @@ class TestHolomorphicForms:
                 moved = v2.value * complex(g.derivative(x))
                 assert abs(moved - v1.value) < 1e-5
 
-    def test_coset_blocks_kept_once_and_read_only(self, genus3_params):
-        # Per row block and handle the cosets' floors and fixed-point images
-        # are formed once, read-only, and equal the per-call expressions bit
-        # for bit, so no value or tail depends on what was kept before.
-        x = 3.0 - 1.0j
-        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=5))
-        first = [F.holomorphic_form(a, x) for a in (1, 2, 3)]
-        kept = {key: block for key, block in F._memo.items() if "nu" in key}
-        assert len(kept) == 3 * len(F._blocks)
-        for (s, e, _, a), block in kept.items():
-            rows = s + np.flatnonzero(np.abs(F.words.last[s:e]) != a)
-            grow, skew = F._block_floor(s, e, 0)
-            if s == 0:
-                grow, skew = grow[rows], skew[rows]
-            for got, want in zip(block, (grow, skew, *F._fixed_point_images(rows, a)), strict=True):
-                assert np.array_equal(got, want)
-                assert not isinstance(got, np.ndarray) or not got.flags.writeable
-        assert [F.holomorphic_form(a, x) for a in (3, 2, 1)] == first[::-1]
-        assert len(F._memo) == len(kept) + len(F._blocks)
-        fresh = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=5))
-        assert [fresh.holomorphic_form(a, x) for a in (3, 1, 2)] == [first[2], first[0], first[1]]
-
 
 class TestProjectiveConnection:
     def test_regularized_diagonal_limit(self, genus2_forms):

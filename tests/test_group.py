@@ -494,24 +494,6 @@ def test_require_in_domain_refuses_non_finite_points(genus2_params, z):
         group.require_finite(z, "w")
 
 
-def test_domain_gate_follows_the_parameter_set(genus2_params, genus3_params):
-    # The gate keeps the discs of the last parameter set it scanned.  A point
-    # inside a disc of one set only is judged by the set it is asked about,
-    # however the calls alternate, and an equal copy of a set judges alike.
-    # On a circle the slack of 1e-12 of a radius admits the point.
-    z = genus2_params.w_plus[0]
-    edge = genus2_params.w_minus[1] + genus2_params.radius(-2) * (1.0 - 1e-13)
-    twin = SchottkyParams(2, genus2_params.w_plus, genus2_params.w_minus, genus2_params.rho)
-    for _ in range(2):
-        for sp in (genus2_params, twin):
-            with pytest.raises(InvalidParameterError, match=r"^x = .* lies inside an isometric disc$"):
-                group.require_in_domain(sp, z, "x")
-            assert group.require_in_domain(sp, edge, "x") == edge
-            assert not group.in_fundamental_domain(sp, edge)
-        assert group.require_in_domain(genus3_params, z, "x") == z
-        assert group.in_fundamental_domain(genus3_params, z)
-
-
 @pytest.mark.parametrize("z", ["3", "3+1j", "a", None, True, False, np.bool_(True), [1.0], (1.0,)])
 def test_require_finite_refuses_non_numbers(genus2_params, z):
     # Like require_integer and require_positive: a typed error naming the

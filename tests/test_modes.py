@@ -175,20 +175,6 @@ class TestVectorsAndLayout:
             for y, q in zip(ys, Q):
                 assert np.array_equal(q, vectors(sp, 20, xs[0], y, kernel)[1])
 
-    def test_one_column_products_agree_with_many(self, genus3_params):
-        # One right-hand side takes gemv for R S and |R| |S|, several take
-        # gemm; per column the two agree to rounding, well inside either tail.
-        sp = genus3_params
-        system = modes._system(sp, 20)
-        xs, ys = np.array([3.0 - 1.0j, -0.5 - 0.8j]), np.array([4.0 + 2.0j, -3.0 + 3.5j])
-        for kernel in KERNELS:
-            values, tails = modes._split_sums(sp, 20, system, xs, ys, kernel)
-            for j in range(len(ys)):
-                one, one_tails = modes._split_sums(sp, 20, system, xs, ys[j:j + 1], kernel)
-                gap = np.abs(one[:, 0] - values[:, j])
-                assert np.all(gap <= 1e-14 * np.abs(values[:, j]))
-                assert np.all(gap <= np.minimum(one_tails[:, 0], tails[:, j]))
-
     def test_powers_do_not_depend_on_the_cutoff(self):
         # Entry k of _powers (z^(k+1)) is the same product at M and at 2M,
         # bit for bit, and within 2k eps of the exact power.
@@ -315,7 +301,9 @@ class TestCouplingAssembly:
             j = idx.index(-a)
             assert np.all(R[i * M:(i + 1) * M, j * M:(j + 1) * M] == 0.0)
 
-    @pytest.mark.parametrize("fixture, M", [("genus2_params", 5), ("genus3_params", 20)])
+    @pytest.mark.parametrize(
+        "fixture, M", [("torus_sp", 20), ("torus_sp", 100), ("genus2_params", 5), ("genus3_params", 20)]
+    )
     def test_entries_within_their_rounding_of_the_exact_formula(self, fixture, M, request):
         # Each entry of block (a, b != -a) against C(m+n+1, m) (-s_a/d)^{m+1}
         # (s_b/d)^{n+1} in exact arithmetic from the same s_a = sqrt(rho_a)
@@ -324,7 +312,9 @@ class TestCouplingAssembly:
         # and its power k + 1 carries (k + 1) delta; each of the k products
         # of _powers and the two of (v C) u adds at most 2 eps.
         # Every block is checked at the modes 0, 1, M/2 and M - 1 and at
-        # 40 more seeded pairs (m, n).
+        # 40 more seeded pairs (m, n).  On the torus the binomials grow
+        # largest (see MAX_SYSTEM_DIM): C(199, 99) = 4.5e58 at M = 100, where
+        # no entry is subnormal yet.
         sp = request.getfixturevalue(fixture)
         idx = list(sp.signed_indices)
         R = mode_coupling_matrix(sp, M)
