@@ -69,7 +69,9 @@ period matrix on the SurfaceForms
 (``SurfaceForms.periods``, read-only), so repeated requests on a few
 surfaces pay for each once.  No correlator but ``lattice_partition``
 enumerates the word table.  A correlator checks its mode cutoff once and
-passes the checked int to the mode route's private entry points.
+passes the checked int to the mode route's private entry points;
+``lattice_partition`` reads Z through the public
+:func:`~schottky.modes.heisenberg_partition`, which checks it again.
 Each insertion point is checked once, by the mode route's gate after the
 cutoff and before any factorization: it must lie in the fundamental domain,
 and points closer than POLE_GUARD, equal ones too, raise PoleProximityError.
@@ -106,7 +108,6 @@ from schottky.modes import (
     _insertion_points,
     _omega_matrix,
     _require_cutoff,
-    _system,
     heisenberg_partition,
     mode_cutoff_for,
 )
@@ -799,13 +800,14 @@ def lattice_partition(
     The theta sum is truncated at the policy's ``tol``, and its tail
     bounds how far the period matrix's tail (per entry) moves it (see
     :func:`siegel_theta`).  Rank 0 is exactly 1, computed without the
-    period matrix or Z.  Z comes before the period matrix and theta, so a
-    surface whose mode system is refused pays for neither.
+    period matrix or Z.  Z (:func:`heisenberg_partition`) comes before the
+    period matrix and theta, so a surface whose mode system is refused
+    pays for neither.
     """
     m = _cutoff(forms, modes)
     d = lattice.rank
     if d == 0:
         return Estimate(1.0 + 0.0j, 0.0)
-    z = _system(forms.sp, m).partition
+    z = heisenberg_partition(forms.sp, m)
     periods = forms.periods
     return siegel_theta(periods.omega, lattice, forms.policy.tol, periods.tail) * z**d

@@ -119,6 +119,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from schottky.group import (
+    DOMAIN_SLACK,
     ClassicalParams,
     InvalidParameterError,
     SchottkyError,
@@ -385,13 +386,15 @@ class SurfaceForms:
         w = self.words
         return w.a[s:e] * x + w.b[s:e], w.c[s:e] * x + w.d[s:e]
 
-    def _fixed_point_images(self, rows: np.ndarray, h: int) -> tuple[np.ndarray, ...]:
-        """(num, den) of gamma W_h, then of gamma W_{-h}, for the words in rows."""
-        Wp = self._classical.W_plus[h - 1]
-        Wm = self._classical.W_minus[h - 1]
+    def _coset_images(self, s: int, e: int, h: int) -> tuple[np.ndarray, ...]:
+        """The cosets of <gamma_h> in rows s..e-1, the words whose last letter
+        is not +-h, as row offsets from s, then (num, den) of gamma W_h and
+        of gamma W_{-h} for their words."""
         w = self.words
-        a, b, c, d = (part[rows] for part in (w.a, w.b, w.c, w.d))
-        return a * Wp + b, c * Wp + d, a * Wm + b, c * Wm + d
+        rows = np.flatnonzero(np.abs(w.last[s:e]) != h)
+        Wp, Wm = self._classical.W_plus[h - 1], self._classical.W_minus[h - 1]
+        a, b, c, d = (part[s:e][rows] for part in (w.a, w.b, w.c, w.d))
+        return rows, a * Wp + b, c * Wp + d, a * Wm + b, c * Wm + d
 
     def _reduce(
         self,
@@ -473,12 +476,12 @@ class SurfaceForms:
         Poincare theta series for Schottky groups", in Bobenko and Klein
         (eds.), Computational Approach to Riemann Surfaces, LNM 2013), and
         min over the discs of |y - w| - r bounds |gamma x - y| for every x
-        of the domain.  Less a margin: 2e-12 r for the domain gate's slack
-        (x that far inside the disc at w_a puts gamma_a x as far outside
-        that at w_{-a}), and for the rounding of the computed distance,
-        2 eps times :func:`_orbit_ulps`' share of a pole at the cutoff's
-        longest word, plus a relative (10 (1 + L) + c L) eps.  Nonpositive
-        on a circle and inside a disc.
+        of the domain.  Less a margin: 2 DOMAIN_SLACK r for the domain
+        gate's slack (x that far inside the disc at w_a puts gamma_a x as
+        far outside that at w_{-a}), and for the rounding of the computed
+        distance, 2 eps times :func:`_orbit_ulps`' share of a pole at the
+        cutoff's longest word, plus a relative (10 (1 + L) + c L) eps.
+        Nonpositive on a circle and inside a disc.
         """
         sf = self._surface
         y = complex(y)
@@ -486,7 +489,8 @@ class SurfaceForms:
         grow, skew = 1.0 + L, sf.cond * L
         gap = min(abs(y - w) - r for w, r in zip(sf.centers.tolist(), sf.radii.tolist()))
         share = _orbit_ulps(0, sf.reach + abs(y), sf.radius, grow, skew)
-        return gap * (1.0 - EPS * (10.0 * grow + skew)) - 2e-12 * sf.radius - 2.0 * EPS * share
+        slack = 2.0 * DOMAIN_SLACK * sf.radius
+        return gap * (1.0 - EPS * (10.0 * grow + skew)) - slack - 2.0 * EPS * share
 
     # -- seed-kernel series ----------------------------------------------------
 
@@ -677,7 +681,7 @@ class SurfaceForms:
         whose last letter is not +-a (at genus 1 only the identity).  Each
         term is formed as -(W_a - W_{-a}) / (l_{-a} l_a) from the linear
         forms l_{+-a} = x den_{+-a} - num_{+-a} of the word's rows at
-        W_{+-a} (:meth:`_fixed_point_images`), so that no digits cancel
+        W_{+-a} (:meth:`_coset_images`), so that no digits cancel
         where the two images agree; each form adds |den| / |l| times its
         share of the floor (see the module docstring).  Normalization:
         (1/2*pi*i) oint nu_b = delta_ab on the circle at w_{-a},
@@ -693,16 +697,14 @@ class SurfaceForms:
         if a > self.sp.genus:
             raise InvalidParameterError(f"handle index must be 1..{self.sp.genus}, got {a}")
         x = require_in_domain(self.sp, x, "x")
-        last = self.words.last
         delta = self._classical.W_plus[a - 1] - self._classical.W_minus[a - 1]
         top = self._surface.reach + abs(x)
 
         def block(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-            rows = s + np.flatnonzero(np.abs(last[s:e]) != a)
+            rows, num_p, den_p, num_m, den_m = self._coset_images(s, e, a)
             grow, skew = self._block_floor(s, e, 0)
             if s == 0:
                 grow, skew = grow[rows], skew[rows]
-            num_p, den_p, num_m, den_m = self._fixed_point_images(rows, a)
             ell_m, ell_p = x * den_m - num_m, x * den_p - num_p
             t = np.abs(den_m) / np.abs(ell_m) + np.abs(den_p) / np.abs(ell_p)
             share = _orbit_ulps(0, top, self._surface.radius, grow, skew)
@@ -786,11 +788,9 @@ class SurfaceForms:
         pairs = [(a, b) for b in range(1, g + 1) for a in range(1, b + 1)]
 
         def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float]]:
-            last = np.abs(w.last[s:e])
             first = np.abs(_first_letters(g, s, w.length[s:e]))
             for b in range(1, g + 1):  # the images of W_{+-b} under the cosets of column b
-                rows = np.flatnonzero(last != b)
-                num_p, den_p, num_m, den_m = self._fixed_point_images(s + rows, b)
+                rows, num_p, den_p, num_m, den_m = self._coset_images(s, e, b)
                 img_p, img_m = num_p / den_p, num_m / den_m
                 delta = (cp.W_plus[b - 1] - cp.W_minus[b - 1]) / (den_p * den_m)
                 args, ends = [], [0]
@@ -828,13 +828,14 @@ class SurfaceForms:
 class _Surface(NamedTuple):
     """The validated handle data of one parameter set; the arrays are read-only.
 
-    Per signed handle in the mode layout's order 1, -1, 2, -2, ...: w_a,
+    Per signed handle in the mode layout's order 1, -1, 2, -2, ...: a, w_a,
     w_{-a}, rho_a, s_a = sqrt(rho_a + 0j) (principal root) and r_a; per mode
     block (a, b != -a), row-major: the positions of a, b and |w_{-a} - w_b|;
     c of :func:`_orbit_ulps`, max_a r_a, max_a (|w_a| + r_a) >= |gamma x|
     (gamma != id), and min_a (|w_a| - r_a) <= |gamma x|, > 0 iff the origin is exterior.
     """
 
+    letters: tuple[int, ...]
     centers: np.ndarray
     partners: np.ndarray
     rho: np.ndarray
@@ -866,8 +867,9 @@ def _surface(sp: SchottkyParams) -> _Surface:
     row, col = np.nonzero(pos[None, :] != (pos ^ 1)[:, None])
     handles = list(zip(centers.tolist(), partners.tolist(), rho, radii))
     surface = _Surface(
-        centers, partners, np.array(rho), np.array([cmath.sqrt(r + 0j) for r in rho]),
-        np.array(radii), row, col, np.abs(partners[row] - centers[col]),
+        sp.signed_indices, centers, partners, np.array(rho),
+        np.array([cmath.sqrt(r + 0j) for r in rho]), np.array(radii), row, col,
+        np.abs(partners[row] - centers[col]),
         max((abs(w * v) + abs(rh)) / abs(rh) for w, v, rh, _ in handles), max(radii),
         max(abs(w) + r for w, _, _, r in handles), min(abs(w) - r for w, _, _, r in handles),
     )

@@ -93,6 +93,10 @@ __all__ = [
 # same point of the sphere; this constant is what the library returns.
 INFINITY = complex(math.inf, 0.0)
 
+# Slack of the domain gate, relative to each radius: a point that far
+# inside a circle is still admitted (see require_in_domain).
+DOMAIN_SLACK = 1e-12
+
 
 def is_infinity(z: complex) -> bool:
     """True if z represents the point at infinity (any non-finite value)."""
@@ -711,11 +715,11 @@ def require_positive(x: float, name: str) -> float:
 def require_in_domain(sp: SchottkyParams, z: complex, name: str) -> complex:
     """z as a finite complex number in the fundamental domain, else refused by name.
 
-    The circles get a slack of 1e-12 of their radii: boundary points and
-    their generator images can land an ulp inside.
+    The circles get a slack of DOMAIN_SLACK of their radii: boundary
+    points and their generator images can land an ulp inside.
     """
     z = require_finite(z, name)
-    if _in_a_disc(sp, z, 1.0 - 1e-12):
+    if _in_a_disc(sp, z, 1.0 - DOMAIN_SLACK):
         raise InvalidParameterError(f"{name} = {z} lies inside an isometric disc")
     return z
 

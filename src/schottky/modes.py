@@ -72,11 +72,15 @@ parameters and cutoff, built from the handle record that SurfaceForms
 reads (``forms._surface``), so both routes check a parameter set once.
 
 A system computes once what does not depend on the points: R, |R| and
-the factors, kappa, Z, the omitted entry sum, and the record, the mode
-ramp 1..M and the rounding factor of :func:`_split_sums` that every
-request reads; per kernel it keeps a truncation certificate, formed by
-the first request that needs it.  A request reads the record and the
-cached system once and makes one pass over its points
+the factors, kappa, Z, the omitted entry sum, the surface record, the
+mode ramp 1..M and the rounding factor of :func:`_split_sums`; per
+kernel it keeps a truncation certificate, formed by the first request
+that needs it.  A request looks the system up once and hands it, with
+its points and kernel, to each helper: :func:`_split_sums`,
+:func:`_point_terms`, :func:`_truncation` and :func:`_vector_bounds`
+take (system, xs, ys, kernel) and read the record, the cutoff M (the
+ramp's length) and the handle letters of a pole error from the system,
+not from the parameters.  A request makes one pass over its points
 (:func:`_point_terms`): it forms 1/(x_i - w_b) and 1/(w_{-b} - y_j) once,
 and from them the one-letter words with their floors and the vectors p
 and q; then one solve on the factors with a right-hand side per y_j and
@@ -134,6 +138,7 @@ from schottky.forms import (
     _surface,
 )
 from schottky.group import (
+    DOMAIN_SLACK,
     InvalidParameterError,
     SchottkyParams,
     require_in_domain,
@@ -194,7 +199,9 @@ class _Factored:
     sums' rounding factor (2gM + 4(M + 1)) (1 + kappa) / (1 - kappa).
     ``certificates``, mutable and ignored by equality, maps each kernel
     record (:class:`_Kernel`) to its :func:`_truncation` bound over the
-    whole domain.
+    whole domain.  The system is the one handle of a request's helpers:
+    they read the record, the handle letters (``surface.letters``) and
+    the cutoff M = ``len(ramp)`` here.
     """
 
     R: np.ndarray
@@ -272,7 +279,7 @@ def _powers(z: np.ndarray, modes: int) -> np.ndarray:
     return out.transpose(*range(1, out.ndim), 0)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=CACHE_ENTRIES)
 def _binomials(modes: int) -> np.ndarray:
     """Read-only table C(m + n + 1, m) for m, n < modes, built once per cutoff."""
     binom = np.array([[math.comb(m + n + 1, m) for n in range(modes)] for m in range(modes)], float)
@@ -436,7 +443,7 @@ def _series(X, Y, power: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _vector_bounds(
-    sp: SchottkyParams, modes: int, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
+    system: _Factored, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
 ) -> tuple[np.ndarray, ...]:
     """Entry sums of |p(x_i)|^T |R| and |R| |q(y_j)|, q the kernel's moments, whole and past the cutoff.
 
@@ -452,20 +459,20 @@ def _vector_bounds(
     the slack of a circle (t or sigma a hair above 1) keeps them finite, as
     the products decay at alpha t + beta < 1.  A last row and column are
     those of a virtual pair nearer every disc than require_in_domain
-    admits, at t = sigma = 1 / (1 - 2e-12) in every block.  With the 1/Y
-    of :func:`_series` multiplied through, each sum is a power series in t
-    and sigma with nonnegative coefficients, so it bounds every admitted
-    pair's.
+    admits, at t = sigma = 1 / (1 - 2 DOMAIN_SLACK) in every block.  With
+    the 1/Y of :func:`_series` multiplied through, each sum is a power
+    series in t and sigma with nonnegative coefficients, so it bounds
+    every admitted pair's.  The record and the cutoff M are the system's.
     """
-    geo = _surface(sp)
+    geo, modes, virtual = system.surface, len(system.ramp), 1.0 - 2.0 * DOMAIN_SLACK
     ra, rb = geo.radii[geo.row], geo.radii[geo.col]
     alpha, beta = ra / geo.gap, rb / geo.gap
-    dx = np.concatenate([np.abs(xs[:, None] - geo.centers[geo.row]), [ra * (1.0 - 2e-12)]])
+    dx = np.concatenate([np.abs(xs[:, None] - geo.centers[geo.row]), [ra * virtual]])
     t = ra / dx
     weight = alpha * beta * t / dx
     full, tail = _series(alpha * t, beta, 0, modes)
     rows_full, rows_tail = (weight * full).sum(axis=-1), (weight * tail).sum(axis=-1)
-    dy = np.concatenate([np.abs(geo.partners[geo.col] - ys[:, None]), [rb * (1.0 - 2e-12)]])
+    dy = np.concatenate([np.abs(geo.partners[geo.col] - ys[:, None]), [rb * virtual]])
     cols_full = cols_tail = both = 0.0
     for _, at_y, order in kernel.poles:
         # |w_{-b} - P|, and the pole's (coefficient, ratio, power).
@@ -480,10 +487,7 @@ def _vector_bounds(
     return rows_full, rows_tail, cols_full, cols_tail, both
 
 
-def _truncation(
-    sp: SchottkyParams, modes: int, system: _Factored, xs: np.ndarray, ys: np.ndarray,
-    kernel: _Kernel,
-) -> np.ndarray:
+def _truncation(system: _Factored, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel) -> np.ndarray:
     """Bound on what the modes beyond the cutoff add to p(x_i)^T R (I - R)^{-1} q(y_j).
 
     Pad the truncated R with zeros to B, and let D = R - B.  Entrywise
@@ -503,7 +507,7 @@ def _truncation(
     :func:`_vector_bounds` it bounds the truncation at every pair of the
     closed domain: that entry is kept in ``system.certificates``.
     """
-    rows_full, rows_tail, cols_full, cols_tail, both = _vector_bounds(sp, modes, xs, ys, kernel)
+    rows_full, rows_tail, cols_full, cols_tail, both = _vector_bounds(system, xs, ys, kernel)
     kappa, omitted = system.contraction, system.omitted
     inner, outer = 1.0 - kappa - omitted, 1.0 - kappa
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
@@ -529,7 +533,7 @@ def _pole_sums(kernel: _Kernel, size, dist, scale):
 
 
 def _point_terms(
-    sp: SchottkyParams, system: _Factored, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
+    system: _Factored, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
 ) -> tuple[np.ndarray, ...]:
     """One pass over a request's points: the one-letter words' sums and
     floors at each pair (x_i, y_j), the pole-basis vectors p(x_i) and the
@@ -556,7 +560,7 @@ def _point_terms(
     diff = gx[:, None, :] - ys[None, :, None]
     dist = np.abs(diff)
     if dist.size and dist.min() < POLE_GUARD:
-        raise _pole_error(kernel.name, (sp.signed_indices[np.argmin(dist) % len(geo.centers)],))
+        raise _pole_error(kernel.name, (geo.letters[np.argmin(dist) % len(geo.centers)],))
     size = np.abs(gx)[:, None, :]
     words = kernel.term(gx[:, None, :], dgx[:, None, :], ys[None, :, None], diff)
     kappa, drift = _pole_sums(kernel, size, dist, size), _pole_sums(kernel, size, dist, geo.radius)
@@ -577,8 +581,7 @@ def _point_terms(
 
 
 def _split_sums(
-    sp: SchottkyParams, modes: int, system: _Factored, xs: np.ndarray, ys: np.ndarray,
-    kernel: _Kernel,
+    system: _Factored, xs: np.ndarray, ys: np.ndarray, kernel: _Kernel
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every word but the identity at each pair (x_i, y_j): values and tails.
 
@@ -598,7 +601,7 @@ def _split_sums(
     doubling a tail, and the series are skipped.  The certificate depends
     on the system alone, so the tail does not depend on earlier requests.
     """
-    values, floors, P, Q = _point_terms(sp, system, xs, ys, kernel)
+    values, floors, P, Q = _point_terms(system, xs, ys, kernel)
     S, _ = zgetrs(system.lu, system.piv, Q.T)
     # R S and |R| |S| on scipy's BLAS, which did the solve: numpy bundles
     # its own, and two thread pools contend.  On two or more columns these
@@ -607,7 +610,7 @@ def _split_sums(
     floors += system.ulps * EPS * (np.abs(P) @ dgemm(1.0, system.size.T, np.abs(S), trans_a=1))
     floor = floors.min()
     if system.certificates.get(kernel, math.inf) > floor:
-        bound = _truncation(sp, modes, system, xs, ys, kernel)
+        bound = _truncation(system, xs, ys, kernel)
         if system.certificates[kernel] > floor:
             return values, floors + bound
     return values, floors + system.certificates[kernel]
@@ -655,7 +658,7 @@ def kernel_via_modes(
     y = require_in_domain(sp, y, "y")
     if abs(x - y) < POLE_GUARD or abs(x) < POLE_GUARD:
         raise _pole_error(_PSI.name, ())
-    values, tails = _split_sums(sp, modes, _system(sp, modes), np.array([x]), np.array([y]), _PSI)
+    values, tails = _split_sums(_system(sp, modes), np.array([x]), np.array([y]), _PSI)
     seed = _kernel_seed(x, y, (0.0,))
     value = seed + complex(values[0, 0])
     floor = _identity_floor(_PSI, np.array(seed), abs(x), abs(x - y))
@@ -714,7 +717,7 @@ def _omega_matrix(
     system = _system(sp, modes)
     if not len(xs):
         return np.empty((0, 0), complex), np.empty((0, 0)), system.partition
-    values, tails = _split_sums(sp, modes, system, xs, xs, _OMEGA)
+    values, tails = _split_sums(system, xs, xs, _OMEGA)
     identity = 1.0 / (diff * diff)
     omega = identity + values
     np.fill_diagonal(omega, 6.0 * values.diagonal())

@@ -126,7 +126,7 @@ def test_odd_heisenberg_npoint_vanishes(torus_forms, n, monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("an odd n needs no mode system")
 
-    monkeypatch.setattr(correlators, "_system", unused)
+    monkeypatch.setattr(modes, "_system", unused)
     monkeypatch.setattr(correlators, "_omega_matrix", unused)
     pts = [2.0 + 0.5j * k for k in range(n)]
     for m in (None, 5):
@@ -286,7 +286,7 @@ def test_rank0_lattice_on_torus_is_one(torus_forms, monkeypatch):
         raise AssertionError("rank 0 needs no period matrix or partition function")
 
     monkeypatch.setattr(type(torus_forms), "period_matrix", unused)
-    monkeypatch.setattr(correlators, "_system", unused)
+    monkeypatch.setattr(modes, "_system", unused)
     res = lattice_partition(torus_forms, LatticeSpec(()))
     assert res.value == 1
     assert res.tail == 0.0
@@ -813,7 +813,7 @@ class TestThetaRoutes:
         moved_periods = PeriodMatrixResult(omega, tau)
         monkeypatch.setattr(SurfaceForms, "periods", property(lambda self: moved_periods))
         res = lattice_partition(surface, E8)
-        z = correlators._system(sp, mode_cutoff_for(sp, 1e-9, 20)).partition.value
+        z = heisenberg_partition(sp, mode_cutoff_for(sp, 1e-9, 20)).value
         assert abs(res.value - exact.value * z**8) <= res.tail
         assert res.tail >= slope * tau * abs(z) ** 8
 
@@ -826,27 +826,29 @@ class TestThetaRoutes:
 def test_mode_cutoff_checked_once_per_request(genus3_params, monkeypatch):
     # The correlator checks its cutoff (or, without one, the policy's cap)
     # and hands the checked int to the mode route's private entry points.
-    # Assembling a fresh system adds the public assembler's own check.
+    # Assembling a fresh system adds the public assembler's own check, and
+    # lattice_partition reads Z through the public heisenberg_partition,
+    # which checks the int it is handed once more.
     calls = Counter()
     for module in (correlators, modes):
         counted(monkeypatch, module, "_require_cutoff", calls)
     surface = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=3))
     x, y, w = 3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j
     requests = [
-        lambda m: heisenberg_npoint(surface, [x, y], modes=m),
-        lambda m: heisenberg_npoint(surface, [x, y, w], modes=m),
-        lambda m: virasoro_one_point(surface, x, modes=m),
-        lambda m: virasoro_two_point(surface, x, y, modes=m),
-        lambda m: lattice_partition(surface, A2, modes=m),
-        lambda m: lattice_partition(surface, LatticeSpec(()), modes=m),
+        (lambda m: heisenberg_npoint(surface, [x, y], modes=m), 1),
+        (lambda m: heisenberg_npoint(surface, [x, y, w], modes=m), 1),
+        (lambda m: virasoro_one_point(surface, x, modes=m), 1),
+        (lambda m: virasoro_two_point(surface, x, y, modes=m), 1),
+        (lambda m: lattice_partition(surface, A2, modes=m), 2),
+        (lambda m: lattice_partition(surface, LatticeSpec(()), modes=m), 1),
     ]
     for m in (None, 12):
-        for request in requests:
+        for request, _ in requests:
             request(m)
-        for request in requests:
+        for request, checks in requests:
             calls.clear()
             request(m)
-            assert calls == {"_require_cutoff": 1}
+            assert calls == {"_require_cutoff": checks}
     modes._system.cache_clear()
     calls.clear()
     heisenberg_npoint(surface, [x, y], modes=12)

@@ -17,11 +17,14 @@ Weight >= 2 requests are refused; those kernels are tested as Poincare
 sums in test_forms.
 """
 
+import ast
 import cmath
+import inspect
 import math
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -35,6 +38,7 @@ from scipy.linalg import lu_factor
 from scipy.linalg.lapack import zgecon
 
 from schottky.forms import (
+    CACHE_ENTRIES,
     EPS,
     ConfigurationError,
     ConvergenceError,
@@ -44,6 +48,7 @@ from schottky.forms import (
     _surface,
 )
 from schottky.group import (
+    DOMAIN_SLACK,
     ClassicalParams,
     InvalidParameterError,
     MobiusMap,
@@ -132,7 +137,7 @@ KERNELS = (modes._PSI, modes._OMEGA)
 def vectors(sp, M, x, y, kernel=modes._PSI):
     """p(x) and the kernel's moments q(y) (psi_1's by default) of one pair of points."""
     pts = np.array([x], complex), np.array([y], complex)
-    *_, p, q = modes._point_terms(sp, modes._system(sp, M), *pts, kernel)
+    *_, p, q = modes._point_terms(modes._system(sp, M), *pts, kernel)
     return p[0], q[0]
 
 
@@ -169,7 +174,7 @@ class TestVectorsAndLayout:
         xs = np.array([3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j])
         ys = xs[:2] + 0.5
         for kernel in KERNELS:
-            *_, P, Q = modes._point_terms(sp, modes._system(sp, 20), xs, ys, kernel)
+            *_, P, Q = modes._point_terms(modes._system(sp, 20), xs, ys, kernel)
             for x, p in zip(xs, P):
                 assert np.array_equal(p, vectors(sp, 20, x, ys[0], kernel)[0])
             for y, q in zip(ys, Q):
@@ -406,6 +411,25 @@ class TestSharedSystem:
         assert kernel_via_modes(minus, 1, 12, x, y) == first
         modes._system.cache_clear()
         assert kernel_via_modes(minus, 1, 12, x, y) == first
+
+    def test_binomial_tables_are_bounded(self, genus2_params):
+        # A cutoff sweep keeps at most CACHE_ENTRIES binomial tables, as
+        # the system cache keeps at most that many systems.
+        modes._binomials.cache_clear()
+        for M in (3, 4, 5, 6, 7, 8):
+            mode_coupling_matrix(genus2_params, M)
+        assert modes._binomials.cache_info().currsize <= CACHE_ENTRIES
+
+    def test_request_helpers_read_the_system(self):
+        # The per-request helpers take the factored system with the points
+        # and the kernel, and read the surface record, the cutoff and the
+        # handle letters from it: none looks the parameters up again.
+        for name in ("_point_terms", "_split_sums", "_truncation", "_vector_bounds"):
+            helper = getattr(modes, name)
+            assert list(inspect.signature(helper).parameters) == ["system", "xs", "ys", "kernel"]
+            tree = ast.parse(textwrap.dedent(inspect.getsource(helper)))
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            assert not names & {"_surface", "_system", "sp"}, name
 
     def test_cached_factors_are_read_only(self, genus2_params):
         factored = modes._system(genus2_params, 12)
@@ -962,7 +986,7 @@ class TestTruncationBounds:
         y = sp.center(1) + 1e-3 * sp.radius(1)
         for kernel in KERNELS:
             bound = modes._truncation(
-                sp, 10, modes._system(sp, 10), np.array([3.0 + 1.0j]), np.array([y]), kernel
+                modes._system(sp, 10), np.array([3.0 + 1.0j]), np.array([y]), kernel
             )
             assert bound.tolist() == [[math.inf]]
 
@@ -1002,7 +1026,8 @@ class TestTruncationBounds:
         for x, y in [*kernel_points(sp), (ring[0], ring[1]), (ring[1], ring[1])]:
             for kernel in KERNELS:
                 p, q = (np.abs(v) for v in vectors(sp, 4 * M, x, y, kernel))
-                bounds = modes._vector_bounds(sp, M, np.array([x]), np.array([y]), kernel)
+                pair = np.array([x]), np.array([y])
+                bounds = modes._vector_bounds(modes._system(sp, M), *pair, kernel)
                 rows, rows_d, cols, cols_d, both = (
                     float(np.ravel(b)[0]) * (1.0 + 8 * EPS) for b in bounds
                 )
@@ -1051,10 +1076,10 @@ class TestCertificate:
 
     @staticmethod
     def points(sp):
-        """Points off the circles, on every circle, and 1e-13 of a radius inside each."""
+        """Points off the circles, on every circle, and DOMAIN_SLACK / 2 of a radius inside each."""
         ring = circle_points(sp)
         hair = [
-            sp.center(a) + (1.0 - 1e-13) * (z - sp.center(a))
+            sp.center(a) + (1.0 - DOMAIN_SLACK / 2) * (z - sp.center(a))
             for a, z in zip(sp.signed_indices, ring)
         ]
         return np.array([x for pair in kernel_points(sp) for x in pair] + ring + hair)
@@ -1071,7 +1096,7 @@ class TestCertificate:
         pts = self.points(sp)
         system = modes._system.__wrapped__(sp, M)
         kernel = KERNELS[derivative]
-        bound = modes._truncation(sp, M, system, pts, pts, kernel)
+        bound = modes._truncation(system, pts, pts, kernel)
         certificate = system.certificates[kernel]
         assert bound.shape == (len(pts), len(pts))
         assert (bound <= certificate).all()
@@ -1080,7 +1105,7 @@ class TestCertificate:
         mode = np.arange(A.shape[0]) % (4 * M)
         D = np.where((mode[:, None] >= M) | (mode[None, :] >= M), A, 0.0)
         fine = modes._system(sp, 4 * M)
-        *_, P, Q = (np.abs(v) for v in modes._point_terms(sp, fine, pts, pts, kernel))
+        *_, P, Q = (np.abs(v) for v in modes._point_terms(fine, pts, pts, kernel))
         eye = np.eye(len(A))
         left = np.linalg.solve((eye - A).T, P.T)
         right = np.linalg.solve(eye - (A - D), Q.T)
@@ -1121,6 +1146,18 @@ class TestCertificate:
             warm = call()
             assert (warm.value, warm.tail) == (cold.value, cold.tail), name
             assert (not bounds) == fires, name
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_gate_slack_points_are_admitted(self, name, request):
+        # The points DOMAIN_SLACK / 2 of a radius inside each circle, whose
+        # per-pair truncation test_certificate_dominates bounds by the
+        # certificate: the domain gate admits them, and the orbit sums'
+        # clearance puts them at or past a pole.
+        sp = surface(name, request)
+        forms = SurfaceForms(sp)
+        for z in self.points(sp)[-2 * sp.genus:]:
+            assert group.require_in_domain(sp, z, "z") == z
+            assert forms._clearance(z) <= 0.0
 
     def test_cached_surface_skips_the_series(self, genus3_params, fresh_system, monkeypatch):
         # The first request fills the certificate; a second request at other

@@ -64,6 +64,36 @@ def test_cache_inventory():
     assert found == {"forms._surface", "modes._system", "modes._binomials"}
 
 
+def test_private_imports_between_modules():
+    # The private names each module imports from a sibling, as
+    # "importer <- sibling.name".  The mode systems' cache stays inside
+    # modes: the correlators read Z through heisenberg_partition, a name
+    # the benchmark's tracer wraps.  A new reach into a sibling's
+    # internals is a deliberate change to this list.
+    found = {
+        f"{path.stem} <- {node.module.rpartition('.')[2]}.{alias.name}"
+        for path in sorted(Path(schottky.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("schottky.")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert found == {
+        "correlators <- forms._TAIL_UP",
+        "correlators <- forms._UNDERFLOW",
+        "correlators <- modes._insertion_points",
+        "correlators <- modes._omega_matrix",
+        "correlators <- modes._require_cutoff",
+        "forms <- group._first_letters",
+        "modes <- forms._Surface",
+        "modes <- forms._kernel_seed",
+        "modes <- forms._orbit_ulps",
+        "modes <- forms._origin_exterior",
+        "modes <- forms._pole_error",
+        "modes <- forms._surface",
+    }
+
+
 # Public API that nothing in the library or the benchmark calls, kept as an
 # oracle of the tests: name -> why it stays.
 ORACLES = {
