@@ -69,8 +69,8 @@ period matrix on the SurfaceForms
 (``SurfaceForms.periods``, read-only), so repeated requests on a few
 surfaces pay for each once.  No correlator but ``lattice_partition``
 enumerates the word table.  A correlator checks its mode cutoff once and
-passes the checked int to the mode route's private entry points;
-``lattice_partition`` reads Z through the public
+passes the checked int to the mode route's private entry points; every
+correlator reads Z through the public
 :func:`~schottky.modes.heisenberg_partition`, which checks it again.
 Each insertion point is checked once, by the mode route's gate after the
 cutoff and before any factorization: it must lie in the fundamental domain,
@@ -312,8 +312,8 @@ def heisenberg_npoint(
     if len(points) % 2:
         _insertion_points(forms.sp, points)
         return Estimate(0.0j, 0.0)
-    omega, tails, z = _omega_matrix(forms.sp, m, points)
-    return _pairing_sum(omega.tolist(), tails.tolist()) * z
+    omega, tails = _omega_matrix(forms.sp, m, points)
+    return _pairing_sum(omega.tolist(), tails.tolist()) * heisenberg_partition(forms.sp, m)
 
 
 def virasoro_one_point(
@@ -321,8 +321,8 @@ def virasoro_one_point(
 ) -> Estimate:
     """One-point function of the Virasoro vector: s(x) Z / 12."""
     m = _cutoff(forms, modes)
-    omega, tails, z = _omega_matrix(forms.sp, m, (x,))
-    return Estimate(complex(omega[0, 0]), float(tails[0, 0])) * z / 12.0
+    omega, tails = _omega_matrix(forms.sp, m, (x,))
+    return Estimate(complex(omega[0, 0]), float(tails[0, 0])) * heisenberg_partition(forms.sp, m) / 12.0
 
 
 def virasoro_two_point(
@@ -333,9 +333,9 @@ def virasoro_two_point(
         ( s(x) s(y) / 144 + omega(x,y)^2 / 2 ) Z.
     """
     m = _cutoff(forms, modes)
-    omega, tails, z = _omega_matrix(forms.sp, m, (x, y))
+    omega, tails = _omega_matrix(forms.sp, m, (x, y))
     sx, sy, w = (Estimate(complex(omega[k]), float(tails[k])) for k in ((0, 0), (1, 1), (0, 1)))
-    return (sx * sy / 144.0 + 0.5 * w**2) * z
+    return (sx * sy / 144.0 + 0.5 * w**2) * heisenberg_partition(forms.sp, m)
 
 
 # The shares s of the Chernoff bound in _tail_bound, j / 16 for j = 1..15.  On

@@ -98,10 +98,18 @@ INFINITY = complex(math.inf, 0.0)
 DOMAIN_SLACK = 1e-12
 
 
+def _number(z: complex, name: str) -> complex:
+    """z as a complex, refused by name unless a number (numpy scalars count,
+    bools do not)."""
+    if isinstance(z, bool) or not isinstance(z, numbers.Number):
+        raise InvalidParameterError(f"{name} = {z!r} is not a number")
+    return complex(z)
+
+
 def is_infinity(z: complex) -> bool:
-    """True if z represents the point at infinity (any non-finite value)."""
-    z = complex(z)
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
+    """True if the number z represents the point at infinity (any non-finite
+    value); anything but a number is refused as :func:`require_finite` refuses it."""
+    return not cmath.isfinite(_number(z, "z"))
 
 
 class SchottkyError(ValueError):
@@ -198,11 +206,9 @@ IDENTITY_MAP = MobiusMap(1.0, 0.0, 0.0, 1.0)
 
 def apply_mobius(m: MobiusMap, z: complex) -> complex:
     """Evaluate m at z with one-point-compactification conventions."""
-    if is_infinity(z):
-        if m.c == 0:
-            return INFINITY
-        return m.a / m.c
-    z = complex(z)
+    z = _number(z, "z")
+    if not cmath.isfinite(z):
+        return INFINITY if m.c == 0 else m.a / m.c
     den = m.c * z + m.d
     if den == 0:
         return INFINITY
@@ -671,10 +677,8 @@ def require_finite(z: complex, name: str) -> complex:
     anything but a number (numpy scalars count, bools do not), infinite or
     NaN parts, and a modulus past 2**64, where the orbit sums would
     overflow (see _POINT_LIMIT)."""
-    if isinstance(z, bool) or not isinstance(z, numbers.Number):
-        raise InvalidParameterError(f"{name} = {z!r} is not a number")
-    z = complex(z)
-    if is_infinity(z):
+    z = _number(z, name)
+    if not cmath.isfinite(z):
         raise InvalidParameterError(f"{name} = {z} is not finite")
     if math.hypot(z.real, z.imag) > _POINT_LIMIT:
         raise InvalidParameterError(f"{name} = {z} lies past |z| = 2**64")

@@ -34,7 +34,8 @@ and the projective connection s(x) is 6 times the same at y = x without
 the identity term.  :func:`bidifferential_via_modes` returns the omega
 matrix of a point set, with s on its diagonal, from one multi-right-hand
 side solve; the correlators of :mod:`schottky.correlators` take their
-omega and s from it.
+omega and s from the same solve (:func:`_omega_matrix`, which returns
+nothing else) and Z from :func:`heisenberg_partition`.
 
 Block (a, b) of R is C(m+n+1, m) u_ab[m] v_ab[n], u_ab and v_ab the
 powers 1..M of the ratios -s_a / d and s_b / d, d = w_{-a} - w_b (see
@@ -691,20 +692,20 @@ def bidifferential_via_modes(
     rest, the points' gates and each entry's tail, is :func:`_omega_matrix`'s,
     one Estimate per entry of its arrays.
     """
-    omega, tails = (a.tolist() for a in _omega_matrix(sp, _require_cutoff(sp, modes), points)[:2])
+    omega, tails = (a.tolist() for a in _omega_matrix(sp, _require_cutoff(sp, modes), points))
     return [[Estimate(v, t) for v, t in zip(*rows)] for rows in zip(omega, tails)]
 
 
 def _omega_matrix(
     sp: SchottkyParams, modes: int, points: Sequence[complex]
-) -> tuple[np.ndarray, np.ndarray, PartitionValue]:
+) -> tuple[np.ndarray, np.ndarray]:
     """omega(x_i, x_j) off the diagonal and s(x_i) on it, and their tails, as
-    two arrays, at a cutoff that passed :func:`_require_cutoff`, and Z of
-    the system they were solved on, so that a correlator reads it once.
+    two arrays, at a cutoff that passed :func:`_require_cutoff`.
 
-    All come from one solve with a right-hand side q'(x_j) per point (see
+    Both come from one solve with a right-hand side q'(x_j) per point (see
     the module docstring).  The points (:func:`_insertion_points`) are
-    checked before the system is factored, a point within POLE_GUARD of
+    checked before the system is factored, and no points give two empty
+    arrays with no system looked up; a point within POLE_GUARD of
     another's one-letter image before the solve.  The checks' pairwise
     differences x_i - x_j, 1 on the diagonal, also give the identity word
     1/(x_i - x_j)^2 and its rounding; per request the rest is one pass of
@@ -714,16 +715,15 @@ def _omega_matrix(
     addition.
     """
     xs, diff = _insertion_points(sp, points)
-    system = _system(sp, modes)
     if not len(xs):
-        return np.empty((0, 0), complex), np.empty((0, 0)), system.partition
-    values, tails = _split_sums(system, xs, xs, _OMEGA)
+        return np.empty((0, 0), complex), np.empty((0, 0))
+    values, tails = _split_sums(_system(sp, modes), xs, xs, _OMEGA)
     identity = 1.0 / (diff * diff)
     omega = identity + values
     np.fill_diagonal(omega, 6.0 * values.diagonal())
     total = tails + _identity_floor(_OMEGA, identity, np.abs(xs)[:, None], np.abs(diff))
     np.fill_diagonal(total, 6.0 * tails.diagonal())
-    return omega, total + EPS * np.abs(omega), system.partition
+    return omega, total + EPS * np.abs(omega)
 
 
 def heisenberg_partition(sp: SchottkyParams, modes: int) -> PartitionValue:

@@ -191,7 +191,7 @@ class TestPairingSum:
         pts = domain_points(sp, 10, 1)
         z = modes._system(sp, 10).partition
         for n in range(0, 11, 2):
-            values, tails, _ = modes._omega_matrix(sp, 10, pts[:n])
+            values, tails = modes._omega_matrix(sp, 10, pts[:n])
             got = correlators._pairing_sum(values.tolist(), tails.tolist())
             want = estimate_pairing_sum(modes.bidifferential_via_modes(sp, 10, pts[:n]))
             if n == 0:  # the empty product, an exact int 1
@@ -827,18 +827,18 @@ def test_mode_cutoff_checked_once_per_request(genus3_params, monkeypatch):
     # The correlator checks its cutoff (or, without one, the policy's cap)
     # and hands the checked int to the mode route's private entry points.
     # Assembling a fresh system adds the public assembler's own check, and
-    # lattice_partition reads Z through the public heisenberg_partition,
-    # which checks the int it is handed once more.
+    # every correlator that needs Z reads it through the public
+    # heisenberg_partition, which checks the int it is handed once more.
     calls = Counter()
     for module in (correlators, modes):
         counted(monkeypatch, module, "_require_cutoff", calls)
     surface = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=3))
     x, y, w = 3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j
     requests = [
-        (lambda m: heisenberg_npoint(surface, [x, y], modes=m), 1),
+        (lambda m: heisenberg_npoint(surface, [x, y], modes=m), 2),
         (lambda m: heisenberg_npoint(surface, [x, y, w], modes=m), 1),
-        (lambda m: virasoro_one_point(surface, x, modes=m), 1),
-        (lambda m: virasoro_two_point(surface, x, y, modes=m), 1),
+        (lambda m: virasoro_one_point(surface, x, modes=m), 2),
+        (lambda m: virasoro_two_point(surface, x, y, modes=m), 2),
         (lambda m: lattice_partition(surface, A2, modes=m), 2),
         (lambda m: lattice_partition(surface, LatticeSpec(()), modes=m), 1),
     ]
@@ -852,7 +852,38 @@ def test_mode_cutoff_checked_once_per_request(genus3_params, monkeypatch):
     modes._system.cache_clear()
     calls.clear()
     heisenberg_npoint(surface, [x, y], modes=12)
-    assert calls == {"_require_cutoff": 2}
+    assert calls == {"_require_cutoff": 3}
+
+
+def test_one_reader_of_partition_function(genus3_params, monkeypatch):
+    # Every correlator that needs Z takes it from heisenberg_partition,
+    # once per request, through the binding the benchmark's tracer wraps;
+    # the omega product returns omega and its tails alone.  Odd n and rank
+    # 0 need no Z and do not read it.
+    calls = Counter()
+    counted(monkeypatch, correlators, "heisenberg_partition", calls)
+    surface = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=3))
+    pts = [3.0 - 1.0j, 2.6 + 0.9j, -3.1 + 0.4j, 0.3 + 3.3j, -2.7 - 2.9j]
+    requests = [
+        (lambda m: heisenberg_npoint(surface, [], modes=m), 1),
+        (lambda m: heisenberg_npoint(surface, pts[:2], modes=m), 1),
+        (lambda m: heisenberg_npoint(surface, pts[:4], modes=m), 1),
+        (lambda m: heisenberg_npoint(surface, pts[:1], modes=m), 0),
+        (lambda m: heisenberg_npoint(surface, pts[:3], modes=m), 0),
+        (lambda m: heisenberg_npoint(surface, pts, modes=m), 0),
+        (lambda m: virasoro_one_point(surface, pts[0], modes=m), 1),
+        (lambda m: virasoro_two_point(surface, pts[0], pts[1], modes=m), 1),
+        (lambda m: lattice_partition(surface, A2, modes=m), 1),
+        (lambda m: lattice_partition(surface, LatticeSpec(()), modes=m), 0),
+    ]
+    for m in (None, 12):
+        for request, reads in requests:
+            calls.clear()
+            request(m)
+            assert calls["heisenberg_partition"] == reads
+    arrays = modes._omega_matrix(genus3_params, 12, pts[:2])
+    assert len(arrays) == 2 and all(isinstance(a, np.ndarray) for a in arrays)
+    assert [a.shape for a in modes._omega_matrix(genus3_params, 12, [])] == [(0, 0), (0, 0)]
 
 
 class TestSurfaceMemo:

@@ -504,6 +504,27 @@ def test_require_finite_refuses_non_numbers(genus2_params, z):
         group.require_in_domain(genus2_params, z, "x")
 
 
+@pytest.mark.parametrize("z", ["3", "abc", None, True, np.bool_(False), [1], (1.0,)])
+def test_point_at_infinity_test_refuses_non_numbers(genus2_params, z):
+    # The sphere's point tests take numbers only, by require_finite's rule:
+    # a string or a bool is not a point, and nothing escapes untyped.
+    m = MobiusMap(1.0, 2.0, 0.0, 1.0)
+    for call in (group.is_infinity, lambda z: in_fundamental_domain(genus2_params, z),
+                 lambda z: apply_mobius(m, z)):
+        with pytest.raises(InvalidParameterError, match="^z = .* is not a number$"):
+            call(z)
+
+
+def test_point_at_infinity_test_accepts_numbers(genus2_params):
+    m = MobiusMap(1.0, 2.0, 0.0, 1.0)
+    for z in (np.float64(3.0), np.int64(3), np.complex128(3.0)):
+        assert in_fundamental_domain(genus2_params, z)
+        assert apply_mobius(m, z) == 5.0
+    for z in (INFINITY, np.complex128(complex(math.nan, 0.0)), -math.inf):
+        assert group.is_infinity(z) and in_fundamental_domain(genus2_params, z)
+        assert apply_mobius(m, z) == INFINITY
+
+
 @pytest.mark.parametrize("z", [3, 2.5, 1 - 2j, np.int64(3), np.float32(2.5), np.complex128(1 - 2j)])
 def test_require_finite_accepts_numbers(z):
     assert group.require_finite(z, "w") == complex(z)

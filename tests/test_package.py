@@ -168,3 +168,94 @@ def test_public_api_inventory():
     unreferenced = (functions - names - attributes) | (methods - attributes)
     assert sorted(unreferenced - set(ORACLES)) == []
     assert set(ORACLES) <= functions | methods
+
+
+# Every public call that returns an Estimate, or a result that holds one or
+# carries a tail, -> the tests that refine its cutoff (a longer word length,
+# a doubled mode cutoff or a tighter tol) and find that the value moves by
+# less than the coarse tail: a tail is a bound, and these tests hold it to one.
+_EVALUATORS = ("tests/test_forms.py::TestTruncationDiscipline::test_every_evaluator_within_reported_tail",
+               "tests/test_forms.py::TestTruncationDiscipline::test_doubling_within_reported_tail")
+_MODE_CORRELATORS = ("tests/test_correlators.py::test_mode_route_correlators_within_tail_of_the_doubled_cutoff",)
+REFINEMENT_CHECKS = {
+    "forms.SurfaceForms.third_kind_form": _EVALUATORS,
+    "forms.SurfaceForms.recursion_kernel": _EVALUATORS,
+    "forms.SurfaceForms.bidifferential": _EVALUATORS,
+    "forms.SurfaceForms.power_bidifferential": _EVALUATORS[:1],
+    "forms.SurfaceForms.projective_connection": _EVALUATORS,
+    "forms.SurfaceForms.holomorphic_form": _EVALUATORS + (
+        "tests/test_forms.py::TestTruncationDiscipline::test_coset_series_within_reported_tail",
+        "tests/test_forms.py::TestTruncationDiscipline::test_holomorphic_form_within_reported_tail_from_one_letter",
+    ),
+    "forms.SurfaceForms.quasiperiod_coefficients": _EVALUATORS[:1],
+    "forms.SurfaceForms.period_matrix": (
+        "tests/test_forms.py::TestTruncationDiscipline::test_coset_series_within_reported_tail",
+    ),
+    "modes.kernel_via_modes": (
+        "tests/test_modes.py::TestKernelViaModes::test_mode_doubling_within_reported_tail",
+        "tests/test_modes.py::TestTruncationBounds::test_tail_bounds_the_doubling",
+        "tests/test_modes.py::TestCertifiedRegion::test_certified_kernel_within_tail",
+    ),
+    "modes.bidifferential_via_modes": (
+        "tests/test_modes.py::TestModeRoute::test_mode_doubling_within_reported_tail",
+    ),
+    "modes.heisenberg_partition": (
+        "tests/test_modes.py::TestKernelViaModes::test_mode_doubling_within_reported_tail",
+        "tests/test_modes.py::TestTruncationBounds::test_tail_bounds_the_doubling",
+        "tests/test_modes.py::TestCertifiedRegion::test_certified_surface_within_tail",
+    ),
+    "correlators.heisenberg_npoint": _MODE_CORRELATORS,
+    "correlators.virasoro_one_point": _MODE_CORRELATORS,
+    "correlators.virasoro_two_point": _MODE_CORRELATORS,
+    "correlators.lattice_partition": (
+        "tests/test_correlators.py::TestTruncationDiscipline::test_lattice_partition_within_reported_tail",
+    ),
+    "correlators.siegel_theta": (
+        "tests/test_correlators.py::TestTruncationDiscipline::test_siegel_theta_within_reported_tail",
+    ),
+}
+
+
+def test_cutoff_refinement_registry():
+    # The calls are found from the source: public functions, and public
+    # methods of public classes (properties aside), whose return annotation
+    # names a class with a tail field or a subclass of one.  Each must have
+    # an entry, and each entry must name tests that exist.
+    package = Path(schottky.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    classes = [node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)]
+    tailed = set()
+    for _ in classes:  # a fixed point over subclasses
+        tailed |= {
+            c.name for c in classes
+            if any(isinstance(s, ast.AnnAssign) and getattr(s.target, "id", "") == "tail" for s in c.body)
+            or any(getattr(b, "id", "") in tailed for b in c.bases)
+        }
+    assert {"Estimate", "PartitionValue", "PeriodMatrixResult"} <= tailed
+
+    def calls(module, prefix, nodes):
+        for node in nodes:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and not any(
+                getattr(d, "id", getattr(d, "attr", "")) in ("property", "cached_property")
+                for d in node.decorator_list
+            ) and node.returns is not None and {
+                n.id for n in ast.walk(node.returns) if isinstance(n, ast.Name)
+            } & tailed:
+                yield f"{module}.{prefix}{node.name}"
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from calls(module, f"{node.name}.", node.body)
+
+    found = {call for module, tree in trees.items() for call in calls(module, "", tree.body)}
+    assert "modes.heisenberg_partition" in found and "forms.SurfaceForms.period_matrix" in found
+    assert sorted(found - set(REFINEMENT_CHECKS)) == []
+    assert sorted(set(REFINEMENT_CHECKS) - found) == []
+    tests = Path(__file__).parent
+    for call, ids in REFINEMENT_CHECKS.items():
+        assert ids, call
+        for test_id in ids:
+            path, *scope = test_id.split("::")
+            nodes = ast.parse((tests.parent / path).read_text()).body
+            for name in scope:
+                node = next((n for n in nodes if getattr(n, "name", None) == name), None)
+                assert node is not None, (call, test_id)
+                nodes = node.body
