@@ -318,13 +318,19 @@ class SurfaceForms:
     Parameters
     ----------
     sp:
-        Schottky parameters, refused if inadmissible or with the origin
-        inside a disc (the record's gates, checked once per parameter set).
+        Schottky parameters, refused if not a SchottkyParams, inadmissible
+        or with the origin inside a disc (the record's gates, checked once
+        per parameter set).
     policy:
-        Truncation policy; ``max_word_length`` bounds the cached words.
+        Truncation policy (None for the default, else refused unless a
+        TruncationPolicy); ``max_word_length`` bounds the cached words.
     """
 
     def __init__(self, sp: SchottkyParams, policy: TruncationPolicy | None = None):
+        if not isinstance(sp, SchottkyParams):
+            raise InvalidParameterError(f"sp = {sp!r} is not a SchottkyParams")
+        if policy is not None and not isinstance(policy, TruncationPolicy):
+            raise InvalidParameterError(f"policy = {policy!r} is not a TruncationPolicy")
         self.sp = sp
         self.policy = policy if policy is not None else TruncationPolicy()
         self._surface = _origin_exterior(sp)
@@ -854,20 +860,21 @@ class _Surface(NamedTuple):
 def _surface(sp: SchottkyParams) -> _Surface:
     """The record of admissible parameters: the library's one admissibility check.
 
-    Equal parameters share one entry, so no root may hang on the sign of
-    a zero imaginary part, which picks the side of the cut.
+    Its letters, centres, rho and radii are ``sp.discs``, the list that
+    :func:`~schottky.group.validate` scanned.  Equal parameters share one
+    entry, so no root may hang on the sign of a zero imaginary part, which
+    picks the side of the cut.
     """
     require_admissible(sp)
     # Layout order 1, -1, 2, -2, ...: the partner of position i is i ^ 1.
-    centers = np.array([w for pair in zip(sp.w_plus, sp.w_minus) for w in pair])
-    rho = [r for r in sp.rho for _ in (1, -1)]
-    radii = [math.sqrt(abs(r)) for r in rho]
+    letters, centers, rho, radii = zip(*sp.discs)
+    centers = np.array(centers)
     pos = np.arange(len(centers))
     partners = centers[pos ^ 1]
     row, col = np.nonzero(pos[None, :] != (pos ^ 1)[:, None])
     handles = list(zip(centers.tolist(), partners.tolist(), rho, radii))
     surface = _Surface(
-        sp.signed_indices, centers, partners, np.array(rho),
+        letters, centers, partners, np.array(rho),
         np.array([cmath.sqrt(r + 0j) for r in rho]), np.array(radii), row, col,
         np.abs(partners[row] - centers[col]),
         max((abs(w * v) + abs(rh)) / abs(rh) for w, v, rh, _ in handles), max(radii),

@@ -9,7 +9,7 @@ so the generator acts as  gamma_a z = w_{-a} + rho_a / (z - w_a).  The two
 isometric circles (centers w_a and w_{-a}, common radius |rho_a|^{1/2})
 bound the standard fundamental domain: gamma_a maps the exterior of the
 disc at w_a onto the interior of the disc at w_{-a}.  Parameters are
-admissible when the 2g closed discs are pairwise disjoint,
+admissible when they are finite and the 2g closed discs are pairwise disjoint,
 
     |w_a - w_b| > |rho_a|^{1/2} + |rho_b|^{1/2}    for all a != b,
 
@@ -50,6 +50,7 @@ into the output arrays; the block size changes the speed, never a bit.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import operator
 import numbers
@@ -106,6 +107,15 @@ def _number(z: complex, name: str) -> complex:
     return complex(z)
 
 
+def _coordinates(values, name: str) -> tuple[complex, ...]:
+    """The sequence ``values`` as a tuple of complex, each entry by :func:`_number`,
+    refused by name."""
+    try:
+        return tuple(_number(v, f"{name}[{i}]") for i, v in enumerate(values))
+    except TypeError:
+        raise InvalidParameterError(f"{name} = {values!r} is not a sequence") from None
+
+
 def is_infinity(z: complex) -> bool:
     """True if the number z represents the point at infinity (any non-finite
     value); anything but a number is refused as :func:`require_finite` refuses it."""
@@ -157,19 +167,19 @@ class MobiusMap:
     d: complex
 
     def __post_init__(self):
-        object.__setattr__(self, "a", complex(self.a))
-        object.__setattr__(self, "b", complex(self.b))
-        object.__setattr__(self, "c", complex(self.c))
-        object.__setattr__(self, "d", complex(self.d))
+        for name in "abcd":
+            object.__setattr__(self, name, _number(getattr(self, name), name))
 
     def determinant(self) -> complex:
         return self.a * self.d - self.b * self.c
 
     def normalized(self) -> "MobiusMap":
-        """Rescale entries so the determinant is exactly 1."""
+        """Rescale entries so the determinant is exactly 1; a zero or non-finite one is refused."""
         det = self.determinant()
         if det == 0:
             raise DegenerateMapError("Mobius map has zero determinant")
+        if not cmath.isfinite(det):
+            raise DegenerateMapError(f"Mobius map has a non-finite determinant {det}")
         s = cmath.sqrt(det)
         return MobiusMap(self.a / s, self.b / s, self.c / s, self.d / s)
 
@@ -221,11 +231,7 @@ def apply_mobius(m: MobiusMap, z: complex) -> complex:
 
 def signed_indices(genus: int) -> tuple[int, ...]:
     """Generator order (1, -1, 2, -2, ..., g, -g) used everywhere."""
-    out: list[int] = []
-    for h in range(1, genus + 1):
-        out.append(h)
-        out.append(-h)
-    return tuple(out)
+    return tuple(s * h for h in range(1, genus + 1) for s in (1, -1))
 
 
 @dataclass(frozen=True)
@@ -234,8 +240,11 @@ class SchottkyParams:
 
     ``w_plus[h-1]`` and ``w_minus[h-1]`` are the isometric-circle centers
     w_h and w_{-h}; ``rho[h-1]`` is the sewing parameter of handle h
-    (shared by both signs).  Admissibility is *not* checked at
-    construction; call :func:`validate`.
+    (shared by both signs).  Each coordinate passes the library's one
+    number rule (``_number``: numpy scalars count, bools do not), else it
+    is refused by name; ``discs`` lists the signed discs.  Admissibility,
+    finiteness included, is *not* checked at construction; call
+    :func:`validate`.
     """
 
     genus: int
@@ -246,7 +255,7 @@ class SchottkyParams:
     def __post_init__(self):
         object.__setattr__(self, "genus", require_integer(self.genus, "genus", 1))
         for name in ("w_plus", "w_minus", "rho"):
-            vals = tuple(complex(v) for v in getattr(self, name))
+            vals = _coordinates(getattr(self, name), name)
             if len(vals) != self.genus:
                 raise InvalidParameterError(
                     f"{name} must have length {self.genus}, got {len(vals)}"
@@ -256,6 +265,13 @@ class SchottkyParams:
     @property
     def signed_indices(self) -> tuple[int, ...]:
         return signed_indices(self.genus)
+
+    @property
+    def discs(self) -> tuple[tuple[int, complex, complex, float], ...]:
+        """(a, w_a, rho_a, r_a = |rho_a|^{1/2}) per signed index a = 1, -1, 2, -2, ..."""
+        return tuple((s * h, w, rho, math.sqrt(abs(rho)))
+                     for h, (wp, wm, rho) in enumerate(zip(self.w_plus, self.w_minus, self.rho), 1)
+                     for s, w in ((1, wp), (-1, wm)))
 
     def center(self, a: int) -> complex:
         """Isometric-circle center w_a for a signed index a."""
@@ -290,8 +306,7 @@ class ClassicalParams:
 
     def __post_init__(self):
         for name in ("W_plus", "W_minus", "q"):
-            vals = tuple(complex(v) for v in getattr(self, name))
-            object.__setattr__(self, name, vals)
+            object.__setattr__(self, name, _coordinates(getattr(self, name), name))
         g = len(self.q)
         if g < 1 or len(self.W_plus) != g or len(self.W_minus) != g:
             raise InvalidParameterError("W_plus, W_minus, q must share a positive length")
@@ -364,10 +379,7 @@ def classical_from_params(sp: SchottkyParams) -> ClassicalParams:
     generator and raises :class:`DegenerateMapError`.
     """
     W_plus, W_minus, q = [], [], []
-    for h in range(1, sp.genus + 1):
-        wa = sp.w_plus[h - 1]
-        wma = sp.w_minus[h - 1]
-        rho = sp.rho[h - 1]
+    for h, (wa, wma, rho) in enumerate(zip(sp.w_plus, sp.w_minus, sp.rho), start=1):
         if rho == 0:
             raise InvalidParameterError(f"handle {h}: rho = 0")
         s = wa + wma
@@ -405,9 +417,7 @@ def generator_map(sp: SchottkyParams, a: int) -> MobiusMap:
     inverse transformation of generator_map(a) (the matrices may differ
     by an overall sign, which acts trivially).
     """
-    wa = sp.center(a)
-    wma = sp.center(-a)
-    rho = sp.rho_signed(a)
+    wa, wma, rho = sp.center(a), sp.center(-a), sp.rho_signed(a)
     if rho == 0:
         raise InvalidParameterError(f"handle {abs(a)}: rho = 0 gives no group element")
     return MobiusMap(wma, rho - wma * wa, 1.0, -wa).normalized()
@@ -628,9 +638,9 @@ class ValidityReport:
     """Result of the pairwise disc-separation check.
 
     ``ok`` is True iff every pair satisfies the strict inequality and no
-    structural issue (zero rho) was found.  ``violations`` lists the
-    failing pairs; ``pairs`` lists every pair with its margin so callers
-    can see how much room a parameter set has.
+    structural issue (zero rho, a non-finite coordinate) was found.
+    ``violations`` lists the failing pairs; ``pairs`` lists every pair
+    with its margin so callers can see how much room a parameter set has.
     """
 
     ok: bool
@@ -640,25 +650,18 @@ class ValidityReport:
 
 
 def validate(sp: SchottkyParams) -> ValidityReport:
-    """Check the strict pairwise disc condition over all signed indices."""
-    issues: list[str] = []
-    for h in range(1, sp.genus + 1):
-        if sp.rho[h - 1] == 0:
-            issues.append(f"handle {h}: rho = 0")
-    # (a, w_a, r_a) for a = 1, -1, 2, -2, ...
-    discs = [
-        (s * h, w, math.sqrt(abs(rho)))
-        for h, (wp, wm, rho) in enumerate(zip(sp.w_plus, sp.w_minus, sp.rho), start=1)
-        for s, w in ((1, wp), (-1, wm))
-    ]
+    """Check the strict pairwise disc condition over ``sp.discs``; a zero rho
+    and each non-finite coordinate, by name, are issues."""
+    issues = [f"handle {h}: rho = 0" for h, rho in enumerate(sp.rho, start=1) if rho == 0]
+    issues += [f"{name}[{i}] = {z} is not finite" for name in ("w_plus", "w_minus", "rho")
+               for i, z in enumerate(getattr(sp, name)) if not cmath.isfinite(z)]
     pairs: list[PairSeparation] = []
     violations: list[PairSeparation] = []
-    for i, (a, wa, ra) in enumerate(discs):
-        for b, wb, rb in discs[i + 1:]:
-            rec = PairSeparation(a, b, abs(wa - wb), ra + rb)
-            pairs.append(rec)
-            if not rec.separation > rec.radius_sum:
-                violations.append(rec)
+    for (a, wa, _, ra), (b, wb, _, rb) in itertools.combinations(sp.discs, 2):
+        rec = PairSeparation(a, b, abs(wa - wb), ra + rb)
+        pairs.append(rec)
+        if not rec.separation > rec.radius_sum:
+            violations.append(rec)
     ok = not issues and not violations
     return ValidityReport(ok, tuple(pairs), tuple(violations), tuple(issues))
 

@@ -64,13 +64,16 @@ threshold, so while it stays there each is mapped and zero-filled afresh
 x86-64 host).  The system passes one gate, else the computation refuses with
 :class:`~schottky.forms.ConvergenceError`: kappa = ||R||_1 (largest
 column sum of |R|), which bounds the spectral radius of R, must be below
-1.  A nan or inf entry makes kappa nan or inf, so the gate also stands
-in for a finiteness scan.  As ||I - R||_1 <= 1 + kappa and
-||(I - R)^{-1}||_1 <= 1 / (1 - kappa), it bounds cond_1(I - R) by
-(1 + kappa) / (1 - kappa) (Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 7).  An LRU cache keeps CACHE_ENTRIES systems, keyed by
-parameters and cutoff, built from the handle record that SurfaceForms
-reads (``forms._surface``), so both routes check a parameter set once.
+1.  Finite parameters are the admissibility scan's to check
+(:func:`~schottky.group.validate`: at an infinite centre every block
+that touches it vanishes and kappa stays finite); kappa's nan test
+covers what the assembly produces, as a nan or inf entry makes kappa
+nan or inf.  As ||I - R||_1 <= 1 + kappa and ||(I - R)^{-1}||_1 <=
+1 / (1 - kappa), it bounds cond_1(I - R) by (1 + kappa) / (1 - kappa)
+(Higham, Accuracy and Stability of Numerical Algorithms, ch. 7).  An
+LRU cache keeps CACHE_ENTRIES systems, keyed by parameters and cutoff,
+built from the handle record that SurfaceForms reads
+(``forms._surface``), so both routes check a parameter set once.
 
 A system computes once what does not depend on the points: R, |R| and
 the factors, kappa, Z, the omitted entry sum, the surface record, the
@@ -379,8 +382,9 @@ def mode_cutoff_for(sp: SchottkyParams, tol: float, cap: int) -> int:
 def _system(sp: SchottkyParams, modes: int) -> _Factored:
     """R and I - R at a cutoff that passed :func:`_require_cutoff`, factored, gated, and Z.
 
-    R is column-major; after the gate, zgetrf factors I - R, its contiguous
-    negated copy, in place with no finiteness scan.  R and the factors are
+    R is column-major; after the gate, whose nan test covers the assembly
+    (the parameters passed validate's finiteness scan), zgetrf factors
+    I - R, its contiguous negated copy, in place.  R and the factors are
     the only complex N x N arrays it allocates.  A zero pivot is refused.
     The record, ramp and rounding factor that every request on the system
     reads are formed here, once.

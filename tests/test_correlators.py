@@ -983,6 +983,38 @@ def test_fresh_surface_validated_once(genus3_params, perturbed, monkeypatch):
     assert validations == [sp]
 
 
+@pytest.mark.parametrize("sp", [
+    SchottkyParams(2, (math.inf, 3j), (-3.0, -3j), (0.01, 0.01)),
+    SchottkyParams(2, (3.0, 3j), (-3.0, complex(0.0, -math.inf)), (0.01, 0.01)),
+    SchottkyParams(2, (3.0, 3j), (-3.0, -3j), (0.01, complex(math.inf, 0.0))),
+])
+def test_non_finite_parameters_refused_by_every_route(sp):
+    # |inf - w| beats every radius sum, and every mode block that touches
+    # an infinite centre vanishes, so kappa stays finite: the intake's
+    # finiteness scan refuses the set before either route reads it, and no
+    # call raises untyped (a KeyError, a RuntimeWarning) or returns nan.
+    x, y = 0.3 + 0.9j, -0.6 - 0.7j
+    calls = {
+        "SurfaceForms": lambda: SurfaceForms(sp),
+        "third_kind_form": lambda: SurfaceForms(sp).third_kind_form(x, y),
+        "bidifferential": lambda: SurfaceForms(sp).bidifferential(x, y),
+        "heisenberg_partition": lambda: heisenberg_partition(sp, 8),
+        "kernel_via_modes": lambda: kernel_via_modes(sp, 1, 8, x, y),
+        "mode_coupling_matrix": lambda: modes.mode_coupling_matrix(sp, 8),
+        "mode_cutoff_for": lambda: mode_cutoff_for(sp, 1e-9, 20),
+        "bidifferential_via_modes": lambda: bidifferential_via_modes(sp, 8, [x, y]),
+        "heisenberg_npoint": lambda: heisenberg_npoint(SurfaceForms(sp), [x, y], modes=8),
+        "virasoro_one_point": lambda: virasoro_one_point(SurfaceForms(sp), x, modes=8),
+        "virasoro_two_point": lambda: virasoro_two_point(SurfaceForms(sp), x, y, modes=8),
+        "lattice_partition": lambda: lattice_partition(SurfaceForms(sp), A2, modes=8),
+    }
+    for name, call in calls.items():
+        # (An infinite rho puts every point in its disc, which the mode
+        # route's point gate may say first.)
+        with pytest.raises(InvalidParameterError, match=r"\] = .* is not finite|inside an isometric disc"):
+            call()
+
+
 @pytest.mark.parametrize("where", [[0], [1, 0, 2], [1, 0], [0, 1]])
 def test_heisenberg_npoint_requires_every_point_in_domain(genus3_params, where):
     # The centre w_1 of a disc, alone, among an odd number of points, or

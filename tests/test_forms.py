@@ -102,6 +102,16 @@ def trapezoid_loop(f, center, radius, n=256):
     return total / n
 
 
+def test_surface_forms_refuses_malformed_arguments_at_construction(genus2_params):
+    # A policy that is not a TruncationPolicy would fail only on first use,
+    # and an sp that is not a SchottkyParams with an AttributeError.
+    with pytest.raises(InvalidParameterError, match="^policy = 3 is not a TruncationPolicy$"):
+        SurfaceForms(genus2_params, 3)
+    for bad in ("sp", None, TruncationPolicy()):
+        with pytest.raises(InvalidParameterError, match="^sp = .* is not a SchottkyParams$"):
+            SurfaceForms(bad)
+
+
 class TestSeedKernel:
     def test_single_point_seed_is_third_kind_identity_term(self):
         # (1/(x-y)) * (y-0)/(x-0) = 1/(x-y) - 1/x; at x=2, y=1 both give 1/2.

@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -183,6 +185,63 @@ def test_malformed_params_and_singular_maps_refused():
         generator_map(SchottkyParams(1, (1.0,), (-1.0,), (0.0,)), -1)
     with pytest.raises(DegenerateMapError, match="zero determinant"):
         MobiusMap(1.0, 2.0, 2.0, 4.0).normalized()
+
+
+@pytest.mark.parametrize("bad", ["3", True, None, [1]])
+@pytest.mark.parametrize("make, field", [
+    (lambda v: SchottkyParams(1, (v,), (-1.0,), (0.01,)), "w_plus[0]"),
+    (lambda v: SchottkyParams(1, (1.0,), (v,), (0.01,)), "w_minus[0]"),
+    (lambda v: SchottkyParams(1, (1.0,), (-1.0,), (v,)), "rho[0]"),
+    (lambda v: ClassicalParams((v,), (-1.0,), (0.04,)), "W_plus[0]"),
+    (lambda v: ClassicalParams((1.0,), (v,), (0.04,)), "W_minus[0]"),
+    (lambda v: ClassicalParams((1.0,), (-1.0,), (v,)), "q[0]"),
+    (lambda v: MobiusMap(v, 0.0, 0.0, 1.0), "a"),
+    (lambda v: MobiusMap(1.0, v, 0.0, 1.0), "b"),
+    (lambda v: MobiusMap(1.0, 0.0, v, 1.0), "c"),
+    (lambda v: MobiusMap(1.0, 0.0, 0.0, v), "d"),
+])
+def test_constructors_refuse_non_numbers_by_field(make, field, bad):
+    # The points' one number rule: a string or a bool is not "3" or 1,
+    # and None or a list is refused typed, not by complex().
+    with pytest.raises(InvalidParameterError, match=rf"^{re.escape(field)} = .* is not a number$"):
+        make(bad)
+
+
+def test_constructors_take_numbers_as_complex():
+    values = (np.float64(1.5), Fraction(-3, 2), np.complex64(0.25 + 0.5j), 2, np.int64(-2))
+    sp = SchottkyParams(1, values[:1], values[1:2], values[2:3])
+    assert (sp.w_plus, sp.w_minus, sp.rho) == ((1.5 + 0j,), (-1.5 + 0j,), (complex(values[2]),))
+    cp = ClassicalParams(values[3:4], values[4:5], (Fraction(1, 25),))
+    assert (cp.W_plus, cp.W_minus, cp.q) == ((2 + 0j,), (-2 + 0j,), (0.04 + 0j,))
+    m = MobiusMap(*values[1:])
+    assert (m.a, m.b, m.c, m.d) == tuple(complex(v) for v in values[1:])
+    assert all(type(z) is complex for z in (*sp.w_plus, *sp.rho, *cp.q, m.a, m.d))
+
+
+def test_coordinate_fields_must_be_sequences():
+    with pytest.raises(InvalidParameterError, match="^w_plus = 5 is not a sequence$"):
+        SchottkyParams(1, 5, (1.0,), (0.1,))
+    with pytest.raises(InvalidParameterError, match="^W_plus = 1 is not a sequence$"):
+        ClassicalParams(1, 2, 3)
+
+
+def test_non_finite_determinant_refused():
+    # An infinite centre gives a generator of nan entries; normalized
+    # refuses it as it refuses a zero determinant, and so the word table
+    # is never grown from it.
+    with pytest.raises(DegenerateMapError, match="non-finite determinant"):
+        MobiusMap(math.inf, 1.0, 1.0, 0.0).normalized()
+    sp = SchottkyParams(2, (math.inf, 3j), (-3.0, -3j), (0.01, 0.01))
+    with pytest.raises(DegenerateMapError, match="non-finite determinant"):
+        generator_map(sp, 1)
+    with pytest.raises(DegenerateMapError, match="non-finite determinant"):
+        enumerate_group(sp, 3)
+
+
+def test_discs_list_every_signed_disc_in_generator_order(genus2_params):
+    sp = genus2_params
+    assert sp.discs == tuple((a, sp.center(a), sp.rho_signed(a), sp.radius(a)) for a in sp.signed_indices)
+    assert [a for a, *_ in sp.discs] == [1, -1, 2, -2]
 
 
 def test_generator_worked_value():
@@ -482,6 +541,21 @@ def test_require_admissible_names_every_reason():
     no_rho = SchottkyParams(2, (1.35, 1.4j), (-1.35, -1.4j), (0.018, 0.0))
     with pytest.raises(InvalidParameterError, match="admissible: handle 2: rho = 0$"):
         group.require_admissible(no_rho)
+
+
+@pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(0.0, math.inf), complex(0.0, -math.inf)])
+@pytest.mark.parametrize("field", ["w_plus", "w_minus", "rho"])
+def test_validate_names_non_finite_coordinates(genus2_params, field, bad):
+    # |inf - w| beats every radius sum, so only the finiteness scan can
+    # refuse an infinite centre.
+    coordinates = {name: list(getattr(genus2_params, name)) for name in ("w_plus", "w_minus", "rho")}
+    coordinates[field][1] = bad
+    sp = SchottkyParams(2, **coordinates)
+    report = validate(sp)
+    assert not report.ok
+    assert f"{field}[1] = {bad} is not finite" in report.issues
+    with pytest.raises(InvalidParameterError, match=re.escape(f"{field}[1] = {bad} is not finite")):
+        group.require_admissible(sp)
 
 
 @pytest.mark.parametrize(

@@ -412,6 +412,20 @@ class TestSharedSystem:
         modes._system.cache_clear()
         assert kernel_via_modes(minus, 1, 12, x, y) == first
 
+    def test_record_holds_the_discs_that_validate_scanned(
+        self, torus_params, genus2_params, genus3_params, perturbed
+    ):
+        # forms._surface builds its letters, centres, rho and radii from
+        # sp.discs, the list validate scans, so they agree entry for entry.
+        draws = [perturbed(genus3_params, seed) for seed in range(5)]
+        for sp in (torus_params, genus2_params, genus3_params, *draws):
+            record = _surface(sp)
+            letters, centers, rho, radii = zip(*sp.discs)
+            assert record.letters == letters == sp.signed_indices
+            assert record.centers.tolist() == list(centers)
+            assert record.rho.tolist() == list(rho)
+            assert record.radii.tolist() == list(radii)
+
     def test_binomial_tables_are_bounded(self, genus2_params):
         # A cutoff sweep keeps at most CACHE_ENTRIES binomial tables, as
         # the system cache keeps at most that many systems.
