@@ -72,25 +72,31 @@ nearly so), y is charged at the block's least |gamma x - y| instead.
 Limit points (the seed's basis points, gamma W_{+-a}) are charged per
 term, as deep words approach them.  grow and skew are per block, its
 longest word's, but per word in the identity's block, as is the weight-1
-kernel's y there.  The period matrix charges one ulp per term, log q_a
-too; against 40-digit sums over the true group it stayed within 0.06 of
-its tail.  A term meeting at most m roundings on its way into a sum
-moves it by gamma_m = m u / (1 - m u) of its size, u = eps/2 (Higham,
-Accuracy and Stability of Numerical Algorithms, sec. 4.2); m counts
-numpy's pairwise sum of a block (``_sum_ulps``) and the pairwise sum of
-the B block sums, ceil(log2 B) additions: m = 27 + 4 on the genus-3
-fixture at L = 6 (B = 13).  The quasi-period
-coefficients carry the kernel tails at their sample points through the
+kernel's y there, and for s in the block where its sum starts, row 1 (at
+L = 1 the one-letter words' block).  The period matrix charges one ulp
+per term, log q_a too; against 40-digit sums over the true group it
+stayed within 0.06 of its tail.  A term meeting at most m roundings on
+its way into a sum moves it by gamma_m = m u / (1 - m u) of its size,
+u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms, sec.
+4.2); m counts numpy's pairwise sum of a block (``_sum_ulps``) and the
+pairwise sum of the B block sums, ceil(log2 B) additions: m = 27 + 4 on
+the genus-3 fixture at L = 6 (B = 13).  The quasi-period coefficients
+carry the kernel tails at their sample points through the
 same finite Fourier transform as the values.  Raising the word cutoff
 must move any value by less than its tail; the test suite enforces this.
 
 Every sum walks the word table in fixed blocks of at most ``_ORBIT_BLOCK``
 rows, the last shell starting a block of its own, adds the block sums
 and their last-shell parts pairwise and the floors in row order; no
-temporary spans the whole table.  The blocks depend on the word table
-only, so every value is reproduced bit for bit on every call.  A pass may
-sum several quantities, each with the same operations as alone: a kernel
-at several y (every quasi-period coefficient at x is one pass) equals its
+temporary spans the whole table.  The blocks are cut once per word
+table into the block plan (``SurfaceForms._blocks``): one read-only
+record per block with its rows, whether it lies in the last shell, and
+the floor data that every sum reads, grow, skew and the weight-1
+kernel's share of its pole at 0.  The sums read the plan and keep
+nothing of their own, and the plan depends on the word table only, so
+every value is reproduced bit for bit on every call.  A pass may sum
+several quantities, each with the same operations as alone: a kernel at
+several y (every quasi-period coefficient at x is one pass) equals its
 single-y value, and the period matrix is one pass over its g(g+1)/2
 entries.  Against a one-pass sum over the whole table, blocking moves a
 value by summation rounding only, which the floor bounds.
@@ -297,17 +303,37 @@ def _kernel_seed(x: complex, y: complex, limit_points: Sequence[complex]) -> com
     return out
 
 
+class _Block(NamedTuple):
+    """One record of the block plan (``SurfaceForms._blocks``): rows s..e-1 of
+    the word table, ``last`` if they lie in the last shell, and the floor data
+    that every sum reads (module docstring): grow = 1 + k and skew = c k for
+    words of k letters, and ``base``, the weight-1 kernel's share of its pole
+    at 0, :func:`_orbit_ulps` (1, 1, r / min_a (|w_a| - r_a), grow, skew).
+    Per word (read-only arrays) in the identity's block, else numbers at the
+    block's longest word."""
+
+    s: int
+    e: int
+    last: bool
+    grow: np.ndarray | float
+    skew: np.ndarray | float
+    base: np.ndarray | float
+
+
 class SurfaceForms:
     """Evaluator for the truncated function theory of one parameter set.
 
     Immutable after construction: the parameters' validated record
     (:func:`_surface`, which the mode route reads too) is read here, and
     all that is formed later, on first use, depends on the parameters and
-    the policy alone, so repeated evaluations are deterministic.  ``words``
-    is the :class:`~schottky.group.WordTable` of
+    the policy alone and is formed once by its owner, read-only, so
+    repeated evaluations are deterministic.  ``words`` is the
+    :class:`~schottky.group.WordTable` of
     :func:`~schottky.group.enumerate_group`, built on first use (an
     oversize or overflowing cutoff is refused then); the orbit and coset
-    sums read its arrays directly.  The generator fixed points
+    sums read its arrays directly, in the row blocks of the block plan
+    ``_blocks``, whose records (:class:`_Block`) carry each block's floor
+    data.  The generator fixed points
     (:func:`~schottky.group.classical_from_params`), also formed on first
     use, serve the coset series, the period matrix and, sliced in handle
     order, the pole basis of the weight-N seeds (see :meth:`_seed_points`);
@@ -348,19 +374,32 @@ class SurfaceForms:
         return enumerate_group(self.sp, self.policy.max_word_length)
 
     @functools.cached_property
-    def _blocks(self) -> tuple[tuple[int, int, bool], ...]:
-        """Row blocks (s, e, last) of at most _ORBIT_BLOCK rows.  The last shell
-        (the longest words, last in the breadth-first order) starts a block of
-        its own, so every block lies wholly inside it (``last``) or before it."""
-        length = self.words.length
+    def _blocks(self) -> tuple[_Block, ...]:
+        """The block plan: a :class:`_Block` per run of at most _ORBIT_BLOCK rows.
+
+        The last shell (the longest words, last in the breadth-first order)
+        starts a block of its own, so every block lies wholly inside it
+        (``last``) or before it.  Each block's floor data are formed here,
+        once per word table, per word in the identity's block (row 0), else at
+        its longest word, row e - 1; the arrays are read-only.
+        """
+        length, sf = self.words.length, self._surface
         start = int(np.searchsorted(length, length[-1]))
         cuts = [*range(0, start, _ORBIT_BLOCK), *range(start, len(length), _ORBIT_BLOCK)]
-        return tuple((s, e, s >= start) for s, e in zip(cuts, [*cuts[1:], len(length)]))
+        blocks = []
+        for s, e in zip(cuts, [*cuts[1:], len(length)]):
+            k = length[s:e] if s == 0 else float(length[e - 1])
+            grow, skew = 1.0 + k, sf.cond * k
+            base = _orbit_ulps(1, 1.0, sf.radius / sf.inner, grow, skew)
+            blocks.append(_Block(s, e, s >= start, grow, skew, base))
+        for part in blocks[0][3:]:  # the identity's block, the one priced per word
+            part.flags.writeable = False
+        return tuple(blocks)
 
     @functools.cached_property
     def _sum_ulps(self) -> float:
         """numpy's pairwise sum of a block, then the block sums' pairwise sum."""
-        return _sum_ulps(max(e - s for s, e, _ in self._blocks), (len(self._blocks) - 1).bit_length())
+        return _sum_ulps(max(b.e - b.s for b in self._blocks), (len(self._blocks) - 1).bit_length())
 
     # -- construction helpers ------------------------------------------------
 
@@ -404,15 +443,16 @@ class SurfaceForms:
 
     def _reduce(
         self,
-        terms: Callable[[int, int], Iterable[tuple[int, np.ndarray, np.ndarray | float]]],
+        terms: Callable[[_Block], Iterable[tuple[int, np.ndarray, np.ndarray | float]]],
         count: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sums of ``count`` quantities over the word table, one row block at a time.
 
-        ``terms(s, e)`` yields triples (j, vals, ulps) for the block of rows
-        s..e-1: the terms of quantity j over its rows of the block (a
-        quantity with none there is not yielded) and the bound, stated by
-        the caller, on their own rounding in ulps of eps times their sizes
+        ``terms(block)`` yields triples (j, vals, ulps) for each record of the
+        block plan (:attr:`_blocks`), rows s..e-1: the terms of quantity j
+        over its rows of the block (a quantity with none there is not
+        yielded) and the bound, stated by the caller from the record's floor
+        data, on their own rounding in ulps of eps times their sizes
         |Re| + |Im|, one per term or one for the block.  The block sums are
         added pairwise in row order (:func:`_pairwise`), and so, apart, are
         the last shell's; the floors are added in row order.  So the result
@@ -423,11 +463,11 @@ class SurfaceForms:
         parts: list[list[complex]] = [[] for _ in range(count)]
         shell_parts: list[list[complex]] = [[] for _ in range(count)]
         floors = np.zeros(count)
-        for s, e, last in self._blocks:
-            for j, vals, ulps in terms(s, e):
+        for block in self._blocks:
+            for j, vals, ulps in terms(block):
                 part = np.add.reduce(vals)
                 parts[j].append(part)
-                if last:
+                if block.last:
                     shell_parts[j].append(part)
                 if isinstance(ulps, np.ndarray):
                     # Sizes |Re| + |Im| as per block; the summation's share with margin sqrt(2).
@@ -452,27 +492,6 @@ class SurfaceForms:
             raise _pole_error(what, self.words.letters(s + k))
         return float(dist[k])
 
-    @functools.cached_property
-    def _memo(self) -> dict:
-        """Point-independent block constants, filled on first use: :meth:`_block_floor`'s,
-        keyed (s, e, per word), and the weight-1 kernel's base share, keyed (s, e)."""
-        return {}
-
-    def _block_floor(self, s: int, e: int, first: int) -> tuple[np.ndarray | float, ...]:
-        """(grow, skew) = (1 + k, c k), k letters: per word if s is ``first``, else row e-1's.
-
-        Computed once per word table; the per-word arrays are read-only.
-        """
-        key = (s, e, s == first)
-        floor = self._memo.get(key)
-        if floor is None:
-            k = self.words.length[s:e] if s == first else float(self.words.length[e - 1])
-            floor = self._memo[key] = (1.0 + k, self._surface.cond * k)
-            for part in floor:
-                if isinstance(part, np.ndarray):
-                    part.flags.writeable = False
-        return floor
-
     def _clearance(self, y: complex) -> float:
         """delta(y), at most every |gamma x - y| the orbit sums compute, gamma != id.
 
@@ -487,13 +506,13 @@ class SurfaceForms:
         far outside that at w_{-a}), and for the rounding of the computed
         distance, 2 eps times :func:`_orbit_ulps`' share of a pole at the
         cutoff's longest word, plus a relative (10 (1 + L) + c L) eps.
-        Nonpositive on a circle and inside a disc.
+        Nonpositive on a circle and inside a disc.  The discs are ``sp.discs``.
         """
         sf = self._surface
         y = complex(y)
         L = self.policy.max_word_length
         grow, skew = 1.0 + L, sf.cond * L
-        gap = min(abs(y - w) - r for w, r in zip(sf.centers.tolist(), sf.radii.tolist()))
+        gap = min(abs(y - w) - r for _, w, _, r in self.sp.discs)
         share = _orbit_ulps(0, sf.reach + abs(y), sf.radius, grow, skew)
         slack = 2.0 * DOMAIN_SLACK * sf.radius
         return gap * (1.0 - EPS * (10.0 * grow + skew)) - slack - 2.0 * EPS * share
@@ -518,10 +537,10 @@ class SurfaceForms:
         term vanishing like its multiplier^(N-1).  Floor shares (module
         docstring): per term for the basis points, limit points that deep
         words approach, and for y at weight >= 2 and in the identity's
-        block; per block for 0 and, at weight 1, for y: at its clearance
-        where that clears the guard, with no |den| formed, else at the
-        block's least |gamma x - y|.  Each y is summed as in a call with
-        y alone.
+        block; per block for 0 (at weight 1 the block plan's ``base``) and,
+        at weight 1, for y: at its clearance where that clears the guard,
+        with no |den| formed, else at the block's least |gamma x - y|.
+        Each y is summed as in a call with y alone.
         """
         A = self._seed_points(weight)
         poly = np.ones_like(ys)
@@ -533,18 +552,13 @@ class SurfaceForms:
         radius = self._surface.radius
         top = max(self._surface.reach, abs(x))
         seed_top = top + max(map(abs, A))
-        drift = radius / self._surface.inner
         clear = [self._clearance(y) for y in ys]
 
-        def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
-            num, den = self._orbit(x, s, e)
-            grow, skew = self._block_floor(s, e, 0)
-            abs_den = None
-            if weight == 1:
-                base = self._memo.get((s, e))
-                if base is None:
-                    base = self._memo[(s, e)] = _orbit_ulps(1, 1.0, drift, grow, skew)
-            else:
+        def terms(block: _Block) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
+            s, grow, skew = block.s, block.grow, block.skew
+            num, den = self._orbit(x, s, block.e)
+            abs_den, base = None, block.base
+            if weight > 1:
                 abs_den = np.abs(den)
                 forms, inv, dead = [], 0.0, False
                 for Aj in A:
@@ -637,7 +651,8 @@ class SurfaceForms:
         pole y counted 2N times as
         kappa = 2N (max(reach, |x|) + |y|) / near and drift = 2N r / near:
         |gamma x| <= reach but at the identity (whose image is x); grow and
-        skew are :meth:`_block_floor`'s.  near is y's clearance delta(y)
+        skew are the block plan's (:class:`_Block`), per word in the block
+        where the sum starts.  near is y's clearance delta(y)
         (:meth:`_clearance`) in every block past the identity's where that
         exceeds the pole guard; in the identity's block, and for a y on a
         circle or inside a disc, it is the block's least |gamma x - y|,
@@ -650,17 +665,20 @@ class SurfaceForms:
         clear = self._clearance(y)
         cleared = clear > POLE_GUARD
 
-        def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
+        def terms(block: _Block) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
+            s, e, grow, skew = block.s, block.e, block.grow, block.skew
             t = max(s, first)
             if t >= e:
                 return
+            if t == first:  # per word from the sum's first row, also where it starts a block (L = 1)
+                grow, skew = (np.broadcast_to(part, e - s)[t - s:] for part in (grow, skew))
             num, den = self._orbit(x, t, e)
             ell = num - y * den
             if s and cleared:
                 near = clear
             else:
                 near = self._guard_poles(np.abs(ell) / np.abs(den), t, what)
-            ulps = _orbit_ulps(weight, top / near, rim / near, *self._block_floor(t, e, first))
+            ulps = _orbit_ulps(weight, top / near, rim / near, grow, skew)
             term = np.reciprocal(ell * ell)
             yield 0, term ** weight if weight > 1 else term, ulps
 
@@ -706,17 +724,15 @@ class SurfaceForms:
         delta = self._classical.W_plus[a - 1] - self._classical.W_minus[a - 1]
         top = self._surface.reach + abs(x)
 
-        def block(s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-            rows, num_p, den_p, num_m, den_m = self._coset_images(s, e, a)
-            grow, skew = self._block_floor(s, e, 0)
-            if s == 0:
-                grow, skew = grow[rows], skew[rows]
+        def terms(block: _Block) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+            rows, num_p, den_p, num_m, den_m = self._coset_images(block.s, block.e, a)
+            grow, skew = (part[rows] if block.s == 0 else part for part in (block.grow, block.skew))
             ell_m, ell_p = x * den_m - num_m, x * den_p - num_p
             t = np.abs(den_m) / np.abs(ell_m) + np.abs(den_p) / np.abs(ell_p)
             share = _orbit_ulps(0, top, self._surface.radius, grow, skew)
-            return -delta / (ell_m * ell_p), _orbit_ulps(1, 0.0, 0.0, grow, skew) + t * share
+            return ((0, -delta / (ell_m * ell_p), _orbit_ulps(1, 0.0, 0.0, grow, skew) + t * share),)
 
-        totals, shells, floors = self._reduce(lambda s, e: ((0, *block(s, e)),), 1)
+        totals, shells, floors = self._reduce(terms, 1)
         if self.policy.max_word_length == 1:
             shells = np.maximum(np.abs(shells), np.abs(totals - shells))
         return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
@@ -793,7 +809,8 @@ class SurfaceForms:
         w = self.words
         pairs = [(a, b) for b in range(1, g + 1) for a in range(1, b + 1)]
 
-        def terms(s: int, e: int) -> Iterator[tuple[int, np.ndarray, float]]:
+        def terms(block: _Block) -> Iterator[tuple[int, np.ndarray, float]]:
+            s, e = block.s, block.e
             first = np.abs(_first_letters(g, s, w.length[s:e]))
             for b in range(1, g + 1):  # the images of W_{+-b} under the cosets of column b
                 rows, num_p, den_p, num_m, den_m = self._coset_images(s, e, b)

@@ -15,7 +15,8 @@ admissible when they are finite and the 2g closed discs are pairwise disjoint,
 
 with signed indices running over {1, -1, ..., g, -g} and rho_{-a} := rho_a.
 :func:`in_fundamental_domain` and :func:`require_in_domain` test a point
-against the open discs in one scan over the centres and rho.
+against the open discs in one scan over ``SchottkyParams.discs``, which
+each parameter set forms once and keeps.
 
 The classical coordinates (repelling fixed point W_a, attracting fixed
 point W_{-a}, multiplier q_a with 0 < |q_a| < 1) are related to the disc
@@ -50,6 +51,7 @@ into the output arrays; the block size changes the speed, never a bit.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import operator
@@ -242,7 +244,10 @@ class SchottkyParams:
     w_h and w_{-h}; ``rho[h-1]`` is the sewing parameter of handle h
     (shared by both signs).  Each coordinate passes the library's one
     number rule (``_number``: numpy scalars count, bools do not), else it
-    is refused by name; ``discs`` lists the signed discs.  Admissibility,
+    is refused by name.  ``discs`` lists the signed discs, formed on first
+    use and kept (a ``functools.cached_property``, outside the fields'
+    equality and hash): :func:`validate`, the point gate of both routes and
+    the surface record of :mod:`schottky.forms` read it.  Admissibility,
     finiteness included, is *not* checked at construction; call
     :func:`validate`.
     """
@@ -266,9 +271,10 @@ class SchottkyParams:
     def signed_indices(self) -> tuple[int, ...]:
         return signed_indices(self.genus)
 
-    @property
+    @functools.cached_property
     def discs(self) -> tuple[tuple[int, complex, complex, float], ...]:
-        """(a, w_a, rho_a, r_a = |rho_a|^{1/2}) per signed index a = 1, -1, 2, -2, ..."""
+        """(a, w_a, rho_a, r_a = |rho_a|^{1/2}) per signed index a = 1, -1, 2, -2, ...,
+        formed on first use and kept."""
         return tuple((s * h, w, rho, math.sqrt(abs(rho)))
                      for h, (wp, wm, rho) in enumerate(zip(self.w_plus, self.w_minus, self.rho), 1)
                      for s, w in ((1, wp), (-1, wm)))
@@ -741,9 +747,10 @@ def in_fundamental_domain(sp: SchottkyParams, z: complex) -> bool:
 
 
 def _in_a_disc(sp: SchottkyParams, z: complex, shrink: float) -> bool:
-    """True iff the finite z lies strictly inside a disc, every radius times ``shrink``."""
-    for w, rho in zip(sp.w_plus + sp.w_minus, 2 * sp.rho):
-        if abs(z - w) < math.sqrt(abs(rho)) * shrink:
+    """True iff the finite z lies strictly inside a disc of ``sp.discs``, every
+    radius times ``shrink``."""
+    for _, w, _, r in sp.discs:
+        if abs(z - w) < r * shrink:
             return True
     return False
 

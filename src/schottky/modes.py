@@ -134,7 +134,6 @@ from schottky.forms import (
     ConfigurationError,
     ConvergenceError,
     Estimate,
-    _kernel_seed,
     _origin_exterior,
     _orbit_ulps,
     _pole_error,
@@ -639,13 +638,17 @@ def kernel_via_modes(
 
     seed(x, y) + the one-letter words in closed form + p(x)^T R (I - R)^{-1}
     q(y) with the seed 1/(x - y) - 1/x, solved on the cached LU factors of
-    the mode system (see the module docstring).  Before any factorization
-    it refuses an origin inside a disc, then the cutoff, then x or y outside
-    the domain or |x - y| or |x| < POLE_GUARD (the identity's poles); before
-    the solve, y within POLE_GUARD of gamma_a x, as third_kind_form does;
-    with ConvergenceError, kappa = ||R||_1 not below 1, the one gate.  The
+    the mode system (see the module docstring).  The seed is the identity
+    word's term of the kernel record, ``_PSI.term`` at gamma x = x and
+    gamma'(x) = 1, (1/x) (y / (x - y)), the closed form of the one-letter
+    words.  Before any factorization it refuses an origin inside a disc,
+    then the cutoff, then x or y outside the domain or |x - y| or |x| <
+    POLE_GUARD (the identity's poles); before the solve, y within
+    POLE_GUARD of gamma_a x, as third_kind_form does; with
+    ConvergenceError, kappa = ||R||_1 not below 1, the one gate.  The
     tail is the bound of :func:`_truncation`, finite on the circles, plus
-    the rounding floors of :func:`_split_sums` and of the seed.
+    the rounding floors of :func:`_split_sums` and of the identity term
+    (:func:`_identity_floor`).
 
     Only weight 1 is served.  At weight N >= 2 the seed's basis points are
     limit points inside the discs the Taylor modes live on, so the
@@ -664,9 +667,9 @@ def kernel_via_modes(
     if abs(x - y) < POLE_GUARD or abs(x) < POLE_GUARD:
         raise _pole_error(_PSI.name, ())
     values, tails = _split_sums(_system(sp, modes), np.array([x]), np.array([y]), _PSI)
-    seed = _kernel_seed(x, y, (0.0,))
-    value = seed + complex(values[0, 0])
-    floor = _identity_floor(_PSI, np.array(seed), abs(x), abs(x - y))
+    identity = _PSI.term(x, 1.0, y, x - y)
+    value = identity + complex(values[0, 0])
+    floor = _identity_floor(_PSI, np.array(identity), abs(x), abs(x - y))
     return Estimate(value, float(tails[0, 0] + floor) + EPS * abs(value))
 
 
@@ -674,7 +677,10 @@ def _insertion_points(sp: SchottkyParams, points: Sequence[complex]) -> tuple[np
     """The points as an array x and their differences x_i - x_j, 1 on the
     diagonal: the library's one check of insertion points, each in the
     fundamental domain ("insertion point k") and no two, equal ones too,
-    closer than POLE_GUARD (refused as the identity word's pole)."""
+    closer than POLE_GUARD (refused as the identity word's pole).  The
+    parameters' record (:func:`~schottky.forms._surface`) is looked up
+    first, so an inadmissible set is refused by its parameters."""
+    _surface(sp)
     xs = np.array([require_in_domain(sp, p, f"insertion point {k}") for k, p in enumerate(points)])
     diff = xs[:, None] - xs
     np.fill_diagonal(diff, 1.0)
@@ -693,8 +699,8 @@ def bidifferential_via_modes(
     s(x_i) = 6 lim_{y -> x} (omega(x, y) - 1/(x - y)^2), both as
     :meth:`schottky.forms.SurfaceForms.bidifferential` and
     ``projective_connection`` sum them.  The cutoff is checked first; the
-    rest, the points' gates and each entry's tail, is :func:`_omega_matrix`'s,
-    one Estimate per entry of its arrays.
+    rest, the parameters' record, then the points' gates, and each entry's
+    tail, is :func:`_omega_matrix`'s, one Estimate per entry of its arrays.
     """
     omega, tails = (a.tolist() for a in _omega_matrix(sp, _require_cutoff(sp, modes), points))
     return [[Estimate(v, t) for v, t in zip(*rows)] for rows in zip(omega, tails)]
@@ -707,10 +713,11 @@ def _omega_matrix(
     two arrays, at a cutoff that passed :func:`_require_cutoff`.
 
     Both come from one solve with a right-hand side q'(x_j) per point (see
-    the module docstring).  The points (:func:`_insertion_points`) are
-    checked before the system is factored, and no points give two empty
-    arrays with no system looked up; a point within POLE_GUARD of
-    another's one-letter image before the solve.  The checks' pairwise
+    the module docstring).  The parameters, then the points
+    (:func:`_insertion_points`), are checked before the system is
+    factored, and no points give two empty arrays with no system looked
+    up; a point within POLE_GUARD of another's one-letter image before
+    the solve.  The checks' pairwise
     differences x_i - x_j, 1 on the diagonal, also give the identity word
     1/(x_i - x_j)^2 and its rounding; per request the rest is one pass of
     :func:`_split_sums`, whose values and tails are taken 6 times on the

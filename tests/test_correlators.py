@@ -1009,10 +1009,17 @@ def test_non_finite_parameters_refused_by_every_route(sp):
         "lattice_partition": lambda: lattice_partition(SurfaceForms(sp), A2, modes=8),
     }
     for name, call in calls.items():
-        # (An infinite rho puts every point in its disc, which the mode
-        # route's point gate may say first.)
-        with pytest.raises(InvalidParameterError, match=r"\] = .* is not finite|inside an isometric disc"):
+        with pytest.raises(InvalidParameterError, match=r"\] = .* is not finite"):
             call()
+
+
+def test_parameters_refused_before_the_points():
+    # Finite discs 1 and -1 overlap, and the first point lies inside both:
+    # the mode route's point gate looks up the parameters' record first, so
+    # the refusal names the parameters, not the point.
+    sp = SchottkyParams(2, (0.5, 3j), (0.6, -3j), (0.04, 0.01))
+    with pytest.raises(InvalidParameterError, match=r"^parameters are not admissible: pair \(1,-1\) margin"):
+        bidifferential_via_modes(sp, 8, [0.55, -0.5 - 0.8j])
 
 
 @pytest.mark.parametrize("where", [[0], [1, 0, 2], [1, 0], [0, 1]])

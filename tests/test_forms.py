@@ -1394,6 +1394,46 @@ class TestConstruction:
         for name in ("a", "b", "c", "d", "length", "parent", "last"):
             assert getattr(F.words, name).tobytes() == getattr(W, name).tobytes()
 
+    @pytest.mark.parametrize("L", [6, 1])
+    def test_formed_state_is_immutable(self, genus3_params, L):
+        # What a SurfaceForms forms on first use (the word table, the block
+        # plan, the fixed points, the period matrix) is formed once by its
+        # owner: after every evaluator has run, nothing the instance holds
+        # is a dict, list or set, and every array it reaches is read-only.
+        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=L))
+        x, y = 3.0 - 1.0j, -0.5 - 0.8j
+        F.third_kind_form(x, y)
+        F.recursion_kernel(x, y, 2)
+        F.bidifferential(x, y)
+        F.power_bidifferential(x, y, 2)
+        F.projective_connection(x)
+        F.holomorphic_form(1, x)
+        F.quasiperiod_coefficients(2, x)
+        F.period_matrix()
+        F.periods
+        seen, mutable, arrays = set(), [], []
+
+        def walk(path, obj):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, (dict, list, set)):
+                mutable.append(path)
+            elif isinstance(obj, np.ndarray):
+                arrays.append((path, obj))
+            elif isinstance(obj, tuple):
+                for k, item in enumerate(obj):
+                    walk(f"{path}[{k}]", item)
+            elif hasattr(obj, "__dict__"):
+                for name, item in vars(obj).items():
+                    walk(f"{path}.{name}", item)
+
+        for name, value in vars(F).items():
+            walk(name, value)
+        assert mutable == []
+        assert {"words.a", "_blocks[0][3]", "periods.omega"} <= {path for path, _ in arrays}
+        assert [path for path, a in arrays if a.flags.writeable] == []
+
 
 def _exact(z):
     """The real and imaginary parts of a float complex, as exact fractions."""

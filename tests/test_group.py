@@ -244,6 +244,15 @@ def test_discs_list_every_signed_disc_in_generator_order(genus2_params):
     assert [a for a, *_ in sp.discs] == [1, -1, 2, -2]
 
 
+def test_discs_formed_once_outside_equality_and_hash(genus2_params):
+    # The disc list is formed on first use and kept; equal parameters that
+    # have or have not formed it stay equal, with one hash.
+    fresh = SchottkyParams(2, genus2_params.w_plus, genus2_params.w_minus, genus2_params.rho)
+    assert genus2_params.discs is genus2_params.discs
+    assert fresh == genus2_params and hash(fresh) == hash(genus2_params)
+    assert "discs" not in vars(fresh)
+
+
 def test_generator_worked_value():
     sp = SchottkyParams(1, (1.0,), (-1.0,), (0.01,))
     gamma = generator_map(sp, 1)

@@ -86,7 +86,6 @@ def test_private_imports_between_modules():
         "correlators <- modes._require_cutoff",
         "forms <- group._first_letters",
         "modes <- forms._Surface",
-        "modes <- forms._kernel_seed",
         "modes <- forms._orbit_ulps",
         "modes <- forms._origin_exterior",
         "modes <- forms._pole_error",
