@@ -61,19 +61,20 @@ computed as l_P (1 + h) + num g plus its own rounding against |num| +
 |gamma x - P| and the own rounding by kappa's share.  The one-forms put
 x for P and gamma W_{+-a} for gamma x.  r is the largest radius and c =
 max_a (|w_a w_{-a}| + |rho_a|) / |rho_a| the generators' conditioning.
-Poles off the limit set (the omega family's y, the weight-1 kernel's y
-and 0) are charged per block, with reach = max_a (|w_a| + r_a) >= |gamma
-x| (gamma != id): 0 at min_a (|w_a| - r_a) <= |gamma x|, and y at its
+Poles off the limit set are charged with reach = max_a (|w_a| + r_a) >=
+|gamma x| (gamma != id); the weight-1 kernel's 0 per block, at min_a
+(|w_a| - r_a) <= |gamma x|.  The pole at y, which every pointwise sum
+but the one-forms has (s puts x for y), is charged by one rule at every
+weight and cutoff (``SurfaceForms._pole_at_y``): per word in the
+identity's block, at |gamma x - y|, and per block past it, at y's
 clearance delta(y) <= |gamma x - y|, the least |y - w_a| - r_a less a
 rounding margin, as every gamma x but x itself lies in a closed disc
-(``SurfaceForms._clearance``).  In the identity's block, and where
-delta(y) is at most the pole guard (y on a circle, inside a disc or
-nearly so), y is charged at the block's least |gamma x - y| instead.
-Limit points (the seed's basis points, gamma W_{+-a}) are charged per
-term, as deep words approach them.  grow and skew are per block, its
-longest word's, but per word in the identity's block, as is the weight-1
-kernel's y there, and for s in the block where its sum starts, row 1 (at
-L = 1 the one-letter words' block).  The period matrix charges one ulp
+(``SurfaceForms._clearance``), or where delta(y) is at most the pole
+guard (y on a circle, inside a disc or nearly so) at the block's least
+|gamma x - y|.  Limit points (the seed's basis points, gamma W_{+-a})
+are charged per term, as deep words approach them.  grow and skew are
+per block, its longest word's, but per word in the identity's block, the
+one block that any sum prices per word.  The period matrix charges one ulp
 per term, log q_a too; against 40-digit sums over the true group it
 stayed within 0.06 of its tail.  A term meeting at most m roundings on
 its way into a sum moves it by gamma_m = m u / (1 - m u) of its size,
@@ -310,7 +311,8 @@ class _Block(NamedTuple):
     words of k letters, and ``base``, the weight-1 kernel's share of its pole
     at 0, :func:`_orbit_ulps` (1, 1, r / min_a (|w_a| - r_a), grow, skew).
     Per word (read-only arrays) in the identity's block, else numbers at the
-    block's longest word."""
+    block's longest word.  The identity's block (s = 0) is the one block that
+    every sum prices per word, the pole at y too (``SurfaceForms._pole_at_y``)."""
 
     s: int
     e: int
@@ -492,6 +494,24 @@ class SurfaceForms:
             raise _pole_error(what, self.words.letters(s + k))
         return float(dist[k])
 
+    def _pole_at_y(
+        self, block: _Block, t: int, ell: np.ndarray, den: np.ndarray, clear: float, what: str
+    ) -> np.ndarray | float:
+        """The distance at which rows t..e-1 of ``block`` charge the pole at y.
+
+        ``ell`` and ``den`` are the rows' l_y = num - y den and den, and
+        ``clear`` is y's clearance delta(y) (:meth:`_clearance`).  Past the
+        identity's block it is delta(y) where that exceeds the pole guard,
+        and otherwise the block's least |gamma x - y|; in the identity's
+        block it is |gamma x - y| per word.  A scan refuses a distance below
+        the pole guard with its word.
+        """
+        if block.s and clear > POLE_GUARD:
+            return clear
+        dist = np.abs(ell) / np.abs(den)
+        near = self._guard_poles(dist, t, what)
+        return near if block.s else dist
+
     def _clearance(self, y: complex) -> float:
         """delta(y), at most every |gamma x - y| the orbit sums compute, gamma != id.
 
@@ -529,18 +549,17 @@ class SurfaceForms:
         (x - A_j)) with P(y) = prod_j (y - A_j), and the value is P(y)
         times the orbit sum of 1 / (prod_j l_{A_j} l_y) (:meth:`_orbit`),
         the forms inverted in pairs so that no product leaves the range.
-        Weight-1 x is guarded at the identity's pole 0, and y on every
-        word of the identity's block; past that block, y only where its
-        clearance delta(y) (:meth:`_clearance`, a bound on every |gamma x
-        - y| there) is within the pole guard: on a circle or inside a
-        disc.  A word on a basis point to the bit (l_{A_j} = 0) adds 0, its
-        term vanishing like its multiplier^(N-1).  Floor shares (module
-        docstring): per term for the basis points, limit points that deep
-        words approach, and for y at weight >= 2 and in the identity's
-        block; per block for 0 (at weight 1 the block plan's ``base``) and,
-        at weight 1, for y: at its clearance where that clears the guard,
-        with no |den| formed, else at the block's least |gamma x - y|.
-        Each y is summed as in a call with y alone.
+        Weight-1 x is guarded at the identity's pole 0.  A word on a basis
+        point to the bit (l_{A_j} = 0) adds 0, its term vanishing like its
+        multiplier^(N-1).  Floor shares (module docstring): per term for
+        the basis points, limit points that deep words approach; per block
+        for 0 (the block plan's ``base``); and for y, at every weight, at
+        the distance of :meth:`_pole_at_y`, which also guards it: per word
+        in the identity's block, past it at its clearance delta(y)
+        (:meth:`_clearance`) where that clears the pole guard, else at the
+        block's least |gamma x - y|.  Each y is summed as in a call with y
+        alone.  The tail is |P(y)| times the orbit sum's, so 0 where P(y)
+        is 0 (y a basis point), also at L = 0.
         """
         A = self._seed_points(weight)
         poly = np.ones_like(ys)
@@ -557,9 +576,8 @@ class SurfaceForms:
         def terms(block: _Block) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
             s, grow, skew = block.s, block.grow, block.skew
             num, den = self._orbit(x, s, block.e)
-            abs_den, base = None, block.base
+            base = block.base
             if weight > 1:
-                abs_den = np.abs(den)
                 forms, inv, dead = [], 0.0, False
                 for Aj in A:
                     ell = num - Aj * den
@@ -573,27 +591,18 @@ class SurfaceForms:
                 coef = np.where(dead, 0.0, 1.0)
                 for u, v in zip(forms[::2], forms[1::2]):
                     coef = coef / (u * v)
-                t_seed = abs_den * inv
+                t_seed = np.abs(den) * inv
                 base = _orbit_ulps(weight, seed_top * t_seed, radius * t_seed, grow, skew)
             for k, y in enumerate(ys.tolist()):
                 ell = num - y * den
-                cleared = s > 0 and clear[k] > POLE_GUARD
-                if cleared and weight == 1:
-                    at = clear[k]
-                else:
-                    if abs_den is None:
-                        abs_den = np.abs(den)
-                    at = np.abs(ell) / abs_den
-                    if not cleared:
-                        near = self._guard_poles(at, s, what)
-                        if weight == 1 and s:
-                            at = near
+                at = self._pole_at_y(block, s, ell, den, clear[k], what)
                 share = _orbit_ulps(0, top + abs(y), radius, grow, skew)
                 term = np.reciprocal(num * ell) if weight == 1 else coef / (last * ell)
                 yield k, term, base + share / at
 
         totals, shells, floors = self._reduce(terms, len(ys))
-        return poly * totals, np.abs(poly) * self._tails(shells, floors)
+        # Every term carries the exact factor P(y): a zero P(y) times an infinite tail is zero.
+        return poly * totals, np.abs(poly) * np.where(poly != 0, self._tails(shells, floors), 0.0)
 
     def _kernel_at(self, x: complex, y: complex, weight: int) -> Estimate:
         """One-point :meth:`_kernel_many_y`, x and y validated."""
@@ -651,33 +660,29 @@ class SurfaceForms:
         pole y counted 2N times as
         kappa = 2N (max(reach, |x|) + |y|) / near and drift = 2N r / near:
         |gamma x| <= reach but at the identity (whose image is x); grow and
-        skew are the block plan's (:class:`_Block`), per word in the block
-        where the sum starts.  near is y's clearance delta(y)
-        (:meth:`_clearance`) in every block past the identity's where that
-        exceeds the pole guard; in the identity's block, and for a y on a
-        circle or inside a disc, it is the block's least |gamma x - y|,
-        refused below the pole guard with its word.
+        skew are the block plan's (:class:`_Block`), per word in the
+        identity's block from row ``first``.  near is the distance of
+        :meth:`_pole_at_y`: |gamma x - y| per word in the identity's block,
+        past it y's clearance delta(y) (:meth:`_clearance`) where that
+        exceeds the pole guard, else the block's least |gamma x - y|; a
+        distance below the pole guard is refused with its word.
         """
         x = require_in_domain(self.sp, x, "x")
         y = require_finite(y, "y")
         top = 2 * weight * (max(self._surface.reach, abs(x)) + abs(y))
         rim = 2 * weight * self._surface.radius
         clear = self._clearance(y)
-        cleared = clear > POLE_GUARD
 
         def terms(block: _Block) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
             s, e, grow, skew = block.s, block.e, block.grow, block.skew
             t = max(s, first)
             if t >= e:
                 return
-            if t == first:  # per word from the sum's first row, also where it starts a block (L = 1)
-                grow, skew = (np.broadcast_to(part, e - s)[t - s:] for part in (grow, skew))
+            if not s:  # the identity's block, per word from the sum's first row
+                grow, skew = grow[t:], skew[t:]
             num, den = self._orbit(x, t, e)
             ell = num - y * den
-            if s and cleared:
-                near = clear
-            else:
-                near = self._guard_poles(np.abs(ell) / np.abs(den), t, what)
+            near = self._pole_at_y(block, t, ell, den, clear, what)
             ulps = _orbit_ulps(weight, top / near, rim / near, grow, skew)
             term = np.reciprocal(ell * ell)
             yield 0, term ** weight if weight > 1 else term, ulps

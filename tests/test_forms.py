@@ -709,6 +709,18 @@ class TestTruncationDiscipline:
         F = SurfaceForms(torus_params, TruncationPolicy(max_word_length=0))
         assert math.isinf(F.third_kind_form(2.0, 1.0).tail)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("L", [0, 1])
+    def test_zero_pole_polynomial_gives_a_zero_tail(self, genus3_params, L):
+        # At y a point of the seed's pole basis every term carries the exact
+        # factor P(y) = 0, so the sum is exactly 0, and so is its tail: an
+        # exact zero times the infinite L = 0 tail counts as zero, as in
+        # Estimate, with no invalid-value warning.
+        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=L))
+        x = 3.0 - 1.0j
+        for got in (F.third_kind_form(x, 0.0), F.recursion_kernel(x, F._seed_points(2)[0], 2)):
+            assert (got.value, got.tail) == (0.0, 0.0)
+
 
 word_table = functools.lru_cache(maxsize=2)(enumerate_group)
 
@@ -798,9 +810,12 @@ class TestBlockedSums:
         # exactly rounded sum of its own terms by no more than the floor,
         # the tail less the last shell (up to 4.6 eps * sum |terms| for
         # the bidifferential at random points, against a one-ulp floor once).
+        # Then the sums whose pole at y is priced per word in the identity's
+        # block and per block past it: omega at y a micron off gamma_1 x, the
+        # weight-2 power and kernel sums, the kernel also at y inside the
+        # disc at w_{-1}, and s at L = 1 and 2.
         sp = genus3_params
-        L = 6
-        F = SurfaceForms(sp, TruncationPolicy(max_word_length=L))
+        F = {L: SurfaceForms(sp, TruncationPolicy(max_word_length=L)) for L in (1, 2, 6)}
         rng = np.random.default_rng(11)
         points = []
         while len(points) < 120:
@@ -809,10 +824,16 @@ class TestBlockedSums:
                 points.append(z)
         calls = []
         for k, (x, y) in enumerate(zip(points, points[1:] + points[:1])):
-            calls += [("bidifferential", (x, y)), ("projective_connection", (x,))]
-            calls.append(("holomorphic_form", (1 + k % sp.genus, x)))
-        for name, args in calls:
-            got = getattr(F, name)(*args)
+            calls += [(6, "bidifferential", (x, y)), (6, "projective_connection", (x,))]
+            calls.append((6, "holomorphic_form", (1 + k % sp.genus, x)))
+        inside = sp.center(-1) + 0.3 * sp.radius(1) * cmath.exp(0.7j)
+        for x, y in zip(points[:2], points[2:4]):
+            micron = generator_map(sp, 1)(x) + 1e-6 * (1 + 1j)
+            calls += [(6, "bidifferential", (x, micron)), (6, "power_bidifferential", (x, y, 2))]
+            calls += [(6, "recursion_kernel", (x, y, 2)), (6, "recursion_kernel", (x, inside, 2))]
+            calls += [(1, "projective_connection", (x,)), (2, "projective_connection", (x,))]
+        for L, name, args in calls:
+            got = getattr(F[L], name)(*args)
             terms, last_shell = whole_table_terms(sp, L, name, args)
             exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
             shell = abs(terms[last_shell].sum())
@@ -938,6 +959,34 @@ class TestBlockedSums:
             monkeypatch.setattr(forms, "_orbit_ulps", counted)
             getattr(genus2_forms, name)(*args)
             assert count > 0, name
+
+    def test_every_sum_prices_y_through_one_helper(self, genus2_forms, monkeypatch):
+        # One rule for the pole at y: every sum with a pole at y (s puts x
+        # for it) reads SurfaceForms._pole_at_y once per block and y, and
+        # only the identity's block gets a distance per word.
+        x, y = 0.6 + 0.2j, -0.5 - 0.8j
+        calls = {
+            "third_kind_form": ((x, y), 1),
+            "recursion_kernel": ((x, y, 2), 1),
+            "bidifferential": ((x, y), 1),
+            "power_bidifferential": ((x, y, 2), 1),
+            "projective_connection": ((x,), 1),
+            "quasiperiod_coefficients": ((2, x), 2 * 2 * 3),  # y_k and gamma_a y_k, 3 per handle
+        }
+        starts = [block.s for block in genus2_forms._blocks]
+        assert len(starts) == 2
+        original = SurfaceForms._pole_at_y
+        for name, (args, ys) in calls.items():
+            seen = []
+
+            def counted(self, block, *rest):
+                dist = original(self, block, *rest)
+                seen.append((block.s, isinstance(dist, np.ndarray)))
+                return dist
+
+            monkeypatch.setattr(SurfaceForms, "_pole_at_y", counted)
+            getattr(genus2_forms, name)(*args)
+            assert sorted(seen) == sorted([(s, s == 0) for s in starts] * ys), name
 
     def test_floor_is_independent_of_buffer_alignment(self):
         # The same terms at 8 offsets of one buffer give one floor (BLAS

@@ -1,8 +1,9 @@
 """Pinching limits: a handle whose sewing parameter rho goes to 0 degenerates.
 
 As rho_g -> 0 the genus-g surface tends to the genus-(g - 1) surface of
-its other handles, and its period matrix and partition function approach
-those of that surface at rate O(rho_g) (Fay, "Theta Functions on Riemann
+its other handles, and its period matrix, partition function and forms
+(nu_a, omega and s at fixed points) approach those of that surface at
+rate O(rho_g) (Fay, "Theta Functions on Riemann
 Surfaces", LNM 352, ch. III; Mason and Tuite, "On genus two Riemann
 surfaces formed from sewn tori", CMP 270, 2007).  So each difference
 divided by rho_g tends to a constant: it must change by under 1% between
@@ -21,7 +22,7 @@ import pytest
 from schottky import SchottkyParams, TruncationPolicy, classical_from_params, generator_map
 from schottky.correlators import LatticeSpec, heisenberg_npoint, lattice_partition, virasoro_one_point
 from schottky.forms import SurfaceForms
-from schottky.modes import heisenberg_partition
+from schottky.modes import bidifferential_via_modes, heisenberg_partition
 
 POLICY = TruncationPolicy(max_word_length=6, mode_cutoff=20)
 RHOS = (1e-5, 1e-6)
@@ -140,5 +141,28 @@ def test_genus_two_pinches_to_the_torus_of_its_first_handle(genus2_params):
         gaps += [(abs(a.value - b.value), a.tail + b.tail) for a, b in zip(correlators(forms), torus)]
         ratios.append([gap / rho for gap, _ in gaps])
         tails.append([tail for _, tail in gaps])
+    for quantity_ratios, quantity_tails in zip(zip(*ratios), zip(*tails)):
+        assert_linear_in_rho(quantity_ratios, quantity_tails)
+
+
+def test_genus_two_pinches_pointwise_to_the_torus_of_its_first_handle(genus2_params):
+    # nu_1(x), omega(x, y) and s(x) tend to the torus's: on the Poincare
+    # route at L = 6, and omega and s on the mode route at M = 20 too (the
+    # diagonal of bidifferential_via_modes is s).  The gaps over rho_2 are
+    # about 2.13, 3.42 and 6.43, the same on both routes.
+    x, y = 0.3 + 0.9j, -0.6 - 0.7j
+
+    def pointwise(sp):
+        forms = SurfaceForms(sp, POLICY)
+        modes = bidifferential_via_modes(sp, POLICY.mode_cutoff, [x, y])
+        return [forms.holomorphic_form(1, x), forms.bidifferential(x, y),
+                forms.projective_connection(x), modes[0][1], modes[0][0]]
+
+    torus = pointwise(leading(genus2_params, 1))
+    ratios, tails = [], []
+    for rho in RHOS:
+        pinch = pointwise(pinched(genus2_params, rho))
+        ratios.append([abs(a.value - b.value) / rho for a, b in zip(pinch, torus)])
+        tails.append([a.tail + b.tail for a, b in zip(pinch, torus)])
     for quantity_ratios, quantity_tails in zip(zip(*ratios), zip(*tails)):
         assert_linear_in_rho(quantity_ratios, quantity_tails)
