@@ -93,8 +93,22 @@ temporary spans the whole table.  The blocks are cut once per word
 table into the block plan (``SurfaceForms._blocks``): one read-only
 record per block with its rows, whether it lies in the last shell, and
 the floor data that every sum reads, grow, skew and the weight-1
-kernel's share of its pole at 0.  The sums read the plan and keep
-nothing of their own, and the plan depends on the word table only, so
+kernel's share of its pole at 0.  Each sum is one loop over the plan.  A
+pointwise sum forms a block's num, den, linear forms and terms with
+``out=`` ufuncs in a few complex buffers of one block's rows, which each
+call allocates for itself (``_Pass``) and no instance keeps: num, den
+and l_y, then the 2N - 1 forms l_{A_j} of a weight-N kernel and a spare
+for a kernel at several y.  The terms go to num's buffer in omega and s
+(omega^N takes numpy's ``**`` of them, a fresh array) and to den's in a
+kernel at its last y, after which the block reads den no more.  The
+floor's |Re| + |Im| is taken in place after each block sum.  Every ufunc
+keeps the operand order of the plain expression it stands for (numpy's
+complex product is not bitwise commutative), and no product writes over
+its own operand (numpy rounds that one way for a single row and another
+for more), so values and tails are those of fresh temporaries, bit for
+bit.  The coset series and the period matrix gather fresh arrays per
+block into the same accumulator.  The sums keep nothing of their own,
+and the plan depends on the word table only, so
 every value is reproduced bit for bit on every call.  A pass may sum
 several quantities, each with the same operations as alone: a kernel at
 several y (every quasi-period coefficient at x is one pass) equals its
@@ -121,7 +135,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,10 +176,11 @@ EPS = float(np.finfo(np.float64).eps)
 # perfbench's g3-lattice rotates four surfaces; rotating more recomputes.
 CACHE_ENTRIES = 4
 
-# Rows per block of the orbit sums.  A complex temporary of one block
-# takes 32 KiB, so the dozen alive at once stay in cache and under glibc's
-# default 128 KiB mmap threshold: they are reused from the heap instead
-# of being mapped and zero-filled afresh on every pass.
+# Rows per block of the orbit sums.  A complex buffer of one block takes
+# 32 KiB: a pointwise sum holds 3 to 2N + 3 of them for the whole call,
+# and the coset series a few per-block temporaries, each under glibc's
+# default 128 KiB mmap threshold, so they come from the heap and stay in
+# cache instead of being mapped and zero-filled afresh.
 _ORBIT_BLOCK = 2048
 
 
@@ -229,7 +244,9 @@ class Estimate:
         grow = _times(a, tb) + _times(ta, abs(b[0])) + _times(ta, tb)
         return _rounded(self.value * b[0], grow, 2)
 
-    # IEEE sums and CPython's complex products are commutative bit for bit.
+    # IEEE sums and CPython's complex products of Python scalars are
+    # commutative bit for bit.  numpy's complex products of arrays are not,
+    # so the orbit sums keep each product's operand order.
     __radd__ = __add__
     __rmul__ = __mul__
 
@@ -320,6 +337,49 @@ class _Block(NamedTuple):
     grow: np.ndarray | float
     skew: np.ndarray | float
     base: np.ndarray | float
+
+
+class _Pass:
+    """What one pass of a sum over the block plan of ``forms`` holds, per call.
+
+    ``scratch`` is ``buffers`` complex buffers of a block's rows (at most
+    ``_ORBIT_BLOCK``), in which the caller forms each block's num, den,
+    linear forms and terms with ``out=``; each call allocates its own, so
+    no call reads what another left.  :meth:`add` takes the terms of
+    quantity j (of ``count``) over the rows of one record of the plan
+    (:class:`_Block`) and the bound, stated by the caller from the
+    record's floor data, on their own rounding in ulps of eps times their
+    sizes |Re| + |Im|, one per term or one for the block.  It sums the
+    terms (numpy's pairwise sum), then overwrites them with |Re| and |Im|
+    for the floor; the terms are not read again.  :meth:`result` adds the
+    block sums pairwise in row order (:func:`_pairwise`), and so, apart,
+    the last shell's; the floors are added in row order.  So the result
+    depends on the word table only.  It returns per quantity the total,
+    the last shell's sum and the floor in units of eps: the terms' own
+    rounding plus that of the summation (see the module docstring).
+    """
+
+    def __init__(self, forms: SurfaceForms, count: int, buffers: int = 0):
+        self.scratch = [np.empty(min(_ORBIT_BLOCK, len(forms.words)), complex) for _ in range(buffers)]
+        self.parts, self.shells = ([[] for _ in range(count)] for _ in range(2))
+        self.floors, self.sum_ulps = [0.0] * count, forms._sum_ulps
+
+    def add(self, j: int, last: bool, terms: np.ndarray, ulps: np.ndarray | float) -> None:
+        part = np.add.reduce(terms)
+        self.parts[j].append(part)
+        if last:
+            self.shells[j].append(part)
+        # No square roots, and unlike BLAS dasum the same rounding wherever the terms sit.
+        sizes = np.abs(terms.view(np.float64), out=terms.view(np.float64))
+        if isinstance(ulps, np.ndarray):
+            # Sizes |Re| + |Im| as per block; the summation's share with margin sqrt(2).
+            self.floors[j] += (sizes[0::2] + sizes[1::2]) @ (ulps + math.sqrt(2.0) * self.sum_ulps)
+        else:
+            self.floors[j] += (ulps + self.sum_ulps) * float(np.add.reduce(sizes))
+
+    def result(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sums = [[_pairwise(p) for p in parts] for parts in (self.parts, self.shells)]
+        return (*np.array(sums, dtype=np.complex128), np.array(self.floors))
 
 
 class SurfaceForms:
@@ -428,10 +488,11 @@ class SurfaceForms:
 
     # -- orbit plumbing ------------------------------------------------------
 
-    def _orbit(self, x: complex, s: int, e: int) -> tuple[np.ndarray, np.ndarray]:
-        """(num, den) = (a x + b, c x + d) of the words in rows s..e-1 (module docstring)."""
-        w = self.words
-        return w.a[s:e] * x + w.b[s:e], w.c[s:e] * x + w.d[s:e]
+    def _orbit(self, x: complex, s: int, e: int, num: np.ndarray, den: np.ndarray) -> None:
+        """Writes (num, den) = (a x + b, c x + d) of the words in rows s..e-1 (module
+        docstring) into the buffers ``num`` and ``den`` of e - s rows."""
+        np.add(np.multiply(self.words.a[s:e], x, out=num), self.words.b[s:e], out=num)
+        np.add(np.multiply(self.words.c[s:e], x, out=den), self.words.d[s:e], out=den)
 
     def _coset_images(self, s: int, e: int, h: int) -> tuple[np.ndarray, ...]:
         """The cosets of <gamma_h> in rows s..e-1, the words whose last letter
@@ -442,44 +503,6 @@ class SurfaceForms:
         Wp, Wm = self._classical.W_plus[h - 1], self._classical.W_minus[h - 1]
         a, b, c, d = (part[s:e][rows] for part in (w.a, w.b, w.c, w.d))
         return rows, a * Wp + b, c * Wp + d, a * Wm + b, c * Wm + d
-
-    def _reduce(
-        self,
-        terms: Callable[[_Block], Iterable[tuple[int, np.ndarray, np.ndarray | float]]],
-        count: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sums of ``count`` quantities over the word table, one row block at a time.
-
-        ``terms(block)`` yields triples (j, vals, ulps) for each record of the
-        block plan (:attr:`_blocks`), rows s..e-1: the terms of quantity j
-        over its rows of the block (a quantity with none there is not
-        yielded) and the bound, stated by the caller from the record's floor
-        data, on their own rounding in ulps of eps times their sizes
-        |Re| + |Im|, one per term or one for the block.  The block sums are
-        added pairwise in row order (:func:`_pairwise`), and so, apart, are
-        the last shell's; the floors are added in row order.  So the result
-        depends on the word table only.  Returns per quantity the total,
-        the last shell's sum and the floor in units of eps: the terms' own
-        rounding plus that of the summation (see the module docstring).
-        """
-        parts: list[list[complex]] = [[] for _ in range(count)]
-        shell_parts: list[list[complex]] = [[] for _ in range(count)]
-        floors = np.zeros(count)
-        for block in self._blocks:
-            for j, vals, ulps in terms(block):
-                part = np.add.reduce(vals)
-                parts[j].append(part)
-                if block.last:
-                    shell_parts[j].append(part)
-                if isinstance(ulps, np.ndarray):
-                    # Sizes |Re| + |Im| as per block; the summation's share with margin sqrt(2).
-                    sizes = np.abs(vals.real) + np.abs(vals.imag)
-                    floors[j] += sizes @ (ulps + math.sqrt(2.0) * self._sum_ulps)
-                else:
-                    floors[j] += (ulps + self._sum_ulps) * _abs_sum(vals)
-        totals = np.array([_pairwise(p) for p in parts], dtype=np.complex128)
-        shells = np.array([_pairwise(p) for p in shell_parts], dtype=np.complex128)
-        return totals, shells, floors
 
     def _tails(self, shells: np.ndarray, floors: np.ndarray) -> np.ndarray:
         """Last-shell magnitude plus eps times the floor; infinite at L = 0."""
@@ -568,39 +591,42 @@ class SurfaceForms:
         what = f"weight-{weight} kernel"
         if weight == 1 and abs(x) < POLE_GUARD:
             raise _pole_error(what, ())
-        radius = self._surface.radius
-        top = max(self._surface.reach, abs(x))
+        radius, top = self._surface.radius, max(self._surface.reach, abs(x))
         seed_top = top + max(map(abs, A))
-        clear = [self._clearance(y) for y in ys]
+        per_y = [(k, y, self._clearance(y), top + abs(y)) for k, y in enumerate(ys.tolist())]
 
-        def terms(block: _Block) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
-            s, grow, skew = block.s, block.grow, block.skew
-            num, den = self._orbit(x, s, block.e)
-            base = block.base
+        # num, den, l_y, a spare for the terms at all but the last y, and the forms l_{A_j}.
+        run = _Pass(self, len(ys), 3 + (len(ys) > 1) + (2 * weight - 1) * (weight > 1))
+        for block in self._blocks:
+            s, grow, skew, base = block.s, block.grow, block.skew, block.base
+            num, den, ell, *forms = [part[: block.e - s] for part in run.scratch]
+            spare = forms.pop(0) if len(ys) > 1 else None
+            self._orbit(x, s, block.e, num, den)
             if weight > 1:
-                forms, inv, dead = [], 0.0, False
-                for Aj in A:
-                    ell = num - Aj * den
-                    size = np.abs(ell)
+                inv, dead = 0.0, False
+                for Aj, form in zip(A, forms):
+                    size = np.abs(np.subtract(num, np.multiply(Aj, den, out=form), out=form))
                     if not size.all():
                         dead = dead | (size == 0)
-                        ell, size = np.where(dead, 1.0, ell), np.where(dead, 1.0, size)
-                    forms.append(ell)
+                        form[dead], size[dead] = 1.0, 1.0
                     inv = inv + 1.0 / size
-                last = forms.pop()
                 coef = np.where(dead, 0.0, 1.0)
-                for u, v in zip(forms[::2], forms[1::2]):
-                    coef = coef / (u * v)
+                for u, v in zip(forms[:-1:2], forms[1:-1:2]):
+                    coef = np.divide(coef, np.multiply(u, v, out=ell), out=u)
                 t_seed = np.abs(den) * inv
                 base = _orbit_ulps(weight, seed_top * t_seed, radius * t_seed, grow, skew)
-            for k, y in enumerate(ys.tolist()):
-                ell = num - y * den
-                at = self._pole_at_y(block, s, ell, den, clear[k], what)
-                share = _orbit_ulps(0, top + abs(y), radius, grow, skew)
-                term = np.reciprocal(num * ell) if weight == 1 else coef / (last * ell)
-                yield k, term, base + share / at
+            for k, y, clear, reach in per_y:
+                np.subtract(num, np.multiply(y, den, out=ell), out=ell)
+                at = self._pole_at_y(block, s, ell, den, clear, what)
+                share = _orbit_ulps(0, reach, radius, grow, skew)
+                term = den if k == len(ys) - 1 else spare  # den is read no more in this block
+                if weight == 1:
+                    np.reciprocal(np.multiply(num, ell, out=term), out=term)
+                else:
+                    np.divide(coef, np.multiply(forms[-1], ell, out=term), out=term)
+                run.add(k, block.last, term, base + share / at)
 
-        totals, shells, floors = self._reduce(terms, len(ys))
+        totals, shells, floors = run.result()
         # Every term carries the exact factor P(y): a zero P(y) times an infinite tail is zero.
         return poly * totals, np.abs(poly) * np.where(poly != 0, self._tails(shells, floors), 0.0)
 
@@ -673,21 +699,24 @@ class SurfaceForms:
         rim = 2 * weight * self._surface.radius
         clear = self._clearance(y)
 
-        def terms(block: _Block) -> Iterator[tuple[int, np.ndarray, float | np.ndarray]]:
-            s, e, grow, skew = block.s, block.e, block.grow, block.skew
+        run = _Pass(self, 1, 3)
+        for block in self._blocks:
+            s, e = block.s, block.e
             t = max(s, first)
             if t >= e:
-                return
-            if not s:  # the identity's block, per word from the sum's first row
-                grow, skew = grow[t:], skew[t:]
-            num, den = self._orbit(x, t, e)
-            ell = num - y * den
+                continue
+            # Per word in the identity's block, from the sum's first row.
+            grow, skew = (block.grow[t:], block.skew[t:]) if not s else (block.grow, block.skew)
+            num, den, ell = (part[: e - t] for part in run.scratch)
+            self._orbit(x, t, e, num, den)
+            np.subtract(num, np.multiply(y, den, out=ell), out=ell)
             near = self._pole_at_y(block, t, ell, den, clear, what)
-            ulps = _orbit_ulps(weight, top / near, rim / near, grow, skew)
-            term = np.reciprocal(ell * ell)
-            yield 0, term ** weight if weight > 1 else term, ulps
+            kappa, drift, near = top / near, rim / near, None  # near freed before the rule runs
+            ulps = _orbit_ulps(weight, kappa, drift, grow, skew)
+            term = np.reciprocal(np.multiply(ell, ell, out=num), out=num)
+            run.add(0, block.last, term ** weight if weight > 1 else term, ulps)
 
-        totals, shells, floors = self._reduce(terms, 1)
+        totals, shells, floors = run.result()
         return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
 
     def projective_connection(self, x: complex) -> Estimate:
@@ -729,15 +758,17 @@ class SurfaceForms:
         delta = self._classical.W_plus[a - 1] - self._classical.W_minus[a - 1]
         top = self._surface.reach + abs(x)
 
-        def terms(block: _Block) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-            rows, num_p, den_p, num_m, den_m = self._coset_images(block.s, block.e, a)
-            grow, skew = (part[rows] if block.s == 0 else part for part in (block.grow, block.skew))
+        run = _Pass(self, 1)
+        for s, e, last, grow, skew, _ in self._blocks:
+            rows, num_p, den_p, num_m, den_m = self._coset_images(s, e, a)
+            grow, skew = (part[rows] if s == 0 else part for part in (grow, skew))
             ell_m, ell_p = x * den_m - num_m, x * den_p - num_p
             t = np.abs(den_m) / np.abs(ell_m) + np.abs(den_p) / np.abs(ell_p)
             share = _orbit_ulps(0, top, self._surface.radius, grow, skew)
-            return ((0, -delta / (ell_m * ell_p), _orbit_ulps(1, 0.0, 0.0, grow, skew) + t * share),)
+            run.add(0, last, -delta / (ell_m * ell_p), _orbit_ulps(1, 0.0, 0.0, grow, skew) + t * share)
+            del num_p, den_p, num_m, den_m, ell_m, ell_p  # so the next block's do not add to them
 
-        totals, shells, floors = self._reduce(terms, 1)
+        totals, shells, floors = run.result()
         if self.policy.max_word_length == 1:
             shells = np.maximum(np.abs(shells), np.abs(totals - shells))
         return Estimate(complex(totals[0]), float(self._tails(shells, floors)[0]))
@@ -814,8 +845,8 @@ class SurfaceForms:
         w = self.words
         pairs = [(a, b) for b in range(1, g + 1) for a in range(1, b + 1)]
 
-        def terms(block: _Block) -> Iterator[tuple[int, np.ndarray, float]]:
-            s, e = block.s, block.e
+        run = _Pass(self, len(pairs))
+        for s, e, last, *_ in self._blocks:
             first = np.abs(_first_letters(g, s, w.length[s:e]))
             for b in range(1, g + 1):  # the images of W_{+-b} under the cosets of column b
                 rows, num_p, den_p, num_m, den_m = self._coset_images(s, e, b)
@@ -833,9 +864,9 @@ class SurfaceForms:
                     part = vals[ends[a - 1]:ends[a]]
                     if a == b and s == 0:
                         part = np.concatenate(([cmath.log(cp.q[a - 1])], part))
-                    yield b * (b - 1) // 2 + a - 1, part, 1.0  # the index of (a, b) in pairs
+                    run.add(b * (b - 1) // 2 + a - 1, last, part, 1.0)  # (a, b) in pairs
 
-        totals, shells, floors = self._reduce(terms, len(pairs))
+        totals, shells, floors = run.result()
         tails = self._tails(shells, floors) / (2.0 * math.pi)
         omega = np.empty((g, g), dtype=np.complex128)
         for (a, b), total, floor in zip(pairs, totals, floors):
@@ -962,16 +993,6 @@ def _pairwise(parts: list[complex]) -> complex:
     while len(parts) > 1:
         parts = [sum(parts[k : k + 2]) for k in range(0, len(parts), 2)]
     return sum(parts, 0j)
-
-
-def _abs_sum(terms: np.ndarray) -> float:
-    """sum(|Re| + |Im|) of a 1-d complex array, a bound on sum |terms|.
-
-    numpy's pairwise sum over the interleaved parts, with no square
-    roots.  Unlike BLAS ``dasum``, whose result depends on the alignment
-    of its input, it rounds the same wherever the terms sit in memory.
-    """
-    return float(np.add.reduce(np.abs(np.ascontiguousarray(terms).view(np.float64))))
 
 
 def _log1p(z: np.ndarray) -> np.ndarray:

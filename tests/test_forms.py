@@ -28,8 +28,8 @@ from schottky.forms import (
     Estimate,
     PoleProximityError,
     SurfaceForms,
+    _Pass,
     _kernel_seed,
-    _abs_sum,
 )
 from schottky.correlators import heisenberg_npoint, virasoro_one_point, virasoro_two_point
 from schottky.modes import bidifferential_via_modes, heisenberg_partition, kernel_via_modes
@@ -988,18 +988,89 @@ class TestBlockedSums:
             getattr(genus2_forms, name)(*args)
             assert sorted(seen) == sorted([(s, s == 0) for s in starts] * ys), name
 
-    def test_floor_is_independent_of_buffer_alignment(self):
-        # The same terms at 8 offsets of one buffer give one floor (BLAS
-        # dasum rounded them two ways), so tails reproduce bit for bit.
+    def test_floor_is_independent_of_buffer_alignment(self, genus3_params):
+        # The same terms at 8 offsets of one buffer give one sum and one
+        # floor (BLAS dasum rounded them two ways), so tails reproduce bit
+        # for bit.  _Pass.add takes |Re| + |Im| in place on the buffer that
+        # holds the terms, a sum's scratch; both of its floors, one bound
+        # per block and one per term, are checked.
+        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=6))
         rng = np.random.default_rng(3)
         n = 2048
         terms = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-12, 0, n)
-        floors = set()
+        per_term = rng.uniform(1.0, 100.0, n)
+        results = set()
         for k in range(8):
             view = np.empty(2 * n + 8)[k:k + 2 * n].view(np.complex128)
-            view[:] = terms
-            floors.add(_abs_sum(view))
-        assert len(floors) == 1
+            run = _Pass(F, 2)
+            for j, ulps in enumerate((7.0, per_term)):
+                view[:] = terms
+                run.add(j, True, view, ulps)
+            results.add(b"".join(part.tobytes() for part in run.result()))
+        assert len(results) == 1
+
+    def test_pointwise_sums_run_in_block_scratch(self, genus3_params):
+        # Each pointwise sum forms its blocks in a few complex buffers of one
+        # block's rows (32 KiB each at L = 6), allocated per call, instead of
+        # fresh arrays per block: with the word table and the block plan
+        # formed, third_kind_form, bidifferential and projective_connection
+        # peak below six such blocks (a temporary per block and operation
+        # took 226-227 KiB), and the weight-2 kernel below the 423 KiB it
+        # took so.
+        F = SurfaceForms(genus3_params, TruncationPolicy(max_word_length=6))
+        x, y = 3.0 - 1.0j, -0.5 - 0.8j
+        F.words, F._blocks, F._sum_ulps
+        limits_kib = {  # name: (call, peak limit in KiB)
+            "third_kind_form": (lambda: F.third_kind_form(x, y), 6 * 32),
+            "bidifferential": (lambda: F.bidifferential(x, y), 6 * 32),
+            "projective_connection": (lambda: F.projective_connection(x), 6 * 32),
+            "recursion_kernel, weight 2": (lambda: F.recursion_kernel(x, y, 2), 423),
+        }
+        for name, (call, limit) in limits_kib.items():
+            call()  # the y-independent records (the clearance's discs) formed
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit * 2**10, (name, peak)
+
+    def test_interleaved_calls_reproduce_bit_for_bit(self, genus3_params, genus2_params):
+        # The module docstring promises that every value is reproduced bit
+        # for bit on every call.  The sums reuse scratch within a call, and
+        # at L = 6 the genus-3 blocks hold 2,048, 591 and 318 rows, so a
+        # stale row read from an earlier block or call would show: every
+        # evaluator at three points, an L = 2 surface's calls, then the
+        # first calls again in reverse order, bit for bit.
+        def calls(sp, L):
+            F = SurfaceForms(sp, TruncationPolicy(max_word_length=L))
+            circle = sp.center(1) + sp.radius(1) * cmath.exp(1.3j)
+            out = []
+            for x, y in ((3.0 - 1.0j, -0.5 - 0.8j), (-0.3 + 2.9j, 2.25 + 0.03j), (circle, 0.4 - 3.1j)):
+                out += [
+                    functools.partial(F.third_kind_form, x, y),
+                    *(functools.partial(F.recursion_kernel, x, y, N) for N in range(2, sp.genus + 1)),
+                    functools.partial(F.bidifferential, x, y),
+                    functools.partial(F.power_bidifferential, x, y, 2),
+                    functools.partial(F.projective_connection, x),
+                    functools.partial(F.quasiperiod_coefficients, 2, x),
+                ]
+                out += [functools.partial(F.holomorphic_form, a, x) for a in range(1, sp.genus + 1)]
+            return out + [F.period_matrix]
+
+        def bits(result):
+            if hasattr(result, "omega"):
+                return result.omega.tobytes(), float(result.tail).hex()
+            flat = [result] if isinstance(result, Estimate) else [e for row in result for e in row]
+            return tuple((complex(e.value).real.hex(), complex(e.value).imag.hex(), e.tail.hex()) for e in flat)
+
+        first = calls(genus3_params, 6)
+        before = [bits(call()) for call in first]
+        for call in calls(genus2_params, 2):
+            call()
+        after = [bits(call()) for call in reversed(first)][::-1]
+        assert after == before
 
     def test_multi_y_kernel_bitwise_equals_single_y(self, genus3_params):
         # quasiperiod_coefficients sums the kernel at all its nodes in one
